@@ -37,15 +37,15 @@ Run()
                         "bottleneck"});
     for (DatasetKind kind : {DatasetKind::kIris, DatasetKind::kHiggs}) {
         const BenchModel& model = GetModel(kind, 128, 10);
-        auto sched = MakeScheduler(model);
         for (BackendKind backend :
              {BackendKind::kGpuHummingbird, BackendKind::kGpuRapids,
               BackendKind::kFpga}) {
-            if (!sched.Has(backend)) {
+            auto engine = CreateLoadedEngine(backend, HardwareProfile::Paper(),
+                                             model.ensemble, model.stats);
+            if (engine == nullptr) {
                 continue;
             }
-            ChunkedPlan plan =
-                PlanChunkedScoring(sched.Engine(backend), 1000000);
+            ChunkedPlan plan = PlanChunkedScoring(*engine, 1000000);
             table.AddRow(
                 {std::string(DatasetName(kind)) + " 128t/10d",
                  BackendName(backend), plan.unchunked.ToString(),

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "dbscore/common/error.h"
+#include "dbscore/common/logging.h"
 
 namespace dbscore {
 
@@ -34,13 +35,18 @@ OffloadScheduler::OffloadScheduler(const HardwareProfile& profile,
                                    const TreeEnsemble& model,
                                    const ModelStats& stats)
 {
+    const RandomForest forest = model.ToForest();
     for (BackendKind kind : AllBackends()) {
-        auto engine = CreateLoadedEngine(kind, profile, model, stats);
-        if (engine != nullptr) {
-            engines_.push_back(std::move(engine));
+        // An unloaded engine is only the backend's parameters; its card
+        // is what a LoadModel would price with.
+        auto engine = CreateEngine(kind, profile);
+        try {
+            backends_.push_back({kind, engine->MakeCostCard(forest, stats)});
+        } catch (const CapacityError& e) {
+            Debug(engine->Name(), " cannot host this model: ", e.what());
         }
     }
-    if (engines_.empty()) {
+    if (backends_.empty()) {
         throw InvalidArgument("scheduler: no backend can host this model");
     }
 }
@@ -49,9 +55,9 @@ std::vector<BackendKind>
 OffloadScheduler::Available() const
 {
     std::vector<BackendKind> kinds;
-    kinds.reserve(engines_.size());
-    for (const auto& engine : engines_) {
-        kinds.push_back(engine->kind());
+    kinds.reserve(backends_.size());
+    for (const Backend& backend : backends_) {
+        kinds.push_back(backend.kind);
     }
     return kinds;
 }
@@ -59,24 +65,12 @@ OffloadScheduler::Available() const
 bool
 OffloadScheduler::Has(BackendKind kind) const
 {
-    for (const auto& engine : engines_) {
-        if (engine->kind() == kind) {
+    for (const Backend& backend : backends_) {
+        if (backend.kind == kind) {
             return true;
         }
     }
     return false;
-}
-
-ScoringEngine&
-OffloadScheduler::Engine(BackendKind kind) const
-{
-    for (const auto& engine : engines_) {
-        if (engine->kind() == kind) {
-            return *engine;
-        }
-    }
-    throw NotFound(std::string("scheduler: backend unavailable: ") +
-                   BackendName(kind));
 }
 
 SchedulerDecision
@@ -85,8 +79,8 @@ OffloadScheduler::Choose(std::size_t num_rows) const
     SchedulerDecision decision;
     decision.best_time = SimTime::Seconds(
         std::numeric_limits<double>::infinity());
-    for (const auto& engine : engines_) {
-        BackendEstimate est{engine->kind(), engine->Estimate(num_rows)};
+    for (const Backend& backend : backends_) {
+        BackendEstimate est{backend.kind, backend.card->Estimate(num_rows)};
         if (est.Total() < decision.best_time) {
             decision.best_time = est.Total();
             decision.best = est.kind;
@@ -99,7 +93,13 @@ OffloadScheduler::Choose(std::size_t num_rows) const
 OffloadBreakdown
 OffloadScheduler::EstimateFor(BackendKind kind, std::size_t num_rows) const
 {
-    return Engine(kind).Estimate(num_rows);
+    for (const Backend& backend : backends_) {
+        if (backend.kind == kind) {
+            return backend.card->Estimate(num_rows);
+        }
+    }
+    throw NotFound(std::string("scheduler: backend unavailable: ") +
+                   BackendName(kind));
 }
 
 double

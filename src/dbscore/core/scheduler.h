@@ -6,10 +6,11 @@
  * incoming scoring query "depends at least on the model complexity, the
  * scoring data size, and the overheads associated with data movement and
  * invocation" (Figure 1) — so a scheduler must decide dynamically.
- * OffloadScheduler holds one loaded engine per viable backend, asks each
- * for its modeled latency at a given record count, and quantifies the
- * regret of a wrong decision (the paper's ~10x latency / ~70x throughput
- * penalties).
+ * OffloadScheduler holds one cost card per viable backend (a few KB: no
+ * engine is loaded and nothing is compiled), asks each for its modeled
+ * latency at a given record count, and quantifies the regret of a wrong
+ * decision (the paper's ~10x latency / ~70x throughput penalties). It is
+ * immutable once built, so one scheduler may serve many threads.
  */
 #ifndef DBSCORE_CORE_SCHEDULER_H
 #define DBSCORE_CORE_SCHEDULER_H
@@ -50,9 +51,10 @@ struct SchedulerDecision {
 class OffloadScheduler {
  public:
     /**
-     * Loads @p model into every backend that can host it. Backends that
+     * Builds every backend's cost card for @p model. Backends that
      * reject the model (capacity limits) are simply unavailable, like
-     * the missing series in the paper's plots.
+     * the missing series in the paper's plots — the same rules
+     * CreateLoadedEngine applies.
      */
     OffloadScheduler(const HardwareProfile& profile,
                      const TreeEnsemble& model, const ModelStats& stats);
@@ -63,10 +65,13 @@ class OffloadScheduler {
     /** True if @p kind accepted the model. */
     bool Has(BackendKind kind) const;
 
-    /** Oracle decision: evaluate every engine's model at @p num_rows. */
+    /** Oracle decision: evaluate every backend's model at @p num_rows. */
     SchedulerDecision Choose(std::size_t num_rows) const;
 
-    /** Modeled latency of one backend. @throws NotFound if unavailable. */
+    /**
+     * Modeled latency of one backend: bit-identical to the loaded
+     * engine's Estimate. @throws NotFound if unavailable.
+     */
     OffloadBreakdown EstimateFor(BackendKind kind,
                                  std::size_t num_rows) const;
 
@@ -76,11 +81,14 @@ class OffloadScheduler {
      */
     double Regret(BackendKind chosen, std::size_t num_rows) const;
 
-    /** The engine object for @p kind. @throws NotFound if unavailable. */
-    ScoringEngine& Engine(BackendKind kind) const;
-
  private:
-    std::vector<std::unique_ptr<ScoringEngine>> engines_;
+    struct Backend {
+        BackendKind kind;
+        std::unique_ptr<const CostCard> card;
+    };
+
+    /** Viable backends, in AllBackends() order. */
+    std::vector<Backend> backends_;
 };
 
 /**

@@ -23,7 +23,11 @@
 
 namespace dbscore {
 
-/** Shared functional-scoring plumbing for CPU engines. */
+/**
+ * Shared functional-scoring plumbing for CPU engines. Their cost card
+ * is the CpuSpec, the thread count and the ModelStats; the two
+ * frameworks differ only in which CpuSpec constants it reads.
+ */
 class CpuEngineBase : public ScoringEngine {
  public:
     CpuEngineBase(const CpuSpec& spec, int threads);
@@ -31,29 +35,20 @@ class CpuEngineBase : public ScoringEngine {
     void LoadModel(const TreeEnsemble& model,
                    const ModelStats& stats) override;
 
+    std::unique_ptr<const CostCard> MakeCostCard(
+        const RandomForest& forest, const ModelStats& stats) const override;
+
     ScoreResult Score(const float* rows, std::size_t num_rows,
                       std::size_t num_cols) override;
 
     int threads() const { return threads_; }
     const CpuSpec& spec() const { return spec_; }
 
- protected:
-    const ModelStats& stats() const { return stats_; }
-
-    /** Mean traversal edges per tree (from stats; >= 1 for timing). */
-    double AvgPath() const;
-
-    /**
-     * Per-record cost of streaming the batch feature matrix once it
-     * spills the LLC (grows with the record count).
-     */
-    double DataMissPerRecordNs(std::size_t num_rows) const;
-
  private:
     CpuSpec spec_;
     int threads_;
     RandomForest forest_;
-    ModelStats stats_;
+    std::size_t num_features_ = 0;
 };
 
 /** Scikit-learn-style batch engine (paper's CPU_SKLearn, 52 threads). */
@@ -62,8 +57,6 @@ class SklearnCpuEngine : public CpuEngineBase {
     explicit SklearnCpuEngine(const CpuSpec& spec, int threads = 0);
 
     BackendKind kind() const override { return BackendKind::kCpuSklearn; }
-
-    OffloadBreakdown Estimate(std::size_t num_rows) const override;
 };
 
 /** ONNX-runtime-style engine (CPU_ONNX at 1 thread, CPU_ONNX_52th at 52). */
@@ -77,8 +70,6 @@ class OnnxCpuEngine : public CpuEngineBase {
         return threads() == 1 ? BackendKind::kCpuOnnx
                               : BackendKind::kCpuOnnxMt;
     }
-
-    OffloadBreakdown Estimate(std::size_t num_rows) const override;
 };
 
 }  // namespace dbscore

@@ -64,10 +64,15 @@ class FpgaScoringEngine : public ScoringEngine {
     void LoadModel(const TreeEnsemble& model,
                    const ModelStats& stats) override;
 
+    /**
+     * The card is the pass count and image bytes of PlanFpgaModel (the
+     * depth and BRAM rules) at this deployment's node width.
+     */
+    std::unique_ptr<const CostCard> MakeCostCard(
+        const RandomForest& forest, const ModelStats& stats) const override;
+
     ScoreResult Score(const float* rows, std::size_t num_rows,
                       std::size_t num_cols) override;
-
-    OffloadBreakdown Estimate(std::size_t num_rows) const override;
 
     /** Access to the underlying device simulator (for benches/tests). */
     const FpgaInferenceEngine& device() const { return engine_; }
@@ -76,7 +81,6 @@ class FpgaScoringEngine : public ScoringEngine {
     FpgaInferenceEngine engine_;
     PcieLink link_;
     FpgaOffloadParams params_;
-    ModelStats stats_;
 };
 
 }  // namespace dbscore

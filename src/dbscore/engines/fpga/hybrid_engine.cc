@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dbscore/common/error.h"
-#include "dbscore/common/string_util.h"
 #include "dbscore/common/thread_pool.h"
 
 namespace dbscore {
@@ -68,6 +67,99 @@ CollectContinuations(const DecisionTree& tree, std::size_t cut,
 
 }  // namespace
 
+/** Cost model of the FPGA top levels plus the CPU tails. */
+class HybridCostCard final : public CostCard {
+ public:
+    HybridCostCard(const FpgaSpec& fpga_spec, const PcieLink& link,
+                   const FpgaOffloadParams& params, const CpuSpec& cpu_spec,
+                   const ModelStats& stats, const RandomForest& forest)
+        : fpga_spec_(fpga_spec),
+          link_(link),
+          params_(params),
+          cpu_spec_(cpu_spec),
+          stats_(stats),
+          num_trees_(forest.NumTrees()),
+          plan_(PlanFpgaPasses(fpga_spec, forest.NumTrees()))
+    {
+        const auto cut = static_cast<std::size_t>(fpga_spec.max_tree_depth);
+        double prob_sum = 0.0;
+        double weighted_tail = 0.0;
+        for (const auto& tree : forest.trees()) {
+            CollectContinuations(tree, cut, prob_sum, weighted_tail);
+        }
+        continuation_fraction_ =
+            prob_sum / static_cast<double>(num_trees_);
+        mean_tail_depth_ = prob_sum > 0.0 ? weighted_tail / prob_sum : 0.0;
+    }
+
+    OffloadBreakdown Estimate(std::size_t num_rows) const override;
+
+    double continuation_fraction() const { return continuation_fraction_; }
+    double mean_tail_depth() const { return mean_tail_depth_; }
+
+ private:
+    FpgaSpec fpga_spec_;
+    PcieLink link_;
+    FpgaOffloadParams params_;
+    CpuSpec cpu_spec_;
+    ModelStats stats_;
+    std::size_t num_trees_;
+    FpgaModelPlan plan_;
+    double continuation_fraction_ = 0.0;
+    double mean_tail_depth_ = 0.0;
+};
+
+OffloadBreakdown
+HybridCostCard::Estimate(std::size_t num_rows) const
+{
+    const double n = static_cast<double>(num_rows);
+    const double trees = static_cast<double>(num_trees_);
+    const double passes = static_cast<double>(plan_.passes);
+
+    OffloadBreakdown b;
+    b.input_transfer = link_.TransferLatency(plan_.model_bytes);
+    b.setup = params_.csr.WriteMany(
+                  static_cast<std::uint64_t>(params_.setup_csr_writes)) *
+              passes;
+
+    // FPGA part: identical pipelining to the plain engine.
+    SimTime fpga_compute = SimTime::Cycles(
+        static_cast<double>(
+            plan_.Cycles(fpga_spec_, num_rows, stats_.num_features)),
+        fpga_spec_.clock_hz);
+
+    // CPU part: finish the cut traversals and run the final vote. Uses
+    // the sklearn-engine cost model at full thread count.
+    const double model_bytes_cpu = static_cast<double>(
+        stats_.total_nodes) * cpu_spec_.sklearn_node_bytes;
+    const double miss = LlcMissFraction(
+        model_bytes_cpu, static_cast<double>(cpu_spec_.llc_bytes),
+        cpu_spec_.llc_miss_asymptote);
+    const double per_node_ns = cpu_spec_.sklearn_per_node_ns +
+                               miss * cpu_spec_.llc_miss_penalty_ns;
+    const double vote_ns = 2.0;
+    const double per_record_ns =
+        trees * continuation_fraction_ * mean_tail_depth_ * per_node_ns +
+        trees * vote_ns;
+    const double efficiency = ThreadEfficiency(
+        cpu_spec_.max_threads, cpu_spec_.sklearn_thread_exponent);
+    SimTime cpu_compute =
+        SimTime::Nanos(n * per_record_ns / efficiency);
+
+    b.compute = fpga_compute + cpu_compute;
+    b.completion_signal = params_.interrupt.latency * passes;
+
+    // Partial results: one 4-byte word per (record, tree) comes back.
+    const std::uint64_t result_bytes =
+        static_cast<std::uint64_t>(num_rows) * num_trees_ * sizeof(float);
+    const std::uint64_t chunks = std::max<std::uint64_t>(
+        1, (result_bytes + fpga_spec_.result_buffer_bytes - 1) /
+               fpga_spec_.result_buffer_bytes);
+    b.result_transfer = link_.ChunkedTransferLatency(result_bytes, chunks);
+    b.software_overhead = params_.software_overhead;
+    return b;
+}
+
 HybridFpgaCpuEngine::HybridFpgaCpuEngine(const FpgaSpec& fpga_spec,
                                          const PcieLinkSpec& link_spec,
                                          const FpgaOffloadParams& params,
@@ -79,57 +171,49 @@ HybridFpgaCpuEngine::HybridFpgaCpuEngine(const FpgaSpec& fpga_spec,
 {
 }
 
+const HybridCostCard&
+HybridFpgaCpuEngine::Card() const
+{
+    return static_cast<const HybridCostCard&>(card());
+}
+
+std::unique_ptr<const CostCard>
+HybridFpgaCpuEngine::MakeCostCard(const RandomForest& forest,
+                                  const ModelStats& stats) const
+{
+    return std::make_unique<HybridCostCard>(fpga_spec_, link_, params_,
+                                            cpu_spec_, stats, forest);
+}
+
 void
 HybridFpgaCpuEngine::LoadModel(const TreeEnsemble& model,
                                const ModelStats& stats)
 {
     RandomForest forest = model.ToForest();
+    auto card = MakeCostCard(forest, stats);
     const auto cut = static_cast<std::size_t>(fpga_spec_.max_tree_depth);
-
     std::vector<TreeMemoryImage> images;
     images.reserve(forest.NumTrees());
-    double prob_sum = 0.0;
-    double weighted_tail = 0.0;
     for (const auto& tree : forest.trees()) {
         images.push_back(LayoutTreeTop(tree, cut));
-        CollectContinuations(tree, cut, prob_sum, weighted_tail);
-    }
-
-    const std::uint64_t per_tree =
-        images.front().NumSlots() *
-        static_cast<std::uint64_t>(fpga_spec_.node_bytes);
-    const std::uint64_t widest_pass = std::min<std::uint64_t>(
-        images.size(), static_cast<std::uint64_t>(fpga_spec_.num_pes));
-    const std::uint64_t used =
-        widest_pass * per_tree + fpga_spec_.result_buffer_bytes;
-    if (used > fpga_spec_.bram_bytes) {
-        throw CapacityError(StrFormat(
-            "fpga hybrid: model needs %s of BRAM but only %s available",
-            HumanBytes(used).c_str(),
-            HumanBytes(fpga_spec_.bram_bytes).c_str()));
     }
 
     forest_ = std::move(forest);
-    stats_ = stats;
+    num_features_ = stats.num_features;
     images_ = std::move(images);
-    const double trees = static_cast<double>(forest_.NumTrees());
-    continuation_fraction_ = prob_sum / trees;
-    mean_tail_depth_ = prob_sum > 0.0 ? weighted_tail / prob_sum : 0.0;
-    set_loaded(true);
+    set_card(std::move(card));
 }
 
 double
 HybridFpgaCpuEngine::ContinuationFraction() const
 {
-    RequireLoaded();
-    return continuation_fraction_;
+    return Card().continuation_fraction();
 }
 
 double
 HybridFpgaCpuEngine::MeanTailDepth() const
 {
-    RequireLoaded();
-    return mean_tail_depth_;
+    return Card().mean_tail_depth();
 }
 
 ScoreResult
@@ -137,7 +221,7 @@ HybridFpgaCpuEngine::Score(const float* rows, std::size_t num_rows,
                            std::size_t num_cols)
 {
     RequireLoaded();
-    if (num_cols != stats_.num_features) {
+    if (num_cols != num_features_) {
         throw InvalidArgument(Name() + ": row arity mismatch");
     }
 
@@ -186,73 +270,6 @@ HybridFpgaCpuEngine::Score(const float* rows, std::size_t num_rows,
     result.breakdown = Estimate(num_rows);
     TraceOffloadStages(result.breakdown);
     return result;
-}
-
-OffloadBreakdown
-HybridFpgaCpuEngine::Estimate(std::size_t num_rows) const
-{
-    RequireLoaded();
-    const double n = static_cast<double>(num_rows);
-    const double trees = static_cast<double>(images_.size());
-    const auto pes = static_cast<std::uint64_t>(fpga_spec_.num_pes);
-    const std::uint64_t passes = (images_.size() + pes - 1) / pes;
-
-    OffloadBreakdown b;
-
-    std::uint64_t model_bytes = 0;
-    for (const auto& image : images_) {
-        model_bytes += image.NumSlots() *
-                       static_cast<std::uint64_t>(fpga_spec_.node_bytes);
-    }
-    b.input_transfer = link_.TransferLatency(model_bytes);
-    b.setup = params_.csr.WriteMany(
-                  static_cast<std::uint64_t>(params_.setup_csr_writes)) *
-              static_cast<double>(passes);
-
-    // FPGA part: identical pipelining to the plain engine.
-    const auto width =
-        static_cast<std::uint64_t>(fpga_spec_.stream_floats_per_cycle);
-    const std::uint64_t stream_cycles = std::max<std::uint64_t>(
-        1, (stats_.num_features + width - 1) / width);
-    const std::uint64_t cycles =
-        passes *
-        (static_cast<std::uint64_t>(fpga_spec_.pipeline_fill_cycles) +
-         static_cast<std::uint64_t>(num_rows) * stream_cycles);
-    SimTime fpga_compute =
-        SimTime::Cycles(static_cast<double>(cycles), fpga_spec_.clock_hz);
-
-    // CPU part: finish the cut traversals and run the final vote. Uses
-    // the sklearn-engine cost model at full thread count.
-    const double model_bytes_cpu = static_cast<double>(
-        stats_.total_nodes) * cpu_spec_.sklearn_node_bytes;
-    const double miss = LlcMissFraction(
-        model_bytes_cpu, static_cast<double>(cpu_spec_.llc_bytes),
-        cpu_spec_.llc_miss_asymptote);
-    const double per_node_ns = cpu_spec_.sklearn_per_node_ns +
-                               miss * cpu_spec_.llc_miss_penalty_ns;
-    const double vote_ns = 2.0;
-    const double per_record_ns =
-        trees * continuation_fraction_ * mean_tail_depth_ * per_node_ns +
-        trees * vote_ns;
-    const double efficiency = ThreadEfficiency(
-        cpu_spec_.max_threads, cpu_spec_.sklearn_thread_exponent);
-    SimTime cpu_compute =
-        SimTime::Nanos(n * per_record_ns / efficiency);
-
-    b.compute = fpga_compute + cpu_compute;
-    b.completion_signal =
-        params_.interrupt.latency * static_cast<double>(passes);
-
-    // Partial results: one 4-byte word per (record, tree) comes back.
-    const std::uint64_t result_bytes =
-        static_cast<std::uint64_t>(num_rows) * images_.size() *
-        sizeof(float);
-    const std::uint64_t chunks = std::max<std::uint64_t>(
-        1, (result_bytes + fpga_spec_.result_buffer_bytes - 1) /
-               fpga_spec_.result_buffer_bytes);
-    b.result_transfer = link_.ChunkedTransferLatency(result_bytes, chunks);
-    b.software_overhead = params_.software_overhead;
-    return b;
 }
 
 }  // namespace dbscore

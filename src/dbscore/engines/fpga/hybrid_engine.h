@@ -26,6 +26,9 @@
 
 namespace dbscore {
 
+/** The hybrid engine's cost card; defined in hybrid_engine.cc. */
+class HybridCostCard;
+
 /** The hybrid deep-tree backend. */
 class HybridFpgaCpuEngine : public ScoringEngine {
  public:
@@ -40,10 +43,15 @@ class HybridFpgaCpuEngine : public ScoringEngine {
     void LoadModel(const TreeEnsemble& model,
                    const ModelStats& stats) override;
 
+    /**
+     * The card is the FPGA pass plan (BRAM rule only) plus the
+     * continuation statistics below.
+     */
+    std::unique_ptr<const CostCard> MakeCostCard(
+        const RandomForest& forest, const ModelStats& stats) const override;
+
     ScoreResult Score(const float* rows, std::size_t num_rows,
                       std::size_t num_cols) override;
-
-    OffloadBreakdown Estimate(std::size_t num_rows) const override;
 
     /**
      * Expected fraction of (record, tree) traversals that hit the depth
@@ -56,15 +64,15 @@ class HybridFpgaCpuEngine : public ScoringEngine {
     double MeanTailDepth() const;
 
  private:
+    const HybridCostCard& Card() const;
+
     FpgaSpec fpga_spec_;
     PcieLink link_;
     FpgaOffloadParams params_;
     CpuSpec cpu_spec_;
     RandomForest forest_;
-    ModelStats stats_;
+    std::size_t num_features_ = 0;
     std::vector<TreeMemoryImage> images_;
-    double continuation_fraction_ = 0.0;
-    double mean_tail_depth_ = 0.0;
 };
 
 }  // namespace dbscore

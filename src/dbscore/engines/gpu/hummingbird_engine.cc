@@ -18,7 +18,96 @@ constexpr double kPreprocPerValueNs = 0.2;
 /** DRAM line size used by the row-value gather coalescing model. */
 constexpr double kLineBytes = 128.0;
 
+/** Output columns of the compiled program: classes, or 1 (regression). */
+int
+NumOutputs(const RandomForest& forest)
+{
+    return forest.task() == Task::kClassification ? forest.num_classes() : 1;
+}
+
 }  // namespace
+
+/**
+ * Hummingbird's cost model for one model: the strategy kAuto picks and
+ * each tree's shape, from which the compiled tensors' sizes, the tensor
+ * width and the op ledger all follow without compiling anything.
+ */
+class HbCostCard final : public CostCard {
+ public:
+    HbCostCard(const GpuDeviceModel& device, const HummingbirdParams& params,
+               const RandomForest& forest, const ModelStats& stats);
+
+    OffloadBreakdown Estimate(std::size_t num_rows) const override;
+
+    /** The analytic op ledger of scoring @p num_rows rows. */
+    CostLedger Ledger(std::size_t num_rows) const;
+
+    HbStrategy strategy() const { return strategy_; }
+
+ private:
+    struct TreeShape {
+        std::size_t internal = 0;
+        std::size_t leaves = 0;
+        std::size_t depth = 0;
+    };
+
+    GpuDeviceModel device_;
+    HummingbirdParams params_;
+    ModelStats stats_;
+    int num_outputs_;
+    std::vector<TreeShape> trees_;
+    HbStrategy strategy_ = HbStrategy::kGemm;
+    /** Bytes of the compiled model tensors shipped to the device. */
+    std::uint64_t model_bytes_ = 0;
+    /** Tensor minor width for gather coalescing. */
+    std::size_t width_ = 0;
+};
+
+HbCostCard::HbCostCard(const GpuDeviceModel& device,
+                       const HummingbirdParams& params,
+                       const RandomForest& forest, const ModelStats& stats)
+    : device_(device),
+      params_(params),
+      stats_(stats),
+      num_outputs_(NumOutputs(forest))
+{
+    std::size_t max_internal = 0;
+    trees_.reserve(forest.NumTrees());
+    for (const auto& tree : forest.trees()) {
+        const TreeShape shape{tree.NumNodes() - tree.NumLeaves(),
+                              tree.NumLeaves(), tree.Depth()};
+        max_internal = std::max(max_internal, shape.internal);
+        trees_.push_back(shape);
+    }
+
+    strategy_ = params_.strategy;
+    if (strategy_ == HbStrategy::kAuto) {
+        strategy_ = max_internal <= params_.gemm_max_internal_nodes
+            ? HbStrategy::kGemm
+            : HbStrategy::kPerfectTreeTraversal;
+    }
+
+    // Sized exactly as CompileGemm / CompilePerfect lay the tensors out.
+    const std::uint64_t outputs = static_cast<std::uint64_t>(num_outputs_);
+    std::size_t internal_total = 0;
+    for (const TreeShape& t : trees_) {
+        if (strategy_ == HbStrategy::kGemm) {
+            // features and B (1 x I), C (I x L), D (1 x L), E (L x O).
+            model_bytes_ += t.internal * 4 + t.internal * 4 +
+                            t.internal * t.leaves * 4 + t.leaves * 4 +
+                            t.leaves * outputs * 4;
+        } else {
+            // Heap-ordered features and thresholds, 2^D leaf values.
+            const std::uint64_t leaf_slots = std::uint64_t{1} << t.depth;
+            model_bytes_ += (leaf_slots - 1) * 4 + (leaf_slots - 1) * 4 +
+                            leaf_slots * 4;
+        }
+        internal_total += t.internal;
+    }
+    width_ = strategy_ == HbStrategy::kGemm
+        ? std::max<std::size_t>(1, internal_total)
+        : stats_.num_trees;
+}
 
 HummingbirdGpuEngine::HummingbirdGpuEngine(const GpuDeviceModel& device,
                                            const HummingbirdParams& params)
@@ -26,11 +115,23 @@ HummingbirdGpuEngine::HummingbirdGpuEngine(const GpuDeviceModel& device,
 {
 }
 
+const HbCostCard&
+HummingbirdGpuEngine::Card() const
+{
+    return static_cast<const HbCostCard&>(card());
+}
+
 HbStrategy
 HummingbirdGpuEngine::ChosenStrategy() const
 {
-    RequireLoaded();
-    return chosen_;
+    return Card().strategy();
+}
+
+std::unique_ptr<const CostCard>
+HummingbirdGpuEngine::MakeCostCard(const RandomForest& forest,
+                                   const ModelStats& stats) const
+{
+    return std::make_unique<HbCostCard>(device_, params_, forest, stats);
 }
 
 void
@@ -38,32 +139,17 @@ HummingbirdGpuEngine::LoadModel(const TreeEnsemble& model,
                                 const ModelStats& stats)
 {
     RandomForest forest = model.ToForest();
-    stats_ = stats;
-    num_outputs_ = forest.task() == Task::kClassification
-        ? forest.num_classes()
-        : 1;
-
-    std::size_t max_internal = 0;
-    for (const auto& tree : forest.trees()) {
-        max_internal =
-            std::max(max_internal, tree.NumNodes() - tree.NumLeaves());
-    }
-
-    chosen_ = params_.strategy;
-    if (chosen_ == HbStrategy::kAuto) {
-        chosen_ = max_internal <= params_.gemm_max_internal_nodes
-            ? HbStrategy::kGemm
-            : HbStrategy::kPerfectTreeTraversal;
-    }
+    set_card(MakeCostCard(forest, stats));
+    num_features_ = stats.num_features;
+    num_outputs_ = NumOutputs(forest);
 
     gemm_trees_.clear();
     perfect_trees_.clear();
-    if (chosen_ == HbStrategy::kGemm) {
+    if (Card().strategy() == HbStrategy::kGemm) {
         CompileGemm(forest);
     } else {
         CompilePerfect(forest);
     }
-    set_loaded(true);
 }
 
 void
@@ -214,7 +300,7 @@ HummingbirdGpuEngine::ScoreGemm(const float* rows, std::size_t num_rows,
     // Adopt the caller's buffer in place — the feature matrix enters
     // the tensor pipeline without a host copy.
     Matrix x = Matrix::FromView(
-        RowView::Borrow(rows, num_rows, stats_.num_features));
+        RowView::Borrow(rows, num_rows, num_features_));
     Matrix acc(num_rows, static_cast<std::size_t>(num_outputs_));
 
     for (const auto& ct : gemm_trees_) {
@@ -257,7 +343,7 @@ HummingbirdGpuEngine::ScorePerfect(const float* rows,
                                    std::size_t num_rows) const
 {
     std::vector<float> preds(num_rows);
-    const std::size_t cols = stats_.num_features;
+    const std::size_t cols = num_features_;
     const bool classify = num_outputs_ > 1;
 
     auto worker = [&](std::size_t begin, std::size_t end) {
@@ -297,16 +383,15 @@ HummingbirdGpuEngine::ScorePerfect(const float* rows,
 }
 
 CostLedger
-HummingbirdGpuEngine::LedgerFor(std::size_t num_rows) const
+HbCostCard::Ledger(std::size_t num_rows) const
 {
-    RequireLoaded();
     CostLedger ledger;
     const double n = static_cast<double>(num_rows);
     const double trees = static_cast<double>(stats_.num_trees);
     const double row_bytes =
         static_cast<double>(stats_.num_features) * sizeof(float);
 
-    if (chosen_ == HbStrategy::kGemm) {
+    if (strategy_ == HbStrategy::kGemm) {
         // Batched over all trees: 6 fused kernels regardless of tree
         // count; flops/bytes are the per-tree sums (they match what a
         // functional per-tree run records — tested).
@@ -314,13 +399,12 @@ HummingbirdGpuEngine::LedgerFor(std::size_t num_rows) const
         OpCost compare;
         OpCost gemm;
         OpCost elementwise;
-        for (const auto& ct : gemm_trees_) {
-            if (ct.features.empty()) {
+        for (const TreeShape& t : trees_) {
+            if (t.internal == 0) {
                 continue;
             }
-            const double i = static_cast<double>(ct.features.size());
-            const double l =
-                static_cast<double>(ct.left_counts.cols());
+            const double i = static_cast<double>(t.internal);
+            const double l = static_cast<double>(t.leaves);
             const double o = static_cast<double>(num_outputs_);
             gather.bytes_read += static_cast<std::uint64_t>(
                 n * i * 4 + i * 4);
@@ -373,8 +457,8 @@ HummingbirdGpuEngine::LedgerFor(std::size_t num_rows) const
     // PerfectTreeTraversal: level-synchronous kernels over (rows x trees)
     // index tensors.
     std::size_t depth = 0;
-    for (const auto& ct : perfect_trees_) {
-        depth = std::max(depth, ct.depth);
+    for (const TreeShape& t : trees_) {
+        depth = std::max(depth, t.depth);
     }
     const double steps = n * trees * static_cast<double>(depth);
 
@@ -417,19 +501,48 @@ HummingbirdGpuEngine::LedgerFor(std::size_t num_rows) const
     return ledger;
 }
 
+OffloadBreakdown
+HbCostCard::Estimate(std::size_t num_rows) const
+{
+    const double n = static_cast<double>(num_rows);
+    const std::uint64_t data_bytes =
+        static_cast<std::uint64_t>(num_rows) * stats_.num_features *
+        sizeof(float);
+
+    OffloadBreakdown b;
+    b.preprocessing = SimTime::Nanos(
+        kPreprocPerValueNs * n *
+        static_cast<double>(stats_.num_features));
+    b.input_transfer = device_.HostToDevice(data_bytes) +
+                       device_.HostToDevice(model_bytes_);
+    b.setup = device_.spec().kernel_launch;
+    b.compute = device_.LedgerTime(Ledger(num_rows), width_);
+    b.completion_signal = device_.spec().sync_latency;
+    b.result_transfer = device_.DeviceToHost(
+        static_cast<std::uint64_t>(num_rows) * sizeof(float));
+    b.software_overhead = params_.software_overhead;
+    return b;
+}
+
+CostLedger
+HummingbirdGpuEngine::LedgerFor(std::size_t num_rows) const
+{
+    return Card().Ledger(num_rows);
+}
+
 ScoreResult
 HummingbirdGpuEngine::Score(const float* rows, std::size_t num_rows,
                             std::size_t num_cols)
 {
     RequireLoaded();
-    if (num_cols != stats_.num_features) {
+    if (num_cols != num_features_) {
         throw InvalidArgument(Name() + ": row arity mismatch");
     }
     ScoreResult result;
     // Tensor-data DMA in, compiled-program launch, result DMA out.
     device_.CheckDmaFault();
     device_.CheckKernelLaunchFault();
-    if (chosen_ == HbStrategy::kGemm) {
+    if (Card().strategy() == HbStrategy::kGemm) {
         result.predictions = ScoreGemm(rows, num_rows, nullptr);
     } else {
         result.predictions = ScorePerfect(rows, num_rows);
@@ -438,52 +551,6 @@ HummingbirdGpuEngine::Score(const float* rows, std::size_t num_rows,
     result.breakdown = Estimate(num_rows);
     TraceOffloadStages(result.breakdown);
     return result;
-}
-
-OffloadBreakdown
-HummingbirdGpuEngine::Estimate(std::size_t num_rows) const
-{
-    RequireLoaded();
-    const double n = static_cast<double>(num_rows);
-    const std::uint64_t data_bytes =
-        static_cast<std::uint64_t>(num_rows) * stats_.num_features *
-        sizeof(float);
-
-    // Compiled model tensors shipped to the device.
-    std::uint64_t model_bytes = 0;
-    for (const auto& ct : gemm_trees_) {
-        model_bytes += ct.features.size() * 4 + ct.thresholds.ByteSize() +
-                       ct.path_matrix.ByteSize() +
-                       ct.left_counts.ByteSize() + ct.leaf_map.ByteSize();
-    }
-    for (const auto& ct : perfect_trees_) {
-        model_bytes += ct.features.size() * 4 + ct.thresholds.size() * 4 +
-                       ct.leaf_values.size() * 4;
-    }
-
-    // Tensor minor width for gather coalescing.
-    std::size_t width = stats_.num_trees;
-    if (chosen_ == HbStrategy::kGemm) {
-        std::size_t internal = 0;
-        for (const auto& ct : gemm_trees_) {
-            internal += ct.features.size();
-        }
-        width = std::max<std::size_t>(1, internal);
-    }
-
-    OffloadBreakdown b;
-    b.preprocessing = SimTime::Nanos(
-        kPreprocPerValueNs * n *
-        static_cast<double>(stats_.num_features));
-    b.input_transfer = device_.HostToDevice(data_bytes) +
-                       device_.HostToDevice(model_bytes);
-    b.setup = device_.spec().kernel_launch;
-    b.compute = device_.LedgerTime(LedgerFor(num_rows), width);
-    b.completion_signal = device_.spec().sync_latency;
-    b.result_transfer = device_.DeviceToHost(
-        static_cast<std::uint64_t>(num_rows) * sizeof(float));
-    b.software_overhead = params_.software_overhead;
-    return b;
 }
 
 }  // namespace dbscore

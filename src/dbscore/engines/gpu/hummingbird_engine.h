@@ -69,6 +69,9 @@ struct PerfectCompiledTree {
     std::vector<float> leaf_values;
 };
 
+/** Hummingbird's cost card; defined in hummingbird_engine.cc. */
+class HbCostCard;
+
 /** GPU-HB scoring engine. */
 class HummingbirdGpuEngine : public ScoringEngine {
  public:
@@ -80,10 +83,16 @@ class HummingbirdGpuEngine : public ScoringEngine {
     void LoadModel(const TreeEnsemble& model,
                    const ModelStats& stats) override;
 
+    /**
+     * The card is the chosen strategy plus each tree's internal-node
+     * count, leaf count and depth — enough to size the compiled tensors
+     * without building them.
+     */
+    std::unique_ptr<const CostCard> MakeCostCard(
+        const RandomForest& forest, const ModelStats& stats) const override;
+
     ScoreResult Score(const float* rows, std::size_t num_rows,
                       std::size_t num_cols) override;
-
-    OffloadBreakdown Estimate(std::size_t num_rows) const override;
 
     /** Strategy chosen for the loaded model. */
     HbStrategy ChosenStrategy() const;
@@ -95,6 +104,8 @@ class HummingbirdGpuEngine : public ScoringEngine {
     CostLedger LedgerFor(std::size_t num_rows) const;
 
  private:
+    const HbCostCard& Card() const;
+
     void CompileGemm(const RandomForest& forest);
     void CompilePerfect(const RandomForest& forest);
 
@@ -105,8 +116,7 @@ class HummingbirdGpuEngine : public ScoringEngine {
 
     GpuDeviceModel device_;
     HummingbirdParams params_;
-    ModelStats stats_;
-    HbStrategy chosen_ = HbStrategy::kGemm;
+    std::size_t num_features_ = 0;
     int num_outputs_ = 1;  ///< classes, or 1 for regression
     std::vector<GemmCompiledTree> gemm_trees_;
     std::vector<PerfectCompiledTree> perfect_trees_;

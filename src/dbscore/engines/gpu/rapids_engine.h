@@ -47,16 +47,18 @@ class RapidsFilEngine : public ScoringEngine {
     void LoadModel(const TreeEnsemble& model,
                    const ModelStats& stats) override;
 
+    /** The card is the ModelStats, after the binary/regression check. */
+    std::unique_ptr<const CostCard> MakeCostCard(
+        const RandomForest& forest, const ModelStats& stats) const override;
+
     ScoreResult Score(const float* rows, std::size_t num_rows,
                       std::size_t num_cols) override;
-
-    OffloadBreakdown Estimate(std::size_t num_rows) const override;
 
  private:
     GpuDeviceModel device_;
     RapidsParams params_;
     RandomForest forest_;
-    ModelStats stats_;
+    std::size_t num_features_ = 0;
 };
 
 }  // namespace dbscore

@@ -105,9 +105,22 @@ TraceOffloadStages(const OffloadBreakdown& breakdown)
 void
 ScoringEngine::RequireLoaded() const
 {
-    if (!loaded_) {
+    if (!loaded()) {
         throw InvalidArgument(Name() + ": no model loaded");
     }
+}
+
+const CostCard&
+ScoringEngine::card() const
+{
+    RequireLoaded();
+    return *card_;
+}
+
+OffloadBreakdown
+ScoringEngine::Estimate(std::size_t num_rows) const
+{
+    return card().Estimate(num_rows);
 }
 
 ScoreResult

@@ -137,6 +137,25 @@ struct ScoreOutcome {
  */
 std::vector<fault::FaultSite> OffloadFaultSites(BackendKind kind);
 
+/**
+ * One backend's modeled cost for one model: the device parameters plus
+ * the few per-model numbers its Estimate reads (ModelStats, a compile
+ * strategy and tree shapes, pass counts and image bytes). Built by the
+ * backend's MakeCostCard, which also applies its capacity rules; the
+ * loaded engine and the OffloadScheduler both price through a card, so
+ * each formula and each rule exists once. Immutable once built.
+ */
+class CostCard {
+ public:
+    CostCard() = default;
+    virtual ~CostCard() = default;
+    CostCard(const CostCard&) = delete;
+    CostCard& operator=(const CostCard&) = delete;
+
+    /** The breakdown a Score of @p num_rows rows reports. */
+    virtual OffloadBreakdown Estimate(std::size_t num_rows) const = 0;
+};
+
 /** Abstract scoring engine. */
 class ScoringEngine {
  public:
@@ -157,8 +176,18 @@ class ScoringEngine {
     virtual void LoadModel(const TreeEnsemble& model,
                            const ModelStats& stats) = 0;
 
+    /**
+     * This backend's cost card for @p forest, built without loading
+     * anything: LoadModel keeps the same card, and the OffloadScheduler
+     * holds nothing else.
+     *
+     * @throws CapacityError when the model violates a device limit
+     */
+    virtual std::unique_ptr<const CostCard> MakeCostCard(
+        const RandomForest& forest, const ModelStats& stats) const = 0;
+
     /** True once LoadModel succeeded. */
-    bool loaded() const { return loaded_; }
+    bool loaded() const { return card_ != nullptr; }
 
     /**
      * Functionally scores @p num_rows rows of @p num_cols features and
@@ -195,15 +224,25 @@ class ScoringEngine {
      * @p num_rows rows, without computing predictions. Lets the bench
      * sweeps cover 1M-row points cheaply. Tests pin Estimate == Score's
      * breakdown wherever both run.
+     *
+     * @throws InvalidArgument if no model is loaded
      */
-    virtual OffloadBreakdown Estimate(std::size_t num_rows) const = 0;
+    OffloadBreakdown Estimate(std::size_t num_rows) const;
 
  protected:
     void RequireLoaded() const;
-    void set_loaded(bool loaded) { loaded_ = loaded; }
+
+    /** Marks the model loaded; @p card prices it from now on. */
+    void set_card(std::unique_ptr<const CostCard> card)
+    {
+        card_ = std::move(card);
+    }
+
+    /** The loaded model's card. @throws InvalidArgument if none. */
+    const CostCard& card() const;
 
  private:
-    bool loaded_ = false;
+    std::unique_ptr<const CostCard> card_;
 };
 
 }  // namespace dbscore

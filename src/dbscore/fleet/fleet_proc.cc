@@ -154,6 +154,7 @@ SpFleetStats(FleetService& service, const ExecStatement& stmt)
                                   snap.registry.evictions));
     add("registry_rebuilds", static_cast<double>(snap.registry.rebuilds));
     add("registry_build_ms", snap.registry.build_cost_total.millis());
+    add("registry_build_wall_ms", snap.registry.build_wall_ms_total);
     for (int c = 0; c < kNumSloClasses; ++c) {
         const ClassSnapshot& cls = snap.classes[c];
         const char* name = SloClassName(static_cast<SloClass>(c));

@@ -374,7 +374,7 @@ FleetService::SchedulerLoop()
         SimTime chosen_finish;
         for (int d = 0; d < 3; ++d) {
             const auto device_class = static_cast<DeviceClass>(d);
-            auto est = BestOfClass(acquired.model->scheduler, device_class,
+            auto est = BestOfClass(*acquired.model->scheduler, device_class,
                                    rows);
             if (!est.has_value()) {
                 continue;
@@ -408,7 +408,7 @@ FleetService::SchedulerLoop()
         if (chosen < 0) {
             // Breakers closed every roomy accelerator and CPU is full:
             // queue on CPU anyway (bounded by the WFQ capacity).
-            auto cpu = BestOfClass(acquired.model->scheduler,
+            auto cpu = BestOfClass(*acquired.model->scheduler,
                                    DeviceClass::kCpu, rows);
             DBS_ASSERT(cpu.has_value());
             chosen = 0;
@@ -446,7 +446,7 @@ FleetService::SchedulerLoop()
         work.data_pre =
             runtime.DataPreprocessing(rows, acquired.model->num_cols);
         work.scoring =
-            acquired.model->scheduler.EstimateFor(chosen_kind, rows);
+            acquired.model->scheduler->EstimateFor(chosen_kind, rows);
         const SimTime service = work.invocation.cost + work.model_pre +
                                 work.transfer_to + work.transfer_from +
                                 work.data_pre + work.scoring.Total();
@@ -769,7 +769,7 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
             transfer_to = runtime.TransferToProcess(bytes_in);
             transfer_from = runtime.TransferFromProcess(bytes_out);
             data_pre = runtime.DataPreprocessing(rows, model.num_cols);
-            scoring = model.scheduler.EstimateFor(exec_kind, rows);
+            scoring = model.scheduler->EstimateFor(exec_kind, rows);
         }
 
         bool faulted = invocation.crashed;
@@ -827,7 +827,7 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
                     Max(exec_device->lanes[exec_lane], now);
             }
             auto cpu_best =
-                BestOfClass(model.scheduler, DeviceClass::kCpu, rows);
+                BestOfClass(*model.scheduler, DeviceClass::kCpu, rows);
             DBS_ASSERT(cpu_best.has_value());
             const auto from_class = exec_class;
             exec_device = &devices_[0];

@@ -123,7 +123,8 @@ FleetSnapshot::ToString() const
         "modeled build ",
         registry.hits, registry.misses, registry.rebuilds,
         registry.evictions)
-       << registry.build_cost_total << "\n";
+       << registry.build_cost_total
+       << StrFormat(", wall build %.3f ms\n", registry.build_wall_ms_total);
     for (int c = 0; c < kNumSloClasses; ++c) {
         const ClassSnapshot& cls = classes[c];
         if (cls.submitted == 0) {

@@ -9,10 +9,14 @@
  * models kept warm, and everything else evicted — which means the
  * build cost comes *back* every time a cold tenant wakes an evicted
  * model. ModelRegistry makes that economy explicit: an LRU cache of
- * prewarmed ForestKernels (plus each model's backend schedulers) under
- * a configurable byte budget, with the re-warm tax measurable through
- * the kKernelBuild / kRegistryHit / kRegistryEvict trace stages and
- * the hit/miss/eviction counters.
+ * prewarmed ForestKernels under a configurable byte budget, with the
+ * re-warm tax measurable through the kKernelBuild / kRegistryHit /
+ * kRegistryEvict trace stages and the hit/miss/eviction counters.
+ *
+ * A miss rebuilds only what eviction dropped: the forest and its
+ * kernel. Placement estimates never change for a model, so each spec's
+ * OffloadScheduler (cost cards only) is built once, at the spec's first
+ * Acquire, and shared by every WarmModel of that id.
  *
  * Bit-identity invariant: a WarmModel's predictions depend only on the
  * registered ensemble — warm, re-warmed after eviction, or served
@@ -63,17 +67,21 @@ struct WarmModel {
     std::string id;
     /** Functional model; its ForestKernel is compiled at build time. */
     RandomForest forest;
-    /** One loaded engine per viable backend, for placement estimates. */
-    OffloadScheduler scheduler;
+    /**
+     * Placement estimates: built once per spec and shared by every
+     * WarmModel of this id, so a re-warm does not rebuild it.
+     */
+    std::shared_ptr<const OffloadScheduler> scheduler;
     std::size_t num_cols = 0;
     std::uint64_t model_bytes = 0;
     /** Modeled cost this build charged (the re-warm tax). */
     SimTime build_cost;
-    /** Wall-clock kernel-compile cost of this build, milliseconds. */
+    /** Wall-clock cost of this build (forest + kernel), milliseconds. */
     double build_wall_ms = 0.0;
 
-    WarmModel(const HardwareProfile& profile, std::string model_id,
-              const TreeEnsemble& ensemble, const ModelStats& stats,
+    WarmModel(std::string model_id, const TreeEnsemble& ensemble,
+              const ModelStats& stats,
+              std::shared_ptr<const OffloadScheduler> model_scheduler,
               SimTime modeled_build_cost);
 };
 
@@ -101,7 +109,10 @@ struct RegistrySnapshot {
     std::size_t evictions = 0;
     /** Total modeled build cost charged across misses. */
     SimTime build_cost_total;
-    /** Total wall-clock milliseconds spent compiling kernels. */
+    /**
+     * Total wall-clock milliseconds spent building on misses: every
+     * WarmModel's forest + kernel, plus each spec's one scheduler.
+     */
     double build_wall_ms_total = 0.0;
 
     double
@@ -124,8 +135,8 @@ class ModelRegistry {
 
     /**
      * Registers the buildable spec for @p id (cheap: the ensemble is
-     * shared, nothing is compiled). @throws InvalidArgument on a
-     * duplicate id.
+     * shared, nothing is compiled and no scheduler is built).
+     * @throws InvalidArgument on a duplicate id.
      */
     void RegisterModel(const std::string& id, const TreeEnsemble& model,
                        const ModelStats& stats);
@@ -158,6 +169,8 @@ class ModelRegistry {
     struct Spec {
         std::shared_ptr<const TreeEnsemble> ensemble;
         ModelStats stats;
+        /** Built by the spec's first Acquire; survives eviction. */
+        std::shared_ptr<const OffloadScheduler> scheduler;
         /** True once this model has been built (and evicted) before. */
         bool built_before = false;
     };

@@ -326,24 +326,24 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
         v2_->tile_node_budget = options_.tile_node_budget;
         AutotuneV2(*this, *v2_, options_);
         v2_->Retile(*this);
-        return;
-    }
-
-    // Partition consecutive trees into tiles whose pooled nodes fit
-    // the cache budget, so one tile stays resident while a row block
-    // traverses it. A single oversized tree still gets its own tile.
-    std::size_t tile_start = 0;
-    std::size_t tile_nodes = 0;
-    for (std::size_t t = 0; t < trees.size(); ++t) {
-        const std::size_t nodes = trees[t].NumNodes();
-        if (t > tile_start && tile_nodes + nodes > options_.tile_node_budget) {
-            tiles_.push_back({tile_start, t});
-            tile_start = t;
-            tile_nodes = 0;
+    } else {
+        // Partition consecutive trees into tiles whose pooled nodes fit
+        // the cache budget, so one tile stays resident while a row block
+        // traverses it. A single oversized tree still gets its own tile.
+        std::size_t tile_start = 0;
+        std::size_t tile_nodes = 0;
+        for (std::size_t t = 0; t < trees.size(); ++t) {
+            const std::size_t nodes = trees[t].NumNodes();
+            if (t > tile_start &&
+                tile_nodes + nodes > options_.tile_node_budget) {
+                tiles_.push_back({tile_start, t});
+                tile_start = t;
+                tile_nodes = 0;
+            }
+            tile_nodes += nodes;
         }
-        tile_nodes += nodes;
+        tiles_.push_back({tile_start, trees.size()});
     }
-    tiles_.push_back({tile_start, trees.size()});
 
     build_wall_ms_ = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - build_start)

@@ -10,6 +10,70 @@
 
 namespace dbscore {
 
+namespace {
+
+/** Cycles the input streamer spends delivering one record. */
+std::uint64_t
+StreamCycles(const FpgaSpec& spec, std::size_t num_features)
+{
+    const auto width =
+        static_cast<std::uint64_t>(spec.stream_floats_per_cycle);
+    return std::max<std::uint64_t>(1, (num_features + width - 1) / width);
+}
+
+}  // namespace
+
+std::uint64_t
+FpgaModelPlan::Cycles(const FpgaSpec& spec, std::uint64_t num_records,
+                      std::size_t num_features) const
+{
+    const std::uint64_t per_pass =
+        static_cast<std::uint64_t>(spec.pipeline_fill_cycles) +
+        num_records * StreamCycles(spec, num_features);
+    return passes * per_pass;
+}
+
+FpgaModelPlan
+PlanFpgaPasses(const FpgaSpec& spec, std::size_t num_trees)
+{
+    // BRAM footprint is counted at spec.node_bytes per node (16 for the
+    // paper's float words, less for quantized formats) even though the
+    // functional images always hold floats.
+    const std::uint64_t per_tree =
+        FullTreeSlots(static_cast<std::size_t>(spec.max_tree_depth)) *
+        static_cast<std::uint64_t>(spec.node_bytes);
+    const auto pes = static_cast<std::uint64_t>(spec.num_pes);
+    const std::uint64_t widest_pass =
+        std::min<std::uint64_t>(num_trees, pes);
+
+    FpgaModelPlan plan;
+    plan.passes = (num_trees + pes - 1) / pes;
+    plan.model_bytes = num_trees * per_tree;
+    plan.bram_bytes = widest_pass * per_tree + spec.result_buffer_bytes;
+    if (plan.bram_bytes > spec.bram_bytes) {
+        throw CapacityError(StrFormat(
+            "fpga: model needs %s of BRAM but only %s is available",
+            HumanBytes(plan.bram_bytes).c_str(),
+            HumanBytes(spec.bram_bytes).c_str()));
+    }
+    return plan;
+}
+
+FpgaModelPlan
+PlanFpgaModel(const FpgaSpec& spec, const RandomForest& forest)
+{
+    const auto max_depth = static_cast<std::size_t>(spec.max_tree_depth);
+    for (const auto& tree : forest.trees()) {
+        if (tree.Depth() > max_depth) {
+            throw CapacityError(StrFormat(
+                "fpga: tree depth %zu exceeds the supported %d levels; "
+                "deeper trees must be processed by the CPU",
+                tree.Depth(), spec.max_tree_depth));
+        }
+    }
+    return PlanFpgaPasses(spec, forest.NumTrees());
+}
+
 FpgaInferenceEngine::FpgaInferenceEngine(const FpgaSpec& spec) : spec_(spec)
 {
     if (spec.num_pes <= 0 || spec.clock_hz <= 0.0 ||
@@ -21,44 +85,18 @@ FpgaInferenceEngine::FpgaInferenceEngine(const FpgaSpec& spec) : spec_(spec)
 void
 FpgaInferenceEngine::LoadModel(const RandomForest& forest)
 {
+    const FpgaModelPlan plan = PlanFpgaModel(spec_, forest);
     const auto max_depth = static_cast<std::size_t>(spec_.max_tree_depth);
-    for (const auto& tree : forest.trees()) {
-        if (tree.Depth() > max_depth) {
-            throw CapacityError(StrFormat(
-                "fpga: tree depth %zu exceeds the supported %d levels; "
-                "deeper trees must be processed by the CPU",
-                tree.Depth(), spec_.max_tree_depth));
-        }
-    }
-
     std::vector<TreeMemoryImage> images;
     images.reserve(forest.NumTrees());
     for (const auto& tree : forest.trees()) {
         images.push_back(LayoutTree(tree, max_depth));
     }
 
-    // BRAM budget: one pass holds up to num_pes tree images plus the
-    // result buffer. BRAM footprint is counted at spec_.node_bytes per
-    // node (16 for the paper's float words, less for quantized formats)
-    // even though the functional images always hold floats.
-    const std::uint64_t per_tree =
-        images.front().NumSlots() *
-        static_cast<std::uint64_t>(spec_.node_bytes);
-    const std::uint64_t widest_pass =
-        std::min<std::uint64_t>(images.size(),
-                                static_cast<std::uint64_t>(spec_.num_pes));
-    const std::uint64_t used =
-        widest_pass * per_tree + spec_.result_buffer_bytes;
-    if (used > spec_.bram_bytes) {
-        throw CapacityError(StrFormat(
-            "fpga: model needs %s of BRAM but only %s is available",
-            HumanBytes(used).c_str(),
-            HumanBytes(spec_.bram_bytes).c_str()));
-    }
-
     task_ = forest.task();
     num_classes_ = forest.num_classes();
     num_features_ = forest.num_features();
+    plan_ = plan;
     images_ = std::move(images);
 }
 
@@ -66,41 +104,27 @@ std::uint64_t
 FpgaInferenceEngine::NumPasses() const
 {
     DBS_ASSERT(loaded());
-    const auto pes = static_cast<std::uint64_t>(spec_.num_pes);
-    return (images_.size() + pes - 1) / pes;
+    return plan_.passes;
 }
 
 std::uint64_t
 FpgaInferenceEngine::ModelBytes() const
 {
     DBS_ASSERT(loaded());
-    std::uint64_t bytes = 0;
-    for (const auto& image : images_) {
-        bytes += image.NumSlots() *
-                 static_cast<std::uint64_t>(spec_.node_bytes);
-    }
-    return bytes;
+    return plan_.model_bytes;
 }
 
 std::uint64_t
 FpgaInferenceEngine::BramBytesUsed() const
 {
     DBS_ASSERT(loaded());
-    const std::uint64_t widest_pass =
-        std::min<std::uint64_t>(images_.size(),
-                                static_cast<std::uint64_t>(spec_.num_pes));
-    return widest_pass * images_.front().NumSlots() *
-               static_cast<std::uint64_t>(spec_.node_bytes) +
-           spec_.result_buffer_bytes;
+    return plan_.bram_bytes;
 }
 
 std::uint64_t
 FpgaInferenceEngine::StreamCyclesPerRecord(std::size_t num_features) const
 {
-    const auto width =
-        static_cast<std::uint64_t>(spec_.stream_floats_per_cycle);
-    return std::max<std::uint64_t>(
-        1, (num_features + width - 1) / width);
+    return StreamCycles(spec_, num_features);
 }
 
 std::uint64_t
@@ -108,10 +132,7 @@ FpgaInferenceEngine::CyclesFor(std::uint64_t num_records,
                                std::size_t num_features) const
 {
     DBS_ASSERT(loaded());
-    const std::uint64_t per_pass =
-        static_cast<std::uint64_t>(spec_.pipeline_fill_cycles) +
-        num_records * StreamCyclesPerRecord(num_features);
-    return NumPasses() * per_pass;
+    return plan_.Cycles(spec_, num_records, num_features);
 }
 
 std::vector<float>

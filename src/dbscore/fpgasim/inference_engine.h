@@ -40,6 +40,40 @@ struct FpgaRunReport {
     }
 };
 
+/**
+ * What a forest occupies on the device. It follows from the tree count
+ * alone (every image is padded to spec.max_tree_depth), so it is planned
+ * without laying out any image.
+ */
+struct FpgaModelPlan {
+    /** Engine passes: ceil(trees / PEs). */
+    std::uint64_t passes = 0;
+    /** Tree-memory bytes transferred over all passes. */
+    std::uint64_t model_bytes = 0;
+    /** BRAM occupied during the widest pass, result buffer included. */
+    std::uint64_t bram_bytes = 0;
+
+    /** Cycles scoring @p num_records records of @p num_features. */
+    std::uint64_t Cycles(const FpgaSpec& spec, std::uint64_t num_records,
+                         std::size_t num_features) const;
+};
+
+/**
+ * The BRAM rule for @p num_trees tree images: one pass holds up to
+ * num_pes images (at spec.node_bytes per slot) plus the result buffer.
+ *
+ * @throws CapacityError if the widest pass does not fit
+ */
+FpgaModelPlan PlanFpgaPasses(const FpgaSpec& spec, std::size_t num_trees);
+
+/**
+ * PlanFpgaPasses after the depth rule.
+ *
+ * @throws CapacityError if any tree exceeds spec.max_tree_depth or the
+ *         widest pass does not fit in BRAM
+ */
+FpgaModelPlan PlanFpgaModel(const FpgaSpec& spec, const RandomForest& forest);
+
 /** The simulated inference engine. */
 class FpgaInferenceEngine {
  public:
@@ -50,9 +84,7 @@ class FpgaInferenceEngine {
     /**
      * Programs tree memories with @p forest.
      *
-     * @throws CapacityError if any tree exceeds max_tree_depth or the
-     *         per-pass BRAM budget (tree memories + result buffer) does
-     *         not fit
+     * @throws CapacityError as PlanFpgaModel does
      */
     void LoadModel(const RandomForest& forest);
 
@@ -92,6 +124,7 @@ class FpgaInferenceEngine {
     Task task_ = Task::kClassification;
     int num_classes_ = 0;
     std::size_t num_features_ = 0;
+    FpgaModelPlan plan_;
     std::vector<TreeMemoryImage> images_;
 };
 

@@ -6,12 +6,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include "dbscore/common/error.h"
 #include "dbscore/core/backend_factory.h"
 #include "dbscore/core/logca_model.h"
 #include "dbscore/core/report.h"
 #include "dbscore/core/scheduler.h"
 #include "dbscore/data/synthetic.h"
+#include "dbscore/engines/gpu/hummingbird_engine.h"
 #include "dbscore/forest/trainer.h"
 
 namespace dbscore {
@@ -134,8 +139,160 @@ TEST(SchedulerTest, UnavailableBackendThrows)
     OffloadScheduler sched(profile, f.ensemble, f.stats);
     EXPECT_THROW(sched.EstimateFor(BackendKind::kGpuRapids, 100),
                  NotFound);
-    EXPECT_THROW(sched.Engine(BackendKind::kGpuRapids), NotFound);
 }
+
+// ------------------------------------------------- estimate parity --
+
+/** Models that exercise each backend's capacity rules and strategies. */
+enum class ParityModel {
+    kIris3Class,       ///< RAPIDS rejects (multi-class)
+    kHiggsDepth4,      ///< <= 32 internal nodes per tree: HB picks GEMM
+    kHiggs32x8,        ///< HB picks perfect-tree traversal
+    kTooDeepForFpga,   ///< deeper than FpgaSpec::max_tree_depth
+    kRegression,       ///< regression forest
+    kQuantizedFpga,    ///< profile with a fixed-point FPGA tree memory
+};
+
+struct ParityFixture {
+    HardwareProfile profile = HardwareProfile::Paper();
+    SchedFixture model;
+};
+
+ParityFixture
+MakeParityFixture(ParityModel which)
+{
+    ParityFixture f;
+    switch (which) {
+      case ParityModel::kIris3Class:
+        f.model = MakeSchedFixture(false, 8, 6);
+        break;
+      case ParityModel::kHiggsDepth4:
+        f.model = MakeSchedFixture(true, 8, 4);
+        break;
+      case ParityModel::kHiggs32x8:
+        f.model = MakeSchedFixture(true, 32, 8);
+        break;
+      case ParityModel::kTooDeepForFpga:
+        f.model = MakeSchedFixture(true, 2, 14);
+        break;
+      case ParityModel::kRegression: {
+        f.model.data = MakeSyntheticRegression(2000, 6, 0.1, 51);
+        ForestTrainerConfig config;
+        config.num_trees = 8;
+        config.max_depth = 8;
+        config.seed = 51;
+        RandomForest forest = TrainForest(f.model.data, config);
+        f.model.ensemble = TreeEnsemble::FromForest(forest);
+        f.model.stats = ComputeModelStats(forest, &f.model.data);
+        break;
+      }
+      case ParityModel::kQuantizedFpga:
+        f.model = MakeSchedFixture(true, 16, 10);
+        f.profile.fpga_offload.quantization = QuantizationSpec{16, 8};
+        break;
+    }
+    return f;
+}
+
+/** Bit equality of every OffloadBreakdown component. */
+::testing::AssertionResult
+SameBits(const OffloadBreakdown& a, const OffloadBreakdown& b)
+{
+    static constexpr std::pair<SimTime OffloadBreakdown::*, const char*>
+        kFields[] = {
+            {&OffloadBreakdown::preprocessing, "preprocessing"},
+            {&OffloadBreakdown::input_transfer, "input_transfer"},
+            {&OffloadBreakdown::setup, "setup"},
+            {&OffloadBreakdown::compute, "compute"},
+            {&OffloadBreakdown::completion_signal, "completion_signal"},
+            {&OffloadBreakdown::result_transfer, "result_transfer"},
+            {&OffloadBreakdown::software_overhead, "software_overhead"},
+        };
+    for (const auto& [field, name] : kFields) {
+        const double x = (a.*field).seconds();
+        const double y = (b.*field).seconds();
+        if (std::bit_cast<std::uint64_t>(x) !=
+            std::bit_cast<std::uint64_t>(y)) {
+            return ::testing::AssertionFailure()
+                   << name << ": " << x << " vs " << y;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+class EstimateParityTest : public ::testing::TestWithParam<ParityModel> {};
+
+TEST_P(EstimateParityTest, SchedulerPricesExactlyLikeLoadedEngines)
+{
+    const ParityFixture f = MakeParityFixture(GetParam());
+    OffloadScheduler sched(f.profile, f.model.ensemble, f.model.stats);
+
+    std::vector<BackendKind> accepted;
+    for (BackendKind kind : AllBackends()) {
+        auto engine = CreateLoadedEngine(kind, f.profile, f.model.ensemble,
+                                         f.model.stats);
+        if (engine == nullptr) {
+            continue;
+        }
+        accepted.push_back(kind);
+        for (std::size_t n : {std::size_t{1}, std::size_t{64},
+                              std::size_t{4096}, std::size_t{1000000}}) {
+            EXPECT_TRUE(SameBits(sched.EstimateFor(kind, n),
+                                 engine->Estimate(n)))
+                << BackendName(kind) << " at " << n << " rows";
+        }
+        if (kind == BackendKind::kGpuHummingbird) {
+            const HbStrategy strategy =
+                dynamic_cast<const HummingbirdGpuEngine&>(*engine)
+                    .ChosenStrategy();
+            if (GetParam() == ParityModel::kHiggsDepth4) {
+                EXPECT_EQ(strategy, HbStrategy::kGemm);
+            }
+            if (GetParam() == ParityModel::kHiggs32x8) {
+                EXPECT_EQ(strategy, HbStrategy::kPerfectTreeTraversal);
+            }
+        }
+    }
+    EXPECT_EQ(sched.Available(), accepted);
+
+    switch (GetParam()) {
+      case ParityModel::kIris3Class:
+        EXPECT_FALSE(sched.Has(BackendKind::kGpuRapids));
+        break;
+      case ParityModel::kTooDeepForFpga:
+        ASSERT_GT(f.model.stats.max_depth,
+                  static_cast<std::size_t>(f.profile.fpga.max_tree_depth));
+        EXPECT_FALSE(sched.Has(BackendKind::kFpga));
+        break;
+      case ParityModel::kQuantizedFpga: {
+        // The card really priced the narrower node words.
+        OffloadScheduler full(HardwareProfile::Paper(), f.model.ensemble,
+                              f.model.stats);
+        EXPECT_LT(sched.EstimateFor(BackendKind::kFpga, 1).input_transfer,
+                  full.EstimateFor(BackendKind::kFpga, 1).input_transfer);
+        break;
+      }
+      default:
+        EXPECT_EQ(sched.Available().size(), AllBackends().size());
+        break;
+    }
+}
+
+std::string
+ParityModelName(const ::testing::TestParamInfo<ParityModel>& info)
+{
+    static const char* const kNames[] = {
+        "Iris3Class", "HiggsDepth4", "Higgs32x8",
+        "TooDeepForFpga", "Regression", "QuantizedFpga"};
+    return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, EstimateParityTest,
+    ::testing::Values(ParityModel::kIris3Class, ParityModel::kHiggsDepth4,
+                      ParityModel::kHiggs32x8, ParityModel::kTooDeepForFpga,
+                      ParityModel::kRegression, ParityModel::kQuantizedFpga),
+    ParityModelName);
 
 TEST(LogCaTest, AffineFitInterpolatesProbes)
 {

@@ -333,6 +333,67 @@ TEST(ModelRegistryTest, UnknownAndDuplicateIdsThrow)
     EXPECT_THROW(registry.Acquire("ghost", parent, SimTime()), NotFound);
 }
 
+TEST(ModelRegistryTest, SchedulerIsBuiltOncePerSpecAndSharedByRewarms)
+{
+    const FleetFixture& f = Fixture();
+    RegistryConfig config;
+    // Budget holds exactly one model: acquiring the other evicts.
+    config.memory_budget_bytes = f.stats.serialized_bytes +
+                                 f.stats.serialized_bytes / 2;
+    ModelRegistry registry(f.profile, config);
+
+    trace::TraceCollector& tracer = trace::TraceCollector::Get();
+    const std::uint32_t domain = tracer.NewDomain();
+    const trace::SpanContext parent = tracer.NewRootContext(domain);
+
+    // Registration builds nothing: a kernel compile or a scheduler
+    // build would nest a kKernelBuild span under this one.
+    {
+        trace::ScopedSpan registering(trace::StageKind::kQuery, "register",
+                                      parent);
+        registry.RegisterModel("a", f.ensemble, f.stats);
+        registry.RegisterModel("b", f.ensemble, f.stats);
+    }
+    EXPECT_EQ(CountSpans(domain, trace::StageKind::kKernelBuild), 0u);
+    EXPECT_EQ(registry.Snapshot().build_wall_ms_total, 0.0);
+
+    // The first Acquire builds the spec's scheduler, forest and kernel,
+    // and the wall-clock counter sees it.
+    AcquireResult first = registry.Acquire("a", parent, SimTime());
+    ASSERT_FALSE(first.hit);
+    ASSERT_NE(first.model->scheduler, nullptr);
+    EXPECT_GT(first.model->build_wall_ms, 0.0);
+    EXPECT_GT(registry.Snapshot().build_wall_ms_total,
+              first.model->build_wall_ms);
+    EXPECT_EQ(CountSpans(domain, trace::StageKind::kKernelBuild,
+                         "registry-scheduler"),
+              1u);
+
+    // "b" evicts "a" and builds its own scheduler; the re-warm of "a"
+    // rebuilds forest + kernel only and reuses the first scheduler.
+    AcquireResult other = registry.Acquire("b", parent, SimTime());
+    AcquireResult rewarm = registry.Acquire("a", parent, SimTime());
+    ASSERT_FALSE(rewarm.hit);
+    EXPECT_NE(rewarm.model.get(), first.model.get());
+    EXPECT_EQ(rewarm.model->scheduler.get(), first.model->scheduler.get());
+    EXPECT_NE(other.model->scheduler.get(), first.model->scheduler.get());
+    EXPECT_EQ(CountSpans(domain, trace::StageKind::kKernelBuild,
+                         "registry-scheduler"),
+              2u);
+
+    // The re-warmed model predicts the same bits.
+    const std::size_t rows = 64;
+    std::vector<float> payload = f.Payload(rows);
+    std::vector<float> before = first.model->forest.PredictBatch(
+        payload.data(), rows, f.data.num_features());
+    std::vector<float> after = rewarm.model->forest.PredictBatch(
+        payload.data(), rows, f.data.num_features());
+    ASSERT_EQ(before.size(), after.size());
+    EXPECT_EQ(std::memcmp(before.data(), after.data(),
+                          before.size() * sizeof(float)),
+              0);
+}
+
 // ------------------------------------------------------- fleet service --
 
 TEST(FleetServiceTest, ScoresForTenantsAndMatchesDirectKernel)
@@ -628,6 +689,36 @@ TEST(FleetProcedureTest, TenantScoreAndStatsWithReset)
     QueryResult fresh = sql.Execute("EXEC sp_fleet_stats");
     EXPECT_EQ(metric(fresh, "gold_completed"), 0.0);
     EXPECT_EQ(metric(fresh, "registry_resident"), 1.0);
+    service.Stop();
+}
+
+TEST(FleetProcedureTest, StatsReportRegistryBuildWallTime)
+{
+    const FleetFixture& f = Fixture();
+    FleetService service(f.profile, FleetConfig{});
+    service.RegisterModel("m", f.ensemble, f.stats);
+    service.Start();
+
+    Database db;
+    ScoringPipeline pipeline(db, f.profile, ExternalRuntimeParams{});
+    QueryEngine sql(db, pipeline);
+    RegisterFleetProcedures(sql, service);
+    sql.Execute("EXEC sp_fleet_tenant @tenant = 1, @model = 'm', "
+                "@class = 'gold'");
+    sql.Execute("EXEC sp_fleet_score @tenant = 1, @rows = 100");
+
+    // One miss: the wall-clock build counter must not read zero.
+    double wall_ms = -1.0;
+    for (const auto& row : sql.Execute("EXEC sp_fleet_stats").rows) {
+        if (std::get<std::string>(row[0]) == "registry_build_wall_ms") {
+            wall_ms = std::get<double>(row[1]);
+        }
+    }
+    const FleetSnapshot snap = service.Stats();
+    EXPECT_EQ(snap.registry.misses, 1u);
+    EXPECT_GT(snap.registry.build_wall_ms_total, 0.0);
+    EXPECT_EQ(wall_ms, snap.registry.build_wall_ms_total);
+    EXPECT_NE(snap.ToString().find("wall build"), std::string::npos);
     service.Stop();
 }
 

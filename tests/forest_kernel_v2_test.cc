@@ -408,6 +408,19 @@ TEST(ForestKernelV2Test, KernelBuildEmitsTraceStage)
     AutotuneCacheClear();
 }
 
+TEST(ForestKernelV2Test, BuildWallTimeIsStampedUnderBothVersions)
+{
+    RandomForest forest = TrainSmallIris(8, 5, 69);
+    for (KernelVersion version : {KernelVersion::kV1, KernelVersion::kV2}) {
+        ForestKernelOptions options;
+        options.version = version;
+        ForestKernel kernel(forest, options);
+        EXPECT_EQ(kernel.version(), version);
+        EXPECT_GT(kernel.build_wall_ms(), 0.0)
+            << (version == KernelVersion::kV2 ? "v2" : "v1");
+    }
+}
+
 // ------------------------------------------------------------ scratch --
 
 TEST(ForestKernelV2Test, ScratchReusableAcrossModesAndBatches)
