@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "dbscore/common/error.h"
-#include "dbscore/common/rng.h"
 #include "dbscore/engines/scoring_engine.h"
-#include "dbscore/fault/fault.h"
 
 namespace dbscore::fleet {
 
-using serve::BreakerState;
 using serve::RequestStatus;
 using trace::ScopedSpan;
 using trace::SpanContext;
@@ -22,31 +18,24 @@ using trace::TraceCollector;
 namespace {
 
 /**
- * Modeled engine time a faulted offload attempt consumed — identical
- * to the serve layer's accounting (see scoring_service.cc): every
- * breakdown component completed before the site that failed.
+ * Lanes each device's pool starts with. Rejects a zero count here, not
+ * in the constructor body: the pools are built before the body runs.
  */
-SimTime
-FaultedOffloadCost(const OffloadBreakdown& b, DeviceClass device_class,
-                   std::size_t site_index)
+std::size_t
+InitialLanes(const FleetConfig& config)
 {
-    SimTime t = b.preprocessing + b.input_transfer;
-    if (site_index == 0) {
-        return t;
+    if (config.initial_lanes == 0) {
+        throw InvalidArgument("fleet: zero initial lanes");
     }
-    t += b.setup;
-    if (site_index == 1) {
-        return t;
-    }
-    if (device_class == DeviceClass::kFpga) {
-        t += b.compute + b.completion_signal;
-        if (site_index == 2) {
-            return t;
-        }
-    } else {
-        t += b.compute + b.completion_signal;
-    }
-    return t + b.result_transfer;
+    return std::max(config.autoscaler.enabled ? config.autoscaler.min_lanes
+                                              : config.initial_lanes,
+                    config.initial_lanes);
+}
+
+serve::LaneModel
+LaneModelOf(const WarmModel& model)
+{
+    return {model.scheduler.get(), model.model_bytes, model.num_cols};
 }
 
 }  // namespace
@@ -55,28 +44,20 @@ FleetService::FleetService(const HardwareProfile& profile, FleetConfig config)
     : profile_(profile),
       config_(std::move(config)),
       trace_domain_(TraceCollector::Get().NewDomain()),
-      registry_(profile, config_.registry)
+      registry_(profile, config_.registry),
+      lanes_(InitialLanes(config_), config_.runtime_params, config_.retry,
+             config_.breaker, config_.cpu_fallback)
 {
     if (config_.queue_capacity == 0) {
         throw InvalidArgument("fleet: zero queue capacity");
-    }
-    if (config_.initial_lanes == 0) {
-        throw InvalidArgument("fleet: zero initial lanes");
     }
     if (config_.window_per_lane < 1.0) {
         throw InvalidArgument("fleet: window_per_lane must be >= 1");
     }
     dispatch_held_ = config_.hold_dispatch;
-    const std::size_t lanes = std::max(
-        config_.autoscaler.enabled ? config_.autoscaler.min_lanes
-                                   : config_.initial_lanes,
-        config_.initial_lanes);
-    for (Device& d : devices_) {
-        d.runtime =
-            std::make_unique<ExternalScriptRuntime>(config_.runtime_params);
-        d.lanes.assign(lanes, SimTime());
-    }
+    const std::size_t lanes = InitialLanes(config_);
     for (int d = 0; d < 3; ++d) {
+        devices_[d].lanes = lanes;
         stats_.SetLanes(static_cast<DeviceClass>(d), lanes, 0);
     }
 }
@@ -281,7 +262,7 @@ FleetService::ScoreSync(FleetRequest request)
 FleetSnapshot
 FleetService::Stats() const
 {
-    FleetSnapshot snap = stats_.Snapshot();
+    FleetSnapshot snap = stats_.Snapshot(lanes_);
     snap.registry = registry_.Snapshot();
     std::lock_guard<std::mutex> lock(admission_mutex_);
     snap.tenants = tenants_.size();
@@ -293,6 +274,7 @@ void
 FleetService::ResetStats()
 {
     stats_.Reset();
+    lanes_.ResetCounters();
 }
 
 void
@@ -301,16 +283,13 @@ FleetService::EvictAllModels()
     registry_.EvictAll();
 }
 
-SimTime
-FleetService::MinLaneLocked(const Device& device)
+bool
+FleetService::HasRoom(Device& device) const
 {
-    SimTime best = device.lanes.front();
-    for (const SimTime& t : device.lanes) {
-        if (t < best) {
-            best = t;
-        }
-    }
-    return best;
+    std::lock_guard<std::mutex> lock(device.mutex);
+    const auto window = static_cast<std::size_t>(
+        static_cast<double>(device.lanes) * config_.window_per_lane);
+    return device.queue.size() + device.inflight < window;
 }
 
 void
@@ -335,12 +314,7 @@ FleetService::SchedulerLoop()
         std::array<bool, 3> has_room{};
         bool any_room = false;
         for (int d = 0; d < 3; ++d) {
-            std::lock_guard<std::mutex> dlock(devices_[d].mutex);
-            const std::size_t window = static_cast<std::size_t>(
-                static_cast<double>(devices_[d].lanes.size()) *
-                config_.window_per_lane);
-            has_room[d] =
-                devices_[d].queue.size() + devices_[d].inflight < window;
+            has_room[d] = HasRoom(devices_[d]);
             any_room = any_room || has_room[d];
         }
         if (!any_room) {
@@ -367,8 +341,9 @@ FleetService::SchedulerLoop()
         const std::size_t rows = pending->request.num_rows;
 
         // Earliest-finish placement across devices with room, skipping
-        // accelerators whose breaker is open (cooldown pending). CPU
-        // is the fallback of last resort even when its window is full.
+        // accelerators whose breaker turns the dispatch away (open,
+        // cooldown pending). CPU is the fallback of last resort even
+        // when its window is full.
         int chosen = -1;
         BackendKind chosen_kind = BackendKind::kCpuSklearn;
         SimTime chosen_finish;
@@ -379,26 +354,17 @@ FleetService::SchedulerLoop()
             if (!est.has_value()) {
                 continue;
             }
-            SimTime lane_free;
-            bool room;
-            {
-                std::lock_guard<std::mutex> dlock(devices_[d].mutex);
-                if (d != 0 &&
-                    devices_[d].breaker == BreakerState::kOpen &&
-                    ready < devices_[d].breaker_open_until) {
-                    continue;
-                }
-                lane_free = MinLaneLocked(devices_[d]);
-                const std::size_t window = static_cast<std::size_t>(
-                    static_cast<double>(devices_[d].lanes.size()) *
-                    config_.window_per_lane);
-                room = devices_[d].queue.size() + devices_[d].inflight <
-                       window;
-            }
-            if (!room) {
+            // Room only grows while this thread is away: workers pop
+            // and finish, and only the scheduler enqueues or resizes.
+            if (!has_room[d] && !HasRoom(devices_[d])) {
                 continue;
             }
-            const SimTime finish = Max(ready, lane_free) + est->Total();
+            const auto lane =
+                lanes_.Admit(device_class, ready, pending->trace);
+            if (!lane.has_value()) {
+                continue;
+            }
+            const SimTime finish = Max(ready, lane->at) + est->Total();
             if (chosen < 0 || finish < chosen_finish) {
                 chosen = d;
                 chosen_kind = est->kind;
@@ -418,7 +384,6 @@ FleetService::SchedulerLoop()
         DeviceWork work;
         work.pending = std::move(pending);
         work.model = acquired.model;
-        work.kind = chosen_kind;
         work.ready = ready;
         work.registry_miss = !acquired.hit;
 
@@ -430,67 +395,39 @@ FleetService::SchedulerLoop()
         // The scheduler is the only thread invoking a device's runtime
         // for first attempts, so pool warm/cold state also evolves in
         // dispatch order.
-        Device& dev = devices_[chosen];
-        ExternalScriptRuntime& runtime = *dev.runtime;
-        const std::uint64_t in_bytes = static_cast<std::uint64_t>(rows) *
-                                       acquired.model->num_cols *
-                                       sizeof(float);
-        work.invocation = runtime.Invoke();
-        work.model_pre =
-            work.invocation.cold
-                ? runtime.ModelPreprocessing(acquired.model->model_bytes)
-                : SimTime();
-        work.transfer_to = runtime.TransferToProcess(in_bytes);
-        work.transfer_from = runtime.TransferFromProcess(
-            static_cast<std::uint64_t>(rows) * sizeof(float));
-        work.data_pre =
-            runtime.DataPreprocessing(rows, acquired.model->num_cols);
-        work.scoring =
-            acquired.model->scheduler->EstimateFor(chosen_kind, rows);
-        const SimTime service = work.invocation.cost + work.model_pre +
-                                work.transfer_to + work.transfer_from +
-                                work.data_pre + work.scoring.Total();
-
+        serve::LaneRun& run = work.run;
+        run.device = static_cast<DeviceClass>(chosen);
+        run.kind = chosen_kind;
+        run.rows = rows;
         const SloPolicy& policy =
             config_.slo[static_cast<int>(work.pending->cls)];
         const SimTime deadline_at = work.pending->arrival + policy.deadline;
-        bool expired = false;
-        {
-            std::lock_guard<std::mutex> dlock(dev.mutex);
-            work.lane = 0;
-            for (std::size_t i = 1; i < dev.lanes.size(); ++i) {
-                if (dev.lanes[i] < dev.lanes[work.lane]) {
-                    work.lane = i;
-                }
-            }
-            work.start = Max(ready, dev.lanes[work.lane]);
-            if (work.start > deadline_at) {
-                // Deadline admission at dispatch: the modeled start
-                // already overruns the class deadline, so the request
-                // expires instead of scoring (and never occupies the
-                // lane). An expiry is the strongest overload signal
-                // there is: it counts as a missed-deadline sample in
-                // the autoscaler's window alongside late completions.
-                expired = true;
+        lanes_.Reserve(LaneModelOf(*acquired.model), run, ready, deadline_at);
+        Device& dev = devices_[chosen];
+        if (run.now > deadline_at) {
+            // Deadline admission at dispatch: the modeled start
+            // already overruns the class deadline, so the request
+            // expires instead of scoring (Reserve left the lane
+            // uncharged). An expiry is the strongest overload signal
+            // there is: it counts as a missed-deadline sample in the
+            // autoscaler's window alongside late completions.
+            {
+                std::lock_guard<std::mutex> dlock(dev.mutex);
                 ++dev.window_completions;
                 ++dev.window_deadline_misses;
-            } else {
-                dev.lanes[work.lane] = work.start + service;
             }
-        }
-        if (expired) {
             Pending& p = *work.pending;
             FleetReply reply;
             reply.status = RequestStatus::kExpired;
             reply.slo = p.cls;
             reply.arrival = p.arrival;
-            reply.finish = work.start;
+            reply.finish = run.now;
             reply.registry_miss = work.registry_miss;
             reply.error = "fleet: deadline expired before dispatch";
-            stats_.RecordExpired(p.cls, p.arrival, work.start);
+            stats_.RecordExpired(p.cls, p.arrival, run.now);
             TraceCollector::Get().EmitSim(
                 StageKind::kQuery, "fleet-request", p.trace, p.arrival,
-                work.start - p.arrival,
+                run.now - p.arrival,
                 {{"class", static_cast<double>(p.cls)}, {"expired", 1.0}});
             {
                 ScopedSpan fulfill(StageKind::kReply, "fulfill", p.trace);
@@ -534,7 +471,7 @@ FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
         {
             std::lock_guard<std::mutex> dlock(device.mutex);
             DeviceLoadSignals signals;
-            signals.lanes = device.lanes.size();
+            signals.lanes = device.lanes;
             // Device queues are bounded by the dispatch window, so the
             // per-device depth alone can never cross the scale-up
             // threshold; each device also carries its share of the
@@ -549,26 +486,18 @@ FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
                 Autoscale(config_.autoscaler, signals);
             delta = decision.delta;
             reason = decision.reason;
-            if (delta > 0) {
-                // New lanes start at the pool's current horizon — extra
-                // capacity from "now" on, no retroactive service.
-                device.lanes.insert(device.lanes.end(), delta,
-                                    MinLaneLocked(device));
-                device.last_scale_change = now;
-                device.window_completions = 0;
-                device.window_deadline_misses = 0;
-            } else if (delta < 0) {
-                // Retire the most-idle lanes.
-                std::sort(device.lanes.begin(), device.lanes.end());
-                device.lanes.resize(device.lanes.size() -
-                                    static_cast<std::size_t>(-delta));
+            if (delta != 0) {
+                device.lanes =
+                    delta > 0 ? device.lanes + static_cast<std::size_t>(delta)
+                              : device.lanes - static_cast<std::size_t>(-delta);
                 device.last_scale_change = now;
                 device.window_completions = 0;
                 device.window_deadline_misses = 0;
             }
-            lanes_after = device.lanes.size();
+            lanes_after = device.lanes;
         }
         if (delta != 0) {
+            lanes_.ResizeLanes(device_class, lanes_after);
             stats_.SetLanes(device_class, lanes_after, delta);
             tracer.EmitSim(StageKind::kAutoscale, reason,
                            tracer.NewRootContext(trace_domain_), now,
@@ -584,7 +513,6 @@ void
 FleetService::WorkerLoop(int device_index)
 {
     Device& device = devices_[device_index];
-    const auto device_class = static_cast<DeviceClass>(device_index);
     for (;;) {
         DeviceWork work;
         {
@@ -601,92 +529,13 @@ FleetService::WorkerLoop(int device_index)
         }
         // A window slot just freed; the scheduler may dispatch again.
         scheduler_cv_.notify_one();
-        ExecuteOne(device, device_class, std::move(work));
+        ExecuteOne(device, std::move(work));
         {
             std::lock_guard<std::mutex> dlock(device.mutex);
             --device.inflight;
         }
         scheduler_cv_.notify_one();
     }
-}
-
-SimTime
-FleetService::NextBackoff(Device& device, int device_index,
-                          std::size_t retry_index)
-{
-    const serve::RetryPolicy& policy = config_.retry;
-    DBS_ASSERT(retry_index >= 1);
-    double backoff_s =
-        policy.initial_backoff.seconds() *
-        std::pow(policy.backoff_multiplier,
-                 static_cast<double>(retry_index - 1));
-    backoff_s = std::min(backoff_s, policy.max_backoff.seconds());
-    std::uint64_t seq;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        seq = device.attempt_seq++;
-    }
-    if (policy.jitter_frac > 0.0 && backoff_s > 0.0) {
-        Rng jitter(policy.jitter_seed ^
-                   (0x9e3779b97f4a7c15ULL *
-                    (static_cast<std::uint64_t>(device_index) + 1)) ^
-                   (0xbf58476d1ce4e5b9ULL * (seq + 1)));
-        backoff_s += backoff_s * policy.jitter_frac * jitter.NextDouble();
-    }
-    return SimTime::Seconds(backoff_s);
-}
-
-void
-FleetService::BreakerOnFault(Device& device, DeviceClass device_class,
-                             SimTime now, const SpanContext& parent)
-{
-    BreakerState before;
-    BreakerState after;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        before = device.breaker;
-        ++device.consecutive_failures;
-        if (device.breaker == BreakerState::kHalfOpen) {
-            device.breaker = BreakerState::kOpen;
-            device.breaker_open_until = now + config_.breaker.open_cooldown;
-        } else if (device.breaker == BreakerState::kClosed &&
-                   device.consecutive_failures >=
-                       config_.breaker.failure_threshold) {
-            device.breaker = BreakerState::kOpen;
-            device.breaker_open_until = now + config_.breaker.open_cooldown;
-        }
-        after = device.breaker;
-    }
-    if (after == before) {
-        return;
-    }
-    stats_.SetBreakerState(device_class, after);
-    stats_.RecordBreakerOpen(device_class);
-    TraceCollector::Get().EmitSim(
-        StageKind::kBreaker, "breaker-open", parent, now, SimTime(),
-        {{"device", static_cast<double>(device_class)},
-         {"state", static_cast<double>(after)}});
-}
-
-void
-FleetService::BreakerOnSuccess(Device& device, DeviceClass device_class,
-                               SimTime now, const SpanContext& parent)
-{
-    BreakerState before;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        before = device.breaker;
-        device.consecutive_failures = 0;
-        device.breaker = BreakerState::kClosed;
-    }
-    if (before == BreakerState::kClosed) {
-        return;
-    }
-    stats_.SetBreakerState(device_class, BreakerState::kClosed);
-    TraceCollector::Get().EmitSim(
-        StageKind::kBreaker, "breaker-close", parent, now, SimTime(),
-        {{"device", static_cast<double>(device_class)},
-         {"state", static_cast<double>(BreakerState::kClosed)}});
 }
 
 void
@@ -700,8 +549,7 @@ FleetService::SettleOne()
 }
 
 void
-FleetService::ExecuteOne(Device& device, DeviceClass device_class,
-                         DeviceWork work)
+FleetService::ExecuteOne(Device& device, DeviceWork work)
 {
     TraceCollector& tracer = TraceCollector::Get();
     Pending& pending = *work.pending;
@@ -711,12 +559,6 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
     const SimTime deadline_at = arrival + policy.deadline;
     const std::size_t rows = pending.request.num_rows;
 
-    // Lane, modeled start, and first-attempt costs were fixed by the
-    // scheduler at dispatch (the lane horizon is already charged up to
-    // the projected finish).
-    const std::size_t lane_idx = work.lane;
-    const SimTime start = work.start;
-
     auto finish_reply = [&](FleetReply reply) {
         {
             ScopedSpan fulfill(StageKind::kReply, "fulfill", pending.trace);
@@ -725,151 +567,30 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
         SettleOne();
     };
 
+    // The scheduler fixed the lane, start and first-attempt costs at
+    // dispatch; retries and a CPU fallback are costed by the lanes
+    // against the then-current device runtime.
+    serve::LaneRun& run = work.run;
+    const SimTime start = run.now;
+    serve::LaneRiders rider(pending.trace, deadline_at);
+    lanes_.Run(LaneModelOf(model), run, rider);
+
     FleetReply reply;
     reply.slo = pending.cls;
     reply.arrival = arrival;
     reply.registry_miss = work.registry_miss;
+    reply.attempts = run.attempts;
+    reply.degraded = run.degraded;
 
-    fault::FaultInjector& injector = fault::FaultInjector::Get();
-    const std::uint64_t bytes_in =
-        static_cast<std::uint64_t>(rows) * model.num_cols * sizeof(float);
-    const std::uint64_t bytes_out =
-        static_cast<std::uint64_t>(rows) * sizeof(float);
-
-    Device* exec_device = &device;
-    DeviceClass exec_class = device_class;
-    BackendKind exec_kind = work.kind;
-    std::size_t exec_lane = lane_idx;
-    bool degraded = false;
-    SimTime now = start;
-    std::size_t total_attempts = 0;
-    std::size_t device_attempts = 0;
-    bool success = false;
-
-    // First attempt: costs modeled by the scheduler at dispatch.
-    // Retries and CPU fallback re-model against the then-current
-    // device runtime (pool state is racy under faults, which is fine —
-    // fault campaigns are stochastic by nature).
-    InvocationCost invocation = work.invocation;
-    SimTime model_pre = work.model_pre;
-    SimTime transfer_to = work.transfer_to;
-    SimTime transfer_from = work.transfer_from;
-    SimTime data_pre = work.data_pre;
-    OffloadBreakdown scoring = work.scoring;
-
-    for (;;) {
-        ++total_attempts;
-        ++device_attempts;
-        if (total_attempts > 1) {
-            ExternalScriptRuntime& runtime = *exec_device->runtime;
-            invocation = runtime.Invoke();
-            model_pre = invocation.cold
-                            ? runtime.ModelPreprocessing(model.model_bytes)
-                            : SimTime();
-            transfer_to = runtime.TransferToProcess(bytes_in);
-            transfer_from = runtime.TransferFromProcess(bytes_out);
-            data_pre = runtime.DataPreprocessing(rows, model.num_cols);
-            scoring = model.scheduler->EstimateFor(exec_kind, rows);
-        }
-
-        bool faulted = invocation.crashed;
-        fault::FaultSite fault_site = fault::FaultSite::kExternalInvoke;
-        SimTime wasted = invocation.cost;
-        if (!faulted) {
-            const auto sites = OffloadFaultSites(exec_kind);
-            for (std::size_t i = 0; i < sites.size(); ++i) {
-                if (injector.ShouldFail(sites[i])) {
-                    faulted = true;
-                    fault_site = sites[i];
-                    wasted = invocation.cost + model_pre + transfer_to +
-                             data_pre +
-                             FaultedOffloadCost(scoring, exec_class, i);
-                    break;
-                }
-            }
-        }
-        if (!faulted) {
-            success = true;
-            break;
-        }
-
-        tracer.EmitSim(StageKind::kFault, fault::FaultSiteName(fault_site),
-                       pending.trace, now, wasted,
-                       {{"device", static_cast<double>(exec_class)},
-                        {"attempt", static_cast<double>(total_attempts)}});
-        stats_.RecordFault(exec_class);
-        now += wasted;
-        BreakerOnFault(*exec_device, exec_class, now, pending.trace);
-
-        if (device_attempts < config_.retry.max_attempts) {
-            const SimTime backoff =
-                NextBackoff(*exec_device, static_cast<int>(exec_class),
-                            device_attempts);
-            const SimTime redispatch = now + backoff;
-            if (redispatch > deadline_at) {
-                break;  // no retry the deadline permits
-            }
-            tracer.EmitSim(StageKind::kRetryBackoff, "retry-backoff",
-                           pending.trace, now, backoff,
-                           {{"attempt",
-                             static_cast<double>(total_attempts)}});
-            stats_.RecordRetry(exec_class);
-            now = redispatch;
-            continue;
-        }
-
-        if (config_.cpu_fallback && exec_class != DeviceClass::kCpu) {
-            // Degrade: release the accelerator lane at `now`, hand the
-            // request to the CPU pool with a fresh attempt budget.
-            {
-                std::lock_guard<std::mutex> lock(exec_device->mutex);
-                exec_device->lanes[exec_lane] =
-                    Max(exec_device->lanes[exec_lane], now);
-            }
-            auto cpu_best =
-                BestOfClass(*model.scheduler, DeviceClass::kCpu, rows);
-            DBS_ASSERT(cpu_best.has_value());
-            const auto from_class = exec_class;
-            exec_device = &devices_[0];
-            exec_class = DeviceClass::kCpu;
-            exec_kind = cpu_best->kind;
-            degraded = true;
-            device_attempts = 0;
-            {
-                std::lock_guard<std::mutex> lock(exec_device->mutex);
-                exec_lane = 0;
-                for (std::size_t i = 1; i < exec_device->lanes.size();
-                     ++i) {
-                    if (exec_device->lanes[i] <
-                        exec_device->lanes[exec_lane]) {
-                        exec_lane = i;
-                    }
-                }
-                now = Max(now, exec_device->lanes[exec_lane]);
-            }
-            stats_.RecordFallback(from_class);
-            tracer.EmitSim(StageKind::kFallback, "cpu-fallback",
-                           pending.trace, now, SimTime(),
-                           {{"from", static_cast<double>(from_class)}});
-            continue;
-        }
-        break;
-    }
-
-    if (!success) {
-        {
-            std::lock_guard<std::mutex> lock(exec_device->mutex);
-            exec_device->lanes[exec_lane] =
-                Max(exec_device->lanes[exec_lane], now);
-        }
+    if (!run.completed) {
         reply.status = RequestStatus::kFailed;
-        reply.finish = now;
-        reply.attempts = total_attempts;
-        reply.degraded = degraded;
-        reply.error = "fleet: injected faults exhausted every retry";
-        stats_.RecordFailed(pending.cls, arrival, now);
+        reply.finish = run.now;
+        reply.error = run.rows == 0
+                          ? "fleet: deadline precludes retry"
+                          : "fleet: injected faults exhausted every retry";
+        stats_.RecordFailed(pending.cls, arrival, run.now);
         tracer.EmitSim(StageKind::kQuery, "fleet-request", pending.trace,
-                       arrival, now - arrival,
+                       arrival, run.now - arrival,
                        {{"class", static_cast<double>(pending.cls)},
                         {"failed", 1.0}});
         finish_reply(std::move(reply));
@@ -877,17 +598,10 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
         return;
     }
 
-    const SimTime transfer = transfer_to + transfer_from;
-    const SimTime service = invocation.cost + model_pre + transfer +
-                            data_pre + scoring.Total();
-    const SimTime finish = now + service;
-    {
-        std::lock_guard<std::mutex> lock(exec_device->mutex);
-        exec_device->lanes[exec_lane] =
-            Max(exec_device->lanes[exec_lane], finish);
-    }
-    BreakerOnSuccess(*exec_device, exec_class, finish, pending.trace);
-    stats_.RecordDispatch(exec_class, 1, rows, service);
+    const serve::AttemptCost& cost = run.cost;
+    const SimTime service = cost.Total();
+    const SimTime finish = run.now + service;
+    stats_.RecordDispatch(run.device, 1, rows, service);
 
     const bool deadline_miss = finish > deadline_at;
     {
@@ -902,20 +616,20 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
 
     // Simulated stage chain: queue wait at its true timeline position,
     // then the dispatch costs laid end to end from the successful
-    // attempt (faults and backoffs already own start..now).
+    // attempt (faults and backoffs already own start..run.now).
     tracer.EmitSim(StageKind::kQueueWait, "queue-wait", pending.trace,
                    work.ready, start - work.ready);
-    SimTime cursor = now;
+    SimTime cursor = run.now;
     const struct {
         StageKind stage;
         const char* name;
         SimTime dur;
     } stages[] = {
-        {StageKind::kInvocation, "invocation", invocation.cost},
-        {StageKind::kModelPreproc, "model-preproc", model_pre},
-        {StageKind::kMarshal, "transfer", transfer},
-        {StageKind::kDataPreproc, "data-preproc", data_pre},
-        {StageKind::kScoring, "scoring", scoring.Total()},
+        {StageKind::kInvocation, "invocation", cost.invocation.cost},
+        {StageKind::kModelPreproc, "model-preproc", cost.model_pre},
+        {StageKind::kMarshal, "transfer", cost.Transfer()},
+        {StageKind::kDataPreproc, "data-preproc", cost.data_pre},
+        {StageKind::kScoring, "scoring", cost.scoring.Total()},
     };
     for (const auto& s : stages) {
         tracer.EmitSim(s.stage, s.name, pending.trace, cursor, s.dur);
@@ -923,11 +637,9 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
     }
 
     reply.status = RequestStatus::kCompleted;
-    reply.device = exec_class;
-    reply.backend = exec_kind;
-    reply.degraded = degraded;
+    reply.device = run.device;
+    reply.backend = run.kind;
     reply.deadline_miss = deadline_miss;
-    reply.attempts = total_attempts;
     reply.finish = finish;
     if (!pending.request.rows.empty()) {
         // Functional scoring through the registry's cached kernel: the
@@ -936,7 +648,7 @@ FleetService::ExecuteOne(Device& device, DeviceClass device_class,
         reply.predictions = model.forest.PredictBatch(
             pending.request.rows.data(), rows, model.num_cols);
     }
-    stats_.RecordCompleted(pending.cls, arrival, finish, degraded,
+    stats_.RecordCompleted(pending.cls, arrival, finish, run.degraded,
                            deadline_miss);
     tracer.EmitSim(StageKind::kQuery, "fleet-request", pending.trace,
                    arrival, finish - arrival,

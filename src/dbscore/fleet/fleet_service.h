@@ -16,11 +16,15 @@
  *  - **Weighted fair queueing** orders the central backlog so gold
  *    outruns bronze under overload without starving it.
  *  - **Placement** picks the earliest-finishing device lane from each
- *    model's per-backend estimates, skipping open breakers; faulted
- *    dispatches retry with backoff and degrade to CPU, exactly the
- *    serve-layer discipline.
+ *    model's per-backend estimates, skipping devices whose breaker is
+ *    open, and reserves that lane at dispatch. The dispatch then runs
+ *    through serve::DeviceLanes — the serve layer's own attempt loop,
+ *    breakers (half-open probe included) and fault counters — so
+ *    faulted dispatches retry with backoff and degrade to CPU exactly
+ *    as they do there.
  *  - **Autoscaling** grows and shrinks each device's modeled lane
- *    pool from queue-depth and deadline-miss signals.
+ *    pool (held by DeviceLanes) from queue-depth and deadline-miss
+ *    signals.
  *
  * Concurrency vs. time follows the house rule: machinery real (one
  * scheduler thread, one worker thread per device class, real CVs),
@@ -54,8 +58,8 @@
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
 #include "dbscore/fleet/wfq.h"
+#include "dbscore/serve/device_lanes.h"
 #include "dbscore/serve/request.h"
-#include "dbscore/serve/scoring_service.h"
 
 namespace dbscore::fleet {
 
@@ -220,43 +224,33 @@ class FleetService {
     struct DeviceWork {
         PendingPtr pending;
         WarmModelPtr model;
-        BackendKind kind = BackendKind::kCpuSklearn;
         /** Earliest modeled dispatch (arrival + any registry build). */
         SimTime ready;
         bool registry_miss = false;
         /**
-         * Lane reserved and modeled start/first-attempt costs computed
-         * by the scheduler at dispatch time. Charging the lane horizon
-         * up front keeps modeled placement (and thus latencies)
-         * independent of how fast real worker threads drain queues;
-         * workers only top the lane up when faults stretch the actual
-         * finish past the reservation.
+         * Device, backend, reserved lane, modeled start and
+         * first-attempt costs, fixed by the scheduler at dispatch.
+         * Charging the lane horizon up front keeps modeled placement
+         * (and thus latencies) independent of how fast real worker
+         * threads drain queues; workers only top the lane up when
+         * faults stretch the actual finish past the reservation.
          */
-        std::size_t lane = 0;
-        SimTime start;
-        InvocationCost invocation;
-        SimTime model_pre;
-        SimTime transfer_to;
-        SimTime transfer_from;
-        SimTime data_pre;
-        OffloadBreakdown scoring;
+        serve::LaneRun run;
     };
 
-    /** One simulated device: queue, modeled lanes, breaker. */
+    /** One simulated device's queue and autoscaler state. */
     struct Device {
         std::deque<DeviceWork> queue;
         std::mutex mutex;
         std::condition_variable cv;
-        /** Modeled service horizons, one per lane. */
-        std::vector<SimTime> lanes;
-        std::unique_ptr<ExternalScriptRuntime> runtime;
         bool stop = false;
         /** In-flight dispatches (popped, not yet settled). */
         std::size_t inflight = 0;
-        serve::BreakerState breaker = serve::BreakerState::kClosed;
-        std::size_t consecutive_failures = 0;
-        SimTime breaker_open_until;
-        std::uint64_t attempt_seq = 0;
+        /**
+         * Lanes in the device's pool (lanes_ holds their horizons).
+         * Only the scheduler thread changes it, through the autoscaler.
+         */
+        std::size_t lanes = 0;
         /** Autoscaler sampling window. */
         std::size_t window_completions = 0;
         std::size_t window_deadline_misses = 0;
@@ -265,16 +259,10 @@ class FleetService {
 
     void SchedulerLoop();
     void WorkerLoop(int device_index);
-    void ExecuteOne(Device& device, DeviceClass device_class,
-                    DeviceWork work);
+    void ExecuteOne(Device& device, DeviceWork work);
     void MaybeAutoscale(SimTime now, std::size_t central_backlog);
-    SimTime NextBackoff(Device& device, int device_index, std::size_t retry);
-    void BreakerOnFault(Device& device, DeviceClass device_class, SimTime now,
-                        const trace::SpanContext& parent);
-    void BreakerOnSuccess(Device& device, DeviceClass device_class,
-                          SimTime now, const trace::SpanContext& parent);
-    /** Earliest-free lane's horizon. Caller holds device.mutex. */
-    static SimTime MinLaneLocked(const Device& device);
+    /** Whether @p device's dispatch window has a free slot. */
+    bool HasRoom(Device& device) const;
     void SettleOne();
 
     HardwareProfile profile_;
@@ -309,6 +297,8 @@ class FleetService {
     std::size_t settled_ = 0;
 
     std::array<Device, 3> devices_;
+    /** Lane pools, breakers, runtimes and fault counters per device. */
+    serve::DeviceLanes lanes_;
     std::unique_ptr<ThreadPool> threads_;
 };
 

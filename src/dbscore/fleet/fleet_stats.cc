@@ -8,22 +8,6 @@ namespace dbscore::fleet {
 
 namespace {
 
-serve::DistSummary
-Summarize(const RunningStats& stats, const QuantileSketch& sketch)
-{
-    serve::DistSummary s;
-    s.count = stats.count();
-    if (s.count == 0) {
-        return s;
-    }
-    s.mean = stats.mean();
-    s.max = stats.max();
-    s.p50 = sketch.Quantile(0.50);
-    s.p95 = sketch.Quantile(0.95);
-    s.p99 = sketch.Quantile(0.99);
-    return s;
-}
-
 int
 Idx(SloClass cls)
 {
@@ -255,41 +239,6 @@ FleetStats::RecordDispatch(DeviceClass device, std::size_t num_requests,
 }
 
 void
-FleetStats::RecordFault(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].faults;
-}
-
-void
-FleetStats::RecordRetry(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].retries;
-}
-
-void
-FleetStats::RecordFallback(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].fallbacks;
-}
-
-void
-FleetStats::RecordBreakerOpen(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].breaker_opens;
-}
-
-void
-FleetStats::SetBreakerState(DeviceClass device, serve::BreakerState state)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    totals_.devices[Idx(device)].breaker = state;
-}
-
-void
 FleetStats::SetLanes(DeviceClass device, std::size_t lanes, int delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -316,14 +265,23 @@ FleetStats::Settled() const
 }
 
 FleetSnapshot
-FleetStats::Snapshot() const
+FleetStats::Snapshot(const serve::DeviceLanes& lanes) const
 {
+    const std::array<serve::LaneCounters, 3> counters = lanes.Counters();
     std::lock_guard<std::mutex> lock(mutex_);
     FleetSnapshot snap = totals_;
     for (int c = 0; c < kNumSloClasses; ++c) {
         snap.classes[c] = classes_[c].totals;
-        snap.classes[c].latency =
-            Summarize(classes_[c].latency_stats, classes_[c].latency_sketch);
+        snap.classes[c].latency = serve::Summarize(
+            classes_[c].latency_stats, classes_[c].latency_sketch);
+    }
+    for (int d = 0; d < 3; ++d) {
+        FleetDeviceSnapshot& dev = snap.devices[d];
+        dev.faults = counters[d].faults;
+        dev.retries = counters[d].retries;
+        dev.fallbacks = counters[d].fallbacks;
+        dev.breaker_opens = counters[d].breaker_opens;
+        dev.breaker = counters[d].breaker;
     }
     return snap;
 }
@@ -333,10 +291,9 @@ FleetStats::Reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     FleetSnapshot fresh;
-    // Preserve current device facts (breaker, lanes) — they describe
-    // the present, not accumulated history.
+    // Preserve lane counts — they describe the present, not
+    // accumulated history.
     for (int d = 0; d < 3; ++d) {
-        fresh.devices[d].breaker = totals_.devices[d].breaker;
         fresh.devices[d].lanes = totals_.devices[d].lanes;
     }
     fresh.tenants = totals_.tenants;

@@ -6,8 +6,9 @@
  * gold's tail stay ahead of bronze's under overload (per-class latency
  * and deadline-miss counters), how often did the registry re-pay model
  * builds, and what did the autoscaler do. Thread-safe accumulator;
- * Snapshot() is a consistent copy under one lock; Reset() rebaselines
- * for per-phase measurements.
+ * Snapshot() copies its own counters under one lock (the DeviceLanes
+ * fault counters under each device class's); Reset() rebaselines for
+ * per-phase measurements.
  */
 #ifndef DBSCORE_FLEET_FLEET_STATS_H
 #define DBSCORE_FLEET_FLEET_STATS_H
@@ -21,6 +22,7 @@
 #include "dbscore/engines/scoring_engine.h"
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
+#include "dbscore/serve/device_lanes.h"
 #include "dbscore/serve/service_stats.h"
 
 namespace dbscore::fleet {
@@ -106,21 +108,21 @@ class FleetStats {
 
     void RecordDispatch(DeviceClass device, std::size_t num_requests,
                         std::size_t num_rows, SimTime busy);
-    void RecordFault(DeviceClass device);
-    void RecordRetry(DeviceClass device);
-    void RecordFallback(DeviceClass device);
-    void RecordBreakerOpen(DeviceClass device);
-    void SetBreakerState(DeviceClass device, serve::BreakerState state);
     void SetLanes(DeviceClass device, std::size_t lanes, int delta);
 
     /** Requests in a terminal state (completed+rejected+expired+failed). */
     std::size_t Settled() const;
 
-    FleetSnapshot Snapshot() const;
+    /**
+     * This accumulator's counters plus the fault, retry, fallback and
+     * breaker counters @p lanes keeps for each device class.
+     */
+    FleetSnapshot Snapshot(const serve::DeviceLanes& lanes) const;
 
     /**
-     * Zeroes every counter and distribution; breaker states and lane
-     * counts (current device facts, not history) survive.
+     * Zeroes every counter and distribution; lane counts (current
+     * device facts, not history) survive. DeviceLanes::ResetCounters
+     * does the lanes' share.
      */
     void Reset();
 

@@ -1,0 +1,306 @@
+/**
+ * @file
+ * The device-lane executor: the one fault -> retry -> CPU-degrade loop
+ * behind both serving layers.
+ *
+ * ScoringService (one lane per device class) and fleet::FleetService
+ * (an autoscaled lane pool per class) hand every placed dispatch to
+ * DeviceLanes::Run. Per device class it owns the modeled lane
+ * horizons, the ExternalScriptRuntime (one warm-process pool), the
+ * circuit breaker, the backoff jitter stream and the fault counters
+ * that ServiceStats and FleetStats read. A faulted attempt is charged
+ * the stages it consumed, retried after backoff (never past a rider's
+ * deadline), then degraded to the CPU engine; each step is a sim-clock
+ * span (kFault, kRetryBackoff, kFallback, kBreaker).
+ */
+#ifndef DBSCORE_SERVE_DEVICE_LANES_H
+#define DBSCORE_SERVE_DEVICE_LANES_H
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <vector>
+
+#include "dbscore/core/scheduler.h"
+#include "dbscore/dbms/external_runtime.h"
+#include "dbscore/engines/scoring_engine.h"
+#include "dbscore/trace/trace.h"
+
+namespace dbscore::serve {
+
+/**
+ * Per-dispatch retry policy for attempts lost to injected faults:
+ * capped exponential backoff with deterministic jitter. Deadline-aware
+ * — a request whose deadline precedes the retry's dispatch time fails
+ * instead of riding a retry it could never use.
+ */
+struct RetryPolicy {
+    /**
+     * Dispatch attempts permitted per device, first try included.
+     * A CPU fallback gets a fresh budget on the CPU device.
+     */
+    std::size_t max_attempts = 4;
+    /** Backoff before the first retry. */
+    SimTime initial_backoff = SimTime::Millis(1.0);
+    /** Growth factor per additional retry. */
+    double backoff_multiplier = 2.0;
+    /** Cap on any single backoff (before jitter). */
+    SimTime max_backoff = SimTime::Millis(50.0);
+    /** Uniform jitter in [0, frac) of the backoff, added to it. */
+    double jitter_frac = 0.2;
+    /**
+     * Seed of the jitter stream. Jitter is a pure function of
+     * (seed, device, per-device attempt counter), so a replayed run
+     * re-draws identical jitter.
+     */
+    std::uint64_t jitter_seed = 0x7e57;
+};
+
+/** Per-device circuit breaker policy. */
+struct BreakerPolicy {
+    /** Consecutive dispatch failures that open the breaker. */
+    std::size_t failure_threshold = 5;
+    /**
+     * Modeled cooldown while open: dispatches ready before
+     * open-time + cooldown are turned away; the first one at or after
+     * it runs as the half-open probe.
+     */
+    SimTime open_cooldown = SimTime::Millis(200.0);
+};
+
+/**
+ * Circuit-breaker state of one device class. Closed is healthy;
+ * K consecutive dispatch failures open the breaker (new work goes
+ * elsewhere); after a cooldown the next dispatch runs as a half-open
+ * probe — success closes the breaker, another fault re-opens it.
+ */
+enum class BreakerState {
+    kClosed,
+    kOpen,
+    kHalfOpen,
+};
+
+const char* BreakerStateName(BreakerState state);
+
+/** One device class's fault-path counters. */
+struct LaneCounters {
+    /** Dispatch attempts lost to injected faults. */
+    std::size_t faults = 0;
+    /** Re-dispatches after a faulted attempt. */
+    std::size_t retries = 0;
+    /** Dispatches moved to the CPU: retries spent or breaker open. */
+    std::size_t fallbacks = 0;
+    /** Transitions into kOpen (at the threshold or a failed probe). */
+    std::size_t breaker_opens = 0;
+    /** Modeled time lost to faulted attempts (partial stage costs). */
+    SimTime fault_wasted;
+    /** Modeled backoff paid before retries. */
+    SimTime retry_backoff;
+    /** Current breaker state; survives ResetCounters(). */
+    BreakerState breaker = BreakerState::kClosed;
+};
+
+/** One attempt's modeled stage costs: the paper's overhead taxonomy. */
+struct AttemptCost {
+    InvocationCost invocation;
+    SimTime model_pre;
+    SimTime transfer_to;
+    SimTime transfer_from;
+    SimTime data_pre;
+    OffloadBreakdown scoring;
+
+    SimTime Transfer() const { return transfer_to + transfer_from; }
+
+    /** Service time of the attempt when it succeeds. */
+    SimTime
+    Total() const
+    {
+        return invocation.cost + model_pre + Transfer() + data_pre +
+               scoring.Total();
+    }
+};
+
+/** The model a dispatch scores: its cost cards and shape. */
+struct LaneModel {
+    const OffloadScheduler* scheduler = nullptr;
+    std::uint64_t model_bytes = 0;
+    std::size_t num_cols = 0;
+};
+
+/** A lane of one device class and its horizon. */
+struct LaneSlot {
+    std::size_t lane = 0;
+    SimTime at;
+};
+
+/**
+ * One dispatch's cursor through DeviceLanes::Run. The caller sets the
+ * first attempt's device, backend, rows, lane and start (`now`; or
+ * Reserve sets those two); Run leaves the last attempt's.
+ */
+struct LaneRun {
+    DeviceClass device = DeviceClass::kCpu;
+    BackendKind kind = BackendKind::kCpuSklearn;
+    std::size_t lane = 0;
+    /** Modeled dispatch time of the current attempt. */
+    SimTime now;
+    /** Rows still riding; 0 once every rider missed a retry deadline. */
+    std::size_t rows = 0;
+    /** Re-routed to the CPU engine (at placement or after faults). */
+    bool degraded = false;
+    /** Attempts made so far, across devices. */
+    std::size_t attempts = 0;
+    AttemptCost cost;
+    /** `cost` already holds the first attempt's (see Reserve). */
+    bool costed = false;
+    /** Set by Run: the last attempt succeeded. */
+    bool completed = false;
+};
+
+/**
+ * The requests riding one dispatch, as DeviceLanes::Run sees them.
+ * This base is a single rider; a batch overrides DropPastDeadline.
+ */
+class LaneRiders {
+ public:
+    LaneRiders(trace::SpanContext parent, std::optional<SimTime> deadline)
+        : parent(parent), deadline(deadline)
+    {
+    }
+
+    /** Parent of the loop's spans: the oldest rider still live. */
+    trace::SpanContext parent;
+    /** The single rider's absolute deadline, if it has one. */
+    std::optional<SimTime> deadline;
+
+    /**
+     * Before a retry at @p redispatch: drops every rider whose
+     * deadline precedes it (a batch fails them at run.now) and returns
+     * the rows still riding; 0 ends the dispatch.
+     */
+    virtual std::size_t
+    DropPastDeadline(SimTime redispatch, const LaneRun& run)
+    {
+        return deadline.has_value() && redispatch > *deadline ? 0
+                                                               : run.rows;
+    }
+};
+
+/** Lanes, breakers and the attempt loop per device class. */
+class DeviceLanes {
+ public:
+    /**
+     * @p lanes modeled lanes per device class. With @p cpu_fallback a
+     * dispatch that exhausts its accelerator attempts degrades to the
+     * CPU engine; without it the dispatch fails.
+     */
+    DeviceLanes(std::size_t lanes, const ExternalRuntimeParams& runtime,
+                const RetryPolicy& retry, const BreakerPolicy& breaker,
+                bool cpu_fallback);
+
+    DeviceLanes(const DeviceLanes&) = delete;
+    DeviceLanes& operator=(const DeviceLanes&) = delete;
+
+    /** The earliest-free lane of @p device and its horizon. */
+    LaneSlot Earliest(DeviceClass device) const;
+
+    /**
+     * Breaker admission at @p ready: the earliest lane of @p device, or
+     * nullopt while its breaker is open and cooling down. Past the
+     * cooldown the breaker turns half-open and the next dispatch to
+     * reach the device is the probe. The CPU has nowhere to re-route
+     * to, so it is always admitted.
+     */
+    std::optional<LaneSlot> Admit(DeviceClass device, SimTime ready,
+                                  const trace::SpanContext& parent);
+
+    /** Counts (and traces) a placement re-routed from @p from to the CPU. */
+    void Reroute(DeviceClass from, SimTime at,
+                 const trace::SpanContext& parent);
+
+    /**
+     * Dispatch-time reservation for @p run (device, kind and rows set):
+     * prices its first attempt, takes the earliest lane, starts at
+     * max(@p ready, its horizon) and, unless that start is past
+     * @p deadline, charges the lane through the attempt's finish.
+     */
+    void Reserve(const LaneModel& model, LaneRun& run, SimTime ready,
+                 SimTime deadline);
+
+    /**
+     * Resizes @p device's pool. New lanes start at its earliest
+     * horizon (no retroactive service); shrinking keeps the
+     * earliest-free lanes.
+     */
+    void ResizeLanes(DeviceClass device, std::size_t lanes);
+
+    /**
+     * Runs @p run's dispatch to its end — attempt, retry after backoff,
+     * degrade to the CPU — charging the lanes it uses and stepping the
+     * breakers. When !run.completed the riders still live are
+     * unanswered.
+     */
+    void Run(const LaneModel& model, LaneRun& run, LaneRiders& riders);
+
+    /** Counters of each device class, indexed by DeviceClass. */
+    std::array<LaneCounters, 3> Counters() const;
+
+    /** Zeroes the counters; breaker states (current facts) survive. */
+    void ResetCounters();
+
+ private:
+    /** One device class; the mutex guards all but runtime (self-locking). */
+    struct Device {
+        mutable std::mutex mutex;
+        /** Modeled time each lane next goes idle. */
+        std::vector<SimTime> lanes;
+        std::unique_ptr<ExternalScriptRuntime> runtime;
+        /** Consecutive faulted attempts since the last success. */
+        std::size_t consecutive_failures = 0;
+        /** While open: modeled time the half-open probe becomes legal. */
+        SimTime breaker_open_until;
+        /** Position in this device's deterministic jitter stream. */
+        std::uint64_t attempt_seq = 0;
+        LaneCounters counters;
+    };
+
+    Device& At(DeviceClass d) { return devices_[static_cast<int>(d)]; }
+    const Device& At(DeviceClass d) const
+    {
+        return devices_[static_cast<int>(d)];
+    }
+    static LaneSlot EarliestLocked(const Device& device);
+
+    /**
+     * Prices one attempt of @p rows on @p device / @p kind, invoking
+     * the device's runtime (its warm/cold state advances); the
+     * transfers marshal @p marshaled_rows.
+     */
+    AttemptCost Cost(DeviceClass device, BackendKind kind,
+                     const LaneModel& model, std::size_t rows,
+                     std::size_t marshaled_rows);
+    /**
+     * Capped exponential backoff + deterministic jitter before retry
+     * number @p retry_index (1 = first retry) on @p device.
+     */
+    SimTime NextBackoff(DeviceClass device, std::size_t retry_index);
+    void OnFault(DeviceClass device, SimTime wasted, SimTime now,
+                 const trace::SpanContext& parent);
+    void OnSuccess(DeviceClass device, std::size_t lane, SimTime finish,
+                   const trace::SpanContext& parent);
+    /** Raises @p lane's horizon to @p until (a retired lane is gone). */
+    static void ChargeLocked(Device& device, std::size_t lane,
+                             SimTime until);
+
+    RetryPolicy retry_;
+    BreakerPolicy breaker_;
+    bool cpu_fallback_;
+    std::array<Device, 3> devices_;
+};
+
+}  // namespace dbscore::serve
+
+#endif  // DBSCORE_SERVE_DEVICE_LANES_H

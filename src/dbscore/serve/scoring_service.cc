@@ -1,14 +1,11 @@
 #include "dbscore/serve/scoring_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <utility>
 
 #include "dbscore/common/error.h"
-#include "dbscore/common/rng.h"
 #include "dbscore/engines/scoring_engine.h"
-#include "dbscore/fault/fault.h"
 #include "dbscore/forest/forest_kernel.h"
 #include "dbscore/trace/exporters.h"
 #include "dbscore/trace/trace.h"
@@ -50,41 +47,13 @@ ScaleBreakdown(const OffloadBreakdown& b, double k)
     return s;
 }
 
-/**
- * Modeled engine time a faulted offload attempt consumed: every
- * breakdown component completed before the site that failed.
- * @p site_index is the position in OffloadFaultSites(kind) — FPGA
- * crosses {DMA-in, setup, completion, DMA-out}, GPU crosses
- * {DMA-in, launch, DMA-out}.
- */
-SimTime
-FaultedOffloadCost(const OffloadBreakdown& b, DeviceClass device_class,
-                   std::size_t site_index)
-{
-    SimTime t = b.preprocessing + b.input_transfer;
-    if (site_index == 0) {
-        return t;  // the inbound DMA itself failed
-    }
-    t += b.setup;
-    if (site_index == 1) {
-        return t;  // setup / kernel launch failed
-    }
-    if (device_class == DeviceClass::kFpga) {
-        t += b.compute + b.completion_signal;
-        if (site_index == 2) {
-            return t;  // completion interrupt lost after a full run
-        }
-    } else {
-        t += b.compute + b.completion_signal;
-    }
-    return t + b.result_transfer;  // the outbound DMA failed
-}
-
 }  // namespace
 
 ScoringService::ScoringService(const HardwareProfile& profile,
                                ServiceConfig config)
     : profile_(profile), config_(std::move(config)),
+      lanes_(1, config_.runtime_params, config_.retry, config_.breaker,
+             config_.cpu_fallback),
       trace_domain_(TraceCollector::Get().NewDomain())
 {
     if (config_.admission_capacity == 0) {
@@ -93,10 +62,6 @@ ScoringService::ScoringService(const HardwareProfile& profile,
     // Validate the coalescer config eagerly (the dispatcher constructs
     // its own instance later).
     BatchCoalescer validate(config_.coalescer);
-    for (Device& d : devices_) {
-        d.runtime =
-            std::make_unique<ExternalScriptRuntime>(config_.runtime_params);
-    }
 }
 
 ScoringService::~ScoringService()
@@ -293,7 +258,7 @@ ScoringService::ScoreSync(ScoreRequest request)
 ServiceSnapshot
 ScoringService::Stats() const
 {
-    ServiceSnapshot snap = stats_.Snapshot();
+    ServiceSnapshot snap = stats_.Snapshot(lanes_);
     // Stage attribution comes from the trace subsystem: sum the
     // simulated durations of this service's per-request stage spans.
     auto totals = TraceCollector::Get().StageSimTotals(trace_domain_);
@@ -332,6 +297,7 @@ ScoringService::ResetStats()
             TraceCollector::Get().StageSimTotals(trace_domain_);
     }
     stats_.Reset();
+    lanes_.ResetCounters();
 }
 
 void
@@ -456,11 +422,8 @@ ScoringService::PlaceAndEnqueue(Batch batch)
             if (!per_class[d]) {
                 continue;
             }
-            SimTime free_at;
-            {
-                std::lock_guard<std::mutex> lock(devices_[d].mutex);
-                free_at = devices_[d].free_at;
-            }
+            const SimTime free_at =
+                lanes_.Earliest(static_cast<DeviceClass>(d)).at;
             double wait = std::max(
                 0.0, (free_at - batch.ready).seconds());
             double finish = wait + per_class[d]->Total().seconds();
@@ -477,64 +440,30 @@ ScoringService::PlaceAndEnqueue(Batch batch)
     }
     DBS_ASSERT(per_class[chosen].has_value());
 
-    // Circuit breaker: an open accelerator queue re-routes its batches
-    // to the CPU engine (flagged degraded) until the cooldown elapses;
-    // the first batch ready at/after open_until instead transitions the
-    // breaker to half-open and goes through as the probe. The CPU queue
-    // has no reroute target, so its breaker never redirects placement.
-    if (chosen != 0 && config_.cpu_fallback) {
-        Device& accel = devices_[chosen];
-        bool reroute = false;
-        bool probe = false;
-        {
-            std::lock_guard<std::mutex> lock(accel.mutex);
-            if (accel.breaker == BreakerState::kOpen) {
-                if (batch.ready < accel.breaker_open_until) {
-                    reroute = true;
-                } else {
-                    accel.breaker = BreakerState::kHalfOpen;
-                    probe = true;
-                }
-            }
-        }
-        const auto accel_class = static_cast<DeviceClass>(chosen);
-        if (probe) {
-            stats_.SetBreakerState(accel_class, BreakerState::kHalfOpen);
-            if (!batch.members.empty()) {
-                tracer.EmitSim(
-                    StageKind::kBreaker, "breaker-half-open",
-                    batch.members.front().trace, batch.ready, SimTime(),
-                    {{"device", static_cast<double>(chosen)},
-                     {"state",
-                      static_cast<double>(BreakerState::kHalfOpen)}});
-            }
-        }
-        if (reroute) {
-            batch.degraded = true;
-            stats_.RecordFallback();
-            if (!batch.members.empty()) {
-                tracer.EmitSim(StageKind::kFallback, "breaker-reroute",
-                               batch.members.front().trace, batch.ready,
-                               SimTime(),
-                               {{"from", static_cast<double>(chosen)}});
-            }
-            chosen = 0;
-            DBS_ASSERT(per_class[chosen].has_value());
-        }
+    // Circuit breaker: an open accelerator turns its batches away to
+    // the CPU engine (flagged degraded) until the cooldown elapses; the
+    // first batch ready at/after it goes through as the half-open
+    // probe. The CPU has no reroute target, so its breaker never
+    // redirects placement.
+    DBS_ASSERT(!batch.members.empty());  // the coalescer's invariant
+    const trace::SpanContext parent = batch.members.front().trace;
+    const auto chosen_class = static_cast<DeviceClass>(chosen);
+    if (chosen != 0 && config_.cpu_fallback &&
+        !lanes_.Admit(chosen_class, batch.ready, parent)) {
+        lanes_.Reroute(chosen_class, batch.ready, parent);
+        batch.degraded = true;
+        chosen = 0;
+        DBS_ASSERT(per_class[chosen].has_value());
     }
 
     // Wall span for the dispatcher hop, parented to the oldest
     // member's request: coalescing decisions are per-batch but the
     // trace keeps one tree per request.
-    if (!batch.members.empty()) {
-        tracer.EmitWall(StageKind::kCoalesce, "place",
-                        batch.members.front().trace, place_start_us,
-                        tracer.NowWallMicros() - place_start_us,
-                        {{"requests",
-                          static_cast<double>(batch.members.size())},
-                         {"rows", static_cast<double>(rows)},
-                         {"device", static_cast<double>(chosen)}});
-    }
+    tracer.EmitWall(StageKind::kCoalesce, "place", parent, place_start_us,
+                    tracer.NowWallMicros() - place_start_us,
+                    {{"requests", static_cast<double>(batch.members.size())},
+                     {"rows", static_cast<double>(rows)},
+                     {"device", static_cast<double>(chosen)}});
 
     Device& device = devices_[chosen];
     {
@@ -549,7 +478,6 @@ void
 ScoringService::WorkerLoop(int device_index)
 {
     Device& device = devices_[device_index];
-    const auto device_class = static_cast<DeviceClass>(device_index);
     for (;;) {
         std::pair<Batch, BackendKind> work;
         {
@@ -563,7 +491,8 @@ ScoringService::WorkerLoop(int device_index)
             work = std::move(device.queue.front());
             device.queue.pop_front();
         }
-        ExecuteBatch(device, device_class, work.first, work.second);
+        ExecuteBatch(static_cast<DeviceClass>(device_index), work.first,
+                     work.second);
     }
 }
 
@@ -591,102 +520,68 @@ ScoringService::EmitRequestSpan(const PendingRequest& request,
     tracer.Emit(record);
 }
 
-SimTime
-ScoringService::NextBackoff(Device& device, int device_index,
-                            std::size_t retry_index)
-{
-    const RetryPolicy& policy = config_.retry;
-    DBS_ASSERT(retry_index >= 1);
-    double backoff_s =
-        policy.initial_backoff.seconds() *
-        std::pow(policy.backoff_multiplier,
-                 static_cast<double>(retry_index - 1));
-    backoff_s = std::min(backoff_s, policy.max_backoff.seconds());
-    std::uint64_t seq;
+/** A dispatched batch's live members, as DeviceLanes::Run sees them. */
+class ScoringService::BatchRiders final : public LaneRiders {
+ public:
+    BatchRiders(ScoringService& service, std::vector<PendingRequest>& live)
+        : LaneRiders(live.front().trace, std::nullopt), service_(service),
+          live_(live)
     {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        seq = device.attempt_seq++;
     }
-    if (policy.jitter_frac > 0.0 && backoff_s > 0.0) {
-        // One draw from a stream keyed by (seed, device, sequence):
-        // a replayed run re-draws identical jitter. The SplitMix64
-        // seeding inside Rng decorrelates the nearby keys.
-        Rng jitter(policy.jitter_seed ^
-                   (0x9e3779b97f4a7c15ULL *
-                    (static_cast<std::uint64_t>(device_index) + 1)) ^
-                   (0xbf58476d1ce4e5b9ULL * (seq + 1)));
-        backoff_s += backoff_s * policy.jitter_frac * jitter.NextDouble();
-    }
-    return SimTime::Seconds(backoff_s);
-}
 
-void
-ScoringService::BreakerOnFault(Device& device, DeviceClass device_class,
-                               SimTime now,
-                               const trace::SpanContext& parent)
-{
-    BreakerState before;
-    BreakerState after;
+    std::size_t
+    DropPastDeadline(SimTime redispatch, const LaneRun& run) override
     {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        before = device.breaker;
-        ++device.consecutive_failures;
-        if (device.breaker == BreakerState::kHalfOpen) {
-            // Failed probe: straight back to open for another cooldown.
-            device.breaker = BreakerState::kOpen;
-            device.breaker_open_until = now + config_.breaker.open_cooldown;
-        } else if (device.breaker == BreakerState::kClosed &&
-                   device.consecutive_failures >=
-                       config_.breaker.failure_threshold) {
-            device.breaker = BreakerState::kOpen;
-            device.breaker_open_until = now + config_.breaker.open_cooldown;
+        std::vector<PendingRequest> retryable;
+        retryable.reserve(live_.size());
+        std::size_t rows = 0;
+        for (PendingRequest& m : live_) {
+            if (m.request.deadline.has_value() &&
+                redispatch > *m.request.arrival + *m.request.deadline) {
+                service_.FailMember(m, run, "fault: deadline precludes retry");
+                continue;
+            }
+            rows += m.request.num_rows;
+            retryable.push_back(std::move(m));
         }
-        after = device.breaker;
+        live_.swap(retryable);
+        if (!live_.empty()) {
+            parent = live_.front().trace;
+        }
+        return rows;
     }
-    if (after == before) {
-        return;
-    }
-    stats_.SetBreakerState(device_class, after);
-    stats_.RecordBreakerOpen();
-    TraceCollector::Get().EmitSim(
-        StageKind::kBreaker, "breaker-open", parent, now, SimTime(),
-        {{"device", static_cast<double>(device_class)},
-         {"state", static_cast<double>(after)}});
-}
+
+ private:
+    ScoringService& service_;
+    std::vector<PendingRequest>& live_;
+};
 
 void
-ScoringService::BreakerOnSuccess(Device& device, DeviceClass device_class,
-                                 SimTime now,
-                                 const trace::SpanContext& parent)
+ScoringService::FailMember(PendingRequest& member, const LaneRun& run,
+                           const char* why)
 {
-    BreakerState before;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        before = device.breaker;
-        device.consecutive_failures = 0;
-        device.breaker = BreakerState::kClosed;
-    }
-    if (before == BreakerState::kClosed) {
-        return;
-    }
-    stats_.SetBreakerState(device_class, BreakerState::kClosed);
-    TraceCollector::Get().EmitSim(
-        StageKind::kBreaker, "breaker-close", parent, now, SimTime(),
-        {{"device", static_cast<double>(device_class)},
-         {"state", static_cast<double>(BreakerState::kClosed)}});
+    const SimTime arrival = *member.request.arrival;
+    ScoreReply reply;
+    reply.status = RequestStatus::kFailed;
+    reply.finish = run.now;
+    reply.timing.latency = run.now - arrival;
+    reply.attempts = run.attempts;
+    reply.degraded = run.degraded;
+    reply.error = why;
+    stats_.RecordFailed(arrival, run.now);
+    EmitRequestSpan(member, arrival, run.now, /*expired=*/false);
+    member.handle->Fulfill(std::move(reply));
+    SettleOne(run.now);
 }
 
 void
-ScoringService::ExecuteBatch(Device& device, DeviceClass device_class,
-                             Batch& batch, BackendKind kind)
+ScoringService::ExecuteBatch(DeviceClass device_class, Batch& batch,
+                             BackendKind kind)
 {
     TraceCollector& tracer = TraceCollector::Get();
     const ModelEntry& entry = *models_.at(batch.model_id);
-    SimTime start;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        start = Max(batch.ready, device.free_at);
-    }
+    const LaneSlot lane = lanes_.Earliest(device_class);
+    const SimTime start = Max(batch.ready, lane.at);
 
     // Deadline admission at dispatch: members whose modeled start
     // already overruns their deadline expire instead of scoring (and
@@ -719,195 +614,33 @@ ScoringService::ExecuteBatch(Device& device, DeviceClass device_class,
     // Batch cost: one external-process invocation + one DBMS<->process
     // round trip + one engine dispatch for the whole coalesced batch —
     // the amortization the paper's per-query pipeline forgoes. Under an
-    // installed FaultPlan any attempt can fail (process crash, DMA,
-    // setup/launch, completion); faulted attempts retry with capped
-    // exponential backoff on the same device, then degrade to the CPU
-    // engine, and only fail requests once every permitted attempt is
-    // spent or a member's deadline forbids the next dispatch.
-    fault::FaultInjector& injector = fault::FaultInjector::Get();
-    const std::uint64_t bytes_in =
-        static_cast<std::uint64_t>(rows) * entry.num_cols * sizeof(float);
-    const std::uint64_t bytes_out =
-        static_cast<std::uint64_t>(rows) * sizeof(float);
-
-    // Attempt-loop cursor state. `now` is the modeled dispatch time of
-    // the current attempt: faulted attempts advance it by the partial
-    // stage costs they consumed, retries by their backoff, a CPU
-    // fallback by the CPU queue's horizon.
-    Device* exec_device = &device;
-    DeviceClass exec_class = device_class;
-    BackendKind exec_kind = kind;
-    bool degraded = batch.degraded;
-    SimTime now = start;
-    std::size_t total_attempts = 0;
-    std::size_t device_attempts = 0;
-    bool success = false;
-
-    InvocationCost invocation;
-    SimTime model_pre;
-    SimTime transfer_to;
-    SimTime transfer_from;
-    SimTime data_pre;
-    OffloadBreakdown scoring;
-
-    auto fail_member = [&](PendingRequest& m, SimTime at,
-                           std::string why) {
-        const SimTime arrival = *m.request.arrival;
-        ScoreReply reply;
-        reply.status = RequestStatus::kFailed;
-        reply.finish = at;
-        reply.timing.latency = at - arrival;
-        reply.attempts = total_attempts;
-        reply.degraded = degraded;
-        reply.error = std::move(why);
-        stats_.RecordFailed(arrival, at);
-        EmitRequestSpan(m, arrival, at, /*expired=*/false);
-        m.handle->Fulfill(std::move(reply));
-        SettleOne(at);
-    };
-
-    while (!live.empty()) {
-        ++total_attempts;
-        ++device_attempts;
-        ExternalScriptRuntime& runtime = *exec_device->runtime;
-        invocation = runtime.Invoke();
-        model_pre = invocation.cold
-                        ? runtime.ModelPreprocessing(entry.model_bytes)
-                        : SimTime();
-        transfer_to = runtime.TransferToProcess(bytes_in);
-        transfer_from = runtime.TransferFromProcess(bytes_out);
-        data_pre = runtime.DataPreprocessing(rows, entry.num_cols);
-        scoring = entry.scheduler.EstimateFor(exec_kind, rows);
-
-        // This attempt's fate: the external process can crash during
-        // invocation; otherwise the offload crosses its hardware fault
-        // sites in operation order. Estimate/EstimateFor stay pure, so
-        // the dispatch consumes the same per-site fault stream a
-        // functional engine Score would.
-        bool faulted = invocation.crashed;
-        fault::FaultSite fault_site = fault::FaultSite::kExternalInvoke;
-        SimTime wasted = invocation.cost;
-        if (!faulted) {
-            const auto sites = OffloadFaultSites(exec_kind);
-            for (std::size_t i = 0; i < sites.size(); ++i) {
-                if (injector.ShouldFail(sites[i])) {
-                    faulted = true;
-                    fault_site = sites[i];
-                    wasted = invocation.cost + model_pre + transfer_to +
-                             data_pre +
-                             FaultedOffloadCost(scoring, exec_class, i);
-                    break;
-                }
-            }
-        }
-        if (!faulted) {
-            success = true;
-            break;
-        }
-
-        tracer.EmitSim(
-            StageKind::kFault, fault::FaultSiteName(fault_site),
-            live.front().trace, now, wasted,
-            {{"device", static_cast<double>(exec_class)},
-             {"attempt", static_cast<double>(total_attempts)}});
-        stats_.RecordFaultAttempt(exec_class, wasted);
-        now += wasted;
-        BreakerOnFault(*exec_device, exec_class, now, live.front().trace);
-
-        if (device_attempts < config_.retry.max_attempts) {
-            // Retry on the same device after backoff — but never
-            // dispatch a member past its deadline: those members fail
-            // now instead of riding a retry they could never use.
-            const SimTime backoff = NextBackoff(
-                *exec_device, static_cast<int>(exec_class),
-                device_attempts);
-            const SimTime redispatch = now + backoff;
-            std::vector<PendingRequest> retryable;
-            retryable.reserve(live.size());
-            std::size_t new_rows = 0;
-            for (PendingRequest& m : live) {
-                if (m.request.deadline.has_value() &&
-                    redispatch >
-                        *m.request.arrival + *m.request.deadline) {
-                    fail_member(m, now,
-                                "fault: deadline precludes retry");
-                    continue;
-                }
-                new_rows += m.request.num_rows;
-                retryable.push_back(std::move(m));
-            }
-            live.swap(retryable);
-            rows = new_rows;
-            if (live.empty()) {
-                break;
-            }
-            tracer.EmitSim(
-                StageKind::kRetryBackoff, "retry-backoff",
-                live.front().trace, now, backoff,
-                {{"attempt", static_cast<double>(total_attempts)}});
-            stats_.RecordRetry(backoff);
-            now = redispatch;
-            continue;
-        }
-
-        if (config_.cpu_fallback && exec_class != DeviceClass::kCpu) {
-            // Graceful degradation: release the accelerator (it burned
-            // start..now) and hand the batch to the CPU engine with a
-            // fresh attempt budget.
-            {
-                std::lock_guard<std::mutex> lock(exec_device->mutex);
-                exec_device->free_at = Max(exec_device->free_at, now);
-            }
-            auto cpu_best =
-                BestOfClass(entry.scheduler, DeviceClass::kCpu, rows);
-            DBS_ASSERT(cpu_best.has_value());
-            const auto from_class = exec_class;
-            exec_device = &devices_[0];
-            exec_class = DeviceClass::kCpu;
-            exec_kind = cpu_best->kind;
-            degraded = true;
-            device_attempts = 0;
-            {
-                std::lock_guard<std::mutex> lock(exec_device->mutex);
-                now = Max(now, exec_device->free_at);
-            }
-            stats_.RecordFallback();
-            tracer.EmitSim(
-                StageKind::kFallback, "cpu-fallback", live.front().trace,
-                now, SimTime(),
-                {{"from", static_cast<double>(from_class)}});
-            continue;
-        }
-
-        // No retries and no fallback left: the remaining members fail.
-        break;
-    }
-
-    if (!success) {
-        {
-            std::lock_guard<std::mutex> lock(exec_device->mutex);
-            exec_device->free_at = Max(exec_device->free_at, now);
-        }
+    // installed FaultPlan the lanes retry faulted attempts, then
+    // degrade to the CPU engine; requests fail only once every
+    // permitted attempt is spent or a deadline forbids the next one.
+    LaneRun run;
+    run.device = device_class;
+    run.kind = kind;
+    run.lane = lane.lane;
+    run.now = start;
+    run.rows = rows;
+    run.degraded = batch.degraded;
+    BatchRiders riders(*this, live);
+    lanes_.Run({&entry.scheduler, entry.model_bytes, entry.num_cols}, run,
+               riders);
+    if (!run.completed) {
         for (PendingRequest& m : live) {
-            fail_member(m, now, "injected faults exhausted every retry");
+            FailMember(m, run, "injected faults exhausted every retry");
         }
         tracer.Drain();
         return;
     }
 
-    const SimTime transfer = transfer_to + transfer_from;
-    const SimTime service = invocation.cost + model_pre + transfer +
-                            data_pre + scoring.Total();
-    const SimTime finish = now + service;
-
-    {
-        std::lock_guard<std::mutex> lock(exec_device->mutex);
-        exec_device->free_at = Max(exec_device->free_at, finish);
-    }
-    BreakerOnSuccess(*exec_device, exec_class, finish,
-                     live.front().trace);
-    stats_.RecordBatch(exec_class, live.size(), rows, service,
-                       invocation.cold);
+    const AttemptCost& cost = run.cost;
+    const SimTime service = cost.Total();
+    const SimTime finish = run.now + service;
+    rows = run.rows;  // less any riders a retry's deadline dropped
+    stats_.RecordBatch(run.device, live.size(), rows, service,
+                       cost.invocation.cold);
 
     // Wall span for the dispatch on this worker thread; kernel spans
     // emitted while computing predictions nest under it implicitly.
@@ -918,7 +651,7 @@ ScoringService::ExecuteBatch(Device& device, DeviceClass device_class,
     exec.SetSim(start, finish - start);
     exec.AddAttr("requests", static_cast<double>(live.size()));
     exec.AddAttr("rows", static_cast<double>(rows));
-    exec.AddAttr("device", static_cast<double>(exec_class));
+    exec.AddAttr("device", static_cast<double>(run.device));
 
     const double n = static_cast<double>(live.size());
     for (PendingRequest& m : live) {
@@ -928,34 +661,34 @@ ScoringService::ExecuteBatch(Device& device, DeviceClass device_class,
             static_cast<double>(rows);
         ScoreReply reply;
         reply.status = RequestStatus::kCompleted;
-        reply.backend = exec_kind;
+        reply.backend = run.kind;
         reply.finish = finish;
         reply.batch_requests = live.size();
         reply.batch_rows = rows;
-        reply.cold_invocation = invocation.cold;
-        reply.attempts = total_attempts;
-        reply.degraded = degraded;
+        reply.cold_invocation = cost.invocation.cold;
+        reply.attempts = run.attempts;
+        reply.degraded = run.degraded;
         RequestTiming& t = reply.timing;
         t.coalesce_delay = Max(SimTime(), batch.ready - arrival);
         t.queue_wait = start - batch.ready;
-        t.invocation_share = invocation.cost / n;
-        t.model_preproc_share = model_pre / n;
-        t.transfer_share = transfer * share;
-        t.data_preproc_share = data_pre * share;
-        t.scoring_share = ScaleBreakdown(scoring, share);
+        t.invocation_share = cost.invocation.cost / n;
+        t.model_preproc_share = cost.model_pre / n;
+        t.transfer_share = cost.Transfer() * share;
+        t.data_preproc_share = cost.data_pre * share;
+        t.scoring_share = ScaleBreakdown(cost.scoring, share);
         t.latency = finish - arrival;
 
         // Simulated stage chain, one span per paper component,
         // parented to the member's own request root: waiting spans at
         // their true timeline positions, then the request's share of
         // the batch cost laid end to end from the *successful*
-        // dispatch at `now` (faults and backoffs between start and now
-        // have their own kFault/kRetryBackoff spans).
+        // dispatch at run.now (faults and backoffs between start and
+        // then have their own kFault/kRetryBackoff spans).
         tracer.EmitSim(StageKind::kCoalesce, "coalesce-delay", m.trace,
                        arrival, t.coalesce_delay);
         tracer.EmitSim(StageKind::kQueueWait, "queue-wait", m.trace,
                        batch.ready, t.queue_wait);
-        SimTime cursor = now;
+        SimTime cursor = run.now;
         const struct {
             StageKind stage;
             const char* name;
@@ -985,8 +718,7 @@ ScoringService::ExecuteBatch(Device& device, DeviceClass device_class,
             reply.predictions =
                 entry.forest.PredictBatch(m.request.rows);
         }
-        stats_.RecordCompleted(t, arrival, finish, m.request.num_rows,
-                               degraded);
+        stats_.RecordCompleted(t, arrival, finish, run.degraded);
         EmitRequestSpan(m, arrival, finish, /*expired=*/false);
         {
             trace::ScopedSpan fulfill(StageKind::kReply, "fulfill",

@@ -7,18 +7,22 @@
  * accepts scoring requests from many client threads, applies admission
  * control (bounded queue, reject-on-full backpressure, deadline expiry),
  * coalesces same-model requests into micro-batches to amortize the
- * paper's invocation/transfer/preprocessing overheads, and drives the
- * per-device worker loops under a queue-aware placement policy.
+ * paper's invocation/transfer/preprocessing overheads, and places each
+ * batch on a device class under a queue-aware policy. Per-member reply
+ * shares are split here; the dispatch itself — the attempt, fault,
+ * retry and CPU-degrade loop, the breakers and the lane horizons — is
+ * DeviceLanes, used with one lane per device class.
  *
  * Concurrency vs. time: the *machinery* is real — client threads block
  * on real condition variables, a dispatcher thread and one worker
  * thread per device class run on a dedicated ThreadPool — while all
  * *latencies* are modeled SimTime, exactly like the rest of dbscore.
  * Requests carry modeled arrival stamps (trace replay) or are stamped
- * with the service's modeled clock (live callers); each device advances
- * a modeled free-at horizon as batches dispatch. Results are therefore
- * machine-independent: wall-clock thread interleaving can change which
- * requests share a batch, but never how a given batch is costed.
+ * with the service's modeled clock (live callers); each device's lane
+ * advances a modeled free-at horizon as batches dispatch. Results are
+ * therefore machine-independent: wall-clock thread interleaving can
+ * change which requests share a batch, but never how a given batch is
+ * costed.
  */
 #ifndef DBSCORE_SERVE_SCORING_SERVICE_H
 #define DBSCORE_SERVE_SCORING_SERVICE_H
@@ -43,52 +47,12 @@
 #include "dbscore/core/workload_sim.h"
 #include "dbscore/dbms/external_runtime.h"
 #include "dbscore/serve/batch_coalescer.h"
+#include "dbscore/serve/device_lanes.h"
 #include "dbscore/serve/request.h"
 #include "dbscore/serve/service_stats.h"
 #include "dbscore/trace/trace.h"
 
 namespace dbscore::serve {
-
-/**
- * Per-batch retry policy for dispatch attempts lost to injected
- * faults: capped exponential backoff with deterministic jitter.
- * Deadline-aware — a member whose deadline precedes the retry's
- * dispatch time fails instead of riding a retry it could never use.
- */
-struct RetryPolicy {
-    /**
-     * Dispatch attempts permitted per device, first try included.
-     * A CPU fallback (see ServiceConfig::cpu_fallback) gets a fresh
-     * budget on the CPU device.
-     */
-    std::size_t max_attempts = 4;
-    /** Backoff before the first retry. */
-    SimTime initial_backoff = SimTime::Millis(1.0);
-    /** Growth factor per additional retry. */
-    double backoff_multiplier = 2.0;
-    /** Cap on any single backoff (before jitter). */
-    SimTime max_backoff = SimTime::Millis(50.0);
-    /** Uniform jitter in [0, frac) of the backoff, added to it. */
-    double jitter_frac = 0.2;
-    /**
-     * Seed of the jitter stream. Jitter is a pure function of
-     * (seed, device, per-device attempt counter), so a replayed run
-     * re-draws identical jitter.
-     */
-    std::uint64_t jitter_seed = 0x7e57;
-};
-
-/** Per-device-queue circuit breaker policy. */
-struct BreakerPolicy {
-    /** Consecutive dispatch failures that open the breaker. */
-    std::size_t failure_threshold = 5;
-    /**
-     * Modeled cooldown while open: batches becoming ready before
-     * open-time + cooldown re-route to CPU; the first batch at or
-     * after it runs as the half-open probe.
-     */
-    SimTime open_cooldown = SimTime::Millis(200.0);
-};
 
 /** Service configuration. */
 struct ServiceConfig {
@@ -220,44 +184,26 @@ class ScoringService {
                    const TreeEnsemble& model, const ModelStats& stats);
     };
 
-    /** One device class's queue, worker state, and modeled horizon. */
+    /** One device class's batch queue and worker state. */
     struct Device {
         std::deque<std::pair<Batch, BackendKind>> queue;
         std::mutex mutex;
         std::condition_variable cv;
-        /** Modeled time at which the device next goes idle. */
-        SimTime free_at;
-        /** This worker's warm-process pool. */
-        std::unique_ptr<ExternalScriptRuntime> runtime;
         /** Worker exits once set and the queue is drained. */
         bool stop = false;
-        // Circuit-breaker state, guarded by mutex like free_at.
-        BreakerState breaker = BreakerState::kClosed;
-        /** Consecutive faulted dispatch attempts since the last success. */
-        std::size_t consecutive_failures = 0;
-        /** While open: modeled time the half-open probe becomes legal. */
-        SimTime breaker_open_until;
-        /** Position in this device's deterministic jitter stream. */
-        std::uint64_t attempt_seq = 0;
     };
+
+    /** A dispatched batch's live members, as DeviceLanes::Run sees them. */
+    class BatchRiders;
 
     void DispatcherLoop();
     void WorkerLoop(int device_index);
     void PlaceAndEnqueue(Batch batch);
-    void ExecuteBatch(Device& device, DeviceClass device_class,
-                      Batch& batch, BackendKind kind);
-    /**
-     * Capped exponential backoff + deterministic jitter before retry
-     * number @p retry_index (1 = first retry) on @p device.
-     */
-    SimTime NextBackoff(Device& device, int device_index,
-                        std::size_t retry_index);
-    /** Breaker bookkeeping after one faulted dispatch attempt. */
-    void BreakerOnFault(Device& device, DeviceClass device_class,
-                        SimTime now, const trace::SpanContext& parent);
-    /** Breaker bookkeeping after one successful dispatch. */
-    void BreakerOnSuccess(Device& device, DeviceClass device_class,
-                          SimTime now, const trace::SpanContext& parent);
+    void ExecuteBatch(DeviceClass device_class, Batch& batch,
+                      BackendKind kind);
+    /** Fails one member of @p run's dispatch at run.now. */
+    void FailMember(PendingRequest& member, const LaneRun& run,
+                    const char* why);
     /** Emits a request's root span (dual clock: submit->now wall, arrival->finish sim). */
     void EmitRequestSpan(const PendingRequest& request, SimTime arrival,
                          SimTime finish, bool expired) const;
@@ -282,6 +228,8 @@ class ScoringService {
     bool dispatcher_done_ = false;
 
     Device devices_[3];
+    /** One lane per device class; breakers, runtimes, fault counters. */
+    DeviceLanes lanes_;
 
     // Drain/Stop coordination.
     mutable std::mutex settled_mutex_;

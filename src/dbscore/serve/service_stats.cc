@@ -1,12 +1,11 @@
 #include "dbscore/serve/service_stats.h"
 
+#include <array>
 #include <sstream>
 
 #include "dbscore/common/string_util.h"
 
 namespace dbscore::serve {
-
-namespace {
 
 DistSummary
 Summarize(const RunningStats& stats, const QuantileSketch& sketch)
@@ -22,19 +21,6 @@ Summarize(const RunningStats& stats, const QuantileSketch& sketch)
     s.p95 = sketch.Quantile(0.95);
     s.p99 = sketch.Quantile(0.99);
     return s;
-}
-
-}  // namespace
-
-const char*
-BreakerStateName(BreakerState state)
-{
-    switch (state) {
-      case BreakerState::kClosed: return "closed";
-      case BreakerState::kOpen: return "open";
-      case BreakerState::kHalfOpen: return "half-open";
-    }
-    return "?";
 }
 
 SimTime
@@ -174,10 +160,8 @@ ServiceStats::RecordBatch(DeviceClass device, std::size_t num_requests,
 
 void
 ServiceStats::RecordCompleted(const RequestTiming& timing, SimTime arrival,
-                              SimTime finish, std::size_t rows,
-                              bool degraded)
+                              SimTime finish, bool degraded)
 {
-    (void)rows;
     std::lock_guard<std::mutex> lock(mutex_);
     ++totals_.completed;
     if (degraded) {
@@ -190,9 +174,6 @@ ServiceStats::RecordCompleted(const RequestTiming& timing, SimTime arrival,
     totals_.last_finish = Max(totals_.last_finish, finish);
     latency_stats_.Add(timing.latency.seconds());
     latency_sketch_.Add(timing.latency.seconds());
-    // Stage totals are no longer accumulated here: the trace subsystem
-    // is the single source of truth. ScoringService::Stats() fills
-    // snap.stage_totals from the service's trace domain.
 }
 
 void
@@ -207,49 +188,23 @@ ServiceStats::RecordFailed(SimTime arrival, SimTime finish)
     totals_.last_finish = Max(totals_.last_finish, finish);
 }
 
-void
-ServiceStats::RecordFaultAttempt(DeviceClass device, SimTime wasted)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.fault_attempts;
-    ++totals_.device[static_cast<int>(device)].faults;
-    totals_.fault_wasted += wasted;
-}
-
-void
-ServiceStats::RecordRetry(SimTime backoff)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.retries;
-    totals_.retry_backoff += backoff;
-}
-
-void
-ServiceStats::RecordFallback()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.fallback_batches;
-}
-
-void
-ServiceStats::RecordBreakerOpen()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.breaker_opens;
-}
-
-void
-ServiceStats::SetBreakerState(DeviceClass device, BreakerState state)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    totals_.device[static_cast<int>(device)].breaker = state;
-}
-
 ServiceSnapshot
-ServiceStats::Snapshot() const
+ServiceStats::Snapshot(const DeviceLanes& lanes) const
 {
+    const std::array<LaneCounters, 3> counters = lanes.Counters();
     std::lock_guard<std::mutex> lock(mutex_);
     ServiceSnapshot snap = totals_;
+    for (int d = 0; d < 3; ++d) {
+        const LaneCounters& c = counters[d];
+        snap.device[d].faults = c.faults;
+        snap.device[d].breaker = c.breaker;
+        snap.fault_attempts += c.faults;
+        snap.retries += c.retries;
+        snap.fallback_batches += c.fallbacks;
+        snap.breaker_opens += c.breaker_opens;
+        snap.fault_wasted += c.fault_wasted;
+        snap.retry_backoff += c.retry_backoff;
+    }
     snap.latency = Summarize(latency_stats_, latency_sketch_);
     snap.batch_requests =
         Summarize(batch_request_stats_, batch_request_sketch_);
@@ -269,13 +224,7 @@ void
 ServiceStats::Reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ServiceSnapshot fresh;
-    // Breaker states are current device facts, not history: a reset
-    // must not report an open breaker as closed.
-    for (int d = 0; d < 3; ++d) {
-        fresh.device[d].breaker = totals_.device[d].breaker;
-    }
-    totals_ = fresh;
+    totals_ = ServiceSnapshot();
     any_arrival_ = false;
     latency_stats_ = RunningStats();
     latency_sketch_ = QuantileSketch();

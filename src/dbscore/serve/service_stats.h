@@ -7,7 +7,8 @@
  * paper's Figure-11 taxonomy aggregated across the fleet), per-device
  * dispatch accounting, and the coalesced-batch size distribution. Any
  * thread may record; any thread may Snapshot() while the service runs —
- * snapshots are consistent copies taken under one lock.
+ * its own counters are copied under one lock, the DeviceLanes fault
+ * counters under each device class's.
  */
 #ifndef DBSCORE_SERVE_SERVICE_STATS_H
 #define DBSCORE_SERVE_SERVICE_STATS_H
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "dbscore/common/stats.h"
+#include "dbscore/serve/device_lanes.h"
 #include "dbscore/serve/request.h"
 
 namespace dbscore::serve {
@@ -31,19 +33,8 @@ struct DistSummary {
     double max = 0.0;
 };
 
-/**
- * Circuit-breaker state of one device queue. Closed is healthy;
- * K consecutive dispatch failures open the breaker (new work re-routes
- * to CPU); after a cooldown the next batch runs as a half-open probe —
- * success closes the breaker, another fault re-opens it.
- */
-enum class BreakerState {
-    kClosed,
-    kOpen,
-    kHalfOpen,
-};
-
-const char* BreakerStateName(BreakerState state);
+/** Count, mean, max and tail quantiles of @p stats / @p sketch. */
+DistSummary Summarize(const RunningStats& stats, const QuantileSketch& sketch);
 
 /** Per-device-class dispatch accounting. */
 struct DeviceServeStats {
@@ -95,7 +86,7 @@ struct ServiceSnapshot {
     std::size_t retries = 0;
     /** Batches re-routed to the CPU engine (fallback or open breaker). */
     std::size_t fallback_batches = 0;
-    /** Closed -> open breaker transitions. */
+    /** Breaker openings (at the threshold, or a failed probe). */
     std::size_t breaker_opens = 0;
     /** Modeled time lost to faulted attempts (partial stage costs). */
     SimTime fault_wasted;
@@ -144,27 +135,16 @@ class ServiceStats {
 
     /** One completed member of a dispatched batch. */
     void RecordCompleted(const RequestTiming& timing, SimTime arrival,
-                         SimTime finish, std::size_t rows, bool degraded);
+                         SimTime finish, bool degraded);
 
     /** One member whose batch exhausted every permitted retry. */
     void RecordFailed(SimTime arrival, SimTime finish);
 
-    /** One dispatch attempt lost to an injected fault on @p device. */
-    void RecordFaultAttempt(DeviceClass device, SimTime wasted);
-
-    /** One re-dispatch after a fault, delayed by @p backoff. */
-    void RecordRetry(SimTime backoff);
-
-    /** One batch re-routed to the CPU engine. */
-    void RecordFallback();
-
-    /** One closed -> open breaker transition. */
-    void RecordBreakerOpen();
-
-    /** Breaker state reported in the next Snapshot() (one per class). */
-    void SetBreakerState(DeviceClass device, BreakerState state);
-
-    ServiceSnapshot Snapshot() const;
+    /**
+     * This accumulator's counters plus the fault, retry, fallback and
+     * breaker counters @p lanes keeps for each device class.
+     */
+    ServiceSnapshot Snapshot(const DeviceLanes& lanes) const;
 
     /**
      * Requests that reached a terminal state
@@ -174,10 +154,10 @@ class ServiceStats {
 
     /**
      * Zeroes every counter and distribution for a fresh measurement
-     * phase. Breaker states (current device facts, not history)
-     * survive. In-flight requests settle into the new phase's
-     * counters, so a snapshot taken mid-flight can show completions
-     * without admissions.
+     * phase (DeviceLanes::ResetCounters does the lanes' share).
+     * In-flight requests settle into the new phase's counters, so a
+     * snapshot taken mid-flight can show completions without
+     * admissions.
      */
     void Reset();
 

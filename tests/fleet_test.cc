@@ -638,6 +638,176 @@ TEST(FleetServiceTest, EightThreadChaosSettlesEveryRequest)
     service.Stop();
 }
 
+// ------------------------------------------------------ fleet faults --
+
+constexpr int kFpgaIdx = static_cast<int>(DeviceClass::kFpga);
+
+/**
+ * One lane per device, no autoscaler, no quota and a long deadline:
+ * the fault tests below steer each request only through the config
+ * they change. At 100k rows the fixture's model places on the FPGA
+ * (5.5 ms estimate vs 6.3 ms GPU and 24.5 ms CPU).
+ */
+FleetConfig
+FaultFleetConfig()
+{
+    FleetConfig config;
+    config.autoscaler.enabled = false;
+    config.initial_lanes = 1;
+    for (int c = 0; c < kNumSloClasses; ++c) {
+        config.slo[c].deadline = SimTime::Seconds(600.0);
+        config.slo[c].quota_rps = 0.0;
+    }
+    return config;
+}
+
+std::unique_ptr<FleetService>
+StartFaultFleet(const FleetConfig& config)
+{
+    const FleetFixture& f = Fixture();
+    auto service = std::make_unique<FleetService>(f.profile, config);
+    service->RegisterModel("m", f.ensemble, f.stats);
+    service->RegisterTenant(1, "m", SloClass::kGold);
+    service->Start();
+    return service;
+}
+
+FleetReply
+ScoreAt(FleetService& service, SimTime arrival)
+{
+    FleetRequest request;
+    request.tenant_id = 1;
+    request.num_rows = 100000;
+    request.arrival = arrival;
+    return service.ScoreSync(std::move(request));
+}
+
+TEST(FleetFaultTest, RetriesExhaustThenDegradeToCpu)
+{
+    FleetConfig config = FaultFleetConfig();
+    config.breaker.failure_threshold = 100;  // keep the breaker out
+    auto service = StartFaultFleet(config);
+
+    // Every FPGA setup op fails: the request burns its full retry
+    // budget (default 4 attempts, 3 backoffs), then degrades to CPU.
+    fault::FaultPlan plan;
+    plan.At(fault::FaultSite::kFpgaSetup).every_nth = 1;
+    fault::ScopedFaultPlan guard(plan);
+
+    FleetReply reply = ScoreAt(*service, SimTime());
+    EXPECT_EQ(reply.status, RequestStatus::kCompleted);
+    EXPECT_TRUE(reply.degraded);
+    EXPECT_EQ(reply.device, DeviceClass::kCpu);
+    EXPECT_EQ(reply.attempts, config.retry.max_attempts + 1);
+
+    const FleetDeviceSnapshot fpga = service->Stats().devices[kFpgaIdx];
+    EXPECT_EQ(fpga.faults, config.retry.max_attempts);
+    EXPECT_EQ(fpga.retries, config.retry.max_attempts - 1);
+    EXPECT_EQ(fpga.fallbacks, 1u);
+    // The trace subsystem and the counters tell the same story.
+    const std::uint32_t domain = service->trace_domain();
+    EXPECT_EQ(CountSpans(domain, trace::StageKind::kFault), fpga.faults);
+    EXPECT_EQ(CountSpans(domain, trace::StageKind::kRetryBackoff),
+              fpga.retries);
+    EXPECT_EQ(CountSpans(domain, trace::StageKind::kFallback),
+              fpga.fallbacks);
+    service->Stop();
+}
+
+TEST(FleetFaultTest, FallbackDisabledFailsAfterRetries)
+{
+    FleetConfig config = FaultFleetConfig();
+    config.cpu_fallback = false;
+    config.retry.max_attempts = 2;
+    auto service = StartFaultFleet(config);
+
+    fault::FaultPlan plan;
+    plan.At(fault::FaultSite::kFpgaSetup).every_nth = 1;
+    fault::ScopedFaultPlan guard(plan);
+
+    FleetReply reply = ScoreAt(*service, SimTime());
+    EXPECT_EQ(reply.status, RequestStatus::kFailed);
+    EXPECT_EQ(reply.attempts, 2u);
+    EXPECT_FALSE(reply.degraded);
+
+    FleetSnapshot snap = service->Stats();
+    EXPECT_EQ(snap.classes[static_cast<int>(SloClass::kGold)].failed, 1u);
+    EXPECT_EQ(snap.devices[kFpgaIdx].faults, 2u);
+    EXPECT_EQ(snap.devices[kFpgaIdx].fallbacks, 0u);
+    service->Stop();
+}
+
+TEST(FleetFaultTest, RetryNeverDispatchesPastDeadline)
+{
+    FleetConfig config = FaultFleetConfig();
+    config.retry.initial_backoff = SimTime::Millis(10.0);
+    config.slo[static_cast<int>(SloClass::kGold)].deadline =
+        SimTime::Millis(5.0);
+    auto service = StartFaultFleet(config);
+
+    fault::FaultPlan plan;
+    plan.At(fault::FaultSite::kFpgaSetup).probability = 1.0;
+    fault::ScopedFaultPlan guard(plan);
+
+    // The first attempt faulted; the retry would have dispatched past
+    // the 5 ms deadline, so the request fails after exactly one attempt
+    // and says why.
+    FleetReply reply = ScoreAt(*service, SimTime());
+    EXPECT_EQ(reply.status, RequestStatus::kFailed);
+    EXPECT_EQ(reply.attempts, 1u);
+    EXPECT_NE(reply.error.find("deadline"), std::string::npos);
+
+    FleetSnapshot snap = service->Stats();
+    EXPECT_EQ(snap.devices[kFpgaIdx].faults, 1u);
+    EXPECT_EQ(snap.devices[kFpgaIdx].retries, 0u);
+    EXPECT_EQ(CountSpans(service->trace_domain(),
+                         trace::StageKind::kRetryBackoff),
+              0u);
+    service->Stop();
+}
+
+TEST(FleetFaultTest, BreakerReopensAfterFailedProbe)
+{
+    FleetConfig config = FaultFleetConfig();
+    config.retry.max_attempts = 2;
+    config.breaker.failure_threshold = 2;
+    config.breaker.open_cooldown = SimTime::Seconds(1.0);
+    auto service = StartFaultFleet(config);
+
+    fault::FaultPlan plan;
+    plan.At(fault::FaultSite::kFpgaSetup).probability = 1.0;
+    plan.At(fault::FaultSite::kFpgaSetup).sticky = true;
+    fault::ScopedFaultPlan guard(plan);
+
+    // Two faulted FPGA attempts trip the breaker; the request degrades.
+    FleetReply first = ScoreAt(*service, SimTime());
+    EXPECT_EQ(first.status, RequestStatus::kCompleted);
+    EXPECT_TRUE(first.degraded);
+    EXPECT_EQ(service->Stats().devices[kFpgaIdx].breaker_opens, 1u);
+
+    // Long past the cooldown, the next request is the half-open probe.
+    // The FPGA is still dead, so the probe fails and re-opens the
+    // breaker for another cooldown.
+    FleetReply probe = ScoreAt(*service, SimTime::Seconds(10.0));
+    EXPECT_EQ(probe.status, RequestStatus::kCompleted);
+    EXPECT_TRUE(probe.degraded);
+    FleetSnapshot snap = service->Stats();
+    EXPECT_EQ(snap.devices[kFpgaIdx].breaker_opens, 2u);
+    EXPECT_EQ(snap.devices[kFpgaIdx].breaker, serve::BreakerState::kOpen);
+    const std::size_t fpga_faults = snap.devices[kFpgaIdx].faults;
+
+    // Inside the new cooldown, placement skips the dead FPGA: one clean
+    // attempt elsewhere, and no new FPGA fault.
+    FleetReply next =
+        ScoreAt(*service, probe.finish + SimTime::Millis(1.0));
+    EXPECT_EQ(next.status, RequestStatus::kCompleted);
+    EXPECT_EQ(next.attempts, 1u);
+    EXPECT_FALSE(next.degraded);
+    EXPECT_NE(next.device, DeviceClass::kFpga);
+    EXPECT_EQ(service->Stats().devices[kFpgaIdx].faults, fpga_faults);
+    service->Stop();
+}
+
 // ------------------------------------------------- DBMS entry points --
 
 TEST(FleetProcedureTest, TenantScoreAndStatsWithReset)
