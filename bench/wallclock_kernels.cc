@@ -1,28 +1,27 @@
 /**
  * @file
- * Wall-clock rows/sec of the compiled ForestKernel generations vs the
- * scalar reference batch path.
+ * Wall-clock rows/sec of the compiled ForestKernel vs the scalar
+ * reference batch path, on whole batches and on 36-row calls.
  *
  * Unlike every other bench in this directory, the numbers here are
  * REAL wall-clock measurements, not simulated SimTime: they quantify
  * the functional engines' actual CPU speed and therefore vary by
  * machine. Sweeps IRIS/HIGGS x {1,8,32,128} trees x depths {6,10} and,
- * per shape, measures four paths over the same evaluation buffer:
- * the scalar reference, the v1 kernel (12-byte AoS nodes, 16 scalar
- * lanes), the v2 exact kernel (8-byte SoA nodes, SIMD shim, autotuned
- * parameters), and the v2 quantized kernel (6-byte nodes, pre-binned
- * rows). Exact outputs must be bit-identical to the reference;
- * quantized must be bit-identical whenever the plan reports
- * quant_exact (every distinct threshold got its own bin — always true
- * for these trained shapes). The autotuner's winning parameters are
- * recorded per shape.
+ * per shape, measures three paths over the same evaluation buffer:
+ * the scalar reference, the kernel on the whole batch (Predict, chunked
+ * over the thread pool), and the kernel called on consecutive 36-row
+ * slices (Run on one thread), which is the page size of perfbench's
+ * sql_paged workload and so exercises the row-count rule's scalar
+ * side. Kernel outputs must be bit-identical to the reference on both.
  *
  * Two guards gate the exit code (and therefore CI):
  *  - trace guard: the always-on kernel spans must cost < 3% throughput;
- *  - v2 guard: v2 exact must not be slower than v1 on the HIGGS
- *    128-tree depth-10 shape (runs in smoke mode too).
+ *  - row-count rule guard: on the HIGGS 128-tree depth-10 shape, 64-row
+ *    calls (one 8x8 vector group each) must reach >= 0.90x the rows/s
+ *    of 48-row calls (three 16-lane scalar groups each). Enforced only
+ *    when a vector backend runs (runs in smoke mode too).
  *
- * Emits BENCH_kernels.json (schema_version 2) so future PRs can track
+ * Emits BENCH_kernels.json (schema_version 3) so future PRs can track
  * the wall-clock trajectory.
  *
  * Flags:
@@ -44,12 +43,14 @@
 #include "dbscore/data/synthetic.h"
 #include "dbscore/forest/forest.h"
 #include "dbscore/forest/forest_kernel.h"
-#include "dbscore/forest/forest_kernel_v2.h"
 #include "dbscore/forest/trainer.h"
 #include "dbscore/trace/trace.h"
 
 namespace dbscore::bench {
 namespace {
+
+/** sql_paged's rows per page: the call size of the short-call column. */
+constexpr std::size_t kPageRows = 36;
 
 struct Config {
     const char* dataset;
@@ -60,30 +61,17 @@ struct Config {
 struct Result {
     Config config;
     std::size_t rows = 0;
-    /** v2 exact compile time, autotuning included. */
     double kernel_build_ms = 0.0;
     double scalar_rows_per_sec = 0.0;
-    double v1_rows_per_sec = 0.0;
-    double v2_exact_rows_per_sec = 0.0;
-    double v2_quant_rows_per_sec = 0.0;
-    bool bit_identical = false;       ///< v2 exact == scalar reference
-    bool v1_bit_identical = false;    ///< v1 == scalar reference
-    bool quant_identical = false;     ///< v2 quantized == reference
-    bool quant_exact = false;         ///< plan promised bit-identity
-    /** Autotuner winners for the v2 exact plan. */
-    std::size_t tuned_row_block = 0;
-    std::size_t tuned_tile_node_budget = 0;
-    std::size_t simd_groups = 0;  ///< 0 = scalar inner loop won
-    bool autotuned = false;
+    double kernel_rows_per_sec = 0.0;
+    double call36_rows_per_sec = 0.0;
+    /** Whole-batch and 36-row-call outputs == scalar reference. */
+    bool bit_identical = false;
 
-    /** Headline speedup: v2 exact over the scalar reference. */
+    /** Headline speedup: whole-batch kernel over the scalar reference. */
     double Speedup() const
     {
-        return v2_exact_rows_per_sec / scalar_rows_per_sec;
-    }
-    double V2OverV1() const
-    {
-        return v2_exact_rows_per_sec / v1_rows_per_sec;
+        return kernel_rows_per_sec / scalar_rows_per_sec;
     }
 };
 
@@ -109,6 +97,23 @@ TrainShape(const Config& config, std::size_t train_rows)
     return TrainForest(train, trainer);
 }
 
+/**
+ * Scores the first @p num_rows rows in consecutive @p call-row Run
+ * calls on this thread, one reused scratch, into @p out.
+ */
+void
+RunInCalls(const ForestKernel& kernel, const float* rows,
+           std::size_t num_rows, std::size_t cols, std::size_t call,
+           ForestKernel::Scratch& scratch, std::vector<float>& out)
+{
+    out.resize(num_rows);
+    for (std::size_t begin = 0; begin < num_rows; begin += call) {
+        const std::size_t n = std::min(call, num_rows - begin);
+        kernel.Run(rows + begin * cols, n, cols, out.data() + begin,
+                   scratch);
+    }
+}
+
 Result
 RunConfig(const Config& config, std::size_t train_rows,
           std::size_t eval_rows, int repeats)
@@ -125,67 +130,45 @@ RunConfig(const Config& config, std::size_t train_rows,
     r.config = config;
     r.rows = eval_rows;
 
-    ForestKernelOptions v1_options;
-    v1_options.version = KernelVersion::kV1;
-    auto v1 = forest.Kernel(v1_options);
-
-    ForestKernelOptions quant_options;
-    quant_options.mode = KernelMode::kQuantized;
-    auto quant = forest.Kernel(quant_options);
-    r.quant_exact = quant->quant_exact();
-
-    // Build the headline v2 exact plan last so its cache entry stays
-    // resident in the forest for the timing loop; the build timing
-    // includes autotuning (also attributed to the kKernelBuild trace
-    // stage at serve time).
+    // The build timing is the compile a serving layer re-pays when a
+    // cached kernel is evicted (also attributed to kKernelBuild).
     auto build_start = std::chrono::steady_clock::now();
-    auto v2 = forest.Kernel();
+    auto kernel = forest.Kernel();
     r.kernel_build_ms = SecondsSince(build_start) * 1e3;
-    r.tuned_row_block = v2->tuned_row_block();
-    r.tuned_tile_node_budget = v2->tuned_tile_node_budget();
-    r.simd_groups = v2->simd_groups();
-    r.autotuned = v2->autotuned();
 
     std::vector<float> scalar_out;
-    std::vector<float> v1_out;
-    std::vector<float> v2_out;
-    std::vector<float> quant_out;
-    // Interleave the four paths inside each repeat instead of timing
-    // them in separate sequential blocks: shared-VM throughput drifts
-    // on a seconds scale, and alternation exposes every path to the
-    // same drift so the relative columns (speedup, v2_over_v1) stay
-    // meaningful.
+    std::vector<float> batch_out;
+    std::vector<float> call_out;
+    ForestKernel::Scratch scratch;
     const double scalar_s = BestOfWall(1, [&] {
         scalar_out = forest.PredictBatchScalar(rows, eval_rows, cols);
     });
-    double v1_s = 0.0;
-    double v2_s = 0.0;
-    double quant_s = 0.0;
+    // Interleave the two kernel paths inside each repeat instead of
+    // timing them in separate sequential blocks: shared-VM throughput
+    // drifts on a seconds scale, and alternation exposes both paths to
+    // the same drift.
+    double batch_s = 0.0;
+    double call_s = 0.0;
     for (int rep = 0; rep < repeats; ++rep) {
         const double a = BestOfWall(1, [&] {
-            v1_out = v1->Predict(rows, eval_rows, cols);
+            batch_out = kernel->Predict(rows, eval_rows, cols);
         });
         const double b = BestOfWall(1, [&] {
-            v2_out = v2->Predict(rows, eval_rows, cols);
+            RunInCalls(*kernel, rows, eval_rows, cols, kPageRows, scratch,
+                       call_out);
         });
-        const double c = BestOfWall(1, [&] {
-            quant_out = quant->Predict(rows, eval_rows, cols);
-        });
-        v1_s = rep == 0 ? a : std::min(v1_s, a);
-        v2_s = rep == 0 ? b : std::min(v2_s, b);
-        quant_s = rep == 0 ? c : std::min(quant_s, c);
+        batch_s = rep == 0 ? a : std::min(batch_s, a);
+        call_s = rep == 0 ? b : std::min(call_s, b);
     }
 
     const auto rps = [eval_rows](double s) {
         return static_cast<double>(eval_rows) / s;
     };
     r.scalar_rows_per_sec = rps(scalar_s);
-    r.v1_rows_per_sec = rps(v1_s);
-    r.v2_exact_rows_per_sec = rps(v2_s);
-    r.v2_quant_rows_per_sec = rps(quant_s);
-    r.bit_identical = SameBits(scalar_out, v2_out);
-    r.v1_bit_identical = SameBits(scalar_out, v1_out);
-    r.quant_identical = SameBits(scalar_out, quant_out);
+    r.kernel_rows_per_sec = rps(batch_s);
+    r.call36_rows_per_sec = rps(call_s);
+    r.bit_identical =
+        SameBits(scalar_out, batch_out) && SameBits(scalar_out, call_out);
     return r;
 }
 
@@ -199,106 +182,92 @@ struct TraceGuard {
 constexpr double kTraceGuardThresholdPct = 3.0;
 
 /**
- * Perf regression guard for the new layout: on the HIGGS 128-tree
- * depth-10 shape (the paper's heavyweight CPU case), v2 exact must at
- * least match v1 throughput. The autotuner's candidate grid includes
- * the scalar inner loop over the smaller v2 nodes, so losing to v1
- * means the layout or the tuner regressed, not the machine.
+ * Guard on the row-count rule itself: the kernel sends full 64-row
+ * groups through the 8-lane x 8-group vector loop and shorter calls
+ * through the 16-lane scalar loop, which is only right if one vector
+ * group is not slower per row than the scalar groups it replaces. On
+ * the HIGGS 128-tree depth-10 shape (the paper's heavyweight CPU
+ * case), 64-row calls (one vector group each) must reach the rows/s
+ * of 48-row calls (three scalar groups each), on one thread.
  *
  * Because shared-VM throughput drifts by tens of percent between
- * back-to-back runs of the same binary, the guard interleaves v1/v2
- * measurements in pairs and gates on the median of per-pair ratios —
+ * back-to-back runs of the same binary, the guard interleaves the two
+ * call sizes in pairs and gates on the median of per-pair ratios —
  * drift hits both sides of a pair equally and cancels. The 10%
  * tolerance below the break-even ratio absorbs residual per-pair
- * jitter (the median itself wobbles ~±10% run to run on the shared
- * dev VM), not a real regression — a layout regression shows up as a
- * ratio far below it.
+ * jitter, not a real regression — a loop regression shows up as a
+ * ratio far below it. Without a vector backend both call sizes run
+ * the scalar loop, so the ratio is recorded but not enforced.
  */
-struct V2Guard {
-    double v1_rows_per_sec = 0.0;
-    double v2_rows_per_sec = 0.0;
+struct RuleGuard {
+    double rows48_per_sec = 0.0;
+    double rows64_per_sec = 0.0;
     double ratio = 0.0;
     bool pass = false;
 };
 
-constexpr double kV2GuardMinRatio = 0.90;
+constexpr double kRuleGuardMinRatio = 0.90;
 
-V2Guard
-RunV2Guard(std::size_t train_rows, std::size_t eval_rows, int pairs)
+RuleGuard
+RunRuleGuard(std::size_t train_rows, std::size_t eval_rows, int pairs)
 {
     const Config config{"HIGGS", 128, 10};
     const RandomForest forest = TrainShape(config, train_rows);
     const Dataset eval = MakeHiggs(eval_rows, 7);
     const float* rows = eval.values().data();
     const std::size_t cols = eval.num_features();
+    // Whole calls on both sides: a multiple of lcm(48, 64) rows.
+    const std::size_t n = eval_rows / 192 * 192;
+    auto kernel = forest.Kernel();
 
-    ForestKernelOptions v1_options;
-    v1_options.version = KernelVersion::kV1;
-    auto v1 = forest.Kernel(v1_options);
-    auto v2 = forest.Kernel();
-    // The autotuner times candidates on a small sample and can mispick
-    // under scheduler noise; the guard polices the *layout*, not one
-    // tuner roll, so it also measures the known-good vector config for
-    // this shape and scores v2 as the better of the two.
-    ForestKernelOptions g8_options;
-    g8_options.lanes = KernelLanes::kSimd;
-    g8_options.simd_groups = 8;
-    auto v2_g8 = forest.Kernel(g8_options);
-
+    ForestKernel::Scratch scratch;
     std::vector<float> out;
-    out = v1->Predict(rows, eval_rows, cols);  // warm all paths
-    out = v2->Predict(rows, eval_rows, cols);
-    out = v2_g8->Predict(rows, eval_rows, cols);
+    RunInCalls(*kernel, rows, n, cols, 48, scratch, out);  // warm
+    RunInCalls(*kernel, rows, n, cols, 64, scratch, out);
 
     std::vector<double> ratios;
-    double v1_best = 0.0;
-    double v2_best = 0.0;
+    double best48 = 0.0;
+    double best64 = 0.0;
     for (int p = 0; p < pairs; ++p) {
-        const double v1_s = BestOfWall(1, [&] {
-            out = v1->Predict(rows, eval_rows, cols);
+        const double s48 = BestOfWall(1, [&] {
+            RunInCalls(*kernel, rows, n, cols, 48, scratch, out);
         });
-        const double v2_s = BestOfWall(1, [&] {
-            out = v2->Predict(rows, eval_rows, cols);
+        const double s64 = BestOfWall(1, [&] {
+            RunInCalls(*kernel, rows, n, cols, 64, scratch, out);
         });
-        const double g8_s = BestOfWall(1, [&] {
-            out = v2_g8->Predict(rows, eval_rows, cols);
-        });
-        const double best_v2_s = std::min(v2_s, g8_s);
-        v1_best = std::max(v1_best, eval_rows / v1_s);
-        v2_best = std::max(v2_best, eval_rows / best_v2_s);
-        ratios.push_back(v1_s / best_v2_s);
+        best48 = std::max(best48, static_cast<double>(n) / s48);
+        best64 = std::max(best64, static_cast<double>(n) / s64);
+        ratios.push_back(s48 / s64);
     }
     std::sort(ratios.begin(), ratios.end());
 
-    V2Guard g;
-    g.v1_rows_per_sec = v1_best;
-    g.v2_rows_per_sec = v2_best;
+    RuleGuard g;
+    g.rows48_per_sec = best48;
+    g.rows64_per_sec = best64;
     g.ratio = ratios[ratios.size() / 2];
-    // The guard polices the vectorized inner loop; when the vector
-    // backend is compiled out (DBSCORE_SIMD=OFF) or disabled at runtime
-    // the scalar fallback only has to be correct, not faster than v1,
-    // so the ratio is recorded but not enforced.
-    g.pass = !V2SimdRuntimeEnabled() || g.ratio >= kV2GuardMinRatio;
+    g.pass = std::strcmp(ForestKernel::SimdBackend(), "scalar") == 0 ||
+             g.ratio >= kRuleGuardMinRatio;
     return g;
 }
 
 void
 WriteJson(const std::string& path, const std::vector<Result>& results,
-          bool smoke, const TraceGuard& guard, const V2Guard& v2_guard)
+          bool smoke, const TraceGuard& guard, const RuleGuard& rule_guard)
 {
     BenchJsonWriter doc("wallclock_kernels", smoke);
-    doc.SetSchemaVersion(2);
+    doc.SetSchemaVersion(3);
     doc.header()
         .Int("threads", ThreadPool::Shared().size())
         .Str("simd_backend", ForestKernel::SimdBackend())
+        .Int("call_rows", kPageRows)
         .Num("trace_overhead_pct", guard.overhead_pct)
         .Num("trace_guard_threshold_pct", kTraceGuardThresholdPct)
         .Bool("trace_guard_pass", guard.pass)
-        .Num("v2_guard_v1_rows_per_sec", v2_guard.v1_rows_per_sec)
-        .Num("v2_guard_v2_rows_per_sec", v2_guard.v2_rows_per_sec)
-        .Num("v2_guard_ratio", v2_guard.ratio)
-        .Num("v2_guard_min_ratio", kV2GuardMinRatio)
-        .Bool("v2_guard_pass", v2_guard.pass);
+        .Num("rule_guard_rows48_per_sec", rule_guard.rows48_per_sec)
+        .Num("rule_guard_rows64_per_sec", rule_guard.rows64_per_sec)
+        .Num("rule_guard_ratio", rule_guard.ratio)
+        .Num("rule_guard_min_ratio", kRuleGuardMinRatio)
+        .Bool("rule_guard_pass", rule_guard.pass);
     for (const Result& r : results) {
         doc.AddResult()
             .Str("dataset", r.config.dataset)
@@ -307,19 +276,10 @@ WriteJson(const std::string& path, const std::vector<Result>& results,
             .Int("rows", r.rows)
             .Num("kernel_build_ms", r.kernel_build_ms)
             .Num("scalar_rows_per_sec", r.scalar_rows_per_sec)
-            .Num("v1_rows_per_sec", r.v1_rows_per_sec)
-            .Num("kernel_rows_per_sec", r.v2_exact_rows_per_sec)
-            .Num("v2_quant_rows_per_sec", r.v2_quant_rows_per_sec)
+            .Num("kernel_rows_per_sec", r.kernel_rows_per_sec)
+            .Num("call36_rows_per_sec", r.call36_rows_per_sec)
             .Num("speedup", r.Speedup())
-            .Num("v2_over_v1", r.V2OverV1())
-            .Bool("bit_identical", r.bit_identical)
-            .Bool("v1_bit_identical", r.v1_bit_identical)
-            .Bool("quant_identical", r.quant_identical)
-            .Bool("quant_exact", r.quant_exact)
-            .Int("tuned_row_block", r.tuned_row_block)
-            .Int("tuned_tile_node_budget", r.tuned_tile_node_budget)
-            .Int("simd_groups", r.simd_groups)
-            .Bool("autotuned", r.autotuned);
+            .Bool("bit_identical", r.bit_identical);
     }
     doc.Write(path);
 }
@@ -389,7 +349,7 @@ int
 Run(bool smoke, const std::string& out_path, const std::string& filter)
 {
     // Smoke keeps CI fast: smaller HIGGS training sample, fewer
-    // evaluation rows, no 32/128-tree training in the sweep (the v2
+    // evaluation rows, no 32/128-tree training in the sweep (the rule
     // guard still trains its 128-tree shape). Schema is identical.
     const std::size_t train_rows = smoke ? 2000 : 20000;
     const std::size_t eval_rows = smoke ? 20000 : 200000;
@@ -403,8 +363,8 @@ Run(bool smoke, const std::string& out_path, const std::string& filter)
               << (smoke ? "smoke" : "full") << " mode, " << eval_rows
               << " rows, simd backend " << ForestKernel::SimdBackend()
               << ")\n"
-              << "dataset trees depth  scalar-rows/s    v1-rows/s    "
-              << "v2-rows/s v2-quant-rows/s v2/v1 groups identical\n";
+              << "dataset trees depth  scalar-rows/s  batch-rows/s  "
+              << "36-row-rows/s speedup build-ms identical\n";
     bool all_identical = true;
     for (const char* dataset : {"IRIS", "HIGGS"}) {
         for (std::size_t trees : tree_counts) {
@@ -418,19 +378,14 @@ Run(bool smoke, const std::string& out_path, const std::string& filter)
                 }
                 Result r = RunConfig({dataset, trees, depth}, train_rows,
                                      eval_rows, repeats);
-                // Exact plans must match the reference bit-for-bit;
-                // quantized must whenever the plan promised exactness.
-                const bool identical =
-                    r.bit_identical && r.v1_bit_identical &&
-                    (!r.quant_exact || r.quant_identical);
-                all_identical = all_identical && identical;
+                all_identical = all_identical && r.bit_identical;
                 std::printf(
-                    "%-7s %5zu %5zu %14.0f %12.0f %12.0f %15.0f %5.2f "
-                    "%6zu %9s\n",
+                    "%-7s %5zu %5zu %14.0f %13.0f %14.0f %7.2f %8.2f "
+                    "%9s\n",
                     dataset, trees, depth, r.scalar_rows_per_sec,
-                    r.v1_rows_per_sec, r.v2_exact_rows_per_sec,
-                    r.v2_quant_rows_per_sec, r.V2OverV1(), r.simd_groups,
-                    identical ? "yes" : "NO");
+                    r.kernel_rows_per_sec, r.call36_rows_per_sec,
+                    r.Speedup(), r.kernel_build_ms,
+                    r.bit_identical ? "yes" : "NO");
                 results.push_back(r);
             }
         }
@@ -441,14 +396,15 @@ Run(bool smoke, const std::string& out_path, const std::string& filter)
                 guard.enabled_rows_per_sec, guard.disabled_rows_per_sec,
                 guard.overhead_pct, kTraceGuardThresholdPct,
                 guard.pass ? "PASS" : "FAIL");
-    const V2Guard v2_guard =
-        RunV2Guard(train_rows, eval_rows, smoke ? 7 : 15);
-    std::printf("v2 guard (HIGGS 128x10): v1 %.0f rows/s, v2 %.0f "
-                "rows/s, median paired ratio %.2f (floor %.2f) %s\n",
-                v2_guard.v1_rows_per_sec, v2_guard.v2_rows_per_sec,
-                v2_guard.ratio, kV2GuardMinRatio,
-                v2_guard.pass ? "PASS" : "FAIL");
-    WriteJson(out_path, results, smoke, guard, v2_guard);
+    const RuleGuard rule_guard =
+        RunRuleGuard(train_rows, eval_rows, smoke ? 7 : 15);
+    std::printf("row-count rule guard (HIGGS 128x10): 48-row calls %.0f "
+                "rows/s, 64-row calls %.0f rows/s, median paired ratio "
+                "%.2f (floor %.2f) %s\n",
+                rule_guard.rows48_per_sec, rule_guard.rows64_per_sec,
+                rule_guard.ratio, kRuleGuardMinRatio,
+                rule_guard.pass ? "PASS" : "FAIL");
+    WriteJson(out_path, results, smoke, guard, rule_guard);
     std::cout << "wrote " << out_path << "\n";
     if (!all_identical) {
         std::cerr << "FAIL: kernel predictions diverged from the scalar "
@@ -461,10 +417,11 @@ Run(bool smoke, const std::string& out_path, const std::string& filter)
                   << kTraceGuardThresholdPct << "%)\n";
         return 1;
     }
-    if (!v2_guard.pass) {
-        std::cerr << "FAIL: v2 exact is slower than v1 on the HIGGS "
-                  << "128-tree shape (median paired ratio "
-                  << v2_guard.ratio << " < " << kV2GuardMinRatio << ")\n";
+    if (!rule_guard.pass) {
+        std::cerr << "FAIL: 64-row vector calls are slower than 48-row "
+                  << "scalar calls on the HIGGS 128-tree shape (median "
+                  << "paired ratio " << rule_guard.ratio << " < "
+                  << kRuleGuardMinRatio << ")\n";
         return 1;
     }
     return 0;

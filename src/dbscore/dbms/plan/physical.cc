@@ -198,7 +198,7 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
                         cs.feature_idx.size() == num_features;
 
         // The expensive part the plan cache amortizes: blob ->
-        // TreeEnsemble -> RandomForest -> compiled kernel(s).
+        // TreeEnsemble -> RandomForest -> compiled kernel.
         TreeEnsemble ensemble = db.LoadModel(cs.expr.model);
         auto model = std::make_shared<RandomForest>(ensemble.ToForest());
         if (model->num_features() != cs.feature_cols.size()) {
@@ -211,19 +211,11 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
         if (ForestKernel::Supports(*model)) {
             cs.kernel = model->Kernel();
         }
-        bool wants_early_exit = false;
         for (const ScorePredicate& pred : score_preds_) {
-            if (pred.score_index == s && pred.early_exit) {
-                wants_early_exit = true;
-            }
-        }
-        if (wants_early_exit && cs.kernel != nullptr) {
-            ForestKernelOptions options;
-            options.version = KernelVersion::kV1;
-            options.autotune = false;
-            auto threshold = model->Kernel(options);
-            if (threshold->SupportsThresholdEarlyExit()) {
-                cs.threshold_kernel = std::move(threshold);
+            if (pred.score_index == s && pred.early_exit &&
+                cs.kernel != nullptr &&
+                cs.kernel->SupportsThresholdEarlyExit()) {
+                cs.threshold_kernel = cs.kernel;
             }
         }
         cs.model = std::move(model);
@@ -524,8 +516,9 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                     : Gather(chunk_src(pred.score_index), live.data(),
                              live.size(), nullptr, 0, row_scratch);
             std::vector<std::uint8_t> keep;
-            if (pred.early_exit && cs.threshold_kernel != nullptr) {
-                keep = cs.threshold_kernel->PredictThreshold(
+            if (pred.early_exit && cs.kernel != nullptr &&
+                cs.kernel->SupportsThresholdEarlyExit()) {
+                keep = cs.kernel->PredictThreshold(
                     view, *ToThresholdOp(pred.op), pred.literal,
                     &run_stats);
             } else {
@@ -819,20 +812,14 @@ PhysicalPlan::ExplainPhysical() const
         std::string kernel;
         if (cs.kernel != nullptr) {
             kernel = StrFormat(
-                "kernel v%d %s (%zu trees)",
-                static_cast<int>(cs.kernel->version()),
-                cs.kernel->mode() == KernelMode::kExact ? "exact"
-                                                        : "quantized",
-                cs.kernel->NumTrees());
+                "kernel (%zu trees)%s", cs.kernel->NumTrees(),
+                cs.threshold_kernel != nullptr ? " [early-exit]" : "");
         } else {
             kernel = "scalar reference (kernel unsupported)";
         }
-        lines.push_back(StrFormat(
-            "%s: %s%s", ScoreExprToString(cs.expr).c_str(),
-            kernel.c_str(),
-            cs.threshold_kernel != nullptr
-                ? ", threshold kernel v1 [early-exit]"
-                : ""));
+        lines.push_back(StrFormat("%s: %s",
+                                  ScoreExprToString(cs.expr).c_str(),
+                                  kernel.c_str()));
     }
     if (zone_predicate_.has_value()) {
         lines.push_back(StrFormat(

@@ -5,9 +5,9 @@
  *
  * Compilation front-loads everything expensive and reusable — the
  * stored model is loaded from the database, deserialized, rebuilt as a
- * RandomForest, and compiled into ForestKernel plans (the default
- * kernel for score values, plus a v1 accumulate kernel for pushed-down
- * SCORE thresholds) — so a plan served from the LRU plan cache
+ * RandomForest, and compiled into one ForestKernel per SCORE (which
+ * both scores values and early-exits pushed-down SCORE thresholds) —
+ * so a plan served from the LRU plan cache
  * (plan/plan_cache.h) skips the whole LoadModel -> ToForest -> Kernel
  * chain on every subsequent execution.
  *
@@ -61,9 +61,9 @@ struct CompiledScore {
     /** Compiled inference plan; null when the kernel can't compile
      * this model (execution falls back to the scalar reference). */
     std::shared_ptr<const ForestKernel> kernel;
-    /** v1 accumulate plan for pushed-down thresholds; null unless a
-     * SCORE predicate was marked early-exit and the combine supports
-     * suffix-bound early exit. */
+    /** Alias of @ref kernel when a SCORE predicate on this expression
+     * early-exits through it (else null); kept for callers that
+     * replay a plan's kernel calls outside Execute. */
     std::shared_ptr<const ForestKernel> threshold_kernel;
 };
 

@@ -33,7 +33,6 @@ RandomForest::RandomForest(const RandomForest& other)
 {
     std::lock_guard<std::mutex> lock(other.kernel_mutex_);
     kernel_ = other.kernel_;
-    kernel_options_ = other.kernel_options_;
 }
 
 RandomForest&
@@ -45,15 +44,12 @@ RandomForest::operator=(const RandomForest& other)
         num_classes_ = other.num_classes_;
         trees_ = other.trees_;
         std::shared_ptr<const ForestKernel> kernel;
-        ForestKernelOptions kernel_options;
         {
             std::lock_guard<std::mutex> lock(other.kernel_mutex_);
             kernel = other.kernel_;
-            kernel_options = other.kernel_options_;
         }
         std::lock_guard<std::mutex> lock(kernel_mutex_);
         kernel_ = std::move(kernel);
-        kernel_options_ = kernel_options;
     }
     return *this;
 }
@@ -66,7 +62,6 @@ RandomForest::RandomForest(RandomForest&& other) noexcept
 {
     std::lock_guard<std::mutex> lock(other.kernel_mutex_);
     kernel_ = std::move(other.kernel_);
-    kernel_options_ = other.kernel_options_;
 }
 
 RandomForest&
@@ -78,15 +73,12 @@ RandomForest::operator=(RandomForest&& other) noexcept
         num_classes_ = other.num_classes_;
         trees_ = std::move(other.trees_);
         std::shared_ptr<const ForestKernel> kernel;
-        ForestKernelOptions kernel_options;
         {
             std::lock_guard<std::mutex> lock(other.kernel_mutex_);
             kernel = std::move(other.kernel_);
-            kernel_options = other.kernel_options_;
         }
         std::lock_guard<std::mutex> lock(kernel_mutex_);
         kernel_ = std::move(kernel);
-        kernel_options_ = kernel_options;
     }
     return *this;
 }
@@ -106,18 +98,9 @@ RandomForest::AddTree(DecisionTree tree)
 std::shared_ptr<const ForestKernel>
 RandomForest::Kernel() const
 {
-    return Kernel(ForestKernelOptions{});
-}
-
-std::shared_ptr<const ForestKernel>
-RandomForest::Kernel(const ForestKernelOptions& options) const
-{
     std::lock_guard<std::mutex> lock(kernel_mutex_);
-    // Options are part of the cache key: a cached plan built with
-    // different options must not be served as if it honored these.
-    if (kernel_ == nullptr || !(kernel_options_ == options)) {
-        kernel_ = std::make_shared<const ForestKernel>(*this, options);
-        kernel_options_ = options;
+    if (kernel_ == nullptr) {
+        kernel_ = std::make_shared<const ForestKernel>(*this);
     }
     return kernel_;
 }

@@ -87,22 +87,13 @@ class RandomForest {
                                           std::size_t num_cols) const;
 
     /**
-     * The compiled inference plan for the current ensemble under the
-     * default options: built on first call, cached until the forest
-     * mutates, shared by copies. Thread-safe.
+     * The compiled inference plan for the current ensemble: built on
+     * first call, cached until the forest mutates, shared by copies.
+     * Thread-safe.
      * @throws InvalidArgument when the model is not kernel-compilable
-     * (no trees yet)
+     * (see ForestKernel::Supports)
      */
     std::shared_ptr<const ForestKernel> Kernel() const;
-
-    /**
-     * Same, honoring @p options. The full option set is part of the
-     * cache key: a request whose options differ from the cached plan's
-     * rebuilds instead of silently serving the stale plan (options
-     * used to be dropped whenever a kernel was already cached).
-     */
-    std::shared_ptr<const ForestKernel> Kernel(
-        const ForestKernelOptions& options) const;
 
     /** Fraction of rows whose prediction matches the dataset label. */
     double Accuracy(const Dataset& data) const;
@@ -124,8 +115,6 @@ class RandomForest {
 
     /** Lazily-built compiled kernel; null until first batch call. */
     mutable std::shared_ptr<const ForestKernel> kernel_;
-    /** Options the cached kernel was built with (the cache key). */
-    mutable ForestKernelOptions kernel_options_;
     mutable std::mutex kernel_mutex_;
 };
 
@@ -138,6 +127,22 @@ class RandomForest {
  * @param num_classes total class count
  */
 int MajorityVote(const std::vector<int>& votes, int num_classes);
+
+/**
+ * True when classification leaf @p value names a class: it rounds
+ * (std::lround, as every predictor does) to an id in [0, num_classes).
+ * Model parsers reject any other leaf.
+ */
+inline bool
+LeafIsClassId(float value, int num_classes)
+{
+    // std::lround rounds halves away from zero, so its result is in
+    // [0, num_classes) exactly for values in (-0.5, num_classes - 0.5);
+    // NaN fails both comparisons. No lround call, whose result is
+    // unspecified for NaN, infinities and values beyond long's range.
+    const double v = value;
+    return v > -0.5 && v < static_cast<double>(num_classes) - 0.5;
+}
 
 }  // namespace dbscore
 

@@ -5,13 +5,12 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <type_traits>
 
 #include "dbscore/common/error.h"
 #include "dbscore/common/thread_pool.h"
 #include "dbscore/forest/forest.h"
-#include "dbscore/forest/forest_kernel_v2.h"
 #include "dbscore/forest/gbdt.h"
-#include "dbscore/forest/kernel_autotune.h"
 #include "dbscore/forest/simd.h"
 #include "dbscore/trace/trace.h"
 
@@ -19,18 +18,61 @@ namespace dbscore {
 
 namespace {
 
+/** Bits of the packed node word holding the tree-local left child. */
+constexpr int kLeftBits = 17;
+constexpr std::uint32_t kLeftMask = (std::uint32_t{1} << kLeftBits) - 1;
+/** Largest tree (nodes) and feature count the packed word addresses. */
+constexpr std::size_t kMaxTreeNodes = std::size_t{1} << kLeftBits;
+constexpr std::size_t kMaxFeatures = 32767;
+
 /**
- * Rows traversed concurrently per tree in the v1 scalar loop. Each
- * lane is an independent dependence chain of node loads, so the
+ * Rows traversed concurrently per tree by the scalar loop. Each lane
+ * is an independent dependence chain of node loads, so the
  * out-of-order core keeps this many traversals in flight — the main
  * lever against the load latency that dominates pointer-chasing
  * inference. Compile-time so the lane state lives in registers.
  */
-constexpr std::size_t kTraversalLanes = 16;
+constexpr std::size_t kScalarLanes = 16;
+/**
+ * Lanes of the groups that finish a sub-16-row remainder before the
+ * one-row tail: four chains in flight instead of one, e.g. for the
+ * last 4 rows of a 36-row page.
+ */
+constexpr std::size_t kTailLanes = 4;
+/** Row groups of simd::kWidth lanes the vector loop interleaves. */
+constexpr std::size_t kSimdGroups = 8;
+/** Rows one vector-loop call covers; shorter remainders run scalar. */
+constexpr std::size_t kSimdRows = kSimdGroups * simd::kWidth;
+/** Rows per block: the scratch high-water mark and the tile sweep. */
+constexpr std::size_t kRowBlock = 256;
+/**
+ * Node budget of one tree tile (512 KB of 8-byte nodes): a row block
+ * walks every tree of a tile before moving to the next, so the tile's
+ * nodes stay cache-resident across the block's row groups.
+ */
+constexpr std::size_t kTileNodeBudget = std::size_t{1} << 16;
+/** Trees accumulated between two early-exit decision points. */
+constexpr std::size_t kThresholdCheckTrees = 8;
 
 /**
- * Walks one tree for a group of kLanes rows, leaving each lane's final
- * (leaf) node index in @p n. Exactly @p depth branchless steps per
+ * Rows per block for rows @p stride floats apart: the per-row offsets
+ * the loops take are int32, so a block never spans more than
+ * INT32_MAX floats (only ever binding for absurdly wide rows).
+ */
+std::size_t
+BlockRows(std::size_t stride)
+{
+    constexpr auto kMaxOffset = static_cast<std::size_t>(
+        std::numeric_limits<std::int32_t>::max()) - kMaxFeatures;
+    if (stride <= kMaxOffset / kRowBlock) {
+        return kRowBlock;  // every real table; no division per call
+    }
+    return kMaxOffset / stride + 1;
+}
+
+/**
+ * Walks one tree for a group of kLanes rows, leaving each lane's
+ * tree-local leaf index in @p n. At most @p depth branchless steps per
  * lane: leaves self-loop via {+inf, left = self}, so rows that bottom
  * out early spin in place from L1, and the level loop breaks once
  * every lane has parked. The step left + !(x <= t) matches the
@@ -39,39 +81,123 @@ constexpr std::size_t kTraversalLanes = 16;
  */
 template <std::size_t kLanes, typename NodeT>
 inline void
-TraverseGroup(const NodeT* nodes, std::int32_t root, std::int32_t depth,
-              const float* const* rowp, std::int32_t* n)
+TraverseScalar(const NodeT* tree, std::int32_t depth,
+               const float* const* rowp, std::int32_t* n)
 {
     for (std::size_t k = 0; k < kLanes; ++k) {
-        n[k] = root;
+        n[k] = 0;
     }
     for (std::int32_t d = 0; d < depth; ++d) {
         std::int32_t moved = 0;
+        // Fully unrolled, so every lane's node index stays in a
+        // register (GCC's size heuristic otherwise keeps the loop).
+#pragma GCC unroll 16
         for (std::size_t k = 0; k < kLanes; ++k) {
-            const NodeT nd = nodes[n[k]];
-            const std::int32_t next =
-                nd.left + static_cast<std::int32_t>(
-                              !(rowp[k][nd.feature] <= nd.threshold));
+            const NodeT nd = tree[n[k]];
+            // (word + step) & mask == left + step: right = left + 1
+            // is still a tree-local index, so the add never carries
+            // into the feature bits (and lets the compiler fold the
+            // compare into one add-with-carry).
+            const std::uint32_t word =
+                nd.meta + static_cast<std::uint32_t>(
+                              !(rowp[k][nd.meta >> kLeftBits] <=
+                                nd.threshold));
+            const auto next = static_cast<std::int32_t>(word & kLeftMask);
             moved |= next ^ n[k];
             n[k] = next;
         }
         // All lanes parked on their self-looping leaves: the remaining
-        // fixed-trip levels would be no-ops. Pays off on shallow
-        // ensembles (IRIS) where the average path is much shorter than
-        // the deepest one.
+        // levels would be no-ops. Pays off on shallow ensembles (IRIS)
+        // where the average path is much shorter than the deepest one.
         if (moved == 0) {
             break;
         }
     }
 }
 
+#if defined(DBSCORE_SIMD_VECTOR)
+/**
+ * Vector traversal: kSimdGroups interleaved groups of simd::kWidth rows
+ * through one tree, @p tree being its nodes viewed as floats (node n's
+ * threshold at 2n, its packed word at 2n + 1, so both gathers land on
+ * the node's one cache line). Each step gathers one feature per lane
+ * at the row's offset from @p rows, and blends the descend as integer
+ * mask arithmetic: CmpNotLe yields -1 where the row goes right, so
+ * next = left - mask. Eight groups keep 24 gathers in flight per step,
+ * hiding gather latency on one core; the level loop breaks once every
+ * lane of every group has parked on its leaf.
+ */
+DBSCORE_SIMD_FN void
+TraverseSimd(const float* tree, std::int32_t depth, const float* rows,
+             const std::int32_t* offsets, std::int32_t* leaves)
+{
+    using namespace simd;
+    const auto* words = reinterpret_cast<const std::int32_t*>(tree) + 1;
+    const VI mask = Set1(static_cast<std::int32_t>(kLeftMask));
+    VI n[kSimdGroups];
+    for (std::size_t g = 0; g < kSimdGroups; ++g) {
+        n[g] = Set1(0);
+    }
+    for (std::int32_t d = 0; d < depth; ++d) {
+        // One accumulated motion mask per level replaces a per-group
+        // movemask: parked lanes contribute all-zero next ^ n.
+        VI motion = Set1(0);
+        for (std::size_t g = 0; g < kSimdGroups; ++g) {
+            const VI n2 = Add(n[g], n[g]);
+            const VF t = GatherF32(tree, n2);
+            const VI w = GatherI32(words, n2);
+            // Offsets are re-read from L1 each step rather than held:
+            // eight more live vectors would spill the node indices.
+            const VF x = GatherF32(
+                rows, Add(Load(offsets + g * kWidth), Srl(w, kLeftBits)));
+            const VI next = Sub(And(w, mask), CmpNotLe(x, t));
+            motion = Or(motion, Xor(next, n[g]));
+            n[g] = next;
+        }
+        if (!AnyNonZero(motion)) {
+            break;
+        }
+    }
+    for (std::size_t g = 0; g < kSimdGroups; ++g) {
+        Store(leaves + g * kWidth, n[g]);
+    }
+}
+#endif
+
 bool
 EnsembleSupported(const std::vector<DecisionTree>& trees,
                   std::size_t num_features)
 {
-    // Feature ids are stored as int16 in the compiled v1 pool and as a
-    // 15-bit field in the packed v2 word.
-    return !trees.empty() && num_features <= kV2MaxFeature;
+    if (trees.empty() || num_features > kMaxFeatures) {
+        return false;
+    }
+    return std::all_of(trees.begin(), trees.end(),
+                       [](const DecisionTree& tree) {
+                           return tree.NumNodes() <= kMaxTreeNodes;
+                       });
+}
+
+/**
+ * Decides "value op threshold" for a value known to lie in
+ * [glo, ghi]: 1 (holds for the whole interval), 0 (fails for the
+ * whole interval), or -1 (undecided). kGt/kGe true-sets are
+ * up-closed and kLt/kLe down-closed, so the interval endpoints
+ * suffice.
+ */
+int
+DecideThreshold(ThresholdOp op, float threshold, float glo, float ghi)
+{
+    const bool lo_holds = ThresholdHolds(op, threshold, glo);
+    const bool hi_holds = ThresholdHolds(op, threshold, ghi);
+    const bool up = op == ThresholdOp::kGt || op == ThresholdOp::kGe;
+    if (up) {
+        if (lo_holds) return 1;
+        if (!hi_holds) return 0;
+    } else {
+        if (hi_holds) return 1;
+        if (!lo_holds) return 0;
+    }
+    return -1;
 }
 
 }  // namespace
@@ -88,28 +214,24 @@ ForestKernel::Supports(const GradientBoostedModel& gbdt)
     return EnsembleSupported(gbdt.trees(), gbdt.num_features());
 }
 
-ForestKernel::ForestKernel(const RandomForest& forest,
-                           const ForestKernelOptions& options)
+ForestKernel::ForestKernel(const RandomForest& forest)
     : task_(forest.task()),
       num_classes_(forest.num_classes()),
       num_features_(forest.num_features()),
-      options_(options),
       combine_(forest.task() == Task::kClassification
                    ? KernelCombine::kVoteClassify
                    : KernelCombine::kMeanRegress)
 {
     if (!Supports(forest)) {
-        throw InvalidArgument("forest kernel: unsupported forest "
-                              "(empty, or features exceed int16)");
+        throw InvalidArgument("forest kernel: unsupported forest (empty, "
+                              "too many features, or an oversized tree)");
     }
     Compile(forest.trees());
 }
 
-ForestKernel::ForestKernel(const GradientBoostedModel& gbdt,
-                           const ForestKernelOptions& options)
+ForestKernel::ForestKernel(const GradientBoostedModel& gbdt)
     : task_(gbdt.task()),
       num_features_(gbdt.num_features()),
-      options_(options),
       combine_(gbdt.task() == Task::kClassification
                    ? KernelCombine::kMarginClassify
                    : KernelCombine::kMargin),
@@ -117,8 +239,8 @@ ForestKernel::ForestKernel(const GradientBoostedModel& gbdt,
       scale_(gbdt.learning_rate())
 {
     if (!Supports(gbdt)) {
-        throw InvalidArgument("forest kernel: unsupported gbdt "
-                              "(empty, or features exceed int16)");
+        throw InvalidArgument("forest kernel: unsupported gbdt (empty, "
+                              "too many features, or an oversized tree)");
     }
     // Margin kernels accumulate sums; the class decision happens in
     // the combiner, so no per-leaf class table is needed.
@@ -126,37 +248,16 @@ ForestKernel::ForestKernel(const GradientBoostedModel& gbdt,
     Compile(gbdt.trees());
 }
 
-ForestKernel::~ForestKernel() = default;
-
 void
 ForestKernel::Compile(const std::vector<DecisionTree>& trees)
 {
-    if (options_.row_block == 0 || options_.tile_node_budget == 0) {
-        throw InvalidArgument("forest kernel: zero row_block/tile budget");
-    }
-    if (options_.mode == KernelMode::kQuantized &&
-        options_.version == KernelVersion::kV1) {
-        throw InvalidArgument("forest kernel: quantized mode needs v2");
-    }
-
     // Attribute compilation (the serve path's model prewarming pays
     // this on registration, and mutation pays it again) to its own
-    // trace stage; the autotuner emits a child span.
+    // trace stage.
     const auto build_start = std::chrono::steady_clock::now();
     trace::ScopedSpan span(trace::StageKind::kKernelBuild, "kernel-build");
     span.AddAttr("trees", static_cast<double>(trees.size()));
-    span.AddAttr("version",
-                 options_.version == KernelVersion::kV2 ? 2.0 : 1.0);
-
-    version_ = options_.version;
-    mode_ = options_.mode;
-    if (version_ == KernelVersion::kV2 &&
-        !V2Supported(trees, num_features_)) {
-        // Oversized trees cannot use tree-local left indices; the v1
-        // layout handles them with absolute 32-bit children.
-        version_ = KernelVersion::kV1;
-        mode_ = KernelMode::kExact;
-    }
+    simd_ = simd::HaveSimd();
 
     std::size_t total_nodes = 0;
     for (const auto& tree : trees) {
@@ -167,35 +268,23 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
     const bool vote = combine_ == KernelCombine::kVoteClassify;
     roots_.reserve(trees.size());
     depths_.reserve(trees.size());
-    value_.reserve(total_nodes);
+    nodes_.reserve(total_nodes);
     if (vote) {
         leaf_class_.reserve(total_nodes);
-    }
-    if (version_ == KernelVersion::kV1) {
-        nodes_.reserve(total_nodes);
     } else {
-        v2_ = std::make_unique<KernelV2Plan>();
-        v2_->mode = mode_;
-        if (mode_ == KernelMode::kQuantized) {
-            v2_->InitQuantization(trees, num_features_);
-        } else {
-            v2_->enode.reserve(total_nodes);
-        }
-        v2_->tune_lo.assign(num_features_, 0.0f);
-        v2_->tune_hi.assign(num_features_, 1.0f);
+        value_.reserve(total_nodes);
+        suffix_min_.assign(trees.size() + 1, 0.0);
+        suffix_max_.assign(trees.size() + 1, 0.0);
+        suffix_abs_.assign(trees.size() + 1, 0.0);
     }
 
     std::vector<std::int32_t> order;
     std::vector<std::int32_t> new_id;
-    std::vector<bool> range_seen(num_features_, false);
-    // Per-tree leaf-value range, feeding the threshold early-exit
-    // suffix bounds (v1 accumulate combines only).
-    std::vector<double> tree_leaf_lo;
-    std::vector<double> tree_leaf_hi;
-    tree_leaf_lo.reserve(trees.size());
-    tree_leaf_hi.reserve(trees.size());
-    for (const auto& tree : trees) {
-        const auto base = static_cast<std::int32_t>(num_nodes_);
+    std::size_t tile_start = 0;
+    std::size_t tile_nodes = 0;
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+        const DecisionTree& tree = trees[t];
+        const auto base = static_cast<std::int32_t>(nodes_.size());
         roots_.push_back(base);
         depths_.push_back(static_cast<std::int32_t>(tree.Depth()));
         double leaf_lo = std::numeric_limits<double>::infinity();
@@ -223,126 +312,74 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
         }
 
         for (std::int32_t node : order) {
-            const auto local =
-                static_cast<std::int32_t>(num_nodes_) - base;
+            const auto local = static_cast<std::uint32_t>(
+                static_cast<std::int32_t>(nodes_.size()) - base);
             if (tree.IsLeaf(node)) {
                 const float value = tree.LeafValue(node);
-                leaf_lo = std::min(leaf_lo, static_cast<double>(value));
-                leaf_hi = std::max(leaf_hi, static_cast<double>(value));
-                // {+inf, self, 0}: the branchless step re-evaluates
-                // the leaf harmlessly (anything <= +inf stays at
-                // left = self) until the fixed trip count runs out.
-                if (version_ == KernelVersion::kV1) {
-                    nodes_.push_back(
-                        {std::numeric_limits<float>::infinity(),
-                         base + local, 0});
-                } else if (mode_ == KernelMode::kQuantized) {
-                    v2_->qmeta.push_back(local);
-                    v2_->qcut.push_back(kV2LeafCut);
-                } else {
-                    v2_->enode.push_back(V2PackExact(
-                        std::numeric_limits<float>::infinity(), local));
-                }
-                value_.push_back(value);
+                // {+inf, self}: the branchless step re-evaluates the
+                // leaf harmlessly (anything <= +inf stays at
+                // left = self) until the trip count runs out.
+                nodes_.push_back(
+                    {std::numeric_limits<float>::infinity(), local});
                 if (vote) {
-                    const auto cls =
-                        static_cast<std::int32_t>(std::lround(value));
-                    DBS_ASSERT(cls >= 0 && cls < num_classes_);
-                    leaf_class_.push_back(cls);
+                    DBS_ASSERT(LeafIsClassId(value, num_classes_));
+                    leaf_class_.push_back(
+                        static_cast<std::int32_t>(std::lround(value)));
+                } else {
+                    value_.push_back(value);
+                    leaf_lo = std::min(leaf_lo, static_cast<double>(value));
+                    leaf_hi = std::max(leaf_hi, static_cast<double>(value));
                 }
             } else {
                 const std::int32_t f = tree.Feature(node);
                 DBS_ASSERT(f >= 0 &&
-                           static_cast<std::size_t>(f) <= kV2MaxFeature);
+                           static_cast<std::size_t>(f) < kMaxFeatures);
                 const std::int32_t left =
                     new_id[static_cast<std::size_t>(tree.Left(node))];
                 DBS_ASSERT_MSG(
                     new_id[static_cast<std::size_t>(tree.Right(node))] ==
                         left + 1,
                     "forest kernel: BFS siblings must be adjacent");
-                const float t = tree.Threshold(node);
-                if (version_ == KernelVersion::kV1) {
-                    nodes_.push_back(
-                        {t, base + left, static_cast<std::int16_t>(f)});
-                } else {
-                    const std::int32_t packed =
-                        (f << kV2LeftBits) | left;
-                    if (mode_ == KernelMode::kQuantized) {
-                        v2_->qmeta.push_back(packed);
-                        v2_->qcut.push_back(v2_->CutFor(
-                            static_cast<std::size_t>(f), t));
-                    } else {
-                        v2_->enode.push_back(V2PackExact(t, packed));
-                    }
-                    auto& lo = v2_->tune_lo[static_cast<std::size_t>(f)];
-                    auto& hi = v2_->tune_hi[static_cast<std::size_t>(f)];
-                    if (!range_seen[static_cast<std::size_t>(f)]) {
-                        range_seen[static_cast<std::size_t>(f)] = true;
-                        lo = hi = t;
-                    } else {
-                        lo = std::min(lo, t);
-                        hi = std::max(hi, t);
-                    }
-                }
-                value_.push_back(0.0f);
+                nodes_.push_back(
+                    {tree.Threshold(node),
+                     (static_cast<std::uint32_t>(f) << kLeftBits) |
+                         static_cast<std::uint32_t>(left)});
                 if (vote) {
                     leaf_class_.push_back(0);
+                } else {
+                    value_.push_back(0.0f);
                 }
             }
-            ++num_nodes_;
         }
-        tree_leaf_lo.push_back(leaf_lo);
-        tree_leaf_hi.push_back(leaf_hi);
-    }
+        if (!vote) {
+            const double a = scale_ * leaf_lo;
+            const double b = scale_ * leaf_hi;
+            suffix_min_[t] = std::min(a, b);
+            suffix_max_[t] = std::max(a, b);
+            suffix_abs_[t] = std::max(std::abs(a), std::abs(b));
+        }
 
-    if (version_ == KernelVersion::kV1 &&
-        combine_ != KernelCombine::kVoteClassify) {
+        // Partition consecutive trees into tiles whose pooled nodes fit
+        // the cache budget; a single oversized tree gets its own tile.
+        if (t > tile_start && tile_nodes + n > kTileNodeBudget) {
+            tiles_.push_back({tile_start, t});
+            tile_start = t;
+            tile_nodes = 0;
+        }
+        tile_nodes += n;
+    }
+    tiles_.push_back({tile_start, trees.size()});
+
+    if (!vote) {
         // Suffix bounds on the remaining-tree contribution: after t
         // trees the final sum lies in
         // [sum + suffix_min_[t], sum + suffix_max_[t]] up to rounding
         // (covered by the slack term at decision time).
-        const std::size_t num_trees = trees.size();
-        suffix_min_.assign(num_trees + 1, 0.0);
-        suffix_max_.assign(num_trees + 1, 0.0);
-        suffix_abs_.assign(num_trees + 1, 0.0);
-        for (std::size_t t = num_trees; t-- > 0;) {
-            const double a = scale_ * tree_leaf_lo[t];
-            const double b = scale_ * tree_leaf_hi[t];
-            const double clo = std::min(a, b);
-            const double chi = std::max(a, b);
-            suffix_min_[t] = suffix_min_[t + 1] + clo;
-            suffix_max_[t] = suffix_max_[t + 1] + chi;
-            suffix_abs_[t] =
-                suffix_abs_[t + 1] + std::max(std::abs(clo), std::abs(chi));
+        for (std::size_t t = trees.size(); t-- > 0;) {
+            suffix_min_[t] += suffix_min_[t + 1];
+            suffix_max_[t] += suffix_max_[t + 1];
+            suffix_abs_[t] += suffix_abs_[t + 1];
         }
-    }
-
-    if (v2_) {
-        if (mode_ == KernelMode::kQuantized) {
-            // Pad for the shim's scale-2 u16 gather over-read.
-            v2_->qcut.push_back(0);
-        }
-        v2_->row_block = options_.row_block;
-        v2_->tile_node_budget = options_.tile_node_budget;
-        AutotuneV2(*this, *v2_, options_);
-        v2_->Retile(*this);
-    } else {
-        // Partition consecutive trees into tiles whose pooled nodes fit
-        // the cache budget, so one tile stays resident while a row block
-        // traverses it. A single oversized tree still gets its own tile.
-        std::size_t tile_start = 0;
-        std::size_t tile_nodes = 0;
-        for (std::size_t t = 0; t < trees.size(); ++t) {
-            const std::size_t nodes = trees[t].NumNodes();
-            if (t > tile_start &&
-                tile_nodes + nodes > options_.tile_node_budget) {
-                tiles_.push_back({tile_start, t});
-                tile_start = t;
-                tile_nodes = 0;
-            }
-            tile_nodes += nodes;
-        }
-        tiles_.push_back({tile_start, trees.size()});
     }
 
     build_wall_ms_ = std::chrono::duration<double, std::milli>(
@@ -350,65 +387,61 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
                          .count();
 }
 
-std::size_t
-ForestKernel::NumTiles() const
-{
-    return v2_ ? v2_->tiles.size() : tiles_.size();
-}
-
-bool
-ForestKernel::simd_active() const
-{
-    return v2_ != nullptr && v2_->use_simd;
-}
-
 const char*
 ForestKernel::SimdBackend()
 {
-    return simd::BackendName();
+    return simd::ActiveBackend();
 }
 
-std::size_t
-ForestKernel::simd_groups() const
+template <typename Visit>
+void
+ForestKernel::ForEachLeaf(const float* rows, const std::int32_t* offsets,
+                          std::size_t num_rows, std::size_t t0,
+                          std::size_t t1, Visit&& visit) const
 {
-    return simd_active() ? v2_->groups : 0;
-}
-
-std::size_t
-ForestKernel::tuned_lane_rows() const
-{
-    return v2_ ? v2_->GroupRows() : kTraversalLanes;
-}
-
-std::size_t
-ForestKernel::tuned_row_block() const
-{
-    return v2_ ? v2_->row_block : options_.row_block;
-}
-
-std::size_t
-ForestKernel::tuned_tile_node_budget() const
-{
-    return v2_ ? v2_->tile_node_budget : options_.tile_node_budget;
-}
-
-bool
-ForestKernel::autotuned() const
-{
-    return v2_ != nullptr && v2_->autotuned;
-}
-
-bool
-ForestKernel::quant_exact() const
-{
-    return v2_ != nullptr && mode_ == KernelMode::kQuantized &&
-           v2_->quant_exact;
-}
-
-std::size_t
-ForestKernel::quant_max_bins() const
-{
-    return v2_ ? v2_->max_bins : 0;
+    const Node* const nodes = nodes_.data();
+    std::size_t r = 0;
+#if defined(DBSCORE_SIMD_VECTOR)
+    // The row-count rule: every full 64-row group takes the vector
+    // loop; what is left (and every row without a live vector
+    // backend) takes the 16-lane scalar loop below.
+    if (simd_) {
+        std::int32_t leaves[kSimdRows];
+        for (; r + kSimdRows <= num_rows; r += kSimdRows) {
+            for (std::size_t t = t0; t < t1; ++t) {
+                const std::int32_t root = roots_[t];
+                TraverseSimd(reinterpret_cast<const float*>(nodes + root),
+                             depths_[t], rows, offsets + r, leaves);
+                for (std::size_t i = 0; i < kSimdRows; ++i) {
+                    visit(r + i, root + leaves[i]);
+                }
+            }
+        }
+    }
+#endif
+    // Row-group outer, trees inner: row pointers are computed once per
+    // group and the group's feature rows stay hot in L1 across every
+    // tree.
+    auto scalar_groups = [&](auto lanes) {
+        constexpr std::size_t kLanes = decltype(lanes)::value;
+        for (; r + kLanes <= num_rows; r += kLanes) {
+            const float* rowp[kLanes];
+            for (std::size_t k = 0; k < kLanes; ++k) {
+                rowp[k] = rows + offsets[r + k];
+            }
+            for (std::size_t t = t0; t < t1; ++t) {
+                const std::int32_t root = roots_[t];
+                std::int32_t n[kLanes];
+                TraverseScalar<kLanes>(nodes + root, depths_[t], rowp, n);
+                for (std::size_t k = 0; k < kLanes; ++k) {
+                    visit(r + k, root + n[k]);
+                }
+            }
+        }
+    };
+    scalar_groups(std::integral_constant<std::size_t, kScalarLanes>{});
+    scalar_groups(std::integral_constant<std::size_t, kTailLanes>{});
+    scalar_groups(std::integral_constant<std::size_t, 1>{});
 }
 
 void
@@ -477,41 +510,10 @@ ThresholdHolds(ThresholdOp op, float threshold, float value)
     return false;
 }
 
-namespace {
-
-/**
- * Decides "value op threshold" for a value known to lie in
- * [glo, ghi]: 1 (holds for the whole interval), 0 (fails for the
- * whole interval), or -1 (undecided). kGt/kGe true-sets are
- * up-closed and kLt/kLe down-closed, so the interval endpoints
- * suffice.
- */
-int
-DecideThreshold(ThresholdOp op, float threshold, float glo, float ghi)
-{
-    const bool lo_holds = ThresholdHolds(op, threshold, glo);
-    const bool hi_holds = ThresholdHolds(op, threshold, ghi);
-    const bool up = op == ThresholdOp::kGt || op == ThresholdOp::kGe;
-    if (up) {
-        if (lo_holds) return 1;
-        if (!hi_holds) return 0;
-    } else {
-        if (hi_holds) return 1;
-        if (!lo_holds) return 0;
-    }
-    return -1;
-}
-
-/** Trees accumulated between two early-exit decision points. */
-constexpr std::size_t kThresholdCheckTrees = 8;
-
-}  // namespace
-
 bool
 ForestKernel::SupportsThresholdEarlyExit() const
 {
-    return v2_ == nullptr && combine_ != KernelCombine::kVoteClassify &&
-           !suffix_min_.empty();
+    return combine_ != KernelCombine::kVoteClassify;
 }
 
 void
@@ -523,96 +525,83 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
     const std::size_t num_trees = roots_.size();
     stats.rows += num_rows;
     stats.tree_traversals_full += num_rows * num_trees;
-    if (scratch.sums.size() < num_rows) {
-        scratch.sums.resize(num_rows);
+    const std::size_t block_rows = std::min(BlockRows(stride), num_rows);
+    for (auto* buf : {&scratch.offsets, &scratch.active}) {
+        if (buf->size() < block_rows) {
+            buf->resize(block_rows);
+        }
     }
-    if (scratch.active.size() < num_rows) {
-        scratch.active.resize(num_rows);
+    if (scratch.sums.size() < block_rows) {
+        scratch.sums.resize(block_rows);
     }
     double* const sums = scratch.sums.data();
+    std::int32_t* const offsets = scratch.offsets.data();
     std::int32_t* const active = scratch.active.data();
-    for (std::size_t i = 0; i < num_rows; ++i) {
-        sums[i] = init_;
-        active[i] = static_cast<std::int32_t>(i);
-    }
-    std::size_t live = num_rows;
-
-    const Node* const nodes = nodes_.data();
     const float* const val = value_.data();
     const double scale = scale_;
+    auto add_leaf = [sums, val, scale](std::size_t i, std::int32_t leaf) {
+        sums[i] += scale * val[leaf];
+    };
 
-    std::size_t t0 = 0;
-    while (live > 0 && t0 < num_trees) {
-        const std::size_t t1 =
-            std::min(num_trees, t0 + kThresholdCheckTrees);
-        // Accumulate trees [t0, t1) over the surviving rows, in the
-        // same 16-lane groups as RunBlockAccumulate — tree order per
-        // row is preserved, so a row that survives to the end carries
-        // exactly the sum the full pass would have computed.
-        std::size_t r = 0;
-        for (; r + kTraversalLanes <= live; r += kTraversalLanes) {
-            const float* rowp[kTraversalLanes];
-            for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                rowp[k] =
-                    rows + static_cast<std::size_t>(active[r + k]) * stride;
+    for (std::size_t begin = 0; begin < num_rows; begin += block_rows) {
+        const std::size_t block = std::min(block_rows, num_rows - begin);
+        const float* const base = rows + begin * stride;
+        std::uint8_t* const block_keep = keep + begin;
+        for (std::size_t i = 0; i < block; ++i) {
+            sums[i] = init_;
+            active[i] = static_cast<std::int32_t>(i);
+            offsets[i] = static_cast<std::int32_t>(i * stride);
+        }
+        std::size_t live = block;
+
+        for (std::size_t t0 = 0; live > 0 && t0 < num_trees;) {
+            // Accumulate trees [t0, t1) over the surviving rows on the
+            // same loops as Predict — tree order per row is preserved,
+            // so a row that survives to the end carries exactly the
+            // sum the full pass would have computed.
+            const std::size_t t1 =
+                std::min(num_trees, t0 + kThresholdCheckTrees);
+            ForEachLeaf(base, offsets, live, t0, t1, add_leaf);
+            stats.tree_traversals += live * (t1 - t0);
+            t0 = t1;
+            if (t0 >= num_trees) {
+                break;
             }
-            for (std::size_t t = t0; t < t1; ++t) {
-                std::int32_t n[kTraversalLanes];
-                TraverseGroup<kTraversalLanes>(
-                    nodes, roots_[t], depths_[t], rowp, n);
-                for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                    sums[r + k] += scale * val[n[k]];
+
+            // Decision point: bound the final sum and keep only rows
+            // whose interval still straddles the threshold. The slack
+            // term over-covers the rounding of both the remaining
+            // double accumulation (gamma_k <= k * 2^-52 per unit
+            // magnitude) and the suffix sums themselves.
+            const double remaining = static_cast<double>(num_trees - t0);
+            std::size_t w = 0;
+            for (std::size_t i = 0; i < live; ++i) {
+                const double s = sums[i];
+                const double slack = 1e-15 * (remaining + 4.0) *
+                                     (std::abs(s) + suffix_abs_[t0]);
+                const float glo = FinishOne(s + suffix_min_[t0] - slack);
+                const float ghi = FinishOne(s + suffix_max_[t0] + slack);
+                const int dec = DecideThreshold(op, threshold, glo, ghi);
+                if (dec >= 0) {
+                    block_keep[active[i]] = static_cast<std::uint8_t>(dec);
+                } else {
+                    active[w] = active[i];
+                    offsets[w] = offsets[i];
+                    sums[w] = s;
+                    ++w;
                 }
             }
-        }
-        for (; r < live; ++r) {
-            const float* rowp[1] = {
-                rows + static_cast<std::size_t>(active[r]) * stride};
-            for (std::size_t t = t0; t < t1; ++t) {
-                std::int32_t n[1];
-                TraverseGroup<1>(nodes, roots_[t], depths_[t], rowp, n);
-                sums[r] += scale * val[n[0]];
-            }
-        }
-        stats.tree_traversals += live * (t1 - t0);
-        t0 = t1;
-        if (t0 >= num_trees) {
-            break;
+            stats.rows_decided_early += live - w;
+            live = w;
         }
 
-        // Decision point: bound the final sum and keep only rows whose
-        // interval still straddles the threshold. The slack term
-        // over-covers the rounding of both the remaining double
-        // accumulation (gamma_k <= k * 2^-52 per unit magnitude) and
-        // the suffix sums themselves.
-        const double remaining = static_cast<double>(num_trees - t0);
-        std::size_t w = 0;
-        std::uint64_t decided = 0;
+        // Rows that ran every tree finish exactly like FinishSums.
         for (std::size_t i = 0; i < live; ++i) {
-            const double s = sums[i];
-            const double slack = 1e-15 * (remaining + 4.0) *
-                                 (std::abs(s) + suffix_abs_[t0]);
-            const float glo = FinishOne(s + suffix_min_[t0] - slack);
-            const float ghi = FinishOne(s + suffix_max_[t0] + slack);
-            const int dec = DecideThreshold(op, threshold, glo, ghi);
-            if (dec >= 0) {
-                keep[active[i]] = static_cast<std::uint8_t>(dec);
-                ++decided;
-            } else {
-                active[w] = active[i];
-                sums[w] = s;
-                ++w;
-            }
+            block_keep[active[i]] =
+                ThresholdHolds(op, threshold, FinishOne(sums[i]))
+                    ? std::uint8_t{1}
+                    : std::uint8_t{0};
         }
-        stats.rows_decided_early += decided;
-        live = w;
-    }
-
-    // Rows that ran every tree finish exactly like FinishSums.
-    for (std::size_t i = 0; i < live; ++i) {
-        keep[active[i]] = ThresholdHolds(op, threshold, FinishOne(sums[i]))
-                              ? std::uint8_t{1}
-                              : std::uint8_t{0};
     }
 }
 
@@ -629,8 +618,8 @@ ForestKernel::PredictThreshold(const RowView& rows, ThresholdOp op,
         return keep;
     }
     if (!SupportsThresholdEarlyExit()) {
-        // v2 plans and vote combiners: score fully, then compare.
-        // Exact, just without the skipped-tree savings.
+        // Vote combiners: score fully, then compare. Exact, just
+        // without the skipped-tree savings.
         const std::vector<float> preds = Predict(rows);
         for (std::size_t i = 0; i < num_rows; ++i) {
             keep[i] = ThresholdHolds(op, threshold, preds[i])
@@ -666,9 +655,9 @@ ForestKernel::PredictThreshold(const RowView& rows, ThresholdOp op,
         total.tree_traversals += local.tree_traversals;
         total.tree_traversals_full += local.tree_traversals_full;
     };
-    if (num_rows >= options_.parallel_grain) {
-        ThreadPool::Shared().ParallelForChunked(
-            num_rows, options_.parallel_grain, worker);
+    if (num_rows >= kParallelRowCutoff) {
+        ThreadPool::Shared().ParallelForChunked(num_rows,
+                                                kParallelRowCutoff, worker);
     } else {
         worker(0, num_rows);
     }
@@ -684,49 +673,25 @@ ForestKernel::PredictThreshold(const RowView& rows, ThresholdOp op,
 }
 
 void
-ForestKernel::RunBlockClassify(const float* rows, std::size_t num_rows,
-                               std::size_t stride, float* out,
-                               Scratch& scratch) const
+ForestKernel::RunBlockVote(const float* rows, const std::int32_t* offsets,
+                           std::size_t num_rows, float* out,
+                           Scratch& scratch) const
 {
-    const Node* const nodes = nodes_.data();
     const auto num_classes = static_cast<std::size_t>(num_classes_);
     const std::int32_t* const cls = leaf_class_.data();
     std::int32_t* const counts = scratch.counts.data();
     std::fill(counts, counts + num_rows * num_classes, 0);
 
-    // Row-group outer, trees inner: row pointers are computed once per
-    // group and the group's feature rows stay hot in L1 across every
-    // tree, while a tile's nodes stay cache-resident across groups.
-    std::size_t r = 0;
-    for (; r + kTraversalLanes <= num_rows; r += kTraversalLanes) {
-        const float* rowp[kTraversalLanes];
-        for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-            rowp[k] = rows + (r + k) * stride;
-        }
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[kTraversalLanes];
-                TraverseGroup<kTraversalLanes>(nodes, roots_[t],
-                                               depths_[t], rowp, n);
-                for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                    ++counts[(r + k) * num_classes +
-                             static_cast<std::size_t>(cls[n[k]])];
-                }
-            }
-        }
-    }
-    for (; r < num_rows; ++r) {
-        const float* rowp[1] = {rows + r * stride};
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[1];
-                TraverseGroup<1>(nodes, roots_[t], depths_[t], rowp, n);
-                ++counts[r * num_classes +
-                         static_cast<std::size_t>(cls[n[0]])];
-            }
-        }
+    // A block walks one tile's trees before the next tile's, so the
+    // tile stays cache-resident across the block's row groups.
+    for (const TreeTile& tile : tiles_) {
+        ForEachLeaf(rows, offsets, num_rows, tile.first_tree,
+                    tile.end_tree,
+                    [counts, cls, num_classes](std::size_t i,
+                                               std::int32_t leaf) {
+                        ++counts[i * num_classes +
+                                 static_cast<std::size_t>(cls[leaf])];
+                    });
     }
     for (std::size_t i = 0; i < num_rows; ++i) {
         const std::int32_t* c = counts + i * num_classes;
@@ -743,48 +708,25 @@ ForestKernel::RunBlockClassify(const float* rows, std::size_t num_rows,
 }
 
 void
-ForestKernel::RunBlockAccumulate(const float* rows, std::size_t num_rows,
-                                 std::size_t stride, float* out,
+ForestKernel::RunBlockAccumulate(const float* rows,
+                                 const std::int32_t* offsets,
+                                 std::size_t num_rows, float* out,
                                  Scratch& scratch) const
 {
-    const Node* const nodes = nodes_.data();
     const float* const val = value_.data();
     const double scale = scale_;
     double* const sums = scratch.sums.data();
     std::fill(sums, sums + num_rows, init_);
 
-    // Trees iterate in ensemble order for every row (tiles cover
-    // consecutive trees), so each row's double sum accumulates in the
-    // reference order and the mean/margin is bit-identical to the
-    // scalar path.
-    std::size_t r = 0;
-    for (; r + kTraversalLanes <= num_rows; r += kTraversalLanes) {
-        const float* rowp[kTraversalLanes];
-        for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-            rowp[k] = rows + (r + k) * stride;
-        }
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[kTraversalLanes];
-                TraverseGroup<kTraversalLanes>(nodes, roots_[t],
-                                               depths_[t], rowp, n);
-                for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                    sums[r + k] += scale * val[n[k]];
-                }
-            }
-        }
-    }
-    for (; r < num_rows; ++r) {
-        const float* rowp[1] = {rows + r * stride};
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[1];
-                TraverseGroup<1>(nodes, roots_[t], depths_[t], rowp, n);
-                sums[r] += scale * val[n[0]];
-            }
-        }
+    // Tiles cover consecutive trees in ensemble order, so each row's
+    // double sum accumulates in the reference order and the
+    // mean/margin is bit-identical to the scalar path.
+    for (const TreeTile& tile : tiles_) {
+        ForEachLeaf(rows, offsets, num_rows, tile.first_tree,
+                    tile.end_tree,
+                    [sums, val, scale](std::size_t i, std::int32_t leaf) {
+                        sums[i] += scale * val[leaf];
+                    });
     }
     FinishSums(sums, num_rows, out);
 }
@@ -797,29 +739,33 @@ ForestKernel::RunStrided(const float* rows, std::size_t num_rows,
     if (num_rows == 0) {
         return;
     }
-    if (v2_) {
-        v2_->RunStrided(*this, rows, num_rows, stride, out, scratch);
-        return;
-    }
-    if (combine_ == KernelCombine::kVoteClassify) {
+    const bool vote = combine_ == KernelCombine::kVoteClassify;
+    const std::size_t block_rows = std::min(BlockRows(stride), num_rows);
+    if (vote) {
         const std::size_t need =
-            options_.row_block * static_cast<std::size_t>(num_classes_);
+            block_rows * static_cast<std::size_t>(num_classes_);
         if (scratch.counts.size() < need) {
             scratch.counts.resize(need);
         }
-    } else if (scratch.sums.size() < options_.row_block) {
-        scratch.sums.resize(options_.row_block);
+    } else if (scratch.sums.size() < block_rows) {
+        scratch.sums.resize(block_rows);
+    }
+    // Dense rows: the same per-row offsets serve every block.
+    if (scratch.offsets.size() < block_rows) {
+        scratch.offsets.resize(block_rows);
+    }
+    std::int32_t* const offsets = scratch.offsets.data();
+    for (std::size_t i = 0; i < block_rows; ++i) {
+        offsets[i] = static_cast<std::int32_t>(i * stride);
     }
 
-    for (std::size_t begin = 0; begin < num_rows;
-         begin += options_.row_block) {
-        const std::size_t block =
-            std::min(options_.row_block, num_rows - begin);
-        if (combine_ == KernelCombine::kVoteClassify) {
-            RunBlockClassify(rows + begin * stride, block, stride,
-                             out + begin, scratch);
+    for (std::size_t begin = 0; begin < num_rows; begin += block_rows) {
+        const std::size_t block = std::min(block_rows, num_rows - begin);
+        if (vote) {
+            RunBlockVote(rows + begin * stride, offsets, block, out + begin,
+                         scratch);
         } else {
-            RunBlockAccumulate(rows + begin * stride, block, stride,
+            RunBlockAccumulate(rows + begin * stride, offsets, block,
                                out + begin, scratch);
         }
     }
@@ -882,9 +828,9 @@ ForestKernel::Predict(const RowView& rows) const
         RunStrided(rows.Row(begin), end - begin, rows.stride(),
                    out.data() + begin, scratch);
     };
-    if (num_rows >= options_.parallel_grain) {
-        ThreadPool::Shared().ParallelForChunked(
-            num_rows, options_.parallel_grain, worker);
+    if (num_rows >= kParallelRowCutoff) {
+        ThreadPool::Shared().ParallelForChunked(num_rows,
+                                                kParallelRowCutoff, worker);
     } else {
         worker(0, num_rows);
     }

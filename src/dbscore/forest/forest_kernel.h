@@ -6,8 +6,8 @@
  * The reference RandomForest::Predict walks one tree at a time through
  * per-tree std::vector storage — five vector-header dereferences per
  * tree per row and a working set that revisits the whole ensemble for
- * every row. ForestKernel compiles the ensemble once into flat node
- * pools with every tree's nodes in level (BFS) order, so the first K
+ * every row. ForestKernel compiles the ensemble once into one flat node
+ * pool with every tree's nodes in level (BFS) order, so the first K
  * levels of a tree — the part every row traverses — occupy a
  * contiguous prefix of its node range. BFS emits siblings adjacently,
  * so the right child is implicitly left + 1 and the descend step is
@@ -15,56 +15,40 @@
  * n = left[n] + !(row[feature[n]] <= threshold[n]), which matches the
  * reference "x <= t goes left, else (including NaN) right" exactly.
  *
- * Two compiled layouts are selectable through ForestKernelOptions:
+ * One node layout: 8 bytes per node, an f32 threshold followed by one
+ * word packing a 15-bit feature id over a 17-bit tree-local left
+ * child. A leaf is {threshold = +inf, left = self}, so the branchless
+ * step is a no-op once a row bottoms out and a tree of depth D is
+ * walked in at most D steps with no leaf test.
  *
- *  - v1: packed 12-byte AoS nodes {f32 threshold, i32 absolute left,
- *    i16 feature}, traversed 16 scalar rows per tree (independent
- *    dependence chains held in registers).
- *  - v2 (default): structure-of-arrays nodes built for SIMD gathers —
- *    8 bytes/node exact ({f32 threshold} + {feat:15|left:17} packed
- *    i32 with tree-local left indices), 6 bytes/node quantized
- *    ({feat:15|left:17} + u16 threshold bin rank, with rows pre-binned
- *    once per block so traversal compares integers). The inner loop
- *    steps groups of 8 rows per tree through the simd.h shim
- *    (AVX2/NEON/scalar): gathered node loads, a blended descend
- *    (n = left - (x > t ? -1 : 0) as a SIMD mask subtract), and a
- *    whole-group early exit once every lane parks on its self-looping
- *    leaf. A build-time autotuner (see kernel_autotune.h) benchmarks
- *    (row_block, tile_node_budget, lane width) candidates on a
- *    deterministic synthetic sample and caches the winner per model
- *    shape, replacing the fixed LLC heuristic.
+ * One row-count rule picks the inner loop, per call, from what the
+ * kernel can see: every full 64-row group runs the 8-lane x 8-group
+ * SIMD loop of the simd.h shim (gathered node loads, a blended descend
+ * n = left - (x > t ? -1 : 0)), and the remaining rows run a 16-lane
+ * scalar loop (all rows, when no vector backend runs). Both loops stop
+ * a tree early once every lane parks on its leaf, and both take
+ * per-row offsets, so PredictThreshold's compacted still-undecided
+ * rows share them with dense batches. Row blocks and tree tiles are
+ * fixed constants; see DESIGN.md §8 for the measured rule.
  *
- * Exact mode (v1 and v2) is bit-identical to the reference scalar
- * path: tree order within a row is preserved across tiles, so
- * regression sums (double accumulation in tree order) and
- * classification votes (integer counts, lowest-class-id tie break)
- * reproduce the reference exactly — tests assert this. Quantized mode
- * carries an epsilon-bounded prediction contract that degenerates to
- * bit-identity whenever every distinct threshold received its own bin
- * (quant_exact(), the common case): monotone binning with
- * rank-encoded cut points preserves every comparison outcome, see
- * DESIGN.md §13.
- *
- * Execution is tiled batch-major: blocks of R rows x T trees, with the
- * tree tile sized so its nodes stay resident in the last-level cache
- * while all R rows traverse it. Traversal is fixed-trip: a leaf is
- * {threshold = +inf (bin 0xFFFF quantized), left = self}, so the
- * branchless step is a no-op once a row bottoms out and a tree of
- * depth D is walked with exactly D steps and no leaf test. Votes and
- * sums accumulate into a caller-owned reusable Scratch, so
- * steady-state Run() performs zero heap allocations.
+ * Predictions are bit-identical to the reference scalar path: tree
+ * order within a row is preserved across tiles, so regression sums
+ * (double accumulation in tree order) and classification votes
+ * (integer counts, lowest-class-id tie break) reproduce the reference
+ * exactly — tests assert this. Votes and sums accumulate into a
+ * caller-owned reusable Scratch, so steady-state Run() performs zero
+ * heap allocations.
  *
  * Wall-clock only: the kernel changes how fast functional predictions
  * are computed, never the simulated OffloadBreakdown latencies (see
- * DESIGN.md, "Functional kernels vs simulated time"). Compilation
- * (and autotuning) is attributed to the kKernelBuild trace stage.
+ * DESIGN.md, "Functional kernels vs simulated time"). Compilation is
+ * attributed to the kKernelBuild trace stage.
  */
 #ifndef DBSCORE_FOREST_FOREST_KERNEL_H
 #define DBSCORE_FOREST_FOREST_KERNEL_H
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dbscore/data/dataset.h"
@@ -74,67 +58,6 @@ namespace dbscore {
 class RandomForest;
 class GradientBoostedModel;
 class DecisionTree;
-struct KernelV2Plan;
-
-/** Compiled node layout generation. */
-enum class KernelVersion : std::uint8_t {
-    kV1 = 1,  ///< 12-byte AoS nodes, scalar 16-lane traversal
-    kV2 = 2,  ///< SoA 8/6-byte nodes, SIMD 8-lane groups + autotune
-};
-
-/** Threshold representation of the compiled plan. */
-enum class KernelMode : std::uint8_t {
-    kExact,      ///< f32 thresholds; bit-identical to the reference
-    kQuantized,  ///< u16 bin ranks + pre-binned rows (v2 only)
-};
-
-/** Traversal inner-loop selection (v2 only; v1 is always scalar). */
-enum class KernelLanes : std::uint8_t {
-    kAuto,    ///< autotuner (or heuristic) picks scalar vs SIMD
-    kScalar,  ///< force the scalar 16-lane loop
-    kSimd,    ///< force the 8-lane SIMD shim loop
-};
-
-/**
- * Tuning knobs of the compiled plan. The full option set participates
- * in RandomForest/GradientBoostedModel kernel-cache keys, so two
- * requests with different options never share a stale plan.
- */
-struct ForestKernelOptions {
-    /** Rows per traversal tile (v2 kAuto: autotuner may override). */
-    std::size_t row_block = 64;
-    /**
-     * Upper bound on nodes per tree tile; sized so one tile's packed
-     * traversal nodes stay cache-resident while a row block traverses
-     * it. The default keeps a v1 tile near 0.75 MB (v2 kAuto: the
-     * autotuner may override).
-     */
-    std::size_t tile_node_budget = std::size_t{1} << 16;
-    /**
-     * Minimum rows per worker chunk when Predict() parallelizes over
-     * the shared ThreadPool; below 2x this count the batch runs inline.
-     */
-    std::size_t parallel_grain = 4096;
-
-    /** Layout generation; v2 falls back to v1 when unsupported. */
-    KernelVersion version = KernelVersion::kV2;
-    /** Threshold representation (quantized is v2-only). */
-    KernelMode mode = KernelMode::kExact;
-    /** Inner-loop selection (v2). */
-    KernelLanes lanes = KernelLanes::kAuto;
-    /**
-     * Benchmark (row_block, tile_node_budget, lane width) candidates
-     * at build time and adopt the winner (v2 + kAuto lanes only).
-     * Winners are cached process-wide per model shape.
-     */
-    bool autotune = true;
-    /** Seed for the autotuner's synthetic sample rows. */
-    std::uint64_t autotune_seed = 42;
-    /** SIMD row groups (of 8) in flight per tree; 0 = tuned/heuristic. */
-    std::size_t simd_groups = 0;
-
-    bool operator==(const ForestKernelOptions&) const = default;
-};
 
 /** How per-tree outputs combine into a final prediction. */
 enum class KernelCombine : std::uint8_t {
@@ -177,16 +100,13 @@ class ForestKernel {
     class Scratch {
      private:
         friend class ForestKernel;
-        friend struct KernelV2Plan;
-        /** Per-(row, class) vote counts, row_block x num_classes. */
+        /** Per-(row, class) vote counts, row block x num_classes. */
         std::vector<std::int32_t> counts;
-        /** Per-row accumulators, tree order, row_block. */
+        /** Per-row accumulators, tree order, one row block. */
         std::vector<double> sums;
-        /** v2 quantized: pre-binned rows (row-major, +2 bytes pad). */
-        std::vector<std::uint16_t> binned;
-        /** v2: per-group leaf indices. */
-        std::vector<std::int32_t> leaves;
-        /** threshold early-exit: undecided row indices (compacted). */
+        /** Per-row float offsets from the block base (loop input). */
+        std::vector<std::int32_t> offsets;
+        /** PredictThreshold: block row of each undecided row. */
         std::vector<std::int32_t> active;
     };
 
@@ -196,8 +116,7 @@ class ForestKernel {
      *
      * @throws InvalidArgument when Supports(forest) is false
      */
-    explicit ForestKernel(const RandomForest& forest,
-                          const ForestKernelOptions& options = {});
+    explicit ForestKernel(const RandomForest& forest);
 
     /**
      * Compiles @p gbdt with a margin combiner: predictions are
@@ -207,16 +126,15 @@ class ForestKernel {
      *
      * @throws InvalidArgument when Supports(gbdt) is false
      */
-    explicit ForestKernel(const GradientBoostedModel& gbdt,
-                          const ForestKernelOptions& options = {});
+    explicit ForestKernel(const GradientBoostedModel& gbdt);
 
-    ~ForestKernel();
     ForestKernel(ForestKernel&&) = delete;
     ForestKernel& operator=(ForestKernel&&) = delete;
 
     /**
-     * True when @p forest can be compiled: at least one tree and
-     * feature ids that fit the kernel's 15-bit feature field.
+     * True when @p forest fits the packed node word: at least one
+     * tree, at most 32767 features, and no tree over 2^17 nodes.
+     * Callers take the reference path otherwise.
      */
     static bool Supports(const RandomForest& forest);
 
@@ -227,48 +145,20 @@ class ForestKernel {
     int num_classes() const { return num_classes_; }
     std::size_t num_features() const { return num_features_; }
     std::size_t NumTrees() const { return roots_.size(); }
-    std::size_t NumNodes() const { return num_nodes_; }
+    std::size_t NumNodes() const { return nodes_.size(); }
     /** Tree tiles the ensemble was partitioned into. */
-    std::size_t NumTiles() const;
-    const ForestKernelOptions& options() const { return options_; }
-
-    /** Layout actually compiled (v2 may have fallen back to v1). */
-    KernelVersion version() const { return version_; }
-    KernelMode mode() const { return mode_; }
+    std::size_t NumTiles() const { return tiles_.size(); }
     KernelCombine combine() const { return combine_; }
 
-    /** True when the v2 plan runs the SIMD shim inner loop. */
-    bool simd_active() const;
-    /** Compile-time shim backend: "avx2", "neon", or "scalar". */
+    /** Backend of the 64-row loop: "avx2", "neon", or "scalar". */
     static const char* SimdBackend();
-    /** SIMD row groups in flight per tree (0 for scalar/v1 plans). */
-    std::size_t simd_groups() const;
-    /** Rows one traversal group keeps in flight per tree: 8 x groups
-     * with SIMD, the tuned 16/32/64 scalar lane width otherwise (16
-     * for v1's fixed loop). */
-    std::size_t tuned_lane_rows() const;
-    /** Row block the plan actually runs (post-autotune). */
-    std::size_t tuned_row_block() const;
-    /** Tile node budget the plan actually runs (post-autotune). */
-    std::size_t tuned_tile_node_budget() const;
-    /** True when the autotuner picked this plan's parameters. */
-    bool autotuned() const;
 
     /**
-     * Wall-clock milliseconds Compile() took (autotuning included) —
-     * the build cost a serving layer re-pays when a cached kernel is
-     * evicted and later rebuilt (the fleet registry's re-warm tax).
+     * Wall-clock milliseconds the compile took — the build cost a
+     * serving layer re-pays when a cached kernel is evicted and later
+     * rebuilt (the fleet registry's re-warm tax).
      */
     double build_wall_ms() const { return build_wall_ms_; }
-
-    /**
-     * Quantized plans: true when every distinct threshold received its
-     * own bin, which upgrades the epsilon contract to bit-identity
-     * (monotone binning preserves every comparison; DESIGN.md §13).
-     */
-    bool quant_exact() const;
-    /** Largest per-feature bin count of a quantized plan (else 0). */
-    std::size_t quant_max_bins() const;
 
     /**
      * Single-threaded execution: writes one prediction per row into
@@ -290,8 +180,8 @@ class ForestKernel {
 
     /**
      * Batch prediction with chunked ThreadPool parallelism (thread-local
-     * scratch per worker). Exact plans match the reference scalar path
-     * bit-for-bit.
+     * scratch per worker) from kParallelRowCutoff rows on. Matches the
+     * reference scalar path bit-for-bit.
      */
     std::vector<float> Predict(const float* rows, std::size_t num_rows,
                                std::size_t num_cols) const;
@@ -301,12 +191,12 @@ class ForestKernel {
 
     /**
      * True when PredictThreshold can stop accumulating trees early:
-     * the plan compiled the v1 layout with an accumulator combiner
-     * (kMeanRegress / kMargin / kMarginClassify). The combiner's
-     * finisher g(sum) — float cast, divide by tree count, sigmoid +
-     * 0.5 threshold — is monotone non-decreasing in the sum, so a
-     * conservative [lo, hi] interval on the remaining-tree
-     * contribution decides "g(sum) op θ" exactly (DESIGN.md §14).
+     * the accumulator combiners (kMeanRegress / kMargin /
+     * kMarginClassify). The combiner's finisher g(sum) — float cast,
+     * divide by tree count, sigmoid + 0.5 threshold — is monotone
+     * non-decreasing in the sum, so a conservative [lo, hi] interval
+     * on the remaining-tree contribution decides "g(sum) op θ" exactly
+     * (DESIGN.md §14).
      */
     bool SupportsThresholdEarlyExit() const;
 
@@ -316,17 +206,26 @@ class ForestKernel {
      * the predicate, else 0. Bit-equivalent to comparing Predict()
      * output — early exit uses per-tree leaf-value suffix bounds plus
      * a rounding-slack margin, and rows whose interval straddles the
-     * threshold finish all trees exactly. Falls back to a full
-     * Predict() + compare (no early exit, still exact) when
-     * SupportsThresholdEarlyExit() is false. @p stats, when non-null,
-     * accumulates traversal-work accounting.
+     * threshold finish all trees exactly, on the same traversal loops
+     * as Predict(). Vote combiners score fully and compare (no early
+     * exit, still exact). @p stats, when non-null, accumulates
+     * traversal-work accounting.
      */
     std::vector<std::uint8_t> PredictThreshold(
         const RowView& rows, ThresholdOp op, float threshold,
         ThresholdStats* stats = nullptr) const;
 
  private:
-    friend struct KernelV2Plan;
+    /**
+     * One traversal node: an f32 threshold and a word packing the
+     * feature id (high 15 bits) over the tree-local left child (low
+     * 17 bits). The right child is implicitly left + 1 (BFS emits
+     * siblings adjacently); a leaf is {+inf, left = self}.
+     */
+    struct Node {
+        float threshold;
+        std::uint32_t meta;
+    };
 
     /** A run of consecutive trees whose nodes share one cache tile. */
     struct TreeTile {
@@ -334,42 +233,27 @@ class ForestKernel {
         std::size_t end_tree;
     };
 
-    Task task_ = Task::kClassification;
-    int num_classes_ = 0;
-    std::size_t num_features_ = 0;
-    std::size_t num_nodes_ = 0;
-    ForestKernelOptions options_;
-    KernelVersion version_ = KernelVersion::kV1;
-    KernelMode mode_ = KernelMode::kExact;
-    KernelCombine combine_ = KernelCombine::kVoteClassify;
-    /** Margin combiner parameters (gbdt): out = init + scale * sum. */
-    double init_ = 0.0;
-    double scale_ = 1.0;
-    double build_wall_ms_ = 0.0;
-
-    /**
-     * One packed v1 traversal node: everything one descend step reads,
-     * on one cache line. The right child is implicitly left + 1 (BFS
-     * emits siblings adjacently); a leaf is {threshold = +inf,
-     * left = self, feature = 0}, which the branchless step can evaluate
-     * harmlessly forever without moving.
-     */
-    struct Node {
-        float threshold;
-        /** Absolute pool index (already offset by the tree base). */
-        std::int32_t left;
-        std::int16_t feature;
-    };
-
     void Compile(const std::vector<DecisionTree>& trees);
 
-    /** @p stride is the float distance between consecutive rows. */
-    void RunBlockClassify(const float* rows, std::size_t num_rows,
-                          std::size_t stride, float* out,
-                          Scratch& scratch) const;
-    void RunBlockAccumulate(const float* rows, std::size_t num_rows,
-                            std::size_t stride, float* out,
+    /**
+     * Walks trees [@p t0, @p t1) for the @p num_rows rows starting
+     * @p offsets[i] floats past @p rows, calling visit(i, leaf) with
+     * each row's pool index of its leaf, tree by tree in order.
+     */
+    template <typename Visit>
+    void ForEachLeaf(const float* rows, const std::int32_t* offsets,
+                     std::size_t num_rows, std::size_t t0, std::size_t t1,
+                     Visit&& visit) const;
+
+    /** One row block: classification vote kernels. */
+    void RunBlockVote(const float* rows, const std::int32_t* offsets,
+                      std::size_t num_rows, float* out,
+                      Scratch& scratch) const;
+    /** One row block: sum-accumulating kernels (regress / margin). */
+    void RunBlockAccumulate(const float* rows, const std::int32_t* offsets,
+                            std::size_t num_rows, float* out,
                             Scratch& scratch) const;
+    /** @p stride is the float distance between consecutive rows. */
     void RunStrided(const float* rows, std::size_t num_rows,
                     std::size_t stride, float* out, Scratch& scratch) const;
     /** Applies the combiner to finish @p num_rows accumulated sums. */
@@ -377,38 +261,46 @@ class ForestKernel {
                     float* out) const;
     /** The combiner's monotone finisher for one accumulated sum. */
     float FinishOne(double sum) const;
-    /** Early-exit traversal over one chunk (v1 accumulate only). */
+    /** Early-exit traversal over one chunk (accumulate combiners). */
     void RunThreshold(const float* rows, std::size_t num_rows,
                       std::size_t stride, ThresholdOp op, float threshold,
                       std::uint8_t* keep, Scratch& scratch,
                       ThresholdStats& stats) const;
 
+    Task task_ = Task::kClassification;
+    int num_classes_ = 0;
+    std::size_t num_features_ = 0;
+    KernelCombine combine_ = KernelCombine::kVoteClassify;
+    /** Margin combiner parameters (gbdt): out = init + scale * sum. */
+    double init_ = 0.0;
+    double scale_ = 1.0;
+    double build_wall_ms_ = 0.0;
+    /** Whether the 64-row SIMD loop runs (a vector backend is live). */
+    bool simd_ = false;
+
     /** Pool index of each tree's root (== the tree's base offset). */
     std::vector<std::int32_t> roots_;
-    /** Depth of each tree in edges: the fixed traversal trip count. */
+    /** Depth of each tree in edges: the traversal trip-count bound. */
     std::vector<std::int32_t> depths_;
-    /** Flattened v1 node pool, level order per tree. */
+    /** Flattened node pool, level order per tree. */
     std::vector<Node> nodes_;
-    /** Leaf payload: value (regression / margin kernels). */
+    /** Leaf payload: value (accumulate kernels), by pool index. */
     std::vector<float> value_;
-    /** Leaf payload: precomputed class id (vote kernels). */
+    /** Leaf payload: class id (vote kernels), by pool index. */
     std::vector<std::int32_t> leaf_class_;
 
     std::vector<TreeTile> tiles_;
 
     /**
-     * Threshold early-exit bounds (v1 accumulate combines only),
-     * indexed by tree: suffix_min_[t] / suffix_max_[t] bound the
-     * summed contribution (scale * leaf value) of trees [t, T), and
+     * Threshold early-exit bounds (accumulate combiners), indexed by
+     * tree: suffix_min_[t] / suffix_max_[t] bound the summed
+     * contribution (scale * leaf value) of trees [t, T), and
      * suffix_abs_[t] sums their magnitudes for the rounding-slack
      * term. Size T + 1 with zeros at index T.
      */
     std::vector<double> suffix_min_;
     std::vector<double> suffix_max_;
     std::vector<double> suffix_abs_;
-
-    /** v2 plan; null when the kernel compiled the v1 layout. */
-    std::unique_ptr<KernelV2Plan> v2_;
 };
 
 }  // namespace dbscore

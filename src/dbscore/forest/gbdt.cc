@@ -105,7 +105,6 @@ GradientBoostedModel::GradientBoostedModel(
 {
     std::lock_guard<std::mutex> lock(other.kernel_mutex_);
     kernel_ = other.kernel_;
-    kernel_options_ = other.kernel_options_;
 }
 
 GradientBoostedModel&
@@ -118,15 +117,12 @@ GradientBoostedModel::operator=(const GradientBoostedModel& other)
         learning_rate_ = other.learning_rate_;
         trees_ = other.trees_;
         std::shared_ptr<const ForestKernel> kernel;
-        ForestKernelOptions kernel_options;
         {
             std::lock_guard<std::mutex> lock(other.kernel_mutex_);
             kernel = other.kernel_;
-            kernel_options = other.kernel_options_;
         }
         std::lock_guard<std::mutex> lock(kernel_mutex_);
         kernel_ = std::move(kernel);
-        kernel_options_ = kernel_options;
     }
     return *this;
 }
@@ -141,7 +137,6 @@ GradientBoostedModel::GradientBoostedModel(
 {
     std::lock_guard<std::mutex> lock(other.kernel_mutex_);
     kernel_ = std::move(other.kernel_);
-    kernel_options_ = other.kernel_options_;
 }
 
 GradientBoostedModel&
@@ -154,15 +149,12 @@ GradientBoostedModel::operator=(GradientBoostedModel&& other) noexcept
         learning_rate_ = other.learning_rate_;
         trees_ = std::move(other.trees_);
         std::shared_ptr<const ForestKernel> kernel;
-        ForestKernelOptions kernel_options;
         {
             std::lock_guard<std::mutex> lock(other.kernel_mutex_);
             kernel = std::move(other.kernel_);
-            kernel_options = other.kernel_options_;
         }
         std::lock_guard<std::mutex> lock(kernel_mutex_);
         kernel_ = std::move(kernel);
-        kernel_options_ = kernel_options;
     }
     return *this;
 }
@@ -180,16 +172,9 @@ GradientBoostedModel::AddTree(DecisionTree tree)
 std::shared_ptr<const ForestKernel>
 GradientBoostedModel::Kernel() const
 {
-    return Kernel(ForestKernelOptions{});
-}
-
-std::shared_ptr<const ForestKernel>
-GradientBoostedModel::Kernel(const ForestKernelOptions& options) const
-{
     std::lock_guard<std::mutex> lock(kernel_mutex_);
-    if (kernel_ == nullptr || !(kernel_options_ == options)) {
-        kernel_ = std::make_shared<const ForestKernel>(*this, options);
-        kernel_options_ = options;
+    if (kernel_ == nullptr) {
+        kernel_ = std::make_shared<const ForestKernel>(*this);
     }
     return kernel_;
 }

@@ -82,17 +82,12 @@ class GradientBoostedModel {
     std::vector<float> PredictBatch(const Dataset& data) const;
 
     /**
-     * The compiled margin-combining inference plan under the default
-     * options: built on first call, cached until the model mutates,
-     * shared by copies. Thread-safe.
+     * The compiled margin-combining inference plan: built on first
+     * call, cached until the model mutates, shared by copies.
+     * Thread-safe.
      * @throws InvalidArgument when the model is not kernel-compilable
      */
     std::shared_ptr<const ForestKernel> Kernel() const;
-
-    /** Same, honoring @p options (part of the cache key, as for
-     * RandomForest::Kernel). */
-    std::shared_ptr<const ForestKernel> Kernel(
-        const ForestKernelOptions& options) const;
 
     /** Classification accuracy / regression is invalid. */
     double Accuracy(const Dataset& data) const;
@@ -118,8 +113,6 @@ class GradientBoostedModel {
 
     /** Lazily-built compiled kernel; null until first batch call. */
     mutable std::shared_ptr<const ForestKernel> kernel_;
-    /** Options the cached kernel was built with (the cache key). */
-    mutable ForestKernelOptions kernel_options_;
     mutable std::mutex kernel_mutex_;
 };
 

@@ -1,48 +1,19 @@
 /**
  * @file
- * Build-time autotuner for the v2 forest kernel.
- *
- * Instead of the fixed tile-fits-in-LLC heuristic, the tuner times a
- * small candidate grid of (inner loop, row block, tile node budget)
- * against the freshly compiled plan on a deterministic synthetic row
- * sample (seeded, drawn from the ensemble's per-feature threshold
- * ranges so traversal paths are realistic), then adopts the fastest
- * configuration. Winners are cached process-wide per model shape, so a
- * serve path that prewarms the same model repeatedly — or rebuilds a
- * kernel after mutation with an unchanged shape — pays the tuning cost
- * once. Tuning time is attributed to the kKernelBuild trace stage via
- * a "kernel-autotune" child span.
- *
- * Determinism: candidates are enumerated in a fixed order, the sample
- * is a fixed-seed xorshift sequence, and ties keep the earlier
- * candidate, so the *chosen parameters* only vary with genuine timing
- * differences. Tests that need full reproducibility pin
- * options.autotune = false or compare predictions (which never depend
- * on the tuned parameters — every candidate computes identical
- * results).
+ * Compatibility stub: ForestKernel has no build-time autotuner and so
+ * no tuning cache. AutotuneCacheClear() is kept as a no-op for callers
+ * that still clear that cache between timed windows.
  */
 #ifndef DBSCORE_FOREST_KERNEL_AUTOTUNE_H
 #define DBSCORE_FOREST_KERNEL_AUTOTUNE_H
 
 namespace dbscore {
 
-class ForestKernel;
-struct ForestKernelOptions;
-struct KernelV2Plan;
-
-/**
- * Resolves @p plan's runtime parameters (use_simd, groups, row_block,
- * tile_node_budget) for @p kernel under @p options: forced lanes are
- * honored as-is, kAuto without autotune takes the heuristic, and kAuto
- * with autotune benchmarks the candidate grid (or reuses a cached
- * winner). The plan's node arrays must be fully built; tiles are
- * left for the caller to (re)build.
- */
-void AutotuneV2(const ForestKernel& kernel, KernelV2Plan& plan,
-                const ForestKernelOptions& options);
-
-/** Drops every cached autotune winner (tests). */
-void AutotuneCacheClear();
+/** No-op: there is no autotune cache to clear. */
+inline void
+AutotuneCacheClear()
+{
+}
 
 }  // namespace dbscore
 

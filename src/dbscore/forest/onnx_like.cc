@@ -123,6 +123,10 @@ TreeEnsemble::ToForest() const
                 throw ParseError("ensemble: node ids not dense");
             }
             if (modes[i] == NodeMode::kLeaf) {
+                if (task == Task::kClassification &&
+                    !LeafIsClassId(leaf_values[i], num_classes)) {
+                    throw ParseError("ensemble: leaf is not a class id");
+                }
                 tree.AddLeafNode(leaf_values[i]);
             } else {
                 if (feature_ids[i] < 0) {

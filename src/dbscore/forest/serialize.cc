@@ -224,6 +224,10 @@ DeserializeForest(std::span<const std::uint8_t> bytes)
             std::int32_t right = r.GetI32();
             float value = r.GetF32();
             if (feature == kLeafFeature) {
+                if (task == Task::kClassification &&
+                    !LeafIsClassId(value, static_cast<int>(num_classes))) {
+                    throw ParseError("forest blob: leaf is not a class id");
+                }
                 tree.AddLeafNode(value);
             } else {
                 if (feature < 0) {

@@ -1,6 +1,7 @@
 /**
  * @file
- * 8-lane f32/i32 SIMD portability shim for the v2 traversal kernel.
+ * 8-lane f32/i32 SIMD portability shim for the forest kernel's vector
+ * traversal loop.
  *
  * One backend is selected at compile time:
  *
@@ -13,28 +14,28 @@
  *  - NEON on AArch64: 8 lanes as a pair of 128-bit quads. NEON has no
  *    gather, so gathers are per-lane loads — the layout and masking
  *    semantics stay identical to AVX2.
- *  - Scalar fallback everywhere else (and when DBSCORE_SIMD_DISABLED
- *    is defined, which the `DBSCORE_SIMD=OFF` CMake leg forces): plain
- *    8-element loops the autovectorizer may or may not pick up. Keeps
- *    every v2 code path compilable and bit-identical on any ISA.
+ *
+ * Anywhere else (and when DBSCORE_SIMD_DISABLED is defined, which the
+ * `DBSCORE_SIMD=OFF` CMake leg forces) no backend is compiled,
+ * DBSCORE_SIMD_VECTOR stays undefined, and the kernel runs its scalar
+ * loop on every row.
  *
  * The API is exactly what one blended descend step of the forest
- * traversal needs: i32/f32 gathers (plus a zero-extending u16 gather
- * for quantized nodes and pre-binned rows, done as a scale-2 i32
- * gather off an even base — buffers gathered this way must be padded
- * by 2 bytes), an ordered-complement float compare matching
- * `!(x <= t)` (NaN compares true, i.e. descends right), and mask
- * arithmetic where a true lane is -1 so `left - mask` implements
+ * traversal needs: i32/f32 gathers, an ordered-complement float compare
+ * matching `!(x <= t)` (NaN compares true, i.e. descends right), and
+ * mask arithmetic where a true lane is -1 so `left - mask` implements
  * `left + (x > t)`.
  */
 #ifndef DBSCORE_FOREST_SIMD_H
 #define DBSCORE_FOREST_SIMD_H
 
+#include <cstddef>
 #include <cstdint>
 
 #if !defined(DBSCORE_SIMD_DISABLED) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define DBSCORE_SIMD_AVX2 1
+#define DBSCORE_SIMD_VECTOR 1
 #include <immintrin.h>
 /** Marks a function compiled for AVX2+FMA regardless of global flags. */
 #define DBSCORE_SIMD_FN __attribute__((target("avx2,fma")))
@@ -42,13 +43,10 @@
     inline __attribute__((always_inline)) DBSCORE_SIMD_FN
 #elif !defined(DBSCORE_SIMD_DISABLED) && defined(__ARM_NEON)
 #define DBSCORE_SIMD_NEON 1
+#define DBSCORE_SIMD_VECTOR 1
 #include <arm_neon.h>
 #define DBSCORE_SIMD_FN
 #define DBSCORE_SIMD_OP inline __attribute__((always_inline))
-#else
-#define DBSCORE_SIMD_SCALAR 1
-#define DBSCORE_SIMD_FN
-#define DBSCORE_SIMD_OP inline
 #endif
 
 namespace dbscore::simd {
@@ -56,23 +54,10 @@ namespace dbscore::simd {
 /** Lane count of the shim's vector types. */
 inline constexpr std::size_t kWidth = 8;
 
-/** Compile-time backend tag, for diagnostics and bench JSON. */
-inline const char*
-BackendName()
-{
-#if defined(DBSCORE_SIMD_AVX2)
-    return "avx2";
-#elif defined(DBSCORE_SIMD_NEON)
-    return "neon";
-#else
-    return "scalar";
-#endif
-}
-
 /**
- * True when the vector backend may be used on this machine: the AVX2
- * backend additionally needs a runtime CPUID check (the binary may be
- * baseline x86-64), NEON/scalar are always safe.
+ * True when the compiled vector backend may run on this machine: the
+ * binary may be baseline x86-64, so AVX2 needs a runtime CPUID check;
+ * NEON is always present on AArch64.
  */
 inline bool
 HaveSimd()
@@ -86,123 +71,106 @@ HaveSimd()
 #endif
 }
 
+/** The backend this process runs: "avx2", "neon", or "scalar". */
+inline const char*
+ActiveBackend()
+{
+#if defined(DBSCORE_SIMD_AVX2)
+    return HaveSimd() ? "avx2" : "scalar";
+#elif defined(DBSCORE_SIMD_NEON)
+    return "neon";
+#else
+    return "scalar";
+#endif
+}
+
 #if defined(DBSCORE_SIMD_AVX2)
 
-struct VI {
-    __m256i v;
-};
-struct VF {
-    __m256 v;
-};
+// Plain vector types rather than wrapper structs: GCC keeps arrays of
+// these in registers, while struct-wrapped arrays round-trip through
+// the stack on every assignment.
+using VI = __m256i;
+using VF = __m256;
 
 DBSCORE_SIMD_OP VI
 Set1(std::int32_t x)
 {
-    return {_mm256_set1_epi32(x)};
+    return _mm256_set1_epi32(x);
 }
 
-/** {0, step, 2*step, ..., 7*step} — per-lane row offsets. */
 DBSCORE_SIMD_OP VI
-Iota(std::int32_t step)
+Load(const std::int32_t* src)
 {
-    return {_mm256_mullo_epi32(
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        _mm256_set1_epi32(step))};
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
 }
 
 DBSCORE_SIMD_OP VI
 Add(VI a, VI b)
 {
-    return {_mm256_add_epi32(a.v, b.v)};
+    return _mm256_add_epi32(a, b);
 }
 
 DBSCORE_SIMD_OP VI
 Sub(VI a, VI b)
 {
-    return {_mm256_sub_epi32(a.v, b.v)};
+    return _mm256_sub_epi32(a, b);
 }
 
 DBSCORE_SIMD_OP VI
 And(VI a, VI b)
 {
-    return {_mm256_and_si256(a.v, b.v)};
+    return _mm256_and_si256(a, b);
 }
 
 DBSCORE_SIMD_OP VI
 Or(VI a, VI b)
 {
-    return {_mm256_or_si256(a.v, b.v)};
+    return _mm256_or_si256(a, b);
 }
 
 DBSCORE_SIMD_OP VI
 Xor(VI a, VI b)
 {
-    return {_mm256_xor_si256(a.v, b.v)};
+    return _mm256_xor_si256(a, b);
 }
 
 /** Logical (zero-fill) right shift of each lane. */
 DBSCORE_SIMD_OP VI
 Srl(VI a, int bits)
 {
-    return {_mm256_srli_epi32(a.v, bits)};
+    return _mm256_srli_epi32(a, bits);
 }
 
 DBSCORE_SIMD_OP VI
 GatherI32(const std::int32_t* base, VI idx)
 {
-    return {_mm256_i32gather_epi32(base, idx.v, 4)};
+    return _mm256_i32gather_epi32(base, idx, 4);
 }
 
 DBSCORE_SIMD_OP VF
 GatherF32(const float* base, VI idx)
 {
-    return {_mm256_i32gather_ps(base, idx.v, 4)};
-}
-
-/**
- * Zero-extending u16 gather via a scale-2 i32 gather: reads 4 bytes at
- * base + 2*idx and masks the low half, so @p base's buffer must be
- * padded with at least 2 trailing bytes.
- */
-DBSCORE_SIMD_OP VI
-GatherU16(const std::uint16_t* base, VI idx)
-{
-    const __m256i wide = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(base), idx.v, 2);
-    return {_mm256_and_si256(wide, _mm256_set1_epi32(0xFFFF))};
+    return _mm256_i32gather_ps(base, idx, 4);
 }
 
 /** -1 where !(x <= t) — strictly greater or unordered (NaN). */
 DBSCORE_SIMD_OP VI
 CmpNotLe(VF x, VF t)
 {
-    return {_mm256_castps_si256(_mm256_cmp_ps(x.v, t.v, _CMP_NLE_UQ))};
-}
-
-/** -1 where a > b (signed; bin ids stay below 2^16). */
-DBSCORE_SIMD_OP VI
-CmpGt(VI a, VI b)
-{
-    return {_mm256_cmpgt_epi32(a.v, b.v)};
-}
-
-DBSCORE_SIMD_OP bool
-AllEq(VI a, VI b)
-{
-    return _mm256_movemask_epi8(_mm256_cmpeq_epi32(a.v, b.v)) == -1;
+    return _mm256_castps_si256(_mm256_cmp_ps(x, t, _CMP_NLE_UQ));
 }
 
 /** True when any bit of any lane is set. */
 DBSCORE_SIMD_OP bool
 AnyNonZero(VI a)
 {
-    return _mm256_testz_si256(a.v, a.v) == 0;
+    return _mm256_testz_si256(a, a) == 0;
 }
 
 DBSCORE_SIMD_OP void
 Store(std::int32_t* dst, VI a)
 {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), a.v);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), a);
 }
 
 #elif defined(DBSCORE_SIMD_NEON)
@@ -223,11 +191,9 @@ Set1(std::int32_t x)
 }
 
 DBSCORE_SIMD_OP VI
-Iota(std::int32_t step)
+Load(const std::int32_t* src)
 {
-    const std::int32_t lo[4] = {0, step, 2 * step, 3 * step};
-    const std::int32_t hi[4] = {4 * step, 5 * step, 6 * step, 7 * step};
-    return {vld1q_s32(lo), vld1q_s32(hi)};
+    return {vld1q_s32(src), vld1q_s32(src + 4)};
 }
 
 DBSCORE_SIMD_OP VI
@@ -294,38 +260,11 @@ GatherF32(const float* base, VI idx)
 }
 
 DBSCORE_SIMD_OP VI
-GatherU16(const std::uint16_t* base, VI idx)
-{
-    std::int32_t i[8];
-    vst1q_s32(i, idx.lo);
-    vst1q_s32(i + 4, idx.hi);
-    const std::int32_t v[8] = {base[i[0]], base[i[1]], base[i[2]],
-                               base[i[3]], base[i[4]], base[i[5]],
-                               base[i[6]], base[i[7]]};
-    return {vld1q_s32(v), vld1q_s32(v + 4)};
-}
-
-DBSCORE_SIMD_OP VI
 CmpNotLe(VF x, VF t)
 {
     // vcle is false for NaN, so its complement matches !(x <= t).
     return {vreinterpretq_s32_u32(vmvnq_u32(vcleq_f32(x.lo, t.lo))),
             vreinterpretq_s32_u32(vmvnq_u32(vcleq_f32(x.hi, t.hi)))};
-}
-
-DBSCORE_SIMD_OP VI
-CmpGt(VI a, VI b)
-{
-    return {vreinterpretq_s32_u32(vcgtq_s32(a.lo, b.lo)),
-            vreinterpretq_s32_u32(vcgtq_s32(a.hi, b.hi))};
-}
-
-DBSCORE_SIMD_OP bool
-AllEq(VI a, VI b)
-{
-    const uint32x4_t eq_lo = vceqq_s32(a.lo, b.lo);
-    const uint32x4_t eq_hi = vceqq_s32(a.hi, b.hi);
-    return vminvq_u32(vandq_u32(eq_lo, eq_hi)) == 0xFFFFFFFFu;
 }
 
 DBSCORE_SIMD_OP bool
@@ -339,146 +278,6 @@ Store(std::int32_t* dst, VI a)
 {
     vst1q_s32(dst, a.lo);
     vst1q_s32(dst + 4, a.hi);
-}
-
-#else  // scalar fallback
-
-struct VI {
-    std::int32_t v[kWidth];
-};
-struct VF {
-    float v[kWidth];
-};
-
-DBSCORE_SIMD_OP VI
-Set1(std::int32_t x)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = x;
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-Iota(std::int32_t step)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k)
-        r.v[k] = static_cast<std::int32_t>(k) * step;
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-Add(VI a, VI b)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = a.v[k] + b.v[k];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-Sub(VI a, VI b)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = a.v[k] - b.v[k];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-And(VI a, VI b)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = a.v[k] & b.v[k];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-Or(VI a, VI b)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = a.v[k] | b.v[k];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-Xor(VI a, VI b)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = a.v[k] ^ b.v[k];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-Srl(VI a, int bits)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k)
-        r.v[k] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a.v[k]) >> bits);
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-GatherI32(const std::int32_t* base, VI idx)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = base[idx.v[k]];
-    return r;
-}
-
-DBSCORE_SIMD_OP VF
-GatherF32(const float* base, VI idx)
-{
-    VF r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = base[idx.v[k]];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-GatherU16(const std::uint16_t* base, VI idx)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = base[idx.v[k]];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-CmpNotLe(VF x, VF t)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k)
-        r.v[k] = !(x.v[k] <= t.v[k]) ? -1 : 0;
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
-CmpGt(VI a, VI b)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k)
-        r.v[k] = a.v[k] > b.v[k] ? -1 : 0;
-    return r;
-}
-
-DBSCORE_SIMD_OP bool
-AllEq(VI a, VI b)
-{
-    for (std::size_t k = 0; k < kWidth; ++k)
-        if (a.v[k] != b.v[k]) return false;
-    return true;
-}
-
-DBSCORE_SIMD_OP bool
-AnyNonZero(VI a)
-{
-    for (std::size_t k = 0; k < kWidth; ++k)
-        if (a.v[k] != 0) return true;
-    return false;
-}
-
-DBSCORE_SIMD_OP void
-Store(std::int32_t* dst, VI a)
-{
-    for (std::size_t k = 0; k < kWidth; ++k) dst[k] = a.v[k];
 }
 
 #endif

@@ -84,7 +84,7 @@ enum class StageKind : std::uint8_t {
     kPageRead,          ///< storage: one page read from the page file
     kPageWrite,         ///< storage: one page write to the page file
     kBufferPool,        ///< storage: buffer-pool miss (fill + eviction)
-    kKernelBuild,       ///< wall-clock: ForestKernel compile (+ autotune)
+    kKernelBuild,       ///< wall-clock: ForestKernel compile
     kPlan,              ///< dbms: parse + plan + rewrite one statement
     kPlanCacheHit,      ///< dbms: plan served from the LRU plan cache
     kRegistryHit,       ///< fleet: model served from the warm registry

@@ -281,9 +281,9 @@ TEST(ModelRegistryTest, WarmEvictRewarmPaysBuildCostExactlyOnce)
               snap.hits);
     EXPECT_EQ(CountSpans(domain, trace::StageKind::kRegistryEvict),
               snap.evictions);
-    // The kernel build itself also emits kKernelBuild spans (compile +
-    // autotune), so count only the registry-level ones by name: one wall
-    // span + one sim span per miss.
+    // The kernel compile itself also emits a kKernelBuild span, so
+    // count only the registry-level ones by name: one wall span + one
+    // sim span per miss.
     EXPECT_EQ(CountSpans(domain, trace::StageKind::kKernelBuild,
                          "registry-build"),
               2 * snap.misses);

@@ -4,7 +4,9 @@
  * behaviour, serialization round trips, and the ONNX-like exchange format.
  */
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -350,6 +352,42 @@ TEST(SerializeTest, RejectsCorruptBlobs)
     }
 }
 
+/** Classification leaves that name no class of a 3-class forest. */
+const std::vector<float>&
+NonClassLeaves()
+{
+    static const std::vector<float> values = {
+        7.0f, 3.0f, -0.6f, std::nanf(""),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(), 1e30f};
+    return values;
+}
+
+TEST(SerializeTest, RejectsLeavesThatAreNotClassIds)
+{
+    // x0 <= 0.5 ? (x1 <= 1.5 ? L0 : L1) : leaf, in a 3-class forest.
+    auto blob_with_leaf = [](float leaf) {
+        DecisionTree t;
+        std::int32_t root = t.AddDecisionNode(0, 0.5f);
+        std::int32_t inner = t.AddDecisionNode(1, 1.5f);
+        std::int32_t l0 = t.AddLeafNode(0.0f);
+        std::int32_t l1 = t.AddLeafNode(1.0f);
+        std::int32_t l2 = t.AddLeafNode(leaf);
+        t.SetChildren(root, inner, l2);
+        t.SetChildren(inner, l0, l1);
+        RandomForest forest(Task::kClassification, 2, 3);
+        forest.AddTree(std::move(t));
+        return SerializeForest(forest);
+    };
+    for (float leaf : NonClassLeaves()) {
+        EXPECT_THROW(DeserializeForest(blob_with_leaf(leaf)), ParseError)
+            << "leaf " << leaf;
+    }
+    // Leaves round to class ids the way every predictor rounds them.
+    EXPECT_NO_THROW(DeserializeForest(blob_with_leaf(2.4f)));
+    EXPECT_NO_THROW(DeserializeForest(blob_with_leaf(-0.4f)));
+}
+
 TEST(OnnxLikeTest, ForestRoundTrip)
 {
     Dataset data = MakeHiggs(500, 15);
@@ -420,6 +458,40 @@ TEST(OnnxLikeTest, RejectsMalformedEnsembles)
         blob[0] ^= 0x1;
         EXPECT_THROW(TreeEnsemble::Deserialize(blob), ParseError);
     }
+}
+
+TEST(OnnxLikeTest, RejectsLeavesThatAreNotClassIds)
+{
+    Dataset data = MakeIris(100, 19);
+    ForestTrainerConfig config;
+    config.num_trees = 2;
+    config.max_depth = 3;
+    const TreeEnsemble e =
+        TreeEnsemble::FromForest(TrainForest(data, config));
+    ASSERT_EQ(e.num_classes, 3);
+    std::size_t leaf = 0;
+    while (e.modes[leaf] != NodeMode::kLeaf) {
+        ++leaf;
+    }
+    for (float value : NonClassLeaves()) {
+        TreeEnsemble bad = e;
+        bad.leaf_values[leaf] = value;
+        EXPECT_THROW(bad.ToForest(), ParseError) << "leaf " << value;
+        // The blob round trip carries the bad leaf to the same check.
+        EXPECT_THROW(TreeEnsemble::Deserialize(bad.Serialize()).ToForest(),
+                     ParseError)
+            << "leaf " << value;
+    }
+    TreeEnsemble rounded = e;
+    rounded.leaf_values[leaf] = 2.4f;
+    EXPECT_NO_THROW(rounded.ToForest());
+
+    // Regression leaves are values, not class ids.
+    TreeEnsemble reg = e;
+    reg.task = Task::kRegression;
+    reg.num_classes = 0;
+    reg.leaf_values[leaf] = 7.0f;
+    EXPECT_NO_THROW(reg.ToForest());
 }
 
 TEST(ModelStatsTest, CountsAreConsistent)

@@ -25,6 +25,7 @@
 #include "dbscore/forest/trainer.h"
 #include "dbscore/serve/scoring_service.h"
 #include "dbscore/serve/service_proc.h"
+#include "dbscore/trace/trace.h"
 
 namespace dbscore {
 namespace {
@@ -426,6 +427,54 @@ TEST_F(PlanTest, EarlyExitActuallySkipsTreeWork)
     EXPECT_LT(stats.tree_traversals, stats.tree_traversals_full);
 }
 
+TEST_F(PlanTest, EarlyExitPlanCompilesOneKernelPerScore)
+{
+    // The early-exit predicate runs on the SCORE's one kernel: a cold
+    // plan compiles it once, and the threshold path aliases it.
+    const std::string sql =
+        "SELECT COUNT(*) FROM reg_mem WHERE SCORE(reg) > 0.5";
+    plan::Planner planner(db_);
+    trace::TraceCollector& tracer = trace::TraceCollector::Get();
+    tracer.Clear();
+    auto plan = planner.Plan(ParseSelect(sql), sql);
+    std::size_t builds = 0;
+    for (const auto& span : tracer.Spans()) {
+        builds += span.stage == trace::StageKind::kKernelBuild;
+    }
+    EXPECT_EQ(builds, 1u);
+    ASSERT_EQ(plan->scores().size(), 1u);
+    const plan::CompiledScore& cs = plan->scores()[0];
+    ASSERT_NE(cs.kernel, nullptr);
+    EXPECT_EQ(cs.threshold_kernel, cs.kernel);
+
+    (void)plan->Execute(db_);
+    EXPECT_GT(plan->threshold_stats().rows, 0u);
+    tracer.Clear();
+}
+
+TEST_F(PlanTest, ScoreOverBadModelBlobIsATypedError)
+{
+    // A stored classification blob whose leaf is no class id must
+    // fail the SCORE with a ParseError, not abort the process.
+    TreeEnsemble bad = TreeEnsemble::FromForest(forest_);
+    for (std::size_t i = 0; i < bad.NumNodes(); ++i) {
+        if (bad.modes[i] == NodeMode::kLeaf) {
+            bad.leaf_values[i] = 7.0f;
+            break;
+        }
+    }
+    db_.StoreModel("bad", bad);
+    plan::Planner planner(db_);
+    for (const char* sql :
+         {"SELECT SCORE(bad) FROM mem",
+          "SELECT COUNT(*) FROM mem WHERE SCORE(bad) > 0.5",
+          "SELECT SCORE(bad) FROM paged"}) {
+        EXPECT_THROW(planner.ExecuteSelect(ParseSelect(sql), sql),
+                     ParseError)
+            << sql;
+    }
+}
+
 // --------------------------------------------------- engine + explain --
 
 struct PlanEngineFixture {
@@ -462,6 +511,29 @@ TEST(PlanEngineTest, SpExplainShowsRulesAndCache)
     (void)f.engine.Execute(
         "SELECT COUNT(*) FROM t WHERE SCORE(m) > 0.5");
     EXPECT_GE(f.engine.planner().CacheStats().hits, 1u);
+}
+
+TEST(PlanEngineTest, SpExplainShowsOneEarlyExitKernel)
+{
+    PlanEngineFixture f;
+    const Dataset data = MakeSyntheticRegression(300, 4, 0.1, 20);
+    ForestTrainerConfig config;
+    config.num_trees = 8;
+    config.max_depth = 6;
+    config.seed = 20;
+    f.db.StoreDataset("t", data);
+    f.db.StoreModel("r",
+                    TreeEnsemble::FromForest(TrainForest(data, config)));
+
+    const std::string text =
+        f.engine
+            .Execute("EXEC sp_explain "
+                     "@query='SELECT COUNT(*) FROM t WHERE SCORE(r) > 0.5'")
+            .ToString();
+    EXPECT_NE(text.find("kernel (8 trees) [early-exit]"), std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("kernel ("), text.rfind("kernel (")) << text;
+    EXPECT_EQ(text.find("threshold kernel"), std::string::npos) << text;
 }
 
 TEST(PlanEngineTest, LegacyPlainSelectSemanticsPreserved)
