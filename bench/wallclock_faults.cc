@@ -18,8 +18,9 @@
  *     kFallback span counts in the service's trace domain.
  *
  * Latencies inside each run are modeled SimTime (machine-independent);
- * the wall_ms field is the real wall-clock cost of driving the run and
- * varies by machine. Emits BENCH_faults.json.
+ * p50/p99 are exact, computed from the completed replies. The wall_ms
+ * field is the real wall-clock cost of driving the run and varies by
+ * machine. Emits BENCH_faults.json.
  *
  * Flags:
  *   --smoke     200 requests instead of 1000 for CI smoke runs
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "dbscore/common/stats.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/fault/fault.h"
 #include "dbscore/forest/trainer.h"
@@ -133,16 +135,25 @@ RunRate(const Fixture& f, double fault_pct, std::size_t num_requests)
     // offered load is about a third of the fault-free capacity, so
     // fault-free runs complete everything and expiry under a campaign
     // is attributable to faults, not saturation.
+    std::vector<serve::PendingScorePtr> replies;
+    replies.reserve(num_requests);
     for (std::size_t i = 0; i < num_requests; ++i) {
         serve::ScoreRequest r;
         r.model_id = "m";
         r.num_rows = 64 + 32 * (i % 8);
         r.arrival = SimTime::Millis(static_cast<double>(i) * 100.0);
         r.deadline = SimTime::Millis(2000.0);
-        service.Submit(std::move(r));
+        replies.push_back(service.Submit(std::move(r)));
     }
     service.Drain();
     fault::FaultInjector::Get().Clear();
+    QuantileSketch latency;
+    for (const serve::PendingScorePtr& pending : replies) {
+        const serve::ScoreReply& reply = pending->Wait();
+        if (reply.status == serve::RequestStatus::kCompleted) {
+            latency.Add(reply.timing.latency.seconds());
+        }
+    }
 
     serve::ServiceSnapshot snap = service.Stats();
     RateResult r;
@@ -160,8 +171,10 @@ RunRate(const Fixture& f, double fault_pct, std::size_t num_requests)
     r.fault_wasted_ms = snap.fault_wasted.millis();
     r.retry_backoff_ms = snap.retry_backoff.millis();
     r.goodput_rps = snap.ThroughputRps();
-    r.latency_p50_ms = snap.latency.p50 * 1e3;
-    r.latency_p99_ms = snap.latency.p99 * 1e3;
+    if (latency.count() > 0) {
+        r.latency_p50_ms = latency.Quantile(0.50) * 1e3;
+        r.latency_p99_ms = latency.Quantile(0.99) * 1e3;
+    }
     r.makespan_ms = snap.Makespan().millis();
     r.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - wall_start)

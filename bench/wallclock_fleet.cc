@@ -18,13 +18,16 @@
  * queue, then the gate opens and the backlog drains against the class
  * deadlines. The run *asserts* the SLO contract — gold's deadline-
  * violation rate (missed-deadline completions + expiries over settled
- * work) stays strictly below bronze's — and the serving invariant:
+ * work) stays strictly below bronze's — the serving invariant:
  * predictions are bit-identical whether served warm, re-warmed after
- * EvictAllModels, or computed by a direct single-tenant kernel.
+ * EvictAllModels, or computed by a direct single-tenant kernel — and
+ * determinism: the smoke scales, run twice, give identical modeled
+ * columns.
  *
  * Latencies inside each run are modeled SimTime (machine-independent);
- * wall_ms is the real cost of driving the run and varies by machine.
- * Emits BENCH_fleet.json.
+ * the per-class p50/p99 are exact, computed from the replies. wall_ms
+ * is the real cost of driving the run and varies by machine. Emits
+ * BENCH_fleet.json.
  *
  * Flags:
  *   --smoke     scales {100, 1000} and smaller bursts for CI runs
@@ -35,11 +38,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "dbscore/common/stats.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/fault/fault.h"
 #include "dbscore/fleet/fleet_service.h"
@@ -107,8 +112,12 @@ struct ScaleResult {
     ClassResult cls[fleet::kNumSloClasses];
 };
 
+/**
+ * One class's counters, with p50/p99 computed exactly from @p latency
+ * (the modeled latencies of its completed replies, seconds).
+ */
 ClassResult
-SummarizeClass(const fleet::ClassSnapshot& c)
+SummarizeClass(const fleet::ClassSnapshot& c, const QuantileSketch& latency)
 {
     ClassResult r;
     r.submitted = c.submitted;
@@ -116,8 +125,10 @@ SummarizeClass(const fleet::ClassSnapshot& c)
     r.expired = c.expired;
     r.rejected = c.rejected_quota + c.rejected_capacity;
     r.deadline_misses = c.deadline_misses;
-    r.latency_p50_ms = c.latency.p50 * 1e3;
-    r.latency_p99_ms = c.latency.p99 * 1e3;
+    if (latency.count() > 0) {
+        r.latency_p50_ms = latency.Quantile(0.50) * 1e3;
+        r.latency_p99_ms = latency.Quantile(0.99) * 1e3;
+    }
     const std::size_t settled = c.completed + c.expired;
     if (settled > 0) {
         r.violation_rate =
@@ -193,17 +204,27 @@ RunScale(const Fixture& f, std::size_t num_tenants,
     // backlog is where service order is decided and the class weights
     // are the only thing separating gold's tail from bronze's.
     const double spacing_ms = 10.0 / static_cast<double>(num_requests);
+    std::vector<std::future<fleet::FleetReply>> replies;
+    replies.reserve(num_requests);
     for (std::size_t i = 0; i < num_requests; ++i) {
         fleet::FleetRequest r;
         r.tenant_id = i % num_tenants;
         r.num_rows = 64;
         r.arrival =
             SimTime::Millis(static_cast<double>(i) * spacing_ms);
-        service.Submit(std::move(r));
+        replies.push_back(service.Submit(std::move(r)));
     }
     service.ReleaseDispatch();
     service.Drain();
     fault::FaultInjector::Get().Clear();
+    QuantileSketch latency[fleet::kNumSloClasses];
+    for (std::future<fleet::FleetReply>& future : replies) {
+        const fleet::FleetReply reply = future.get();
+        if (reply.status == serve::RequestStatus::kCompleted) {
+            latency[static_cast<int>(reply.slo)].Add(
+                reply.Latency().seconds());
+        }
+    }
 
     fleet::FleetSnapshot snap = service.Stats();
     ScaleResult r;
@@ -217,7 +238,7 @@ RunScale(const Fixture& f, std::size_t num_tenants,
     r.registry_build_ms = snap.registry.build_cost_total.millis();
     r.makespan_ms = snap.Makespan().millis();
     for (int c = 0; c < fleet::kNumSloClasses; ++c) {
-        r.cls[c] = SummarizeClass(snap.classes[c]);
+        r.cls[c] = SummarizeClass(snap.classes[c], latency[c]);
         r.expired += snap.classes[c].expired;
         r.rejected += r.cls[c].rejected;
     }
@@ -234,6 +255,59 @@ RunScale(const Fixture& f, std::size_t num_tenants,
                     .count();
     service.Stop();
     return r;
+}
+
+/** Every column of @p r except wall_ms, in a fixed order. */
+std::vector<double>
+ModeledColumns(const ScaleResult& r)
+{
+    std::vector<double> v = {
+        static_cast<double>(r.tenants),
+        static_cast<double>(r.requests),
+        static_cast<double>(r.completed),
+        static_cast<double>(r.expired),
+        static_cast<double>(r.rejected),
+        r.goodput_rps,
+        r.registry_hit_rate,
+        static_cast<double>(r.registry_evictions),
+        static_cast<double>(r.registry_rebuilds),
+        r.registry_build_ms,
+        static_cast<double>(r.fault_attempts),
+        static_cast<double>(r.fallbacks),
+        static_cast<double>(r.breaker_opens),
+        static_cast<double>(r.scale_ups),
+        static_cast<double>(r.scale_downs),
+        static_cast<double>(r.lanes_final),
+        r.makespan_ms,
+    };
+    for (const ClassResult& c : r.cls) {
+        v.insert(v.end(), {static_cast<double>(c.submitted),
+                           static_cast<double>(c.completed),
+                           static_cast<double>(c.expired),
+                           static_cast<double>(c.rejected),
+                           static_cast<double>(c.deadline_misses),
+                           c.latency_p50_ms, c.latency_p99_ms,
+                           c.violation_rate});
+    }
+    return v;
+}
+
+/**
+ * Determinism: every smoke scale, run twice in this process, gives
+ * identical modeled columns. The dispatcher commits each modeled step
+ * in dispatch order, so thread timing must not move any of them.
+ */
+bool
+CheckDeterminism(const Fixture& f, const std::vector<std::size_t>& scales,
+                 std::size_t requests)
+{
+    bool same = true;
+    for (std::size_t tenants : scales) {
+        const ScaleResult a = RunScale(f, tenants, requests, 2.0);
+        const ScaleResult b = RunScale(f, tenants, requests, 2.0);
+        same = same && ModeledColumns(a) == ModeledColumns(b);
+    }
+    return same;
 }
 
 /**
@@ -286,11 +360,13 @@ CheckBitIdentity(const Fixture& f)
 
 void
 WriteJson(const std::string& path, const std::vector<ScaleResult>& results,
-          bool smoke, bool slo_pass, bool bit_identity_pass)
+          bool smoke, bool slo_pass, bool bit_identity_pass,
+          bool determinism_pass)
 {
     BenchJsonWriter doc("wallclock_fleet", smoke);
     doc.header().Bool("slo_pass", slo_pass);
     doc.header().Bool("bit_identity_pass", bit_identity_pass);
+    doc.header().Bool("determinism_pass", determinism_pass);
     static const char* kClassKeys[fleet::kNumSloClasses] = {
         "gold", "silver", "bronze"};
     for (const ScaleResult& r : results) {
@@ -329,8 +405,10 @@ WriteJson(const std::string& path, const std::vector<ScaleResult>& results,
 int
 Run(bool smoke, const std::string& out_path)
 {
+    const std::vector<std::size_t> smoke_scales = {100, 1000};
+    const std::size_t smoke_requests = 400;
     const std::vector<std::size_t> scales =
-        smoke ? std::vector<std::size_t>{100, 1000}
+        smoke ? smoke_scales
               : std::vector<std::size_t>{100, 1000, 10000, 100000,
                                          1000000};
     Fixture f;
@@ -347,7 +425,7 @@ Run(bool smoke, const std::string& out_path)
         // to 10^6 (registry/admission structures must hold it), while
         // the drained burst stays constant so every scale sees the
         // same overload and per-class violation rates are comparable.
-        const std::size_t requests = smoke ? 400 : 2000;
+        const std::size_t requests = smoke ? smoke_requests : 2000;
         ScaleResult r = RunScale(f, tenants, requests, /*fault_pct=*/2.0);
         const ClassResult& gold =
             r.cls[static_cast<int>(fleet::SloClass::kGold)];
@@ -365,7 +443,10 @@ Run(bool smoke, const std::string& out_path)
     }
 
     const bool bit_identity_pass = CheckBitIdentity(f);
-    WriteJson(out_path, results, smoke, slo_pass, bit_identity_pass);
+    const bool determinism_pass =
+        CheckDeterminism(f, smoke_scales, smoke_requests);
+    WriteJson(out_path, results, smoke, slo_pass, bit_identity_pass,
+              determinism_pass);
     std::cout << "wrote " << out_path << "\n";
     if (!slo_pass) {
         std::cerr << "FAIL: gold's deadline-violation rate did not stay "
@@ -375,6 +456,11 @@ Run(bool smoke, const std::string& out_path)
     if (!bit_identity_pass) {
         std::cerr << "FAIL: warm / re-warmed / direct predictions "
                   << "are not bit-identical\n";
+        return 1;
+    }
+    if (!determinism_pass) {
+        std::cerr << "FAIL: two runs of one smoke scale gave different "
+                  << "modeled columns\n";
         return 1;
     }
     return 0;

@@ -38,12 +38,18 @@ class RunningStats {
 };
 
 /**
- * Exact quantiles over a retained sample vector. Fine for the sizes we
- * care about (bench sweeps, path-length samples).
+ * Exact quantiles over a retained sample vector, so memory grows with
+ * every sample: for offline use (bench sweeps, path-length samples).
+ * Long-running services record into bounded histograms instead.
  */
 class QuantileSketch {
  public:
-    void Add(double x) { values_.push_back(x); }
+    void
+    Add(double x)
+    {
+        values_.push_back(x);
+        sorted_ = false;
+    }
 
     std::size_t count() const { return values_.size(); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dbscore/common/error.h"
 #include "dbscore/common/thread_pool.h"
@@ -98,9 +99,20 @@ HbCostCard::HbCostCard(const GpuDeviceModel& device,
                             t.leaves * outputs * 4;
         } else {
             // Heap-ordered features and thresholds, 2^D leaf values.
-            const std::uint64_t leaf_slots = std::uint64_t{1} << t.depth;
-            model_bytes_ += (leaf_slots - 1) * 4 + (leaf_slots - 1) * 4 +
-                            leaf_slots * 4;
+            // Past depth 60 the bytes overflow 64 bits (and any device),
+            // so the size saturates: the estimate stays finite and
+            // never wins placement.
+            constexpr std::uint64_t kMax =
+                std::numeric_limits<std::uint64_t>::max();
+            std::uint64_t tree_bytes = kMax;
+            if (t.depth < 60) {
+                const std::uint64_t leaf_slots = std::uint64_t{1} << t.depth;
+                tree_bytes = (leaf_slots - 1) * 4 + (leaf_slots - 1) * 4 +
+                             leaf_slots * 4;
+            }
+            model_bytes_ = tree_bytes > kMax - model_bytes_
+                               ? kMax
+                               : model_bytes_ + tree_bytes;
         }
         internal_total += t.internal;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "dbscore/common/error.h"
@@ -43,6 +44,13 @@ LaneModelOf(const WarmModel& model)
 FleetService::FleetService(const HardwareProfile& profile, FleetConfig config)
     : profile_(profile),
       config_(std::move(config)),
+      depth_cap_(static_cast<std::size_t>(
+                     std::max(config_.autoscaler.scale_up_queue_per_lane,
+                              config_.autoscaler.scale_down_queue_per_lane) *
+                     static_cast<double>(std::max(
+                         config_.autoscaler.max_lanes,
+                         InitialLanes(config_)))) +
+                 1),
       trace_domain_(TraceCollector::Get().NewDomain()),
       registry_(profile, config_.registry),
       lanes_(InitialLanes(config_), config_.runtime_params, config_.retry,
@@ -133,7 +141,7 @@ FleetService::Start()
             config_.slo[2].weight});
     running_ = true;
     threads_ = std::make_unique<ThreadPool>(4);
-    threads_->Submit([this] { SchedulerLoop(); });
+    threads_->Submit([this] { DispatcherLoop(); });
     for (int d = 0; d < 3; ++d) {
         threads_->Submit([this, d] { WorkerLoop(d); });
     }
@@ -152,8 +160,8 @@ FleetService::Stop()
         // central queue on its way out.
         dispatch_held_ = false;
     }
-    scheduler_cv_.notify_all();
-    threads_.reset();  // joins scheduler + workers
+    dispatcher_cv_.notify_all();
+    threads_.reset();  // joins dispatcher + workers
     std::lock_guard<std::mutex> lock(admission_mutex_);
     running_ = false;
 }
@@ -184,7 +192,7 @@ FleetService::ReleaseDispatch()
         std::lock_guard<std::mutex> lock(admission_mutex_);
         dispatch_held_ = false;
     }
-    scheduler_cv_.notify_all();
+    dispatcher_cv_.notify_all();
 }
 
 std::future<FleetReply>
@@ -249,7 +257,7 @@ FleetService::Submit(FleetRequest request)
     ++submitted_;
     wfq_->Push(cls, std::move(pending));
     lock.unlock();
-    scheduler_cv_.notify_one();
+    dispatcher_cv_.notify_one();
     return future;
 }
 
@@ -283,166 +291,26 @@ FleetService::EvictAllModels()
     registry_.EvictAll();
 }
 
-bool
-FleetService::HasRoom(Device& device) const
-{
-    std::lock_guard<std::mutex> lock(device.mutex);
-    const auto window = static_cast<std::size_t>(
-        static_cast<double>(device.lanes) * config_.window_per_lane);
-    return device.queue.size() + device.inflight < window;
-}
-
 void
-FleetService::SchedulerLoop()
+FleetService::DispatcherLoop()
 {
     std::unique_lock<std::mutex> lock(admission_mutex_);
     for (;;) {
-        scheduler_cv_.wait(lock, [&] {
-            return (stop_requested_ && !dispatch_held_) ||
-                   (!wfq_->empty() && !dispatch_held_);
+        dispatcher_cv_.wait(lock, [&] {
+            return !dispatch_held_ && (stop_requested_ || !wfq_->empty());
         });
         if (wfq_->empty()) {
-            if (stop_requested_) {
-                break;
-            }
-            continue;
+            break;  // stop requested and the central queue drained
         }
-
-        // Find devices with dispatch-window room. Lock order is
-        // admission -> device everywhere, so these brief device peeks
-        // are safe under the admission lock.
-        std::array<bool, 3> has_room{};
-        bool any_room = false;
-        for (int d = 0; d < 3; ++d) {
-            has_room[d] = HasRoom(devices_[d]);
-            any_room = any_room || has_room[d];
-        }
-        if (!any_room) {
-            // Workers notify scheduler_cv_ as they free window slots;
-            // the timeout is a lost-wakeup backstop (wall-clock
-            // liveness only — modeled time never sees it).
-            scheduler_cv_.wait_for(lock, std::chrono::milliseconds(1));
-            continue;
-        }
-
         PendingPtr pending = *wfq_->Pop();
         const std::string model_id = model_ids_[pending->model_idx];
-        // Captured under the lock for the autoscaler: the dispatch
-        // window keeps device queues shallow by design, so the central
-        // backlog is where overload is actually visible.
+        // Captured under the lock for the autoscaler: the central
+        // backlog is where overload piles up.
         const std::size_t central_backlog = wfq_->size();
         lock.unlock();
-
-        // Warm (or build) the model outside the admission lock so
-        // submissions keep flowing during a rebuild.
-        AcquireResult acquired =
-            registry_.Acquire(model_id, pending->trace, pending->arrival);
-        const SimTime ready = pending->arrival + acquired.build_cost;
-        const std::size_t rows = pending->request.num_rows;
-
-        // Earliest-finish placement across devices with room, skipping
-        // accelerators whose breaker turns the dispatch away (open,
-        // cooldown pending). CPU is the fallback of last resort even
-        // when its window is full.
-        int chosen = -1;
-        BackendKind chosen_kind = BackendKind::kCpuSklearn;
-        SimTime chosen_finish;
-        for (int d = 0; d < 3; ++d) {
-            const auto device_class = static_cast<DeviceClass>(d);
-            auto est = BestOfClass(*acquired.model->scheduler, device_class,
-                                   rows);
-            if (!est.has_value()) {
-                continue;
-            }
-            // Room only grows while this thread is away: workers pop
-            // and finish, and only the scheduler enqueues or resizes.
-            if (!has_room[d] && !HasRoom(devices_[d])) {
-                continue;
-            }
-            const auto lane =
-                lanes_.Admit(device_class, ready, pending->trace);
-            if (!lane.has_value()) {
-                continue;
-            }
-            const SimTime finish = Max(ready, lane->at) + est->Total();
-            if (chosen < 0 || finish < chosen_finish) {
-                chosen = d;
-                chosen_kind = est->kind;
-                chosen_finish = finish;
-            }
-        }
-        if (chosen < 0) {
-            // Breakers closed every roomy accelerator and CPU is full:
-            // queue on CPU anyway (bounded by the WFQ capacity).
-            auto cpu = BestOfClass(*acquired.model->scheduler,
-                                   DeviceClass::kCpu, rows);
-            DBS_ASSERT(cpu.has_value());
-            chosen = 0;
-            chosen_kind = cpu->kind;
-        }
-
-        DeviceWork work;
-        work.pending = std::move(pending);
-        work.model = acquired.model;
-        work.ready = ready;
-        work.registry_miss = !acquired.hit;
-
-        // Model the first attempt's full cost here, at dispatch, and
-        // reserve the lane up to its projected finish. Charging the
-        // horizon before the worker runs keeps modeled placement (and
-        // thus latencies) a function of the dispatch sequence alone —
-        // not of how fast real worker threads happen to drain queues.
-        // The scheduler is the only thread invoking a device's runtime
-        // for first attempts, so pool warm/cold state also evolves in
-        // dispatch order.
-        serve::LaneRun& run = work.run;
-        run.device = static_cast<DeviceClass>(chosen);
-        run.kind = chosen_kind;
-        run.rows = rows;
-        const SloPolicy& policy =
-            config_.slo[static_cast<int>(work.pending->cls)];
-        const SimTime deadline_at = work.pending->arrival + policy.deadline;
-        lanes_.Reserve(LaneModelOf(*acquired.model), run, ready, deadline_at);
-        Device& dev = devices_[chosen];
-        if (run.now > deadline_at) {
-            // Deadline admission at dispatch: the modeled start
-            // already overruns the class deadline, so the request
-            // expires instead of scoring (Reserve left the lane
-            // uncharged). An expiry is the strongest overload signal
-            // there is: it counts as a missed-deadline sample in the
-            // autoscaler's window alongside late completions.
-            {
-                std::lock_guard<std::mutex> dlock(dev.mutex);
-                ++dev.window_completions;
-                ++dev.window_deadline_misses;
-            }
-            Pending& p = *work.pending;
-            FleetReply reply;
-            reply.status = RequestStatus::kExpired;
-            reply.slo = p.cls;
-            reply.arrival = p.arrival;
-            reply.finish = run.now;
-            reply.registry_miss = work.registry_miss;
-            reply.error = "fleet: deadline expired before dispatch";
-            stats_.RecordExpired(p.cls, p.arrival, run.now);
-            TraceCollector::Get().EmitSim(
-                StageKind::kQuery, "fleet-request", p.trace, p.arrival,
-                run.now - p.arrival,
-                {{"class", static_cast<double>(p.cls)}, {"expired", 1.0}});
-            {
-                ScopedSpan fulfill(StageKind::kReply, "fulfill", p.trace);
-                p.promise.set_value(std::move(reply));
-            }
-            SettleOne();
-        } else {
-            {
-                std::lock_guard<std::mutex> dlock(dev.mutex);
-                dev.queue.push_back(std::move(work));
-            }
-            dev.cv.notify_one();
-        }
-
-        MaybeAutoscale(ready, central_backlog);
+        // Dispatch outside the admission lock so submissions keep
+        // flowing during a registry build.
+        Dispatch(std::move(pending), model_id, central_backlog);
         lock.lock();
     }
 
@@ -459,53 +327,258 @@ FleetService::SchedulerLoop()
 }
 
 void
+FleetService::Dispatch(PendingPtr pending, const std::string& model_id,
+                       std::size_t central_backlog)
+{
+    Pending& p = *pending;
+    FleetReply reply;
+    reply.slo = p.cls;
+    reply.arrival = p.arrival;
+
+    AcquireResult acquired;
+    try {
+        acquired = registry_.Acquire(model_id, p.trace, p.arrival);
+    } catch (const std::exception& e) {
+        // A model that cannot be built fails its requests; the
+        // service keeps serving every other model.
+        Fail(p, std::move(reply), p.arrival, e.what());
+        TraceCollector::Get().Drain();
+        return;
+    }
+    const WarmModel& model = *acquired.model;
+    reply.registry_miss = !acquired.hit;
+    const std::vector<float>& payload = p.request.rows;
+    if (!payload.empty() &&
+        payload.size() != p.request.num_rows * model.num_cols) {
+        // The worker would read past (or ignore part of) the payload.
+        Fail(p, std::move(reply), p.arrival,
+             "fleet: payload is not num_rows x the model's columns");
+        TraceCollector::Get().Drain();
+        return;
+    }
+    const serve::LaneModel lane_model = LaneModelOf(model);
+    const SimTime ready = p.arrival + acquired.build_cost;
+    const std::size_t rows = p.request.num_rows;
+
+    // Earliest-finish placement across devices, skipping accelerators
+    // whose breaker turns the dispatch away (open, cooldown pending).
+    // CPU is always admitted.
+    int chosen = -1;
+    BackendKind chosen_kind = BackendKind::kCpuSklearn;
+    SimTime chosen_finish;
+    for (int d = 0; d < 3; ++d) {
+        const auto device_class = static_cast<DeviceClass>(d);
+        auto est = BestOfClass(*model.scheduler, device_class, rows);
+        if (!est.has_value()) {
+            continue;
+        }
+        const auto lane = lanes_.Admit(device_class, ready, p.trace);
+        if (!lane.has_value()) {
+            continue;
+        }
+        const SimTime finish = Max(ready, lane->at) + est->Total();
+        if (chosen < 0 || finish < chosen_finish) {
+            chosen = d;
+            chosen_kind = est->kind;
+            chosen_finish = finish;
+        }
+    }
+    DBS_ASSERT(chosen >= 0);  // the CPU can always host the model
+    Device& placed = devices_[chosen];
+
+    // Model the first attempt's full cost and reserve the lane up to
+    // its projected finish, then run the whole attempt loop — faults,
+    // backoff, retries, CPU degrade — right here, before the next
+    // dispatch. Every modeled step (lane horizons, breakers, runtime
+    // warm/cold state, the fault streams) thus evolves in dispatch
+    // order alone.
+    serve::LaneRun run;
+    run.device = static_cast<DeviceClass>(chosen);
+    run.kind = chosen_kind;
+    run.rows = rows;
+    const SloPolicy& policy = config_.slo[static_cast<int>(p.cls)];
+    const SimTime deadline_at = p.arrival + policy.deadline;
+    lanes_.Reserve(lane_model, run, ready, deadline_at);
+    const SimTime start = run.now;
+    if (start > deadline_at) {
+        // Deadline admission at dispatch: the modeled start already
+        // overruns the class deadline, so the request expires instead
+        // of scoring (Reserve left the lane uncharged). An expiry is
+        // the strongest overload signal there is: it counts as a
+        // missed-deadline sample in the autoscaler's window alongside
+        // late completions.
+        ++placed.window_completions;
+        ++placed.window_deadline_misses;
+        reply.status = RequestStatus::kExpired;
+        reply.finish = start;
+        reply.error = "fleet: deadline expired before dispatch";
+        stats_.RecordExpired(p.cls, p.arrival, start);
+        TraceCollector::Get().EmitSim(
+            StageKind::kQuery, "fleet-request", p.trace, p.arrival,
+            start - p.arrival,
+            {{"class", static_cast<double>(p.cls)}, {"expired", 1.0}});
+        Answer(p, std::move(reply));
+    } else {
+        serve::LaneRiders rider(p.trace, deadline_at);
+        lanes_.Run(lane_model, run, rider);
+        reply.attempts = run.attempts;
+        reply.degraded = run.degraded;
+        if (run.completed) {
+            Complete(placed, std::move(pending), acquired.model, run,
+                     ready, start, deadline_at, std::move(reply));
+        } else {
+            Commit(placed, run.now);
+            Fail(p, std::move(reply), run.now,
+                 run.rows == 0
+                     ? "fleet: deadline precludes retry"
+                     : "fleet: injected faults exhausted every retry");
+        }
+    }
+
+    MaybeAutoscale(ready, central_backlog);
+    // Keep the per-thread rings far from overflow: a dispatch emits at
+    // most a dozen spans.
+    TraceCollector::Get().Drain();
+}
+
+void
+FleetService::Complete(Device& placed, PendingPtr pending,
+                       WarmModelPtr model, const serve::LaneRun& run,
+                       SimTime ready, SimTime start, SimTime deadline_at,
+                       FleetReply reply)
+{
+    TraceCollector& tracer = TraceCollector::Get();
+    const Pending& p = *pending;
+    const serve::AttemptCost& cost = run.cost;
+    const SimTime service = cost.Total();
+    const SimTime finish = run.now + service;
+    const bool deadline_miss = finish > deadline_at;
+    Commit(placed, finish);
+    // Autoscaler window sample on the *placement* device (the one
+    // whose pool this dispatch was sized for).
+    ++placed.window_completions;
+    if (deadline_miss) {
+        ++placed.window_deadline_misses;
+    }
+    stats_.RecordDispatch(run.device, 1, p.request.num_rows, service);
+
+    // Simulated stage chain: queue wait at its true timeline position,
+    // then the dispatch costs laid end to end from the successful
+    // attempt (faults and backoffs already own start..run.now).
+    tracer.EmitSim(StageKind::kQueueWait, "queue-wait", p.trace, ready,
+                   start - ready);
+    SimTime cursor = run.now;
+    const struct {
+        StageKind stage;
+        const char* name;
+        SimTime dur;
+    } stages[] = {
+        {StageKind::kInvocation, "invocation", cost.invocation.cost},
+        {StageKind::kModelPreproc, "model-preproc", cost.model_pre},
+        {StageKind::kMarshal, "transfer", cost.Transfer()},
+        {StageKind::kDataPreproc, "data-preproc", cost.data_pre},
+        {StageKind::kScoring, "scoring", cost.scoring.Total()},
+    };
+    for (const auto& s : stages) {
+        tracer.EmitSim(s.stage, s.name, p.trace, cursor, s.dur);
+        cursor += s.dur;
+    }
+
+    reply.status = RequestStatus::kCompleted;
+    reply.device = run.device;
+    reply.backend = run.kind;
+    reply.deadline_miss = deadline_miss;
+    reply.finish = finish;
+    stats_.RecordCompleted(p.cls, p.arrival, finish, run.degraded,
+                           deadline_miss);
+    tracer.EmitSim(StageKind::kQuery, "fleet-request", p.trace, p.arrival,
+                   finish - p.arrival,
+                   {{"class", static_cast<double>(p.cls)},
+                    {"miss", deadline_miss ? 1.0 : 0.0}});
+    HandOff(placed,
+            DeviceWork{std::move(pending), std::move(model), std::move(reply)});
+}
+
+void
+FleetService::Fail(Pending& pending, FleetReply reply, SimTime at,
+                   std::string why)
+{
+    reply.status = RequestStatus::kFailed;
+    reply.finish = at;
+    reply.error = std::move(why);
+    stats_.RecordFailed(pending.cls, pending.arrival, at);
+    TraceCollector::Get().EmitSim(
+        StageKind::kQuery, "fleet-request", pending.trace, pending.arrival,
+        at - pending.arrival,
+        {{"class", static_cast<double>(pending.cls)}, {"failed", 1.0}});
+    Answer(pending, std::move(reply));
+}
+
+void
+FleetService::Commit(Device& device, SimTime finish)
+{
+    device.running.insert(finish);
+    if (device.running.size() > depth_cap_) {
+        device.running.erase(device.running.begin());
+    }
+}
+
+void
+FleetService::HandOff(Device& device, DeviceWork work)
+{
+    {
+        std::unique_lock<std::mutex> dlock(device.mutex);
+        const auto window = static_cast<std::size_t>(
+            static_cast<double>(device.lanes) * config_.window_per_lane);
+        // The worker signals `room` as it frees slots; the timeout is a
+        // lost-wakeup backstop (wall-clock liveness only — modeled time
+        // never sees it).
+        while (device.queue.size() + device.inflight >= window) {
+            device.room.wait_for(dlock, std::chrono::milliseconds(1));
+        }
+        device.queue.push_back(std::move(work));
+    }
+    device.cv.notify_one();
+}
+
+void
 FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
 {
     TraceCollector& tracer = TraceCollector::Get();
     for (int d = 0; d < 3; ++d) {
         Device& device = devices_[d];
+        DeviceLoadSignals signals;
+        signals.lanes = device.lanes;
+        // The committed dispatches still running at `now` on the
+        // modeled clock, plus this device's share of the central WFQ
+        // backlog, where overload actually piles up.
+        const auto running = static_cast<std::size_t>(std::distance(
+            device.running.upper_bound(now), device.running.end()));
+        signals.queue_depth = running + central_backlog / 3;
+        signals.window_completions = device.window_completions;
+        signals.window_deadline_misses = device.window_deadline_misses;
+        signals.now = now;
+        signals.last_change = device.last_scale_change;
+        const AutoscaleDecision decision =
+            Autoscale(config_.autoscaler, signals);
+        const int delta = decision.delta;
+        if (delta == 0) {
+            continue;
+        }
+        device.lanes = delta > 0
+                           ? device.lanes + static_cast<std::size_t>(delta)
+                           : device.lanes - static_cast<std::size_t>(-delta);
+        device.last_scale_change = now;
+        device.window_completions = 0;
+        device.window_deadline_misses = 0;
         const auto device_class = static_cast<DeviceClass>(d);
-        int delta = 0;
-        std::size_t lanes_after = 0;
-        const char* reason = "hold";
-        {
-            std::lock_guard<std::mutex> dlock(device.mutex);
-            DeviceLoadSignals signals;
-            signals.lanes = device.lanes;
-            // Device queues are bounded by the dispatch window, so the
-            // per-device depth alone can never cross the scale-up
-            // threshold; each device also carries its share of the
-            // central WFQ backlog, where overload actually piles up.
-            signals.queue_depth = device.queue.size() + device.inflight +
-                                  central_backlog / 3;
-            signals.window_completions = device.window_completions;
-            signals.window_deadline_misses = device.window_deadline_misses;
-            signals.now = now;
-            signals.last_change = device.last_scale_change;
-            const AutoscaleDecision decision =
-                Autoscale(config_.autoscaler, signals);
-            delta = decision.delta;
-            reason = decision.reason;
-            if (delta != 0) {
-                device.lanes =
-                    delta > 0 ? device.lanes + static_cast<std::size_t>(delta)
-                              : device.lanes - static_cast<std::size_t>(-delta);
-                device.last_scale_change = now;
-                device.window_completions = 0;
-                device.window_deadline_misses = 0;
-            }
-            lanes_after = device.lanes;
-        }
-        if (delta != 0) {
-            lanes_.ResizeLanes(device_class, lanes_after);
-            stats_.SetLanes(device_class, lanes_after, delta);
-            tracer.EmitSim(StageKind::kAutoscale, reason,
-                           tracer.NewRootContext(trace_domain_), now,
-                           SimTime(),
-                           {{"device", static_cast<double>(d)},
-                            {"lanes", static_cast<double>(lanes_after)},
-                            {"delta", static_cast<double>(delta)}});
-        }
+        lanes_.ResizeLanes(device_class, device.lanes);
+        stats_.SetLanes(device_class, device.lanes, delta);
+        tracer.EmitSim(StageKind::kAutoscale, decision.reason,
+                       tracer.NewRootContext(trace_domain_), now, SimTime(),
+                       {{"device", static_cast<double>(d)},
+                        {"lanes", static_cast<double>(device.lanes)},
+                        {"delta", static_cast<double>(delta)}});
     }
 }
 
@@ -527,15 +600,34 @@ FleetService::WorkerLoop(int device_index)
             device.queue.pop_front();
             ++device.inflight;
         }
-        // A window slot just freed; the scheduler may dispatch again.
-        scheduler_cv_.notify_one();
-        ExecuteOne(device, std::move(work));
+        const FleetRequest& request = work.pending->request;
+        if (!request.rows.empty()) {
+            // Functional scoring through the registry's shared
+            // CompiledModel: the same compiled plan serves warm,
+            // re-warmed and degraded dispatches, so predictions are
+            // bit-identical in every case. Wall-clock only; the
+            // modeled reply is already fixed.
+            work.reply.predictions = work.model->compiled->Predict(
+                RowView::Borrow(request.rows.data(), request.num_rows,
+                                work.model->num_cols));
+        }
+        Answer(*work.pending, std::move(work.reply));
         {
             std::lock_guard<std::mutex> dlock(device.mutex);
             --device.inflight;
         }
-        scheduler_cv_.notify_one();
+        device.room.notify_one();
     }
+}
+
+void
+FleetService::Answer(Pending& pending, FleetReply reply)
+{
+    {
+        ScopedSpan fulfill(StageKind::kReply, "fulfill", pending.trace);
+        pending.promise.set_value(std::move(reply));
+    }
+    SettleOne();
 }
 
 void
@@ -546,116 +638,6 @@ FleetService::SettleOne()
         ++settled_;
     }
     settle_cv_.notify_all();
-}
-
-void
-FleetService::ExecuteOne(Device& device, DeviceWork work)
-{
-    TraceCollector& tracer = TraceCollector::Get();
-    Pending& pending = *work.pending;
-    const WarmModel& model = *work.model;
-    const SloPolicy& policy = config_.slo[static_cast<int>(pending.cls)];
-    const SimTime arrival = pending.arrival;
-    const SimTime deadline_at = arrival + policy.deadline;
-    const std::size_t rows = pending.request.num_rows;
-
-    auto finish_reply = [&](FleetReply reply) {
-        {
-            ScopedSpan fulfill(StageKind::kReply, "fulfill", pending.trace);
-            pending.promise.set_value(std::move(reply));
-        }
-        SettleOne();
-    };
-
-    // The scheduler fixed the lane, start and first-attempt costs at
-    // dispatch; retries and a CPU fallback are costed by the lanes
-    // against the then-current device runtime.
-    serve::LaneRun& run = work.run;
-    const SimTime start = run.now;
-    serve::LaneRiders rider(pending.trace, deadline_at);
-    lanes_.Run(LaneModelOf(model), run, rider);
-
-    FleetReply reply;
-    reply.slo = pending.cls;
-    reply.arrival = arrival;
-    reply.registry_miss = work.registry_miss;
-    reply.attempts = run.attempts;
-    reply.degraded = run.degraded;
-
-    if (!run.completed) {
-        reply.status = RequestStatus::kFailed;
-        reply.finish = run.now;
-        reply.error = run.rows == 0
-                          ? "fleet: deadline precludes retry"
-                          : "fleet: injected faults exhausted every retry";
-        stats_.RecordFailed(pending.cls, arrival, run.now);
-        tracer.EmitSim(StageKind::kQuery, "fleet-request", pending.trace,
-                       arrival, run.now - arrival,
-                       {{"class", static_cast<double>(pending.cls)},
-                        {"failed", 1.0}});
-        finish_reply(std::move(reply));
-        tracer.Drain();
-        return;
-    }
-
-    const serve::AttemptCost& cost = run.cost;
-    const SimTime service = cost.Total();
-    const SimTime finish = run.now + service;
-    stats_.RecordDispatch(run.device, 1, rows, service);
-
-    const bool deadline_miss = finish > deadline_at;
-    {
-        // Autoscaler window sample on the *placement* device (the one
-        // whose pool the scheduler sized this work for).
-        std::lock_guard<std::mutex> dlock(device.mutex);
-        ++device.window_completions;
-        if (deadline_miss) {
-            ++device.window_deadline_misses;
-        }
-    }
-
-    // Simulated stage chain: queue wait at its true timeline position,
-    // then the dispatch costs laid end to end from the successful
-    // attempt (faults and backoffs already own start..run.now).
-    tracer.EmitSim(StageKind::kQueueWait, "queue-wait", pending.trace,
-                   work.ready, start - work.ready);
-    SimTime cursor = run.now;
-    const struct {
-        StageKind stage;
-        const char* name;
-        SimTime dur;
-    } stages[] = {
-        {StageKind::kInvocation, "invocation", cost.invocation.cost},
-        {StageKind::kModelPreproc, "model-preproc", cost.model_pre},
-        {StageKind::kMarshal, "transfer", cost.Transfer()},
-        {StageKind::kDataPreproc, "data-preproc", cost.data_pre},
-        {StageKind::kScoring, "scoring", cost.scoring.Total()},
-    };
-    for (const auto& s : stages) {
-        tracer.EmitSim(s.stage, s.name, pending.trace, cursor, s.dur);
-        cursor += s.dur;
-    }
-
-    reply.status = RequestStatus::kCompleted;
-    reply.device = run.device;
-    reply.backend = run.kind;
-    reply.deadline_miss = deadline_miss;
-    reply.finish = finish;
-    if (!pending.request.rows.empty()) {
-        // Functional scoring through the registry's cached kernel: the
-        // same compiled plan serves warm, re-warmed, and degraded
-        // dispatches, so predictions are bit-identical in every case.
-        reply.predictions = model.forest.PredictBatch(
-            pending.request.rows.data(), rows, model.num_cols);
-    }
-    stats_.RecordCompleted(pending.cls, arrival, finish, run.degraded,
-                           deadline_miss);
-    tracer.EmitSim(StageKind::kQuery, "fleet-request", pending.trace,
-                   arrival, finish - arrival,
-                   {{"class", static_cast<double>(pending.cls)},
-                    {"miss", deadline_miss ? 1.0 : 0.0}});
-    finish_reply(std::move(reply));
-    tracer.Drain();
 }
 
 }  // namespace dbscore::fleet

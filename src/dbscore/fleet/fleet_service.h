@@ -27,11 +27,17 @@
  *    signals.
  *
  * Concurrency vs. time follows the house rule: machinery real (one
- * scheduler thread, one worker thread per device class, real CVs),
+ * dispatcher thread, one worker thread per device class, real CVs),
  * latencies modeled (SimTime lane horizons), results machine-
- * independent. Predictions are always computed through the registry's
- * cached kernel, so a reply is bit-identical whether it was served
- * warm, re-warmed after eviction, or degraded to the CPU path.
+ * independent. The dispatcher commits every modeled step of a request
+ * in dispatch order: the registry acquire, placement, the lane
+ * reservation, the whole DeviceLanes::Run loop, the stats and the
+ * autoscaler's samples. Device workers only score payloads and reply,
+ * so modeled outcomes are a function of the dispatch sequence alone —
+ * never of how fast real threads run. Predictions are always computed
+ * through the registry's shared CompiledModel, so a reply is
+ * bit-identical whether it was served warm, re-warmed after eviction,
+ * or degraded to the CPU path.
  */
 #ifndef DBSCORE_FLEET_FLEET_SERVICE_H
 #define DBSCORE_FLEET_FLEET_SERVICE_H
@@ -46,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -82,10 +89,12 @@ struct FleetConfig {
     /** Modeled lanes each device starts with. */
     std::size_t initial_lanes = 2;
     /**
-     * Dispatch window: a device accepts up to lanes × this many
-     * undispatched requests. The bound is what lets a WFQ backlog
-     * form centrally (where class weights matter) instead of FIFO
-     * piling up on devices (where they no longer do).
+     * Dispatch window: a device's worker holds up to lanes × this many
+     * committed requests awaiting scoring and reply; past it the
+     * dispatcher waits before handing over more, so an overload
+     * backlog stays in the central WFQ. The window acts on the wall
+     * clock only: it delays a hand-over but never redirects a
+     * placement or moves a modeled time.
      */
     double window_per_lane = 2.0;
     /** Degrade to CPU after exhausted accelerator retries. */
@@ -106,7 +115,8 @@ struct FleetRequest {
     std::size_t num_rows = 1;
     /**
      * Optional row-major payload (num_rows × the model's columns).
-     * When present, the reply carries functional predictions.
+     * When present, the reply carries functional predictions; a
+     * payload of any other size fails the request.
      */
     std::vector<float> rows;
     /** Modeled arrival; unset = stamped with the fleet clock. */
@@ -124,7 +134,10 @@ struct FleetReply {
     bool degraded = false;
     /** Completed, but after the class deadline. */
     bool deadline_miss = false;
-    /** The dispatch that answered re-built an evicted/cold model. */
+    /**
+     * The dispatch that answered missed the registry (a cold or
+     * evicted model) and paid the modeled build.
+     */
     bool registry_miss = false;
     std::size_t attempts = 0;
     SimTime arrival;
@@ -169,7 +182,7 @@ class FleetService {
      */
     void SetSloPolicy(SloClass cls, const SloPolicy& policy);
 
-    /** Launches the scheduler and device worker threads. */
+    /** Launches the dispatcher and device worker threads. */
     void Start();
 
     /** Drains in-flight work, then stops every thread. Idempotent. */
@@ -220,53 +233,81 @@ class FleetService {
     };
     using PendingPtr = std::unique_ptr<Pending>;
 
-    /** A placed request waiting on one device's queue. */
+    /**
+     * A committed request waiting on a device worker. The dispatcher
+     * already ran its whole modeled dispatch (lanes, faults, retries,
+     * degrade) and recorded its stats; the worker only scores the
+     * payload, if any, into the reply and fulfills it.
+     */
     struct DeviceWork {
         PendingPtr pending;
         WarmModelPtr model;
-        /** Earliest modeled dispatch (arrival + any registry build). */
-        SimTime ready;
-        bool registry_miss = false;
-        /**
-         * Device, backend, reserved lane, modeled start and
-         * first-attempt costs, fixed by the scheduler at dispatch.
-         * Charging the lane horizon up front keeps modeled placement
-         * (and thus latencies) independent of how fast real worker
-         * threads drain queues; workers only top the lane up when
-         * faults stretch the actual finish past the reservation.
-         */
-        serve::LaneRun run;
+        FleetReply reply;
     };
 
-    /** One simulated device's queue and autoscaler state. */
+    /** One simulated device: its worker's queue and its lane pool. */
     struct Device {
+        // Hand-off to the device's worker, guarded by mutex.
         std::deque<DeviceWork> queue;
         std::mutex mutex;
+        /** Wakes the worker: new work, or stop. */
         std::condition_variable cv;
+        /** Wakes the dispatcher: a dispatch-window slot freed. */
+        std::condition_variable room;
         bool stop = false;
-        /** In-flight dispatches (popped, not yet settled). */
+        /** Work popped by the worker and not yet replied. */
         std::size_t inflight = 0;
-        /**
-         * Lanes in the device's pool (lanes_ holds their horizons).
-         * Only the scheduler thread changes it, through the autoscaler.
-         */
+
+        // Modeled state, owned by the dispatcher thread (no lock).
+        /** Lanes in the device's pool (lanes_ holds their horizons). */
         std::size_t lanes = 0;
         /** Autoscaler sampling window. */
         std::size_t window_completions = 0;
         std::size_t window_deadline_misses = 0;
         SimTime last_scale_change;
+        /**
+         * The latest modeled finishes of the dispatches committed to
+         * this device, at most depth_cap_ of them: its queue-depth
+         * signal. Those in the future of a sample's `now` number
+         * min(committed dispatches still running at `now`,
+         * depth_cap_), which the autoscaler cannot tell from the full
+         * count, so memory stays bounded under a sustained modeled
+         * backlog.
+         */
+        std::multiset<SimTime> running;
     };
 
-    void SchedulerLoop();
+    void DispatcherLoop();
+    /** Commits @p pending's whole modeled dispatch; see file comment. */
+    void Dispatch(PendingPtr pending, const std::string& model_id,
+                  std::size_t central_backlog);
+    /**
+     * The completed half of a dispatch: records it and hands the reply
+     * to @p placed's worker for scoring.
+     */
+    void Complete(Device& placed, PendingPtr pending, WarmModelPtr model,
+                  const serve::LaneRun& run, SimTime ready, SimTime start,
+                  SimTime deadline_at, FleetReply reply);
+    /** Fails @p pending at modeled time @p at with @p why. */
+    void Fail(Pending& pending, FleetReply reply, SimTime at,
+              std::string why);
+    /** Records a dispatch committed to @p device until @p finish. */
+    void Commit(Device& device, SimTime finish);
+    /** Waits (wall clock) for a window slot on @p device, then enqueues. */
+    void HandOff(Device& device, DeviceWork work);
     void WorkerLoop(int device_index);
-    void ExecuteOne(Device& device, DeviceWork work);
+    /** Fulfills @p pending with @p reply and counts it settled. */
+    void Answer(Pending& pending, FleetReply reply);
     void MaybeAutoscale(SimTime now, std::size_t central_backlog);
-    /** Whether @p device's dispatch window has a free slot. */
-    bool HasRoom(Device& device) const;
     void SettleOne();
 
     HardwareProfile profile_;
     FleetConfig config_;
+    /**
+     * Queue depth past which every autoscaler decision is the same:
+     * more than the larger threshold per lane at the largest pool.
+     */
+    std::size_t depth_cap_;
     std::uint32_t trace_domain_;
     ModelRegistry registry_;
     FleetStats stats_;
@@ -279,7 +320,7 @@ class FleetService {
     };
 
     mutable std::mutex admission_mutex_;
-    std::condition_variable scheduler_cv_;
+    std::condition_variable dispatcher_cv_;
     /** Built at Start() so SetSloPolicy weights take effect. */
     std::unique_ptr<WeightedFairQueue<PendingPtr>> wfq_;
     std::unordered_map<std::uint64_t, TenantState> tenants_;

@@ -221,8 +221,7 @@ FleetStats::RecordCompleted(SloClass cls, SimTime arrival, SimTime finish,
         ++accum.totals.deadline_misses;
     }
     const double latency = (finish - arrival).seconds();
-    accum.latency_stats.Add(latency);
-    accum.latency_sketch.Add(latency);
+    accum.latency.Add(latency);
     TouchSpanLocked(arrival, finish);
 }
 
@@ -272,8 +271,7 @@ FleetStats::Snapshot(const serve::DeviceLanes& lanes) const
     FleetSnapshot snap = totals_;
     for (int c = 0; c < kNumSloClasses; ++c) {
         snap.classes[c] = classes_[c].totals;
-        snap.classes[c].latency = serve::Summarize(
-            classes_[c].latency_stats, classes_[c].latency_sketch);
+        snap.classes[c].latency = classes_[c].latency.Summary();
     }
     for (int d = 0; d < 3; ++d) {
         FleetDeviceSnapshot& dev = snap.devices[d];

@@ -18,7 +18,6 @@
 #include <mutex>
 #include <string>
 
-#include "dbscore/common/stats.h"
 #include "dbscore/engines/scoring_engine.h"
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
@@ -129,8 +128,7 @@ class FleetStats {
  private:
     struct ClassAccum {
         ClassSnapshot totals;
-        RunningStats latency_stats;
-        QuantileSketch latency_sketch;
+        serve::DistStats latency;
     };
 
     mutable std::mutex mutex_;

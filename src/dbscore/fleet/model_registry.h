@@ -9,18 +9,25 @@
  * models kept warm, and everything else evicted — which means the
  * build cost comes *back* every time a cold tenant wakes an evicted
  * model. ModelRegistry makes that economy explicit: an LRU cache of
- * prewarmed ForestKernels under a configurable byte budget, with the
+ * warm models under a configurable byte budget, with the modeled
  * re-warm tax measurable through the kKernelBuild / kRegistryHit /
  * kRegistryEvict trace stages and the hit/miss/eviction counters.
  *
- * A miss rebuilds only what eviction dropped: the forest and its
- * kernel. Placement estimates never change for a model, so each spec's
- * OffloadScheduler (cost cards only) is built once, at the spec's first
- * Acquire, and shared by every WarmModel of that id.
+ * A model's compiled form and its placement estimates never change, so
+ * a spec's first Acquire builds them once — the CompiledModel (kernel,
+ * or the reference forest only when the kernel cannot compile it) and
+ * the OffloadScheduler (cost cards only) — and the spec keeps both and
+ * drops its ensemble copy. A re-warm wraps the kept pair in a new
+ * WarmModel: no ToForest, no compile, no scheduler. It still charges
+ * the modeled build cost: the modeled clock prices the paper's model
+ * pre-processing, not this process's reuse. Eviction therefore frees
+ * only the resident slot; the byte budget prices residency at each
+ * model's serialized size.
  *
  * Bit-identity invariant: a WarmModel's predictions depend only on the
  * registered ensemble — warm, re-warmed after eviction, or served
- * during degradation, the same rows produce the same bits.
+ * during degradation, the same rows produce the same bits (re-warms
+ * share the very same kernel).
  */
 #ifndef DBSCORE_FLEET_MODEL_REGISTRY_H
 #define DBSCORE_FLEET_MODEL_REGISTRY_H
@@ -39,8 +46,9 @@
 #include "dbscore/common/sim_time.h"
 #include "dbscore/core/scheduler.h"
 #include "dbscore/dbms/external_runtime.h"
-#include "dbscore/forest/forest.h"
 #include "dbscore/forest/model_stats.h"
+#include "dbscore/forest/onnx_like.h"
+#include "dbscore/serve/compiled_model.h"
 #include "dbscore/trace/trace.h"
 
 namespace dbscore::fleet {
@@ -62,27 +70,25 @@ struct RegistryConfig {
     ExternalRuntimeParams runtime_params;
 };
 
-/** A built, scoring-ready model: the registry's unit of residency. */
+/** A scoring-ready model: the registry's unit of residency. */
 struct WarmModel {
     std::string id;
-    /** Functional model; its ForestKernel is compiled at build time. */
-    RandomForest forest;
     /**
-     * Placement estimates: built once per spec and shared by every
-     * WarmModel of this id, so a re-warm does not rebuild it.
+     * What rows are scored with. Built by the spec's first Acquire and
+     * shared by every WarmModel of this id.
      */
+    std::shared_ptr<const serve::CompiledModel> compiled;
+    /** Placement estimates, built and shared the same way. */
     std::shared_ptr<const OffloadScheduler> scheduler;
     std::size_t num_cols = 0;
     std::uint64_t model_bytes = 0;
     /** Modeled cost this build charged (the re-warm tax). */
     SimTime build_cost;
-    /** Wall-clock cost of this build (forest + kernel), milliseconds. */
+    /**
+     * Wall-clock milliseconds of this build: the conversion and compile
+     * on the spec's first build, only the wrap on a re-warm.
+     */
     double build_wall_ms = 0.0;
-
-    WarmModel(std::string model_id, const TreeEnsemble& ensemble,
-              const ModelStats& stats,
-              std::shared_ptr<const OffloadScheduler> model_scheduler,
-              SimTime modeled_build_cost);
 };
 
 using WarmModelPtr = std::shared_ptr<const WarmModel>;
@@ -111,7 +117,7 @@ struct RegistrySnapshot {
     SimTime build_cost_total;
     /**
      * Total wall-clock milliseconds spent building on misses: every
-     * WarmModel's forest + kernel, plus each spec's one scheduler.
+     * WarmModel's build_wall_ms, plus each spec's one scheduler.
      */
     double build_wall_ms_total = 0.0;
 
@@ -135,7 +141,8 @@ class ModelRegistry {
 
     /**
      * Registers the buildable spec for @p id (cheap: the ensemble is
-     * shared, nothing is compiled and no scheduler is built).
+     * copied, nothing is compiled and no scheduler is built, so a
+     * malformed ensemble surfaces at its first Acquire).
      * @throws InvalidArgument on a duplicate id.
      */
     void RegisterModel(const std::string& id, const TreeEnsemble& model,
@@ -150,7 +157,10 @@ class ModelRegistry {
      * Returns the warm model for @p id, building it on a miss (and
      * evicting LRU residents past the budget). Emits kRegistryHit /
      * kKernelBuild / kRegistryEvict spans parented to @p parent at
-     * modeled time @p now. @throws NotFound for an unknown id.
+     * modeled time @p now. @throws NotFound for an unknown id, and
+     * whatever a failed first build threw (ParseError for a malformed
+     * ensemble); a failed build releases its latch, so the next
+     * Acquire of the id tries again.
      */
     AcquireResult Acquire(const std::string& id,
                           const trace::SpanContext& parent, SimTime now);
@@ -167,12 +177,12 @@ class ModelRegistry {
 
  private:
     struct Spec {
+        /** The registered ensemble; dropped by the first build. */
         std::shared_ptr<const TreeEnsemble> ensemble;
         ModelStats stats;
-        /** Built by the spec's first Acquire; survives eviction. */
+        /** Built by the spec's first Acquire; survive eviction. */
+        std::shared_ptr<const serve::CompiledModel> compiled;
         std::shared_ptr<const OffloadScheduler> scheduler;
-        /** True once this model has been built (and evicted) before. */
-        bool built_before = false;
     };
 
     /** Caller holds mutex_. Evicts LRU models until within budget. */

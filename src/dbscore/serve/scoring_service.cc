@@ -6,7 +6,6 @@
 
 #include "dbscore/common/error.h"
 #include "dbscore/engines/scoring_engine.h"
-#include "dbscore/forest/forest_kernel.h"
 #include "dbscore/trace/exporters.h"
 #include "dbscore/trace/trace.h"
 
@@ -19,15 +18,10 @@ ScoringService::ModelEntry::ModelEntry(const HardwareProfile& profile,
                                        const TreeEnsemble& model,
                                        const ModelStats& stats)
     : scheduler(profile, model, stats),
-      forest(model.ToForest()),
+      compiled(model),
       num_cols(stats.num_features),
       model_bytes(stats.serialized_bytes)
 {
-    // Prewarm the per-model kernel cache so the first coalesced batch
-    // never pays (or races on) compilation.
-    if (ForestKernel::Supports(forest)) {
-        forest.Kernel();
-    }
 }
 
 namespace {
@@ -710,13 +704,12 @@ ScoringService::ExecuteBatch(DeviceClass device_class, Batch& batch,
         }
 
         if (!m.request.rows.empty()) {
-            // Functional scoring through the model's cached kernel
-            // (compiled once at registration), traversing the
-            // request's view in place — the rows were never copied
-            // between Submit and here. Wall-clock only; the modeled
-            // timing above is already fixed.
-            reply.predictions =
-                entry.forest.PredictBatch(m.request.rows);
+            // Functional scoring through the model compiled at
+            // registration, traversing the request's view in place —
+            // the rows were never copied between Submit and here.
+            // Wall-clock only; the modeled timing above is already
+            // fixed.
+            reply.predictions = entry.compiled.Predict(m.request.rows);
         }
         stats_.RecordCompleted(t, arrival, finish, run.degraded);
         EmitRequestSpan(m, arrival, finish, /*expired=*/false);

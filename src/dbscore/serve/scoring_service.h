@@ -43,10 +43,10 @@
 
 #include "dbscore/common/thread_pool.h"
 #include "dbscore/core/scheduler.h"
-#include "dbscore/forest/forest.h"
 #include "dbscore/core/workload_sim.h"
 #include "dbscore/dbms/external_runtime.h"
 #include "dbscore/serve/batch_coalescer.h"
+#include "dbscore/serve/compiled_model.h"
 #include "dbscore/serve/device_lanes.h"
 #include "dbscore/serve/request.h"
 #include "dbscore/serve/service_stats.h"
@@ -167,16 +167,16 @@ class ScoringService {
     const ServiceConfig& config() const { return config_; }
 
  private:
-    /** Everything the workers need to cost one model's dispatches. */
+    /** Everything the workers need to cost and score one model. */
     struct ModelEntry {
         OffloadScheduler scheduler;
         /**
-         * Functional model for requests that carry row payloads. Its
-         * ForestKernel is compiled once here at registration — the
-         * per-model kernel cache — so coalesced micro-batches score
-         * through the same compiled plan and never recompile.
+         * Functional model for requests that carry row payloads,
+         * compiled once here at registration, so coalesced
+         * micro-batches score through the same compiled plan and never
+         * recompile.
          */
-        RandomForest forest;
+        CompiledModel compiled;
         std::size_t num_cols = 0;
         std::uint64_t model_bytes = 0;
 

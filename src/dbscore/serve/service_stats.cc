@@ -7,19 +7,26 @@
 
 namespace dbscore::serve {
 
+void
+DistStats::Add(double x)
+{
+    moments_.Add(x);
+    quantiles_.Add(x);
+}
+
 DistSummary
-Summarize(const RunningStats& stats, const QuantileSketch& sketch)
+DistStats::Summary() const
 {
     DistSummary s;
-    s.count = stats.count();
+    s.count = moments_.count();
     if (s.count == 0) {
         return s;
     }
-    s.mean = stats.mean();
-    s.max = stats.max();
-    s.p50 = sketch.Quantile(0.50);
-    s.p95 = sketch.Quantile(0.95);
-    s.p99 = sketch.Quantile(0.99);
+    s.mean = moments_.mean();
+    s.max = moments_.max();
+    s.p50 = quantiles_.Quantile(0.50);
+    s.p95 = quantiles_.Quantile(0.95);
+    s.p99 = quantiles_.Quantile(0.99);
     return s;
 }
 
@@ -152,10 +159,8 @@ ServiceStats::RecordBatch(DeviceClass device, std::size_t num_requests,
     if (cold) {
         ++d.cold_invocations;
     }
-    batch_request_stats_.Add(static_cast<double>(num_requests));
-    batch_request_sketch_.Add(static_cast<double>(num_requests));
-    batch_row_stats_.Add(static_cast<double>(num_rows));
-    batch_row_sketch_.Add(static_cast<double>(num_rows));
+    batch_requests_.Add(static_cast<double>(num_requests));
+    batch_rows_.Add(static_cast<double>(num_rows));
 }
 
 void
@@ -172,8 +177,7 @@ ServiceStats::RecordCompleted(const RequestTiming& timing, SimTime arrival,
         any_arrival_ = true;
     }
     totals_.last_finish = Max(totals_.last_finish, finish);
-    latency_stats_.Add(timing.latency.seconds());
-    latency_sketch_.Add(timing.latency.seconds());
+    latency_.Add(timing.latency.seconds());
 }
 
 void
@@ -205,10 +209,9 @@ ServiceStats::Snapshot(const DeviceLanes& lanes) const
         snap.fault_wasted += c.fault_wasted;
         snap.retry_backoff += c.retry_backoff;
     }
-    snap.latency = Summarize(latency_stats_, latency_sketch_);
-    snap.batch_requests =
-        Summarize(batch_request_stats_, batch_request_sketch_);
-    snap.batch_rows = Summarize(batch_row_stats_, batch_row_sketch_);
+    snap.latency = latency_.Summary();
+    snap.batch_requests = batch_requests_.Summary();
+    snap.batch_rows = batch_rows_.Summary();
     return snap;
 }
 
@@ -226,12 +229,9 @@ ServiceStats::Reset()
     std::lock_guard<std::mutex> lock(mutex_);
     totals_ = ServiceSnapshot();
     any_arrival_ = false;
-    latency_stats_ = RunningStats();
-    latency_sketch_ = QuantileSketch();
-    batch_request_stats_ = RunningStats();
-    batch_request_sketch_ = QuantileSketch();
-    batch_row_stats_ = RunningStats();
-    batch_row_sketch_ = QuantileSketch();
+    latency_ = DistStats();
+    batch_requests_ = DistStats();
+    batch_rows_ = DistStats();
 }
 
 }  // namespace dbscore::serve

@@ -20,10 +20,14 @@
 #include "dbscore/common/stats.h"
 #include "dbscore/serve/device_lanes.h"
 #include "dbscore/serve/request.h"
+#include "dbscore/trace/histogram.h"
 
 namespace dbscore::serve {
 
-/** Count + moments + tail quantiles of one recorded distribution. */
+/**
+ * Count + moments + tail quantiles of one recorded distribution (the
+ * quantiles are DistStats estimates).
+ */
 struct DistSummary {
     std::size_t count = 0;
     double mean = 0.0;
@@ -33,8 +37,34 @@ struct DistSummary {
     double max = 0.0;
 };
 
-/** Count, mean, max and tail quantiles of @p stats / @p sketch. */
-DistSummary Summarize(const RunningStats& stats, const QuantileSketch& sketch);
+/**
+ * One recorded distribution in bounded memory, behind every DistSummary
+ * the services report. Count, mean and max are exact (RunningStats).
+ * p50/p95/p99 are estimates from a trace::Histogram whose buckets grow
+ * by kBucketRatio from kMinValue, so memory is one counter per bucket
+ * up to the largest sample (about 2.3k buckets for latencies up to
+ * 10 s), however many samples arrive.
+ *
+ * Error bound: for quantile q over n samples, let x_lo <= x_hi be the
+ * order statistics at 0-based ranks floor(q(n-1)) and ceil(q(n-1)),
+ * the pair the exact (interpolated) quantile lies between. The
+ * estimate lies in [x_lo / sqrt(kBucketRatio), x_hi * sqrt(kBucketRatio)]:
+ * within 0.5% of the exact quantile's bracket. Samples below kMinValue
+ * share one bucket, so there the error is absolute, below kMinValue.
+ */
+class DistStats {
+ public:
+    static constexpr double kBucketRatio = 1.01;
+    static constexpr double kMinValue = 1e-9;
+
+    void Add(double x);
+
+    DistSummary Summary() const;
+
+ private:
+    RunningStats moments_;
+    trace::Histogram quantiles_{kMinValue, kBucketRatio};
+};
 
 /** Per-device-class dispatch accounting. */
 struct DeviceServeStats {
@@ -165,12 +195,9 @@ class ServiceStats {
     mutable std::mutex mutex_;
     ServiceSnapshot totals_;
     bool any_arrival_ = false;
-    RunningStats latency_stats_;
-    QuantileSketch latency_sketch_;
-    RunningStats batch_request_stats_;
-    QuantileSketch batch_request_sketch_;
-    RunningStats batch_row_stats_;
-    QuantileSketch batch_row_sketch_;
+    DistStats latency_;
+    DistStats batch_requests_;
+    DistStats batch_rows_;
 };
 
 }  // namespace dbscore::serve

@@ -257,6 +257,12 @@ TEST(QuantileSketchTest, MedianAndExtremes)
     EXPECT_DOUBLE_EQ(q.Median(), 51.0);
     EXPECT_DOUBLE_EQ(q.Quantile(0.0), 1.0);
     EXPECT_DOUBLE_EQ(q.Quantile(1.0), 101.0);
+
+    // Samples added after a query still count.
+    q.Add(0.0);
+    q.Add(0.5);
+    EXPECT_DOUBLE_EQ(q.Median(), 50.0);
+    EXPECT_DOUBLE_EQ(q.Quantile(0.0), 0.0);
 }
 
 TEST(StringUtilTest, TrimAndSplit)

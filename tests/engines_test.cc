@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dbscore/common/error.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/engines/cpu/cpu_engines.h"
@@ -321,6 +323,33 @@ TEST(HummingbirdTest, EstimateScalesWithRows)
     SimTime t1 = engine.Estimate(1000).Total();
     SimTime t2 = engine.Estimate(1000000).Total();
     EXPECT_GT(t2, t1 * 10.0);
+}
+
+TEST(HummingbirdTest, PerfectTreeSizeSaturatesPastDepth60)
+{
+    // A 70-deep chain: its perfect-tree layout would need 2^70 leaf
+    // slots, more bytes than 64 bits count. The estimate saturates
+    // (finite, hopeless) instead of shifting past the word.
+    DecisionTree chain;
+    std::int32_t prev = chain.AddDecisionNode(0, 0.0f);
+    for (int i = 1; i < 70; ++i) {
+        const std::int32_t next =
+            chain.AddDecisionNode(0, static_cast<float>(i));
+        chain.SetChildren(prev, next, chain.AddLeafNode(0.0f));
+        prev = next;
+    }
+    chain.SetChildren(prev, chain.AddLeafNode(0.0f), chain.AddLeafNode(1.0f));
+    RandomForest forest(Task::kClassification, 2, 2);
+    forest.AddTree(std::move(chain));
+    ASSERT_GT(forest.MaxDepth(), 60u);
+
+    HummingbirdParams params;
+    params.strategy = HbStrategy::kPerfectTreeTraversal;
+    HummingbirdGpuEngine engine(MakeGpu(), params);
+    const auto card = engine.MakeCostCard(forest, ComputeModelStats(forest));
+    const double seconds = card->Estimate(1000).Total().seconds();
+    EXPECT_TRUE(std::isfinite(seconds));
+    EXPECT_GT(seconds, 1e6);  // 2^64 bytes over PCIe
 }
 
 // --------------------------------------------------------------- FPGA --

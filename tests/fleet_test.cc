@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "dbscore/common/error.h"
+#include "dbscore/common/string_util.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/dbms/database.h"
 #include "dbscore/dbms/query_engine.h"
@@ -37,6 +38,7 @@
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
 #include "dbscore/fleet/wfq.h"
+#include "dbscore/forest/forest_kernel.h"
 #include "dbscore/forest/trainer.h"
 #include "dbscore/trace/trace.h"
 
@@ -102,6 +104,22 @@ CountSpans(std::uint32_t domain, trace::StageKind stage,
         ++n;
     }
     return n;
+}
+
+/** @p rows payload rows scored through @p model's shared front end. */
+std::vector<float>
+PredictWith(const WarmModel& model, const std::vector<float>& payload,
+            std::size_t rows)
+{
+    return model.compiled->Predict(
+        RowView::Borrow(payload.data(), rows, model.num_cols));
+}
+
+bool
+SameBits(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 // ------------------------------------------------------ token bucket --
@@ -288,18 +306,14 @@ TEST(ModelRegistryTest, WarmEvictRewarmPaysBuildCostExactlyOnce)
                          "registry-build"),
               2 * snap.misses);
 
-    // Bit-identity: the re-warmed kernel is a different object but an
-    // identical function.
+    // Bit-identity: the re-warmed model is a new WarmModel over the
+    // first build's compiled model, so it predicts the same bits.
     const std::size_t rows = 64;
     std::vector<float> payload = f.Payload(rows);
-    std::vector<float> before = first.model->forest.PredictBatch(
-        payload.data(), rows, f.data.num_features());
-    std::vector<float> after = rewarm.model->forest.PredictBatch(
-        payload.data(), rows, f.data.num_features());
-    ASSERT_EQ(before.size(), after.size());
-    EXPECT_EQ(std::memcmp(before.data(), after.data(),
-                          before.size() * sizeof(float)),
-              0);
+    std::vector<float> before = PredictWith(*first.model, payload, rows);
+    std::vector<float> after = PredictWith(*rewarm.model, payload, rows);
+    ASSERT_EQ(before.size(), rows);
+    EXPECT_TRUE(SameBits(before, after));
 }
 
 TEST(ModelRegistryTest, OverBudgetLoneModelStaysResident)
@@ -357,7 +371,7 @@ TEST(ModelRegistryTest, SchedulerIsBuiltOncePerSpecAndSharedByRewarms)
     EXPECT_EQ(CountSpans(domain, trace::StageKind::kKernelBuild), 0u);
     EXPECT_EQ(registry.Snapshot().build_wall_ms_total, 0.0);
 
-    // The first Acquire builds the spec's scheduler, forest and kernel,
+    // The first Acquire builds the spec's compiled model and scheduler,
     // and the wall-clock counter sees it.
     AcquireResult first = registry.Acquire("a", parent, SimTime());
     ASSERT_FALSE(first.hit);
@@ -370,7 +384,7 @@ TEST(ModelRegistryTest, SchedulerIsBuiltOncePerSpecAndSharedByRewarms)
               1u);
 
     // "b" evicts "a" and builds its own scheduler; the re-warm of "a"
-    // rebuilds forest + kernel only and reuses the first scheduler.
+    // builds nothing and reuses the first scheduler.
     AcquireResult other = registry.Acquire("b", parent, SimTime());
     AcquireResult rewarm = registry.Acquire("a", parent, SimTime());
     ASSERT_FALSE(rewarm.hit);
@@ -384,14 +398,101 @@ TEST(ModelRegistryTest, SchedulerIsBuiltOncePerSpecAndSharedByRewarms)
     // The re-warmed model predicts the same bits.
     const std::size_t rows = 64;
     std::vector<float> payload = f.Payload(rows);
-    std::vector<float> before = first.model->forest.PredictBatch(
+    std::vector<float> before = PredictWith(*first.model, payload, rows);
+    std::vector<float> after = PredictWith(*rewarm.model, payload, rows);
+    ASSERT_EQ(before.size(), rows);
+    EXPECT_TRUE(SameBits(before, after));
+}
+
+TEST(ModelRegistryTest, RewarmSharesTheFirstBuildsKernel)
+{
+    const FleetFixture& f = Fixture();
+    RegistryConfig config;
+    // Budget holds exactly one model: acquiring the other evicts.
+    config.memory_budget_bytes = f.stats.serialized_bytes +
+                                 f.stats.serialized_bytes / 2;
+    ModelRegistry registry(f.profile, config);
+    registry.RegisterModel("a", f.ensemble, f.stats);
+    registry.RegisterModel("b", f.ensemble, f.stats);
+
+    trace::TraceCollector& tracer = trace::TraceCollector::Get();
+    const std::uint32_t domain = tracer.NewDomain();
+    const trace::SpanContext parent = tracer.NewRootContext(domain);
+
+    AcquireResult first = registry.Acquire("a", parent, SimTime());
+    ASSERT_NE(first.model->compiled->kernel(), nullptr);
+    EXPECT_EQ(first.model->compiled->forest(), nullptr);
+    registry.Acquire("b", parent, SimTime());
+    const std::size_t compiles =
+        CountSpans(domain, trace::StageKind::kKernelBuild, "kernel-build");
+    EXPECT_EQ(compiles, 2u);  // one per spec's first build
+
+    // The re-warm of "a" is a miss that still charges the modeled
+    // build, but compiles nothing: it shares the first build's kernel.
+    AcquireResult rewarm = registry.Acquire("a", parent, SimTime());
+    ASSERT_FALSE(rewarm.hit);
+    EXPECT_EQ(rewarm.build_cost, first.build_cost);
+    EXPECT_EQ(rewarm.model->compiled->kernel(),
+              first.model->compiled->kernel());
+    EXPECT_EQ(CountSpans(domain, trace::StageKind::kKernelBuild,
+                         "kernel-build"),
+              compiles);
+    EXPECT_EQ(registry.Snapshot().rebuilds, 1u);
+
+    const std::size_t rows = 64;
+    std::vector<float> payload = f.Payload(rows);
+    const std::vector<float> expected = f.ensemble.ToForest().PredictBatch(
         payload.data(), rows, f.data.num_features());
-    std::vector<float> after = rewarm.model->forest.PredictBatch(
-        payload.data(), rows, f.data.num_features());
-    ASSERT_EQ(before.size(), after.size());
-    EXPECT_EQ(std::memcmp(before.data(), after.data(),
-                          before.size() * sizeof(float)),
-              0);
+    EXPECT_TRUE(SameBits(PredictWith(*rewarm.model, payload, rows),
+                         expected));
+}
+
+TEST(ModelRegistryTest, OversizedTreeRewarmsOntoTheSameReferenceForest)
+{
+    // One tree past the kernel's 2^17-node limit: a chain whose rows
+    // leave at the first node whose threshold they exceed, onto a leaf
+    // of alternating class.
+    DecisionTree chain;
+    std::int32_t prev = chain.AddDecisionNode(0, 1.2f);
+    for (std::size_t i = 1; i < (std::size_t{1} << 16) + 4; ++i) {
+        std::int32_t next =
+            chain.AddDecisionNode(0, 1.2f - static_cast<float>(i) * 1e-5f);
+        std::int32_t leaf = chain.AddLeafNode(static_cast<float>(i % 2));
+        chain.SetChildren(prev, next, leaf);
+        prev = next;
+    }
+    chain.SetChildren(prev, chain.AddLeafNode(0.0f), chain.AddLeafNode(1.0f));
+    ASSERT_GT(chain.NumNodes(), std::size_t{1} << 17);
+    RandomForest forest(Task::kClassification, 2, 2);
+    forest.AddTree(std::move(chain));
+    ASSERT_FALSE(ForestKernel::Supports(forest));
+    const TreeEnsemble ensemble = TreeEnsemble::FromForest(forest);
+    const ModelStats stats = ComputeModelStats(forest);
+
+    RegistryConfig config;
+    config.memory_budget_bytes = 1;  // one resident at a time
+    ModelRegistry registry(Fixture().profile, config);
+    registry.RegisterModel("chain", ensemble, stats);
+    registry.RegisterModel("other", Fixture().ensemble, Fixture().stats);
+    const trace::SpanContext parent =
+        trace::TraceCollector::Get().NewRootContext(0);
+
+    AcquireResult first = registry.Acquire("chain", parent, SimTime());
+    ASSERT_EQ(first.model->compiled->kernel(), nullptr);
+    ASSERT_NE(first.model->compiled->forest(), nullptr);
+    registry.Acquire("other", parent, SimTime());  // evicts "chain"
+    AcquireResult rewarm = registry.Acquire("chain", parent, SimTime());
+    ASSERT_FALSE(rewarm.hit);
+    EXPECT_EQ(rewarm.model->compiled->forest(),
+              first.model->compiled->forest());
+
+    std::vector<float> payload;
+    for (int i = 0; i < 300; ++i) {
+        payload.push_back(0.4f + static_cast<float>(i) * 0.01f);
+        payload.push_back(1.0f);
+    }
+    EXPECT_TRUE(SameBits(PredictWith(*rewarm.model, payload, 300),
+                         forest.PredictBatch(payload.data(), 300, 2)));
 }
 
 // ------------------------------------------------------- fleet service --
@@ -439,6 +540,84 @@ TEST(FleetServiceTest, ScoresForTenantsAndMatchesDirectKernel)
                           rows * sizeof(float)),
               0);
     EXPECT_EQ(service.registry().Snapshot().rebuilds, 1u);
+    service.Stop();
+}
+
+TEST(FleetServiceTest, ModelThatFailsToBuildFailsOnlyItsOwnRequests)
+{
+    const FleetFixture& f = Fixture();
+    // A 2-class ensemble whose one leaf names class 7: registration
+    // defers the build, so the first request is what finds out.
+    TreeEnsemble bad;
+    bad.task = Task::kClassification;
+    bad.num_features = 2;
+    bad.num_classes = 2;
+    bad.tree_ids = {0};
+    bad.node_ids = {0};
+    bad.modes = {NodeMode::kLeaf};
+    bad.feature_ids = {-1};
+    bad.thresholds = {0.0f};
+    bad.true_children = {-1};
+    bad.false_children = {-1};
+    bad.leaf_values = {7.0f};
+    ModelStats bad_stats;
+    bad_stats.num_features = 2;
+    bad_stats.serialized_bytes = bad.ByteSize();
+
+    FleetService service(f.profile, FleetConfig{});
+    service.RegisterModel("bad", bad, bad_stats);
+    service.RegisterModel("good", f.ensemble, f.stats);
+    service.RegisterTenant(1, "bad", SloClass::kGold);
+    service.RegisterTenant(2, "good", SloClass::kGold);
+    service.Start();
+
+    // Both requests fail with the build's typed message; the second
+    // one proves the failed build released its latch (a stuck latch
+    // would park the dispatcher forever).
+    for (int i = 0; i < 2; ++i) {
+        FleetRequest request;
+        request.tenant_id = 1;
+        FleetReply reply = service.ScoreSync(std::move(request));
+        EXPECT_EQ(reply.status, RequestStatus::kFailed);
+        EXPECT_EQ(reply.error, "ensemble: leaf is not a class id");
+    }
+
+    const std::size_t rows = 16;
+    FleetRequest good;
+    good.tenant_id = 2;
+    good.num_rows = rows;
+    good.rows = f.Payload(rows);
+    FleetReply reply = service.ScoreSync(std::move(good));
+    EXPECT_EQ(reply.status, RequestStatus::kCompleted);
+    EXPECT_EQ(reply.predictions.size(), rows);
+
+    const FleetSnapshot snap = service.Stats();
+    EXPECT_EQ(snap.classes[static_cast<int>(SloClass::kGold)].failed, 2u);
+    EXPECT_EQ(snap.Settled(), 3u);
+    EXPECT_EQ(snap.registry.misses, 1u);  // only "good" was built
+    service.Stop();
+}
+
+TEST(FleetServiceTest, PayloadOfTheWrongSizeFailsItsRequest)
+{
+    const FleetFixture& f = Fixture();
+    FleetService service(f.profile, FleetConfig{});
+    service.RegisterModel("m", f.ensemble, f.stats);
+    service.RegisterTenant(1, "m", SloClass::kGold);
+    service.Start();
+
+    // One row short: scoring it would read past the payload.
+    FleetRequest request;
+    request.tenant_id = 1;
+    request.num_rows = 8;
+    request.rows = f.Payload(7);
+    FleetReply reply = service.ScoreSync(std::move(request));
+    EXPECT_EQ(reply.status, RequestStatus::kFailed);
+    EXPECT_NE(reply.error.find("payload"), std::string::npos);
+    EXPECT_TRUE(reply.predictions.empty());
+    EXPECT_EQ(service.Stats().classes[static_cast<int>(SloClass::kGold)]
+                  .failed,
+              1u);
     service.Stop();
 }
 
@@ -491,14 +670,10 @@ TEST(FleetServiceTest, GoldOutrunsBronzeUnderHeldBacklog)
     FleetConfig config;
     config.hold_dispatch = true;
     config.autoscaler.enabled = false;
-    // One lane per device and an effectively unbounded dispatch
-    // window: the held WFQ backlog drains in one deterministic pop
-    // sequence, and completion order is (near-)monotone in dispatch
-    // order. Keeping the window bound in play would make the test's
-    // latencies depend on how fast real worker threads drain device
-    // queues — flaky under sanitizers.
+    // One lane per device: the held WFQ backlog drains in one
+    // deterministic pop sequence, and completion order is
+    // (near-)monotone in dispatch order.
     config.initial_lanes = 1;
-    config.window_per_lane = 1e6;
     // Long shared deadline and no admission quota: this test is about
     // ordering, not expiry or throttling. Policies must be in place
     // before RegisterTenant — each tenant's token bucket is built from
@@ -636,6 +811,162 @@ TEST(FleetServiceTest, EightThreadChaosSettlesEveryRequest)
               static_cast<std::size_t>(kThreads * kPerThread));
     EXPECT_EQ(class_settled, class_submitted);
     service.Stop();
+}
+
+/** What one held burst produced: every reply, then the counters. */
+struct BurstOutcome {
+    std::vector<FleetReply> replies;
+    FleetSnapshot stats;
+};
+
+/**
+ * A held overload burst over 8 models under a 3.5-model registry
+ * budget, with the autoscaler on and every fault site armed at 2%.
+ * With @p payloads every request carries 64 rows to score; without,
+ * the device workers do no kernel work at all.
+ */
+BurstOutcome
+RunHeldBurst(bool payloads)
+{
+    const FleetFixture& f = Fixture();
+    FleetConfig config;
+    config.hold_dispatch = true;
+    config.queue_capacity = 1024;
+    config.registry.memory_budget_bytes =
+        f.stats.serialized_bytes * 3 + f.stats.serialized_bytes / 2;
+    for (int c = 0; c < kNumSloClasses; ++c) {
+        config.slo[c].quota_rps = 0.0;
+    }
+    FleetService service(f.profile, config);
+    for (int m = 0; m < 8; ++m) {
+        service.RegisterModel(StrFormat("m%d", m), f.ensemble, f.stats);
+    }
+    for (int t = 0; t < 64; ++t) {
+        service.RegisterTenant(static_cast<std::uint64_t>(t),
+                               StrFormat("m%d", t % 8),
+                               static_cast<SloClass>(t % kNumSloClasses));
+    }
+    service.Start();
+
+    fault::FaultPlan plan;
+    plan.seed = 0xb0257;
+    for (int s = 0; s < fault::kNumFaultSites; ++s) {
+        plan.sites[s].probability = 0.02;
+    }
+    fault::ScopedFaultPlan guard(plan);
+
+    const std::vector<float> payload = f.Payload(64);
+    std::vector<std::future<FleetReply>> futures;
+    for (int i = 0; i < 600; ++i) {
+        FleetRequest request;
+        request.tenant_id = static_cast<std::uint64_t>(i % 64);
+        request.num_rows = 64;
+        if (payloads) {
+            request.rows = payload;
+        }
+        request.arrival = SimTime::Millis(0.05 * i);
+        futures.push_back(service.Submit(std::move(request)));
+    }
+    service.ReleaseDispatch();
+    service.Drain();
+
+    BurstOutcome out;
+    for (auto& future : futures) {
+        out.replies.push_back(future.get());
+    }
+    out.stats = service.Stats();
+    service.Stop();
+    return out;
+}
+
+void
+ExpectSameDist(const serve::DistSummary& a, const serve::DistSummary& b)
+{
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.p50, b.p50);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.p99, b.p99);
+    EXPECT_EQ(a.max, b.max);
+}
+
+/** Every counter of two snapshots except wall-clock build time. */
+void
+ExpectSameCounters(const FleetSnapshot& a, const FleetSnapshot& b)
+{
+    for (int c = 0; c < kNumSloClasses; ++c) {
+        const ClassSnapshot& x = a.classes[c];
+        const ClassSnapshot& y = b.classes[c];
+        EXPECT_EQ(x.submitted, y.submitted);
+        EXPECT_EQ(x.admitted, y.admitted);
+        EXPECT_EQ(x.rejected_quota, y.rejected_quota);
+        EXPECT_EQ(x.rejected_capacity, y.rejected_capacity);
+        EXPECT_EQ(x.completed, y.completed);
+        EXPECT_EQ(x.expired, y.expired);
+        EXPECT_EQ(x.failed, y.failed);
+        EXPECT_EQ(x.degraded, y.degraded);
+        EXPECT_EQ(x.deadline_misses, y.deadline_misses);
+        ExpectSameDist(x.latency, y.latency);
+    }
+    for (int d = 0; d < 3; ++d) {
+        const FleetDeviceSnapshot& x = a.devices[d];
+        const FleetDeviceSnapshot& y = b.devices[d];
+        EXPECT_EQ(x.dispatches, y.dispatches);
+        EXPECT_EQ(x.requests, y.requests);
+        EXPECT_EQ(x.rows, y.rows);
+        EXPECT_EQ(x.busy, y.busy);
+        EXPECT_EQ(x.faults, y.faults);
+        EXPECT_EQ(x.retries, y.retries);
+        EXPECT_EQ(x.fallbacks, y.fallbacks);
+        EXPECT_EQ(x.breaker_opens, y.breaker_opens);
+        EXPECT_EQ(x.breaker, y.breaker);
+        EXPECT_EQ(x.lanes, y.lanes);
+        EXPECT_EQ(x.scale_ups, y.scale_ups);
+        EXPECT_EQ(x.scale_downs, y.scale_downs);
+    }
+    EXPECT_EQ(a.registry.hits, b.registry.hits);
+    EXPECT_EQ(a.registry.misses, b.registry.misses);
+    EXPECT_EQ(a.registry.rebuilds, b.registry.rebuilds);
+    EXPECT_EQ(a.registry.evictions, b.registry.evictions);
+    EXPECT_EQ(a.registry.build_cost_total, b.registry.build_cost_total);
+    EXPECT_EQ(a.registry.resident_models, b.registry.resident_models);
+    EXPECT_EQ(a.first_arrival, b.first_arrival);
+    EXPECT_EQ(a.last_finish, b.last_finish);
+}
+
+TEST(FleetServiceTest, HeldBurstModeledOutcomesIgnoreScoringWork)
+{
+    // The dispatcher commits every modeled step in dispatch order, so
+    // how long the device workers take to score cannot move a modeled
+    // outcome: the same burst with and without kernel work replies
+    // and counts identically.
+    const BurstOutcome scored = RunHeldBurst(true);
+    const BurstOutcome empty = RunHeldBurst(false);
+    ASSERT_EQ(scored.replies.size(), empty.replies.size());
+    for (std::size_t i = 0; i < scored.replies.size(); ++i) {
+        const FleetReply& x = scored.replies[i];
+        const FleetReply& y = empty.replies[i];
+        EXPECT_EQ(x.status, y.status) << "request " << i;
+        EXPECT_EQ(x.device, y.device) << "request " << i;
+        EXPECT_EQ(x.backend, y.backend) << "request " << i;
+        EXPECT_EQ(x.attempts, y.attempts) << "request " << i;
+        EXPECT_EQ(x.degraded, y.degraded) << "request " << i;
+        EXPECT_EQ(x.registry_miss, y.registry_miss) << "request " << i;
+        EXPECT_EQ(x.finish, y.finish) << "request " << i;
+        EXPECT_EQ(x.predictions.size(),
+                  x.status == RequestStatus::kCompleted ? 64u : 0u);
+        EXPECT_TRUE(y.predictions.empty());
+    }
+    ExpectSameCounters(scored.stats, empty.stats);
+
+    // The burst reaches every path the claim covers.
+    std::size_t faults = 0;
+    for (const FleetDeviceSnapshot& d : scored.stats.devices) {
+        faults += d.faults;
+    }
+    EXPECT_GT(faults, 0u);
+    EXPECT_GT(scored.stats.registry.rebuilds, 0u);
+    EXPECT_GT(scored.stats.Completed(), 0u);
 }
 
 // ------------------------------------------------------ fleet faults --

@@ -11,11 +11,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "dbscore/common/error.h"
+#include "dbscore/common/rng.h"
+#include "dbscore/common/stats.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/dbms/database.h"
 #include "dbscore/dbms/query_engine.h"
@@ -23,6 +27,7 @@
 #include "dbscore/serve/batch_coalescer.h"
 #include "dbscore/serve/scoring_service.h"
 #include "dbscore/serve/service_proc.h"
+#include "dbscore/serve/service_stats.h"
 
 namespace dbscore::serve {
 namespace {
@@ -70,6 +75,47 @@ MakePending(double arrival_ms, std::size_t rows)
     r.request.arrival = SimTime::Millis(arrival_ms);
     r.handle = std::make_shared<PendingScore>();
     return r;
+}
+
+// ----------------------------------------------------- service stats --
+
+TEST(DistStatsTest, QuantilesStayWithinTheStatedBound)
+{
+    // 10^5 seeded latencies spread log-uniformly over 0.1-40 ms.
+    Rng rng(0xd157);
+    DistStats dist;
+    RunningStats moments;
+    std::vector<double> sorted;
+    for (int i = 0; i < 100000; ++i) {
+        const double x = 1e-4 * std::exp(6.0 * rng.NextDouble());
+        dist.Add(x);
+        moments.Add(x);
+        sorted.push_back(x);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    const DistSummary s = dist.Summary();
+
+    // Count, mean and max are exact.
+    EXPECT_EQ(s.count, sorted.size());
+    EXPECT_EQ(s.mean, moments.mean());
+    EXPECT_EQ(s.max, sorted.back());
+
+    // Each estimate lies within sqrt(ratio) of the order statistics
+    // bracketing the exact quantile (the header's bound), which here
+    // puts it within about 0.5% of the exact quantile itself.
+    const double factor = std::sqrt(DistStats::kBucketRatio) * (1.0 + 1e-12);
+    const std::pair<double, double> checks[] = {
+        {0.50, s.p50}, {0.95, s.p95}, {0.99, s.p99}};
+    for (const auto& [q, estimate] : checks) {
+        const double pos = q * static_cast<double>(sorted.size() - 1);
+        const double lo = sorted[static_cast<std::size_t>(std::floor(pos))];
+        const double hi = sorted[static_cast<std::size_t>(std::ceil(pos))];
+        EXPECT_GE(estimate, lo / factor) << "q " << q;
+        EXPECT_LE(estimate, hi * factor) << "q " << q;
+        const double frac = pos - std::floor(pos);
+        const double exact = lo * (1.0 - frac) + hi * frac;
+        EXPECT_NEAR(estimate, exact, exact * 0.0055) << "q " << q;
+    }
 }
 
 // -------------------------------------------------- batch coalescer --
