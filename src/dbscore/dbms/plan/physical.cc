@@ -329,6 +329,16 @@ struct AggState {
     std::optional<Value> best;
 };
 
+/** Survivors that flush a morsel: 16 of the kernel's 64-row groups. */
+constexpr std::size_t kMorselRows = 1024;
+
+/** A row ranked by ORDER BY: its key, its scan order, its output. */
+struct Ranked {
+    Value key;
+    std::size_t seq = 0;
+    std::vector<Value> row;
+};
+
 }  // namespace
 
 QueryResult
@@ -441,48 +451,60 @@ PhysicalPlan::ExecuteScore(const Table& table) const
         (stmt.order_by.has_value() && !logical_.order_score.has_value())
             ? table.ColumnIndex(stmt.order_by->column)
             : table.NumColumns();
+    // TOP n without ORDER BY stops the scan once n rows are out.
+    const bool top_stops = stmt.aggregates.empty() &&
+                           !stmt.order_by.has_value() &&
+                           stmt.top.has_value();
 
     std::vector<AggState> agg(stmt.aggregates.size());
     std::size_t matched = 0;
-    std::vector<Value> sort_keys;
     ThresholdStats run_stats;
+    // ORDER BY output in (key, scan order) order — a stable sort. With
+    // TOP n, `ranked` is a heap of the n best rows seen so far (the
+    // worst on top), and only a row that enters it is projected.
+    std::vector<Ranked> ranked;
+    std::size_t scanned = 0;
+    const bool descending =
+        stmt.order_by.has_value() && stmt.order_by->descending;
+    auto ranks_before = [descending](const Ranked& a, const Ranked& b) {
+        const int cmp = CompareValues(a.key, b.key);
+        if (cmp != 0) {
+            return descending ? cmp > 0 : cmp < 0;
+        }
+        return a.seq < b.seq;
+    };
 
-    // Per-chunk processing; returns false to stop the scan early
-    // (TOP with no ORDER BY).
-    auto process = [&](const RowView* chunk_feats, std::size_t row_begin,
-                       std::size_t n) -> bool {
-        // 1. Plain predicates first — cheap column compares shrink the
-        //    row set before any tree traversal.
-        std::vector<std::uint32_t> live;
-        live.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const std::size_t r = row_begin + i;
-            bool keep = true;
-            for (const ColumnPredicate& pred : plain_preds_) {
-                int cmp;
-                if (paged) {
-                    const double v =
-                        pred.column == label_col
-                            ? static_cast<double>(
-                                  table.FloatAt(r, pred.column))
-                            : static_cast<double>(chunk_feats->At(
-                                  i, feature_index(pred.column)));
-                    cmp = CompareValues(Value(v), pred.literal);
-                } else {
-                    cmp = CompareValues(table.At(r, pred.column),
-                                        pred.literal);
-                }
-                if (!EvalCompareOp(pred.op, cmp)) {
-                    keep = false;
-                    break;
-                }
+    // Plain predicates — cheap column compares shrink the row set
+    // before any tree traversal. @p feats is the paged feature row.
+    auto passes = [&](std::size_t r, const float* feats) {
+        for (const ColumnPredicate& pred : plain_preds_) {
+            int cmp;
+            if (paged) {
+                const double v =
+                    pred.column == label_col
+                        ? static_cast<double>(table.FloatAt(r, pred.column))
+                        : static_cast<double>(
+                              feats[feature_index(pred.column)]);
+                cmp = CompareValues(Value(v), pred.literal);
+            } else {
+                cmp = CompareValues(table.At(r, pred.column), pred.literal);
             }
-            if (keep) {
-                live.push_back(i);
+            if (!EvalCompareOp(pred.op, cmp)) {
+                return false;
             }
         }
+        return true;
+    };
 
-        // 2. Chunk-local feature sources per score (lazy).
+    // Scores the rows @p live (plain-predicate survivors) of a batch of
+    // @p n rows whose row i is table row rows[i] — or i when @p rows is
+    // null, the whole in-memory table — with a paged batch's feature
+    // rows in @p feats. Returns false to stop the scan early (TOP with
+    // no ORDER BY has its rows).
+    auto process = [&](const RowView* feats, const std::size_t* rows,
+                       std::size_t n,
+                       std::vector<std::uint32_t> live) -> bool {
+        // 1. Batch-local feature sources per score (lazy).
         std::vector<std::optional<RowView>> src(scores_.size());
         std::vector<std::vector<float>> col_scratch(scores_.size());
         auto chunk_src = [&](std::size_t s) -> const RowView& {
@@ -491,10 +513,9 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                 if (!paged) {
                     src[s] = mem_src[s];
                 } else if (cs.identity_prefix) {
-                    src[s] =
-                        chunk_feats->Prefix(cs.feature_idx.size());
+                    src[s] = feats->Prefix(cs.feature_idx.size());
                 } else {
-                    src[s] = Gather(*chunk_feats, nullptr, n,
+                    src[s] = Gather(*feats, nullptr, n,
                                     cs.feature_idx.data(),
                                     cs.feature_idx.size(),
                                     col_scratch[s]);
@@ -503,7 +524,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             return *src[s];
         };
 
-        // 3. SCORE predicates over the compacted survivors.
+        // 2. SCORE predicates over the compacted survivors.
         std::vector<float> row_scratch;
         for (const ScorePredicate& pred : score_preds_) {
             if (live.empty()) {
@@ -546,7 +567,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             return true;
         }
 
-        // 4. Score values for the survivors.
+        // 3. Score values for the survivors.
         std::vector<std::vector<float>> vals(scores_.size());
         {
             const bool all = live.size() == n;
@@ -567,7 +588,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
 
         // Cell accessor for plain columns of surviving rows.
         auto column_value = [&](std::size_t local, std::size_t col) {
-            const std::size_t r = row_begin + local;
+            const std::size_t r = rows != nullptr ? rows[local] : local;
             if (!paged) {
                 return table.At(r, col);
             }
@@ -575,11 +596,11 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                 col == label_col
                     ? static_cast<double>(table.FloatAt(r, col))
                     : static_cast<double>(
-                          chunk_feats->At(local, feature_index(col)));
+                          feats->At(local, feature_index(col)));
             return Value(v);
         };
 
-        // 5. Sink: fused aggregates or projected rows.
+        // 4. Sink: fused aggregates or projected rows.
         if (!stmt.aggregates.empty()) {
             for (std::size_t j = 0; j < live.size(); ++j) {
                 for (std::size_t a = 0; a < stmt.aggregates.size();
@@ -614,46 +635,108 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             return true;
         }
 
-        for (std::size_t j = 0; j < live.size(); ++j) {
+        auto project = [&](std::size_t j) {
             std::vector<Value> row;
             row.reserve(proj.size());
             for (const ProjItem& item : proj) {
                 if (item.is_score) {
-                    row.push_back(
-                        static_cast<double>(vals[item.index][j]));
+                    row.push_back(static_cast<double>(vals[item.index][j]));
                 } else {
                     row.push_back(column_value(live[j], item.index));
                 }
             }
-            result.rows.push_back(std::move(row));
-            if (stmt.order_by.has_value()) {
-                if (logical_.order_score.has_value()) {
-                    sort_keys.push_back(static_cast<double>(
-                        vals[*logical_.order_score][j]));
-                } else {
-                    sort_keys.push_back(
-                        column_value(live[j], order_col));
+            return row;
+        };
+        for (std::size_t j = 0; j < live.size(); ++j) {
+            if (!stmt.order_by.has_value()) {
+                result.rows.push_back(project(j));
+                if (top_stops && result.rows.size() >= *stmt.top) {
+                    return false;  // enough rows, stop scanning
                 }
-            } else if (stmt.top.has_value() &&
-                       result.rows.size() >= *stmt.top) {
-                return false;  // enough rows, stop scanning
+                continue;
+            }
+            Ranked entry;
+            entry.key = logical_.order_score.has_value()
+                            ? Value(static_cast<double>(
+                                  vals[*logical_.order_score][j]))
+                            : column_value(live[j], order_col);
+            entry.seq = scanned++;
+            if (stmt.top.has_value() && ranked.size() == *stmt.top) {
+                // Full heap: a later row never wins a tie, so only a
+                // strictly better key displaces the worst kept row.
+                if (ranked.empty() || !ranks_before(entry, ranked.front())) {
+                    continue;
+                }
+                std::pop_heap(ranked.begin(), ranked.end(), ranks_before);
+                ranked.pop_back();
+            }
+            entry.row = project(j);
+            ranked.push_back(std::move(entry));
+            if (stmt.top.has_value()) {
+                std::push_heap(ranked.begin(), ranked.end(), ranks_before);
             }
         }
         return true;
     };
 
     if (paged) {
-        storage::FeatureStream stream =
-            table.ScanFeatures(zone_predicate_);
+        // Morsels: the survivors of consecutive pages are copied into
+        // one block — so each page's pin is released as the stream
+        // moves on — and scored by one kernel call, at kMorselRows
+        // survivors, when TOP without ORDER BY has as many candidates
+        // as rows still wanted, and at the end of the stream.
+        storage::FeatureStream stream = table.ScanFeatures(zone_predicate_);
         storage::StreamChunk chunk;
-        while (stream.Next(chunk)) {
-            if (!process(&chunk.view, chunk.row_begin,
-                         chunk.view.rows())) {
-                break;
+        std::vector<std::size_t> morsel_rows;
+        std::vector<float> morsel_feats;
+        std::size_t width = 0;
+        auto flush = [&]() {
+            const std::size_t n = morsel_rows.size();
+            if (n == 0) {
+                return true;
+            }
+            RowBlock::NoteCopy(static_cast<std::uint64_t>(n) * width *
+                               sizeof(float));
+            const RowView feats =
+                RowView::Borrow(morsel_feats.data(), n, width);
+            std::vector<std::uint32_t> live(n);
+            std::iota(live.begin(), live.end(), std::uint32_t{0});
+            const bool more =
+                process(&feats, morsel_rows.data(), n, std::move(live));
+            morsel_rows.clear();
+            morsel_feats.clear();
+            return more;
+        };
+        bool more = true;
+        while (more && stream.Next(chunk)) {
+            const RowView& page = chunk.view;
+            width = page.cols();
+            for (std::size_t i = 0; i < page.rows(); ++i) {
+                const std::size_t r = chunk.row_begin + i;
+                const float* feats = page.Row(i);
+                if (passes(r, feats)) {
+                    morsel_rows.push_back(r);
+                    morsel_feats.insert(morsel_feats.end(), feats,
+                                        feats + width);
+                }
+            }
+            if (morsel_rows.size() >= kMorselRows ||
+                (top_stops &&
+                 morsel_rows.size() >= *stmt.top - result.rows.size())) {
+                more = flush();
             }
         }
+        if (more) {
+            flush();
+        }
     } else {
-        process(nullptr, 0, table.NumRows());
+        std::vector<std::uint32_t> live;
+        for (std::uint32_t r = 0; r < table.NumRows(); ++r) {
+            if (passes(r, nullptr)) {
+                live.push_back(r);
+            }
+        }
+        process(nullptr, nullptr, table.NumRows(), std::move(live));
     }
 
     {
@@ -700,21 +783,11 @@ PhysicalPlan::ExecuteScore(const Table& table) const
     }
 
     if (stmt.order_by.has_value()) {
-        const bool desc = stmt.order_by->descending;
-        std::vector<std::size_t> perm(result.rows.size());
-        std::iota(perm.begin(), perm.end(), std::size_t{0});
-        std::stable_sort(perm.begin(), perm.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             int cmp = CompareValues(sort_keys[a],
-                                                     sort_keys[b]);
-                             return desc ? cmp > 0 : cmp < 0;
-                         });
-        std::vector<std::vector<Value>> sorted;
-        sorted.reserve(result.rows.size());
-        for (std::size_t i : perm) {
-            sorted.push_back(std::move(result.rows[i]));
+        std::sort(ranked.begin(), ranked.end(), ranks_before);
+        result.rows.reserve(ranked.size());
+        for (Ranked& entry : ranked) {
+            result.rows.push_back(std::move(entry.row));
         }
-        result.rows = std::move(sorted);
     }
     if (stmt.top.has_value() && result.rows.size() > *stmt.top) {
         result.rows.resize(*stmt.top);

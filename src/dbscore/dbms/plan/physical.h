@@ -21,6 +21,12 @@
  *    predicates over the compacted survivors (early-exit kernel when
  *    the rewriter pushed the threshold down), and fold fused
  *    aggregates into the loop without materializing a score column.
+ *    Paged survivors are copied into morsels: the survivors of
+ *    several consecutive pages, scored by one kernel call, while the
+ *    scan still holds one page pin at a time. In-memory tables are
+ *    scored in one call over the whole table. TOP n ... ORDER BY
+ *    keeps a bounded heap of n rows keyed by (sort key, scan order),
+ *    so only rows that enter it are projected (DESIGN.md §14).
  *
  * Executing a rewritten plan is bit-identical to executing the naive
  * plan of the same statement: pruning/pushdown/fusion change how much

@@ -1,7 +1,5 @@
 #include "dbscore/storage/buffer_pool.h"
 
-#include <limits>
-
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
 #include "dbscore/trace/trace.h"
@@ -83,6 +81,10 @@ BufferPool::BufferPool(Pager& pager, const Options& options) : pager_(pager)
     for (Frame& frame : frames_) {
         frame.data.assign(pager_.page_size(), 0);
     }
+    free_frames_.reserve(frames_.size());
+    for (std::size_t f = frames_.size(); f-- > 0;) {
+        free_frames_.push_back(f);  // frame 0 on top
+    }
     resident_.reserve(options.capacity_pages);
 }
 
@@ -127,32 +129,68 @@ BufferPool::~BufferPool()
     }
 }
 
+void
+BufferPool::UnlinkLocked(std::size_t f)
+{
+    Frame& frame = frames_[f];
+    (frame.older == kNoFrame ? oldest_ : frames_[frame.older].newer) =
+        frame.newer;
+    (frame.newer == kNoFrame ? newest_ : frames_[frame.newer].older) =
+        frame.older;
+    frame.older = kNoFrame;
+    frame.newer = kNoFrame;
+}
+
+void
+BufferPool::TouchLocked(std::size_t f)
+{
+    if (newest_ == f) {
+        return;
+    }
+    Frame& frame = frames_[f];
+    if (frame.older != kNoFrame || oldest_ == f) {
+        UnlinkLocked(f);
+    }
+    frame.older = newest_;
+    (newest_ == kNoFrame ? oldest_ : frames_[newest_].newer) = f;
+    newest_ = f;
+}
+
+void
+BufferPool::ReleaseFrameLocked(std::size_t f)
+{
+    UnlinkLocked(f);
+    frames_[f].used = false;
+    frames_[f].dirty = false;
+    free_frames_.push_back(f);
+}
+
 std::size_t
 BufferPool::AcquireFrameLocked(std::uint32_t page_id)
 {
-    // Prefer a never-used frame, else evict the LRU unpinned one.
-    std::size_t victim = frames_.size();
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < frames_.size(); ++i) {
-        const Frame& frame = frames_[i];
-        if (!frame.used) {
-            victim = i;
-            oldest = 0;
-            break;
+    // A free frame if there is one, else the least-recently-pinned
+    // unpinned frame: walk from the oldest end past frames still
+    // pinned there (a pin moves its frame to the newest end, so these
+    // are only pins held across many later pins — a few at most).
+    std::size_t victim = kNoFrame;
+    if (!free_frames_.empty()) {
+        victim = free_frames_.back();
+        free_frames_.pop_back();
+    } else {
+        for (std::size_t f = oldest_; f != kNoFrame; f = frames_[f].newer) {
+            if (frames_[f].pins == 0) {
+                victim = f;
+                break;
+            }
         }
-        if (frame.pins == 0 && frame.lru_tick < oldest) {
-            victim = i;
-            oldest = frame.lru_tick;
+        if (victim == kNoFrame) {
+            throw CapacityError(
+                StrFormat("buffer pool: all %zu frames pinned while "
+                          "pinning page %u — pool too small for the "
+                          "working set",
+                          frames_.size(), page_id));
         }
-    }
-    if (victim == frames_.size()) {
-        throw CapacityError(
-            StrFormat("buffer pool: all %zu frames pinned while pinning "
-                      "page %u — pool too small for the working set",
-                      frames_.size(), page_id));
-    }
-    Frame& frame = frames_[victim];
-    if (frame.used) {
+        Frame& frame = frames_[victim];
         if (frame.dirty) {
             pager_.Write(frame.page_id, frame.data.data());
             frame.dirty = false;
@@ -161,10 +199,12 @@ BufferPool::AcquireFrameLocked(std::uint32_t page_id)
         resident_.erase(frame.page_id);
         ++stats_.evictions;
     }
+    Frame& frame = frames_[victim];
     frame.used = true;
     frame.dirty = false;
     frame.page_id = page_id;
     resident_[page_id] = victim;
+    TouchLocked(victim);
     return victim;
 }
 
@@ -177,9 +217,8 @@ BufferPool::Pin(std::uint32_t page_id)
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = resident_.find(page_id);
     if (it != resident_.end()) {
-        Frame& frame = frames_[it->second];
-        ++frame.pins;
-        frame.lru_tick = ++lru_clock_;
+        ++frames_[it->second].pins;
+        TouchLocked(it->second);
         ++stats_.hits;
         return PageHandle(this, it->second);
     }
@@ -191,15 +230,14 @@ BufferPool::Pin(std::uint32_t page_id)
     // Pin before the read so a concurrent Pin() can neither evict this
     // frame nor alias it while the fill is in flight.
     ++frame.pins;
-    frame.lru_tick = ++lru_clock_;
     try {
         pager_.Read(page_id, frame.data.data());
     } catch (...) {
         // Failed fill: the frame holds garbage; drop it from the pool
         // entirely so a retry re-reads instead of serving junk.
         --frame.pins;
-        frame.used = false;
         resident_.erase(page_id);
+        ReleaseFrameLocked(frame_index);
         throw;
     }
     tracer.EmitWall(trace::StageKind::kBufferPool, "pool-miss",
@@ -257,11 +295,10 @@ BufferPool::Invalidate(std::uint32_t page_id)
     if (it == resident_.end()) {
         return;
     }
-    Frame& frame = frames_[it->second];
-    DBS_ASSERT_MSG(frame.pins == 0, "invalidating a pinned page");
-    frame.used = false;
-    frame.dirty = false;
+    const std::size_t f = it->second;
+    DBS_ASSERT_MSG(frames_[f].pins == 0, "invalidating a pinned page");
     resident_.erase(it);
+    ReleaseFrameLocked(f);
 }
 
 std::size_t

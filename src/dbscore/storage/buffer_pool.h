@@ -22,6 +22,11 @@
  * pointers held by live PageHandles (and the RowViews aliasing them)
  * stay stable without per-pin allocation.
  *
+ * Victim choice is O(1): used frames sit on an intrusive list ordered
+ * by last pin (oldest at the head), unused ones on a free stack. A
+ * miss takes a free frame, else the first unpinned frame from the
+ * head; only the few frames still pinned at the head are skipped.
+ *
  * Thread safety: all bookkeeping is under one mutex; frame *payload*
  * access happens outside the lock, which is safe because a frame's
  * bytes only change while its page is being (re)filled — and a frame
@@ -163,25 +168,37 @@ class BufferPool {
  private:
     friend class PageHandle;
 
+    /** End of the LRU list. */
+    static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
+
     struct Frame {
         std::vector<std::uint8_t> data;
         std::uint32_t page_id = 0;
-        std::uint64_t lru_tick = 0;
         int pins = 0;
         bool used = false;
         bool dirty = false;
+        /** LRU list links (used frames only), toward older / newer. */
+        std::size_t older = kNoFrame;
+        std::size_t newer = kNoFrame;
     };
 
     void Unpin(std::size_t frame_index);
     void MarkDirty(std::size_t frame_index);
     /** Picks a frame for @p page_id, evicting if needed (locked). */
     std::size_t AcquireFrameLocked(std::uint32_t page_id);
+    /** Moves used frame @p f to the newest end of the LRU list. */
+    void TouchLocked(std::size_t f);
+    void UnlinkLocked(std::size_t f);
+    /** Unlinks frame @p f and pushes it on the free stack. */
+    void ReleaseFrameLocked(std::size_t f);
 
     Pager& pager_;
     mutable std::mutex mutex_;
     std::vector<Frame> frames_;
+    std::vector<std::size_t> free_frames_;
+    std::size_t oldest_ = kNoFrame;
+    std::size_t newest_ = kNoFrame;
     std::unordered_map<std::uint32_t, std::size_t> resident_;
-    std::uint64_t lru_clock_ = 0;
     BufferPoolStats stats_;
 };
 

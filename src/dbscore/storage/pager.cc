@@ -15,10 +15,10 @@ namespace dbscore::storage {
 
 namespace {
 
-/** Superblock payload ("DBSB", version, page size). */
+/** Superblock payload ("DBSB", format version, page size). */
 struct Superblock {
     std::uint32_t magic = 0x44425342u;
-    std::uint32_t version = 1;
+    std::uint32_t version = kPageFormatVersion;
     std::uint32_t page_size = 0;
 };
 
@@ -97,6 +97,14 @@ Pager::Pager(std::string path, const Options& options)
     if (header->magic != kPageMagic || sb.magic != kSuperblockMagic) {
         throw DataCorruption("pager: '" + path_ +
                              "' is not a dbscore page file");
+    }
+    // Before any checksum: a file in another format would otherwise
+    // fail page 0's integrity check, which reads like corruption.
+    if (sb.version != kPageFormatVersion) {
+        throw DataCorruption(
+            StrFormat("pager %s: page-file format version %u, but this "
+                      "build reads version %u",
+                      path_.c_str(), sb.version, kPageFormatVersion));
     }
     page_size_ = sb.page_size;
     if (page_size_ < kMinPageSize || file_bytes < page_size_) {

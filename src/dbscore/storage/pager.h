@@ -5,8 +5,8 @@
  * The pager is the lowest layer of the out-of-core data plane (ISSUE /
  * ROADMAP item 3; the Mini-DB pager in SNIPPETS.md is the structural
  * exemplar): open/alloc/read/write/sync over a single page file whose
- * page 0 is a superblock recording the file's page size. Every write
- * stamps the page's checksum; every read verifies magic, self-id, and
+ * page 0 is a superblock recording the file's format version and page
+ * size. Every write stamps the page's checksum; every read verifies magic, self-id, and
  * checksum, so torn writes and bit rot surface as DataCorruption
  * instead of silent bad features.
  *
@@ -70,6 +70,14 @@ enum class SyncMode : std::uint8_t {
 
 const char* SyncModeName(SyncMode mode);
 
+/**
+ * Format version the superblock records and Open checks before it
+ * verifies any page. Version 2 checksums pages with the 4-lane stripe
+ * hash (page.h); version 1 files (FNV-1a) open with DataCorruption
+ * naming both versions.
+ */
+inline constexpr std::uint32_t kPageFormatVersion = 2;
+
 /** Counters since the pager was opened. */
 struct PagerStats {
     std::uint64_t reads = 0;         ///< pages read (successful)
@@ -96,8 +104,10 @@ class Pager {
 
     /**
      * Opens (or creates) the page file at @p path. Creation writes the
-     * superblock; opening validates it and adopts its page size.
-     * @throws IoError / DataCorruption
+     * superblock; opening checks its format version, adopts its page
+     * size, then verifies page 0.
+     * @throws IoError / DataCorruption (also for another format
+     *         version)
      */
     Pager(std::string path, const Options& options);
     ~Pager();

@@ -1,0 +1,318 @@
+/**
+ * @file
+ * Tests for the paged SCORE scan (DESIGN.md §14): survivors of several
+ * pages copied into one morsel and scored in one kernel call, and TOP
+ * n ... ORDER BY kept in a bounded heap.
+ *
+ *  - paged and in-memory tables return identical results for COUNT,
+ *    AVG, MIN, MAX, TOP with and without ORDER BY, plain filters with
+ *    SCORE, label predicates and a non-prefix SCORE (the gather path),
+ *    under pools of 4, 16 and 256 frames over a table spanning several
+ *    1024-row morsels, and on 1001-byte pages (rows at addresses that
+ *    are no multiple of the page size);
+ *  - the bounded TOP-N equals a full stable sort truncated, with many
+ *    tied keys, ascending and descending, by SCORE and by a column,
+ *    including TOP 0 and a TOP larger than the survivors;
+ *  - TOP n without ORDER BY pins no page past the one holding its
+ *    n-th row;
+ *  - twelve threads scoring concurrently on one 16-frame pool (a
+ *    statement holds one data pin at a time) agree with a serial run.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <variant>
+#include <vector>
+
+#include "dbscore/common/error.h"
+#include "dbscore/common/rng.h"
+#include "dbscore/data/synthetic.h"
+#include "dbscore/dbms/database.h"
+#include "dbscore/dbms/plan/physical.h"
+#include "dbscore/dbms/plan/planner.h"
+#include "dbscore/dbms/sql.h"
+#include "dbscore/forest/trainer.h"
+
+namespace dbscore {
+namespace {
+
+class PagedScanTest : public ::testing::Test {
+ protected:
+    void SetUp() override
+    {
+        const auto* info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        dir_ = std::filesystem::temp_directory_path() /
+               (std::string("dbscore_scan_") + info->name());
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+    }
+
+    void TearDown() override
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir_, ec);
+    }
+
+    std::string Path(const std::string& name) const
+    {
+        return (dir_ / name).string();
+    }
+
+    /** Runs @p sql through a fresh planner (plans are not shared). */
+    QueryResult Run(const std::string& sql)
+    {
+        plan::Planner planner(db_);
+        return planner.ExecuteSelect(std::get<SelectStatement>(ParseSql(sql)),
+                                     sql);
+    }
+
+    std::filesystem::path dir_;
+    Database db_;
+};
+
+void
+ExpectSameResult(const QueryResult& want, const QueryResult& got,
+                 const std::string& what)
+{
+    ASSERT_EQ(got.columns, want.columns) << what;
+    ASSERT_EQ(got.rows.size(), want.rows.size()) << what;
+    for (std::size_t r = 0; r < want.rows.size(); ++r) {
+        ASSERT_EQ(got.rows[r], want.rows[r]) << what << " row " << r;
+    }
+}
+
+/** Regression forest over @p cols of @p data, target kin_0 + kin_3. */
+RandomForest
+TrainRegression(const Dataset& data, const std::vector<std::size_t>& cols,
+                std::uint64_t seed)
+{
+    Dataset train("reg", Task::kRegression, cols.size(), 0);
+    std::vector<float> row(cols.size());
+    for (std::size_t r = 0; r < 600; ++r) {
+        for (std::size_t j = 0; j < cols.size(); ++j) {
+            row[j] = data.At(r, cols[j]);
+        }
+        train.AddRow(row, data.At(r, 0) + data.At(r, 3));
+    }
+    ForestTrainerConfig config;
+    config.num_trees = 8;
+    config.max_depth = 6;
+    config.seed = seed;
+    return TrainForest(train, config);
+}
+
+TEST_F(PagedScanTest, PagedMatchesInMemoryAcrossPoolSizes)
+{
+    // 4000 rows of 28 features: 112 pages of 36 rows (500 of 8 rows on
+    // 1001-byte pages), several 1024-row morsels.
+    const Dataset data = MakeHiggs(4000, 91);
+    ForestTrainerConfig config;
+    config.num_trees = 8;
+    config.max_depth = 6;
+    config.seed = 91;
+    db_.StoreModel("m", TreeEnsemble::FromForest(TrainForest(data, config)));
+    std::vector<std::size_t> all(data.num_features());
+    for (std::size_t c = 0; c < all.size(); ++c) {
+        all[c] = c;
+    }
+    db_.StoreModel("r", TreeEnsemble::FromForest(TrainRegression(data, all, 92)));
+    db_.StoreModel("p",
+                   TreeEnsemble::FromForest(TrainRegression(data, {2, 0}, 93)));
+    db_.StoreDataset("mem", data);
+    // {page bytes, pool frames}.
+    const std::vector<std::pair<std::size_t, std::size_t>> layouts = {
+        {4096, 4}, {4096, 16}, {4096, 256}, {1001, 16}};
+    std::vector<std::string> paged;
+    for (const auto& [page_size, pool] : layouts) {
+        storage::StorageOptions options;
+        options.page_size = page_size;
+        options.pool_pages = pool;
+        paged.push_back("paged" + std::to_string(page_size) + "_" +
+                        std::to_string(pool));
+        db_.StoreDatasetPaged(paged.back(), data,
+                              Path(paged.back() + ".dbpages"), options);
+    }
+    const std::vector<std::string> statements = {
+        "SELECT COUNT(*) FROM $ WHERE kin_0 > 0.3 AND SCORE(m) > 0.5",
+        "SELECT COUNT(*), AVG(SCORE(r)), MIN(SCORE(r)), MAX(SCORE(r)), "
+        "MIN(kin_1), MAX(kin_2) FROM $ WHERE kin_0 > -0.5",
+        "SELECT AVG(kin_4), MAX(SCORE(m)) FROM $ WHERE SCORE(r) > 0.2",
+        "SELECT TOP 50 kin_0, SCORE(r) FROM $ WHERE kin_1 < 1 "
+        "ORDER BY SCORE(r) DESC",
+        "SELECT TOP 50 kin_0, SCORE(r) FROM $ WHERE kin_1 < 1",
+        "SELECT TOP 1500 kin_5, SCORE(m) FROM $ WHERE SCORE(r) <= 0.4",
+        "SELECT kin_0, SCORE(m) FROM $ WHERE kin_2 > 0.1",
+        "SELECT SCORE(p, kin_2, kin_0), kin_7 FROM $ WHERE kin_3 < 0.5 "
+        "ORDER BY kin_7",
+        "SELECT COUNT(*) FROM $ WHERE label > 0.5 AND SCORE(m) > 0.5",
+        "SELECT * FROM $ WHERE SCORE(p, kin_2, kin_0) > 0.7",
+    };
+    for (const std::string& pattern : statements) {
+        auto on = [&pattern](const std::string& table) {
+            std::string sql = pattern;
+            sql.replace(sql.find('$'), 1, table);
+            return sql;
+        };
+        const QueryResult want = Run(on("mem"));
+        ASSERT_FALSE(want.rows.empty()) << pattern;
+        for (const std::string& table : paged) {
+            const std::string sql = on(table);
+            ExpectSameResult(want, Run(sql), sql);
+        }
+    }
+}
+
+/** A 4-feature table with heavy ties: f0 = r % 5, f1 = r (row id). */
+Dataset
+TiedData(std::size_t rows)
+{
+    Dataset data("tied", Task::kClassification, 4, 2);
+    data.feature_names() = {"f0", "f1", "f2", "f3"};
+    Rng rng(95);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float f2 = static_cast<float>(rng.NextDouble());
+        const float f3 = static_cast<float>(rng.NextDouble());
+        data.AddRow({static_cast<float>(r % 5), static_cast<float>(r), f2, f3},
+                    f2 + f3 > 1.0f ? 1.0f : 0.0f);
+    }
+    return data;
+}
+
+void
+StoreTied(Database& db, const Dataset& data, const std::string& paged_path,
+          std::size_t pool_pages)
+{
+    ForestTrainerConfig config;
+    config.num_trees = 6;
+    config.max_depth = 5;
+    config.seed = 96;
+    db.StoreModel("c", TreeEnsemble::FromForest(TrainForest(data, config)));
+    db.StoreDataset("mem", data);
+    storage::StorageOptions options;
+    options.page_size = 512;  // 30 rows of 4 features per page
+    options.pool_pages = pool_pages;
+    db.StoreDatasetPaged("paged", data, paged_path, options);
+}
+
+TEST_F(PagedScanTest, BoundedTopNEqualsStableSort)
+{
+    const Dataset data = TiedData(3000);
+    StoreTied(db_, data, Path("t.dbpages"), 64);
+    for (const char* table : {"mem", "paged"}) {
+        // Scan order, then the test's own stable sort: the reference.
+        const QueryResult scan = Run(
+            std::string("SELECT f1, f0, SCORE(c) FROM ") + table +
+            " WHERE f2 > 0.2");
+        ASSERT_GT(scan.rows.size(), 1500u);
+        for (const auto& [order, key, desc] :
+             {std::tuple{"SCORE(c)", 2, false}, {"SCORE(c) DESC", 2, true},
+              {"f0", 1, false}, {"f0 DESC", 1, true}}) {
+            std::vector<std::vector<Value>> sorted = scan.rows;
+            const auto k = static_cast<std::size_t>(key);
+            std::stable_sort(sorted.begin(), sorted.end(),
+                             [k, desc = desc](const auto& a, const auto& b) {
+                                 const int cmp = CompareValues(a[k], b[k]);
+                                 return desc ? cmp > 0 : cmp < 0;
+                             });
+            for (const std::size_t n :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                  std::size_t{400}, scan.rows.size() + 10}) {
+                const std::string sql =
+                    "SELECT TOP " + std::to_string(n) +
+                    " f1, f0, SCORE(c) FROM " + table +
+                    " WHERE f2 > 0.2 ORDER BY " + order;
+                const QueryResult got = Run(sql);
+                ASSERT_EQ(got.rows.size(), std::min(n, sorted.size())) << sql;
+                for (std::size_t i = 0; i < got.rows.size(); ++i) {
+                    ASSERT_EQ(got.rows[i], sorted[i]) << sql << " row " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(PagedScanTest, TopWithoutOrderByPinsNoPagePastItsLastRow)
+{
+    const Dataset data = TiedData(3000);
+    StoreTied(db_, data, Path("t.dbpages"), 256);
+    storage::PagedTable& store = *db_.GetTable("paged").store();
+    const std::size_t rows_per_page = store.rows_per_page();
+    // No zone map can prune f0 >= 2 (every page holds f0 = 0..4), so
+    // the scan visits pages in order: a scan that stops on the page of
+    // its n-th row pins exactly that page's index + 1 pages.
+    for (const std::size_t n : {1, 5, 40, 200, 900}) {
+        const std::string tail = " f1, SCORE(c) FROM $ WHERE f0 >= 2 AND "
+                                 "SCORE(c) > 0.5";
+        std::string sql = "SELECT TOP " + std::to_string(n) + tail;
+        sql.replace(sql.find('$'), 1, "paged");
+        store.ResetStats();
+        const QueryResult got = Run(sql);
+        const storage::StorageStats stats = store.Stats();
+        ASSERT_EQ(got.rows.size(), n) << sql;
+        const auto last_row =
+            static_cast<std::size_t>(std::get<double>(got.rows.back()[0]));
+        EXPECT_LE(stats.pool.hits + stats.pool.misses,
+                  last_row / rows_per_page + 1)
+            << sql;
+        std::string mem_sql = "SELECT TOP " + std::to_string(n) + tail;
+        mem_sql.replace(mem_sql.find('$'), 1, "mem");
+        ExpectSameResult(Run(mem_sql), got, sql);
+    }
+}
+
+TEST_F(PagedScanTest, ConcurrentStatementsShareASmallPool)
+{
+    // 16 frames: a statement pins one data page at a time, so twelve
+    // concurrent statements that read no label fit with room to evict.
+    const Dataset data = TiedData(6000);  // 200 pages
+    StoreTied(db_, data, Path("t.dbpages"), 16);
+    const std::vector<std::string> statements = {
+        "SELECT COUNT(*), AVG(SCORE(c)) FROM paged WHERE f2 > 0.3",
+        "SELECT TOP 25 f1, SCORE(c) FROM paged WHERE f3 < 0.6 "
+        "ORDER BY SCORE(c) DESC",
+        "SELECT TOP 300 f1 FROM paged WHERE SCORE(c) > 0.5",
+        "SELECT MIN(f2), MAX(f3) FROM paged WHERE SCORE(c) < 0.5",
+    };
+    plan::Planner planner(db_);
+    std::vector<std::shared_ptr<const plan::PhysicalPlan>> plans;
+    std::vector<QueryResult> serial;
+    for (const std::string& sql : statements) {
+        plans.push_back(
+            planner.Plan(std::get<SelectStatement>(ParseSql(sql)), sql));
+        serial.push_back(plans.back()->Execute(db_));
+    }
+    constexpr int kThreads = 12;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 4; ++round) {
+                const std::size_t s =
+                    static_cast<std::size_t>(t + round) % plans.size();
+                try {
+                    const QueryResult got = plans[s]->Execute(db_);
+                    if (got.rows != serial[s].rows) {
+                        failures.fetch_add(1);
+                    }
+                } catch (const Error&) {
+                    failures.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GT(db_.GetTable("paged").store()->Stats().pool.evictions, 0u);
+}
+
+}  // namespace
+}  // namespace dbscore

@@ -181,6 +181,49 @@ TEST_F(PagerTest, OutOfRangeReadThrows)
     EXPECT_THROW(pager.Read(99, page.data()), InvalidArgument);
 }
 
+/** Writes a one-page file whose superblock records @p version. */
+void
+WriteSuperblockFile(const std::string& path, std::uint32_t version)
+{
+    constexpr std::size_t kSize = 512;
+    std::vector<std::uint8_t> page(kSize);
+    storage::InitPage(page.data(), kSize, 0, PageType::kSuperblock);
+    const std::uint32_t superblock[3] = {0x44425342u, version, kSize};
+    std::memcpy(storage::PayloadOf(page.data()), superblock,
+                sizeof(superblock));
+    storage::HeaderOf(page.data())->payload_bytes = sizeof(superblock);
+    storage::HeaderOf(page.data())->checksum =
+        storage::ComputePageChecksum(page.data(), kSize);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(page.data()), kSize);
+}
+
+TEST_F(PagerTest, OtherFormatVersionsAreRefusedBeforeAnyChecksum)
+{
+    const std::string path = Path("t.dbpages");
+    WriteSuperblockFile(path, storage::kPageFormatVersion);
+    EXPECT_NO_THROW(Pager(path, Pager::Options{}));
+    // Version 1 (FNV-1a checksums) and a version from the future each
+    // name themselves and the version this build reads.
+    for (const std::uint32_t version : {1u, 77u}) {
+        WriteSuperblockFile(path, version);
+        try {
+            Pager pager(path, Pager::Options{});
+            ADD_FAILURE() << "version " << version << " opened";
+        } catch (const DataCorruption& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("format version " + std::to_string(version)),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("reads version " +
+                                std::to_string(storage::kPageFormatVersion)),
+                      std::string::npos)
+                << what;
+            EXPECT_EQ(what.find("integrity"), std::string::npos) << what;
+        }
+    }
+}
+
 // ------------------------------------------------------ buffer pool --
 
 struct PoolFixture {
@@ -262,6 +305,47 @@ TEST_F(BufferPoolTest, DirtyFrameRoundTripsThroughEviction)
     EXPECT_EQ(back.payload()[0], 0x7E);
     EXPECT_EQ(back.payload()[15], 0x7E);
     EXPECT_EQ(storage::HeaderOf(back.data())->payload_bytes, 16u);
+}
+
+TEST_F(BufferPoolTest, PinnedFrameAtTheLruHeadIsSkipped)
+{
+    PoolFixture f(Path("t.dbpages"), 3, 4);
+    PageHandle held = f.pool.Pin(1);  // oldest pin, still held
+    { PageHandle h = f.pool.Pin(2); }
+    { PageHandle h = f.pool.Pin(3); }
+    { PageHandle h = f.pool.Pin(4); }  // skips pinned 1, evicts 2
+    EXPECT_EQ(f.pool.stats().evictions, 1u);
+    EXPECT_EQ(storage::HeaderOf(held.data())->page_id, 1u);
+    const std::uint64_t misses = f.pool.stats().misses;
+    { PageHandle h = f.pool.Pin(3); }
+    { PageHandle h = f.pool.Pin(4); }
+    EXPECT_EQ(f.pool.stats().misses, misses);
+    { PageHandle h = f.pool.Pin(2); }  // evicted -> miss
+    EXPECT_EQ(f.pool.stats().misses, misses + 1);
+}
+
+TEST_F(BufferPoolTest, InvalidateAndFailedFillReturnTheirFrames)
+{
+    PoolFixture f(Path("t.dbpages"), 2, 3);
+    { PageHandle h = f.pool.Pin(1); }
+    { PageHandle h = f.pool.Pin(2); }
+    f.pool.Invalidate(1);
+    EXPECT_EQ(f.pool.Resident(), 1u);
+    { PageHandle h = f.pool.Pin(3); }  // the invalidated frame, no victim
+    EXPECT_EQ(f.pool.stats().evictions, 0u);
+    EXPECT_EQ(f.pool.Resident(), 2u);
+
+    // A fill that fails gives its victim frame back too.
+    EXPECT_THROW(f.pool.Pin(99), InvalidArgument);  // past the file end
+    EXPECT_EQ(f.pool.stats().evictions, 1u);
+    EXPECT_EQ(f.pool.Resident(), 1u);
+    EXPECT_EQ(f.pool.PinnedFrames(), 0u);
+    PageHandle a = f.pool.Pin(1);  // the failed fill's frame, no victim
+    PageHandle b = f.pool.Pin(3);  // still resident: a hit
+    EXPECT_EQ(f.pool.stats().evictions, 1u);
+    EXPECT_EQ(f.pool.PinnedFrames(), 2u);
+    EXPECT_EQ(storage::HeaderOf(a.data())->page_id, 1u);
+    EXPECT_EQ(storage::HeaderOf(b.data())->page_id, 3u);
 }
 
 // ------------------------------------------------------ paged table --
