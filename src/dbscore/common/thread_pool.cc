@@ -172,4 +172,57 @@ ThreadPool::Shared()
     return pool;
 }
 
+struct ClaimableTask::State {
+    static constexpr int kQueued = 0;
+    static constexpr int kRunning = 1;
+    static constexpr int kDone = 2;
+
+    std::atomic<int> phase{kQueued};
+    std::function<void()> work;
+    std::exception_ptr error;
+};
+
+ClaimableTask::ClaimableTask(ThreadPool& pool, std::function<void()> work)
+    : state_(std::make_shared<State>())
+{
+    state_->work = std::move(work);
+    // The queued task owns the state, not the work's captures: after
+    // the owner has claimed it back the task only finds it taken.
+    pool.Submit([state = state_] {
+        int queued = State::kQueued;
+        if (!state->phase.compare_exchange_strong(queued, State::kRunning)) {
+            return;
+        }
+        try {
+            state->work();
+        } catch (...) {
+            state->error = std::current_exception();
+        }
+        state->phase.store(State::kDone);
+        state->phase.notify_all();
+    });
+}
+
+ClaimableTask::~ClaimableTask()
+{
+    int queued = State::kQueued;
+    if (!state_->phase.compare_exchange_strong(queued, State::kDone)) {
+        state_->phase.wait(State::kRunning);
+    }
+}
+
+void
+ClaimableTask::Join()
+{
+    int queued = State::kQueued;
+    if (state_->phase.compare_exchange_strong(queued, State::kDone)) {
+        state_->work();
+        return;
+    }
+    state_->phase.wait(State::kRunning);
+    if (state_->error) {
+        std::rethrow_exception(state_->error);
+    }
+}
+
 }  // namespace dbscore

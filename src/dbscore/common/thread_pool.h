@@ -1,6 +1,7 @@
 /**
  * @file
- * A fixed-size worker pool with a blocking parallel-for.
+ * A fixed-size worker pool with a blocking parallel-for, and work
+ * offered to a pool that its owner can claim back (ClaimableTask).
  *
  * The functional scoring engines use this to actually compute predictions
  * over large batches quickly. Note that pool size never influences
@@ -14,6 +15,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -104,6 +106,36 @@ class ThreadPool {
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
+};
+
+/**
+ * Work offered to a ThreadPool that its owner can take back. A worker
+ * that dequeues it first runs it; Join() runs it on the calling thread
+ * if no worker has started it, and otherwise waits for the worker that
+ * has. So the owner never waits on work still queued behind other
+ * tasks, and owners that are pool tasks themselves cannot deadlock
+ * however busy the pool is. The destructor cancels work no worker has
+ * started and waits for work one has, so the work may read the owner's
+ * stack.
+ */
+class ClaimableTask {
+ public:
+    /** Queues @p work on @p pool. @throws InvalidArgument after Shutdown(). */
+    ClaimableTask(ThreadPool& pool, std::function<void()> work);
+    ~ClaimableTask();
+
+    ClaimableTask(const ClaimableTask&) = delete;
+    ClaimableTask& operator=(const ClaimableTask&) = delete;
+
+    /**
+     * Returns once the work has run, here or on a worker; rethrows
+     * what it threw. Call at most once.
+     */
+    void Join();
+
+ private:
+    struct State;
+    std::shared_ptr<State> state_;
 };
 
 }  // namespace dbscore

@@ -1,13 +1,16 @@
 #include "dbscore/dbms/plan/physical.h"
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
 #include <optional>
 #include <utility>
 
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
+#include "dbscore/common/thread_pool.h"
 #include "dbscore/forest/onnx_like.h"
+#include "dbscore/trace/trace.h"
 
 namespace dbscore::plan {
 
@@ -58,6 +61,26 @@ ScorePredHolds(CompareOp op, float value, float literal)
         return value >= literal;
     }
     return false;
+}
+
+/**
+ * CompareValues(Value(v), literal) without building a Value when the
+ * literal is numeric: the same ordering, NaN comparing equal. Other
+ * literals take the Value path and its typed error.
+ */
+int
+CompareToLiteral(double v, const Value& literal)
+{
+    const double* d = std::get_if<double>(&literal);
+    const std::int64_t* i = std::get_if<std::int64_t>(&literal);
+    if (d == nullptr && i == nullptr) {
+        return CompareValues(Value(v), literal);
+    }
+    const double lit = d != nullptr ? *d : static_cast<double>(*i);
+    if (v < lit) {
+        return -1;
+    }
+    return v > lit ? 1 : 0;
 }
 
 /**
@@ -339,6 +362,47 @@ struct Ranked {
     std::vector<Value> row;
 };
 
+/**
+ * What the score step hands the sink: the batch rows that pass every
+ * SCORE predicate, the values of each score the sink reads (one per
+ * passing row; empty for the others), and the early-exit work spent.
+ */
+struct Scored {
+    std::vector<std::uint32_t> live;
+    std::vector<std::vector<float>> vals;
+    ThresholdStats stats;
+};
+
+/**
+ * A paged morsel: plain-predicate survivors of consecutive pages,
+ * copied off their pages with their global row ids, then scored by a
+ * pool worker or by the statement thread (DESIGN.md §14).
+ */
+struct Morsel {
+    std::vector<std::size_t> rows;
+    std::vector<float> feats;
+    std::size_t width = 0;
+    Scored scored;
+    /** Declared last so it is destroyed first: a worker scoring this
+     * morsel finishes before the rows it reads go away. */
+    std::optional<ClaimableTask> task;
+
+    RowView
+    View() const
+    {
+        return RowView::Borrow(feats.data(), rows.size(), width);
+    }
+};
+
+void
+AddStats(ThresholdStats& total, const ThresholdStats& part)
+{
+    total.rows += part.rows;
+    total.rows_decided_early += part.rows_decided_early;
+    total.tree_traversals += part.tree_traversals;
+    total.tree_traversals_full += part.tree_traversals_full;
+}
+
 }  // namespace
 
 QueryResult
@@ -485,7 +549,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                         ? static_cast<double>(table.FloatAt(r, pred.column))
                         : static_cast<double>(
                               feats[feature_index(pred.column)]);
-                cmp = CompareValues(Value(v), pred.literal);
+                cmp = CompareToLiteral(v, pred.literal);
             } else {
                 cmp = CompareValues(table.At(r, pred.column), pred.literal);
             }
@@ -496,14 +560,15 @@ PhysicalPlan::ExecuteScore(const Table& table) const
         return true;
     };
 
-    // Scores the rows @p live (plain-predicate survivors) of a batch of
-    // @p n rows whose row i is table row rows[i] — or i when @p rows is
-    // null, the whole in-memory table — with a paged batch's feature
-    // rows in @p feats. Returns false to stop the scan early (TOP with
-    // no ORDER BY has its rows).
-    auto process = [&](const RowView* feats, const std::size_t* rows,
-                       std::size_t n,
-                       std::vector<std::uint32_t> live) -> bool {
+    // Score step: the SCORE predicates, then the values of the scores
+    // the sink reads, over the plain-predicate survivors @p live of a
+    // batch of @p n rows — a paged morsel's feature rows @p feats, or
+    // the whole in-memory table when @p feats is null. It reads only
+    // the compiled plan and the in-memory sources, so a pool thread
+    // may run it.
+    auto score = [&](const RowView* feats, std::size_t n,
+                     std::vector<std::uint32_t> live) {
+        Scored out;
         // 1. Batch-local feature sources per score (lazy).
         std::vector<std::optional<RowView>> src(scores_.size());
         std::vector<std::vector<float>> col_scratch(scores_.size());
@@ -541,7 +606,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                 cs.kernel->SupportsThresholdEarlyExit()) {
                 keep = cs.kernel->PredictThreshold(
                     view, *ToThresholdOp(pred.op), pred.literal,
-                    &run_stats);
+                    &out.stats);
             } else {
                 const std::vector<float> vals =
                     cs.kernel != nullptr ? cs.kernel->Predict(view)
@@ -563,13 +628,10 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             }
             live.swap(next);
         }
-        if (live.empty()) {
-            return true;
-        }
 
         // 3. Score values for the survivors.
-        std::vector<std::vector<float>> vals(scores_.size());
-        {
+        out.vals.resize(scores_.size());
+        if (!live.empty()) {
             const bool all = live.size() == n;
             for (std::size_t s = 0; s < scores_.size(); ++s) {
                 if (!value_needed[s]) {
@@ -580,11 +642,25 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                     all ? chunk_src(s)
                         : Gather(chunk_src(s), live.data(), live.size(),
                                  nullptr, 0, row_scratch);
-                vals[s] = cs.kernel != nullptr
-                              ? cs.kernel->Predict(view)
-                              : cs.model->PredictBatch(view);
+                out.vals[s] = cs.kernel != nullptr
+                                  ? cs.kernel->Predict(view)
+                                  : cs.model->PredictBatch(view);
             }
         }
+        out.live = std::move(live);
+        return out;
+    };
+
+    // Sink step: folds a scored batch into the statement, in scan
+    // order — early-exit counters, fused aggregates, the TOP-N heap or
+    // projected rows. Row i of the batch is table row rows[i] (i when
+    // @p rows is null) with its paged feature row in @p feats. Returns
+    // false to stop the scan early (TOP with no ORDER BY has its rows).
+    auto sink = [&](const RowView* feats, const std::size_t* rows,
+                    const Scored& batch) -> bool {
+        AddStats(run_stats, batch.stats);
+        const std::vector<std::uint32_t>& live = batch.live;
+        const std::vector<std::vector<float>>& vals = batch.vals;
 
         // Cell accessor for plain columns of surviving rows.
         auto column_value = [&](std::size_t local, std::size_t col) {
@@ -600,7 +676,6 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             return Value(v);
         };
 
-        // 4. Sink: fused aggregates or projected rows.
         if (!stmt.aggregates.empty()) {
             for (std::size_t j = 0; j < live.size(); ++j) {
                 for (std::size_t a = 0; a < stmt.aggregates.size();
@@ -681,53 +756,106 @@ PhysicalPlan::ExecuteScore(const Table& table) const
 
     if (paged) {
         // Morsels: the survivors of consecutive pages are copied into
-        // one block — so each page's pin is released as the stream
-        // moves on — and scored by one kernel call, at kMorselRows
-        // survivors, when TOP without ORDER BY has as many candidates
-        // as rows still wanted, and at the end of the stream.
-        storage::FeatureStream stream = table.ScanFeatures(zone_predicate_);
-        storage::StreamChunk chunk;
+        // one block, so each page's pin is released as the stream moves
+        // on. A morsel closes at kMorselRows survivors after a page,
+        // inside a page before it reaches kParallelRowCutoff rows (so
+        // its kernel calls run inline on whichever thread scores it),
+        // when TOP without ORDER BY has as many candidates as rows still
+        // wanted, and at the end of the stream. Closed morsels are
+        // offered to the shared pool while this thread walks on, and
+        // sunk here in scan order once more than twice the pool's size
+        // are in flight; a morsel no worker has started is scored here.
+        // TOP without ORDER BY scores each morsel as it closes: it must
+        // not read a page past the one holding its n-th row.
+        ThreadPool& pool = ThreadPool::Shared();
+        const std::size_t window = top_stops ? 0 : 2 * pool.size();
+        const trace::SpanContext parent = trace::TraceCollector::Current();
+        auto score_morsel = [&](Morsel& m) {
+            trace::ScopedParent adopt(parent);
+            const RowView feats = m.View();
+            std::vector<std::uint32_t> live(m.rows.size());
+            std::iota(live.begin(), live.end(), std::uint32_t{0});
+            m.scored = score(&feats, m.rows.size(), std::move(live));
+        };
         std::vector<std::size_t> morsel_rows;
         std::vector<float> morsel_feats;
         std::size_t width = 0;
-        auto flush = [&]() {
-            const std::size_t n = morsel_rows.size();
-            if (n == 0) {
-                return true;
+        // The buffers of the last morsel sunk, reused by the next one.
+        std::vector<std::size_t> spare_rows;
+        std::vector<float> spare_feats;
+        // Declared after everything a task reads, so it is destroyed
+        // first: unwinding cancels queued tasks and waits for running
+        // ones.
+        std::deque<Morsel> in_flight;
+        auto sink_oldest = [&]() {
+            Morsel& m = in_flight.front();
+            if (m.task.has_value()) {
+                m.task->Join();
+            } else {
+                score_morsel(m);
             }
-            RowBlock::NoteCopy(static_cast<std::uint64_t>(n) * width *
-                               sizeof(float));
-            const RowView feats =
-                RowView::Borrow(morsel_feats.data(), n, width);
-            std::vector<std::uint32_t> live(n);
-            std::iota(live.begin(), live.end(), std::uint32_t{0});
-            const bool more =
-                process(&feats, morsel_rows.data(), n, std::move(live));
-            morsel_rows.clear();
-            morsel_feats.clear();
+            const RowView feats = m.View();
+            const bool more = sink(&feats, m.rows.data(), m.scored);
+            m.rows.clear();
+            m.feats.clear();
+            spare_rows.swap(m.rows);
+            spare_feats.swap(m.feats);
+            in_flight.pop_front();
             return more;
         };
+        auto flush = [&]() {
+            if (morsel_rows.empty()) {
+                return true;
+            }
+            RowBlock::NoteCopy(static_cast<std::uint64_t>(
+                                   morsel_rows.size()) *
+                               width * sizeof(float));
+            Morsel& m = in_flight.emplace_back();
+            m.rows.swap(morsel_rows);
+            m.feats.swap(morsel_feats);
+            m.width = width;
+            morsel_rows.swap(spare_rows);
+            morsel_feats.swap(spare_feats);
+            if (window > 0) {
+                m.task.emplace(pool, [&score_morsel, &m] { score_morsel(m); });
+            }
+            bool more = true;
+            while (more && in_flight.size() > window) {
+                more = sink_oldest();
+            }
+            return more;
+        };
+        storage::FeatureStream stream = table.ScanFeatures(zone_predicate_);
+        storage::StreamChunk chunk;
         bool more = true;
         while (more && stream.Next(chunk)) {
             const RowView& page = chunk.view;
             width = page.cols();
-            for (std::size_t i = 0; i < page.rows(); ++i) {
+            for (std::size_t i = 0; more && i < page.rows(); ++i) {
                 const std::size_t r = chunk.row_begin + i;
                 const float* feats = page.Row(i);
-                if (passes(r, feats)) {
-                    morsel_rows.push_back(r);
-                    morsel_feats.insert(morsel_feats.end(), feats,
-                                        feats + width);
+                if (!passes(r, feats)) {
+                    continue;
+                }
+                morsel_rows.push_back(r);
+                morsel_feats.insert(morsel_feats.end(), feats,
+                                    feats + width);
+                if (morsel_rows.size() == kParallelRowCutoff - 1) {
+                    more = flush();
                 }
             }
-            if (morsel_rows.size() >= kMorselRows ||
-                (top_stops &&
-                 morsel_rows.size() >= *stmt.top - result.rows.size())) {
+            if (more &&
+                (morsel_rows.size() >= kMorselRows ||
+                 (top_stops &&
+                  morsel_rows.size() >= *stmt.top - result.rows.size()))) {
                 more = flush();
             }
         }
         if (more) {
-            flush();
+            more = flush();
+        }
+        while (more && !in_flight.empty()) {
+            more = sink_oldest();
         }
     } else {
         std::vector<std::uint32_t> live;
@@ -736,16 +864,13 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                 live.push_back(r);
             }
         }
-        process(nullptr, nullptr, table.NumRows(), std::move(live));
+        sink(nullptr, nullptr,
+             score(nullptr, table.NumRows(), std::move(live)));
     }
 
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        threshold_stats_.rows += run_stats.rows;
-        threshold_stats_.rows_decided_early += run_stats.rows_decided_early;
-        threshold_stats_.tree_traversals += run_stats.tree_traversals;
-        threshold_stats_.tree_traversals_full +=
-            run_stats.tree_traversals_full;
+        AddStats(threshold_stats_, run_stats);
     }
 
     if (!stmt.aggregates.empty()) {
@@ -831,7 +956,7 @@ PhysicalPlan::CollectScoringBatch(const Database& db) const
                                   table.FloatAt(r, pred.column))
                             : static_cast<double>(chunk_feats->At(
                                   i, feature_index(pred.column)));
-                    cmp = CompareValues(Value(v), pred.literal);
+                    cmp = CompareToLiteral(v, pred.literal);
                 } else {
                     cmp = CompareValues(table.At(r, pred.column),
                                         pred.literal);

@@ -28,6 +28,16 @@
  *    keeps a bounded heap of n rows keyed by (sort key, scan order),
  *    so only rows that enter it are projected (DESIGN.md §14).
  *
+ * Execution splits into a score step (SCORE predicates and values
+ * over one batch, touching no statement state) and a sink step
+ * (aggregates, TOP-N heap, projected rows, early-exit counters). A
+ * paged statement offers each morsel to ThreadPool::Shared() and keeps
+ * walking pages; it sinks morsels in scan order once more than twice
+ * the pool's size are in flight, scoring any morsel no worker has
+ * started, so it never waits on work queued behind other tasks. TOP n
+ * without ORDER BY scores each morsel inline: it must not read a page
+ * past the one holding its n-th row.
+ *
  * Executing a rewritten plan is bit-identical to executing the naive
  * plan of the same statement: pruning/pushdown/fusion change how much
  * work runs, never the result (DESIGN.md §14).

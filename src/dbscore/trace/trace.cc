@@ -533,4 +533,21 @@ ScopedSpan::context() const
     return SpanContext{record_.trace_id, record_.span_id, record_.domain};
 }
 
+/* ---------------------------------------------------------------- */
+/* ScopedParent                                                     */
+/* ---------------------------------------------------------------- */
+
+ScopedParent::ScopedParent(SpanContext parent)
+{
+    if (parent.valid()) {
+        g_span_stack.push_back(parent);
+        pushed_ = true;
+    }
+}
+
+ScopedParent::~ScopedParent()
+{
+    if (pushed_) g_span_stack.pop_back();
+}
+
 }  // namespace dbscore::trace

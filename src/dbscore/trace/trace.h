@@ -21,7 +21,9 @@
  * Ids and parenting: span/trace ids come from atomic counters. Within
  * a thread, ScopedSpan maintains an implicit parent stack; across
  * thread hops (pipeline -> coalescer -> device worker) the producer
- * captures a SpanContext and passes it to the child explicitly.
+ * captures a SpanContext and passes it to the child explicitly (or
+ * the receiving thread adopts it as its implicit parent with
+ * ScopedParent).
  * Domains partition spans between independent producers (e.g. two
  * ScoringService instances) so per-service summaries don't bleed into
  * each other; domain 0 is the default used by the DBMS pipeline.
@@ -384,6 +386,24 @@ class ScopedSpan {
 
     SpanRecord record_;
     bool active_ = false;
+};
+
+/**
+ * Makes @p parent the calling thread's Current() span while the guard
+ * lives, without opening a span of its own: work handed to a pool
+ * thread then parents its spans as it would on the thread that handed
+ * it over. An invalid @p parent changes nothing.
+ */
+class ScopedParent {
+ public:
+    explicit ScopedParent(SpanContext parent);
+    ~ScopedParent();
+
+    ScopedParent(const ScopedParent&) = delete;
+    ScopedParent& operator=(const ScopedParent&) = delete;
+
+ private:
+    bool pushed_ = false;
 };
 
 }  // namespace dbscore::trace

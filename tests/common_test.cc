@@ -1,11 +1,14 @@
 /**
  * @file
- * Unit tests for dbscore/common: SimTime, Rng, ThreadPool, stats, strings,
- * tables, and CSV parsing.
+ * Unit tests for dbscore/common: SimTime, Rng, ThreadPool, ClaimableTask,
+ * stats, strings, tables, and CSV parsing.
  */
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <deque>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +235,111 @@ TEST(ThreadPoolTest, SubmitRunsStandaloneTasks)
         // Destructor = Shutdown(): drains queued tasks before joining.
     }
     EXPECT_EQ(count.load(), 8);
+}
+
+/** Occupies the only worker of @p pool until @p release is set. */
+void
+BlockOnlyWorker(ThreadPool& pool, std::atomic<bool>& release)
+{
+    std::atomic<bool> blocked{false};
+    pool.Submit([&blocked, &release] {
+        blocked = true;
+        while (!release) {
+            std::this_thread::yield();
+        }
+    });
+    while (!blocked) {
+        std::this_thread::yield();
+    }
+}
+
+TEST(ClaimableTaskTest, JoinRunsWorkNoWorkerHasStarted)
+{
+    std::atomic<bool> release{false};
+    ThreadPool pool(1);
+    BlockOnlyWorker(pool, release);
+    std::thread::id ran_on;
+    int runs = 0;
+    ClaimableTask task(pool, [&] {
+        ran_on = std::this_thread::get_id();
+        ++runs;
+    });
+    task.Join();  // the only worker is busy: Join must not wait for it
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    ClaimableTask failing(pool, [] { throw InvalidArgument("inline"); });
+    EXPECT_THROW(failing.Join(), InvalidArgument);
+    release = true;
+    pool.Shutdown();  // the queued copies find their work taken
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(ClaimableTaskTest, JoinWaitsForARunningWorkerAndRethrowsItsError)
+{
+    ThreadPool pool(2);
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    ClaimableTask task(pool, [&] {
+        started = true;
+        while (!release) {
+            std::this_thread::yield();
+        }
+        throw InvalidArgument("worker");
+    });
+    while (!started) {
+        std::this_thread::yield();
+    }
+    std::thread releaser([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        release = true;
+    });
+    EXPECT_THROW(task.Join(), InvalidArgument);
+    releaser.join();
+}
+
+TEST(ClaimableTaskTest, DestructorCancelsQueuedWorkAndWaitsForRunningWork)
+{
+    std::atomic<bool> release{false};
+    std::atomic<int> runs{0};
+    {
+        ThreadPool pool(1);
+        BlockOnlyWorker(pool, release);
+        { ClaimableTask queued(pool, [&runs] { ++runs; }); }
+        release = true;
+    }  // joined: the queued copy ran and found its work cancelled
+    EXPECT_EQ(runs.load(), 0);
+
+    ThreadPool pool(1);
+    std::atomic<bool> started{false};
+    bool finished = false;  // plain: the destructor must order it
+    {
+        ClaimableTask running(pool, [&] {
+            started = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            finished = true;
+        });
+        while (!started) {
+            std::this_thread::yield();
+        }
+    }
+    EXPECT_TRUE(finished);
+}
+
+TEST(ClaimableTaskTest, OwnersOnPoolThreadsNeverWaitOnQueuedWork)
+{
+    // Every worker runs an owner whose tasks queue behind the other
+    // owners; each owner claims its own tasks back instead of waiting.
+    ThreadPool pool(2);
+    std::atomic<int> runs{0};
+    pool.ParallelFor(8, [&](std::size_t) {
+        std::deque<ClaimableTask> tasks;
+        for (int i = 0; i < 4; ++i) {
+            tasks.emplace_back(pool, [&runs] { ++runs; });
+        }
+        for (ClaimableTask& task : tasks) {
+            task.Join();
+        }
+    });
+    EXPECT_EQ(runs.load(), 32);
 }
 
 TEST(RunningStatsTest, BasicMoments)

@@ -1,29 +1,41 @@
 /**
  * @file
  * Tests for the paged SCORE scan (DESIGN.md §14): survivors of several
- * pages copied into one morsel and scored in one kernel call, and TOP
- * n ... ORDER BY kept in a bounded heap.
+ * pages copied into one morsel, morsels scored on the shared pool while
+ * the statement walks on and sunk in scan order, and TOP n ... ORDER BY
+ * kept in a bounded heap.
  *
- *  - paged and in-memory tables return identical results for COUNT,
- *    AVG, MIN, MAX, TOP with and without ORDER BY, plain filters with
- *    SCORE, label predicates and a non-prefix SCORE (the gather path),
- *    under pools of 4, 16 and 256 frames over a table spanning several
- *    1024-row morsels, and on 1001-byte pages (rows at addresses that
- *    are no multiple of the page size);
+ *  - paged and in-memory tables return identical results and identical
+ *    early-exit counters for COUNT, AVG, MIN, MAX, TOP with and without
+ *    ORDER BY, plain filters with SCORE, label predicates and a
+ *    non-prefix SCORE (the gather path), under pools of 4, 16 and 256
+ *    frames over a table spanning several 1024-row morsels, and on
+ *    1001-byte pages (rows at addresses that are no multiple of the
+ *    page size);
  *  - the bounded TOP-N equals a full stable sort truncated, with many
  *    tied keys, ascending and descending, by SCORE and by a column,
  *    including TOP 0 and a TOP larger than the survivors;
  *  - TOP n without ORDER BY pins no page past the one holding its
  *    n-th row;
  *  - twelve threads scoring concurrently on one 16-frame pool (a
- *    statement holds one data pin at a time) agree with a serial run.
+ *    statement holds one data pin at a time) agree with a serial run,
+ *    and so do twice the shared pool's size of statements run on the
+ *    pool's own threads;
+ *  - a corrupt data page met with morsels in flight fails the statement
+ *    with DataCorruption;
+ *  - on pages of thousands of rows a morsel closes one row short of
+ *    kParallelRowCutoff, so no kernel call on it goes parallel;
+ *  - kernel spans of morsels scored on pool threads parent to the span
+ *    current on the statement thread.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,12 +44,15 @@
 
 #include "dbscore/common/error.h"
 #include "dbscore/common/rng.h"
+#include "dbscore/common/thread_pool.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/dbms/database.h"
 #include "dbscore/dbms/plan/physical.h"
 #include "dbscore/dbms/plan/planner.h"
 #include "dbscore/dbms/sql.h"
 #include "dbscore/forest/trainer.h"
+#include "dbscore/storage/page.h"
+#include "dbscore/trace/trace.h"
 
 namespace dbscore {
 namespace {
@@ -65,12 +80,20 @@ class PagedScanTest : public ::testing::Test {
         return (dir_ / name).string();
     }
 
-    /** Runs @p sql through a fresh planner (plans are not shared). */
-    QueryResult Run(const std::string& sql)
+    /**
+     * Runs @p sql through a fresh planner (plans are not shared); the
+     * plan's early-exit counters of this one run go to @p stats.
+     */
+    QueryResult Run(const std::string& sql, ThresholdStats* stats = nullptr)
     {
         plan::Planner planner(db_);
-        return planner.ExecuteSelect(std::get<SelectStatement>(ParseSql(sql)),
-                                     sql);
+        const auto plan =
+            planner.Plan(std::get<SelectStatement>(ParseSql(sql)), sql);
+        QueryResult result = plan->Execute(db_);
+        if (stats != nullptr) {
+            *stats = plan->threshold_stats();
+        }
+        return result;
     }
 
     std::filesystem::path dir_;
@@ -88,10 +111,20 @@ ExpectSameResult(const QueryResult& want, const QueryResult& got,
     }
 }
 
+void
+ExpectSameStats(const ThresholdStats& want, const ThresholdStats& got,
+                const std::string& what)
+{
+    EXPECT_EQ(got.rows, want.rows) << what;
+    EXPECT_EQ(got.rows_decided_early, want.rows_decided_early) << what;
+    EXPECT_EQ(got.tree_traversals, want.tree_traversals) << what;
+    EXPECT_EQ(got.tree_traversals_full, want.tree_traversals_full) << what;
+}
+
 /** Regression forest over @p cols of @p data, target kin_0 + kin_3. */
 RandomForest
 TrainRegression(const Dataset& data, const std::vector<std::size_t>& cols,
-                std::uint64_t seed)
+                std::uint64_t seed, std::size_t trees = 8)
 {
     Dataset train("reg", Task::kRegression, cols.size(), 0);
     std::vector<float> row(cols.size());
@@ -102,7 +135,7 @@ TrainRegression(const Dataset& data, const std::vector<std::size_t>& cols,
         train.AddRow(row, data.At(r, 0) + data.At(r, 3));
     }
     ForestTrainerConfig config;
-    config.num_trees = 8;
+    config.num_trees = trees;
     config.max_depth = 6;
     config.seed = seed;
     return TrainForest(train, config);
@@ -123,6 +156,9 @@ TEST_F(PagedScanTest, PagedMatchesInMemoryAcrossPoolSizes)
         all[c] = c;
     }
     db_.StoreModel("r", TreeEnsemble::FromForest(TrainRegression(data, all, 92)));
+    // 32 trees: enough 8-tree checkpoints for rows to exit early.
+    db_.StoreModel("e",
+                   TreeEnsemble::FromForest(TrainRegression(data, all, 94, 32)));
     db_.StoreModel("p",
                    TreeEnsemble::FromForest(TrainRegression(data, {2, 0}, 93)));
     db_.StoreDataset("mem", data);
@@ -141,6 +177,7 @@ TEST_F(PagedScanTest, PagedMatchesInMemoryAcrossPoolSizes)
     }
     const std::vector<std::string> statements = {
         "SELECT COUNT(*) FROM $ WHERE kin_0 > 0.3 AND SCORE(m) > 0.5",
+        "SELECT COUNT(*) FROM $ WHERE kin_0 > 0.2 AND SCORE(e) > 0.5",
         "SELECT COUNT(*), AVG(SCORE(r)), MIN(SCORE(r)), MAX(SCORE(r)), "
         "MIN(kin_1), MAX(kin_2) FROM $ WHERE kin_0 > -0.5",
         "SELECT AVG(kin_4), MAX(SCORE(m)) FROM $ WHERE SCORE(r) > 0.2",
@@ -154,18 +191,38 @@ TEST_F(PagedScanTest, PagedMatchesInMemoryAcrossPoolSizes)
         "SELECT COUNT(*) FROM $ WHERE label > 0.5 AND SCORE(m) > 0.5",
         "SELECT * FROM $ WHERE SCORE(p, kin_2, kin_0) > 0.7",
     };
+    bool early_exit = false;
     for (const std::string& pattern : statements) {
         auto on = [&pattern](const std::string& table) {
             std::string sql = pattern;
             sql.replace(sql.find('$'), 1, table);
             return sql;
         };
-        const QueryResult want = Run(on("mem"));
+        // TOP without ORDER BY stops the paged scan at its n-th row,
+        // while the in-memory table is scored in one call: only
+        // statements that read the whole scan count the same work.
+        const bool whole_scan = pattern.find("TOP") == std::string::npos ||
+                                pattern.find("ORDER BY") != std::string::npos;
+        ThresholdStats want_stats;
+        const QueryResult want = Run(on("mem"), &want_stats);
         ASSERT_FALSE(want.rows.empty()) << pattern;
+        early_exit = early_exit || want_stats.rows_decided_early > 0;
         for (const std::string& table : paged) {
             const std::string sql = on(table);
-            ExpectSameResult(want, Run(sql), sql);
+            ThresholdStats stats;
+            ExpectSameResult(want, Run(sql, &stats), sql);
+            if (whole_scan) {
+                ExpectSameStats(want_stats, stats, sql);
+            }
         }
+    }
+    EXPECT_TRUE(early_exit);
+    // A literal no number compares with keeps its typed error.
+    for (const std::string& table : {std::string("mem"), paged.front()}) {
+        EXPECT_THROW(Run("SELECT COUNT(*) FROM " + table +
+                         " WHERE kin_0 > 'x' AND SCORE(m) > 0.5"),
+                     InvalidArgument)
+            << table;
     }
 }
 
@@ -187,7 +244,7 @@ TiedData(std::size_t rows)
 
 void
 StoreTied(Database& db, const Dataset& data, const std::string& paged_path,
-          std::size_t pool_pages)
+          std::size_t pool_pages, std::size_t page_size = 512)
 {
     ForestTrainerConfig config;
     config.num_trees = 6;
@@ -196,7 +253,7 @@ StoreTied(Database& db, const Dataset& data, const std::string& paged_path,
     db.StoreModel("c", TreeEnsemble::FromForest(TrainForest(data, config)));
     db.StoreDataset("mem", data);
     storage::StorageOptions options;
-    options.page_size = 512;  // 30 rows of 4 features per page
+    options.page_size = page_size;  // 512 bytes: 30 rows of 4 features
     options.pool_pages = pool_pages;
     db.StoreDatasetPaged("paged", data, paged_path, options);
 }
@@ -312,6 +369,177 @@ TEST_F(PagedScanTest, ConcurrentStatementsShareASmallPool)
     }
     EXPECT_EQ(failures.load(), 0);
     EXPECT_GT(db_.GetTable("paged").store()->Stats().pool.evictions, 0u);
+}
+
+TEST_F(PagedScanTest, StatementsOnPoolThreadsMatchSerialRuns)
+{
+    // Statements running on the shared pool's own threads offer their
+    // morsels to that same pool. A statement scores any morsel no
+    // worker has started, so it never waits on one queued behind the
+    // other statements, and twice the pool's size of them all finish.
+    ThreadPool& pool = ThreadPool::Shared();
+    const Dataset data = TiedData(20000);  // 667 pages, ~14 morsels
+    StoreTied(db_, data, Path("t.dbpages"), 16 + 2 * pool.size());
+    const std::vector<std::string> statements = {
+        "SELECT COUNT(*), AVG(SCORE(c)) FROM paged WHERE f2 > 0.3",
+        "SELECT TOP 25 f1, SCORE(c) FROM paged WHERE f3 < 0.6 "
+        "ORDER BY SCORE(c) DESC",
+        "SELECT TOP 300 f1 FROM paged WHERE SCORE(c) > 0.5",
+        "SELECT MIN(f2), MAX(f3) FROM paged WHERE SCORE(c) < 0.5",
+    };
+    plan::Planner planner(db_);
+    std::vector<std::shared_ptr<const plan::PhysicalPlan>> plans;
+    std::vector<QueryResult> serial;
+    for (const std::string& sql : statements) {
+        plans.push_back(
+            planner.Plan(std::get<SelectStatement>(ParseSql(sql)), sql));
+        serial.push_back(plans.back()->Execute(db_));
+    }
+    const std::size_t n = 2 * pool.size();
+    std::vector<QueryResult> got(n);
+    pool.ParallelFor(n, [&](std::size_t i) {
+        got[i] = plans[i % plans.size()]->Execute(db_);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t s = i % plans.size();
+        ExpectSameResult(serial[s], got[i], statements[s]);
+    }
+}
+
+TEST_F(PagedScanTest, CorruptPageWithMorselsInFlightIsDataCorruption)
+{
+    // A page 3/4 of the way through the scan fails its checksum after
+    // about ten morsels have gone to the pool. The statement still
+    // fails with the typed error, and it waits for its running morsels
+    // before it unwinds (the sanitizer jobs check that no task outlives
+    // the stack it reads).
+    const Dataset data = TiedData(20000);
+    const std::string path = Path("t.dbpages");
+    StoreTied(db_, data, path, 16);
+    db_.DropTable("paged");
+    constexpr std::size_t kPageSize = 512;
+    std::vector<std::uint32_t> feature_pages;
+    {
+        std::ifstream file(path, std::ios::binary);
+        std::vector<std::uint8_t> page(kPageSize);
+        for (std::uint32_t id = 0;
+             file.read(reinterpret_cast<char*>(page.data()), kPageSize);
+             ++id) {
+            if (storage::HeaderOf(page.data())->type ==
+                static_cast<std::uint16_t>(storage::PageType::kFeatures)) {
+                feature_pages.push_back(id);
+            }
+        }
+    }
+    ASSERT_GT(feature_pages.size(), 600u);
+    {
+        const std::streamoff off =
+            static_cast<std::streamoff>(
+                feature_pages[feature_pages.size() * 3 / 4]) *
+                kPageSize +
+            static_cast<std::streamoff>(storage::kPageHeaderSize) + 4;
+        std::fstream file(path,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        file.seekg(off);
+        const int byte = file.get();
+        file.seekp(off);
+        file.put(static_cast<char>(byte ^ 0xFF));
+    }
+    storage::StorageOptions options;
+    options.page_size = kPageSize;
+    options.pool_pages = 16;
+    db_.AttachPagedTable("paged", path, options);
+    for (const char* sql :
+         {"SELECT COUNT(*), AVG(SCORE(c)) FROM paged WHERE f2 > 0.3",
+          "SELECT TOP 25 f1, SCORE(c) FROM paged WHERE f3 < 0.6 "
+          "ORDER BY SCORE(c) DESC",
+          "SELECT f1, SCORE(c) FROM paged WHERE SCORE(c) > 0.5"}) {
+        EXPECT_THROW(Run(sql), DataCorruption) << sql;
+    }
+    // A TOP without ORDER BY that stops before the page never reads it.
+    const QueryResult top =
+        Run("SELECT TOP 40 f1, SCORE(c) FROM paged WHERE f2 > 0.3");
+    ExpectSameResult(Run("SELECT TOP 40 f1, SCORE(c) FROM mem WHERE f2 > 0.3"),
+                     top, "TOP 40 before the corrupt page");
+}
+
+TEST_F(PagedScanTest, MorselsCloseInsideAPageBelowTheParallelCutoff)
+{
+    // 128 KiB pages of about 8000 rows: a morsel closes inside a page
+    // one row short of kParallelRowCutoff, so every kernel call on it
+    // runs inline on the thread that scores it and a pool task never
+    // waits on the pool.
+    const Dataset data = TiedData(30000);
+    StoreTied(db_, data, Path("t.dbpages"), 16, std::size_t{1} << 17);
+    trace::TraceCollector& tracer = trace::TraceCollector::Get();
+    for (const std::string pattern :
+         {"SELECT COUNT(*), AVG(SCORE(c)) FROM $",
+          "SELECT TOP 20 f1, SCORE(c) FROM $ WHERE f2 < 0.9 "
+          "ORDER BY SCORE(c) DESC"}) {
+        auto on = [&pattern](const std::string& table) {
+            std::string sql = pattern;
+            sql.replace(sql.find('$'), 1, table);
+            return sql;
+        };
+        const QueryResult want = Run(on("mem"));
+        tracer.Clear();
+        ExpectSameResult(want, Run(on("paged")), pattern);
+        double largest = 0.0;
+        for (const trace::SpanRecord& span : tracer.Spans()) {
+            if (span.stage != trace::StageKind::kKernel) {
+                continue;
+            }
+            for (std::uint32_t a = 0; a < span.num_attrs; ++a) {
+                if (std::string(span.attrs[a].key) == "rows") {
+                    largest = std::max(largest, span.attrs[a].value);
+                }
+            }
+        }
+        EXPECT_EQ(largest, static_cast<double>(kParallelRowCutoff - 1))
+            << pattern;
+    }
+    tracer.Clear();
+}
+
+TEST_F(PagedScanTest, KernelSpansParentToTheStatementSpan)
+{
+    const Dataset data = TiedData(20000);
+    StoreTied(db_, data, Path("t.dbpages"), 64);
+    const std::string sql =
+        "SELECT COUNT(*), AVG(SCORE(c)) FROM paged WHERE f2 > 0.3";
+    plan::Planner planner(db_);
+    const auto plan =
+        planner.Plan(std::get<SelectStatement>(ParseSql(sql)), sql);
+    trace::TraceCollector& tracer = trace::TraceCollector::Get();
+    tracer.Clear();
+    trace::SpanContext statement;
+    {
+        trace::ScopedSpan span(trace::StageKind::kQuery, "statement");
+        statement = span.context();
+        (void)plan->Execute(db_);
+    }
+    ASSERT_TRUE(statement.valid());
+    // Each kernel call opens a span under the statement's, wherever the
+    // morsel was scored; the kernel's own chunk spans nest under it.
+    std::vector<trace::SpanRecord> kernel_spans;
+    std::set<std::uint64_t> kernel_ids;
+    for (const trace::SpanRecord& span : tracer.Spans()) {
+        if (span.stage == trace::StageKind::kKernel) {
+            kernel_spans.push_back(span);
+            kernel_ids.insert(span.span_id);
+        }
+    }
+    std::size_t calls = 0;
+    for (const trace::SpanRecord& span : kernel_spans) {
+        EXPECT_EQ(span.trace_id, statement.trace_id) << span.name;
+        if (span.parent_id == statement.span_id) {
+            ++calls;
+        } else {
+            EXPECT_EQ(kernel_ids.count(span.parent_id), 1u) << span.name;
+        }
+    }
+    EXPECT_GE(calls, 10u);  // one per morsel, about 14000 rows
+    tracer.Clear();
 }
 
 }  // namespace
