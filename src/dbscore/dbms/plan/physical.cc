@@ -37,33 +37,6 @@ ToThresholdOp(CompareOp op)
 }
 
 /**
- * "score op literal" at float32 precision — the SCORE-predicate
- * semantics both the early-exit kernel path and the naive
- * score-then-compare path implement, so optimized and naive plans are
- * bit-identical even for literals that are not exactly representable
- * as float (DESIGN.md §14).
- */
-bool
-ScorePredHolds(CompareOp op, float value, float literal)
-{
-    switch (op) {
-      case CompareOp::kEq:
-        return value == literal;
-      case CompareOp::kNe:
-        return value != literal;
-      case CompareOp::kLt:
-        return value < literal;
-      case CompareOp::kLe:
-        return value <= literal;
-      case CompareOp::kGt:
-        return value > literal;
-      case CompareOp::kGe:
-        return value >= literal;
-    }
-    return false;
-}
-
-/**
  * CompareValues(Value(v), literal) without building a Value when the
  * literal is numeric: the same ordering, NaN comparing equal. Other
  * literals take the Value path and its typed error.
@@ -177,6 +150,26 @@ EvaluateAggregate(const Table& table, const AggregateItem& item,
 }
 
 }  // namespace
+
+bool
+ScorePredHolds(CompareOp op, float value, float literal)
+{
+    switch (op) {
+      case CompareOp::kEq:
+        return value == literal;
+      case CompareOp::kNe:
+        return value != literal;
+      case CompareOp::kLt:
+        return value < literal;
+      case CompareOp::kLe:
+        return value <= literal;
+      case CompareOp::kGt:
+        return value > literal;
+      case CompareOp::kGe:
+        return value >= literal;
+    }
+    return false;
+}
 
 PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
     : logical_(std::move(logical))

@@ -58,6 +58,16 @@
 
 namespace dbscore::plan {
 
+/**
+ * "score op literal" at float32 precision — the SCORE-predicate
+ * semantics both the early-exit kernel path and the naive
+ * score-then-compare path implement, so optimized and naive plans are
+ * bit-identical even for literals that are not exactly representable
+ * as float (DESIGN.md §14). sp_serve_query applies it to served
+ * predictions.
+ */
+bool ScorePredHolds(CompareOp op, float value, float literal);
+
 /** One SCORE expression compiled against its stored model. */
 struct CompiledScore {
     /** Resolved expression (explicit feature list). */

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "dbscore/common/error.h"
+#include "dbscore/common/string_util.h"
 #include "dbscore/common/thread_pool.h"
 #include "dbscore/data/row_block.h"
 #include "dbscore/forest/forest.h"
@@ -292,6 +293,19 @@ FillPerfectSlot(const DecisionTree& tree, std::int32_t node, float carried,
 void
 HummingbirdGpuEngine::CompilePerfect(const RandomForest& forest)
 {
+    // A depth-D layout holds 2^D - 1 features and thresholds and 2^D
+    // leaf values, about 12 * 2^D bytes: past depth 30 one tree's
+    // layout (24 GiB at depth 31) outgrows the paper's 16 GB P100, and
+    // at depth 64 the slot count would shift past the word.
+    constexpr std::size_t kMaxPerfectDepth = 30;
+    for (const auto& tree : forest.trees()) {
+        if (tree.Depth() > kMaxPerfectDepth) {
+            throw CapacityError(StrFormat(
+                "hummingbird: a depth-%zu tree has no perfect-tree layout "
+                "(at most depth %zu)",
+                tree.Depth(), kMaxPerfectDepth));
+        }
+    }
     for (const auto& tree : forest.trees()) {
         PerfectCompiledTree ct;
         ct.depth = tree.Depth();

@@ -35,7 +35,7 @@ SpFleetTenant(FleetService& service, const ExecStatement& stmt)
     result.message = StrFormat("tenant %lld -> %s (%s), %zu tenant(s)",
                                static_cast<long long>(*tenant),
                                model.c_str(), SloClassName(*cls),
-                               service.NumTenants());
+                               service.Stats().tenants);
     return result;
 }
 

@@ -11,12 +11,29 @@
 namespace dbscore::fleet {
 
 using serve::RequestStatus;
+using serve::ScoreReply;
 using trace::ScopedSpan;
 using trace::SpanContext;
 using trace::StageKind;
 using trace::TraceCollector;
 
 namespace {
+
+/**
+ * Wall-clock idle interval after which open batches are flushed, so a
+ * lone synchronous caller is never stranded waiting for batchmates
+ * that will not come. Liveness only — it never enters modeled times.
+ */
+constexpr std::chrono::milliseconds kFlushInterval{2};
+
+/**
+ * A device's worker holds up to lanes × this many committed dispatches
+ * awaiting scoring and reply; past it the dispatcher waits before
+ * handing over more, so an overload backlog stays in the central WFQ.
+ * The window acts on the wall clock only: it delays a hand-over but
+ * never redirects a placement or moves a modeled time.
+ */
+constexpr std::size_t kWindowPerLane = 2;
 
 /**
  * Lanes each device's pool starts with. Rejects a zero count here, not
@@ -33,17 +50,81 @@ InitialLanes(const FleetConfig& config)
                     config.initial_lanes);
 }
 
-serve::LaneModel
-LaneModelOf(const WarmModel& model)
+std::array<double, kNumSloClasses>
+Weights(const std::array<SloPolicy, kNumSloClasses>& slo)
 {
-    return {model.scheduler.get(), model.model_bytes, model.num_cols};
+    return {slo[0].weight, slo[1].weight, slo[2].weight};
+}
+
+SimTime
+Arrival(const serve::PendingRequest& pending)
+{
+    return *pending.request.arrival;
+}
+
+/** True when @p pending's deadline precedes @p at. */
+bool
+PastDeadline(const serve::PendingRequest& pending, SimTime at)
+{
+    const std::optional<SimTime>& deadline = pending.request.deadline;
+    return deadline.has_value() && at > Arrival(pending) + *deadline;
+}
+
+/** Row-proportional share of an engine breakdown. */
+OffloadBreakdown
+ScaleBreakdown(const OffloadBreakdown& b, double k)
+{
+    OffloadBreakdown s;
+    s.preprocessing = b.preprocessing * k;
+    s.input_transfer = b.input_transfer * k;
+    s.setup = b.setup * k;
+    s.compute = b.compute * k;
+    s.completion_signal = b.completion_signal * k;
+    s.result_transfer = b.result_transfer * k;
+    s.software_overhead = b.software_overhead * k;
+    return s;
 }
 
 }  // namespace
 
+class FleetService::Ticket final : public serve::ReplySink {
+ public:
+    Ticket(SloClass cls, SimTime arrival, std::vector<float> payload)
+        : payload(std::move(payload)), cls_(cls), arrival_(arrival)
+    {
+    }
+
+    std::future<FleetReply> future() { return promise_.get_future(); }
+
+    /** The request's rows; its view in the core shares this ticket. */
+    const std::vector<float> payload;
+
+ private:
+    void
+    Fulfill(ScoreReply reply) override
+    {
+        promise_.set_value(FleetReply{std::move(reply), cls_, arrival_});
+    }
+
+    std::promise<FleetReply> promise_;
+    SloClass cls_;
+    SimTime arrival_;
+};
+
 FleetService::FleetService(const HardwareProfile& profile, FleetConfig config)
-    : profile_(profile),
-      config_(std::move(config)),
+    : FleetService(profile, std::move(config),
+                   serve::CoalescerConfig{SimTime()},  // dispatch alone
+                   WorkloadPolicy::kQueueAware, /*resident_models=*/false)
+{
+}
+
+FleetService::FleetService(const HardwareProfile& profile, FleetConfig config,
+                           const serve::CoalescerConfig& coalescer,
+                           WorkloadPolicy policy, bool resident_models)
+    : config_(std::move(config)),
+      coalescer_(coalescer),
+      policy_(policy),
+      resident_models_(resident_models),
       depth_cap_(static_cast<std::size_t>(
                      std::max(config_.autoscaler.scale_up_queue_per_lane,
                               config_.autoscaler.scale_down_queue_per_lane) *
@@ -53,15 +134,13 @@ FleetService::FleetService(const HardwareProfile& profile, FleetConfig config)
                  1),
       trace_domain_(TraceCollector::Get().NewDomain()),
       registry_(profile, config_.registry),
-      lanes_(InitialLanes(config_), config_.runtime_params, config_.retry,
-             config_.breaker, config_.cpu_fallback)
+      wfq_(Weights(config_.slo)),
+      lanes_(InitialLanes(config_), config_)
 {
     if (config_.queue_capacity == 0) {
         throw InvalidArgument("fleet: zero queue capacity");
     }
-    if (config_.window_per_lane < 1.0) {
-        throw InvalidArgument("fleet: window_per_lane must be >= 1");
-    }
+    serve::BatchCoalescer validate(coalescer_);
     dispatch_held_ = config_.hold_dispatch;
     const std::size_t lanes = InitialLanes(config_);
     for (int d = 0; d < 3; ++d) {
@@ -79,10 +158,11 @@ void
 FleetService::RegisterModel(const std::string& id, const TreeEnsemble& model,
                             const ModelStats& stats)
 {
-    registry_.RegisterModel(id, model, stats);
+    registry_.RegisterModel(id, model, stats, resident_models_);
     std::lock_guard<std::mutex> lock(admission_mutex_);
     model_index_.emplace(id, static_cast<std::uint32_t>(model_ids_.size()));
     model_ids_.push_back(id);
+    model_cols_.push_back(stats.num_features);
 }
 
 void
@@ -105,13 +185,6 @@ FleetService::RegisterTenant(std::uint64_t tenant_id,
     tenants_.emplace(tenant_id, std::move(state));
 }
 
-std::size_t
-FleetService::NumTenants() const
-{
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    return tenants_.size();
-}
-
 void
 FleetService::SetSloPolicy(SloClass cls, const SloPolicy& policy)
 {
@@ -123,6 +196,9 @@ FleetService::SetSloPolicy(SloClass cls, const SloPolicy& policy)
         throw InvalidArgument("fleet: SLO weight must be positive");
     }
     config_.slo[static_cast<int>(cls)] = policy;
+    // Fleet admission needs a running service, so nothing is queued.
+    DBS_ASSERT(wfq_.empty());
+    wfq_ = WeightedFairQueue<Pending>(Weights(config_.slo));
 }
 
 void
@@ -135,10 +211,6 @@ FleetService::Start()
     if (stop_requested_ || threads_ != nullptr) {
         throw InvalidArgument("fleet: cannot restart a stopped service");
     }
-    wfq_ = std::make_unique<WeightedFairQueue<PendingPtr>>(
-        std::array<double, kNumSloClasses>{
-            config_.slo[0].weight, config_.slo[1].weight,
-            config_.slo[2].weight});
     running_ = true;
     threads_ = std::make_unique<ThreadPool>(4);
     threads_->Submit([this] { DispatcherLoop(); });
@@ -150,18 +222,29 @@ FleetService::Start()
 void
 FleetService::Stop()
 {
+    std::vector<Pending> orphaned;
     {
         std::lock_guard<std::mutex> lock(admission_mutex_);
-        if (!running_ && threads_ == nullptr) {
-            return;
+        if (stop_requested_) {
+            return;  // idempotent
         }
         stop_requested_ = true;
         // A held gate must not outlive Stop: the scheduler drains the
         // central queue on its way out.
         dispatch_held_ = false;
+        if (threads_ == nullptr) {
+            // Never started: nobody will ever serve the queue.
+            while (!wfq_.empty()) {
+                orphaned.push_back(*wfq_.Pop());
+            }
+        }
     }
     dispatcher_cv_.notify_all();
     threads_.reset();  // joins dispatcher + workers
+    for (Pending& p : orphaned) {
+        Settle(p, ScoreReply{}, RequestStatus::kRejected, Arrival(p),
+               "service stopped before Start");
+    }
     std::lock_guard<std::mutex> lock(admission_mutex_);
     running_ = false;
 }
@@ -195,69 +278,90 @@ FleetService::ReleaseDispatch()
     dispatcher_cv_.notify_all();
 }
 
+void
+FleetService::Admit(std::unique_lock<std::mutex>& lock, Pending pending,
+                    double submit_wall_us)
+{
+    TraceCollector& tracer = TraceCollector::Get();
+    const SpanContext root = tracer.NewRootContext(trace_domain_);
+    const auto rows = static_cast<double>(pending.request.num_rows);
+    const auto cls = static_cast<SloClass>(pending.slo_class);
+    pending.trace = root;
+    pending.submit_wall_us = submit_wall_us;
+    stats_.Count(cls, &ClassSnapshot::admitted);
+    ++submitted_;
+    wfq_.Push(cls, std::move(pending));
+    lock.unlock();
+    // Wall span for the admission handoff, on the client's thread.
+    tracer.EmitWall(StageKind::kAdmission, "admit", root, submit_wall_us,
+                    tracer.NowWallMicros() - submit_wall_us, {{"rows", rows}});
+    dispatcher_cv_.notify_one();
+}
+
 std::future<FleetReply>
 FleetService::Submit(FleetRequest request)
 {
-    TraceCollector& tracer = TraceCollector::Get();
-    std::promise<FleetReply> promise;
-    std::future<FleetReply> future = promise.get_future();
-
+    const double submit_us = TraceCollector::Get().NowWallMicros();
     std::unique_lock<std::mutex> lock(admission_mutex_);
     const SimTime arrival = request.arrival.value_or(modeled_clock_);
     modeled_clock_ = Max(modeled_clock_, arrival);
-
-    auto reject = [&](SloClass cls, std::string why) {
-        FleetReply reply;
-        reply.status = RequestStatus::kRejected;
-        reply.slo = cls;
-        reply.arrival = arrival;
+    auto tenant_it = tenants_.find(request.tenant_id);
+    TenantState* tenant =
+        tenant_it == tenants_.end() ? nullptr : &tenant_it->second;
+    const SloClass cls = tenant ? tenant->cls : SloClass::kBronze;
+    auto ticket =
+        std::make_shared<Ticket>(cls, arrival, std::move(request.rows));
+    std::future<FleetReply> future = ticket->future();
+    const std::vector<float>& payload = ticket->payload;
+    // Answers the request at once: rejected, or failed once admitted.
+    const auto refuse = [&](RequestStatus status, std::string why) {
+        lock.unlock();
+        ScoreReply reply;
+        reply.status = status;
         reply.finish = arrival;
         reply.error = std::move(why);
-        lock.unlock();
-        promise.set_value(std::move(reply));
+        static_cast<serve::ReplySink&>(*ticket).Fulfill(std::move(reply));
+        return std::move(future);
     };
-
-    auto tenant_it = tenants_.find(request.tenant_id);
-    if (tenant_it == tenants_.end()) {
-        reject(SloClass::kBronze, "fleet: unknown tenant");
-        return future;
+    if (tenant == nullptr) {
+        return refuse(RequestStatus::kRejected, "fleet: unknown tenant");
     }
-    TenantState& tenant = tenant_it->second;
-    const SloClass cls = tenant.cls;
-    stats_.RecordSubmitted(cls);
-
+    stats_.Count(cls, &ClassSnapshot::submitted);
     if (!running_ || stop_requested_) {
-        stats_.RecordRejectedCapacity(cls);
-        reject(cls, "fleet: service not running");
-        return future;
+        stats_.Count(cls, &ClassSnapshot::rejected_capacity);
+        return refuse(RequestStatus::kRejected, "fleet: service not running");
     }
-    if (!tenant.bucket.TryTake(arrival)) {
-        stats_.RecordRejectedQuota(cls);
-        reject(cls, "fleet: tenant quota exceeded");
-        return future;
+    if (!tenant->bucket.TryTake(arrival)) {
+        stats_.Count(cls, &ClassSnapshot::rejected_quota);
+        return refuse(RequestStatus::kRejected,
+                      "fleet: tenant quota exceeded");
     }
-    if (wfq_->size() >= config_.queue_capacity) {
-        stats_.RecordRejectedCapacity(cls);
-        reject(cls, "fleet: central queue full");
-        return future;
+    if (wfq_.size() >= config_.queue_capacity) {
+        stats_.Count(cls, &ClassSnapshot::rejected_capacity);
+        return refuse(RequestStatus::kRejected, "fleet: central queue full");
+    }
+    const std::size_t cols = model_cols_[tenant->model_idx];
+    if (!payload.empty() && payload.size() != request.num_rows * cols) {
+        // The worker would read past (or ignore part of) the payload.
+        stats_.Count(cls, &ClassSnapshot::admitted);
+        stats_.RecordAnswer(cls, RequestStatus::kFailed, arrival, arrival);
+        return refuse(RequestStatus::kFailed,
+                      "fleet: payload is not num_rows x the model's columns");
     }
 
-    auto pending = std::make_unique<Pending>();
-    pending->request = std::move(request);
-    pending->cls = cls;
-    pending->model_idx = tenant.model_idx;
-    pending->arrival = arrival;
-    pending->trace = tracer.NewRootContext(trace_domain_);
-    pending->promise = std::move(promise);
-    tracer.EmitSim(StageKind::kAdmission, "fleet-admit", pending->trace,
-                   arrival, SimTime(),
-                   {{"class", static_cast<double>(cls)}});
-
-    stats_.RecordAdmitted(cls);
-    ++submitted_;
-    wfq_->Push(cls, std::move(pending));
-    lock.unlock();
-    dispatcher_cv_.notify_one();
+    Pending pending;
+    pending.request.model_id = model_ids_[tenant->model_idx];
+    pending.request.num_rows = request.num_rows;
+    pending.request.arrival = arrival;
+    pending.request.deadline = config_.slo[static_cast<int>(cls)].deadline;
+    if (!payload.empty()) {
+        pending.request.rows =
+            RowView(std::shared_ptr<const float[]>(ticket, payload.data()),
+                    payload.data(), request.num_rows, cols, cols);
+    }
+    pending.handle = std::move(ticket);
+    pending.slo_class = static_cast<int>(cls);
+    Admit(lock, std::move(pending), submit_us);
     return future;
 }
 
@@ -265,6 +369,51 @@ FleetReply
 FleetService::ScoreSync(FleetRequest request)
 {
     return Submit(std::move(request)).get();
+}
+
+serve::PendingScorePtr
+FleetService::SubmitScore(serve::ScoreRequest request)
+{
+    constexpr SloClass kTenantClass = SloClass::kGold;
+    const double submit_us = TraceCollector::Get().NowWallMicros();
+    auto handle = std::make_shared<serve::PendingScore>();
+    stats_.Count(kTenantClass, &ClassSnapshot::submitted);
+    std::unique_lock<std::mutex> lock(admission_mutex_);
+    auto model_it = model_index_.find(request.model_id);
+    std::string reject;
+    if (stop_requested_) {
+        reject = "service is stopped";
+    } else if (model_it == model_index_.end()) {
+        reject = "unknown model: " + request.model_id;
+    } else if (request.num_rows == 0) {
+        reject = "zero rows";
+    } else if (!request.rows.empty() &&
+               (request.rows.rows() != request.num_rows ||
+                request.rows.cols() != model_cols_[model_it->second])) {
+        reject = "row payload arity mismatch";
+    } else if (wfq_.size() >= config_.queue_capacity) {
+        reject = "admission queue full";
+    }
+    if (!reject.empty()) {
+        lock.unlock();
+        stats_.Count(kTenantClass, &ClassSnapshot::rejected_capacity);
+        ScoreReply reply;
+        reply.error = std::move(reject);
+        handle->Fulfill(std::move(reply));
+        return handle;
+    }
+    {
+        std::lock_guard<std::mutex> settle(settle_mutex_);
+        request.arrival = request.arrival.value_or(
+            Max(modeled_clock_, latest_finish_));
+    }
+    modeled_clock_ = Max(modeled_clock_, *request.arrival);
+    Pending pending;
+    pending.request = std::move(request);
+    pending.handle = handle;
+    pending.slo_class = static_cast<int>(kTenantClass);
+    Admit(lock, std::move(pending), submit_us);
+    return handle;
 }
 
 FleetSnapshot
@@ -294,29 +443,45 @@ FleetService::EvictAllModels()
 void
 FleetService::DispatcherLoop()
 {
+    serve::BatchCoalescer coalescer(coalescer_);
     std::unique_lock<std::mutex> lock(admission_mutex_);
+    const auto ready = [&] {
+        return !dispatch_held_ && (stop_requested_ || !wfq_.empty());
+    };
     for (;;) {
-        dispatcher_cv_.wait(lock, [&] {
-            return !dispatch_held_ && (stop_requested_ || !wfq_->empty());
-        });
-        if (wfq_->empty()) {
+        if (coalescer.open_batches() == 0) {
+            dispatcher_cv_.wait(lock, ready);
+        } else if (!dispatcher_cv_.wait_for(lock, kFlushInterval, ready)) {
+            // Idle past the flush interval: strand no open batch.
+            lock.unlock();
+            for (Batch& batch : coalescer.Flush()) {
+                Dispatch(std::move(batch), 0);
+            }
+            lock.lock();
+            continue;
+        }
+        if (wfq_.empty()) {
             break;  // stop requested and the central queue drained
         }
-        PendingPtr pending = *wfq_->Pop();
-        const std::string model_id = model_ids_[pending->model_idx];
+        Pending pending = *wfq_.Pop();
         // Captured under the lock for the autoscaler: the central
         // backlog is where overload piles up.
-        const std::size_t central_backlog = wfq_->size();
+        const std::size_t central_backlog = wfq_.size();
         lock.unlock();
         // Dispatch outside the admission lock so submissions keep
         // flowing during a registry build.
-        Dispatch(std::move(pending), model_id, central_backlog);
+        for (Batch& batch : coalescer.Add(std::move(pending))) {
+            Dispatch(std::move(batch), central_backlog);
+        }
         lock.lock();
+    }
+    lock.unlock();
+    for (Batch& batch : coalescer.Flush()) {
+        Dispatch(std::move(batch), 0);
     }
 
     // Dispatch is over: release the workers (they drain their queues
     // before exiting).
-    lock.unlock();
     for (Device& d : devices_) {
         {
             std::lock_guard<std::mutex> dlock(d.mutex);
@@ -327,190 +492,266 @@ FleetService::DispatcherLoop()
 }
 
 void
-FleetService::Dispatch(PendingPtr pending, const std::string& model_id,
-                       std::size_t central_backlog)
+FleetService::Dispatch(Batch batch, std::size_t central_backlog)
 {
-    Pending& p = *pending;
-    FleetReply reply;
-    reply.slo = p.cls;
-    reply.arrival = p.arrival;
+    TraceCollector& tracer = TraceCollector::Get();
+    std::vector<Pending>& members = batch.members;
+    DBS_ASSERT(!members.empty());  // the coalescer's invariant
+    const SpanContext lead = members.front().trace;
 
     AcquireResult acquired;
     try {
-        acquired = registry_.Acquire(model_id, p.trace, p.arrival);
+        acquired = registry_.Acquire(batch.model_id, lead, batch.ready);
     } catch (const std::exception& e) {
         // A model that cannot be built fails its requests; the
         // service keeps serving every other model.
-        Fail(p, std::move(reply), p.arrival, e.what());
-        TraceCollector::Get().Drain();
+        for (Pending& m : members) {
+            Settle(m, ScoreReply{}, RequestStatus::kFailed, Arrival(m),
+                   e.what());
+        }
+        tracer.Drain();
         return;
     }
     const WarmModel& model = *acquired.model;
-    reply.registry_miss = !acquired.hit;
-    const std::vector<float>& payload = p.request.rows;
-    if (!payload.empty() &&
-        payload.size() != p.request.num_rows * model.num_cols) {
-        // The worker would read past (or ignore part of) the payload.
-        Fail(p, std::move(reply), p.arrival,
-             "fleet: payload is not num_rows x the model's columns");
-        TraceCollector::Get().Drain();
-        return;
-    }
-    const serve::LaneModel lane_model = LaneModelOf(model);
-    const SimTime ready = p.arrival + acquired.build_cost;
-    const std::size_t rows = p.request.num_rows;
+    // What every member's reply shares from here on.
+    ScoreReply base;
+    base.registry_miss = !acquired.hit;
+    const serve::LaneModel lane_model{model.scheduler.get(), model.model_bytes,
+                                      model.num_cols};
+    const SimTime ready = batch.ready + acquired.build_cost;
 
-    // Earliest-finish placement across devices, skipping accelerators
-    // whose breaker turns the dispatch away (open, cooldown pending).
-    // CPU is always admitted.
-    int chosen = -1;
-    BackendKind chosen_kind = BackendKind::kCpuSklearn;
-    SimTime chosen_finish;
-    for (int d = 0; d < 3; ++d) {
-        const auto device_class = static_cast<DeviceClass>(d);
-        auto est = BestOfClass(*model.scheduler, device_class, rows);
-        if (!est.has_value()) {
-            continue;
-        }
-        const auto lane = lanes_.Admit(device_class, ready, p.trace);
-        if (!lane.has_value()) {
-            continue;
-        }
-        const SimTime finish = Max(ready, lane->at) + est->Total();
-        if (chosen < 0 || finish < chosen_finish) {
-            chosen = d;
-            chosen_kind = est->kind;
-            chosen_finish = finish;
-        }
-    }
-    DBS_ASSERT(chosen >= 0);  // the CPU can always host the model
-    Device& placed = devices_[chosen];
-
-    // Model the first attempt's full cost and reserve the lane up to
-    // its projected finish, then run the whole attempt loop — faults,
-    // backoff, retries, CPU degrade — right here, before the next
-    // dispatch. Every modeled step (lane horizons, breakers, runtime
-    // warm/cold state, the fault streams) thus evolves in dispatch
-    // order alone.
     serve::LaneRun run;
-    run.device = static_cast<DeviceClass>(chosen);
-    run.kind = chosen_kind;
-    run.rows = rows;
-    const SloPolicy& policy = config_.slo[static_cast<int>(p.cls)];
-    const SimTime deadline_at = p.arrival + policy.deadline;
-    lanes_.Reserve(lane_model, run, ready, deadline_at);
+    run.rows = batch.total_rows;
+    Place(*model.scheduler, ready, lead, run);
+    Device& placed = devices_[static_cast<int>(run.device)];
+
+    // Reserve the lane and invoke the runtime, then expire the members
+    // whose modeled start overruns their deadline (the lane stays
+    // uncharged when none is left) and run the whole attempt loop —
+    // faults, backoff, retries, CPU degrade — right here, before the
+    // next dispatch. Every modeled step (lane horizons, breakers,
+    // runtime warm/cold state, the fault streams) thus evolves in
+    // dispatch order alone.
+    lanes_.Reserve(run, ready);
     const SimTime start = run.now;
-    if (start > deadline_at) {
-        // Deadline admission at dispatch: the modeled start already
-        // overruns the class deadline, so the request expires instead
-        // of scoring (Reserve left the lane uncharged). An expiry is
-        // the strongest overload signal there is: it counts as a
-        // missed-deadline sample in the autoscaler's window alongside
-        // late completions.
-        ++placed.window_completions;
-        ++placed.window_deadline_misses;
-        reply.status = RequestStatus::kExpired;
-        reply.finish = start;
-        reply.error = "fleet: deadline expired before dispatch";
-        stats_.RecordExpired(p.cls, p.arrival, start);
-        TraceCollector::Get().EmitSim(
-            StageKind::kQuery, "fleet-request", p.trace, p.arrival,
-            start - p.arrival,
-            {{"class", static_cast<double>(p.cls)}, {"expired", 1.0}});
-        Answer(p, std::move(reply));
-    } else {
-        serve::LaneRiders rider(p.trace, deadline_at);
-        lanes_.Run(lane_model, run, rider);
-        reply.attempts = run.attempts;
-        reply.degraded = run.degraded;
+    const std::size_t admitted = members.size();
+    run.rows = Drop(members, start, base, RequestStatus::kExpired, start,
+                    "deadline expired before dispatch");
+    // An expiry is the strongest overload signal there is: it counts as
+    // a missed-deadline sample in the autoscaler's window alongside
+    // late completions.
+    placed.window_completions += admitted - members.size();
+    placed.window_deadline_misses += admitted - members.size();
+    if (!members.empty()) {
+        SpanContext parent = members.front().trace;
+        const auto drop = [&](SimTime redispatch, const serve::LaneRun& r) {
+            ScoreReply reply = base;
+            reply.attempts = r.attempts;
+            reply.degraded = r.degraded;
+            const std::size_t rows =
+                Drop(members, redispatch, std::move(reply),
+                     RequestStatus::kFailed, r.now, "deadline precludes retry");
+            if (!members.empty()) {
+                parent = members.front().trace;
+            }
+            return rows;
+        };
+        lanes_.Run(lane_model, run, parent, drop);
         if (run.completed) {
-            Complete(placed, std::move(pending), acquired.model, run,
-                     ready, start, deadline_at, std::move(reply));
+            Complete(placed, std::move(members), std::move(acquired.model),
+                     run, base, batch.ready, ready, start);
         } else {
             Commit(placed, run.now);
-            Fail(p, std::move(reply), run.now,
-                 run.rows == 0
-                     ? "fleet: deadline precludes retry"
-                     : "fleet: injected faults exhausted every retry");
+            for (Pending& m : members) {
+                ScoreReply reply = base;
+                reply.attempts = run.attempts;
+                reply.degraded = run.degraded;
+                Settle(m, std::move(reply), RequestStatus::kFailed, run.now,
+                       "injected faults exhausted every retry");
+            }
         }
     }
 
     MaybeAutoscale(ready, central_backlog);
     // Keep the per-thread rings far from overflow: a dispatch emits at
-    // most a dozen spans.
-    TraceCollector::Get().Drain();
+    // most a dozen spans per member.
+    tracer.Drain();
 }
 
 void
-FleetService::Complete(Device& placed, PendingPtr pending,
+FleetService::Place(const OffloadScheduler& scheduler, SimTime ready,
+                    const SpanContext& parent, serve::LaneRun& run)
+{
+    std::optional<BackendEstimate> est[3];
+    for (int d = 0; d < 3; ++d) {
+        est[d] = BestOfClass(scheduler, static_cast<DeviceClass>(d), run.rows);
+    }
+    DBS_ASSERT(est[0].has_value());  // the CPU can always host the model
+    int chosen = 0;
+    if (policy_ == WorkloadPolicy::kQueueAware) {
+        // Earliest finish across devices, skipping accelerators whose
+        // breaker turns the dispatch away (open, cooldown pending). The
+        // CPU is always admitted.
+        SimTime best;
+        for (int d = 0; d < 3; ++d) {
+            const auto lane =
+                est[d] ? lanes_.Admit(static_cast<DeviceClass>(d), ready,
+                                      parent)
+                       : std::nullopt;
+            const SimTime finish =
+                lane ? Max(ready, lane->at) + est[d]->Total() : SimTime();
+            if (lane && (d == 0 || finish < best)) {
+                chosen = d;
+                best = finish;
+            }
+        }
+    } else {
+        if (policy_ == WorkloadPolicy::kAlwaysFpga) {
+            chosen = 2;
+        } else if (policy_ == WorkloadPolicy::kServiceOptimal) {
+            for (int d = 1; d < 3; ++d) {
+                if (est[d] && est[d]->Total() < est[chosen]->Total()) {
+                    chosen = d;
+                }
+            }
+        }
+        chosen = est[chosen] ? chosen : 0;
+        // A fixed placement's open accelerator turns the dispatch away
+        // to the CPU engine (flagged degraded) until the cooldown
+        // elapses; the first dispatch ready at/after it goes through
+        // as the half-open probe.
+        const auto device = static_cast<DeviceClass>(chosen);
+        if (chosen != 0 && config_.cpu_fallback &&
+            !lanes_.Admit(device, ready, parent)) {
+            lanes_.Reroute(device, ready, parent);
+            run.degraded = true;
+            chosen = 0;
+        }
+    }
+    run.device = static_cast<DeviceClass>(chosen);
+    run.kind = est[chosen]->kind;
+}
+
+void
+FleetService::Complete(Device& placed, std::vector<Pending> live,
                        WarmModelPtr model, const serve::LaneRun& run,
-                       SimTime ready, SimTime start, SimTime deadline_at,
-                       FleetReply reply)
+                       const ScoreReply& base, SimTime batch_ready,
+                       SimTime ready, SimTime start)
 {
     TraceCollector& tracer = TraceCollector::Get();
-    const Pending& p = *pending;
     const serve::AttemptCost& cost = run.cost;
     const SimTime service = cost.Total();
     const SimTime finish = run.now + service;
-    const bool deadline_miss = finish > deadline_at;
     Commit(placed, finish);
-    // Autoscaler window sample on the *placement* device (the one
-    // whose pool this dispatch was sized for).
-    ++placed.window_completions;
-    if (deadline_miss) {
-        ++placed.window_deadline_misses;
-    }
-    stats_.RecordDispatch(run.device, 1, p.request.num_rows, service);
+    stats_.RecordDispatch(run.device, live.size(), run.rows, service,
+                          cost.invocation.cold);
 
-    // Simulated stage chain: queue wait at its true timeline position,
-    // then the dispatch costs laid end to end from the successful
-    // attempt (faults and backoffs already own start..run.now).
-    tracer.EmitSim(StageKind::kQueueWait, "queue-wait", p.trace, ready,
-                   start - ready);
-    SimTime cursor = run.now;
-    const struct {
-        StageKind stage;
-        const char* name;
-        SimTime dur;
-    } stages[] = {
-        {StageKind::kInvocation, "invocation", cost.invocation.cost},
-        {StageKind::kModelPreproc, "model-preproc", cost.model_pre},
-        {StageKind::kMarshal, "transfer", cost.Transfer()},
-        {StageKind::kDataPreproc, "data-preproc", cost.data_pre},
-        {StageKind::kScoring, "scoring", cost.scoring.Total()},
-    };
-    for (const auto& s : stages) {
-        tracer.EmitSim(s.stage, s.name, p.trace, cursor, s.dur);
-        cursor += s.dur;
-    }
+    const double n = static_cast<double>(live.size());
+    std::vector<ScoreReply> replies;
+    replies.reserve(live.size());
+    for (Pending& m : live) {
+        const SimTime arrival = Arrival(m);
+        const double share = static_cast<double>(m.request.num_rows) /
+                             static_cast<double>(run.rows);
+        ScoreReply reply = base;
+        reply.status = RequestStatus::kCompleted;
+        reply.device = run.device;
+        reply.backend = run.kind;
+        reply.finish = finish;
+        reply.batch_requests = live.size();
+        reply.batch_rows = run.rows;
+        reply.cold_invocation = cost.invocation.cold;
+        reply.attempts = run.attempts;
+        reply.degraded = run.degraded;
+        reply.deadline_miss = PastDeadline(m, finish);
+        serve::RequestTiming& t = reply.timing;
+        t.coalesce_delay = batch_ready - arrival;
+        t.queue_wait = start - ready;
+        t.invocation_share = cost.invocation.cost / n;
+        t.model_preproc_share = cost.model_pre / n;
+        t.transfer_share = cost.Transfer() * share;
+        t.data_preproc_share = cost.data_pre * share;
+        t.scoring_share = ScaleBreakdown(cost.scoring, share);
+        t.latency = finish - arrival;
 
-    reply.status = RequestStatus::kCompleted;
-    reply.device = run.device;
-    reply.backend = run.kind;
-    reply.deadline_miss = deadline_miss;
-    reply.finish = finish;
-    stats_.RecordCompleted(p.cls, p.arrival, finish, run.degraded,
-                           deadline_miss);
-    tracer.EmitSim(StageKind::kQuery, "fleet-request", p.trace, p.arrival,
-                   finish - p.arrival,
-                   {{"class", static_cast<double>(p.cls)},
-                    {"miss", deadline_miss ? 1.0 : 0.0}});
-    HandOff(placed,
-            DeviceWork{std::move(pending), std::move(model), std::move(reply)});
+        // Autoscaler window sample on the *placement* device (the one
+        // whose pool this dispatch was sized for).
+        ++placed.window_completions;
+        if (reply.deadline_miss) {
+            ++placed.window_deadline_misses;
+        }
+        stats_.RecordAnswer(static_cast<SloClass>(m.slo_class),
+                            RequestStatus::kCompleted, arrival, finish,
+                            run.degraded, reply.deadline_miss);
+
+        // Simulated stage chain, one span per paper component: waiting
+        // spans at their true timeline positions, then the request's
+        // share of the dispatch cost laid end to end from the
+        // successful attempt (faults and backoffs already own
+        // start..run.now).
+        if (!coalescer_.window.is_zero()) {
+            tracer.EmitSim(StageKind::kCoalesce, "coalesce-delay", m.trace,
+                           arrival, t.coalesce_delay);
+        }
+        tracer.EmitSim(StageKind::kQueueWait, "queue-wait", m.trace, ready,
+                       t.queue_wait);
+        SimTime cursor = run.now;
+        const struct {
+            StageKind stage;
+            const char* name;
+            SimTime dur;
+        } shares[] = {
+            {StageKind::kInvocation, "invocation-share", t.invocation_share},
+            {StageKind::kModelPreproc, "model-preproc-share",
+             t.model_preproc_share},
+            {StageKind::kMarshal, "transfer-share", t.transfer_share},
+            {StageKind::kDataPreproc, "data-preproc-share",
+             t.data_preproc_share},
+            {StageKind::kScoring, "scoring-share", t.scoring_share.Total()},
+        };
+        for (const auto& s : shares) {
+            tracer.EmitSim(s.stage, s.name, m.trace, cursor, s.dur);
+            cursor += s.dur;
+        }
+        replies.push_back(std::move(reply));
+    }
+    HandOff(placed, DeviceWork{std::move(live), std::move(replies),
+                               std::move(model)});
+}
+
+std::size_t
+FleetService::Drop(std::vector<Pending>& members, SimTime at,
+                   const ScoreReply& reply, RequestStatus status,
+                   SimTime answer_at, const char* why)
+{
+    std::size_t rows = 0;
+    std::size_t kept = 0;
+    for (Pending& m : members) {
+        if (PastDeadline(m, at)) {
+            Settle(m, reply, status, answer_at, why);
+            continue;
+        }
+        rows += m.request.num_rows;
+        if (&members[kept] != &m) {
+            members[kept] = std::move(m);
+        }
+        ++kept;
+    }
+    members.resize(kept);
+    return rows;
 }
 
 void
-FleetService::Fail(Pending& pending, FleetReply reply, SimTime at,
-                   std::string why)
+FleetService::Settle(Pending& pending, ScoreReply reply,
+                     RequestStatus status, SimTime at, std::string why)
 {
-    reply.status = RequestStatus::kFailed;
+    const SimTime arrival = Arrival(pending);
+    const auto cls = static_cast<SloClass>(pending.slo_class);
+    reply.status = status;
     reply.finish = at;
+    reply.timing.latency = at - arrival;
     reply.error = std::move(why);
-    stats_.RecordFailed(pending.cls, pending.arrival, at);
-    TraceCollector::Get().EmitSim(
-        StageKind::kQuery, "fleet-request", pending.trace, pending.arrival,
-        at - pending.arrival,
-        {{"class", static_cast<double>(pending.cls)}, {"failed", 1.0}});
+    stats_.RecordAnswer(cls, status, arrival, at);
     Answer(pending, std::move(reply));
 }
 
@@ -528,8 +769,7 @@ FleetService::HandOff(Device& device, DeviceWork work)
 {
     {
         std::unique_lock<std::mutex> dlock(device.mutex);
-        const auto window = static_cast<std::size_t>(
-            static_cast<double>(device.lanes) * config_.window_per_lane);
+        const std::size_t window = device.lanes * kWindowPerLane;
         // The worker signals `room` as it frees slots; the timeout is a
         // lost-wakeup backstop (wall-clock liveness only — modeled time
         // never sees it).
@@ -600,18 +840,30 @@ FleetService::WorkerLoop(int device_index)
             device.queue.pop_front();
             ++device.inflight;
         }
-        const FleetRequest& request = work.pending->request;
-        if (!request.rows.empty()) {
-            // Functional scoring through the registry's shared
-            // CompiledModel: the same compiled plan serves warm,
-            // re-warmed and degraded dispatches, so predictions are
-            // bit-identical in every case. Wall-clock only; the
-            // modeled reply is already fixed.
-            work.reply.predictions = work.model->compiled->Predict(
-                RowView::Borrow(request.rows.data(), request.num_rows,
-                                work.model->num_cols));
+        {
+            // Wall span for the dispatch on this worker thread; kernel
+            // spans emitted while computing predictions nest under it.
+            ScopedSpan exec(StageKind::kBatch, "batch-execute",
+                            work.members.front().trace);
+            exec.AddAttr("requests", static_cast<double>(work.members.size()));
+            exec.AddAttr("rows",
+                         static_cast<double>(work.replies.front().batch_rows));
+            exec.AddAttr("device", static_cast<double>(device_index));
+            for (std::size_t i = 0; i < work.members.size(); ++i) {
+                const RowView& rows = work.members[i].request.rows;
+                if (!rows.empty()) {
+                    // Functional scoring through the registry's shared
+                    // CompiledModel, traversing the request's view in
+                    // place: the same compiled plan serves warm,
+                    // re-warmed and degraded dispatches, so predictions
+                    // are bit-identical in every case. Wall-clock only;
+                    // the modeled reply is already fixed.
+                    work.replies[i].predictions =
+                        work.model->compiled->Predict(rows);
+                }
+                Answer(work.members[i], std::move(work.replies[i]));
+            }
         }
-        Answer(*work.pending, std::move(work.reply));
         {
             std::lock_guard<std::mutex> dlock(device.mutex);
             --device.inflight;
@@ -621,21 +873,35 @@ FleetService::WorkerLoop(int device_index)
 }
 
 void
-FleetService::Answer(Pending& pending, FleetReply reply)
+FleetService::Answer(Pending& pending, ScoreReply reply)
 {
+    TraceCollector& tracer = TraceCollector::Get();
+    const SimTime arrival = Arrival(pending);
+    const SimTime finish = reply.finish;
+    // The request's root span: wall submit -> now, modeled
+    // arrival -> finish. Every stage span parents to it.
+    trace::SpanRecord record;
+    record.trace_id = pending.trace.trace_id;
+    record.span_id = pending.trace.span_id;
+    record.domain = pending.trace.domain;
+    record.stage = StageKind::kQuery;
+    record.name = "request";
+    record.wall_start_us = pending.submit_wall_us;
+    record.wall_dur_us = tracer.NowWallMicros() - pending.submit_wall_us;
+    record.sim_start_s = arrival.seconds();
+    record.sim_dur_s = (finish - arrival).seconds();
+    record.AddAttr("rows", static_cast<double>(pending.request.num_rows));
+    record.AddAttr("class", static_cast<double>(pending.slo_class));
+    record.AddAttr("status", static_cast<double>(reply.status));
+    tracer.Emit(record);
     {
         ScopedSpan fulfill(StageKind::kReply, "fulfill", pending.trace);
-        pending.promise.set_value(std::move(reply));
+        pending.handle->Fulfill(std::move(reply));
     }
-    SettleOne();
-}
-
-void
-FleetService::SettleOne()
-{
     {
         std::lock_guard<std::mutex> lock(settle_mutex_);
         ++settled_;
+        latest_finish_ = Max(latest_finish_, finish);
     }
     settle_cv_.notify_all();
 }

@@ -1,10 +1,14 @@
 /**
  * @file
- * Multi-tenant fleet serving: registry + SLO scheduling + autoscaling.
+ * The one serving core: registry + SLO scheduling + coalescing +
+ * autoscaling over three simulated devices.
  *
- * FleetService is the layer above ScoringService's single-tenant
- * front door: thousands of tenants, each bound to a model and an SLO
- * class, share three simulated devices. The pieces:
+ * FleetService is the multi-tenant front door: thousands of tenants,
+ * each bound to a model and an SLO class, share three simulated
+ * devices. serve::ScoringService is the same core configured for one
+ * implicit tenant: one lane per device and no autoscaling, models
+ * built at registration and never evicted, its coalescing window,
+ * per-request deadlines and placement policy. The pieces:
  *
  *  - **ModelRegistry** keeps hot models' kernels warm under a byte
  *    budget; a request for an evicted model pays the modeled rebuild
@@ -15,13 +19,15 @@
  *    backpressure, split by cause (quota vs capacity).
  *  - **Weighted fair queueing** orders the central backlog so gold
  *    outruns bronze under overload without starving it.
+ *  - **Coalescing** (serve::BatchCoalescer) groups same-model requests
+ *    into one dispatch. Fleet requests use window zero: each
+ *    dispatches alone.
  *  - **Placement** picks the earliest-finishing device lane from each
  *    model's per-backend estimates, skipping devices whose breaker is
  *    open, and reserves that lane at dispatch. The dispatch then runs
- *    through serve::DeviceLanes — the serve layer's own attempt loop,
- *    breakers (half-open probe included) and fault counters — so
- *    faulted dispatches retry with backoff and degrade to CPU exactly
- *    as they do there.
+ *    through serve::DeviceLanes — the attempt loop, breakers
+ *    (half-open probe included) and fault counters — so faulted
+ *    dispatches retry with backoff and degrade to CPU.
  *  - **Autoscaling** grows and shrinks each device's modeled lane
  *    pool (held by DeviceLanes) from queue-depth and deadline-miss
  *    signals.
@@ -29,15 +35,15 @@
  * Concurrency vs. time follows the house rule: machinery real (one
  * dispatcher thread, one worker thread per device class, real CVs),
  * latencies modeled (SimTime lane horizons), results machine-
- * independent. The dispatcher commits every modeled step of a request
- * in dispatch order: the registry acquire, placement, the lane
- * reservation, the whole DeviceLanes::Run loop, the stats and the
- * autoscaler's samples. Device workers only score payloads and reply,
- * so modeled outcomes are a function of the dispatch sequence alone —
- * never of how fast real threads run. Predictions are always computed
- * through the registry's shared CompiledModel, so a reply is
- * bit-identical whether it was served warm, re-warmed after eviction,
- * or degraded to the CPU path.
+ * independent. The dispatcher commits every modeled step of a dispatch
+ * in dispatch order: the registry acquire, breaker admission,
+ * placement, the lane reservation, the whole DeviceLanes::Run loop,
+ * the stats and the autoscaler's samples. Device workers only score
+ * payloads and reply, so modeled outcomes are a function of the
+ * dispatch sequence alone — never of how fast real threads run.
+ * Predictions are always computed through the registry's shared
+ * CompiledModel, so a reply is bit-identical whether it was served
+ * warm, re-warmed after eviction, or degraded to the CPU path.
  */
 #ifndef DBSCORE_FLEET_FLEET_SERVICE_H
 #define DBSCORE_FLEET_FLEET_SERVICE_H
@@ -48,7 +54,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -59,19 +64,20 @@
 
 #include "dbscore/common/thread_pool.h"
 #include "dbscore/core/scheduler.h"
-#include "dbscore/dbms/external_runtime.h"
+#include "dbscore/core/workload_sim.h"
 #include "dbscore/fleet/autoscaler.h"
 #include "dbscore/fleet/fleet_stats.h"
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
 #include "dbscore/fleet/wfq.h"
+#include "dbscore/serve/batch_coalescer.h"
 #include "dbscore/serve/device_lanes.h"
 #include "dbscore/serve/request.h"
 
 namespace dbscore::fleet {
 
-/** Fleet configuration. */
-struct FleetConfig {
+/** Fleet configuration: the shared lane settings plus the fleet's own. */
+struct FleetConfig : serve::LaneConfig {
     RegistryConfig registry;
     /** Per-class SLO ladder; defaults to DefaultSloPolicy. */
     std::array<SloPolicy, kNumSloClasses> slo = {
@@ -80,25 +86,10 @@ struct FleetConfig {
         DefaultSloPolicy(SloClass::kBronze),
     };
     AutoscalerConfig autoscaler;
-    serve::RetryPolicy retry;
-    serve::BreakerPolicy breaker;
-    /** Stage costs of each device worker's external runtime. */
-    ExternalRuntimeParams runtime_params;
     /** Central WFQ capacity; past it admissions reject (capacity). */
     std::size_t queue_capacity = 4096;
     /** Modeled lanes each device starts with. */
     std::size_t initial_lanes = 2;
-    /**
-     * Dispatch window: a device's worker holds up to lanes × this many
-     * committed requests awaiting scoring and reply; past it the
-     * dispatcher waits before handing over more, so an overload
-     * backlog stays in the central WFQ. The window acts on the wall
-     * clock only: it delays a hand-over but never redirects a
-     * placement or moves a modeled time.
-     */
-    double window_per_lane = 2.0;
-    /** Degrade to CPU after exhausted accelerator retries. */
-    bool cpu_fallback = true;
     /**
      * Start with dispatch gated: requests admit and queue but nothing
      * dispatches until ReleaseDispatch(). Lets benches and tests load
@@ -123,32 +114,15 @@ struct FleetRequest {
     std::optional<SimTime> arrival;
 };
 
-/** Terminal reply for one fleet request. */
-struct FleetReply {
-    serve::RequestStatus status = serve::RequestStatus::kRejected;
+/** Terminal reply for one fleet request: a ScoreReply plus its tenant's view. */
+struct FleetReply : serve::ScoreReply {
     SloClass slo = SloClass::kBronze;
-    /** Device that produced the answer (valid when completed). */
-    DeviceClass device = DeviceClass::kCpu;
-    BackendKind backend = BackendKind::kCpuSklearn;
-    /** Served by the CPU degradation path after accelerator faults. */
-    bool degraded = false;
-    /** Completed, but after the class deadline. */
-    bool deadline_miss = false;
-    /**
-     * The dispatch that answered missed the registry (a cold or
-     * evicted model) and paid the modeled build.
-     */
-    bool registry_miss = false;
-    std::size_t attempts = 0;
     SimTime arrival;
-    SimTime finish;
-    std::vector<float> predictions;
-    std::string error;
 
     SimTime Latency() const { return finish - arrival; }
 };
 
-/** The multi-tenant fleet front door; see file comment. */
+/** The serving core and its multi-tenant front door; see file comment. */
 class FleetService {
  public:
     FleetService(const HardwareProfile& profile, FleetConfig config);
@@ -172,8 +146,6 @@ class FleetService {
     void RegisterTenant(std::uint64_t tenant_id, const std::string& model_id,
                         SloClass cls);
 
-    std::size_t NumTenants() const;
-
     /**
      * Replaces one class's SLO policy. Must precede Start(). Tenants
      * already registered keep the token bucket built from the policy
@@ -185,7 +157,11 @@ class FleetService {
     /** Launches the dispatcher and device worker threads. */
     void Start();
 
-    /** Drains in-flight work, then stops every thread. Idempotent. */
+    /**
+     * Drains in-flight work, then stops every thread; requests queued
+     * before a Start that never came are rejected. Idempotent, and
+     * final: a stopped service cannot restart.
+     */
     void Stop();
 
     /** Blocks until every submitted request reached a terminal state. */
@@ -222,27 +198,40 @@ class FleetService {
     const FleetConfig& config() const { return config_; }
     std::uint32_t trace_domain() const { return trace_domain_; }
 
- private:
-    struct Pending {
-        FleetRequest request;
-        SloClass cls = SloClass::kBronze;
-        std::uint32_t model_idx = 0;
-        SimTime arrival;
-        trace::SpanContext trace;
-        std::promise<FleetReply> promise;
-    };
-    using PendingPtr = std::unique_ptr<Pending>;
+ protected:
+    /**
+     * ScoringService's shape of the core (see the file comment); with
+     * @p resident_models, models are built at registration.
+     */
+    FleetService(const HardwareProfile& profile, FleetConfig config,
+                 const serve::CoalescerConfig& coalescer,
+                 WorkloadPolicy policy, bool resident_models);
 
     /**
-     * A committed request waiting on a device worker. The dispatcher
+     * ScoringService's admission for its one implicit tenant (class 0,
+     * per-request deadlines). Requests may queue before Start();
+     * unstamped arrivals take the latest modeled arrival or finish, so
+     * a synchronous caller's next request follows its last reply.
+     */
+    serve::PendingScorePtr SubmitScore(serve::ScoreRequest request);
+
+ private:
+    using Pending = serve::PendingRequest;
+    using Batch = serve::Batch;
+
+    /** A fleet request's handle: hands its reply to the caller's future. */
+    class Ticket;
+
+    /**
+     * A committed dispatch waiting on a device worker. The dispatcher
      * already ran its whole modeled dispatch (lanes, faults, retries,
      * degrade) and recorded its stats; the worker only scores the
-     * payload, if any, into the reply and fulfills it.
+     * members' payloads into their replies and fulfills them.
      */
     struct DeviceWork {
-        PendingPtr pending;
+        std::vector<Pending> members;
+        std::vector<serve::ScoreReply> replies;
         WarmModelPtr model;
-        FleetReply reply;
     };
 
     /** One simulated device: its worker's queue and its lane pool. */
@@ -277,32 +266,52 @@ class FleetService {
         std::multiset<SimTime> running;
     };
 
-    void DispatcherLoop();
-    /** Commits @p pending's whole modeled dispatch; see file comment. */
-    void Dispatch(PendingPtr pending, const std::string& model_id,
-                  std::size_t central_backlog);
     /**
-     * The completed half of a dispatch: records it and hands the reply
-     * to @p placed's worker for scoring.
+     * The one admission path: gives @p pending its trace root, queues
+     * it, releases @p lock (on admission_mutex_), emits the admission
+     * span and wakes the dispatcher.
      */
-    void Complete(Device& placed, PendingPtr pending, WarmModelPtr model,
-                  const serve::LaneRun& run, SimTime ready, SimTime start,
-                  SimTime deadline_at, FleetReply reply);
-    /** Fails @p pending at modeled time @p at with @p why. */
-    void Fail(Pending& pending, FleetReply reply, SimTime at,
-              std::string why);
+    void Admit(std::unique_lock<std::mutex>& lock, Pending pending,
+               double submit_wall_us);
+    void DispatcherLoop();
+    /** Commits @p batch's whole modeled dispatch; see file comment. */
+    void Dispatch(Batch batch, std::size_t central_backlog);
+    /** Sets run.device and run.kind (and degraded) for a dispatch. */
+    void Place(const OffloadScheduler& scheduler, SimTime ready,
+               const trace::SpanContext& parent, serve::LaneRun& run);
+    /**
+     * The completed half of a dispatch: records it and hands the
+     * replies to @p placed's worker for scoring.
+     */
+    void Complete(Device& placed, std::vector<Pending> live,
+                  WarmModelPtr model, const serve::LaneRun& run,
+                  const serve::ScoreReply& base, SimTime batch_ready,
+                  SimTime ready, SimTime start);
+    /**
+     * Answers @p status (with @p reply's fields) at @p answer_at for
+     * each of @p members whose deadline precedes @p at, removes it, and
+     * returns the rows still riding.
+     */
+    std::size_t Drop(std::vector<Pending>& members, SimTime at,
+                     const serve::ScoreReply& reply,
+                     serve::RequestStatus status, SimTime answer_at,
+                     const char* why);
+    /** Answers @p pending @p status at modeled time @p at with @p why. */
+    void Settle(Pending& pending, serve::ScoreReply reply,
+                serve::RequestStatus status, SimTime at, std::string why);
     /** Records a dispatch committed to @p device until @p finish. */
     void Commit(Device& device, SimTime finish);
     /** Waits (wall clock) for a window slot on @p device, then enqueues. */
     void HandOff(Device& device, DeviceWork work);
     void WorkerLoop(int device_index);
-    /** Fulfills @p pending with @p reply and counts it settled. */
-    void Answer(Pending& pending, FleetReply reply);
+    /** Emits @p pending's root span, fulfills it and counts it settled. */
+    void Answer(Pending& pending, serve::ScoreReply reply);
     void MaybeAutoscale(SimTime now, std::size_t central_backlog);
-    void SettleOne();
 
-    HardwareProfile profile_;
     FleetConfig config_;
+    serve::CoalescerConfig coalescer_;
+    WorkloadPolicy policy_;
+    bool resident_models_;
     /**
      * Queue depth past which every autoscaler decision is the same:
      * more than the larger threshold per lane at the largest pool.
@@ -321,10 +330,11 @@ class FleetService {
 
     mutable std::mutex admission_mutex_;
     std::condition_variable dispatcher_cv_;
-    /** Built at Start() so SetSloPolicy weights take effect. */
-    std::unique_ptr<WeightedFairQueue<PendingPtr>> wfq_;
+    WeightedFairQueue<Pending> wfq_;
     std::unordered_map<std::uint64_t, TenantState> tenants_;
     std::vector<std::string> model_ids_;
+    /** Feature columns of each model, indexed like model_ids_. */
+    std::vector<std::size_t> model_cols_;
     std::unordered_map<std::string, std::uint32_t> model_index_;
     bool running_ = false;
     bool stop_requested_ = false;
@@ -336,6 +346,8 @@ class FleetService {
     mutable std::mutex settle_mutex_;
     std::condition_variable settle_cv_;
     std::size_t settled_ = 0;
+    /** Latest modeled finish answered (serve's live stamps). */
+    SimTime latest_finish_;
 
     std::array<Device, 3> devices_;
     /** Lane pools, breakers, runtimes and fault counters per device. */

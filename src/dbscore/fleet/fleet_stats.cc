@@ -6,22 +6,6 @@
 
 namespace dbscore::fleet {
 
-namespace {
-
-int
-Idx(SloClass cls)
-{
-    return static_cast<int>(cls);
-}
-
-int
-Idx(DeviceClass device)
-{
-    return static_cast<int>(device);
-}
-
-}  // namespace
-
 double
 ClassSnapshot::MissRate() const
 {
@@ -31,27 +15,11 @@ ClassSnapshot::MissRate() const
 }
 
 std::size_t
-ClassSnapshot::Goodput() const
-{
-    return completed - deadline_misses;
-}
-
-std::size_t
-FleetSnapshot::Submitted() const
+FleetSnapshot::Sum(std::size_t ClassSnapshot::*counter) const
 {
     std::size_t n = 0;
     for (const ClassSnapshot& c : classes) {
-        n += c.submitted;
-    }
-    return n;
-}
-
-std::size_t
-FleetSnapshot::Completed() const
-{
-    std::size_t n = 0;
-    for (const ClassSnapshot& c : classes) {
-        n += c.completed;
+        n += c.*counter;
     }
     return n;
 }
@@ -59,12 +27,10 @@ FleetSnapshot::Completed() const
 std::size_t
 FleetSnapshot::Settled() const
 {
-    std::size_t n = 0;
-    for (const ClassSnapshot& c : classes) {
-        n += c.completed + c.rejected_quota + c.rejected_capacity +
-             c.expired + c.failed;
-    }
-    return n;
+    return Sum(&ClassSnapshot::completed) +
+           Sum(&ClassSnapshot::rejected_quota) +
+           Sum(&ClassSnapshot::rejected_capacity) +
+           Sum(&ClassSnapshot::expired) + Sum(&ClassSnapshot::failed);
 }
 
 SimTime
@@ -83,10 +49,8 @@ FleetSnapshot::GoodputRps() const
     if (span.is_zero()) {
         return 0.0;
     }
-    std::size_t good = 0;
-    for (const ClassSnapshot& c : classes) {
-        good += c.Goodput();
-    }
+    const std::size_t good =
+        Sum(&ClassSnapshot::completed) - Sum(&ClassSnapshot::deadline_misses);
     return static_cast<double>(good) / span.seconds();
 }
 
@@ -126,24 +90,10 @@ FleetSnapshot::ToString() const
     }
     static const char* kDeviceNames[3] = {"CPU", "GPU", "FPGA"};
     for (int d = 0; d < 3; ++d) {
-        const FleetDeviceSnapshot& dev = devices[d];
-        if (dev.dispatches == 0 && dev.faults == 0) {
-            continue;
+        if (devices[d].dispatches > 0 || devices[d].faults > 0) {
+            os << StrFormat("%-7s:  ", kDeviceNames[d])
+               << devices[d].ToString() << "\n";
         }
-        os << StrFormat(
-            "%-7s:  %zu dispatches, %zu requests, %zu rows, %zu lanes "
-            "(+%zu/-%zu), busy ",
-            kDeviceNames[d], dev.dispatches, dev.requests, dev.rows,
-            dev.lanes, dev.scale_ups, dev.scale_downs)
-           << dev.busy;
-        if (dev.faults + dev.fallbacks + dev.breaker_opens > 0) {
-            os << StrFormat(
-                ", %zu faults, %zu retries, %zu fallbacks, "
-                "%zu breaker opens, breaker %s",
-                dev.faults, dev.retries, dev.fallbacks, dev.breaker_opens,
-                serve::BreakerStateName(dev.breaker));
-        }
-        os << "\n";
     }
     os << StrFormat("goodput:  %.1f within-deadline req/s over makespan ",
                     GoodputRps())
@@ -152,115 +102,71 @@ FleetSnapshot::ToString() const
 }
 
 void
-FleetStats::TouchSpanLocked(SimTime arrival, SimTime finish)
+FleetStats::Count(SloClass cls, std::size_t ClassSnapshot::*counter)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(classes_[static_cast<int>(cls)].totals.*counter);
+}
+
+void
+FleetStats::RecordAnswer(SloClass cls, serve::RequestStatus status,
+                         SimTime arrival, SimTime finish, bool degraded,
+                         bool deadline_miss)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ClassAccum& accum = classes_[static_cast<int>(cls)];
+    switch (status) {
+      case serve::RequestStatus::kCompleted:
+        ++accum.totals.completed;
+        accum.totals.degraded += degraded ? 1 : 0;
+        accum.totals.deadline_misses += deadline_miss ? 1 : 0;
+        accum.latency.Add((finish - arrival).seconds());
+        break;
+      case serve::RequestStatus::kExpired:
+        ++accum.totals.expired;
+        break;
+      case serve::RequestStatus::kFailed:
+        ++accum.totals.failed;
+        break;
+      case serve::RequestStatus::kRejected:
+        ++accum.totals.rejected_capacity;
+        break;
+    }
     if (!any_arrival_ || arrival < totals_.first_arrival) {
         totals_.first_arrival = arrival;
         any_arrival_ = true;
     }
-    if (finish > totals_.last_finish) {
-        totals_.last_finish = finish;
-    }
-}
-
-void
-FleetStats::RecordSubmitted(SloClass cls)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++classes_[Idx(cls)].totals.submitted;
-}
-
-void
-FleetStats::RecordAdmitted(SloClass cls)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++classes_[Idx(cls)].totals.admitted;
-}
-
-void
-FleetStats::RecordRejectedQuota(SloClass cls)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++classes_[Idx(cls)].totals.rejected_quota;
-}
-
-void
-FleetStats::RecordRejectedCapacity(SloClass cls)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++classes_[Idx(cls)].totals.rejected_capacity;
-}
-
-void
-FleetStats::RecordExpired(SloClass cls, SimTime arrival, SimTime finish)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++classes_[Idx(cls)].totals.expired;
-    TouchSpanLocked(arrival, finish);
-}
-
-void
-FleetStats::RecordFailed(SloClass cls, SimTime arrival, SimTime finish)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++classes_[Idx(cls)].totals.failed;
-    TouchSpanLocked(arrival, finish);
-}
-
-void
-FleetStats::RecordCompleted(SloClass cls, SimTime arrival, SimTime finish,
-                            bool degraded, bool deadline_miss)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ClassAccum& accum = classes_[Idx(cls)];
-    ++accum.totals.completed;
-    if (degraded) {
-        ++accum.totals.degraded;
-    }
-    if (deadline_miss) {
-        ++accum.totals.deadline_misses;
-    }
-    const double latency = (finish - arrival).seconds();
-    accum.latency.Add(latency);
-    TouchSpanLocked(arrival, finish);
+    totals_.last_finish = Max(totals_.last_finish, finish);
 }
 
 void
 FleetStats::RecordDispatch(DeviceClass device, std::size_t num_requests,
-                           std::size_t num_rows, SimTime busy)
+                           std::size_t num_rows, SimTime busy, bool cold)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    FleetDeviceSnapshot& dev = totals_.devices[Idx(device)];
+    FleetDeviceSnapshot& dev = totals_.devices[static_cast<int>(device)];
     ++dev.dispatches;
     dev.requests += num_requests;
     dev.rows += num_rows;
     dev.busy = dev.busy + busy;
+    if (cold) {
+        ++dev.cold_invocations;
+    }
+    batch_requests_.Add(static_cast<double>(num_requests));
+    batch_rows_.Add(static_cast<double>(num_rows));
 }
 
 void
 FleetStats::SetLanes(DeviceClass device, std::size_t lanes, int delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    FleetDeviceSnapshot& dev = totals_.devices[Idx(device)];
+    FleetDeviceSnapshot& dev = totals_.devices[static_cast<int>(device)];
     dev.lanes = lanes;
     if (delta > 0) {
         ++dev.scale_ups;
     } else if (delta < 0) {
         ++dev.scale_downs;
     }
-}
-
-std::size_t
-FleetStats::Settled() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const ClassAccum& accum : classes_) {
-        const ClassSnapshot& c = accum.totals;
-        n += c.completed + c.rejected_quota + c.rejected_capacity +
-             c.expired + c.failed;
-    }
-    return n;
 }
 
 FleetSnapshot
@@ -274,13 +180,10 @@ FleetStats::Snapshot(const serve::DeviceLanes& lanes) const
         snap.classes[c].latency = classes_[c].latency.Summary();
     }
     for (int d = 0; d < 3; ++d) {
-        FleetDeviceSnapshot& dev = snap.devices[d];
-        dev.faults = counters[d].faults;
-        dev.retries = counters[d].retries;
-        dev.fallbacks = counters[d].fallbacks;
-        dev.breaker_opens = counters[d].breaker_opens;
-        dev.breaker = counters[d].breaker;
+        static_cast<serve::LaneCounters&>(snap.devices[d]) = counters[d];
     }
+    snap.batch_requests = batch_requests_.Summary();
+    snap.batch_rows = batch_rows_.Summary();
     return snap;
 }
 
@@ -294,12 +197,12 @@ FleetStats::Reset()
     for (int d = 0; d < 3; ++d) {
         fresh.devices[d].lanes = totals_.devices[d].lanes;
     }
-    fresh.tenants = totals_.tenants;
-    fresh.models = totals_.models;
     totals_ = fresh;
     for (ClassAccum& accum : classes_) {
         accum = ClassAccum();
     }
+    batch_requests_ = serve::DistStats();
+    batch_rows_ = serve::DistStats();
     any_arrival_ = false;
 }
 

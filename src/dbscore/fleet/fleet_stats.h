@@ -1,11 +1,13 @@
 /**
  * @file
- * Fleet-wide serving metrics, sliced per SLO class and per device.
+ * The serving core's metrics, sliced per SLO class and per device.
  *
- * Mirrors serve::ServiceStats but answers the fleet questions: did
- * gold's tail stay ahead of bronze's under overload (per-class latency
- * and deadline-miss counters), how often did the registry re-pay model
- * builds, and what did the autoscaler do. Thread-safe accumulator;
+ * FleetStats is the one accumulator behind both views:
+ * FleetService::Stats() answers the fleet questions — did gold's tail
+ * stay ahead of bronze's under overload (per-class latency and
+ * deadline-miss counters), how often did the registry re-pay model
+ * builds, what did the autoscaler do — and ScoringService::Stats()
+ * folds the same counters into a serve::ServiceSnapshot. Thread-safe;
  * Snapshot() copies its own counters under one lock (the DeviceLanes
  * fault counters under each device class's); Reset() rebaselines for
  * per-phase measurements.
@@ -22,6 +24,7 @@
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
 #include "dbscore/serve/device_lanes.h"
+#include "dbscore/serve/request.h"
 #include "dbscore/serve/service_stats.h"
 
 namespace dbscore::fleet {
@@ -45,34 +48,18 @@ struct ClassSnapshot {
 
     /** Deadline misses over completed answers (0 when none). */
     double MissRate() const;
-    /** Completed strictly within deadline (the bench's goodput). */
-    std::size_t Goodput() const;
 };
 
-/** One device's fleet-side dispatch accounting. */
-struct FleetDeviceSnapshot {
-    std::size_t dispatches = 0;
-    std::size_t requests = 0;
-    std::size_t rows = 0;
-    /** Modeled busy time summed across lanes. */
-    SimTime busy;
-    std::size_t faults = 0;
-    std::size_t retries = 0;
-    /** Dispatches re-routed to CPU (breaker or final-retry fallback). */
-    std::size_t fallbacks = 0;
-    std::size_t breaker_opens = 0;
-    serve::BreakerState breaker = serve::BreakerState::kClosed;
-    /** Current modeled lane count and autoscale activity. */
-    std::size_t lanes = 0;
-    std::size_t scale_ups = 0;
-    std::size_t scale_downs = 0;
-};
+using FleetDeviceSnapshot = serve::DeviceSnapshot;
 
 /** A consistent copy of every fleet counter at one instant. */
 struct FleetSnapshot {
     std::array<ClassSnapshot, kNumSloClasses> classes;
     /** Indexed by DeviceClass (kCpu, kGpu, kFpga). */
     std::array<FleetDeviceSnapshot, 3> devices;
+    /** Requests and rows per dispatch. */
+    serve::DistSummary batch_requests;
+    serve::DistSummary batch_rows;
     RegistrySnapshot registry;
 
     std::size_t tenants = 0;
@@ -82,8 +69,10 @@ struct FleetSnapshot {
     SimTime first_arrival;
     SimTime last_finish;
 
-    std::size_t Submitted() const;
-    std::size_t Completed() const;
+    /** @p counter summed over the classes. */
+    std::size_t Sum(std::size_t ClassSnapshot::*counter) const;
+    std::size_t Submitted() const { return Sum(&ClassSnapshot::submitted); }
+    std::size_t Completed() const { return Sum(&ClassSnapshot::completed); }
     std::size_t Settled() const;
     /** Completed-within-deadline per modeled second over the makespan. */
     double GoodputRps() const;
@@ -96,21 +85,21 @@ struct FleetSnapshot {
 /** Thread-safe accumulator behind FleetSnapshot. */
 class FleetStats {
  public:
-    void RecordSubmitted(SloClass cls);
-    void RecordAdmitted(SloClass cls);
-    void RecordRejectedQuota(SloClass cls);
-    void RecordRejectedCapacity(SloClass cls);
-    void RecordExpired(SloClass cls, SimTime arrival, SimTime finish);
-    void RecordFailed(SloClass cls, SimTime arrival, SimTime finish);
-    void RecordCompleted(SloClass cls, SimTime arrival, SimTime finish,
-                         bool degraded, bool deadline_miss);
+    /**
+     * Counts one @p cls request in @p counter: submitted, admitted or
+     * one of the rejection causes.
+     */
+    void Count(SloClass cls, std::size_t ClassSnapshot::*counter);
 
+    /** One admitted @p cls request answered @p status at @p finish. */
+    void RecordAnswer(SloClass cls, serve::RequestStatus status,
+                      SimTime arrival, SimTime finish, bool degraded = false,
+                      bool deadline_miss = false);
+
+    /** One dispatch of @p num_requests coalesced requests on @p device. */
     void RecordDispatch(DeviceClass device, std::size_t num_requests,
-                        std::size_t num_rows, SimTime busy);
+                        std::size_t num_rows, SimTime busy, bool cold);
     void SetLanes(DeviceClass device, std::size_t lanes, int delta);
-
-    /** Requests in a terminal state (completed+rejected+expired+failed). */
-    std::size_t Settled() const;
 
     /**
      * This accumulator's counters plus the fault, retry, fallback and
@@ -134,9 +123,9 @@ class FleetStats {
     mutable std::mutex mutex_;
     FleetSnapshot totals_;
     std::array<ClassAccum, kNumSloClasses> classes_;
+    serve::DistStats batch_requests_;
+    serve::DistStats batch_rows_;
     bool any_arrival_ = false;
-
-    void TouchSpanLocked(SimTime arrival, SimTime finish);
 };
 
 }  // namespace dbscore::fleet

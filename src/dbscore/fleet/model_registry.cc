@@ -35,32 +35,45 @@ ModelRegistry::ModelRegistry(const HardwareProfile& profile,
 
 void
 ModelRegistry::RegisterModel(const std::string& id, const TreeEnsemble& model,
-                             const ModelStats& stats)
+                             const ModelStats& stats, bool build_now)
 {
+    Spec spec;
+    spec.stats = stats;
+    std::shared_ptr<WarmModel> warm;
+    if (build_now) {
+        spec.compiled = std::make_shared<const serve::CompiledModel>(model);
+        spec.scheduler =
+            std::make_shared<const OffloadScheduler>(profile_, model, stats);
+        warm = std::make_shared<WarmModel>();
+        warm->compiled = spec.compiled;
+        warm->scheduler = spec.scheduler;
+        warm->num_cols = stats.num_features;
+        warm->model_bytes = stats.serialized_bytes;
+    } else {
+        spec.ensemble = std::make_shared<const TreeEnsemble>(model);
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     if (specs_.count(id) != 0) {
         throw InvalidArgument("registry: duplicate model id: " + id);
     }
-    Spec spec;
-    spec.ensemble = std::make_shared<const TreeEnsemble>(model);
-    spec.stats = stats;
     specs_.emplace(id, std::move(spec));
-    spec_order_.push_back(id);
-    counters_.registered_specs = specs_.size();
+    if (warm != nullptr) {
+        lru_.push_front(id);
+        resident_.emplace(id, Resident{warm, lru_.begin()});
+        resident_bytes_ += warm->model_bytes;
+        EvictToBudgetLocked(trace::SpanContext{}, SimTime());
+    }
 }
 
-bool
-ModelRegistry::HasModel(const std::string& id) const
+std::shared_ptr<const OffloadScheduler>
+ModelRegistry::Scheduler(const std::string& id) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return specs_.count(id) != 0;
-}
-
-std::vector<std::string>
-ModelRegistry::ModelIds() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return spec_order_;
+    auto it = specs_.find(id);
+    if (it == specs_.end()) {
+        throw NotFound("registry: unknown model: " + id);
+    }
+    return it->second.scheduler;
 }
 
 AcquireResult
@@ -74,33 +87,23 @@ ModelRegistry::Acquire(const std::string& id, const SpanContext& parent,
         throw NotFound("registry: unknown model: " + id);
     }
 
-    for (;;) {
-        auto res_it = resident_.find(id);
-        if (res_it != resident_.end()) {
-            // Warm hit: refresh recency, charge nothing.
-            lru_.splice(lru_.begin(), lru_, res_it->second.lru_pos);
-            ++counters_.hits;
-            AcquireResult out;
-            out.model = res_it->second.model;
-            out.hit = true;
-            tracer.EmitSim(StageKind::kRegistryHit, "registry-hit", parent,
-                           now, SimTime(),
-                           {{"resident", static_cast<double>(
-                                             resident_.size())}});
-            return out;
-        }
-        if (building_.count(id) == 0) {
-            break;  // this caller becomes the builder
-        }
-        // Another thread is building this model; wait for it and take
-        // the warm copy (a hit — this caller paid no build).
-        build_cv_.wait(lock);
+    auto res_it = resident_.find(id);
+    if (res_it != resident_.end()) {
+        // Warm hit: refresh recency, charge nothing.
+        lru_.splice(lru_.begin(), lru_, res_it->second.lru_pos);
+        ++counters_.hits;
+        AcquireResult out;
+        out.model = res_it->second.model;
+        out.hit = true;
+        tracer.EmitSim(StageKind::kRegistryHit, "registry-hit", parent, now,
+                       SimTime(),
+                       {{"resident", static_cast<double>(resident_.size())}});
+        return out;
     }
 
-    // Miss: build outside the lock so other models stay acquirable. The
-    // build latch (building_) also makes this caller the only one that
-    // may fill in the spec's compiled model and scheduler.
-    building_.insert(id);
+    // Miss: build outside the lock so EvictAll and Snapshot stay
+    // responsive. A build that throws changes nothing, so the next
+    // Acquire of the id tries again.
     Spec& spec = spec_it->second;
     const bool rebuild = spec.compiled != nullptr;
     auto ensemble = spec.ensemble;
@@ -117,7 +120,7 @@ ModelRegistry::Acquire(const std::string& id, const SpanContext& parent,
         cost_model_.ModelPreprocessing(stats.serialized_bytes);
     auto model = std::make_shared<WarmModel>();
     double scheduler_wall_ms = 0.0;
-    try {
+    {
         // Wall clock covers the real work (conversion, compile and
         // scheduler on the spec's first build; the wrap on a re-warm);
         // the sim duration is the modeled charge.
@@ -131,7 +134,6 @@ ModelRegistry::Acquire(const std::string& id, const SpanContext& parent,
                 profile_, *ensemble, stats);
             scheduler_wall_ms = MsSince(scheduler_start);
         }
-        model->id = id;
         model->compiled = compiled;
         model->scheduler = scheduler;
         model->num_cols = stats.num_features;
@@ -142,13 +144,6 @@ ModelRegistry::Acquire(const std::string& id, const SpanContext& parent,
                        now, build_cost,
                        {{"bytes", static_cast<double>(stats.serialized_bytes)},
                         {"rebuild", rebuild ? 1.0 : 0.0}});
-    } catch (...) {
-        // Release the latch so waiters (and the next Acquire) retry
-        // instead of hanging on a build that will never land.
-        lock.lock();
-        building_.erase(id);
-        build_cv_.notify_all();
-        throw;
     }
 
     lock.lock();
@@ -167,8 +162,6 @@ ModelRegistry::Acquire(const std::string& id, const SpanContext& parent,
     counters_.build_cost_total = counters_.build_cost_total + build_cost;
     counters_.build_wall_ms_total += scheduler_wall_ms + model->build_wall_ms;
     EvictToBudgetLocked(parent, now);
-    building_.erase(id);
-    build_cv_.notify_all();
 
     AcquireResult out;
     out.model = model;

@@ -32,14 +32,12 @@
 #ifndef DBSCORE_FLEET_MODEL_REGISTRY_H
 #define DBSCORE_FLEET_MODEL_REGISTRY_H
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -72,7 +70,6 @@ struct RegistryConfig {
 
 /** A scoring-ready model: the registry's unit of residency. */
 struct WarmModel {
-    std::string id;
     /**
      * What rows are scored with. Built by the spec's first Acquire and
      * shared by every WarmModel of this id.
@@ -131,27 +128,32 @@ struct RegistrySnapshot {
 };
 
 /**
- * LRU cache of WarmModels under a byte budget. Thread-safe; concurrent
- * Acquires of the same cold model build it once (later callers wait on
- * the builder and count as hits — they paid no build).
+ * LRU cache of WarmModels under a byte budget. Thread-safe, with one
+ * acquirer at a time: the serving core's dispatcher is the only caller
+ * of Acquire, while any thread may register, evict or snapshot.
  */
 class ModelRegistry {
  public:
     ModelRegistry(const HardwareProfile& profile, RegistryConfig config);
 
     /**
-     * Registers the buildable spec for @p id (cheap: the ensemble is
-     * copied, nothing is compiled and no scheduler is built, so a
-     * malformed ensemble surfaces at its first Acquire).
+     * Registers the buildable spec for @p id. By default it is cheap:
+     * the ensemble is copied, nothing is compiled and no scheduler is
+     * built, so a malformed ensemble surfaces at its first Acquire.
+     * With @p build_now the model is built here (a malformed ensemble
+     * throws and registers nothing) and starts resident without a
+     * modeled build charge, so its Acquires hit until an eviction.
      * @throws InvalidArgument on a duplicate id.
      */
     void RegisterModel(const std::string& id, const TreeEnsemble& model,
-                       const ModelStats& stats);
+                       const ModelStats& stats, bool build_now = false);
 
-    bool HasModel(const std::string& id) const;
-
-    /** Registered model ids, registration order. */
-    std::vector<std::string> ModelIds() const;
+    /**
+     * @p id's placement estimates; null until its first build.
+     * @throws NotFound for an unknown id.
+     */
+    std::shared_ptr<const OffloadScheduler> Scheduler(
+        const std::string& id) const;
 
     /**
      * Returns the warm model for @p id, building it on a miss (and
@@ -159,8 +161,7 @@ class ModelRegistry {
      * kKernelBuild / kRegistryEvict spans parented to @p parent at
      * modeled time @p now. @throws NotFound for an unknown id, and
      * whatever a failed first build threw (ParseError for a malformed
-     * ensemble); a failed build releases its latch, so the next
-     * Acquire of the id tries again.
+     * ensemble); the next Acquire of the id tries again.
      */
     AcquireResult Acquire(const std::string& id,
                           const trace::SpanContext& parent, SimTime now);
@@ -172,8 +173,6 @@ class ModelRegistry {
     void EvictAll();
 
     RegistrySnapshot Snapshot() const;
-
-    const RegistryConfig& config() const { return config_; }
 
  private:
     struct Spec {
@@ -194,9 +193,7 @@ class ModelRegistry {
     ExternalScriptRuntime cost_model_;
 
     mutable std::mutex mutex_;
-    std::condition_variable build_cv_;
     std::map<std::string, Spec> specs_;
-    std::vector<std::string> spec_order_;
     /** MRU front, LRU back; every entry is resident. */
     std::list<std::string> lru_;
     struct Resident {
@@ -205,8 +202,6 @@ class ModelRegistry {
     };
     std::map<std::string, Resident> resident_;
     std::uint64_t resident_bytes_ = 0;
-    /** Ids currently being built (outside the lock). */
-    std::set<std::string> building_;
     RegistrySnapshot counters_;
 };
 

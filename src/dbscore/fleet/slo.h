@@ -82,8 +82,6 @@ class TokenBucket {
      */
     bool TryTake(SimTime now, double tokens = 1.0);
 
-    double level() const { return level_; }
-
  private:
     double rate_ = 0.0;
     double burst_ = 0.0;

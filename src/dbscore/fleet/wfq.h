@@ -89,34 +89,8 @@ class WeightedFairQueue {
         return std::move(entry.item);
     }
 
-    /** Which class Pop() would serve next; nullopt when empty. */
-    std::optional<SloClass>
-    PeekClass() const
-    {
-        int best = -1;
-        for (int c = 0; c < kNumSloClasses; ++c) {
-            if (queues_[c].empty()) {
-                continue;
-            }
-            if (best < 0 ||
-                queues_[c].front().finish < queues_[best].front().finish) {
-                best = c;
-            }
-        }
-        if (best < 0) {
-            return std::nullopt;
-        }
-        return static_cast<SloClass>(best);
-    }
-
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-
-    std::size_t
-    ClassDepth(SloClass cls) const
-    {
-        return queues_[Index(cls)].size();
-    }
 
  private:
     struct Entry {

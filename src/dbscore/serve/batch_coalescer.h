@@ -12,15 +12,17 @@
  * request arrives, cap its size, and close it early when full.
  *
  * The class itself is intentionally single-threaded and time-explicit
- * (callers pass modeled arrival stamps); the ScoringService drives it
- * from its dispatcher thread. That keeps the policy unit-testable
- * without any concurrency.
+ * (callers pass modeled arrival stamps); the one serving dispatcher
+ * (fleet::FleetService's, which ScoringService configures with its
+ * window while fleet requests use window zero) drives it. That keeps
+ * the policy unit-testable without any concurrency.
  */
 #ifndef DBSCORE_SERVE_BATCH_COALESCER_H
 #define DBSCORE_SERVE_BATCH_COALESCER_H
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +48,7 @@ struct CoalescerConfig {
 /** A request waiting in the coalescer, with its completion handle. */
 struct PendingRequest {
     ScoreRequest request;
-    PendingScorePtr handle;
+    std::shared_ptr<ReplySink> handle;
     /**
      * Root span of this request's trace, opened at admission. Carried
      * through the dispatcher and device-worker hops so every stage
@@ -55,6 +57,11 @@ struct PendingRequest {
     trace::SpanContext trace;
     /** Wall-clock submit stamp (TraceCollector microseconds). */
     double submit_wall_us = 0.0;
+    /**
+     * Index of the submitting tenant's fleet::SloClass: its fair-queue
+     * class and stats slice. ScoringService's one tenant is class 0.
+     */
+    int slo_class = 0;
 };
 
 /** A closed batch, ready for placement and dispatch. */
@@ -66,20 +73,12 @@ struct Batch {
     /** Max member arrival: the batch cannot dispatch before this. */
     SimTime ready;
     std::size_t total_rows = 0;
-    /**
-     * The batch was re-routed to the CPU engine away from its chosen
-     * accelerator (open circuit breaker or exhausted retries); its
-     * replies are flagged degraded.
-     */
-    bool degraded = false;
 };
 
 /** Groups same-model requests into dispatchable batches. */
 class BatchCoalescer {
  public:
     explicit BatchCoalescer(const CoalescerConfig& config);
-
-    const CoalescerConfig& config() const { return config_; }
 
     /**
      * Adds one request (its arrival must already be stamped). Returns

@@ -53,16 +53,13 @@ BreakerStateName(BreakerState state)
     return "?";
 }
 
-DeviceLanes::DeviceLanes(std::size_t lanes,
-                         const ExternalRuntimeParams& runtime,
-                         const RetryPolicy& retry,
-                         const BreakerPolicy& breaker, bool cpu_fallback)
-    : retry_(retry), breaker_(breaker), cpu_fallback_(cpu_fallback)
+DeviceLanes::DeviceLanes(std::size_t lanes, const LaneConfig& config)
+    : config_(config)
 {
     DBS_ASSERT(lanes > 0);
     for (Device& d : devices_) {
         d.lanes.assign(lanes, SimTime());
-        d.runtime = std::make_unique<ExternalScriptRuntime>(runtime);
+        d.runtime = std::make_unique<ExternalScriptRuntime>(config.runtime_params);
     }
 }
 
@@ -80,14 +77,6 @@ DeviceLanes::ChargeLocked(Device& device, std::size_t lane, SimTime until)
     if (lane < device.lanes.size()) {
         device.lanes[lane] = Max(device.lanes[lane], until);
     }
-}
-
-LaneSlot
-DeviceLanes::Earliest(DeviceClass device) const
-{
-    const Device& dev = At(device);
-    std::lock_guard<std::mutex> lock(dev.mutex);
-    return EarliestLocked(dev);
 }
 
 std::optional<LaneSlot>
@@ -134,19 +123,14 @@ DeviceLanes::Reroute(DeviceClass from, SimTime at,
 }
 
 void
-DeviceLanes::Reserve(const LaneModel& model, LaneRun& run, SimTime ready,
-                     SimTime deadline)
+DeviceLanes::Reserve(LaneRun& run, SimTime ready)
 {
-    run.cost = Cost(run.device, run.kind, model, run.rows, run.rows);
-    run.costed = true;
     Device& dev = At(run.device);
+    run.cost.invocation = dev.runtime->Invoke();
     std::lock_guard<std::mutex> lock(dev.mutex);
     const LaneSlot slot = EarliestLocked(dev);
     run.lane = slot.lane;
     run.now = Max(ready, slot.at);
-    if (run.now <= deadline) {
-        dev.lanes[run.lane] = run.now + run.cost.Total();
-    }
 }
 
 void
@@ -164,14 +148,14 @@ DeviceLanes::ResizeLanes(DeviceClass device, std::size_t lanes)
 }
 
 AttemptCost
-DeviceLanes::Cost(DeviceClass device, BackendKind kind,
-                  const LaneModel& model, std::size_t rows,
-                  std::size_t marshaled_rows)
+DeviceLanes::Price(InvocationCost invocation, DeviceClass device,
+                   BackendKind kind, const LaneModel& model,
+                   std::size_t rows, std::size_t marshaled_rows) const
 {
     const auto marshaled = static_cast<std::uint64_t>(marshaled_rows);
-    ExternalScriptRuntime& runtime = *At(device).runtime;
+    const ExternalScriptRuntime& runtime = *At(device).runtime;
     AttemptCost c;
-    c.invocation = runtime.Invoke();
+    c.invocation = invocation;
     c.model_pre = c.invocation.cold
                       ? runtime.ModelPreprocessing(model.model_bytes)
                       : SimTime();
@@ -188,25 +172,25 @@ DeviceLanes::NextBackoff(DeviceClass device, std::size_t retry_index)
 {
     DBS_ASSERT(retry_index >= 1);
     double backoff_s =
-        retry_.initial_backoff.seconds() *
-        std::pow(retry_.backoff_multiplier,
+        config_.retry.initial_backoff.seconds() *
+        std::pow(config_.retry.backoff_multiplier,
                  static_cast<double>(retry_index - 1));
-    backoff_s = std::min(backoff_s, retry_.max_backoff.seconds());
+    backoff_s = std::min(backoff_s, config_.retry.max_backoff.seconds());
     std::uint64_t seq;
     {
         Device& dev = At(device);
         std::lock_guard<std::mutex> lock(dev.mutex);
         seq = dev.attempt_seq++;
     }
-    if (retry_.jitter_frac > 0.0 && backoff_s > 0.0) {
+    if (config_.retry.jitter_frac > 0.0 && backoff_s > 0.0) {
         // One draw from a stream keyed by (seed, device, sequence):
         // a replayed run re-draws identical jitter. The SplitMix64
         // seeding inside Rng decorrelates the nearby keys.
-        Rng jitter(retry_.jitter_seed ^
+        Rng jitter(config_.retry.jitter_seed ^
                    (0x9e3779b97f4a7c15ULL *
                     (static_cast<std::uint64_t>(device) + 1)) ^
                    (0xbf58476d1ce4e5b9ULL * (seq + 1)));
-        backoff_s += backoff_s * retry_.jitter_frac * jitter.NextDouble();
+        backoff_s += backoff_s * config_.retry.jitter_frac * jitter.NextDouble();
     }
     return SimTime::Seconds(backoff_s);
 }
@@ -229,9 +213,9 @@ DeviceLanes::OnFault(DeviceClass device, SimTime wasted, SimTime now,
         const BreakerState state = dev.counters.breaker;
         if (state == BreakerState::kHalfOpen ||
             (state == BreakerState::kClosed &&
-             dev.consecutive_failures >= breaker_.failure_threshold)) {
+             dev.consecutive_failures >= config_.breaker.failure_threshold)) {
             dev.counters.breaker = BreakerState::kOpen;
-            dev.breaker_open_until = now + breaker_.open_cooldown;
+            dev.breaker_open_until = now + config_.breaker.open_cooldown;
             ++dev.counters.breaker_opens;
             opened = true;
         }
@@ -267,7 +251,8 @@ DeviceLanes::OnSuccess(DeviceClass device, std::size_t lane, SimTime finish,
 }
 
 void
-DeviceLanes::Run(const LaneModel& model, LaneRun& run, LaneRiders& riders)
+DeviceLanes::Run(const LaneModel& model, LaneRun& run,
+                 const trace::SpanContext& parent, const DropPastDeadline& drop)
 {
     TraceCollector& tracer = TraceCollector::Get();
     fault::FaultInjector& injector = fault::FaultInjector::Get();
@@ -275,13 +260,22 @@ DeviceLanes::Run(const LaneModel& model, LaneRun& run, LaneRiders& riders)
     const std::size_t marshaled_rows = run.rows;
     std::size_t device_attempts = 0;
     run.completed = false;
+    // The reserved first attempt holds its lane through its projected
+    // finish, whatever becomes of it.
+    run.cost = Price(run.cost.invocation, run.device, run.kind, model,
+                     run.rows, marshaled_rows);
+    {
+        Device& dev = At(run.device);
+        std::lock_guard<std::mutex> lock(dev.mutex);
+        ChargeLocked(dev, run.lane, run.now + run.cost.Total());
+    }
 
     for (;;) {
         ++run.attempts;
         ++device_attempts;
-        if (run.attempts > 1 || !run.costed) {
-            run.cost = Cost(run.device, run.kind, model, run.rows,
-                            marshaled_rows);
+        if (run.attempts > 1) {
+            run.cost = Price(At(run.device).runtime->Invoke(), run.device,
+                             run.kind, model, run.rows, marshaled_rows);
         }
         const AttemptCost& c = run.cost;
 
@@ -308,30 +302,30 @@ DeviceLanes::Run(const LaneModel& model, LaneRun& run, LaneRiders& riders)
         }
         if (!faulted) {
             OnSuccess(run.device, run.lane, run.now + c.Total(),
-                      riders.parent);
+                      parent);
             run.completed = true;
             return;
         }
 
         tracer.EmitSim(StageKind::kFault, fault::FaultSiteName(fault_site),
-                       riders.parent, run.now, wasted,
+                       parent, run.now, wasted,
                        {{"device", static_cast<double>(run.device)},
                         {"attempt", static_cast<double>(run.attempts)}});
         run.now += wasted;
-        OnFault(run.device, wasted, run.now, riders.parent);
+        OnFault(run.device, wasted, run.now, parent);
 
-        if (device_attempts < retry_.max_attempts) {
+        if (device_attempts < config_.retry.max_attempts) {
             // Retry on the same device after backoff — but never
             // dispatch a rider past its deadline: those fail now
             // instead of riding a retry they could never use.
             const SimTime backoff = NextBackoff(run.device, device_attempts);
             const SimTime redispatch = run.now + backoff;
-            run.rows = riders.DropPastDeadline(redispatch, run);
+            run.rows = drop(redispatch, run);
             if (run.rows == 0) {
                 break;
             }
             tracer.EmitSim(StageKind::kRetryBackoff, "retry-backoff",
-                           riders.parent, run.now, backoff,
+                           parent, run.now, backoff,
                            {{"attempt", static_cast<double>(run.attempts)}});
             {
                 Device& dev = At(run.device);
@@ -343,7 +337,7 @@ DeviceLanes::Run(const LaneModel& model, LaneRun& run, LaneRiders& riders)
             continue;
         }
 
-        if (cpu_fallback_ && run.device != DeviceClass::kCpu) {
+        if (config_.cpu_fallback && run.device != DeviceClass::kCpu) {
             // Graceful degradation: release the accelerator lane (it
             // burned the attempts up to now) and hand the dispatch to
             // the CPU's earliest lane with a fresh attempt budget.
@@ -369,7 +363,7 @@ DeviceLanes::Run(const LaneModel& model, LaneRun& run, LaneRiders& riders)
                 run.now = Max(run.now, slot.at);
             }
             tracer.EmitSim(StageKind::kFallback, "cpu-fallback",
-                           riders.parent, run.now, SimTime(),
+                           parent, run.now, SimTime(),
                            {{"from", static_cast<double>(from)}});
             continue;
         }

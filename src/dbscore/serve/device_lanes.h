@@ -1,17 +1,19 @@
 /**
  * @file
  * The device-lane executor: the one fault -> retry -> CPU-degrade loop
- * behind both serving layers.
+ * of the serving dispatcher.
  *
- * ScoringService (one lane per device class) and fleet::FleetService
- * (an autoscaled lane pool per class) hand every placed dispatch to
- * DeviceLanes::Run. Per device class it owns the modeled lane
- * horizons, the ExternalScriptRuntime (one warm-process pool), the
- * circuit breaker, the backoff jitter stream and the fault counters
- * that ServiceStats and FleetStats read. A faulted attempt is charged
- * the stages it consumed, retried after backoff (never past a rider's
- * deadline), then degraded to the CPU engine; each step is a sim-clock
- * span (kFault, kRetryBackoff, kFallback, kBreaker).
+ * fleet::FleetService's dispatcher — ScoringService is that core with
+ * one lane per device class, the fleet an autoscaled lane pool per
+ * class — reserves every placed dispatch (DeviceLanes::Reserve) and
+ * runs it (DeviceLanes::Run) before the next one. Per device class
+ * DeviceLanes owns the modeled lane horizons, the ExternalScriptRuntime
+ * (one warm-process pool), the circuit breaker, the backoff jitter
+ * stream and the fault counters that FleetStats reads. A faulted
+ * attempt is charged the stages it consumed, retried after backoff
+ * (never past a rider's deadline), then degraded to the CPU engine;
+ * each step is a sim-clock span (kFault, kRetryBackoff, kFallback,
+ * kBreaker).
  */
 #ifndef DBSCORE_SERVE_DEVICE_LANES_H
 #define DBSCORE_SERVE_DEVICE_LANES_H
@@ -19,6 +21,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -85,6 +88,23 @@ enum class BreakerState {
 
 const char* BreakerStateName(BreakerState state);
 
+/** The device-lane settings both front doors share. */
+struct LaneConfig {
+    /** Stage costs of each device class's external runtime. */
+    ExternalRuntimeParams runtime_params;
+    /** Retry/backoff policy for faulted dispatch attempts. */
+    RetryPolicy retry;
+    /** Circuit breaker policy of each device class. */
+    BreakerPolicy breaker;
+    /**
+     * Degrade instead of fail: a dispatch that exhausts its accelerator
+     * attempts (or, under a fixed placement, whose accelerator's
+     * breaker is open) re-runs on the CPU engine with its replies
+     * flagged degraded. When false, it fails after its retries.
+     */
+    bool cpu_fallback = true;
+};
+
 /** One device class's fault-path counters. */
 struct LaneCounters {
     /** Dispatch attempts lost to injected faults. */
@@ -137,9 +157,10 @@ struct LaneSlot {
 };
 
 /**
- * One dispatch's cursor through DeviceLanes::Run. The caller sets the
- * first attempt's device, backend, rows, lane and start (`now`; or
- * Reserve sets those two); Run leaves the last attempt's.
+ * One dispatch's cursor through DeviceLanes::Reserve and Run. The
+ * caller sets the first attempt's device, backend and rows; Reserve
+ * sets its lane, start (`now`) and invocation; Run leaves the last
+ * attempt's.
  */
 struct LaneRun {
     DeviceClass device = DeviceClass::kCpu;
@@ -154,58 +175,25 @@ struct LaneRun {
     /** Attempts made so far, across devices. */
     std::size_t attempts = 0;
     AttemptCost cost;
-    /** `cost` already holds the first attempt's (see Reserve). */
-    bool costed = false;
     /** Set by Run: the last attempt succeeded. */
     bool completed = false;
 };
 
 /**
- * The requests riding one dispatch, as DeviceLanes::Run sees them.
- * This base is a single rider; a batch overrides DropPastDeadline.
+ * Before a retry at its first argument, fails every rider whose
+ * deadline precedes it at run.now and returns the rows still riding;
+ * 0 ends the dispatch.
  */
-class LaneRiders {
- public:
-    LaneRiders(trace::SpanContext parent, std::optional<SimTime> deadline)
-        : parent(parent), deadline(deadline)
-    {
-    }
-
-    /** Parent of the loop's spans: the oldest rider still live. */
-    trace::SpanContext parent;
-    /** The single rider's absolute deadline, if it has one. */
-    std::optional<SimTime> deadline;
-
-    /**
-     * Before a retry at @p redispatch: drops every rider whose
-     * deadline precedes it (a batch fails them at run.now) and returns
-     * the rows still riding; 0 ends the dispatch.
-     */
-    virtual std::size_t
-    DropPastDeadline(SimTime redispatch, const LaneRun& run)
-    {
-        return deadline.has_value() && redispatch > *deadline ? 0
-                                                               : run.rows;
-    }
-};
+using DropPastDeadline = std::function<std::size_t(SimTime, const LaneRun&)>;
 
 /** Lanes, breakers and the attempt loop per device class. */
 class DeviceLanes {
  public:
-    /**
-     * @p lanes modeled lanes per device class. With @p cpu_fallback a
-     * dispatch that exhausts its accelerator attempts degrades to the
-     * CPU engine; without it the dispatch fails.
-     */
-    DeviceLanes(std::size_t lanes, const ExternalRuntimeParams& runtime,
-                const RetryPolicy& retry, const BreakerPolicy& breaker,
-                bool cpu_fallback);
+    /** @p lanes modeled lanes per device class. */
+    DeviceLanes(std::size_t lanes, const LaneConfig& config);
 
     DeviceLanes(const DeviceLanes&) = delete;
     DeviceLanes& operator=(const DeviceLanes&) = delete;
-
-    /** The earliest-free lane of @p device and its horizon. */
-    LaneSlot Earliest(DeviceClass device) const;
 
     /**
      * Breaker admission at @p ready: the earliest lane of @p device, or
@@ -222,13 +210,13 @@ class DeviceLanes {
                  const trace::SpanContext& parent);
 
     /**
-     * Dispatch-time reservation for @p run (device, kind and rows set):
-     * prices its first attempt, takes the earliest lane, starts at
-     * max(@p ready, its horizon) and, unless that start is past
-     * @p deadline, charges the lane through the attempt's finish.
+     * Dispatch-time reservation for @p run (device and kind set):
+     * invokes the device's runtime for the first attempt (its warm or
+     * cold state advances), takes the earliest lane and starts at
+     * max(@p ready, its horizon). The caller then expires the riders
+     * whose deadline that start overruns and Runs the rest.
      */
-    void Reserve(const LaneModel& model, LaneRun& run, SimTime ready,
-                 SimTime deadline);
+    void Reserve(LaneRun& run, SimTime ready);
 
     /**
      * Resizes @p device's pool. New lanes start at its earliest
@@ -238,12 +226,16 @@ class DeviceLanes {
     void ResizeLanes(DeviceClass device, std::size_t lanes);
 
     /**
-     * Runs @p run's dispatch to its end — attempt, retry after backoff,
-     * degrade to the CPU — charging the lanes it uses and stepping the
-     * breakers. When !run.completed the riders still live are
+     * Runs @p run's reserved dispatch of run.rows to its end: prices
+     * the first attempt and holds its lane through that attempt's
+     * finish, then attempt, retry after backoff, degrade to the CPU —
+     * charging the lanes it uses and stepping the breakers. Its spans
+     * parent to @p parent, the oldest rider still live, which
+     * @p drop may move. When !run.completed the riders still live are
      * unanswered.
      */
-    void Run(const LaneModel& model, LaneRun& run, LaneRiders& riders);
+    void Run(const LaneModel& model, LaneRun& run,
+             const trace::SpanContext& parent, const DropPastDeadline& drop);
 
     /** Counters of each device class, indexed by DeviceClass. */
     std::array<LaneCounters, 3> Counters() const;
@@ -275,13 +267,13 @@ class DeviceLanes {
     static LaneSlot EarliestLocked(const Device& device);
 
     /**
-     * Prices one attempt of @p rows on @p device / @p kind, invoking
-     * the device's runtime (its warm/cold state advances); the
-     * transfers marshal @p marshaled_rows.
+     * Prices one attempt of @p rows on @p device / @p kind after
+     * @p invocation (the runtime's warm or cold start); the transfers
+     * marshal @p marshaled_rows.
      */
-    AttemptCost Cost(DeviceClass device, BackendKind kind,
-                     const LaneModel& model, std::size_t rows,
-                     std::size_t marshaled_rows);
+    AttemptCost Price(InvocationCost invocation, DeviceClass device,
+                      BackendKind kind, const LaneModel& model,
+                      std::size_t rows, std::size_t marshaled_rows) const;
     /**
      * Capped exponential backoff + deterministic jitter before retry
      * number @p retry_index (1 = first retry) on @p device.
@@ -295,9 +287,7 @@ class DeviceLanes {
     static void ChargeLocked(Device& device, std::size_t lane,
                              SimTime until);
 
-    RetryPolicy retry_;
-    BreakerPolicy breaker_;
-    bool cpu_fallback_;
+    LaneConfig config_;
     std::array<Device, 3> devices_;
 };
 

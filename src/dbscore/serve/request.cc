@@ -29,16 +29,6 @@ PendingScore::ready() const
     return ready_;
 }
 
-std::optional<ScoreReply>
-PendingScore::TryGet() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!ready_) {
-        return std::nullopt;
-    }
-    return reply_;
-}
-
 void
 PendingScore::Fulfill(ScoreReply reply)
 {

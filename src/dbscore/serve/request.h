@@ -25,6 +25,10 @@
 #include "dbscore/core/workload_sim.h"
 #include "dbscore/engines/scoring_engine.h"
 
+namespace dbscore::fleet {
+class FleetService;
+}  // namespace dbscore::fleet
+
 namespace dbscore::serve {
 
 /** One scoring request submitted to the service. */
@@ -34,15 +38,11 @@ struct ScoreRequest {
     /** Records to score. */
     std::size_t num_rows = 1;
     /**
-     * Optional feature payload: a num_rows x model-feature view into
-     * the data plane. When non-empty, the reply carries real
-     * predictions computed through the model's cached ForestKernel
-     * (compiled once at RegisterModel, so coalesced micro-batches
-     * never recompile); when empty the request is modeled-time only,
-     * like the trace replays. A shared view's keepalive refcount lets
-     * the request outlive the producing Table/Dataset without any
-     * copy; the rows traverse admission -> coalescing -> kernel
-     * in place.
+     * Optional feature payload: a num_rows x model-feature view, scored
+     * in place (admission -> coalescing -> kernel, no copy) through the
+     * model compiled at RegisterModel. When empty the request is
+     * modeled-time only, like the trace replays. A shared view's
+     * keepalive lets it outlive the producing Table/Dataset.
      */
     RowView rows;
     /**
@@ -93,7 +93,8 @@ struct RequestTiming {
 /** The service's answer to one request. */
 struct ScoreReply {
     RequestStatus status = RequestStatus::kRejected;
-    /** Backend the batch ran on (completed requests only). */
+    /** Device and backend the batch ran on (completed requests only). */
+    DeviceClass device = DeviceClass::kCpu;
     BackendKind backend = BackendKind::kCpuSklearn;
     /** Modeled completion (or expiry/rejection) time. */
     SimTime finish;
@@ -105,9 +106,10 @@ struct ScoreReply {
     bool cold_invocation = false;
     /**
      * Dispatch attempts this request's batch consumed (1 = clean first
-     * try; each injected fault that triggered a retry adds one).
+     * try; each injected fault that triggered a retry adds one; 0 when
+     * the request never dispatched).
      */
-    std::size_t attempts = 1;
+    std::size_t attempts = 0;
     /**
      * True when the reply was produced by the CPU engine because the
      * originally chosen accelerator was faulted or its breaker open.
@@ -115,6 +117,14 @@ struct ScoreReply {
      * the CPU engine's — bit-identical to scoring on CPU directly.
      */
     bool degraded = false;
+    /** Completed, but after the request's deadline. */
+    bool deadline_miss = false;
+    /**
+     * The dispatch missed the model registry (a cold or evicted model)
+     * and paid the modeled build; never set for ScoringService, whose
+     * models are built at registration.
+     */
+    bool registry_miss = false;
     /**
      * Real predictions, one per request row — populated only when the
      * request carried a feature payload. Functional output; the
@@ -126,10 +136,27 @@ struct ScoreReply {
 };
 
 /**
- * Completion handle returned by ScoringService::Submit. Thread-safe:
- * any thread may Wait()/TryGet() while the service fulfills it once.
+ * Where the serving core delivers a request's one terminal reply:
+ * ScoringService's PendingScore, or a fleet request's future.
  */
-class PendingScore {
+class ReplySink {
+ public:
+    ReplySink() = default;
+    ReplySink(const ReplySink&) = delete;
+    ReplySink& operator=(const ReplySink&) = delete;
+    virtual ~ReplySink() = default;
+
+ private:
+    friend class fleet::FleetService;
+
+    virtual void Fulfill(ScoreReply reply) = 0;
+};
+
+/**
+ * Completion handle returned by ScoringService::Submit. Thread-safe:
+ * any thread may Wait() while the service fulfills it once.
+ */
+class PendingScore final : public ReplySink {
  public:
     /** Blocks until the reply is ready and returns it. */
     const ScoreReply& Wait() const;
@@ -137,13 +164,10 @@ class PendingScore {
     /** Non-blocking probe. */
     bool ready() const;
 
-    /** The reply, if ready. */
-    std::optional<ScoreReply> TryGet() const;
-
  private:
-    friend class ScoringService;
+    friend class fleet::FleetService;
 
-    void Fulfill(ScoreReply reply);
+    void Fulfill(ScoreReply reply) override;
 
     mutable std::mutex mutex_;
     mutable std::condition_variable cv_;

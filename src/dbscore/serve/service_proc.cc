@@ -6,11 +6,23 @@
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
 #include "dbscore/dbms/plan/physical.h"
-#include "dbscore/forest/forest_kernel.h"
 
 namespace dbscore::serve {
 
 namespace {
+
+/** @deadline_ms as a request deadline, if given. */
+std::optional<SimTime>
+DeadlineParam(const ExecStatement& stmt, const std::string& proc)
+{
+    auto deadline = GetIntParam(stmt, "deadline_ms");
+    if (deadline.has_value() && *deadline <= 0) {
+        throw InvalidArgument(proc + ": @deadline_ms must be positive");
+    }
+    return deadline.has_value() ? std::optional<SimTime>(SimTime::Millis(
+                                      static_cast<double>(*deadline)))
+                                : std::nullopt;
+}
 
 QueryResult
 SpScoreService(ScoringService& service, const ExecStatement& stmt)
@@ -23,15 +35,7 @@ SpScoreService(ScoringService& service, const ExecStatement& stmt)
             "sp_score_service: @rows must be a positive integer");
     }
     request.num_rows = static_cast<std::size_t>(*rows);
-    if (auto deadline = GetIntParam(stmt, "deadline_ms");
-        deadline.has_value()) {
-        if (*deadline <= 0) {
-            throw InvalidArgument(
-                "sp_score_service: @deadline_ms must be positive");
-        }
-        request.deadline =
-            SimTime::Millis(static_cast<double>(*deadline));
-    }
+    request.deadline = DeadlineParam(stmt, "sp_score_service");
 
     ScoreReply reply = service.ScoreSync(std::move(request));
     if (reply.status == RequestStatus::kRejected) {
@@ -73,6 +77,8 @@ SpScoreService(ScoringService& service, const ExecStatement& stmt)
  * coalescing / backend path. SCORE predicates, ORDER BY SCORE and TOP
  * are applied to the returned predictions, so the result matches the
  * in-engine execution of the same query (float threshold semantics).
+ * Aggregates and ORDER BY a plain column would change what the
+ * statement returns, so they are refused rather than ignored.
  */
 QueryResult
 SpServeQuery(QueryEngine& engine, ScoringService& service,
@@ -86,21 +92,23 @@ SpServeQuery(QueryEngine& engine, ScoringService& service,
             "sp_serve_query: @query must contain exactly one "
             "SCORE(...) expression");
     }
+    const SelectStatement& query = plan->logical().stmt;
+    if (!query.aggregates.empty()) {
+        throw InvalidArgument(
+            "sp_serve_query: aggregates are not supported");
+    }
+    if (query.order_by.has_value() &&
+        !plan->logical().order_score.has_value()) {
+        throw InvalidArgument(
+            "sp_serve_query: ORDER BY must name the SCORE expression");
+    }
     plan::ScoringBatch batch = plan->CollectScoringBatch(engine.db());
 
     ScoreRequest request;
     request.model_id = batch.model;
     request.num_rows = batch.features.rows();
     request.rows = batch.features.View();
-    if (auto deadline = GetIntParam(stmt, "deadline_ms");
-        deadline.has_value()) {
-        if (*deadline <= 0) {
-            throw InvalidArgument(
-                "sp_serve_query: @deadline_ms must be positive");
-        }
-        request.deadline =
-            SimTime::Millis(static_cast<double>(*deadline));
-    }
+    request.deadline = DeadlineParam(stmt, "sp_serve_query");
     if (request.num_rows == 0) {
         QueryResult empty;
         empty.columns = {"row_id", "prediction"};
@@ -125,26 +133,14 @@ SpServeQuery(QueryEngine& engine, ScoringService& service,
         std::vector<std::size_t> next;
         next.reserve(keep.size());
         for (std::size_t i : keep) {
-            const float v = reply.predictions[i];
-            bool holds;
-            switch (pred.op) {
-              case CompareOp::kEq: holds = v == pred.literal; break;
-              case CompareOp::kNe: holds = v != pred.literal; break;
-              case CompareOp::kLt: holds = v < pred.literal; break;
-              case CompareOp::kLe: holds = v <= pred.literal; break;
-              case CompareOp::kGt: holds = v > pred.literal; break;
-              case CompareOp::kGe: holds = v >= pred.literal; break;
-              default: holds = false; break;
-            }
-            if (holds) {
+            if (plan::ScorePredHolds(pred.op, reply.predictions[i],
+                                     pred.literal)) {
                 next.push_back(i);
             }
         }
         keep.swap(next);
     }
-    const SelectStatement& query = plan->logical().stmt;
-    if (query.order_by.has_value() &&
-        plan->logical().order_score.has_value()) {
+    if (query.order_by.has_value()) {
         const bool desc = query.order_by->descending;
         std::stable_sort(keep.begin(), keep.end(),
                          [&](std::size_t a, std::size_t b) {

@@ -1,25 +1,24 @@
 /**
  * @file
- * Thread-safe serving metrics.
+ * ScoringService's metrics view.
  *
- * ServiceStats is the service's flight recorder: admission counters,
+ * A ServiceSnapshot is what sp_serve_stats reads: admission counters,
  * end-to-end latency quantiles, per-stage modeled-time totals (the
- * paper's Figure-11 taxonomy aggregated across the fleet), per-device
- * dispatch accounting, and the coalesced-batch size distribution. Any
- * thread may record; any thread may Snapshot() while the service runs —
- * its own counters are copied under one lock, the DeviceLanes fault
- * counters under each device class's.
+ * paper's Figure-11 taxonomy aggregated across requests), per-device
+ * dispatch accounting, and the coalesced-batch size distribution.
+ * ScoringService::Stats() folds it out of the one serving core's
+ * fleet::FleetStats and its trace domain. DistStats, the bounded
+ * distribution behind every latency summary, lives here too.
  */
 #ifndef DBSCORE_SERVE_SERVICE_STATS_H
 #define DBSCORE_SERVE_SERVICE_STATS_H
 
+#include <array>
 #include <cstddef>
-#include <mutex>
 #include <string>
 
 #include "dbscore/common/stats.h"
 #include "dbscore/serve/device_lanes.h"
-#include "dbscore/serve/request.h"
 #include "dbscore/trace/histogram.h"
 
 namespace dbscore::serve {
@@ -66,26 +65,28 @@ class DistStats {
     trace::Histogram quantiles_{kMinValue, kBucketRatio};
 };
 
-/** Per-device-class dispatch accounting. */
-struct DeviceServeStats {
-    std::size_t batches = 0;
+/** One device class's dispatch accounting and fault-path counters. */
+struct DeviceSnapshot : LaneCounters {
+    std::size_t dispatches = 0;
     std::size_t requests = 0;
     std::size_t rows = 0;
+    /** Dispatches that paid a cold process start. */
     std::size_t cold_invocations = 0;
-    /** Modeled busy time accumulated on this device. */
+    /** Modeled busy time summed across lanes. */
     SimTime busy;
-    /** Dispatch attempts on this device lost to injected faults. */
-    std::size_t faults = 0;
-    /** Breaker state at snapshot time. */
-    BreakerState breaker = BreakerState::kClosed;
+    /** Current modeled lane count and autoscale activity. */
+    std::size_t lanes = 0;
+    std::size_t scale_ups = 0;
+    std::size_t scale_downs = 0;
+
+    /** One-line human-readable rendering. */
+    std::string ToString() const;
 };
 
 /**
- * Fleet-wide modeled time spent in each pipeline stage. Derived from
- * the trace subsystem (the single source of truth for stage
- * attribution): ScoringService::Stats() sums the simulated durations
- * of the service's per-request stage spans. Only completed requests
- * contribute — expired members emit no share spans.
+ * Modeled time spent in each pipeline stage, summed over the service's
+ * per-request stage spans (the trace is the single source of truth for
+ * stage attribution). Only completed requests emit share spans.
  */
 struct StageTotals {
     SimTime coalesce_delay;
@@ -132,7 +133,7 @@ struct ServiceSnapshot {
 
     StageTotals stage_totals;
     /** Indexed by DeviceClass (kCpu, kGpu, kFpga). */
-    DeviceServeStats device[3];
+    std::array<DeviceSnapshot, 3> device;
 
     /** Earliest arrival and latest completion seen (modeled). */
     SimTime first_arrival;
@@ -144,60 +145,8 @@ struct ServiceSnapshot {
     /** Completed requests per modeled second over the makespan. */
     double ThroughputRps() const;
 
-    /** Scored rows per modeled second over the makespan. */
-    double RowThroughput() const;
-
     /** Multi-line human-readable rendering. */
     std::string ToString() const;
-};
-
-/** Thread-safe accumulator behind ServiceSnapshot. */
-class ServiceStats {
- public:
-    void RecordSubmitted();
-    void RecordAdmitted();
-    void RecordRejected();
-    void RecordExpired(SimTime arrival, SimTime finish);
-
-    /** One coalesced dispatch on @p device. */
-    void RecordBatch(DeviceClass device, std::size_t num_requests,
-                     std::size_t num_rows, SimTime busy, bool cold);
-
-    /** One completed member of a dispatched batch. */
-    void RecordCompleted(const RequestTiming& timing, SimTime arrival,
-                         SimTime finish, bool degraded);
-
-    /** One member whose batch exhausted every permitted retry. */
-    void RecordFailed(SimTime arrival, SimTime finish);
-
-    /**
-     * This accumulator's counters plus the fault, retry, fallback and
-     * breaker counters @p lanes keeps for each device class.
-     */
-    ServiceSnapshot Snapshot(const DeviceLanes& lanes) const;
-
-    /**
-     * Requests that reached a terminal state
-     * (completed + rejected + expired + failed).
-     */
-    std::size_t Settled() const;
-
-    /**
-     * Zeroes every counter and distribution for a fresh measurement
-     * phase (DeviceLanes::ResetCounters does the lanes' share).
-     * In-flight requests settle into the new phase's counters, so a
-     * snapshot taken mid-flight can show completions without
-     * admissions.
-     */
-    void Reset();
-
- private:
-    mutable std::mutex mutex_;
-    ServiceSnapshot totals_;
-    bool any_arrival_ = false;
-    DistStats latency_;
-    DistStats batch_requests_;
-    DistStats batch_rows_;
 };
 
 }  // namespace dbscore::serve

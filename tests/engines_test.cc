@@ -350,6 +350,12 @@ TEST(HummingbirdTest, PerfectTreeSizeSaturatesPastDepth60)
     const double seconds = card->Estimate(1000).Total().seconds();
     EXPECT_TRUE(std::isfinite(seconds));
     EXPECT_GT(seconds, 1e6);  // 2^64 bytes over PCIe
+
+    // Loading it onto the perfect-tree layout is refused before any
+    // shift or allocation sized by the depth.
+    const TreeEnsemble ensemble = TreeEnsemble::FromForest(forest);
+    EXPECT_THROW(engine.LoadModel(ensemble, ComputeModelStats(forest)),
+                 CapacityError);
 }
 
 // --------------------------------------------------------------- FPGA --

@@ -649,6 +649,21 @@ TEST(PlanEngineTest, SpServeQueryMatchesInEngineExecution)
         EXPECT_EQ(std::get<double>(served.rows[i][1]),
                   std::get<double>(local.rows[i][0]));
     }
+
+    // Statements whose in-engine result the served rows cannot
+    // reproduce — a plain-column ORDER BY, an aggregate — are refused,
+    // not answered with the wrong rows.
+    for (const char* refused :
+         {"SELECT TOP 5 SCORE(m) FROM t WHERE kin_0 > 0.5 "
+          "ORDER BY kin_1 DESC",
+          "SELECT COUNT(*) FROM t WHERE SCORE(m) > 0.4"}) {
+        EXPECT_NO_THROW(f.engine.Execute(refused)) << refused;
+        EXPECT_THROW(f.engine.Execute(std::string("EXEC sp_serve_query "
+                                                  "@query='") +
+                                      refused + "'"),
+                     InvalidArgument)
+            << refused;
+    }
     service.Stop();
 }
 

@@ -412,6 +412,95 @@ TEST(ScoringServiceTest, SnapshotWhileRunningIsConsistent)
     service->Stop();
 }
 
+/**
+ * One stamped 400-request trace queued before Start(), so batch
+ * composition cannot depend on thread timing; with @p payloads every
+ * request carries rows to score.
+ */
+std::vector<ScoreReply>
+ReplayQueuedTrace(const std::vector<ScoreRequest>& trace, bool payloads)
+{
+    const ServeFixture& f = Fixture();
+    ServiceConfig config;
+    config.admission_capacity = trace.size();
+    auto service = f.Service(config);
+    std::vector<PendingScorePtr> handles;
+    for (ScoreRequest request : trace) {
+        if (payloads) {
+            request.rows = f.data.View(0, request.num_rows);
+        }
+        handles.push_back(service->Submit(std::move(request)));
+    }
+    service->Start();
+    service->Drain();
+    std::vector<ScoreReply> replies;
+    for (const PendingScorePtr& handle : handles) {
+        replies.push_back(handle->Wait());
+    }
+    service->Stop();
+    return replies;
+}
+
+TEST(ScoringServiceTest, QueuedTraceModeledOutcomesRepeat)
+{
+    // The dispatcher commits every modeled step of a batch — breaker
+    // admission, placement, the lane reservation, the attempt loop —
+    // in dispatch order, so the same queued trace replies identically
+    // run after run, and whether or not the workers score payloads.
+    WorkloadConfig wc;
+    wc.num_queries = 400;
+    wc.mean_interarrival = SimTime::Millis(0.25);
+    wc.min_rows = 16;
+    wc.max_rows = 512;
+    wc.seed = 19;
+    const auto trace = RequestsFromWorkload(GenerateWorkload(wc), "m");
+
+    const std::vector<ScoreReply> runs[] = {
+        ReplayQueuedTrace(trace, false),
+        ReplayQueuedTrace(trace, false),
+        ReplayQueuedTrace(trace, true),
+    };
+    std::size_t devices_used[3] = {};
+    std::size_t largest_batch = 0;
+    for (const std::vector<ScoreReply>& run : runs) {
+        ASSERT_EQ(run.size(), trace.size());
+    }
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const ScoreReply& x = runs[0][i];
+        ASSERT_EQ(x.status, RequestStatus::kCompleted) << "request " << i;
+        ++devices_used[static_cast<int>(x.device)];
+        largest_batch = std::max(largest_batch, x.batch_requests);
+        for (const std::vector<ScoreReply>& run : runs) {
+            const ScoreReply& y = run[i];
+            EXPECT_EQ(x.status, y.status) << "request " << i;
+            EXPECT_EQ(x.backend, y.backend) << "request " << i;
+            EXPECT_EQ(x.finish, y.finish) << "request " << i;
+            EXPECT_EQ(x.batch_requests, y.batch_requests) << "request " << i;
+            EXPECT_EQ(x.batch_rows, y.batch_rows) << "request " << i;
+            EXPECT_EQ(x.attempts, y.attempts) << "request " << i;
+            EXPECT_EQ(x.degraded, y.degraded) << "request " << i;
+            const RequestTiming& a = x.timing;
+            const RequestTiming& b = y.timing;
+            EXPECT_EQ(a.coalesce_delay, b.coalesce_delay) << "request " << i;
+            EXPECT_EQ(a.queue_wait, b.queue_wait) << "request " << i;
+            EXPECT_EQ(a.invocation_share, b.invocation_share);
+            EXPECT_EQ(a.model_preproc_share, b.model_preproc_share);
+            EXPECT_EQ(a.transfer_share, b.transfer_share);
+            EXPECT_EQ(a.data_preproc_share, b.data_preproc_share);
+            EXPECT_EQ(a.scoring_share.Total(), b.scoring_share.Total());
+            EXPECT_EQ(a.latency, b.latency) << "request " << i;
+        }
+        EXPECT_TRUE(x.predictions.empty());
+        EXPECT_EQ(runs[2][i].predictions.size(), trace[i].num_rows);
+    }
+    // The trace coalesces and spreads across devices, so placement
+    // reads lane horizons that earlier batches committed.
+    EXPECT_GT(largest_batch, 1u);
+    EXPECT_GE(std::count_if(std::begin(devices_used), std::end(devices_used),
+                            [](std::size_t n) { return n > 0; }),
+              2);
+}
+
 // ------------------------------------------------ functional scoring --
 
 TEST(ScoringServiceTest, PayloadRequestsScoreThroughKernelCache)
