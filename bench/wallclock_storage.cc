@@ -149,7 +149,7 @@ Run(bool smoke, const std::string& out_path)
     pred.max = f0_max;
     build.store()->ResetStats();
     {
-        storage::FeatureStream pruned_scan = build.ScanFeatures(pred);
+        storage::FeatureStream pruned_scan = build.store()->Scan(pred);
         storage::StreamChunk chunk;
         while (pruned_scan.Next(chunk)) {
         }

@@ -158,7 +158,7 @@ ScoringPipeline::RunPagedScoringQuery(const std::string& model_name,
     // The stream snapshots the page list up front; each chunk below is
     // a pinned zero-copy view over one buffer-pool frame, so memory
     // use is bounded by the pool no matter how large the table is.
-    storage::FeatureStream stream = table.ScanFeatures();
+    storage::FeatureStream stream = table.store()->Scan();
     const std::size_t num_rows =
         std::min<std::size_t>(stream.total_rows(),
                               max_rows.value_or(stream.total_rows()));

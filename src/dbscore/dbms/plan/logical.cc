@@ -78,6 +78,35 @@ InternScore(LogicalPlan& plan, const Table& table, const ScoreExpr& raw)
     return plan.scores.size() - 1;
 }
 
+/**
+ * Rejects a plain-predicate literal that column @p col's declared type
+ * cannot be compared with: numbers compare with INT and FLOAT columns,
+ * strings with VARCHAR columns, nothing with VARBINARY. Checked at plan
+ * time, so the statement fails the same way whether or not a row ever
+ * reaches the comparison (a zone map or an earlier conjunct may stop
+ * them all), and execution never compares incomparable values.
+ */
+void
+CheckLiteralType(const Table& table, std::size_t col, const Value& literal)
+{
+    const ColumnType column = table.schema()[col].type;
+    const ColumnType lit = TypeOf(literal);
+    const bool numeric_lit =
+        lit == ColumnType::kInt64 || lit == ColumnType::kDouble;
+    const bool comparable =
+        numeric_lit ? column == ColumnType::kInt64 ||
+                          column == ColumnType::kDouble
+                    : lit == ColumnType::kString &&
+                          column == ColumnType::kString;
+    if (!comparable) {
+        throw InvalidArgument(StrFormat(
+            "WHERE %s: a %s column cannot be compared with the %s "
+            "literal %s",
+            table.schema()[col].name.c_str(), ColumnTypeName(column),
+            ColumnTypeName(lit), ValueToString(literal).c_str()));
+    }
+}
+
 }  // namespace
 
 LogicalOp*
@@ -124,8 +153,9 @@ BuildLogicalPlan(const SelectStatement& stmt, const Table& table)
                 static_cast<float>(ValueAsDouble(clause.literal));
             score_predicates.push_back(pred);
         } else {
-            predicates.push_back({table.ColumnIndex(clause.column),
-                                  clause.op, clause.literal});
+            const std::size_t col = table.ColumnIndex(clause.column);
+            CheckLiteralType(table, col, clause.literal);
+            predicates.push_back({col, clause.op, clause.literal});
         }
     }
 

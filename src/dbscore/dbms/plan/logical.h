@@ -148,7 +148,9 @@ struct LogicalPlan {
  * operator chain. Column and SCORE-feature names are validated here.
  *
  * @throws NotFound on unknown columns
- * @throws InvalidArgument when a SCORE feature names the label column
+ * @throws InvalidArgument when a SCORE feature names the label column,
+ *         a SCORE literal is not numeric, or a plain WHERE literal's
+ *         type cannot be compared with its column's declared type
  */
 LogicalPlan BuildLogicalPlan(const SelectStatement& stmt,
                              const Table& table);

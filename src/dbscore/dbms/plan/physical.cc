@@ -37,19 +37,17 @@ ToThresholdOp(CompareOp op)
 }
 
 /**
- * CompareValues(Value(v), literal) without building a Value when the
- * literal is numeric: the same ordering, NaN comparing equal. Other
- * literals take the Value path and its typed error.
+ * CompareValues(Value(v), literal) for a numeric literal without
+ * building a Value: the same ordering, NaN comparing equal. Paged
+ * columns are FLOAT, so plan time admitted only numeric literals.
  */
 int
 CompareToLiteral(double v, const Value& literal)
 {
     const double* d = std::get_if<double>(&literal);
-    const std::int64_t* i = std::get_if<std::int64_t>(&literal);
-    if (d == nullptr && i == nullptr) {
-        return CompareValues(Value(v), literal);
-    }
-    const double lit = d != nullptr ? *d : static_cast<double>(*i);
+    const double lit =
+        d != nullptr ? *d
+                     : static_cast<double>(std::get<std::int64_t>(literal));
     if (v < lit) {
         return -1;
     }
@@ -85,68 +83,6 @@ Gather(const RowView& src, const std::uint32_t* rows, std::size_t num_rows,
     RowBlock::NoteCopy(static_cast<std::uint64_t>(num_rows) * width *
                        sizeof(float));
     return RowView::Borrow(scratch.data(), num_rows, width);
-}
-
-/**
- * Cell read for the plain interpreter: in-memory tables return the
- * stored Value (legacy-exact, including strings and blobs); paged
- * tables surface their float32 cells as doubles, which makes plain
- * SELECTs work over paged tables (every paged column is numeric).
- */
-Value
-PlainCell(const Table& table, std::size_t row, std::size_t col)
-{
-    if (table.paged()) {
-        return static_cast<double>(table.FloatAt(row, col));
-    }
-    return table.At(row, col);
-}
-
-/** Evaluates one aggregate over the selected rows (legacy path). */
-Value
-EvaluateAggregate(const Table& table, const AggregateItem& item,
-                  const std::vector<std::size_t>& rows)
-{
-    if (item.func == AggFunc::kCount && item.column.empty()) {
-        return static_cast<std::int64_t>(rows.size());
-    }
-    const std::size_t col = table.ColumnIndex(item.column);
-    switch (item.func) {
-      case AggFunc::kCount:
-        return static_cast<std::int64_t>(rows.size());
-      case AggFunc::kSum:
-      case AggFunc::kAvg: {
-        double sum = 0.0;
-        for (std::size_t r : rows) {
-            sum += ValueAsDouble(PlainCell(table, r, col));
-        }
-        if (item.func == AggFunc::kSum) {
-            return sum;
-        }
-        if (rows.empty()) {
-            throw InvalidArgument("AVG over zero rows");
-        }
-        return sum / static_cast<double>(rows.size());
-      }
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        if (rows.empty()) {
-            throw InvalidArgument(std::string(AggFuncName(item.func)) +
-                                  " over zero rows");
-        }
-        Value best = PlainCell(table, rows.front(), col);
-        for (std::size_t r : rows) {
-            Value v = PlainCell(table, r, col);
-            int cmp = CompareValues(v, best);
-            if ((item.func == AggFunc::kMin && cmp < 0) ||
-                (item.func == AggFunc::kMax && cmp > 0)) {
-                best = std::move(v);
-            }
-        }
-        return best;
-      }
-    }
-    throw InvalidArgument("unknown aggregate");
 }
 
 }  // namespace
@@ -239,104 +175,6 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
     }
 }
 
-QueryResult
-PhysicalPlan::Execute(const Database& db) const
-{
-    const Table& table = db.GetTable(logical_.stmt.table);
-    return uses_score() ? ExecuteScore(table) : ExecutePlain(table);
-}
-
-// The pre-planner interpreter, preserved verbatim for plain
-// statements on in-memory tables: Value-typed filtering, stable
-// ORDER BY, TOP after sort. Paged tables (numeric-only by
-// construction) are read through FloatAt, so plain SELECTs also work
-// against the out-of-core data plane.
-QueryResult
-PhysicalPlan::ExecutePlain(const Table& table) const
-{
-    const SelectStatement& stmt = logical_.stmt;
-
-    std::vector<std::size_t> where_cols;
-    where_cols.reserve(stmt.where.size());
-    for (const auto& clause : stmt.where) {
-        where_cols.push_back(table.ColumnIndex(clause.column));
-    }
-
-    // Filter.
-    std::vector<std::size_t> matched;
-    for (std::size_t r = 0; r < table.NumRows(); ++r) {
-        bool keep = true;
-        for (std::size_t w = 0; w < stmt.where.size(); ++w) {
-            int cmp = CompareValues(PlainCell(table, r, where_cols[w]),
-                                    stmt.where[w].literal);
-            if (!EvalCompareOp(stmt.where[w].op, cmp)) {
-                keep = false;
-                break;
-            }
-        }
-        if (keep) {
-            matched.push_back(r);
-        }
-    }
-
-    QueryResult result;
-
-    // Aggregate queries collapse to a single row.
-    if (!stmt.aggregates.empty()) {
-        std::vector<Value> row;
-        for (const auto& item : stmt.aggregates) {
-            result.columns.push_back(
-                std::string(AggFuncName(item.func)) + "(" +
-                (item.column.empty() ? "*" : item.column) + ")");
-            row.push_back(EvaluateAggregate(table, item, matched));
-        }
-        result.rows.push_back(std::move(row));
-        result.message = "1 row(s)";
-        return result;
-    }
-
-    // ORDER BY (stable, so ties keep table order), then TOP.
-    if (stmt.order_by.has_value()) {
-        const std::size_t col = table.ColumnIndex(stmt.order_by->column);
-        const bool desc = stmt.order_by->descending;
-        std::stable_sort(matched.begin(), matched.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             int cmp =
-                                 CompareValues(PlainCell(table, a, col),
-                                               PlainCell(table, b, col));
-                             return desc ? cmp > 0 : cmp < 0;
-                         });
-    }
-    if (stmt.top.has_value() && matched.size() > *stmt.top) {
-        matched.resize(*stmt.top);
-    }
-
-    // Project.
-    std::vector<std::size_t> projection;
-    if (stmt.star) {
-        for (std::size_t c = 0; c < table.NumColumns(); ++c) {
-            projection.push_back(c);
-            result.columns.push_back(table.schema()[c].name);
-        }
-    } else {
-        for (const auto& name : stmt.columns) {
-            projection.push_back(table.ColumnIndex(name));
-            result.columns.push_back(name);
-        }
-    }
-    result.rows.reserve(matched.size());
-    for (std::size_t r : matched) {
-        std::vector<Value> row;
-        row.reserve(projection.size());
-        for (std::size_t c : projection) {
-            row.push_back(PlainCell(table, r, c));
-        }
-        result.rows.push_back(std::move(row));
-    }
-    result.message = StrFormat("%zu row(s)", result.rows.size());
-    return result;
-}
-
 namespace {
 
 /** Running state of one streaming aggregate. */
@@ -398,11 +236,36 @@ AddStats(ThresholdStats& total, const ThresholdStats& part)
 
 }  // namespace
 
-QueryResult
-PhysicalPlan::ExecuteScore(const Table& table) const
+bool
+PhysicalPlan::PassesPlain(const Table& table, std::size_t r,
+                          const float* feats) const
 {
+    const std::size_t label_col = logical_.label_col;
+    for (const ColumnPredicate& pred : plain_preds_) {
+        int cmp;
+        if (!table.paged()) {
+            cmp = CompareValues(table.At(r, pred.column), pred.literal);
+        } else if (pred.column == label_col) {
+            cmp = CompareToLiteral(table.FloatAt(r, pred.column),
+                                   pred.literal);
+        } else {
+            cmp = CompareToLiteral(
+                feats[pred.column - (pred.column > label_col ? 1 : 0)],
+                pred.literal);
+        }
+        if (!EvalCompareOp(pred.op, cmp)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+QueryResult
+PhysicalPlan::Execute(const Database& db) const
+{
+    const Table& table = db.GetTable(logical_.stmt.table);
     const SelectStatement& stmt = logical_.stmt;
-    const std::size_t label_col = table.LabelColumnIndex();
+    const std::size_t label_col = logical_.label_col;
     const bool paged = table.paged();
     auto feature_index = [label_col](std::size_t col) {
         return col - (col > label_col ? 1 : 0);
@@ -430,7 +293,6 @@ PhysicalPlan::ExecuteScore(const Table& table) const
     std::vector<RowBlock> held;
     std::vector<RowView> mem_src(scores_.size());
     if (!paged) {
-        std::vector<float> unused;
         for (std::size_t s = 0; s < scores_.size(); ++s) {
             const CompiledScore& cs = scores_[s];
             if (cs.covers_all) {
@@ -443,15 +305,12 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                     cs.feature_idx.size());
             } else {
                 std::vector<float> scratch;
-                RowView full = table.MaterializeFeatures().View();
-                RowView gathered =
-                    Gather(full, nullptr, full.rows(),
-                           cs.feature_idx.data(), cs.feature_idx.size(),
-                           scratch);
+                const RowView full = table.MaterializeFeatures().View();
+                Gather(full, nullptr, full.rows(), cs.feature_idx.data(),
+                       cs.feature_idx.size(), scratch);
                 held.push_back(RowBlock(std::move(scratch),
                                         cs.feature_idx.size()));
                 mem_src[s] = held.back().View();
-                (void)gathered;
             }
         }
     }
@@ -512,6 +371,24 @@ PhysicalPlan::ExecuteScore(const Table& table) const
     const bool top_stops = stmt.aggregates.empty() &&
                            !stmt.order_by.has_value() &&
                            stmt.top.has_value();
+    // A paged statement that reads no feature column (COUNT(*) alone,
+    // or only the label) walks row ids, not its feature pages.
+    auto is_feature = [&](std::size_t col) {
+        return col < table.NumColumns() && col != label_col;
+    };
+    bool reads_features = !scores_.empty() || is_feature(order_col);
+    for (const ColumnPredicate& pred : plain_preds_) {
+        reads_features = reads_features || is_feature(pred.column);
+    }
+    for (const ProjItem& item : proj) {
+        reads_features =
+            reads_features || (!item.is_score && is_feature(item.index));
+    }
+    for (std::size_t a = 0; a < agg_cols.size(); ++a) {
+        reads_features = reads_features ||
+                         (stmt.aggregates[a].func != AggFunc::kCount &&
+                          is_feature(agg_cols[a]));
+    }
 
     std::vector<AggState> agg(stmt.aggregates.size());
     std::size_t matched = 0;
@@ -529,28 +406,6 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             return descending ? cmp > 0 : cmp < 0;
         }
         return a.seq < b.seq;
-    };
-
-    // Plain predicates — cheap column compares shrink the row set
-    // before any tree traversal. @p feats is the paged feature row.
-    auto passes = [&](std::size_t r, const float* feats) {
-        for (const ColumnPredicate& pred : plain_preds_) {
-            int cmp;
-            if (paged) {
-                const double v =
-                    pred.column == label_col
-                        ? static_cast<double>(table.FloatAt(r, pred.column))
-                        : static_cast<double>(
-                              feats[feature_index(pred.column)]);
-                cmp = CompareToLiteral(v, pred.literal);
-            } else {
-                cmp = CompareValues(table.At(r, pred.column), pred.literal);
-            }
-            if (!EvalCompareOp(pred.op, cmp)) {
-                return false;
-            }
-        }
-        return true;
     };
 
     // Score step: the SCORE predicates, then the values of the scores
@@ -747,7 +602,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
         return true;
     };
 
-    if (paged) {
+    if (paged && reads_features) {
         // Morsels: the survivors of consecutive pages are copied into
         // one block, so each page's pin is released as the stream moves
         // on. A morsel closes at kMorselRows survivors after a page,
@@ -757,11 +612,14 @@ PhysicalPlan::ExecuteScore(const Table& table) const
         // wanted, and at the end of the stream. Closed morsels are
         // offered to the shared pool while this thread walks on, and
         // sunk here in scan order once more than twice the pool's size
-        // are in flight; a morsel no worker has started is scored here.
-        // TOP without ORDER BY scores each morsel as it closes: it must
-        // not read a page past the one holding its n-th row.
+        // are in flight; a morsel no worker has started is scored here,
+        // and so is the stream's last one. TOP without ORDER BY scores
+        // each morsel as it closes: it must not read a page past the
+        // one holding its n-th row. A plan without SCORE has nothing to
+        // offer the pool.
         ThreadPool& pool = ThreadPool::Shared();
-        const std::size_t window = top_stops ? 0 : 2 * pool.size();
+        const std::size_t window =
+            top_stops || scores_.empty() ? 0 : 2 * pool.size();
         const trace::SpanContext parent = trace::TraceCollector::Current();
         auto score_morsel = [&](Morsel& m) {
             trace::ScopedParent adopt(parent);
@@ -796,7 +654,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             in_flight.pop_front();
             return more;
         };
-        auto flush = [&]() {
+        auto flush = [&](bool offer) {
             if (morsel_rows.empty()) {
                 return true;
             }
@@ -809,7 +667,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             m.width = width;
             morsel_rows.swap(spare_rows);
             morsel_feats.swap(spare_feats);
-            if (window > 0) {
+            if (offer && window > 0) {
                 m.task.emplace(pool, [&score_morsel, &m] { score_morsel(m); });
             }
             bool more = true;
@@ -818,7 +676,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             }
             return more;
         };
-        storage::FeatureStream stream = table.ScanFeatures(zone_predicate_);
+        storage::FeatureStream stream = table.store()->Scan(zone_predicate_);
         storage::StreamChunk chunk;
         bool more = true;
         while (more && stream.Next(chunk)) {
@@ -827,38 +685,42 @@ PhysicalPlan::ExecuteScore(const Table& table) const
             for (std::size_t i = 0; more && i < page.rows(); ++i) {
                 const std::size_t r = chunk.row_begin + i;
                 const float* feats = page.Row(i);
-                if (!passes(r, feats)) {
+                if (!PassesPlain(table, r, feats)) {
                     continue;
                 }
                 morsel_rows.push_back(r);
                 morsel_feats.insert(morsel_feats.end(), feats,
                                     feats + width);
                 if (morsel_rows.size() == kParallelRowCutoff - 1) {
-                    more = flush();
+                    more = flush(true);
                 }
             }
             if (more &&
                 (morsel_rows.size() >= kMorselRows ||
                  (top_stops &&
                   morsel_rows.size() >= *stmt.top - result.rows.size()))) {
-                more = flush();
+                more = flush(true);
             }
         }
+        // The last morsel is scored here: this thread would only wait
+        // for a worker to wake up and score it.
         if (more) {
-            more = flush();
+            more = flush(false);
         }
         while (more && !in_flight.empty()) {
             more = sink_oldest();
         }
     } else {
+        // In-memory tables, and paged statements that read at most the
+        // label (through the pool, row by row): one batch of row ids.
+        const std::size_t n = table.NumRows();
         std::vector<std::uint32_t> live;
-        for (std::uint32_t r = 0; r < table.NumRows(); ++r) {
-            if (passes(r, nullptr)) {
+        for (std::uint32_t r = 0; r < n; ++r) {
+            if (PassesPlain(table, r, nullptr)) {
                 live.push_back(r);
             }
         }
-        sink(nullptr, nullptr,
-             score(nullptr, table.NumRows(), std::move(live)));
+        sink(nullptr, nullptr, score(nullptr, n, std::move(live)));
     }
 
     {
@@ -924,62 +786,36 @@ PhysicalPlan::CollectScoringBatch(const Database& db) const
     }
     const Table& table = db.GetTable(logical_.stmt.table);
     const CompiledScore& cs = scores_[0];
-    const std::size_t label_col = table.LabelColumnIndex();
-    const bool paged = table.paged();
-    auto feature_index = [label_col](std::size_t col) {
-        return col - (col > label_col ? 1 : 0);
-    };
     const std::size_t width = cs.feature_cols.size();
 
     ScoringBatch batch;
     batch.model = cs.expr.model;
     std::vector<float> features;
-
-    auto process = [&](const RowView* chunk_feats, std::size_t row_begin,
-                       std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t r = row_begin + i;
-            bool keep = true;
-            for (const ColumnPredicate& pred : plain_preds_) {
-                int cmp;
-                if (paged) {
-                    const double v =
-                        pred.column == label_col
-                            ? static_cast<double>(
-                                  table.FloatAt(r, pred.column))
-                            : static_cast<double>(chunk_feats->At(
-                                  i, feature_index(pred.column)));
-                    cmp = CompareToLiteral(v, pred.literal);
-                } else {
-                    cmp = CompareValues(table.At(r, pred.column),
-                                        pred.literal);
+    if (table.paged()) {
+        storage::FeatureStream stream = table.store()->Scan(zone_predicate_);
+        storage::StreamChunk chunk;
+        while (stream.Next(chunk)) {
+            for (std::size_t i = 0; i < chunk.view.rows(); ++i) {
+                const float* feats = chunk.view.Row(i);
+                if (!PassesPlain(table, chunk.row_begin + i, feats)) {
+                    continue;
                 }
-                if (!EvalCompareOp(pred.op, cmp)) {
-                    keep = false;
-                    break;
+                batch.row_ids.push_back(chunk.row_begin + i);
+                for (std::size_t f : cs.feature_idx) {
+                    features.push_back(feats[f]);
                 }
             }
-            if (!keep) {
+        }
+    } else {
+        for (std::size_t r = 0; r < table.NumRows(); ++r) {
+            if (!PassesPlain(table, r, nullptr)) {
                 continue;
             }
             batch.row_ids.push_back(r);
-            for (std::size_t j = 0; j < width; ++j) {
-                features.push_back(
-                    paged ? chunk_feats->At(i, cs.feature_idx[j])
-                          : table.FloatAt(r, cs.feature_cols[j]));
+            for (std::size_t c : cs.feature_cols) {
+                features.push_back(table.FloatAt(r, c));
             }
         }
-    };
-
-    if (paged) {
-        storage::FeatureStream stream =
-            table.ScanFeatures(zone_predicate_);
-        storage::StreamChunk chunk;
-        while (stream.Next(chunk)) {
-            process(&chunk.view, chunk.row_begin, chunk.view.rows());
-        }
-    } else {
-        process(nullptr, 0, table.NumRows());
     }
 
     RowBlock::NoteCopy(static_cast<std::uint64_t>(features.size()) *

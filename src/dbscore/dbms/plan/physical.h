@@ -11,22 +11,23 @@
  * (plan/plan_cache.h) skips the whole LoadModel -> ToForest -> Kernel
  * chain on every subsequent execution.
  *
- * Execution has two paths:
- *
- *  - plain statements (no SCORE) run the legacy Value-typed
- *    interpreter, preserving the pre-planner engine's semantics
- *    exactly (including "At() on a paged table" errors);
- *  - scored statements stream feature chunks (zone-map-pruned for
- *    paged tables), apply plain predicates first, evaluate SCORE
- *    predicates over the compacted survivors (early-exit kernel when
- *    the rewriter pushed the threshold down), and fold fused
- *    aggregates into the loop without materializing a score column.
- *    Paged survivors are copied into morsels: the survivors of
- *    several consecutive pages, scored by one kernel call, while the
- *    scan still holds one page pin at a time. In-memory tables are
- *    scored in one call over the whole table. TOP n ... ORDER BY
- *    keeps a bounded heap of n rows keyed by (sort key, scan order),
- *    so only rows that enter it are projected (DESIGN.md §14).
+ * Execution is one streaming loop for every SELECT: scan, plain
+ * filter, score, sink. A statement without SCORE is a plan with zero
+ * scores and runs the same loop. The scan walks a paged table's pages
+ * through the zone map (pinning each page once), or row ids when the
+ * table is in memory or the statement reads no feature column
+ * (COUNT(*) alone, or only the label). Plain predicates run first,
+ * then SCORE predicates over the compacted survivors (early-exit
+ * kernel when the rewriter pushed the threshold down), and fused
+ * aggregates fold into the loop without materializing a score
+ * column. Paged survivors are copied into
+ * morsels: the survivors of several consecutive pages, scored by one
+ * kernel call, while the scan still holds one page pin at a time.
+ * In-memory tables are scored in one call over the whole table. TOP n
+ * ... ORDER BY keeps a bounded heap of n rows keyed by (sort key, scan
+ * order), so only rows that enter it are projected (DESIGN.md §14).
+ * Plain-predicate literals were type-checked against their columns at
+ * plan time (BuildLogicalPlan), so the filter itself never throws.
  *
  * Execution splits into a score step (SCORE predicates and values
  * over one batch, touching no statement state) and a sink step
@@ -36,7 +37,8 @@
  * the pool's size are in flight, scoring any morsel no worker has
  * started, so it never waits on work queued behind other tasks. TOP n
  * without ORDER BY scores each morsel inline: it must not read a page
- * past the one holding its n-th row.
+ * past the one holding its n-th row. A plan without SCORE has nothing
+ * to offer the pool and sinks each morsel as it closes.
  *
  * Executing a rewritten plan is bit-identical to executing the naive
  * plan of the same statement: pruning/pushdown/fusion change how much
@@ -131,7 +133,6 @@ class PhysicalPlan {
 
     const LogicalPlan& logical() const { return logical_; }
     const std::vector<CompiledScore>& scores() const { return scores_; }
-    bool uses_score() const { return !scores_.empty(); }
     /** SCORE predicates in WHERE order (empty for plain plans). */
     const std::vector<ScorePredicate>& score_predicates() const
     {
@@ -145,8 +146,13 @@ class PhysicalPlan {
     std::vector<std::string> ExplainPhysical() const;
 
  private:
-    QueryResult ExecutePlain(const Table& table) const;
-    QueryResult ExecuteScore(const Table& table) const;
+    /**
+     * Whether row @p r of @p table passes every plain predicate; a
+     * paged row's features are @p feats (its label is read through the
+     * pool). The one WHERE check behind Execute and CollectScoringBatch.
+     */
+    bool PassesPlain(const Table& table, std::size_t r,
+                     const float* feats) const;
 
     LogicalPlan logical_;
     std::vector<CompiledScore> scores_;

@@ -23,8 +23,9 @@ ColIndex(const LogicalPlan& plan, const std::string& name)
 
 /**
  * Rule 1: narrow the scan to the columns the query touches. Only
- * meaningful for scored plans — the legacy Value path reads cells
- * directly and is kept untouched for plain statements.
+ * scored plans change: the narrowed set is what an in-memory scan
+ * materializes as SCORE features, and a plan with no SCORE
+ * materializes nothing (it reads its cells in place).
  */
 void
 PruneColumns(LogicalPlan& plan)
@@ -203,18 +204,12 @@ FuseScoreAggregates(LogicalPlan& plan)
 }  // namespace
 
 void
-RewritePlan(LogicalPlan& plan, const RewriteOptions& options)
+RewritePlan(LogicalPlan& plan)
 {
-    if (options.prune_columns) {
-        PruneColumns(plan);
-    }
-    if (options.push_predicates) {
-        PushZonePredicate(plan);
-        PushScoreThresholds(plan);
-    }
-    if (options.fuse_aggregates) {
-        FuseScoreAggregates(plan);
-    }
+    PruneColumns(plan);
+    PushZonePredicate(plan);
+    PushScoreThresholds(plan);
+    FuseScoreAggregates(plan);
 }
 
 }  // namespace dbscore::plan

@@ -33,15 +33,9 @@
 
 namespace dbscore::plan {
 
-/** Per-rule enables (all on by default; the naive planner uses none). */
-struct RewriteOptions {
-    bool prune_columns = true;
-    bool push_predicates = true;
-    bool fuse_aggregates = true;
-};
-
-/** Applies the enabled rewrite rules to @p plan in place. */
-void RewritePlan(LogicalPlan& plan, const RewriteOptions& options = {});
+/** Applies every rewrite rule to @p plan in place (the naive planner
+ * skips this call). */
+void RewritePlan(LogicalPlan& plan);
 
 }  // namespace dbscore::plan
 

@@ -1,7 +1,5 @@
 #include "dbscore/dbms/table.h"
 
-#include <cstring>
-
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
 
@@ -65,7 +63,6 @@ Table::AppendRow(std::vector<Value> row)
             }
         }
         store_->AppendRow(features.data(), features.size(), label);
-        features_ = RowBlock();
         return;
     }
     for (std::size_t i = 0; i < row.size(); ++i) {
@@ -123,7 +120,7 @@ Table::Column(std::size_t col) const
     if (paged()) {
         throw InvalidArgument(
             "table " + name_ +
-            ": Column() on a paged table — stream with ScanFeatures()");
+            ": Column() on a paged table — stream with store()->Scan()");
     }
     DBS_ASSERT(col < schema_.size());
     return columns_[col];
@@ -167,26 +164,14 @@ Table::NumFeatureColumns() const
 const RowBlock&
 Table::MaterializeFeatures() const
 {
-    const std::size_t num_features = NumFeatureColumns();
-    if (!features_.empty() || NumRows() == 0 || num_features == 0) {
-        return features_;
-    }
     if (paged()) {
-        // Whole-table materialization of a paged table: stream every
-        // chunk into one compact block. This is the compatibility
-        // path — out-of-core consumers should use ScanFeatures() and
-        // never hold the full table in memory.
-        std::vector<float> values(NumRows() * num_features);
-        storage::FeatureStream stream = store_->Scan();
-        storage::StreamChunk chunk;
-        while (stream.Next(chunk)) {
-            std::memcpy(values.data() + chunk.row_begin * num_features,
-                        chunk.view.data(),
-                        chunk.view.rows() * num_features * sizeof(float));
-        }
-        RowBlock::NoteCopy(static_cast<std::uint64_t>(values.size()) *
-                           sizeof(float));
-        features_ = RowBlock(std::move(values), num_features);
+        throw InvalidArgument(
+            "table " + name_ +
+            ": MaterializeFeatures() on a paged table — stream with "
+            "store()->Scan()");
+    }
+    const std::size_t num_features = NumFeatureColumns();
+    if (!features_.empty() || num_rows_ == 0 || num_features == 0) {
         return features_;
     }
     const std::size_t label_col = LabelColumnIndex();
@@ -214,6 +199,12 @@ Table::MaterializeFeatures() const
 RowBlock
 Table::MaterializeColumns(const std::vector<std::size_t>& cols) const
 {
+    if (paged()) {
+        throw InvalidArgument(
+            "table " + name_ +
+            ": MaterializeColumns() on a paged table — stream with "
+            "store()->Scan()");
+    }
     if (cols.empty()) {
         throw InvalidArgument("table " + name_ +
                               ": MaterializeColumns needs columns");
@@ -225,45 +216,20 @@ Table::MaterializeColumns(const std::vector<std::size_t>& cols) const
                                   "range");
         }
     }
-    const std::size_t num_rows = NumRows();
     const std::size_t width = cols.size();
-    std::vector<float> values(num_rows * width);
-    if (paged()) {
-        // Read through the buffer pool; pages are touched once per
-        // column run thanks to row-major iteration.
-        for (std::size_t r = 0; r < num_rows; ++r) {
-            for (std::size_t j = 0; j < width; ++j) {
-                values[r * width + j] = FloatAt(r, cols[j]);
-            }
+    std::vector<float> values(num_rows_ * width);
+    std::size_t out_col = 0;
+    for (std::size_t c : cols) {
+        const std::vector<Value>& column = columns_[c];
+        float* out = values.data() + out_col;
+        for (std::size_t r = 0; r < num_rows_; ++r) {
+            out[r * width] = static_cast<float>(ValueAsDouble(column[r]));
         }
-    } else {
-        std::size_t out_col = 0;
-        for (std::size_t c : cols) {
-            const std::vector<Value>& column = columns_[c];
-            float* out = values.data() + out_col;
-            for (std::size_t r = 0; r < num_rows; ++r) {
-                out[r * width] =
-                    static_cast<float>(ValueAsDouble(column[r]));
-            }
-            ++out_col;
-        }
+        ++out_col;
     }
     RowBlock::NoteCopy(static_cast<std::uint64_t>(values.size()) *
                        sizeof(float));
     return RowBlock(std::move(values), width);
-}
-
-storage::FeatureStream
-Table::ScanFeatures(
-    const std::optional<storage::ScanPredicate>& predicate) const
-{
-    if (paged()) {
-        return store_->Scan(predicate);
-    }
-    // In-memory: one chunk over the cached block. The predicate is a
-    // page-pruning hint; with a single "page" the full view is the
-    // (legal) conservative superset.
-    return storage::FeatureStream::FromView(MaterializeFeatures().View());
 }
 
 }  // namespace dbscore

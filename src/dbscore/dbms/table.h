@@ -7,19 +7,18 @@
  *    block lazily materialized by MaterializeFeatures();
  *  - paged: rows live in a dbscore::storage::PagedTable page file and
  *    flow through a BufferPool — the out-of-core mode for datasets
- *    larger than RAM. Paged tables answer NumRows/At/AppendRow/
- *    MaterializeFeatures through the store and additionally support
- *    ScanFeatures(), a streaming iterator of pinned zero-copy chunks
- *    (the pipeline's paged scoring path). Column() is the one
- *    operation a paged table cannot serve (no whole-column Values in
- *    memory) and throws.
+ *    larger than RAM. Paged tables answer NumRows/FloatAt/AppendRow
+ *    through the store; consumers stream their rows as pinned
+ *    zero-copy chunks with store()->Scan(). At, Column,
+ *    MaterializeFeatures and MaterializeColumns serve Values or
+ *    whole-table blocks that a paged table does not hold in memory,
+ *    and throw on one.
  */
 #ifndef DBSCORE_DBMS_TABLE_H
 #define DBSCORE_DBMS_TABLE_H
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,7 +95,7 @@ class Table {
 
     /**
      * Whole column (for scans). @throws InvalidArgument on a paged
-     * table — stream with ScanFeatures() instead.
+     * table — stream with store()->Scan() instead.
      */
     const std::vector<Value>& Column(std::size_t col) const;
 
@@ -116,6 +115,7 @@ class Table {
      * RowBlock::CopyStats. Views taken from the returned block share
      * its refcounted storage and stay valid across cache invalidation
      * (the cache drops its reference; it never mutates the old block).
+     * @throws InvalidArgument on a paged table
      */
     const RowBlock& MaterializeFeatures() const;
 
@@ -126,22 +126,10 @@ class Table {
      * k/n of the bytes MaterializeFeatures() would. Counted against
      * RowBlock::CopyStats; not cached (the pruned column set is a
      * property of the query, not the table).
-     * @throws InvalidArgument when @p cols is empty or out of range
+     * @throws InvalidArgument on a paged table, or when @p cols is
+     *         empty or out of range
      */
     RowBlock MaterializeColumns(const std::vector<std::size_t>& cols) const;
-
-    /**
-     * Streaming feature iterator — the chunk-wise alternative to
-     * MaterializeFeatures(). Paged tables yield one pinned zero-copy
-     * chunk per data page (optionally zone-map-pruned by
-     * @p predicate); in-memory tables yield the materialized block as
-     * a single chunk, so consumers are written once against the
-     * streaming shape. Pruning is conservative: in-memory streams
-     * ignore the predicate (a legal superset).
-     */
-    storage::FeatureStream ScanFeatures(
-        const std::optional<storage::ScanPredicate>& predicate =
-            std::nullopt) const;
 
  private:
     std::string name_;

@@ -97,28 +97,9 @@ class PayloadReader {
 // ---------------------------------------------------------------------------
 // FeatureStream
 
-FeatureStream
-FeatureStream::FromView(RowView view)
-{
-    FeatureStream stream;
-    stream.total_rows_ = view.rows();
-    stream.single_ = std::move(view);
-    return stream;
-}
-
 bool
 FeatureStream::Next(StreamChunk& chunk)
 {
-    if (single_.has_value()) {
-        if (next_entry_ > 0) {
-            return false;
-        }
-        next_entry_ = 1;
-        chunk.view = *single_;
-        chunk.row_begin = 0;
-        chunk.page_id = 0;
-        return !chunk.view.empty();
-    }
     if (table_ == nullptr || next_entry_ >= entries_.size()) {
         return false;
     }

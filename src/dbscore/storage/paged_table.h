@@ -110,27 +110,20 @@ struct ScanPredicate {
 
 /** One streamed chunk: a feature RowView plus its global placement. */
 struct StreamChunk {
-    /** rows() x feature-cols view; pinned (paged) or shared (memory). */
+    /** rows() x feature-cols view over a pinned page frame. */
     RowView view;
     /** Global row index of view row 0. */
     std::size_t row_begin = 0;
-    /** Backing data page, or 0 for in-memory chunks. */
+    /** Backing data page. */
     std::uint32_t page_id = 0;
 };
 
 class PagedTable;
 
-/**
- * A pull iterator of StreamChunks. Also wraps a plain in-memory
- * RowView as a single chunk (FromView) so consumers can be written
- * once against the streaming shape.
- */
+/** A pull iterator of StreamChunks, one per (unpruned) data page. */
 class FeatureStream {
  public:
     FeatureStream() = default;
-
-    /** Single-chunk stream over in-memory storage. */
-    static FeatureStream FromView(RowView view);
 
     /**
      * Yields the next chunk, pinning its page. Returns false at end.
@@ -159,8 +152,6 @@ class FeatureStream {
     std::vector<Entry> entries_;
     std::size_t next_entry_ = 0;
     std::size_t total_rows_ = 0;
-    /** FromView mode: the one chunk to emit. */
-    std::optional<RowView> single_;
 };
 
 /** Aggregate counters for EXEC sp_storage_stats / benches. */

@@ -17,6 +17,10 @@
  *    including TOP 0 and a TOP larger than the survivors;
  *  - TOP n without ORDER BY pins no page past the one holding its
  *    n-th row;
+ *  - statements without SCORE run the same scan: on a table clustered
+ *    on the filtered column they prune pages through the zone map and
+ *    pin each scanned page once, and one that reads no feature column
+ *    scans no feature page;
  *  - twelve threads scoring concurrently on one 16-frame pool (a
  *    statement holds one data pin at a time) agree with a serial run,
  *    and so do twice the shared pool's size of statements run on the
@@ -35,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -224,6 +229,67 @@ TEST_F(PagedScanTest, PagedMatchesInMemoryAcrossPoolSizes)
                      InvalidArgument)
             << table;
     }
+}
+
+TEST_F(PagedScanTest, PlainStatementsPruneAndPinEachPageOnce)
+{
+    // HIGGS clustered on kin_0, so a range on kin_0 prunes pages.
+    const Dataset higgs = MakeHiggs(4000, 97);
+    std::vector<std::size_t> order(higgs.num_rows());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&higgs](std::size_t a, std::size_t b) {
+                         return higgs.At(a, 0) < higgs.At(b, 0);
+                     });
+    Dataset data("clustered", higgs.task(), higgs.num_features(),
+                 higgs.num_classes());
+    data.feature_names() = higgs.feature_names();
+    std::vector<float> row(higgs.num_features());
+    for (const std::size_t r : order) {
+        for (std::size_t f = 0; f < row.size(); ++f) {
+            row[f] = higgs.At(r, f);
+        }
+        data.AddRow(row, higgs.Label(r));
+    }
+    db_.StoreDataset("mem", data);
+    storage::StorageOptions options;
+    options.pool_pages = 16;
+    storage::PagedTable& store =
+        *db_.StoreDatasetPaged("paged", data, Path("t.dbpages"), options)
+             .store();
+    // No statement reads the label (label pages pin per row), and none
+    // is TOP without ORDER BY (which stops before its last page).
+    for (const char* pattern :
+         {"SELECT COUNT(*) FROM $ WHERE kin_0 > 1.5",
+          "SELECT COUNT(*), AVG(kin_3), MIN(kin_1), MAX(derived_2) FROM $ "
+          "WHERE kin_0 > 1.2 AND kin_5 < 0.5",
+          "SELECT TOP 20 kin_0, kin_7 FROM $ WHERE kin_0 < -1.5 "
+          "ORDER BY kin_7 DESC"}) {
+        auto on = [pattern](const std::string& table) {
+            std::string sql = pattern;
+            sql.replace(sql.find('$'), 1, table);
+            return sql;
+        };
+        const QueryResult want = Run(on("mem"));
+        store.ResetStats();
+        const QueryResult got = Run(on("paged"));
+        const storage::StorageStats stats = store.Stats();
+        ExpectSameResult(want, got, on("paged"));
+        EXPECT_GT(stats.pages_pruned, 0u) << pattern;
+        EXPECT_EQ(stats.pool.hits + stats.pool.misses, stats.pages_scanned)
+            << pattern;
+    }
+    // A statement that reads no feature column scans no feature page:
+    // COUNT(*) alone pins nothing, a label filter only label pages.
+    store.ResetStats();
+    const QueryResult all = Run("SELECT COUNT(*) FROM paged");
+    EXPECT_EQ(std::get<std::int64_t>(all.rows[0][0]), 4000);
+    EXPECT_EQ(store.Stats().pool.hits + store.Stats().pool.misses, 0u);
+    const QueryResult want = Run("SELECT COUNT(*) FROM mem WHERE label = 1");
+    store.ResetStats();
+    ExpectSameResult(want, Run("SELECT COUNT(*) FROM paged WHERE label = 1"),
+                     "label filter");
+    EXPECT_EQ(store.Stats().pages_scanned, 0u);
 }
 
 /** A 4-feature table with heavy ties: f0 = r % 5, f1 = r (row id). */
@@ -476,7 +542,7 @@ TEST_F(PagedScanTest, MorselsCloseInsideAPageBelowTheParallelCutoff)
          {"SELECT COUNT(*), AVG(SCORE(c)) FROM $",
           "SELECT TOP 20 f1, SCORE(c) FROM $ WHERE f2 < 0.9 "
           "ORDER BY SCORE(c) DESC"}) {
-        auto on = [&pattern](const std::string& table) {
+        auto on = [pattern](const std::string& table) {
             std::string sql = pattern;
             sql.replace(sql.find('$'), 1, table);
             return sql;

@@ -381,6 +381,46 @@ TEST_F(PlanTest, OptimizedMatchesNaiveAcrossShapes)
     }
 }
 
+TEST_F(PlanTest, PlainLiteralTypesAreCheckedAtPlanTime)
+{
+    // kin_0 > 1e9 lets the paged zone map prune every page, so no row
+    // ever reaches kin_1 = 'x'; the statement still fails, the same way
+    // on both backings and through both planners, with SCORE or not.
+    for (const char* table : {"mem", "paged"}) {
+        for (const char* tail : {"", " AND SCORE(m) > 0.5"}) {
+            const std::string sql = std::string("SELECT COUNT(*) FROM ") +
+                                    table +
+                                    " WHERE kin_1 = 'x' AND kin_0 > 1e9" +
+                                    tail;
+            for (const bool optimize : {true, false}) {
+                plan::Planner planner(db_, {optimize});
+                EXPECT_THROW(planner.PlanQuery(sql)->Execute(db_),
+                             InvalidArgument)
+                    << sql << (optimize ? " (optimized)" : " (naive)");
+            }
+        }
+    }
+    // Declared column types decide, not the rows: the table is empty.
+    db_.CreateTable("typed", {{"name", ColumnType::kString},
+                              {"n", ColumnType::kInt64},
+                              {"x", ColumnType::kDouble},
+                              {"b", ColumnType::kBlob}});
+    plan::Planner planner(db_);
+    for (const char* bad : {"SELECT n FROM typed WHERE name = 1",
+                            "SELECT n FROM typed WHERE n = 'one'",
+                            "SELECT n FROM typed WHERE x < 'one'",
+                            "SELECT n FROM typed WHERE b = 'x'",
+                            "SELECT n FROM typed WHERE b = 1"}) {
+        EXPECT_THROW(planner.PlanQuery(bad), InvalidArgument) << bad;
+    }
+    for (const char* good : {"SELECT n FROM typed WHERE name = 'one'",
+                             "SELECT n FROM typed WHERE n = 1.5",
+                             "SELECT n FROM typed WHERE x < 2"}) {
+        EXPECT_TRUE(planner.PlanQuery(good)->Execute(db_).rows.empty())
+            << good;
+    }
+}
+
 TEST_F(PlanTest, OptimizedMatchesNaiveForRegression)
 {
     for (const char* table : {"reg_mem", "reg_paged"}) {

@@ -794,7 +794,7 @@ TEST_F(PagedDbmsTest, PinnedChunksFlowIntoServingLayer)
     service.Start();
 
     const std::vector<float> reference = forest.PredictBatch(data);
-    FeatureStream stream = table.ScanFeatures();
+    FeatureStream stream = table.store()->Scan();
     StreamChunk chunk;
     std::size_t checked = 0;
     while (stream.Next(chunk)) {
