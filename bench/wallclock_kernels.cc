@@ -15,7 +15,8 @@
  * side. Kernel outputs must be bit-identical to the reference on both.
  *
  * Two guards gate the exit code (and therefore CI):
- *  - trace guard: the always-on kernel spans must cost < 3% throughput;
+ *  - trace guard: the always-on kernel spans must cost < 3% throughput
+ *    (median over 11 interleaved pairs of alternating calls);
  *  - row-count rule guard: on the HIGGS 128-tree depth-10 shape, 64-row
  *    calls (one 8x8 vector group each) must reach >= 0.90x the rows/s
  *    of 48-row calls (three 16-lane scalar groups each). Enforced only
@@ -32,6 +33,7 @@
  */
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -180,6 +182,9 @@ struct TraceGuard {
 };
 
 constexpr double kTraceGuardThresholdPct = 3.0;
+/** Trace guard: wall time of calls per side of a pair, and pairs. */
+constexpr double kTraceSampleSeconds = 0.100;
+constexpr int kTraceGuardPairs = 11;
 
 /**
  * Guard on the row-count rule itself: the kernel sends full 64-row
@@ -289,6 +294,16 @@ WriteJson(const std::string& path, const std::vector<Result>& results,
  * kernel throughput. Measures the same Predict loop with the collector
  * enabled vs disabled (the runtime equivalent of compiling it out with
  * DBSCORE_TRACE_DISABLED) and reports the relative regression.
+ *
+ * One smoke call takes about a millisecond, so 3% of a call is below
+ * the thread pool's wake-up jitter, and on a shared VM the speed of
+ * back-to-back 50 ms blocks drifts by tens of percent. So each of
+ * kTraceGuardPairs interleaved pairs spans at least kTraceSampleSeconds
+ * of calls per side, taken alternately (the side that goes first
+ * alternating too), and reads the median ratio of adjacent enabled and
+ * disabled calls: drift slower than one call, and a call stalled by a
+ * late worker, then hit both sides alike. The guard is the median of
+ * the per-pair overheads.
  */
 TraceGuard
 RunTraceGuard(bool smoke)
@@ -309,29 +324,42 @@ RunTraceGuard(bool smoke)
     const float* rows = eval.values().data();
     const std::size_t cols = eval.num_features();
     std::vector<float> out;
-    auto measure = [&] {
-        return BestOfWall(2, [&] {
-            out = kernel->Predict(rows, eval_rows, cols);
-        });
-    };
+    auto predict = [&] { out = kernel->Predict(rows, eval_rows, cols); };
 
-    // Interleave enabled/disabled pairs and take the median per-pair
-    // overhead: a scheduler hiccup during one sequential block would
-    // otherwise read as tracing overhead (or as a tracing speedup).
     trace::TraceCollector& tracer = trace::TraceCollector::Get();
     tracer.SetEnabled(true);
-    out = kernel->Predict(rows, eval_rows, cols);  // warmup
+    predict();  // warmup
+    const int calls = std::max(
+        1, static_cast<int>(std::ceil(kTraceSampleSeconds /
+                                      BestOfWall(3, predict))));
+    auto timed = [&](bool enabled) {
+        tracer.SetEnabled(enabled);
+        const auto start = std::chrono::steady_clock::now();
+        predict();
+        return SecondsSince(start);
+    };
+
     std::vector<double> overheads;
     double enabled_s = 0.0;
     double disabled_s = 0.0;
-    for (int p = 0; p < 5; ++p) {
-        tracer.SetEnabled(true);
-        const double on = measure();
-        tracer.SetEnabled(false);
-        const double off = measure();
+    for (int p = 0; p < kTraceGuardPairs; ++p) {
+        double on = 0.0;
+        double off = 0.0;
+        std::vector<double> ratios;
+        for (int c = 0; c < calls; ++c) {
+            const bool on_first = c % 2 == 0;
+            const double first = timed(on_first);
+            const double second = timed(!on_first);
+            const double t_on = on_first ? first : second;
+            const double t_off = on_first ? second : first;
+            on += t_on / calls;
+            off += t_off / calls;
+            ratios.push_back(t_on / t_off);
+        }
+        std::sort(ratios.begin(), ratios.end());
         enabled_s = p == 0 ? on : std::min(enabled_s, on);
         disabled_s = p == 0 ? off : std::min(disabled_s, off);
-        overheads.push_back((on - off) / off * 100.0);
+        overheads.push_back((ratios[ratios.size() / 2] - 1.0) * 100.0);
     }
     tracer.SetEnabled(true);
     tracer.Clear();  // discard the guard's own spans

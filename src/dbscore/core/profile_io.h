@@ -28,8 +28,15 @@ std::string SerializeProfile(const HardwareProfile& profile);
 /**
  * Parses a profile: starts from HardwareProfile::Paper() and applies
  * each "key = value" override. Blank lines and '#' comments allowed.
+ * Every key has a domain, so no accepted profile trips a modeled
+ * invariant: rates, sizes and per-unit costs lie in [1e-9, 1e9],
+ * efficiencies in [1e-9, 1], fixed overheads in [0, 1e9], hardware
+ * counts are whole numbers in [1, 32768] (the FPGA tree depth in
+ * [1, 32]), and PCIe links have a generation in [1, 5] and [1, 32]
+ * lanes.
  *
- * @throws ParseError on unknown keys or malformed values
+ * @throws ParseError on unknown keys, malformed values, or a value
+ *         outside its key's domain (naming the key and the value)
  */
 HardwareProfile ParseProfile(const std::string& text);
 

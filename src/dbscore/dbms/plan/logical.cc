@@ -357,6 +357,9 @@ AppendOp(const LogicalPlan& plan, const LogicalOp& op, int depth,
     if (op.kind == LogicalOpKind::kAggregate && op.fused) {
         os << " [fused]";
     }
+    if (op.kind == LogicalOpKind::kLimit && op.rising_threshold) {
+        os << " [rising-threshold]";
+    }
     os << "\n";
     if (op.input != nullptr) {
         AppendOp(plan, *op.input, depth + 1, os);

@@ -13,7 +13,8 @@
  * expanded to "all non-label columns in table order", the sp_score_model
  * convention). The chain is what the rule-based rewriter
  * (plan/rewrite.h) annotates — column pruning, zone-map predicate
- * pushdown, SCORE-threshold pushdown, score-aggregate fusion — and what
+ * pushdown, SCORE-threshold pushdown, score-aggregate fusion, the
+ * TOP-N rising threshold — and what
  * EXEC sp_explain prints; execution happens in plan/physical.h.
  */
 #ifndef DBSCORE_DBMS_PLAN_LOGICAL_H
@@ -105,6 +106,11 @@ struct LogicalOp {
     // -- kAggregate ---------------------------------------------------
     /** Rewriter: aggregates fold into the streaming scoring loop. */
     bool fused = false;
+
+    // -- kLimit -------------------------------------------------------
+    /** Rewriter: TOP n ... ORDER BY SCORE scores its morsels against
+     * the TOP-N heap's rising threshold. */
+    bool rising_threshold = false;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "dbscore/dbms/plan/physical.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <numeric>
 #include <optional>
@@ -9,6 +10,7 @@
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
 #include "dbscore/common/thread_pool.h"
+#include "dbscore/dbms/plan/rewrite.h"
 #include "dbscore/forest/onnx_like.h"
 #include "dbscore/trace/trace.h"
 
@@ -173,6 +175,24 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
         cs.model = std::move(model);
         scores_.push_back(std::move(cs));
     }
+
+    // Rule 4 pays only when the order score's kernel can decide a row
+    // before its last tree: an accumulate combiner over more than one
+    // checkpoint of trees. Otherwise the plan withdraws the rule.
+    if (LogicalOp* limit = logical_.Find(LogicalOpKind::kLimit);
+        limit != nullptr && limit->rising_threshold) {
+        const ForestKernel* kernel =
+            scores_[*logical_.order_score].kernel.get();
+        rising_threshold_ = kernel != nullptr &&
+                            kernel->SupportsThresholdEarlyExit() &&
+                            kernel->NumTrees() > kThresholdCheckTrees;
+        if (!rising_threshold_) {
+            limit->rising_threshold = false;
+            std::erase_if(logical_.applied_rules, [](const std::string& r) {
+                return r.starts_with(kRisingThresholdRule);
+            });
+        }
+    }
 }
 
 namespace {
@@ -205,14 +225,22 @@ struct Scored {
 };
 
 /**
- * A paged morsel: plain-predicate survivors of consecutive pages,
- * copied off their pages with their global row ids, then scored by a
- * pool worker or by the statement thread (DESIGN.md §14).
+ * A morsel, scored by a pool worker or by the statement thread
+ * (DESIGN.md §14): the plain-predicate survivors of consecutive pages,
+ * copied off their pages with their global row ids, or a zero-copy
+ * slice of an in-memory table, rows [first, first + count), with its
+ * plain-predicate survivors.
  */
 struct Morsel {
     std::vector<std::size_t> rows;
     std::vector<float> feats;
     std::size_t width = 0;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    /** Batch rows that passed the plain predicates. */
+    std::vector<std::uint32_t> live;
+    /** The TOP-N heap's rising threshold when the morsel was offered. */
+    std::optional<ScorePredicate> cut;
     Scored scored;
     /** Declared last so it is destroyed first: a worker scoring this
      * morsel finishes before the rows it reads go away. */
@@ -236,9 +264,35 @@ AddStats(ThresholdStats& total, const ThresholdStats& part)
 
 }  // namespace
 
+/**
+ * A paged table's labels, read a page at a time: rows visited in order
+ * pin each label page once, and no pin is held between rows.
+ */
+class PhysicalPlan::LabelReader {
+ public:
+    explicit LabelReader(const Table& table) : store_(table.store().get())
+    {
+    }
+
+    float
+    At(std::size_t row)
+    {
+        if (row < first_ || row - first_ >= page_.size()) {
+            first_ = static_cast<std::size_t>(
+                store_->CopyLabelPage(row, page_));
+        }
+        return page_[row - first_];
+    }
+
+ private:
+    const storage::PagedTable* store_;
+    std::vector<float> page_;
+    std::size_t first_ = 0;
+};
+
 bool
 PhysicalPlan::PassesPlain(const Table& table, std::size_t r,
-                          const float* feats) const
+                          const float* feats, LabelReader& labels) const
 {
     const std::size_t label_col = logical_.label_col;
     for (const ColumnPredicate& pred : plain_preds_) {
@@ -246,8 +300,7 @@ PhysicalPlan::PassesPlain(const Table& table, std::size_t r,
         if (!table.paged()) {
             cmp = CompareValues(table.At(r, pred.column), pred.literal);
         } else if (pred.column == label_col) {
-            cmp = CompareToLiteral(table.FloatAt(r, pred.column),
-                                   pred.literal);
+            cmp = CompareToLiteral(labels.At(r), pred.literal);
         } else {
             cmp = CompareToLiteral(
                 feats[pred.column - (pred.column > label_col ? 1 : 0)],
@@ -397,6 +450,10 @@ PhysicalPlan::Execute(const Database& db) const
     // TOP n, `ranked` is a heap of the n best rows seen so far (the
     // worst on top), and only a row that enters it is projected.
     std::vector<Ranked> ranked;
+    // Whether a NaN SCORE key entered the heap. NaN compares equal to
+    // every key, so it can enter only while the heap has room and never
+    // leaves it, and the heap's worst key is then no threshold.
+    bool nan_key = false;
     std::size_t scanned = 0;
     const bool descending =
         stmt.order_by.has_value() && stmt.order_by->descending;
@@ -407,15 +464,21 @@ PhysicalPlan::Execute(const Database& db) const
         }
         return a.seq < b.seq;
     };
+    // Paged labels, a page at a time: the filter and the sink each
+    // visit rows in scan order, so each keeps its own page.
+    LabelReader filter_labels(table);
+    LabelReader sink_labels(table);
 
-    // Score step: the SCORE predicates, then the values of the scores
-    // the sink reads, over the plain-predicate survivors @p live of a
-    // batch of @p n rows — a paged morsel's feature rows @p feats, or
-    // the whole in-memory table when @p feats is null. It reads only
+    // Score step: the SCORE predicates, then @p cut (a morsel's rising
+    // TOP-N threshold), then the values of the scores the sink reads,
+    // over the plain-predicate survivors @p live of a batch of @p n
+    // rows — a paged morsel's feature rows @p feats, or in-memory rows
+    // [@p first, @p first + @p n) when @p feats is null. It reads only
     // the compiled plan and the in-memory sources, so a pool thread
     // may run it.
-    auto score = [&](const RowView* feats, std::size_t n,
-                     std::vector<std::uint32_t> live) {
+    auto score = [&](const RowView* feats, std::size_t first, std::size_t n,
+                     std::vector<std::uint32_t> live,
+                     const std::optional<ScorePredicate>& cut) {
         Scored out;
         // 1. Batch-local feature sources per score (lazy).
         std::vector<std::optional<RowView>> src(scores_.size());
@@ -424,7 +487,7 @@ PhysicalPlan::Execute(const Database& db) const
             if (!src[s].has_value()) {
                 const CompiledScore& cs = scores_[s];
                 if (!paged) {
-                    src[s] = mem_src[s];
+                    src[s] = mem_src[s].Slice(first, first + n);
                 } else if (cs.identity_prefix) {
                     src[s] = feats->Prefix(cs.feature_idx.size());
                 } else {
@@ -439,9 +502,9 @@ PhysicalPlan::Execute(const Database& db) const
 
         // 2. SCORE predicates over the compacted survivors.
         std::vector<float> row_scratch;
-        for (const ScorePredicate& pred : score_preds_) {
+        auto filter = [&](const ScorePredicate& pred) {
             if (live.empty()) {
-                break;
+                return;
             }
             const CompiledScore& cs = scores_[pred.score_index];
             const bool all = live.size() == n;
@@ -475,6 +538,12 @@ PhysicalPlan::Execute(const Database& db) const
                 }
             }
             live.swap(next);
+        };
+        for (const ScorePredicate& pred : score_preds_) {
+            filter(pred);
+        }
+        if (cut.has_value()) {
+            filter(*cut);
         }
 
         // 3. Score values for the survivors.
@@ -501,24 +570,26 @@ PhysicalPlan::Execute(const Database& db) const
 
     // Sink step: folds a scored batch into the statement, in scan
     // order — early-exit counters, fused aggregates, the TOP-N heap or
-    // projected rows. Row i of the batch is table row rows[i] (i when
-    // @p rows is null) with its paged feature row in @p feats. Returns
-    // false to stop the scan early (TOP with no ORDER BY has its rows).
+    // projected rows. Row i of the batch is table row rows[i] (@p first
+    // + i when @p rows is null) with its paged feature row in @p feats.
+    // Returns false to stop the scan early (TOP with no ORDER BY has
+    // its rows).
     auto sink = [&](const RowView* feats, const std::size_t* rows,
-                    const Scored& batch) -> bool {
+                    std::size_t first, const Scored& batch) -> bool {
         AddStats(run_stats, batch.stats);
         const std::vector<std::uint32_t>& live = batch.live;
         const std::vector<std::vector<float>>& vals = batch.vals;
 
         // Cell accessor for plain columns of surviving rows.
         auto column_value = [&](std::size_t local, std::size_t col) {
-            const std::size_t r = rows != nullptr ? rows[local] : local;
+            const std::size_t r =
+                rows != nullptr ? rows[local] : first + local;
             if (!paged) {
                 return table.At(r, col);
             }
             const double v =
                 col == label_col
-                    ? static_cast<double>(table.FloatAt(r, col))
+                    ? static_cast<double>(sink_labels.At(r))
                     : static_cast<double>(
                           feats->At(local, feature_index(col)));
             return Value(v);
@@ -593,6 +664,8 @@ PhysicalPlan::Execute(const Database& db) const
                 std::pop_heap(ranked.begin(), ranked.end(), ranks_before);
                 ranked.pop_back();
             }
+            nan_key = nan_key || (logical_.order_score.has_value() &&
+                                  std::isnan(std::get<double>(entry.key)));
             entry.row = project(j);
             ranked.push_back(std::move(entry));
             if (stmt.top.has_value()) {
@@ -602,20 +675,39 @@ PhysicalPlan::Execute(const Database& db) const
         return true;
     };
 
-    if (paged && reads_features) {
-        // Morsels: the survivors of consecutive pages are copied into
-        // one block, so each page's pin is released as the stream moves
-        // on. A morsel closes at kMorselRows survivors after a page,
-        // inside a page before it reaches kParallelRowCutoff rows (so
-        // its kernel calls run inline on whichever thread scores it),
-        // when TOP without ORDER BY has as many candidates as rows still
-        // wanted, and at the end of the stream. Closed morsels are
-        // offered to the shared pool while this thread walks on, and
-        // sunk here in scan order once more than twice the pool's size
-        // are in flight; a morsel no worker has started is scored here,
-        // and so is the stream's last one. TOP without ORDER BY scores
-        // each morsel as it closes: it must not read a page past the
-        // one holding its n-th row. A plan without SCORE has nothing to
+    // The rising threshold of a morsel offered now: the worst key of a
+    // full, NaN-free TOP-N heap. A later row enters the heap only if it
+    // strictly beats that key, which only rises while morsels sink in
+    // scan order, so a row that fails it would also fail the heap's own
+    // test (DESIGN.md §14).
+    auto rising_cut = [&]() -> std::optional<ScorePredicate> {
+        if (!rising_threshold_ || nan_key || ranked.size() < *stmt.top) {
+            return std::nullopt;
+        }
+        ScorePredicate cut;
+        cut.score_index = *logical_.order_score;
+        cut.op = descending ? CompareOp::kGt : CompareOp::kLt;
+        cut.literal = static_cast<float>(std::get<double>(ranked.front().key));
+        cut.early_exit = true;
+        return cut;
+    };
+
+    if ((paged && reads_features) || rising_threshold_) {
+        // Morsels. Paged: the survivors of consecutive pages are copied
+        // into one block, so each page's pin is released as the stream
+        // moves on. A paged morsel closes at kMorselRows survivors
+        // after a page, inside a page before it reaches
+        // kParallelRowCutoff rows (so its kernel calls run inline on
+        // whichever thread scores it), when TOP without ORDER BY has as
+        // many candidates as rows still wanted, and at the end of the
+        // stream. In-memory (rising-threshold plans only): zero-copy
+        // slices of kMorselRows table rows. Closed morsels are offered
+        // to the shared pool while this thread walks on, and sunk here
+        // in scan order once more than twice the pool's size are in
+        // flight; a morsel no worker has started is scored here, and so
+        // is the stream's last one. TOP without ORDER BY scores each
+        // morsel as it closes: it must not read a page past the one
+        // holding its n-th row. A plan without SCORE has nothing to
         // offer the pool.
         ThreadPool& pool = ThreadPool::Shared();
         const std::size_t window =
@@ -624,13 +716,17 @@ PhysicalPlan::Execute(const Database& db) const
         auto score_morsel = [&](Morsel& m) {
             trace::ScopedParent adopt(parent);
             const RowView feats = m.View();
-            std::vector<std::uint32_t> live(m.rows.size());
-            std::iota(live.begin(), live.end(), std::uint32_t{0});
-            m.scored = score(&feats, m.rows.size(), std::move(live));
+            m.scored = score(paged ? &feats : nullptr, m.first, m.count,
+                             std::move(m.live), m.cut);
         };
+        // The morsel being filled: paged survivors, or an in-memory
+        // slice's first row, rows and plain survivors.
         std::vector<std::size_t> morsel_rows;
         std::vector<float> morsel_feats;
         std::size_t width = 0;
+        std::size_t morsel_first = 0;
+        std::size_t morsel_count = 0;
+        std::vector<std::uint32_t> morsel_live;
         // The buffers of the last morsel sunk, reused by the next one.
         std::vector<std::size_t> spare_rows;
         std::vector<float> spare_feats;
@@ -646,7 +742,9 @@ PhysicalPlan::Execute(const Database& db) const
                 score_morsel(m);
             }
             const RowView feats = m.View();
-            const bool more = sink(&feats, m.rows.data(), m.scored);
+            const bool more =
+                sink(&feats, paged ? m.rows.data() : nullptr, m.first,
+                     m.scored);
             m.rows.clear();
             m.feats.clear();
             spare_rows.swap(m.rows);
@@ -655,16 +753,28 @@ PhysicalPlan::Execute(const Database& db) const
             return more;
         };
         auto flush = [&](bool offer) {
-            if (morsel_rows.empty()) {
+            if (paged) {
+                morsel_count = morsel_rows.size();
+                morsel_live.resize(morsel_count);
+                std::iota(morsel_live.begin(), morsel_live.end(),
+                          std::uint32_t{0});
+            }
+            if (morsel_live.empty()) {
                 return true;
             }
-            RowBlock::NoteCopy(static_cast<std::uint64_t>(
-                                   morsel_rows.size()) *
-                               width * sizeof(float));
+            if (paged) {
+                RowBlock::NoteCopy(static_cast<std::uint64_t>(
+                                       morsel_count) *
+                                   width * sizeof(float));
+            }
             Morsel& m = in_flight.emplace_back();
             m.rows.swap(morsel_rows);
             m.feats.swap(morsel_feats);
             m.width = width;
+            m.first = morsel_first;
+            m.count = morsel_count;
+            m.live.swap(morsel_live);
+            m.cut = rising_cut();
             morsel_rows.swap(spare_rows);
             morsel_feats.swap(spare_feats);
             if (offer && window > 0) {
@@ -676,30 +786,49 @@ PhysicalPlan::Execute(const Database& db) const
             }
             return more;
         };
-        storage::FeatureStream stream = table.store()->Scan(zone_predicate_);
-        storage::StreamChunk chunk;
         bool more = true;
-        while (more && stream.Next(chunk)) {
-            const RowView& page = chunk.view;
-            width = page.cols();
-            for (std::size_t i = 0; more && i < page.rows(); ++i) {
-                const std::size_t r = chunk.row_begin + i;
-                const float* feats = page.Row(i);
-                if (!PassesPlain(table, r, feats)) {
-                    continue;
+        if (paged) {
+            storage::FeatureStream stream =
+                table.store()->Scan(zone_predicate_);
+            storage::StreamChunk chunk;
+            while (more && stream.Next(chunk)) {
+                const RowView& page = chunk.view;
+                width = page.cols();
+                for (std::size_t i = 0; more && i < page.rows(); ++i) {
+                    const std::size_t r = chunk.row_begin + i;
+                    const float* feats = page.Row(i);
+                    if (!PassesPlain(table, r, feats, filter_labels)) {
+                        continue;
+                    }
+                    morsel_rows.push_back(r);
+                    morsel_feats.insert(morsel_feats.end(), feats,
+                                        feats + width);
+                    if (morsel_rows.size() == kParallelRowCutoff - 1) {
+                        more = flush(true);
+                    }
                 }
-                morsel_rows.push_back(r);
-                morsel_feats.insert(morsel_feats.end(), feats,
-                                    feats + width);
-                if (morsel_rows.size() == kParallelRowCutoff - 1) {
+                if (more &&
+                    (morsel_rows.size() >= kMorselRows ||
+                     (top_stops &&
+                      morsel_rows.size() >= *stmt.top - result.rows.size()))) {
                     more = flush(true);
                 }
             }
-            if (more &&
-                (morsel_rows.size() >= kMorselRows ||
-                 (top_stops &&
-                  morsel_rows.size() >= *stmt.top - result.rows.size()))) {
-                more = flush(true);
+        } else {
+            const std::size_t n = table.NumRows();
+            for (std::size_t first = 0; more && first < n;
+                 first += kMorselRows) {
+                morsel_first = first;
+                morsel_count = std::min(kMorselRows, n - first);
+                for (std::uint32_t i = 0; i < morsel_count; ++i) {
+                    if (PassesPlain(table, first + i, nullptr,
+                                    filter_labels)) {
+                        morsel_live.push_back(i);
+                    }
+                }
+                if (first + morsel_count < n) {
+                    more = flush(true);
+                }
             }
         }
         // The last morsel is scored here: this thread would only wait
@@ -712,15 +841,16 @@ PhysicalPlan::Execute(const Database& db) const
         }
     } else {
         // In-memory tables, and paged statements that read at most the
-        // label (through the pool, row by row): one batch of row ids.
+        // label (a label page at a time): one batch of row ids.
         const std::size_t n = table.NumRows();
         std::vector<std::uint32_t> live;
         for (std::uint32_t r = 0; r < n; ++r) {
-            if (PassesPlain(table, r, nullptr)) {
+            if (PassesPlain(table, r, nullptr, filter_labels)) {
                 live.push_back(r);
             }
         }
-        sink(nullptr, nullptr, score(nullptr, n, std::move(live)));
+        sink(nullptr, nullptr, 0,
+             score(nullptr, 0, n, std::move(live), std::nullopt));
     }
 
     {
@@ -791,13 +921,14 @@ PhysicalPlan::CollectScoringBatch(const Database& db) const
     ScoringBatch batch;
     batch.model = cs.expr.model;
     std::vector<float> features;
+    LabelReader labels(table);
     if (table.paged()) {
         storage::FeatureStream stream = table.store()->Scan(zone_predicate_);
         storage::StreamChunk chunk;
         while (stream.Next(chunk)) {
             for (std::size_t i = 0; i < chunk.view.rows(); ++i) {
                 const float* feats = chunk.view.Row(i);
-                if (!PassesPlain(table, chunk.row_begin + i, feats)) {
+                if (!PassesPlain(table, chunk.row_begin + i, feats, labels)) {
                     continue;
                 }
                 batch.row_ids.push_back(chunk.row_begin + i);
@@ -808,7 +939,7 @@ PhysicalPlan::CollectScoringBatch(const Database& db) const
         }
     } else {
         for (std::size_t r = 0; r < table.NumRows(); ++r) {
-            if (!PassesPlain(table, r, nullptr)) {
+            if (!PassesPlain(table, r, nullptr, labels)) {
                 continue;
             }
             batch.row_ids.push_back(r);
@@ -864,6 +995,15 @@ PhysicalPlan::ExplainPhysical() const
     if (fused_aggregate_) {
         lines.push_back(
             "aggregate: fused into the streaming scoring loop");
+    }
+    if (rising_threshold_) {
+        lines.push_back(StrFormat(
+            "top-n: TOP %zu by %s %s in %zu-row morsels, each scored "
+            "against the heap's rising threshold",
+            *logical_.stmt.top,
+            ScoreExprToString(scores_[*logical_.order_score].expr).c_str(),
+            logical_.stmt.order_by->descending ? "DESC" : "ASC",
+            kMorselRows));
     }
     const ThresholdStats stats = threshold_stats();
     if (stats.rows > 0) {

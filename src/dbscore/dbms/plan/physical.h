@@ -22,10 +22,15 @@
  * aggregates fold into the loop without materializing a score
  * column. Paged survivors are copied into
  * morsels: the survivors of several consecutive pages, scored by one
- * kernel call, while the scan still holds one page pin at a time.
+ * kernel call, while the scan still holds one page pin at a time; a
+ * paged label is read through a copy of its label page, pinned once.
  * In-memory tables are scored in one call over the whole table. TOP n
  * ... ORDER BY keeps a bounded heap of n rows keyed by (sort key, scan
  * order), so only rows that enter it are projected (DESIGN.md §14).
+ * Under the rising-threshold rule, TOP n ... ORDER BY SCORE runs
+ * morsels on either backing (in memory: zero-copy 1024-row slices),
+ * and a morsel offered once the heap is full first keeps only the
+ * rows whose order score beats the heap's worst key at that moment.
  * Plain-predicate literals were type-checked against their columns at
  * plan time (BuildLogicalPlan), so the filter itself never throws.
  *
@@ -146,13 +151,16 @@ class PhysicalPlan {
     std::vector<std::string> ExplainPhysical() const;
 
  private:
+    class LabelReader;
+
     /**
      * Whether row @p r of @p table passes every plain predicate; a
-     * paged row's features are @p feats (its label is read through the
-     * pool). The one WHERE check behind Execute and CollectScoringBatch.
+     * paged row's features are @p feats and its label comes from
+     * @p labels. The one WHERE check behind Execute and
+     * CollectScoringBatch.
      */
-    bool PassesPlain(const Table& table, std::size_t r,
-                     const float* feats) const;
+    bool PassesPlain(const Table& table, std::size_t r, const float* feats,
+                     LabelReader& labels) const;
 
     LogicalPlan logical_;
     std::vector<CompiledScore> scores_;
@@ -164,6 +172,8 @@ class PhysicalPlan {
     std::optional<storage::ScanPredicate> zone_predicate_;
     bool scan_pruned_ = false;
     bool fused_aggregate_ = false;
+    /** TOP n ... ORDER BY SCORE against the heap's rising threshold. */
+    bool rising_threshold_ = false;
 
     mutable std::mutex stats_mutex_;
     mutable ThresholdStats threshold_stats_;

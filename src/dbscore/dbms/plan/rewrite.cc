@@ -201,6 +201,27 @@ FuseScoreAggregates(LogicalPlan& plan)
     plan.applied_rules.push_back(rule.str());
 }
 
+/**
+ * Rule 4: TOP n ... ORDER BY SCORE(...) scores its rows in morsels
+ * against a threshold that only rises, the worst key a full TOP-N heap
+ * keeps. The physical plan withdraws the rule when the order score's
+ * kernel cannot decide a row before its last tree.
+ */
+void
+RiseTopNThreshold(LogicalPlan& plan)
+{
+    LogicalOp* limit = plan.Find(LogicalOpKind::kLimit);
+    if (limit == nullptr || !plan.order_score.has_value() ||
+        *plan.stmt.top == 0) {
+        return;
+    }
+    limit->rising_threshold = true;
+    plan.applied_rules.push_back(StrFormat(
+        "%s(%s %s, %zu)", kRisingThresholdRule,
+        ScoreExprToString(plan.scores[*plan.order_score].expr).c_str(),
+        plan.stmt.order_by->descending ? "DESC" : "ASC", *plan.stmt.top));
+}
+
 }  // namespace
 
 void
@@ -210,6 +231,7 @@ RewritePlan(LogicalPlan& plan)
     PushZonePredicate(plan);
     PushScoreThresholds(plan);
     FuseScoreAggregates(plan);
+    RiseTopNThreshold(plan);
 }
 
 }  // namespace dbscore::plan

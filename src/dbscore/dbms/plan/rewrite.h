@@ -1,7 +1,8 @@
 /**
  * @file
- * Rule-based logical-plan rewriter: the three SQL+ML co-optimizations
- * EXEC sp_explain reports and bench/wallclock_query measures.
+ * Rule-based logical-plan rewriter: the four SQL+ML co-optimizations
+ * EXEC sp_explain reports (bench/wallclock_query measures the first
+ * three).
  *
  *  1. column-pruning — the scan produces only the columns the query
  *     actually touches (projected columns, predicate columns, sort
@@ -21,6 +22,12 @@
  *     (AVG(SCORE(...)), COUNT(*) WHERE SCORE(...) > t) fold into the
  *     chunk-streaming scoring loop without materializing a score
  *     column.
+ *  4. score-topn-threshold — TOP n ... ORDER BY SCORE(...) scores its
+ *     morsels against a threshold that only rises: once the TOP-N heap
+ *     is full, a morsel's rows first run PredictThreshold against the
+ *     heap's worst kept score, and only the rows that beat it are
+ *     scored in full (DESIGN.md §14). Withdrawn by the physical plan
+ *     when the kernel cannot decide a row before its last tree.
  *
  * Every applied rule appends a human-readable entry to
  * LogicalPlan::applied_rules. Rules only annotate the plan; executing
@@ -32,6 +39,9 @@
 #include "dbscore/dbms/plan/logical.h"
 
 namespace dbscore::plan {
+
+/** Name of rule 4 in LogicalPlan::applied_rules. */
+inline constexpr const char* kRisingThresholdRule = "score-topn-threshold";
 
 /** Applies every rewrite rule to @p plan in place (the naive planner
  * skips this call). */

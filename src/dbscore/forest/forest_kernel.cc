@@ -51,8 +51,6 @@ constexpr std::size_t kRowBlock = 256;
  * nodes stay cache-resident across the block's row groups.
  */
 constexpr std::size_t kTileNodeBudget = std::size_t{1} << 16;
-/** Trees accumulated between two early-exit decision points. */
-constexpr std::size_t kThresholdCheckTrees = 8;
 
 /**
  * Rows per block for rows @p stride floats apart: the per-row offsets

@@ -75,6 +75,13 @@ enum class ThresholdOp : std::uint8_t {
     kLe,  ///< prediction <= threshold
 };
 
+/**
+ * Trees PredictThreshold accumulates between two early-exit decision
+ * points: a kernel of at most this many trees decides every row only
+ * after its last tree.
+ */
+inline constexpr std::size_t kThresholdCheckTrees = 8;
+
 /** True when @p value satisfies "@p value op @p threshold". */
 bool ThresholdHolds(ThresholdOp op, float threshold, float value);
 

@@ -961,27 +961,43 @@ PagedTable::Feature(std::uint64_t row, std::size_t feature_col) const
 float
 PagedTable::Label(std::uint64_t row) const
 {
-    std::uint32_t page_id = 0;
-    std::size_t slot = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!has_label()) {
-            throw InvalidArgument("paged table '" + path() +
-                                  "' has no label column");
-        }
-        if (row >= num_rows_) {
-            throw InvalidArgument(
-                StrFormat("paged table %s: label read of row %llu out "
-                          "of range",
-                          path().c_str(),
-                          static_cast<unsigned long long>(row)));
-        }
-        page_id = label_pages_[static_cast<std::size_t>(
-            row / labels_per_page_)];
-        slot = static_cast<std::size_t>(row % labels_per_page_);
+    const LabelSlot at = LocateLabel(row);
+    PageHandle handle = pool_.Pin(at.page_id);
+    return reinterpret_cast<const float*>(
+        handle.payload())[static_cast<std::size_t>(row - at.first_row)];
+}
+
+std::uint64_t
+PagedTable::CopyLabelPage(std::uint64_t row, std::vector<float>& out) const
+{
+    const LabelSlot at = LocateLabel(row);
+    PageHandle handle = pool_.Pin(at.page_id);
+    const auto* labels = reinterpret_cast<const float*>(handle.payload());
+    out.assign(labels, labels + at.rows);
+    return at.first_row;
+}
+
+PagedTable::LabelSlot
+PagedTable::LocateLabel(std::uint64_t row) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!has_label()) {
+        throw InvalidArgument("paged table '" + path() +
+                              "' has no label column");
     }
-    PageHandle handle = pool_.Pin(page_id);
-    return reinterpret_cast<const float*>(handle.payload())[slot];
+    if (row >= num_rows_) {
+        throw InvalidArgument(
+            StrFormat("paged table %s: label read of row %llu out "
+                      "of range",
+                      path().c_str(), static_cast<unsigned long long>(row)));
+    }
+    const std::uint64_t index = row / labels_per_page_;
+    LabelSlot at;
+    at.page_id = label_pages_[static_cast<std::size_t>(index)];
+    at.first_row = index * labels_per_page_;
+    at.rows = static_cast<std::size_t>(
+        std::min<std::uint64_t>(labels_per_page_, num_rows_ - at.first_row));
+    return at;
 }
 
 FeatureStream

@@ -248,6 +248,15 @@ class PagedTable : public std::enable_shared_from_this<PagedTable> {
     float Label(std::uint64_t row) const;
 
     /**
+     * Copies the labels of the label page holding @p row into @p out
+     * (one pin, released on return) and returns the page's first row:
+     * a reader visiting rows in order pins each label page once.
+     * @throws InvalidArgument when no label column
+     */
+    std::uint64_t CopyLabelPage(std::uint64_t row,
+                                std::vector<float>& out) const;
+
+    /**
      * Streams the feature pages, skipping pages the zone maps prove
      * cannot satisfy @p predicate (pass std::nullopt for a full scan).
      */
@@ -275,6 +284,17 @@ class PagedTable : public std::enable_shared_from_this<PagedTable> {
         std::uint32_t zone_head = 0;
         std::uint32_t free_head = 0;
     };
+
+    /** Where one row's label lives. */
+    struct LabelSlot {
+        std::uint32_t page_id = 0;
+        /** First row of the page, and the page's rows in use. */
+        std::uint64_t first_row = 0;
+        std::size_t rows = 0;
+    };
+
+    /** @throws InvalidArgument without a label column or row. */
+    LabelSlot LocateLabel(std::uint64_t row) const;
 
     /** What a meta slot held on disk. */
     enum class SlotState {

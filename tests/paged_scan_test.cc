@@ -30,12 +30,22 @@
  *  - on pages of thousands of rows a morsel closes one row short of
  *    kParallelRowCutoff, so no kernel call on it goes parallel;
  *  - kernel spans of morsels scored on pool threads parent to the span
- *    current on the statement thread.
+ *    current on the statement thread;
+ *  - labels are read a page at a time, so a statement pins each label
+ *    page it touches once per reader (its filter, its sink);
+ *  - TOP n ... ORDER BY SCORE under the rising heap threshold equals
+ *    the naive plan on both backings: TOP 1 to past the table's size,
+ *    ASC and DESC, with plain and SCORE predicates, at tie-group
+ *    boundaries (where the strict cut drops tied rows before full
+ *    scoring), with a NaN leaf, and on pool threads; its early-exit
+ *    counters repeat exactly, and kernels that cannot exit before their
+ *    last tree keep full scoring.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -606,6 +616,371 @@ TEST_F(PagedScanTest, KernelSpansParentToTheStatementSpan)
     }
     EXPECT_GE(calls, 10u);  // one per morsel, about 14000 rows
     tracer.Clear();
+}
+
+TEST_F(PagedScanTest, LabelReadsPinEachLabelPageOnce)
+{
+    // Labels are read a page at a time, so a statement that reads the
+    // label in its filter, or in its sink, pins each label page once
+    // instead of once per row.
+    const Dataset data = MakeHiggs(12000, 98);
+    db_.StoreDataset("mem", data);
+    storage::StorageOptions options;
+    options.pool_pages = 16;
+    storage::PagedTable& store =
+        *db_.StoreDatasetPaged("paged", data, Path("t.dbpages"), options)
+             .store();
+    const std::size_t per_page =
+        storage::PagePayloadBytes(options.page_size) / sizeof(float);
+    const std::size_t label_pages =
+        (data.num_rows() + per_page - 1) / per_page;
+    ASSERT_GT(label_pages, 10u);
+    auto on = [](const std::string& pattern, const std::string& table) {
+        std::string sql = pattern;
+        sql.replace(sql.find('$'), 1, table);
+        return sql;
+    };
+    // {statement, label readers (filter and/or sink)}.
+    const std::vector<std::pair<std::string, std::size_t>> statements = {
+        {"SELECT COUNT(*) FROM $ WHERE label = 1", 1},
+        {"SELECT AVG(label), MIN(label), MAX(label) FROM $", 1},
+        {"SELECT TOP 30 label, kin_0 FROM $ WHERE kin_0 > 1 "
+         "ORDER BY label DESC",
+         1},
+        {"SELECT kin_3, label FROM $ WHERE label < 0.5 AND kin_1 > 0.8 "
+         "ORDER BY kin_3",
+         2},
+    };
+    for (const auto& [pattern, readers] : statements) {
+        const QueryResult want = Run(on(pattern, "mem"));
+        ASSERT_FALSE(want.rows.empty()) << pattern;
+        store.ResetStats();
+        const QueryResult got = Run(on(pattern, "paged"));
+        const storage::StorageStats stats = store.Stats();
+        ExpectSameResult(want, got, pattern);
+        EXPECT_EQ(stats.pool.hits + stats.pool.misses,
+                  stats.pages_scanned + readers * label_pages)
+            << pattern;
+    }
+}
+
+/**
+ * A copy of @p forest whose leaf reached by row 0 of @p data in tree
+ * @p tree predicts NaN (a stored regression leaf is not range-checked).
+ */
+RandomForest
+WithNanLeaf(const RandomForest& forest, const Dataset& data, std::size_t tree)
+{
+    RandomForest out(forest.task(), forest.num_features(),
+                     forest.num_classes());
+    for (std::size_t t = 0; t < forest.NumTrees(); ++t) {
+        const DecisionTree& src = forest.trees()[t];
+        const std::int32_t nan_leaf =
+            t == tree ? src.PredictLeaf(data.Row(0)) : -1;
+        DecisionTree copy;
+        for (std::int32_t n = 0; n < static_cast<std::int32_t>(src.NumNodes());
+             ++n) {
+            if (src.IsLeaf(n)) {
+                copy.AddLeafNode(n == nan_leaf ? std::nanf("")
+                                               : src.LeafValue(n));
+            } else {
+                copy.AddDecisionNode(src.Feature(n), src.Threshold(n));
+            }
+        }
+        for (std::int32_t n = 0; n < static_cast<std::int32_t>(src.NumNodes());
+             ++n) {
+            if (!src.IsLeaf(n)) {
+                copy.SetChildren(n, src.Left(n), src.Right(n));
+            }
+        }
+        out.AddTree(std::move(copy));
+    }
+    return out;
+}
+
+/**
+ * Rows for at least @p morsels 1024-row morsels beyond the shared
+ * pool's window (twice its size), so a TOP n statement offers morsels
+ * after its heap is full on any machine.
+ */
+std::size_t
+RowsPastTheWindow(std::size_t min_rows, std::size_t morsels)
+{
+    return std::max(min_rows,
+                    (2 * ThreadPool::Shared().size() + morsels) * 1024);
+}
+
+/**
+ * Optimized and naive plans of @p sql on @p db agree row by row (two
+ * NaN scores count as equal).
+ */
+void
+ExpectOptimizedMatchesNaive(Database& db, const std::string& sql,
+                            ThresholdStats* stats = nullptr)
+{
+    plan::Planner optimized(db, {true});
+    plan::Planner naive(db, {false});
+    const auto plan = optimized.PlanQuery(sql);
+    const QueryResult want = naive.PlanQuery(sql)->Execute(db);
+    const QueryResult got = plan->Execute(db);
+    ASSERT_EQ(got.columns, want.columns) << sql;
+    ASSERT_EQ(got.rows.size(), want.rows.size()) << sql;
+    for (std::size_t r = 0; r < want.rows.size(); ++r) {
+        ASSERT_EQ(got.rows[r].size(), want.rows[r].size()) << sql;
+        for (std::size_t c = 0; c < want.rows[r].size(); ++c) {
+            const double* a = std::get_if<double>(&got.rows[r][c]);
+            const double* b = std::get_if<double>(&want.rows[r][c]);
+            if (a == nullptr || b == nullptr || !std::isnan(*a) ||
+                !std::isnan(*b)) {
+                ASSERT_EQ(got.rows[r][c], want.rows[r][c])
+                    << sql << " row " << r << " col " << c;
+            }
+        }
+    }
+    if (stats != nullptr) {
+        *stats = plan->threshold_stats();
+    }
+}
+
+TEST_F(PagedScanTest, RisingTopNThresholdMatchesTheNaivePlan)
+{
+    // A 64-tree regression model over more morsels than the pool's
+    // window, in memory and on a page file 40x its pool.
+    const Dataset data = MakeHiggs(RowsPastTheWindow(24000, 12), 99);
+    std::vector<std::size_t> all(data.num_features());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    db_.StoreModel("r",
+                   TreeEnsemble::FromForest(TrainRegression(data, all, 99, 64)));
+    db_.StoreModel("q",
+                   TreeEnsemble::FromForest(TrainRegression(data, {4, 2}, 98)));
+    db_.StoreDataset("mem", data);
+    storage::StorageOptions options;
+    options.pool_pages = 16;
+    const Table& paged =
+        db_.StoreDatasetPaged("paged", data, Path("t.dbpages"), options);
+    ASSERT_GT(paged.store()->NumDataPages(), 40 * options.pool_pages);
+
+    const std::vector<std::string> shapes = {
+        "SELECT TOP $n kin_0, SCORE(r) FROM $t ORDER BY SCORE(r) $d",
+        "SELECT TOP $n kin_0, SCORE(r) FROM $t WHERE kin_1 < 0.5 "
+        "ORDER BY SCORE(r) $d",
+        "SELECT TOP $n kin_2, SCORE(q, kin_4, kin_2), SCORE(r) FROM $t "
+        "ORDER BY SCORE(r) $d",
+        "SELECT TOP $n kin_2, SCORE(r) FROM $t "
+        "WHERE SCORE(q, kin_4, kin_2) > 0.2 ORDER BY SCORE(r) $d",
+        "SELECT TOP $n kin_1, SCORE(r) FROM $t WHERE SCORE(r) > 0.3 "
+        "ORDER BY SCORE(r) $d",
+    };
+    auto fill = [](std::string sql, const std::string& key,
+                   const std::string& value) {
+        sql.replace(sql.find(key), key.size(), value);
+        return sql;
+    };
+    for (const char* table : {"mem", "paged"}) {
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{10}, std::size_t{100},
+              std::size_t{1000}, data.num_rows() + 5}) {
+            for (const char* dir : {"ASC", "DESC"}) {
+                for (std::size_t s = 0; s < shapes.size(); ++s) {
+                    const std::string sql = fill(
+                        fill(fill(shapes[s], "$n", std::to_string(n)), "$t",
+                             table),
+                        "$d", dir);
+                    ThresholdStats stats;
+                    ExpectOptimizedMatchesNaive(db_, sql, &stats);
+                    if (n <= 100 && s == 0) {
+                        EXPECT_GT(stats.rows_decided_early, 0u) << sql;
+                    }
+                    if (n > data.num_rows() && s != 3) {
+                        // The heap never fills: no threshold exists.
+                        EXPECT_EQ(stats.rows, 0u) << sql;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * One optimized run of @p sql: the rows its kernel calls scored in
+ * full (Predict's spans), and the rows that ran PredictThreshold.
+ */
+std::pair<std::size_t, std::size_t>
+ScoredInFullAndThresholded(Database& db, const std::string& sql)
+{
+    plan::Planner planner(db);
+    const auto plan = planner.PlanQuery(sql);
+    trace::TraceCollector& tracer = trace::TraceCollector::Get();
+    tracer.Clear();
+    (void)plan->Execute(db);
+    double full = 0.0;
+    for (const trace::SpanRecord& span : tracer.Spans()) {
+        if (std::string(span.name) != "forest-kernel") {
+            continue;
+        }
+        for (std::uint32_t a = 0; a < span.num_attrs; ++a) {
+            if (std::string(span.attrs[a].key) == "rows") {
+                full += span.attrs[a].value;
+            }
+        }
+    }
+    tracer.Clear();
+    return {static_cast<std::size_t>(full),
+            static_cast<std::size_t>(plan->threshold_stats().rows)};
+}
+
+TEST_F(PagedScanTest, RisingTopNThresholdKeepsTiesInScanOrder)
+{
+    // SCORE(t, f0) takes one value per f0 = r % 5, so each score is
+    // shared by a fifth of the rows. TOP n cuts inside a tie group and
+    // exactly at its boundary: the heap keeps the earliest rows of the
+    // group, and a later tied row never beats the threshold. At TOP n
+    // <= 100 the first morsel fills the heap with the extreme score, so
+    // the strict cut drops every later row, tied ones included, before
+    // any of them is scored in full.
+    const Dataset data = TiedData(RowsPastTheWindow(20000, 12));
+    StoreTied(db_, data, Path("t.dbpages"), 16);
+    db_.StoreModel("t",
+                   TreeEnsemble::FromForest(TrainRegression(data, {0}, 97, 16)));
+    const std::size_t group = data.num_rows() / 5;
+    for (const char* table : {"mem", "paged"}) {
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{7}, std::size_t{100}, group - 1,
+              group, group + 1, 2 * group, 2 * group + 1}) {
+            for (const char* dir : {"ASC", "DESC"}) {
+                const std::string sql =
+                    "SELECT TOP " + std::to_string(n) +
+                    " f1, f0, SCORE(t, f0) FROM " + table +
+                    " ORDER BY SCORE(t, f0) " + dir;
+                ExpectOptimizedMatchesNaive(db_, sql);
+                if (n <= 100) {
+                    const auto [full, thresholded] =
+                        ScoredInFullAndThresholded(db_, sql);
+                    EXPECT_GT(thresholded, 0u) << sql;
+                    EXPECT_EQ(full + thresholded, data.num_rows()) << sql;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(PagedScanTest, RisingTopNThresholdWithANanLeaf)
+{
+    // One leaf of tree 20 predicts NaN. A NaN key can enter the heap
+    // only while it has room, and then no threshold is ever taken; a
+    // NaN-free full heap keeps rejecting NaN rows. Either way the
+    // result is the naive plan's.
+    const Dataset data = MakeHiggs(RowsPastTheWindow(20000, 12), 96);
+    std::vector<std::size_t> all(data.num_features());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const RandomForest nan_forest =
+        WithNanLeaf(TrainRegression(data, all, 96, 32), data, 20);
+    db_.StoreModel("n", TreeEnsemble::FromForest(nan_forest));
+    db_.StoreDataset("mem", data);
+    storage::StorageOptions options;
+    options.pool_pages = 16;
+    db_.StoreDatasetPaged("paged", data, Path("t.dbpages"), options);
+    const std::vector<float> scores = nan_forest.PredictBatch(data);
+    ASSERT_TRUE(std::isnan(scores[0]));
+    bool thresholded = false;
+    for (const char* table : {"mem", "paged"}) {
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{5}, std::size_t{100},
+              std::size_t{2000}}) {
+            for (const char* dir : {"ASC", "DESC"}) {
+                for (const char* where : {"", " WHERE kin_0 > 0"}) {
+                    const std::string sql =
+                        "SELECT TOP " + std::to_string(n) +
+                        " kin_0, SCORE(n) FROM " + table + where +
+                        " ORDER BY SCORE(n) " + dir;
+                    ThresholdStats stats;
+                    ExpectOptimizedMatchesNaive(db_, sql, &stats);
+                    thresholded = thresholded || stats.rows > 0;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(thresholded);
+}
+
+TEST_F(PagedScanTest, RisingTopNThresholdIsDeterministicAndOnPoolThreads)
+{
+    ThreadPool& pool = ThreadPool::Shared();
+    const Dataset data = MakeHiggs(RowsPastTheWindow(20000, 16), 95);
+    std::vector<std::size_t> all(data.num_features());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    db_.StoreModel("r",
+                   TreeEnsemble::FromForest(TrainRegression(data, all, 95, 64)));
+    db_.StoreDataset("mem", data);
+    storage::StorageOptions options;
+    options.pool_pages = 16 + 2 * pool.size();
+    db_.StoreDatasetPaged("paged", data, Path("t.dbpages"), options);
+    plan::Planner planner(db_);
+    std::vector<std::shared_ptr<const plan::PhysicalPlan>> plans;
+    std::vector<QueryResult> serial;
+    for (const char* table : {"mem", "paged"}) {
+        for (const char* tail : {" ORDER BY SCORE(r) DESC",
+                                 " WHERE kin_3 < 1 ORDER BY SCORE(r)"}) {
+            const std::string sql =
+                std::string("SELECT TOP 50 kin_0, SCORE(r) FROM ") + table +
+                tail;
+            plans.push_back(planner.PlanQuery(sql));
+            // Two runs of one plan do the same early-exit work: each
+            // morsel's threshold is taken on the statement thread.
+            serial.push_back(plans.back()->Execute(db_));
+            const ThresholdStats once = plans.back()->threshold_stats();
+            ExpectSameResult(serial.back(), plans.back()->Execute(db_), sql);
+            const ThresholdStats twice = plans.back()->threshold_stats();
+            EXPECT_GT(once.rows_decided_early, 0u) << sql;
+            EXPECT_EQ(twice.rows, 2 * once.rows) << sql;
+            EXPECT_EQ(twice.rows_decided_early, 2 * once.rows_decided_early)
+                << sql;
+            EXPECT_EQ(twice.tree_traversals, 2 * once.tree_traversals) << sql;
+        }
+    }
+    // Twice the pool's size of statements on the pool's own threads.
+    const std::size_t n = 2 * pool.size();
+    std::vector<QueryResult> got(n);
+    pool.ParallelFor(n, [&](std::size_t i) {
+        got[i] = plans[i % plans.size()]->Execute(db_);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+        ExpectSameResult(serial[i % plans.size()], got[i], "pool thread");
+    }
+}
+
+TEST_F(PagedScanTest, RisingTopNThresholdNeedsAKernelThatExitsEarly)
+{
+    // An 8-tree regression kernel decides rows only at its last tree,
+    // and a vote classifier never early-exits: both keep full scoring,
+    // and the plan withdraws the rule.
+    const Dataset data = MakeHiggs(12000, 94);
+    std::vector<std::size_t> all(data.num_features());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    db_.StoreModel("r8",
+                   TreeEnsemble::FromForest(TrainRegression(data, all, 94, 8)));
+    ForestTrainerConfig config;
+    config.num_trees = 16;
+    config.max_depth = 6;
+    config.seed = 94;
+    db_.StoreModel("c", TreeEnsemble::FromForest(TrainForest(data, config)));
+    db_.StoreDataset("mem", data);
+    plan::Planner planner(db_);
+    for (const char* model : {"r8", "c"}) {
+        const std::string sql = std::string("SELECT TOP 10 kin_0, SCORE(") +
+                                model + ") FROM mem ORDER BY SCORE(" +
+                                model + ") DESC";
+        const auto plan = planner.PlanQuery(sql);
+        for (const std::string& rule : plan->logical().applied_rules) {
+            EXPECT_EQ(rule.find("score-topn-threshold"), std::string::npos)
+                << sql;
+        }
+        EXPECT_EQ(plan->logical().ToString().find("[rising-threshold]"),
+                  std::string::npos)
+            << sql;
+        ExpectOptimizedMatchesNaive(db_, sql);
+        EXPECT_EQ(plan->threshold_stats().rows, 0u) << sql;
+    }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "dbscore/common/error.h"
+#include "dbscore/common/thread_pool.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/dbms/database.h"
 #include "dbscore/dbms/pipeline.h"
@@ -574,6 +575,48 @@ TEST(PlanEngineTest, SpExplainShowsOneEarlyExitKernel)
         << text;
     EXPECT_EQ(text.find("kernel ("), text.rfind("kernel (")) << text;
     EXPECT_EQ(text.find("threshold kernel"), std::string::npos) << text;
+}
+
+TEST(PlanEngineTest, SpExplainShowsTheRisingTopNThreshold)
+{
+    // Enough 1024-row morsels that some are offered after the TOP-N
+    // heap is full, whatever the shared pool's size.
+    PlanEngineFixture f;
+    const Dataset data = MakeSyntheticRegression(
+        (2 * ThreadPool::Shared().size() + 4) * 1024, 4, 0.1, 21);
+    ForestTrainerConfig config;
+    config.num_trees = 16;
+    config.max_depth = 6;
+    config.seed = 21;
+    f.db.StoreDataset("t", data);
+    f.db.StoreModel("r",
+                    TreeEnsemble::FromForest(TrainForest(data, config)));
+    const std::string sql =
+        "SELECT TOP 10 f0, SCORE(r) FROM t ORDER BY SCORE(r) DESC";
+    (void)f.engine.Execute(sql);
+    const std::string text =
+        f.engine.Execute("EXEC sp_explain @query='" + sql + "'").ToString();
+    EXPECT_NE(
+        text.find("score-topn-threshold(SCORE(r, f0, f1, f2, f3) DESC, 10)"),
+        std::string::npos)
+        << text;
+    EXPECT_NE(text.find("[rising-threshold]"), std::string::npos) << text;
+    EXPECT_NE(text.find("top-n: TOP 10"), std::string::npos) << text;
+    EXPECT_EQ(text.find("top-n:"), text.rfind("top-n:")) << text;
+    EXPECT_EQ(text.find("kernel ("), text.rfind("kernel (")) << text;
+    EXPECT_NE(text.find("early-exit: "), std::string::npos) << text;
+
+    // The naive plan, the oracle, shows neither the rule nor its work.
+    plan::Planner naive(f.db, {false});
+    const auto plan = naive.PlanQuery(sql);
+    (void)plan->Execute(f.db);
+    EXPECT_TRUE(plan->logical().applied_rules.empty());
+    EXPECT_EQ(plan->logical().ToString().find("[rising-threshold]"),
+              std::string::npos);
+    for (const std::string& line : plan->ExplainPhysical()) {
+        EXPECT_EQ(line.find("top-n"), std::string::npos) << line;
+        EXPECT_EQ(line.find("early-exit"), std::string::npos) << line;
+    }
 }
 
 TEST(PlanEngineTest, LegacyPlainSelectSemanticsPreserved)

@@ -4,8 +4,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <map>
+#include <sstream>
+
 #include "dbscore/common/error.h"
+#include "dbscore/common/rng.h"
+#include "dbscore/common/string_util.h"
 #include "dbscore/core/profile_io.h"
+#include "dbscore/core/scheduler.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/engines/fpga/fpga_engine.h"
 #include "dbscore/forest/model_stats.h"
@@ -159,6 +167,126 @@ TEST(ProfileIoTest, RejectsUnknownKeysAndBadValues)
     EXPECT_THROW(ParseProfile("fpga.num_pes = many\n"), ParseError);
     EXPECT_THROW(ParseProfile("just some words\n"), ParseError);
     EXPECT_THROW(ParseProfile("fpga.num_pes = \n"), ParseError);
+}
+
+/**
+ * Every backend the scheduler hosts @p model on gives finite,
+ * non-negative estimates under @p profile at 1, 10^3 and 10^6 rows.
+ */
+::testing::AssertionResult
+EstimatesAreSane(const HardwareProfile& profile, const TreeEnsemble& model,
+                 const ModelStats& stats)
+{
+    const OffloadScheduler scheduler(profile, model, stats);
+    for (const std::size_t rows :
+         {std::size_t{1}, std::size_t{1000}, std::size_t{1000000}}) {
+        for (const BackendEstimate& e : scheduler.Choose(rows).all) {
+            const OffloadBreakdown& b = e.breakdown;
+            for (const SimTime t :
+                 {b.preprocessing, b.input_transfer, b.setup, b.compute,
+                  b.completion_signal, b.result_transfer,
+                  b.software_overhead, b.Total()}) {
+                if (!std::isfinite(t.seconds()) || t.seconds() < 0.0) {
+                    return ::testing::AssertionFailure()
+                           << BackendName(e.kind) << " at " << rows
+                           << " rows: " << t.seconds() << " s";
+                }
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(ProfileIoTest, HostileValuesEndInParseErrorOrSaneEstimates)
+{
+    // Each case is a ParseError naming the key, or a profile whose
+    // modeled estimates are finite and non-negative: no value aborts
+    // the process or produces a negative latency.
+    Dataset higgs = MakeHiggs(400, 119);
+    ForestTrainerConfig config;
+    config.num_trees = 8;
+    config.max_depth = 6;
+    config.seed = 119;
+    const RandomForest forest = TrainForest(higgs, config);
+    const TreeEnsemble ensemble = TreeEnsemble::FromForest(forest);
+    const ModelStats stats = ComputeModelStats(forest, &higgs);
+    const std::vector<std::string> keys = ProfileKeys();
+
+    std::size_t parse_errors = 0;
+    std::size_t accepted = 0;
+    auto check = [&](const std::string& text, const std::string& key) {
+        HardwareProfile profile;
+        try {
+            profile = ParseProfile(text);
+        } catch (const ParseError& e) {
+            ++parse_errors;
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << text << " -> " << e.what();
+            return;
+        }
+        ++accepted;
+        EXPECT_TRUE(EstimatesAreSane(profile, ensemble, stats)) << text;
+    };
+
+    // Every key with every hostile value.
+    const std::vector<std::string> hostile = {
+        "0", "-1", "1e308", "nan", "inf", "1e-300", "4294967297", "-0"};
+    for (const std::string& key : keys) {
+        for (const std::string& value : hostile) {
+            check(key + " = " + value + "\n", key);
+        }
+    }
+    EXPECT_EQ(parse_errors + accepted, keys.size() * hostile.size());
+
+    // Seeded multi-key mutations: one to four keys, each set to a
+    // hostile value or to its paper value scaled by 10^-8 .. 10^8.
+    Rng rng(120);
+    const std::string paper = SerializeProfile(HardwareProfile::Paper());
+    std::map<std::string, double> paper_value;
+    {
+        std::istringstream lines(paper);
+        std::string line;
+        while (std::getline(lines, line)) {
+            const std::size_t eq = line.find(" = ");
+            if (line[0] != '#' && eq != std::string::npos) {
+                paper_value[line.substr(0, eq)] =
+                    std::strtod(line.c_str() + eq + 3, nullptr);
+            }
+        }
+    }
+    ASSERT_EQ(paper_value.size(), keys.size());
+    constexpr int kMutations = 10000;
+    const std::size_t errors_before = parse_errors;
+    for (int i = 0; i < kMutations; ++i) {
+        std::string text;
+        const std::size_t edits = 1 + rng.NextBelow(4);
+        for (std::size_t e = 0; e < edits; ++e) {
+            const std::string& key = keys[rng.NextBelow(keys.size())];
+            std::string value;
+            if (rng.NextBelow(3) == 0) {
+                value = hostile[rng.NextBelow(hostile.size())];
+            } else {
+                const double scale = std::pow(
+                    10.0, static_cast<double>(rng.NextBelow(17)) - 8.0);
+                value = StrFormat("%.17g", paper_value[key] * scale);
+            }
+            text += key + " = " + value + "\n";
+        }
+        try {
+            const HardwareProfile profile = ParseProfile(text);
+            ++accepted;
+            EXPECT_TRUE(EstimatesAreSane(profile, ensemble, stats)) << text;
+        } catch (const ParseError&) {
+            ++parse_errors;
+        }
+    }
+    EXPECT_GT(parse_errors, errors_before);
+    EXPECT_GT(accepted, static_cast<std::size_t>(kMutations / 10));
+
+    // The built-in profile round-trips and stays sane.
+    const HardwareProfile round_trip = ParseProfile(paper);
+    EXPECT_EQ(SerializeProfile(round_trip), paper);
+    EXPECT_TRUE(EstimatesAreSane(round_trip, ensemble, stats));
 }
 
 TEST(ProfileIoTest, ParsedProfileDrivesEngines)
