@@ -8,7 +8,6 @@
 #include "dbscore/common/csv.h"
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
-#include "dbscore/core/report.h"
 
 #include <map>
 
@@ -115,56 +114,6 @@ FindCpuCrossover(const OffloadScheduler& sched)
         }
     }
     return 0;
-}
-
-
-namespace {
-
-void
-PrintPanel(char label, DatasetKind kind, std::size_t trees,
-           std::size_t depth, bool as_throughput,
-           const std::string& csv_dir)
-{
-    auto sched = MakeScheduler(GetModel(kind, trees, depth));
-    std::vector<std::string> names;
-    std::vector<std::vector<SimTime>> series;
-    for (BackendKind backend : sched.Available()) {
-        names.push_back(BackendName(backend));
-        std::vector<SimTime> lat;
-        for (std::size_t n : RecordSweep()) {
-            lat.push_back(sched.EstimateFor(backend, n).Total());
-        }
-        series.push_back(std::move(lat));
-    }
-    std::string title = std::string("Figure ") +
-                        (as_throughput ? "10" : "9") + label + ": " +
-                        DatasetName(kind) + ", " + HumanCount(trees) +
-                        " tree(s), " + HumanCount(depth) + " levels" +
-                        (as_throughput ? " (throughput)" : " (latency)");
-    std::cout << RenderSeriesTable(title, RecordSweep(), names, series,
-                                   as_throughput)
-              << "\n";
-    if (!csv_dir.empty()) {
-        std::string path = csv_dir + "/fig" +
-                           (as_throughput ? "10" : "09") + label + ".csv";
-        DumpSeriesCsv(path, RecordSweep(), names, series);
-    }
-}
-
-}  // namespace
-
-void
-PrintFigure9Or10(bool as_throughput, const std::string& csv_dir)
-{
-    char label = 'a';
-    for (DatasetKind kind : {DatasetKind::kIris, DatasetKind::kHiggs}) {
-        for (std::size_t trees : {std::size_t{1}, std::size_t{128}}) {
-            for (std::size_t depth : {std::size_t{6}, std::size_t{10}}) {
-                PrintPanel(label++, kind, trees, depth, as_throughput,
-                           csv_dir);
-            }
-        }
-    }
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared helpers for the figure-regeneration benches: dataset/model
- * construction matching the paper's configurations, the record-count
- * sweep grid, best-backend queries, and the common wallclock-bench
- * plumbing (flag parsing, timing, and the BENCH_*.json document
+ * Shared helpers for the benches: dataset/model construction matching
+ * the paper's configurations, the record-count sweep grid and
+ * best-backend queries that the reproduction program (repro) reads, and
+ * the plumbing (flag parsing, timing, and the BENCH_*.json document
  * format) that every wallclock_* bench shares.
  */
 #ifndef DBSCORE_BENCH_BENCH_UTIL_H
@@ -72,16 +72,6 @@ SimTime BestAcceleratorTime(const OffloadScheduler& sched,
  * best CPU engine (the paper's "crossover point"); 0 if none.
  */
 std::size_t FindCpuCrossover(const OffloadScheduler& sched);
-
-/**
- * Prints the Figure-9 (latency) or Figure-10 (throughput) panels a-h:
- * {IRIS, HIGGS} x {1, 128 trees} x {6, 10 levels}, one series per
- * backend that can host the model. When @p csv_dir is non-empty, each
- * panel is additionally written as <csv_dir>/<figure><panel>.csv for
- * external plotting.
- */
-void PrintFigure9Or10(bool as_throughput,
-                      const std::string& csv_dir = "");
 
 /**
  * Writes one latency series as CSV: a records column plus one

@@ -81,29 +81,54 @@ class SimTime {
     constexpr auto operator<=>(const SimTime&) const = default;
 
     /**
-     * Human-readable rendering with an auto-selected unit,
-     * e.g. "1.50 ms" or "312 ns".
+     * Human-readable rendering to 3 significant digits with an
+     * auto-selected unit, e.g. "1.5 ms" or "312 ns". The unit is
+     * settled after rounding, so a value that rounds up to 1000 of one
+     * unit prints as 1 of the next ("1 s", not "1e+03 ms"), and no
+     * value prints an exponent: 1000 s and above print whole seconds.
      */
     std::string
     ToString() const
     {
-        std::ostringstream os;
-        double abs = std::fabs(seconds_);
-        os.precision(3);
-        if (abs >= 1.0) {
-            os << seconds_ << " s";
-        } else if (abs >= 1e-3) {
-            os << millis() << " ms";
-        } else if (abs >= 1e-6) {
-            os << micros() << " us";
-        } else {
-            os << nanos() << " ns";
+        static constexpr double kPerSecond[] = {1.0, 1e3, 1e6, 1e9};
+        static constexpr const char* kUnit[] = {" s", " ms", " us", " ns"};
+        const double abs = std::fabs(seconds_);
+        int unit = abs >= 1.0 ? 0 : abs >= 1e-3 ? 1 : abs >= 1e-6 ? 2 : 3;
+        std::string digits = Digits(seconds_ * kPerSecond[unit]);
+        if (unit > 0 && std::fabs(std::stod(digits)) >= 1000.0) {
+            --unit;
+            digits = Digits(seconds_ * kPerSecond[unit]);
         }
-        return os.str();
+        return digits + kUnit[unit];
     }
 
  private:
     explicit constexpr SimTime(double s) : seconds_(s) {}
+
+    /** @p v to 3 significant digits, in fixed notation where %.3g
+     * would pick an exponent (|v| >= 999.5 or below 1e-4). */
+    static std::string
+    Digits(double v)
+    {
+        std::ostringstream os;
+        os.precision(3);
+        os << v;
+        std::string out = os.str();
+        if (out.find('e') == std::string::npos) {
+            return out;
+        }
+        const int exponent =
+            static_cast<int>(std::floor(std::log10(std::fabs(v))));
+        os.str("");
+        os.setf(std::ios::fixed, std::ios::floatfield);
+        os.precision(exponent < 2 ? 2 - exponent : 0);
+        os << v;
+        out = os.str();
+        if (out.find('.') != std::string::npos) {
+            out.erase(out.find_last_not_of('0') + 1);
+        }
+        return out;
+    }
 
     double seconds_;
 };

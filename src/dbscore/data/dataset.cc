@@ -204,26 +204,6 @@ Dataset::Slice(std::size_t begin, std::size_t end) const
 }
 
 Dataset
-Dataset::Replicate(std::size_t target_rows) const
-{
-    if (num_rows() == 0) {
-        throw InvalidArgument("dataset: cannot replicate an empty dataset");
-    }
-    Dataset out(name_, task_, num_features_, num_classes_);
-    out.feature_names_ = feature_names_;
-    std::vector<float>& values = out.MutableValues();
-    values.reserve(target_rows * num_features_);
-    out.labels_.reserve(target_rows);
-    for (std::size_t i = 0; i < target_rows; ++i) {
-        std::size_t src = i % num_rows();
-        const float* row = Row(src);
-        values.insert(values.end(), row, row + num_features_);
-        out.labels_.push_back(labels_[src]);
-    }
-    return out;
-}
-
-Dataset
 Dataset::Shuffled(std::uint64_t seed) const
 {
     std::vector<std::size_t> perm(num_rows());

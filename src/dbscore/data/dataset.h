@@ -127,12 +127,6 @@ class Dataset {
      */
     Dataset Slice(std::size_t begin, std::size_t end) const;
 
-    /**
-     * Replicates rows round-robin until the dataset has @p target_rows
-     * rows — the paper's trick for inflating IRIS's 150 samples to 1M.
-     */
-    Dataset Replicate(std::size_t target_rows) const;
-
     /** Returns a copy with rows permuted by the given seed. */
     Dataset Shuffled(std::uint64_t seed) const;
 

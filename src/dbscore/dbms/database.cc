@@ -11,7 +11,6 @@ namespace dbscore {
 
 namespace {
 constexpr const char* kModelsTable = "models";
-constexpr const char* kModelMetaTable = "model_meta";
 }  // namespace
 
 std::string
@@ -64,9 +63,6 @@ Database::DropTable(const std::string& name)
 {
     if (tables_.erase(Key(name)) == 0) {
         throw NotFound("database: no table '" + name + "'");
-    }
-    if (EqualsIgnoreCase(name, kModelMetaTable)) {
-        model_meta_paged_ = false;
     }
     NoteCatalogChange();
 }
@@ -232,35 +228,6 @@ Database::BulkLoadCsvPaged(const std::string& table_name,
     return RegisterPaged(table_name, std::move(store));
 }
 
-Dataset
-Database::LoadDataset(const std::string& table_name, Task task,
-                      int num_classes) const
-{
-    const Table& table = GetTable(table_name);
-    std::size_t label_col = table.ColumnIndex("label");
-    if (table.NumColumns() < 2) {
-        throw InvalidArgument("database: dataset table too narrow");
-    }
-    Dataset data(table_name, task, table.NumColumns() - 1, num_classes);
-    for (std::size_t c = 0; c < table.NumColumns(); ++c) {
-        if (c != label_col) {
-            data.feature_names().push_back(table.schema()[c].name);
-        }
-    }
-    std::vector<float> row(table.NumColumns() - 1);
-    for (std::size_t r = 0; r < table.NumRows(); ++r) {
-        std::size_t out = 0;
-        for (std::size_t c = 0; c < table.NumColumns(); ++c) {
-            if (c == label_col) {
-                continue;
-            }
-            row[out++] = table.FloatAt(r, c);
-        }
-        data.AddRow(row.data(), row.size(), table.FloatAt(r, label_col));
-    }
-    return data;
-}
-
 void
 Database::StoreModel(const std::string& model_name,
                      const TreeEnsemble& ensemble)
@@ -270,46 +237,8 @@ Database::StoreModel(const std::string& model_name,
                                    {"model", ColumnType::kBlob}});
     }
     Table& table = GetTable(kModelsTable);
-    std::vector<std::uint8_t> blob = ensemble.Serialize();
-    const std::uint64_t blob_bytes = blob.size();
-    table.AppendRow({model_name, std::move(blob)});
-    if (model_meta_paged_ && HasTable(kModelMetaTable)) {
-        // Mirror the numeric metadata through the buffer pool so
-        // sp_storage_stats reports the model catalog too.
-        Table& meta = GetTable(kModelMetaTable);
-        meta.AppendRow({static_cast<double>(next_model_id_++),
-                        static_cast<double>(blob_bytes),
-                        static_cast<double>(ensemble.NumTrees()),
-                        static_cast<double>(ensemble.NumNodes()),
-                        static_cast<double>(ensemble.num_features),
-                        static_cast<double>(ensemble.num_classes),
-                        static_cast<double>(
-                            static_cast<int>(ensemble.task))});
-    }
+    table.AppendRow({model_name, ensemble.Serialize()});
     NoteCatalogChange();
-}
-
-Table&
-Database::EnableModelMetaPaging(const std::string& page_path,
-                                const storage::StorageOptions& options)
-{
-    if (!model_meta_paged_) {
-        if (!HasTable(kModelMetaTable)) {
-            // All-numeric schema: the page format stores float32
-            // cells, so only the metadata (not the blob) pages out.
-            // No column is named "label" -> every column is a feature
-            // column and the store's label slot is unused.
-            std::vector<std::string> columns = {
-                "model_id",  "blob_bytes",  "num_trees", "num_nodes",
-                "num_features", "num_classes", "task"};
-            const std::size_t no_label = columns.size();
-            auto store = storage::PagedTable::Create(
-                page_path, std::move(columns), no_label, options);
-            RegisterPaged(kModelMetaTable, std::move(store));
-        }
-        model_meta_paged_ = true;
-    }
-    return GetTable(kModelMetaTable);
 }
 
 const std::vector<std::uint8_t>&

@@ -81,10 +81,6 @@ class Database {
                             const std::string& page_path,
                             const storage::StorageOptions& options = {});
 
-    /** Reads a dataset table back into a Dataset (features + label). */
-    Dataset LoadDataset(const std::string& table_name, Task task,
-                        int num_classes) const;
-
     /**
      * Inserts a serialized model into the "models" table (created on
      * first use: name VARCHAR, model VARBINARY), the paper's
@@ -111,18 +107,6 @@ class Database {
      * INSERTs into the models table through the engine). */
     void NoteCatalogChange() { ++catalog_version_; }
 
-    /**
-     * Creates (or returns) the paged "model_meta" side table and
-     * starts mirroring per-model metadata into it: one row per
-     * StoreModel call with columns model_id, blob_bytes, num_trees,
-     * num_nodes, num_features, num_classes, task. Routing model
-     * metadata through PagedTable means sp_storage_stats covers the
-     * model catalog like any other paged table. Blobs themselves stay
-     * in the in-memory "models" table (page cells are float32).
-     */
-    Table& EnableModelMetaPaging(const std::string& page_path,
-                                 const storage::StorageOptions& options = {});
-
  private:
     /** Case-insensitive name key. */
     static std::string Key(const std::string& name);
@@ -136,10 +120,6 @@ class Database {
 
     std::map<std::string, Table> tables_;
     std::uint64_t catalog_version_ = 0;
-    /** Next model_id for the paged model_meta mirror. */
-    std::uint64_t next_model_id_ = 0;
-    /** True once EnableModelMetaPaging has been called. */
-    bool model_meta_paged_ = false;
 };
 
 }  // namespace dbscore

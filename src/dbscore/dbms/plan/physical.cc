@@ -226,14 +226,14 @@ struct Scored {
 
 /**
  * A morsel, scored by a pool worker or by the statement thread
- * (DESIGN.md §14): the plain-predicate survivors of consecutive pages,
- * copied off their pages with their global row ids, or a zero-copy
- * slice of an in-memory table, rows [first, first + count), with its
- * plain-predicate survivors.
+ * (DESIGN.md §14): the @p count plain-predicate survivors of
+ * consecutive pages, copied off their pages with their labels when the
+ * sink reads the label, or a zero-copy slice of an in-memory table,
+ * rows [first, first + count), with its plain-predicate survivors.
  */
 struct Morsel {
-    std::vector<std::size_t> rows;
     std::vector<float> feats;
+    std::vector<float> labels;
     std::size_t width = 0;
     std::size_t first = 0;
     std::size_t count = 0;
@@ -246,10 +246,12 @@ struct Morsel {
      * morsel finishes before the rows it reads go away. */
     std::optional<ClaimableTask> task;
 
+    /** The paged survivors' feature rows; empty for an in-memory slice. */
     RowView
     View() const
     {
-        return RowView::Borrow(feats.data(), rows.size(), width);
+        return RowView::Borrow(feats.data(), feats.empty() ? 0 : count,
+                               width);
     }
 };
 
@@ -425,22 +427,32 @@ PhysicalPlan::Execute(const Database& db) const
                            !stmt.order_by.has_value() &&
                            stmt.top.has_value();
     // A paged statement that reads no feature column (COUNT(*) alone,
-    // or only the label) walks row ids, not its feature pages.
+    // or only the label) walks row ids, not its feature pages. When its
+    // sink reads the label, the walk reads each survivor's label once,
+    // through the filter's LabelReader, and carries it to the sink.
     auto is_feature = [&](std::size_t col) {
         return col < table.NumColumns() && col != label_col;
     };
-    bool reads_features = !scores_.empty() || is_feature(order_col);
-    for (const ColumnPredicate& pred : plain_preds_) {
-        reads_features = reads_features || is_feature(pred.column);
-    }
+    const bool paged_label = paged && label_col < table.NumColumns();
+    bool reads_features = !scores_.empty();
+    bool carry_labels = false;
+    auto sink_reads = [&](std::size_t col) {
+        reads_features = reads_features || is_feature(col);
+        carry_labels = carry_labels || (paged_label && col == label_col);
+    };
+    sink_reads(order_col);
     for (const ProjItem& item : proj) {
-        reads_features =
-            reads_features || (!item.is_score && is_feature(item.index));
+        if (!item.is_score) {
+            sink_reads(item.index);
+        }
     }
     for (std::size_t a = 0; a < agg_cols.size(); ++a) {
-        reads_features = reads_features ||
-                         (stmt.aggregates[a].func != AggFunc::kCount &&
-                          is_feature(agg_cols[a]));
+        if (stmt.aggregates[a].func != AggFunc::kCount) {
+            sink_reads(agg_cols[a]);
+        }
+    }
+    for (const ColumnPredicate& pred : plain_preds_) {
+        reads_features = reads_features || is_feature(pred.column);
     }
 
     std::vector<AggState> agg(stmt.aggregates.size());
@@ -464,10 +476,8 @@ PhysicalPlan::Execute(const Database& db) const
         }
         return a.seq < b.seq;
     };
-    // Paged labels, a page at a time: the filter and the sink each
-    // visit rows in scan order, so each keeps its own page.
-    LabelReader filter_labels(table);
-    LabelReader sink_labels(table);
+    // Paged labels, a page at a time, read in scan order by the walk.
+    LabelReader labels(table);
 
     // Score step: the SCORE predicates, then @p cut (a morsel's rising
     // TOP-N threshold), then the values of the scores the sink reads,
@@ -570,11 +580,12 @@ PhysicalPlan::Execute(const Database& db) const
 
     // Sink step: folds a scored batch into the statement, in scan
     // order — early-exit counters, fused aggregates, the TOP-N heap or
-    // projected rows. Row i of the batch is table row rows[i] (@p first
-    // + i when @p rows is null) with its paged feature row in @p feats.
-    // Returns false to stop the scan early (TOP with no ORDER BY has
-    // its rows).
-    auto sink = [&](const RowView* feats, const std::size_t* rows,
+    // projected rows. Row i of an in-memory batch is table row @p first
+    // + i. Row i of a paged batch is its i-th plain survivor, with its
+    // feature row in @p feats and, when the sink reads the label, its
+    // label in @p row_labels. Returns false to stop the scan early (TOP
+    // with no ORDER BY has its rows).
+    auto sink = [&](const RowView* feats, const float* row_labels,
                     std::size_t first, const Scored& batch) -> bool {
         AddStats(run_stats, batch.stats);
         const std::vector<std::uint32_t>& live = batch.live;
@@ -582,14 +593,12 @@ PhysicalPlan::Execute(const Database& db) const
 
         // Cell accessor for plain columns of surviving rows.
         auto column_value = [&](std::size_t local, std::size_t col) {
-            const std::size_t r =
-                rows != nullptr ? rows[local] : first + local;
             if (!paged) {
-                return table.At(r, col);
+                return table.At(first + local, col);
             }
             const double v =
                 col == label_col
-                    ? static_cast<double>(sink_labels.At(r))
+                    ? static_cast<double>(row_labels[local])
                     : static_cast<double>(
                           feats->At(local, feature_index(col)));
             return Value(v);
@@ -721,15 +730,15 @@ PhysicalPlan::Execute(const Database& db) const
         };
         // The morsel being filled: paged survivors, or an in-memory
         // slice's first row, rows and plain survivors.
-        std::vector<std::size_t> morsel_rows;
         std::vector<float> morsel_feats;
+        std::vector<float> morsel_labels;
         std::size_t width = 0;
         std::size_t morsel_first = 0;
         std::size_t morsel_count = 0;
         std::vector<std::uint32_t> morsel_live;
         // The buffers of the last morsel sunk, reused by the next one.
-        std::vector<std::size_t> spare_rows;
         std::vector<float> spare_feats;
+        std::vector<float> spare_labels;
         // Declared after everything a task reads, so it is destroyed
         // first: unwinding cancels queued tasks and waits for running
         // ones.
@@ -742,19 +751,16 @@ PhysicalPlan::Execute(const Database& db) const
                 score_morsel(m);
             }
             const RowView feats = m.View();
-            const bool more =
-                sink(&feats, paged ? m.rows.data() : nullptr, m.first,
-                     m.scored);
-            m.rows.clear();
+            const bool more = sink(&feats, m.labels.data(), m.first, m.scored);
             m.feats.clear();
-            spare_rows.swap(m.rows);
+            m.labels.clear();
             spare_feats.swap(m.feats);
+            spare_labels.swap(m.labels);
             in_flight.pop_front();
             return more;
         };
         auto flush = [&](bool offer) {
             if (paged) {
-                morsel_count = morsel_rows.size();
                 morsel_live.resize(morsel_count);
                 std::iota(morsel_live.begin(), morsel_live.end(),
                           std::uint32_t{0});
@@ -768,15 +774,16 @@ PhysicalPlan::Execute(const Database& db) const
                                    width * sizeof(float));
             }
             Morsel& m = in_flight.emplace_back();
-            m.rows.swap(morsel_rows);
             m.feats.swap(morsel_feats);
+            m.labels.swap(morsel_labels);
             m.width = width;
             m.first = morsel_first;
             m.count = morsel_count;
             m.live.swap(morsel_live);
             m.cut = rising_cut();
-            morsel_rows.swap(spare_rows);
             morsel_feats.swap(spare_feats);
+            morsel_labels.swap(spare_labels);
+            morsel_count = 0;
             if (offer && window > 0) {
                 m.task.emplace(pool, [&score_morsel, &m] { score_morsel(m); });
             }
@@ -797,20 +804,22 @@ PhysicalPlan::Execute(const Database& db) const
                 for (std::size_t i = 0; more && i < page.rows(); ++i) {
                     const std::size_t r = chunk.row_begin + i;
                     const float* feats = page.Row(i);
-                    if (!PassesPlain(table, r, feats, filter_labels)) {
+                    if (!PassesPlain(table, r, feats, labels)) {
                         continue;
                     }
-                    morsel_rows.push_back(r);
+                    if (carry_labels) {
+                        morsel_labels.push_back(labels.At(r));
+                    }
                     morsel_feats.insert(morsel_feats.end(), feats,
                                         feats + width);
-                    if (morsel_rows.size() == kParallelRowCutoff - 1) {
+                    if (++morsel_count == kParallelRowCutoff - 1) {
                         more = flush(true);
                     }
                 }
                 if (more &&
-                    (morsel_rows.size() >= kMorselRows ||
+                    (morsel_count >= kMorselRows ||
                      (top_stops &&
-                      morsel_rows.size() >= *stmt.top - result.rows.size()))) {
+                      morsel_count >= *stmt.top - result.rows.size()))) {
                     more = flush(true);
                 }
             }
@@ -821,8 +830,7 @@ PhysicalPlan::Execute(const Database& db) const
                 morsel_first = first;
                 morsel_count = std::min(kMorselRows, n - first);
                 for (std::uint32_t i = 0; i < morsel_count; ++i) {
-                    if (PassesPlain(table, first + i, nullptr,
-                                    filter_labels)) {
+                    if (PassesPlain(table, first + i, nullptr, labels)) {
                         morsel_live.push_back(i);
                     }
                 }
@@ -840,17 +848,26 @@ PhysicalPlan::Execute(const Database& db) const
             more = sink_oldest();
         }
     } else {
-        // In-memory tables, and paged statements that read at most the
-        // label (a label page at a time): one batch of row ids.
+        // In-memory tables (one batch of the whole table), and paged
+        // statements that read at most the label (one batch of the
+        // plain survivors, with their labels).
         const std::size_t n = table.NumRows();
         std::vector<std::uint32_t> live;
+        std::vector<float> row_labels;
         for (std::uint32_t r = 0; r < n; ++r) {
-            if (PassesPlain(table, r, nullptr, filter_labels)) {
-                live.push_back(r);
+            if (!PassesPlain(table, r, nullptr, labels)) {
+                continue;
             }
+            if (carry_labels) {
+                row_labels.push_back(labels.At(r));
+            }
+            live.push_back(paged ? static_cast<std::uint32_t>(live.size())
+                                 : r);
         }
-        sink(nullptr, nullptr, 0,
-             score(nullptr, 0, n, std::move(live), std::nullopt));
+        const std::size_t batch_rows = paged ? live.size() : n;
+        const Scored batch =
+            score(nullptr, 0, batch_rows, std::move(live), std::nullopt);
+        sink(nullptr, row_labels.data(), 0, batch);
     }
 
     {

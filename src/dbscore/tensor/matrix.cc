@@ -26,15 +26,6 @@ Matrix::Zeros(std::size_t rows, std::size_t cols)
 }
 
 Matrix
-Matrix::FromBuffer(const float* data, std::size_t rows, std::size_t cols)
-{
-    RowBlock::NoteCopy(static_cast<std::uint64_t>(rows) * cols *
-                       sizeof(float));
-    return Matrix(rows, cols,
-                  std::vector<float>(data, data + rows * cols));
-}
-
-Matrix
 Matrix::FromView(RowView view)
 {
     if (!view.contiguous()) {

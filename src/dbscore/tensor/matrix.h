@@ -38,14 +38,6 @@ class Matrix {
     static Matrix Zeros(std::size_t rows, std::size_t cols);
 
     /**
-     * Copies @p rows x @p cols floats from an external buffer. The copy
-     * is counted against RowBlock::CopyStats; hot paths should adopt a
-     * view via FromView instead.
-     */
-    static Matrix FromBuffer(const float* data, std::size_t rows,
-                             std::size_t cols);
-
-    /**
      * Adopts a contiguous view without copying. The result is
      * read-only; the view's keepalive (if any) pins the storage.
      * @throws InvalidArgument for strided (non-contiguous) views

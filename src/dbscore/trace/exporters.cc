@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "dbscore/common/string_util.h"
 #include "dbscore/common/table_printer.h"
@@ -108,12 +109,18 @@ WriteChromeTrace(std::ostream& os, const std::vector<SpanRecord>& spans,
 }
 
 void
-PrintStageTable(std::ostream& os, const TraceSummary& summary)
+PrintStageTable(std::ostream& os, const TraceSummary& summary,
+                bool wall_total)
 {
-    TablePrinter table({"stage", "paper component", "count", "sim total",
-                        "sim p50", "sim p95", "sim p99", "wall total"});
+    std::vector<std::string> headers = {
+        "stage",   "paper component", "count",  "sim total",
+        "sim p50", "sim p95",         "sim p99"};
+    if (wall_total) {
+        headers.push_back("wall total");
+    }
+    TablePrinter table(std::move(headers));
     for (const StageSummary& s : summary.stages) {
-        table.AddRow({
+        std::vector<std::string> row = {
             StageName(s.stage),
             StagePaperComponent(s.stage),
             std::to_string(s.count),
@@ -121,8 +128,11 @@ PrintStageTable(std::ostream& os, const TraceSummary& summary)
             SimTime::Micros(s.sim_p50_us).ToString(),
             SimTime::Micros(s.sim_p95_us).ToString(),
             SimTime::Micros(s.sim_p99_us).ToString(),
-            SimTime::Micros(s.wall_total_us).ToString(),
-        });
+        };
+        if (wall_total) {
+            row.push_back(SimTime::Micros(s.wall_total_us).ToString());
+        }
+        table.AddRow(std::move(row));
     }
     table.Print(os);
     os << StrFormat("spans recorded: %llu, dropped: %llu\n",

@@ -30,10 +30,13 @@ void WriteChromeTrace(std::ostream& os, const std::vector<SpanRecord>& spans,
 
 /**
  * Renders @p summary as a per-stage breakdown table (stage, paper
- * component, count, simulated total + percentiles, wall total) via
- * common/table_printer — the textual sibling of the paper's Fig 11.
+ * component, count, simulated total + percentiles, and the wall total
+ * unless @p wall_total is false) via common/table_printer — the
+ * textual sibling of the paper's Fig 11. Without the wall column the
+ * table is a pure function of the modeled clock.
  */
-void PrintStageTable(std::ostream& os, const TraceSummary& summary);
+void PrintStageTable(std::ostream& os, const TraceSummary& summary,
+                     bool wall_total = true);
 
 }  // namespace dbscore::trace
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the bench harness utilities (bench_util): the model cache,
  * sweep grids, crossover search, and the CSV dumper used by the
- * figure-regeneration binaries.
+ * reproduction program (bench/repro).
  */
 #include <cstdio>
 #include <fstream>

@@ -59,6 +59,18 @@ TEST(SimTimeTest, ToStringPicksUnit)
     EXPECT_EQ(SimTime::Seconds(2.0).ToString(), "2 s");
     EXPECT_NE(SimTime::Millis(1.5).ToString().find("ms"), std::string::npos);
     EXPECT_NE(SimTime::Nanos(12.0).ToString().find("ns"), std::string::npos);
+    EXPECT_EQ(SimTime::Millis(999.4).ToString(), "999 ms");
+    // A value that rounds up to 1000 of its unit prints in the next
+    // unit, and no value prints an exponent.
+    EXPECT_EQ(SimTime::Millis(999.7).ToString(), "1 s");
+    EXPECT_EQ(SimTime::Micros(999.7).ToString(), "1 ms");
+    EXPECT_EQ(SimTime::Nanos(999.7).ToString(), "1 us");
+    EXPECT_EQ(SimTime::Millis(-999.7).ToString(), "-1 s");
+    EXPECT_EQ(SimTime::Seconds(999.7).ToString(), "1000 s");
+    EXPECT_EQ(SimTime::Seconds(1000.0).ToString(), "1000 s");
+    EXPECT_EQ(SimTime::Seconds(123456.0).ToString(), "123456 s");
+    EXPECT_EQ(SimTime::Nanos(0.000015).ToString(), "0.000015 ns");
+    EXPECT_EQ(SimTime().ToString(), "0 ns");
 }
 
 TEST(SimTimeTest, TransferTime)

@@ -57,21 +57,6 @@ TEST(DatasetTest, SliceAndBounds)
     EXPECT_THROW(d.Slice(7, 3), InvalidArgument);
 }
 
-TEST(DatasetTest, ReplicateMatchesPaperTrick)
-{
-    // The paper replicates IRIS's 150 rows to 1M; verify the mechanism.
-    Dataset d("t", Task::kClassification, 1, 2);
-    d.AddRow({1.0f}, 0.0f);
-    d.AddRow({2.0f}, 1.0f);
-    d.AddRow({3.0f}, 0.0f);
-    Dataset big = d.Replicate(10);
-    EXPECT_EQ(big.num_rows(), 10u);
-    for (std::size_t i = 0; i < 10; ++i) {
-        EXPECT_FLOAT_EQ(big.At(i, 0), static_cast<float>(i % 3 + 1));
-        EXPECT_FLOAT_EQ(big.Label(i), d.Label(i % 3));
-    }
-}
-
 TEST(DatasetTest, ShuffleIsPermutation)
 {
     Dataset d("t", Task::kRegression, 1, 0);

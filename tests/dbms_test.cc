@@ -91,12 +91,14 @@ TEST(DatabaseTest, DatasetRoundTrip)
     EXPECT_EQ(db.GetTable("iris_data").NumRows(), 90u);
     EXPECT_EQ(db.GetTable("iris_data").NumColumns(), 5u);  // 4 + label
 
-    Dataset back = db.LoadDataset("iris_data", Task::kClassification, 3);
-    EXPECT_EQ(back.num_rows(), iris.num_rows());
-    EXPECT_EQ(back.num_features(), iris.num_features());
-    for (std::size_t i = 0; i < back.num_rows(); ++i) {
-        ASSERT_FLOAT_EQ(back.Label(i), iris.Label(i));
-        ASSERT_FLOAT_EQ(back.At(i, 2), iris.At(i, 2));
+    const Table& table = db.GetTable("iris_data");
+    const std::size_t label_col = table.ColumnIndex("label");
+    ASSERT_EQ(label_col, iris.num_features());
+    for (std::size_t i = 0; i < iris.num_rows(); ++i) {
+        ASSERT_FLOAT_EQ(table.FloatAt(i, label_col), iris.Label(i));
+        for (std::size_t f = 0; f < iris.num_features(); ++f) {
+            ASSERT_FLOAT_EQ(table.FloatAt(i, f), iris.At(i, f));
+        }
     }
 }
 

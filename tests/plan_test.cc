@@ -660,46 +660,6 @@ TEST(PlanEngineTest, ModelInsertInvalidatesThroughEngine)
     EXPECT_GE(f.engine.planner().CacheStats().invalidations, 1u);
 }
 
-// ----------------------------------------------- paged model metadata --
-
-TEST(PlanEngineTest, ModelMetaPagingFeedsStorageStats)
-{
-    PlanEngineFixture f;
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "dbscore_plan_model_meta";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    f.db.EnableModelMetaPaging((dir / "meta.dbpages").string());
-
-    const Dataset data = MakeHiggs(200, 29);
-    ForestTrainerConfig config;
-    config.num_trees = 4;
-    config.max_depth = 5;
-    config.seed = 29;
-    const RandomForest forest = TrainForest(data, config);
-    f.db.StoreModel("m", TreeEnsemble::FromForest(forest));
-    f.db.StoreModel("m2", TreeEnsemble::FromForest(forest));
-
-    const Table& meta = f.db.GetTable("model_meta");
-    ASSERT_TRUE(meta.paged());
-    ASSERT_EQ(meta.NumRows(), 2u);
-    EXPECT_FLOAT_EQ(meta.FloatAt(0, meta.ColumnIndex("num_trees")),
-                    4.0F);
-    EXPECT_GT(meta.FloatAt(1, meta.ColumnIndex("blob_bytes")), 0.0F);
-
-    QueryResult stats =
-        f.engine.Execute("EXEC sp_storage_stats @table='model_meta'");
-    ASSERT_EQ(stats.rows.size(), 1u);
-    EXPECT_EQ(std::get<std::string>(stats.rows[0][0]), "model_meta");
-
-    // The paged mirror is queryable like any table.
-    QueryResult rows = f.engine.Execute(
-        "SELECT COUNT(*) FROM model_meta WHERE num_trees >= 4");
-    EXPECT_EQ(std::get<std::int64_t>(rows.rows[0][0]), 2);
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-}
-
 // ------------------------------------------------------ serve bridge --
 
 TEST(PlanEngineTest, SpServeQueryMatchesInEngineExecution)

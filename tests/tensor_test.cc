@@ -23,14 +23,6 @@ TEST(MatrixTest, ConstructionAndAccess)
     EXPECT_FLOAT_EQ(m.RowPtr(1)[2], 5.0f);
 }
 
-TEST(MatrixTest, FromBufferCopies)
-{
-    const float data[4] = {1, 2, 3, 4};
-    Matrix m = Matrix::FromBuffer(data, 2, 2);
-    EXPECT_FLOAT_EQ(m.At(0, 1), 2.0f);
-    EXPECT_FLOAT_EQ(m.At(1, 0), 3.0f);
-}
-
 TEST(MatrixTest, RejectsBadStorage)
 {
     EXPECT_THROW(Matrix(2, 2, std::vector<float>(3)), InvalidArgument);

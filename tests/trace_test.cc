@@ -457,6 +457,12 @@ TEST(TraceExportTest, StageTableListsEveryRecordedStage)
     EXPECT_NE(table.find("Fig 11 invocation"), std::string::npos);
     EXPECT_NE(table.find("scoring"), std::string::npos);
     EXPECT_NE(table.find("spans recorded: 2"), std::string::npos);
+    EXPECT_NE(table.find("wall total"), std::string::npos);
+    std::ostringstream sim_only;
+    PrintStageTable(sim_only, tracer.SummaryForDomain(root.domain),
+                    /*wall_total=*/false);
+    EXPECT_EQ(sim_only.str().find("wall total"), std::string::npos);
+    EXPECT_NE(sim_only.str().find("Fig 11 invocation"), std::string::npos);
     tracer.Clear();
 }
 
