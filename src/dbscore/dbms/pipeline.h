@@ -59,7 +59,11 @@ class ScoringPipeline {
 
     /**
      * Runs the full pipeline: data from @p data_table, model
-     * @p model_name from the models table, scoring on @p backend.
+     * @p model_name from the models table, scoring on @p backend. An
+     * in-memory table is marshaled and scored as one chunk; a paged
+     * table streams chunk-wise (one pinned page at a time), so tables
+     * larger than the buffer pool score in bounded memory. Per-chunk
+     * marshal and offload spans add up to the Figure-11 stage totals.
      *
      * @param max_rows optionally scores only the first rows (the paper's
      *        record-count axis)
@@ -89,17 +93,6 @@ class ScoringPipeline {
                               std::size_t num_rows);
 
  private:
-    /**
-     * The out-of-core variant of RunScoringQuery: streams the paged
-     * table chunk-wise (one pinned page at a time) through the same
-     * stage sequence, so tables larger than the buffer pool score in
-     * bounded memory. Per-chunk marshal and offload spans accumulate
-     * into the same Figure-11 stage totals the in-memory path reports.
-     */
-    PipelineRunResult RunPagedScoringQuery(
-        const std::string& model_name, const Table& table,
-        BackendKind backend, std::optional<std::size_t> max_rows);
-
     Database& db_;
     HardwareProfile profile_;
     ExternalScriptRuntime runtime_;

@@ -37,7 +37,9 @@ namespace {
 /**
  * Resolves @p raw against the table and returns its index in
  * plan.scores, reusing an existing entry when the same (model,
- * feature-column) pair was already interned.
+ * feature-column) pair was already interned. A model reads numbers, so
+ * a VARCHAR or VARBINARY feature fails here, whether or not the table
+ * holds a row.
  */
 std::size_t
 InternScore(LogicalPlan& plan, const Table& table, const ScoreExpr& raw)
@@ -49,11 +51,9 @@ InternScore(LogicalPlan& plan, const Table& table, const ScoreExpr& raw)
         // The sp_score_model convention: every non-label column, in
         // table order.
         for (std::size_t c = 0; c < table.NumColumns(); ++c) {
-            if (c == label_col) {
-                continue;
+            if (c != label_col) {
+                resolved.feature_cols.push_back(c);
             }
-            resolved.expr.features.push_back(table.schema()[c].name);
-            resolved.feature_cols.push_back(c);
         }
     } else {
         for (const std::string& name : raw.features) {
@@ -63,9 +63,19 @@ InternScore(LogicalPlan& plan, const Table& table, const ScoreExpr& raw)
                     "SCORE(" + raw.model + ", ...): feature '" + name +
                     "' is the label column of table " + table.name());
             }
-            resolved.expr.features.push_back(table.schema()[c].name);
             resolved.feature_cols.push_back(c);
         }
+    }
+    for (std::size_t c : resolved.feature_cols) {
+        const ColumnDef& col = table.schema()[c];
+        if (col.type == ColumnType::kString || col.type == ColumnType::kBlob) {
+            throw InvalidArgument(StrFormat(
+                "SCORE(%s, ...): feature %s is a %s column; a model reads "
+                "INT and FLOAT columns",
+                raw.model.c_str(), col.name.c_str(),
+                ColumnTypeName(col.type)));
+        }
+        resolved.expr.features.push_back(col.name);
     }
     for (std::size_t i = 0; i < plan.scores.size(); ++i) {
         if (EqualsIgnoreCase(plan.scores[i].expr.model,
@@ -182,12 +192,8 @@ BuildLogicalPlan(const SelectStatement& stmt, const Table& table)
     }
 
     // Assemble the canonical chain bottom-up.
-    auto scan = std::make_unique<LogicalOp>();
-    scan->kind = LogicalOpKind::kScan;
-    for (std::size_t c = 0; c < table.NumColumns(); ++c) {
-        scan->columns.push_back(c);
-    }
-    std::unique_ptr<LogicalOp> node = std::move(scan);
+    auto node = std::make_unique<LogicalOp>();
+    node->kind = LogicalOpKind::kScan;
 
     if (!predicates.empty()) {
         auto filter = std::make_unique<LogicalOp>();
@@ -266,16 +272,6 @@ AppendOp(const LogicalPlan& plan, const LogicalOp& op, int depth,
     switch (op.kind) {
       case LogicalOpKind::kScan: {
         os << plan.stmt.table;
-        if (op.pruned) {
-            os << " columns=[";
-            for (std::size_t i = 0; i < op.columns.size(); ++i) {
-                os << (i > 0 ? ", " : "")
-                   << plan.column_names[op.columns[i]];
-            }
-            os << "]";
-        } else {
-            os << " columns=*";
-        }
         if (op.zone_predicate.has_value()) {
             // ScanPredicate columns index the feature layout (label
             // excluded); map back to the schema for display.

@@ -12,9 +12,9 @@
  * list (features mapped to table column indices, the empty feature list
  * expanded to "all non-label columns in table order", the sp_score_model
  * convention). The chain is what the rule-based rewriter
- * (plan/rewrite.h) annotates — column pruning, zone-map predicate
- * pushdown, SCORE-threshold pushdown, score-aggregate fusion, the
- * TOP-N rising threshold — and what
+ * (plan/rewrite.h) annotates — zone-map predicate pushdown,
+ * SCORE-threshold pushdown, score-aggregate fusion, the TOP-N rising
+ * threshold — and what
  * EXEC sp_explain prints; execution happens in plan/physical.h.
  */
 #ifndef DBSCORE_DBMS_PLAN_LOGICAL_H
@@ -33,7 +33,7 @@ namespace dbscore::plan {
 
 /** Operator kinds, bottom (kScan) to top (kLimit). */
 enum class LogicalOpKind : std::uint8_t {
-    kScan,         ///< read the table (optionally pruned / zone-mapped)
+    kScan,         ///< read the table (optionally zone-mapped)
     kFilter,       ///< plain "col op literal" conjuncts
     kScore,        ///< compute SCORE(...) expressions
     kFilterScore,  ///< "SCORE(...) op literal" conjuncts
@@ -86,10 +86,6 @@ struct LogicalOp {
     std::unique_ptr<LogicalOp> input;
 
     // -- kScan --------------------------------------------------------
-    /** Table columns the scan must produce, schema order. */
-    std::vector<std::size_t> columns;
-    /** Rewriter: columns was narrowed below the full schema. */
-    bool pruned = false;
     /** Rewriter: zone-map page-pruning predicate (paged tables). */
     std::optional<storage::ScanPredicate> zone_predicate;
 
@@ -139,7 +135,7 @@ struct LogicalPlan {
 
     /** Top of the operator chain. */
     std::unique_ptr<LogicalOp> root;
-    /** Rewrite-rule audit trail ("column-pruning(...)", ...). */
+    /** Rewrite-rule audit trail ("zone-pushdown(...)", ...). */
     std::vector<std::string> applied_rules;
 
     /** Finds the (single) op of @p kind, or null. */
@@ -154,9 +150,10 @@ struct LogicalPlan {
  * operator chain. Column and SCORE-feature names are validated here.
  *
  * @throws NotFound on unknown columns
- * @throws InvalidArgument when a SCORE feature names the label column,
- *         a SCORE literal is not numeric, or a plain WHERE literal's
- *         type cannot be compared with its column's declared type
+ * @throws InvalidArgument when a SCORE feature names the label column
+ *         or a VARCHAR or VARBINARY column, a SCORE literal is not
+ *         numeric, or a plain WHERE literal's type cannot be compared
+ *         with its column's declared type
  */
 LogicalPlan BuildLogicalPlan(const SelectStatement& stmt,
                              const Table& table);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -120,7 +119,6 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
     }
     if (const LogicalOp* op = logical_.Find(LogicalOpKind::kScan)) {
         zone_predicate_ = op->zone_predicate;
-        scan_pruned_ = op->pruned;
     }
     if (const LogicalOp* op = logical_.Find(LogicalOpKind::kAggregate)) {
         fused_aggregate_ = op->fused;
@@ -176,7 +174,7 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
         scores_.push_back(std::move(cs));
     }
 
-    // Rule 4 pays only when the order score's kernel can decide a row
+    // Rule 3 pays only when the order score's kernel can decide a row
     // before its last tree: an accumulate combiner over more than one
     // checkpoint of trees. Otherwise the plan withdraws the rule.
     if (LogicalOp* limit = logical_.Find(LogicalOpKind::kLimit);
@@ -203,7 +201,8 @@ struct AggState {
     std::optional<Value> best;
 };
 
-/** Survivors that flush a morsel: 16 of the kernel's 64-row groups. */
+/** Survivors that flush a paged morsel, and rows per slice: 16 of the
+ * kernel's 64-row groups. */
 constexpr std::size_t kMorselRows = 1024;
 
 /** A row ranked by ORDER BY: its key, its scan order, its output. */
@@ -228,8 +227,9 @@ struct Scored {
  * A morsel, scored by a pool worker or by the statement thread
  * (DESIGN.md §14): the @p count plain-predicate survivors of
  * consecutive pages, copied off their pages with their labels when the
- * sink reads the label, or a zero-copy slice of an in-memory table,
- * rows [first, first + count), with its plain-predicate survivors.
+ * sink reads the label, or a slice of table rows [first, first +
+ * count) with its plain-predicate survivors: zero-copy in memory, and
+ * with its rows' labels on a paged table when the sink reads the label.
  */
 struct Morsel {
     std::vector<float> feats;
@@ -246,7 +246,7 @@ struct Morsel {
      * morsel finishes before the rows it reads go away. */
     std::optional<ClaimableTask> task;
 
-    /** The paged survivors' feature rows; empty for an in-memory slice. */
+    /** The paged survivors' feature rows; empty for a slice. */
     RowView
     View() const
     {
@@ -341,32 +341,17 @@ PhysicalPlan::Execute(const Database& db) const
         value_needed[*logical_.order_score] = true;
     }
 
-    // In-memory feature sources, one per score, built once. A pruned
-    // scan materializes only the score's columns; an unpruned (naive)
-    // plan pays the full-width materialization like the legacy data
-    // plane did, then narrows with a strided prefix view or a gather.
-    std::vector<RowBlock> held;
+    // In-memory feature sources, one per score, built once: the table's
+    // cached feature block when the score reads every feature column in
+    // table order, else a block of the score's own columns, so a column
+    // no score reads is never converted to a number.
     std::vector<RowView> mem_src(scores_.size());
     if (!paged) {
         for (std::size_t s = 0; s < scores_.size(); ++s) {
             const CompiledScore& cs = scores_[s];
-            if (cs.covers_all) {
-                mem_src[s] = table.MaterializeFeatures().View();
-            } else if (scan_pruned_) {
-                held.push_back(table.MaterializeColumns(cs.feature_cols));
-                mem_src[s] = held.back().View();
-            } else if (cs.identity_prefix) {
-                mem_src[s] = table.MaterializeFeatures().View().Prefix(
-                    cs.feature_idx.size());
-            } else {
-                std::vector<float> scratch;
-                const RowView full = table.MaterializeFeatures().View();
-                Gather(full, nullptr, full.rows(), cs.feature_idx.data(),
-                       cs.feature_idx.size(), scratch);
-                held.push_back(RowBlock(std::move(scratch),
-                                        cs.feature_idx.size()));
-                mem_src[s] = held.back().View();
-            }
+            mem_src[s] = cs.covers_all
+                             ? table.MaterializeFeatures().View()
+                             : table.MaterializeColumns(cs.feature_cols).View();
         }
     }
 
@@ -428,8 +413,9 @@ PhysicalPlan::Execute(const Database& db) const
                            stmt.top.has_value();
     // A paged statement that reads no feature column (COUNT(*) alone,
     // or only the label) walks row ids, not its feature pages. When its
-    // sink reads the label, the walk reads each survivor's label once,
-    // through the filter's LabelReader, and carries it to the sink.
+    // sink reads the label, the walk reads each label it carries once,
+    // through the filter's LabelReader: a page walk carries its
+    // survivors' labels, a row-id slice the labels of all its rows.
     auto is_feature = [&](std::size_t col) {
         return col < table.NumColumns() && col != label_col;
     };
@@ -580,10 +566,10 @@ PhysicalPlan::Execute(const Database& db) const
 
     // Sink step: folds a scored batch into the statement, in scan
     // order — early-exit counters, fused aggregates, the TOP-N heap or
-    // projected rows. Row i of an in-memory batch is table row @p first
-    // + i. Row i of a paged batch is its i-th plain survivor, with its
-    // feature row in @p feats and, when the sink reads the label, its
-    // label in @p row_labels. Returns false to stop the scan early (TOP
+    // projected rows. Row i of a slice is table row @p first + i; row i
+    // of a paged morsel is its i-th plain survivor, with its feature
+    // row in @p feats. When the sink reads a paged label, row i's label
+    // is @p row_labels[i]. Returns false to stop the scan early (TOP
     // with no ORDER BY has its rows).
     auto sink = [&](const RowView* feats, const float* row_labels,
                     std::size_t first, const Scored& batch) -> bool {
@@ -701,173 +687,154 @@ PhysicalPlan::Execute(const Database& db) const
         return cut;
     };
 
-    if ((paged && reads_features) || rising_threshold_) {
-        // Morsels. Paged: the survivors of consecutive pages are copied
-        // into one block, so each page's pin is released as the stream
-        // moves on. A paged morsel closes at kMorselRows survivors
-        // after a page, inside a page before it reaches
-        // kParallelRowCutoff rows (so its kernel calls run inline on
-        // whichever thread scores it), when TOP without ORDER BY has as
-        // many candidates as rows still wanted, and at the end of the
-        // stream. In-memory (rising-threshold plans only): zero-copy
-        // slices of kMorselRows table rows. Closed morsels are offered
-        // to the shared pool while this thread walks on, and sunk here
-        // in scan order once more than twice the pool's size are in
-        // flight; a morsel no worker has started is scored here, and so
-        // is the stream's last one. TOP without ORDER BY scores each
-        // morsel as it closes: it must not read a page past the one
-        // holding its n-th row. A plan without SCORE has nothing to
-        // offer the pool.
-        ThreadPool& pool = ThreadPool::Shared();
-        const std::size_t window =
-            top_stops || scores_.empty() ? 0 : 2 * pool.size();
-        const trace::SpanContext parent = trace::TraceCollector::Current();
-        auto score_morsel = [&](Morsel& m) {
-            trace::ScopedParent adopt(parent);
-            const RowView feats = m.View();
-            m.scored = score(paged ? &feats : nullptr, m.first, m.count,
-                             std::move(m.live), m.cut);
-        };
-        // The morsel being filled: paged survivors, or an in-memory
-        // slice's first row, rows and plain survivors.
-        std::vector<float> morsel_feats;
-        std::vector<float> morsel_labels;
-        std::size_t width = 0;
-        std::size_t morsel_first = 0;
-        std::size_t morsel_count = 0;
-        std::vector<std::uint32_t> morsel_live;
-        // The buffers of the last morsel sunk, reused by the next one.
-        std::vector<float> spare_feats;
-        std::vector<float> spare_labels;
-        // Declared after everything a task reads, so it is destroyed
-        // first: unwinding cancels queued tasks and waits for running
-        // ones.
-        std::deque<Morsel> in_flight;
-        auto sink_oldest = [&]() {
-            Morsel& m = in_flight.front();
-            if (m.task.has_value()) {
-                m.task->Join();
-            } else {
-                score_morsel(m);
-            }
-            const RowView feats = m.View();
-            const bool more = sink(&feats, m.labels.data(), m.first, m.scored);
-            m.feats.clear();
-            m.labels.clear();
-            spare_feats.swap(m.feats);
-            spare_labels.swap(m.labels);
-            in_flight.pop_front();
-            return more;
-        };
-        auto flush = [&](bool offer) {
-            if (paged) {
-                morsel_live.resize(morsel_count);
-                std::iota(morsel_live.begin(), morsel_live.end(),
-                          std::uint32_t{0});
-            }
-            if (morsel_live.empty()) {
-                return true;
-            }
-            if (paged) {
-                RowBlock::NoteCopy(static_cast<std::uint64_t>(
-                                       morsel_count) *
-                                   width * sizeof(float));
-            }
-            Morsel& m = in_flight.emplace_back();
-            m.feats.swap(morsel_feats);
-            m.labels.swap(morsel_labels);
-            m.width = width;
-            m.first = morsel_first;
-            m.count = morsel_count;
-            m.live.swap(morsel_live);
-            m.cut = rising_cut();
-            morsel_feats.swap(spare_feats);
-            morsel_labels.swap(spare_labels);
-            morsel_count = 0;
-            if (offer && window > 0) {
-                m.task.emplace(pool, [&score_morsel, &m] { score_morsel(m); });
-            }
-            bool more = true;
-            while (more && in_flight.size() > window) {
-                more = sink_oldest();
-            }
-            return more;
-        };
-        bool more = true;
-        if (paged) {
-            storage::FeatureStream stream =
-                table.store()->Scan(zone_predicate_);
-            storage::StreamChunk chunk;
-            while (more && stream.Next(chunk)) {
-                const RowView& page = chunk.view;
-                width = page.cols();
-                for (std::size_t i = 0; more && i < page.rows(); ++i) {
-                    const std::size_t r = chunk.row_begin + i;
-                    const float* feats = page.Row(i);
-                    if (!PassesPlain(table, r, feats, labels)) {
-                        continue;
-                    }
-                    if (carry_labels) {
-                        morsel_labels.push_back(labels.At(r));
-                    }
-                    morsel_feats.insert(morsel_feats.end(), feats,
-                                        feats + width);
-                    if (++morsel_count == kParallelRowCutoff - 1) {
-                        more = flush(true);
-                    }
-                }
-                if (more &&
-                    (morsel_count >= kMorselRows ||
-                     (top_stops &&
-                      morsel_count >= *stmt.top - result.rows.size()))) {
-                    more = flush(true);
-                }
-            }
+    // Morsels, on either backing. A paged statement that reads a
+    // feature column walks its pages: the survivors of consecutive
+    // pages are copied into one block, so each page's pin is released
+    // as the stream moves on. Such a morsel closes at kMorselRows
+    // survivors after a page, inside a page before it reaches
+    // kParallelRowCutoff rows (so its kernel calls run inline on
+    // whichever thread scores it), when TOP without ORDER BY has as
+    // many candidates as rows still wanted, and at the end of the
+    // stream. Every other statement walks row ids in slices of
+    // kMorselRows rows: an in-memory table's rows (zero-copy slices of
+    // its feature sources), or a paged table's when the statement reads
+    // no feature column (COUNT(*) alone, or only the label), each slice
+    // carrying its rows' labels when the sink reads the label. Closed
+    // morsels are offered to the shared pool while this thread walks
+    // on, and sunk here in scan order once more than twice the pool's
+    // size are in flight; a morsel no worker has started is scored
+    // here, and so is the stream's last one. TOP without ORDER BY
+    // scores each morsel as it closes: it must not read a page past the
+    // one holding its n-th row. A plan without SCORE has nothing to
+    // offer the pool.
+    ThreadPool& pool = ThreadPool::Shared();
+    const std::size_t window =
+        top_stops || scores_.empty() ? 0 : 2 * pool.size();
+    const trace::SpanContext parent = trace::TraceCollector::Current();
+    auto score_morsel = [&](Morsel& m) {
+        trace::ScopedParent adopt(parent);
+        const RowView feats = m.View();
+        m.scored = score(paged ? &feats : nullptr, m.first, m.count,
+                         std::move(m.live), m.cut);
+    };
+    // The morsel being filled: paged survivors, or a slice's first row,
+    // rows and plain survivors.
+    std::vector<float> morsel_feats;
+    std::vector<float> morsel_labels;
+    std::size_t width = 0;
+    std::size_t morsel_first = 0;
+    std::size_t morsel_count = 0;
+    std::vector<std::uint32_t> morsel_live;
+    // The buffers of the last morsel sunk, reused by the next one.
+    std::vector<float> spare_feats;
+    std::vector<float> spare_labels;
+    // Declared after everything a task reads, so it is destroyed
+    // first: unwinding cancels queued tasks and waits for running
+    // ones.
+    std::deque<Morsel> in_flight;
+    auto sink_oldest = [&]() {
+        Morsel& m = in_flight.front();
+        if (m.task.has_value()) {
+            m.task->Join();
         } else {
-            const std::size_t n = table.NumRows();
-            for (std::size_t first = 0; more && first < n;
-                 first += kMorselRows) {
-                morsel_first = first;
-                morsel_count = std::min(kMorselRows, n - first);
-                for (std::uint32_t i = 0; i < morsel_count; ++i) {
-                    if (PassesPlain(table, first + i, nullptr, labels)) {
-                        morsel_live.push_back(i);
-                    }
-                }
-                if (first + morsel_count < n) {
-                    more = flush(true);
-                }
-            }
+            score_morsel(m);
         }
-        // The last morsel is scored here: this thread would only wait
-        // for a worker to wake up and score it.
-        if (more) {
-            more = flush(false);
+        const RowView feats = m.View();
+        const bool more = sink(&feats, m.labels.data(), m.first, m.scored);
+        m.feats.clear();
+        m.labels.clear();
+        spare_feats.swap(m.feats);
+        spare_labels.swap(m.labels);
+        in_flight.pop_front();
+        return more;
+    };
+    auto flush = [&](bool offer) {
+        if (morsel_live.empty()) {
+            morsel_labels.clear();
+            return true;
         }
-        while (more && !in_flight.empty()) {
+        if (!morsel_feats.empty()) {
+            RowBlock::NoteCopy(static_cast<std::uint64_t>(
+                                   morsel_feats.size()) *
+                               sizeof(float));
+        }
+        Morsel& m = in_flight.emplace_back();
+        m.feats.swap(morsel_feats);
+        m.labels.swap(morsel_labels);
+        m.width = width;
+        m.first = morsel_first;
+        m.count = morsel_count;
+        m.live.swap(morsel_live);
+        m.cut = rising_cut();
+        morsel_feats.swap(spare_feats);
+        morsel_labels.swap(spare_labels);
+        morsel_count = 0;
+        if (offer && window > 0) {
+            m.task.emplace(pool, [&score_morsel, &m] { score_morsel(m); });
+        }
+        bool more = true;
+        while (more && in_flight.size() > window) {
             more = sink_oldest();
         }
-    } else {
-        // In-memory tables (one batch of the whole table), and paged
-        // statements that read at most the label (one batch of the
-        // plain survivors, with their labels).
-        const std::size_t n = table.NumRows();
-        std::vector<std::uint32_t> live;
-        std::vector<float> row_labels;
-        for (std::uint32_t r = 0; r < n; ++r) {
-            if (!PassesPlain(table, r, nullptr, labels)) {
-                continue;
+        return more;
+    };
+    bool more = true;
+    if (paged && reads_features) {
+        storage::FeatureStream stream = table.store()->Scan(zone_predicate_);
+        storage::StreamChunk chunk;
+        while (more && stream.Next(chunk)) {
+            const RowView& page = chunk.view;
+            width = page.cols();
+            for (std::size_t i = 0; more && i < page.rows(); ++i) {
+                const std::size_t r = chunk.row_begin + i;
+                const float* feats = page.Row(i);
+                if (!PassesPlain(table, r, feats, labels)) {
+                    continue;
+                }
+                if (carry_labels) {
+                    morsel_labels.push_back(labels.At(r));
+                }
+                morsel_feats.insert(morsel_feats.end(), feats,
+                                    feats + width);
+                morsel_live.push_back(
+                    static_cast<std::uint32_t>(morsel_count));
+                if (++morsel_count == kParallelRowCutoff - 1) {
+                    more = flush(true);
+                }
             }
-            if (carry_labels) {
-                row_labels.push_back(labels.At(r));
+            if (more &&
+                (morsel_count >= kMorselRows ||
+                 (top_stops &&
+                  morsel_count >= *stmt.top - result.rows.size()))) {
+                more = flush(true);
             }
-            live.push_back(paged ? static_cast<std::uint32_t>(live.size())
-                                 : r);
         }
-        const std::size_t batch_rows = paged ? live.size() : n;
-        const Scored batch =
-            score(nullptr, 0, batch_rows, std::move(live), std::nullopt);
-        sink(nullptr, row_labels.data(), 0, batch);
+    } else {
+        const std::size_t n = table.NumRows();
+        for (std::size_t first = 0; more && first < n;
+             first += kMorselRows) {
+            morsel_first = first;
+            morsel_count = std::min(kMorselRows, n - first);
+            for (std::uint32_t i = 0; i < morsel_count; ++i) {
+                if (PassesPlain(table, first + i, nullptr, labels)) {
+                    morsel_live.push_back(i);
+                }
+                if (carry_labels) {
+                    morsel_labels.push_back(labels.At(first + i));
+                }
+            }
+            if (first + morsel_count < n) {
+                more = flush(true);
+            }
+        }
+    }
+    // The last morsel is scored here: this thread would only wait for a
+    // worker to wake up and score it.
+    if (more) {
+        more = flush(false);
+    }
+    while (more && !in_flight.empty()) {
+        more = sink_oldest();
     }
 
     {
@@ -1002,12 +969,6 @@ PhysicalPlan::ExplainPhysical() const
             zone_predicate_->column,
             static_cast<double>(zone_predicate_->min),
             static_cast<double>(zone_predicate_->max)));
-    }
-    if (scan_pruned_) {
-        const LogicalOp* scan = logical_.Find(LogicalOpKind::kScan);
-        lines.push_back(StrFormat(
-            "scan: pruned to %zu of %zu column(s)",
-            scan->columns.size(), logical_.column_names.size()));
     }
     if (fused_aggregate_) {
         lines.push_back(

@@ -11,43 +11,45 @@
  * (plan/plan_cache.h) skips the whole LoadModel -> ToForest -> Kernel
  * chain on every subsequent execution.
  *
- * Execution is one streaming loop for every SELECT: scan, plain
- * filter, score, sink. A statement without SCORE is a plan with zero
- * scores and runs the same loop. The scan walks a paged table's pages
- * through the zone map (pinning each page once), or row ids when the
- * table is in memory or the statement reads no feature column
- * (COUNT(*) alone, or only the label). Plain predicates run first,
- * then SCORE predicates over the compacted survivors (early-exit
- * kernel when the rewriter pushed the threshold down), and fused
- * aggregates fold into the loop without materializing a score
- * column. Paged survivors are copied into
- * morsels: the survivors of several consecutive pages, scored by one
- * kernel call, while the scan still holds one page pin at a time; a
- * paged label is read through a copy of its label page, pinned once.
- * In-memory tables are scored in one call over the whole table. TOP n
- * ... ORDER BY keeps a bounded heap of n rows keyed by (sort key, scan
- * order), so only rows that enter it are projected (DESIGN.md §14).
- * Under the rising-threshold rule, TOP n ... ORDER BY SCORE runs
- * morsels on either backing (in memory: zero-copy 1024-row slices),
- * and a morsel offered once the heap is full first keeps only the
- * rows whose order score beats the heap's worst key at that moment.
- * Plain-predicate literals were type-checked against their columns at
- * plan time (BuildLogicalPlan), so the filter itself never throws.
+ * Execution is one streaming loop of morsels for every SELECT: scan,
+ * plain filter, score, sink. A statement without SCORE is a plan with
+ * zero scores and runs the same loop. The scan walks a paged table's
+ * pages through the zone map (pinning each page once), or row ids in
+ * 1024-row slices when the table is in memory or the statement reads
+ * no feature column (COUNT(*) alone, or only the label). Plain
+ * predicates run first, then SCORE predicates over the compacted
+ * survivors (early-exit kernel when the rewriter pushed the threshold
+ * down), and fused aggregates fold into the loop without materializing
+ * a score column. Paged survivors are copied into morsels: the
+ * survivors of several consecutive pages, scored by one kernel call,
+ * while the scan still holds one page pin at a time; a paged label is
+ * read through a copy of its label page, pinned once. An in-memory
+ * slice is a zero-copy view of the table's cached feature block when a
+ * score reads every feature column in table order, else of a block of
+ * the score's own columns. TOP n ... ORDER BY keeps a bounded heap of
+ * n rows keyed by (sort key, scan order), so only rows that enter it
+ * are projected (DESIGN.md §14). Under the rising-threshold rule, a
+ * TOP n ... ORDER BY SCORE morsel offered once the heap is full first
+ * keeps only the rows whose order score beats the heap's worst key at
+ * that moment. Plain-predicate literals and SCORE feature columns were
+ * type-checked at plan time (BuildLogicalPlan), so the filter itself
+ * never throws and a SCORE reads numbers only.
  *
  * Execution splits into a score step (SCORE predicates and values
  * over one batch, touching no statement state) and a sink step
  * (aggregates, TOP-N heap, projected rows, early-exit counters). A
- * paged statement offers each morsel to ThreadPool::Shared() and keeps
- * walking pages; it sinks morsels in scan order once more than twice
- * the pool's size are in flight, scoring any morsel no worker has
- * started, so it never waits on work queued behind other tasks. TOP n
- * without ORDER BY scores each morsel inline: it must not read a page
- * past the one holding its n-th row. A plan without SCORE has nothing
- * to offer the pool and sinks each morsel as it closes.
+ * statement offers each morsel to ThreadPool::Shared() and keeps
+ * walking; it sinks morsels in scan order once more than twice the
+ * pool's size are in flight, scoring any morsel no worker has started,
+ * so it never waits on work queued behind other tasks. TOP n without
+ * ORDER BY scores each morsel inline: it must not read a page past the
+ * one holding its n-th row. A plan without SCORE has nothing to offer
+ * the pool and sinks each morsel as it closes.
  *
  * Executing a rewritten plan is bit-identical to executing the naive
- * plan of the same statement: pruning/pushdown/fusion change how much
- * work runs, never the result (DESIGN.md §14).
+ * plan of the same statement: pushdown, fusion and the rising
+ * threshold change how much work runs, never the result (DESIGN.md
+ * §14).
  */
 #ifndef DBSCORE_DBMS_PLAN_PHYSICAL_H
 #define DBSCORE_DBMS_PLAN_PHYSICAL_H
@@ -83,9 +85,11 @@ struct CompiledScore {
     std::vector<std::size_t> feature_cols;
     /** Same, in the feature layout (label excluded) of scans. */
     std::vector<std::size_t> feature_idx;
-    /** feature_idx == [0, k): a strided column-prefix view suffices. */
+    /** feature_idx == [0, k): a paged morsel's strided column-prefix
+     * view suffices. */
     bool identity_prefix = false;
-    /** feature_idx covers every feature column, in table order. */
+    /** feature_idx covers every feature column, in table order: an
+     * in-memory scan reads the table's cached feature block. */
     bool covers_all = false;
 
     /** The deserialized model (always a RandomForest; GBDTs stored as
@@ -170,7 +174,6 @@ class PhysicalPlan {
     std::vector<ColumnPredicate> plain_preds_;
     std::vector<ScorePredicate> score_preds_;
     std::optional<storage::ScanPredicate> zone_predicate_;
-    bool scan_pruned_ = false;
     bool fused_aggregate_ = false;
     /** TOP n ... ORDER BY SCORE against the heap's rising threshold. */
     bool rising_threshold_ = false;

@@ -1,6 +1,5 @@
 #include "dbscore/dbms/plan/rewrite.h"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -10,77 +9,8 @@ namespace dbscore::plan {
 
 namespace {
 
-std::size_t
-ColIndex(const LogicalPlan& plan, const std::string& name)
-{
-    for (std::size_t c = 0; c < plan.column_names.size(); ++c) {
-        if (EqualsIgnoreCase(plan.column_names[c], name)) {
-            return c;
-        }
-    }
-    return plan.column_names.size();  // unreachable: plan was validated
-}
-
 /**
- * Rule 1: narrow the scan to the columns the query touches. Only
- * scored plans change: the narrowed set is what an in-memory scan
- * materializes as SCORE features, and a plan with no SCORE
- * materializes nothing (it reads its cells in place).
- */
-void
-PruneColumns(LogicalPlan& plan)
-{
-    LogicalOp* scan = plan.Find(LogicalOpKind::kScan);
-    if (scan == nullptr || plan.scores.empty() || plan.stmt.star) {
-        return;
-    }
-    std::vector<bool> needed(plan.column_names.size(), false);
-    for (const std::string& name : plan.stmt.columns) {
-        needed[ColIndex(plan, name)] = true;
-    }
-    if (const LogicalOp* filter = plan.Find(LogicalOpKind::kFilter)) {
-        for (const ColumnPredicate& pred : filter->predicates) {
-            needed[pred.column] = true;
-        }
-    }
-    for (const ResolvedScore& score : plan.scores) {
-        for (std::size_t c : score.feature_cols) {
-            needed[c] = true;
-        }
-    }
-    for (const AggregateItem& item : plan.stmt.aggregates) {
-        if (!item.score.has_value() && !item.column.empty()) {
-            needed[ColIndex(plan, item.column)] = true;
-        }
-    }
-    if (plan.stmt.order_by.has_value() &&
-        !plan.stmt.order_by->score.has_value()) {
-        needed[ColIndex(plan, plan.stmt.order_by->column)] = true;
-    }
-
-    std::vector<std::size_t> columns;
-    for (std::size_t c = 0; c < needed.size(); ++c) {
-        if (needed[c]) {
-            columns.push_back(c);
-        }
-    }
-    if (columns.size() >= plan.column_names.size()) {
-        return;  // nothing to prune
-    }
-    std::ostringstream rule;
-    rule << "column-pruning(kept " << columns.size() << " of "
-         << plan.column_names.size() << ":";
-    for (std::size_t c : columns) {
-        rule << " " << plan.column_names[c];
-    }
-    rule << ")";
-    scan->columns = std::move(columns);
-    scan->pruned = true;
-    plan.applied_rules.push_back(rule.str());
-}
-
-/**
- * Rule 2a: derive a zone-map ScanPredicate from the first pushable
+ * Rule 1a: derive a zone-map ScanPredicate from the first pushable
  * plain predicate — a numeric comparison on a feature column of a
  * paged table. The row filter stays (zone maps prune at page
  * granularity); the derived range is a conservative superset.
@@ -137,7 +67,7 @@ PushZonePredicate(LogicalPlan& plan)
 }
 
 /**
- * Rule 2b: mark ordered SCORE predicates whose score value the query
+ * Rule 1b: mark ordered SCORE predicates whose score value the query
  * never projects, sorts by, or aggregates — those comparisons run
  * through ForestKernel::PredictThreshold, which early-exits tree
  * accumulation once suffix bounds decide the outcome.
@@ -179,7 +109,7 @@ PushScoreThresholds(LogicalPlan& plan)
 }
 
 /**
- * Rule 3: aggregates over a scored stream fold into the scoring loop —
+ * Rule 2: aggregates over a scored stream fold into the scoring loop —
  * running accumulators per chunk, no materialized score column.
  */
 void
@@ -202,7 +132,7 @@ FuseScoreAggregates(LogicalPlan& plan)
 }
 
 /**
- * Rule 4: TOP n ... ORDER BY SCORE(...) scores its rows in morsels
+ * Rule 3: TOP n ... ORDER BY SCORE(...) scores its rows in morsels
  * against a threshold that only rises, the worst key a full TOP-N heap
  * keeps. The physical plan withdraws the rule when the order score's
  * kernel cannot decide a row before its last tree.
@@ -227,7 +157,6 @@ RiseTopNThreshold(LogicalPlan& plan)
 void
 RewritePlan(LogicalPlan& plan)
 {
-    PruneColumns(plan);
     PushZonePredicate(plan);
     PushScoreThresholds(plan);
     FuseScoreAggregates(plan);

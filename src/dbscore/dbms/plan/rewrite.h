@@ -1,15 +1,11 @@
 /**
  * @file
- * Rule-based logical-plan rewriter: the four SQL+ML co-optimizations
+ * Rule-based logical-plan rewriter: the three SQL+ML co-optimizations
  * EXEC sp_explain reports (bench/wallclock_query measures the first
- * three).
+ * two). No rule narrows the scan's columns: a SCORE always reads just
+ * its own feature columns, and a plain cell is read in place.
  *
- *  1. column-pruning — the scan produces only the columns the query
- *     actually touches (projected columns, predicate columns, sort
- *     key, aggregate inputs, and every SCORE expression's feature
- *     columns), so a narrow model over a wide table never materializes
- *     the unused features.
- *  2. predicate-pushdown —
+ *  1. predicate-pushdown —
  *     a. a plain numeric predicate over a paged table's feature column
  *        becomes a zone-map ScanPredicate, letting the buffer pool
  *        skip whole pages whose [min, max] cannot match;
@@ -18,11 +14,11 @@
  *        comparison into ForestKernel::PredictThreshold, which stops
  *        accumulating trees once suffix bounds decide the predicate
  *        (exact; see DESIGN.md §14).
- *  3. score-aggregate-fusion — aggregates over a scored stream
+ *  2. score-aggregate-fusion — aggregates over a scored stream
  *     (AVG(SCORE(...)), COUNT(*) WHERE SCORE(...) > t) fold into the
  *     chunk-streaming scoring loop without materializing a score
  *     column.
- *  4. score-topn-threshold — TOP n ... ORDER BY SCORE(...) scores its
+ *  3. score-topn-threshold — TOP n ... ORDER BY SCORE(...) scores its
  *     morsels against a threshold that only rises: once the TOP-N heap
  *     is full, a morsel's rows first run PredictThreshold against the
  *     heap's worst kept score, and only the rows that beat it are
@@ -40,7 +36,7 @@
 
 namespace dbscore::plan {
 
-/** Name of rule 4 in LogicalPlan::applied_rules. */
+/** Name of rule 3 in LogicalPlan::applied_rules. */
 inline constexpr const char* kRisingThresholdRule = "score-topn-threshold";
 
 /** Applies every rewrite rule to @p plan in place (the naive planner

@@ -120,12 +120,14 @@ class Table {
     const RowBlock& MaterializeFeatures() const;
 
     /**
-     * Narrowed materialization for column-pruned plans: a row-major
-     * float32 block of just @p cols (table column indices, in the
-     * requested order), so a query that touches k of n columns copies
-     * k/n of the bytes MaterializeFeatures() would. Counted against
-     * RowBlock::CopyStats; not cached (the pruned column set is a
-     * property of the query, not the table).
+     * A SCORE's own feature block, for a score that does not read every
+     * feature column in table order: a row-major float32 block of just
+     * @p cols (table column indices, in the requested order). Only
+     * @p cols are converted, so a column the score does not read (a
+     * VARCHAR, say) is never touched, and a score over k of n columns
+     * copies k/n of the bytes MaterializeFeatures() would. Counted
+     * against RowBlock::CopyStats; not cached (the column set is a
+     * property of the statement, not the table).
      * @throws InvalidArgument on a paged table, or when @p cols is
      *         empty or out of range
      */

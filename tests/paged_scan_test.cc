@@ -30,7 +30,9 @@
  *  - on pages of thousands of rows a morsel closes one row short of
  *    kParallelRowCutoff, so no kernel call on it goes parallel;
  *  - kernel spans of morsels scored on pool threads parent to the span
- *    current on the statement thread;
+ *    current on the statement thread, on both backings;
+ *  - an in-memory TOP n without ORDER BY scores one 1024-row morsel,
+ *    not the whole table;
  *  - labels are read a page at a time, so a statement pins each label
  *    page it touches once per reader (its filter, its sink);
  *  - TOP n ... ORDER BY SCORE under the rising heap threshold equals
@@ -213,9 +215,10 @@ TEST_F(PagedScanTest, PagedMatchesInMemoryAcrossPoolSizes)
             sql.replace(sql.find('$'), 1, table);
             return sql;
         };
-        // TOP without ORDER BY stops the paged scan at its n-th row,
-        // while the in-memory table is scored in one call: only
-        // statements that read the whole scan count the same work.
+        // TOP without ORDER BY stops each scan after the morsel with
+        // its n-th row, and morsels close at different rows on the two
+        // backings: only statements that read the whole scan count the
+        // same work.
         const bool whole_scan = pattern.find("TOP") == std::string::npos ||
                                 pattern.find("ORDER BY") != std::string::npos;
         ThresholdStats want_stats;
@@ -581,40 +584,44 @@ TEST_F(PagedScanTest, KernelSpansParentToTheStatementSpan)
 {
     const Dataset data = TiedData(20000);
     StoreTied(db_, data, Path("t.dbpages"), 64);
-    const std::string sql =
-        "SELECT COUNT(*), AVG(SCORE(c)) FROM paged WHERE f2 > 0.3";
-    plan::Planner planner(db_);
-    const auto plan =
-        planner.Plan(std::get<SelectStatement>(ParseSql(sql)), sql);
     trace::TraceCollector& tracer = trace::TraceCollector::Get();
-    tracer.Clear();
-    trace::SpanContext statement;
-    {
-        trace::ScopedSpan span(trace::StageKind::kQuery, "statement");
-        statement = span.context();
-        (void)plan->Execute(db_);
-    }
-    ASSERT_TRUE(statement.valid());
-    // Each kernel call opens a span under the statement's, wherever the
-    // morsel was scored; the kernel's own chunk spans nest under it.
-    std::vector<trace::SpanRecord> kernel_spans;
-    std::set<std::uint64_t> kernel_ids;
-    for (const trace::SpanRecord& span : tracer.Spans()) {
-        if (span.stage == trace::StageKind::kKernel) {
-            kernel_spans.push_back(span);
-            kernel_ids.insert(span.span_id);
+    for (const char* table : {"paged", "mem"}) {
+        const std::string sql =
+            std::string("SELECT COUNT(*), AVG(SCORE(c)) FROM ") + table +
+            " WHERE f2 > 0.3";
+        plan::Planner planner(db_);
+        const auto plan =
+            planner.Plan(std::get<SelectStatement>(ParseSql(sql)), sql);
+        tracer.Clear();
+        trace::SpanContext statement;
+        {
+            trace::ScopedSpan span(trace::StageKind::kQuery, "statement");
+            statement = span.context();
+            (void)plan->Execute(db_);
         }
-    }
-    std::size_t calls = 0;
-    for (const trace::SpanRecord& span : kernel_spans) {
-        EXPECT_EQ(span.trace_id, statement.trace_id) << span.name;
-        if (span.parent_id == statement.span_id) {
-            ++calls;
-        } else {
-            EXPECT_EQ(kernel_ids.count(span.parent_id), 1u) << span.name;
+        ASSERT_TRUE(statement.valid());
+        // Each kernel call opens a span under the statement's, wherever
+        // the morsel was scored; the kernel's own chunk spans nest under
+        // it.
+        std::vector<trace::SpanRecord> kernel_spans;
+        std::set<std::uint64_t> kernel_ids;
+        for (const trace::SpanRecord& span : tracer.Spans()) {
+            if (span.stage == trace::StageKind::kKernel) {
+                kernel_spans.push_back(span);
+                kernel_ids.insert(span.span_id);
+            }
         }
+        std::size_t calls = 0;
+        for (const trace::SpanRecord& span : kernel_spans) {
+            EXPECT_EQ(span.trace_id, statement.trace_id) << span.name;
+            if (span.parent_id == statement.span_id) {
+                ++calls;
+            } else {
+                EXPECT_EQ(kernel_ids.count(span.parent_id), 1u) << span.name;
+            }
+        }
+        EXPECT_GE(calls, 10u) << sql;  // one per morsel, about 14000 rows
     }
-    EXPECT_GE(calls, 10u);  // one per morsel, about 14000 rows
     tracer.Clear();
 }
 
@@ -981,6 +988,25 @@ TEST_F(PagedScanTest, RisingTopNThresholdNeedsAKernelThatExitsEarly)
         ExpectOptimizedMatchesNaive(db_, sql);
         EXPECT_EQ(plan->threshold_stats().rows, 0u) << sql;
     }
+}
+
+TEST_F(PagedScanTest, InMemoryTopWithoutOrderByScoresOneMorsel)
+{
+    // In-memory rows run as 1024-row morsels too, so TOP n without
+    // ORDER BY stops after the morsel that holds its n-th row.
+    const Dataset data = TiedData(20000);
+    StoreTied(db_, data, Path("t.dbpages"), 64);
+    const std::string sql = "SELECT TOP 5 f1, SCORE(c) FROM mem";
+    const auto [full, thresholded] = ScoredInFullAndThresholded(db_, sql);
+    EXPECT_GT(full, 0u);
+    EXPECT_LE(full, 1024u);
+    EXPECT_EQ(thresholded, 0u);
+    const QueryResult got = Run(sql);
+    ASSERT_EQ(got.rows.size(), 5u);
+    for (std::size_t r = 0; r < got.rows.size(); ++r) {
+        EXPECT_EQ(got.rows[r][0], Value(static_cast<double>(r)));
+    }
+    ExpectOptimizedMatchesNaive(db_, sql);
 }
 
 }  // namespace

@@ -179,28 +179,7 @@ TEST_F(PlanTest, NaivePlanShape)
     EXPECT_NE(tree.find("Score"), std::string::npos);
     EXPECT_NE(tree.find("Filter"), std::string::npos);
     EXPECT_NE(tree.find("Scan"), std::string::npos);
-    EXPECT_NE(tree.find("columns=*"), std::string::npos);
     EXPECT_TRUE(plan.applied_rules.empty());
-}
-
-TEST_F(PlanTest, ColumnPruningKeepsOnlyNeededColumns)
-{
-    plan::LogicalPlan plan = Optimized(
-        "SELECT kin_0, SCORE(m, kin_0, kin_1) FROM mem "
-        "WHERE kin_2 > 0",
-        "mem");
-    const std::string tree = plan.ToString();
-    EXPECT_NE(tree.find("columns=["), std::string::npos);
-    bool pruned = false;
-    for (const std::string& rule : plan.applied_rules) {
-        pruned |= rule.find("column-pruning") != std::string::npos;
-    }
-    EXPECT_TRUE(pruned);
-    const plan::LogicalOp* scan =
-        plan.Find(plan::LogicalOpKind::kScan);
-    ASSERT_NE(scan, nullptr);
-    EXPECT_TRUE(scan->pruned);
-    EXPECT_EQ(scan->columns.size(), 3u);  // kin_0, kin_1, missing
 }
 
 TEST_F(PlanTest, ScoreThresholdPushdownMarksEarlyExit)
@@ -420,6 +399,90 @@ TEST_F(PlanTest, PlainLiteralTypesAreCheckedAtPlanTime)
         EXPECT_TRUE(planner.PlanQuery(good)->Execute(db_).rows.empty())
             << good;
     }
+}
+
+TEST_F(PlanTest, ScoreReadsOnlyItsOwnNumericColumns)
+{
+    // A 4-feature model over a table whose first column is text: a
+    // SCORE reads its own columns, whatever else the statement reads.
+    const Dataset train = MakeSyntheticRegression(200, 4, 0.1, 19);
+    ForestTrainerConfig config;
+    config.num_trees = 4;
+    config.max_depth = 4;
+    config.seed = 19;
+    const RandomForest forest = TrainForest(train, config);
+    db_.StoreModel("m4", TreeEnsemble::FromForest(forest));
+    const std::vector<ColumnDef> schema = {{"name", ColumnType::kString},
+                                           {"a", ColumnType::kDouble},
+                                           {"b", ColumnType::kDouble},
+                                           {"c", ColumnType::kDouble},
+                                           {"d", ColumnType::kDouble}};
+    Table& t = db_.CreateTable("t", schema);
+    t.AppendRow({std::string("x"), 0.1, 0.9, 0.4, 0.3});
+    t.AppendRow({std::string("y"), 0.7, 0.2, 0.6, 0.8});
+    db_.CreateTable("e", schema);
+    const std::vector<float> features = {0.1F, 0.9F, 0.4F, 0.3F,
+                                         0.7F, 0.2F, 0.6F, 0.8F};
+    const std::vector<float> want =
+        forest.PredictBatch(RowView::Borrow(features.data(), 2, 4));
+    for (const bool optimize : {true, false}) {
+        plan::Planner planner(db_, {optimize});
+        const std::string mode = optimize ? " (optimized)" : " (naive)";
+        auto run = [&](const std::string& sql) {
+            return planner.PlanQuery(sql)->Execute(db_);
+        };
+        const QueryResult scored =
+            run("SELECT name, SCORE(m4, a, b, c, d) FROM t");
+        ASSERT_EQ(scored.rows.size(), 2u) << mode;
+        for (std::size_t r = 0; r < 2; ++r) {
+            EXPECT_EQ(scored.rows[r][0], Value(std::string(r == 0 ? "x" : "y")))
+                << mode;
+            EXPECT_EQ(scored.rows[r][1], Value(static_cast<double>(want[r])))
+                << mode;
+        }
+        const QueryResult top =
+            run("SELECT TOP 1 name FROM t ORDER BY SCORE(m4, a, b, c, d) DESC");
+        ASSERT_EQ(top.rows.size(), 1u) << mode;
+        EXPECT_EQ(top.rows[0][0],
+                  Value(std::string(want[1] > want[0] ? "y" : "x")))
+            << mode;
+        EXPECT_EQ(run("SELECT SCORE(m4, a, b, c, d) FROM t").rows.size(), 2u)
+            << mode;
+        const QueryResult count =
+            run("SELECT COUNT(*) FROM t WHERE SCORE(m4, a, b, c, d) > 0.5");
+        EXPECT_EQ(count.rows[0][0],
+                  Value(static_cast<std::int64_t>((want[0] > 0.5F ? 1 : 0) +
+                                                  (want[1] > 0.5F ? 1 : 0))))
+            << mode;
+        EXPECT_TRUE(
+            run("SELECT name, SCORE(m4, a, b, c, d) FROM e").rows.empty())
+            << mode;
+        // A text or binary feature fails at plan time, on a filled table
+        // and an empty one alike, naming the model, column and type.
+        for (const char* bad : {"SELECT SCORE(m4, name, a, b, c) FROM t",
+                                "SELECT SCORE(m4, name, a, b, c) FROM e",
+                                "SELECT COUNT(*) FROM e WHERE "
+                                "SCORE(m4, a, name, b, c) > 0.5"}) {
+            try {
+                (void)planner.PlanQuery(bad);
+                ADD_FAILURE() << bad << mode << ": planned";
+            } catch (const InvalidArgument& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("m4"), std::string::npos) << what;
+                EXPECT_NE(what.find("name"), std::string::npos) << what;
+                EXPECT_NE(what.find("VARCHAR"), std::string::npos) << what;
+            }
+        }
+    }
+    db_.CreateTable("bin", {{"a", ColumnType::kDouble},
+                            {"b", ColumnType::kDouble},
+                            {"c", ColumnType::kDouble},
+                            {"raw", ColumnType::kBlob}});
+    plan::Planner planner(db_);
+    EXPECT_THROW(planner.PlanQuery("SELECT SCORE(m4, a, b, c, raw) FROM bin"),
+                 InvalidArgument);
+    EXPECT_THROW(planner.PlanQuery("SELECT SCORE(m4) FROM bin"),
+                 InvalidArgument);
 }
 
 TEST_F(PlanTest, OptimizedMatchesNaiveForRegression)
