@@ -27,8 +27,8 @@ namespace dbscore {
  * Row count below which functional batch loops run inline on the
  * calling thread: under this many rows the chunk-dispatch overhead
  * outweighs the parallel win. Shared by every batch scoring path
- * (RandomForest, GradientBoostedModel, ForestKernel, Hummingbird's
- * perfect-tree traversal) so the cutoff is tuned in one place.
+ * (RandomForest, ForestKernel, Hummingbird's perfect-tree traversal)
+ * so the cutoff is tuned in one place.
  */
 inline constexpr std::size_t kParallelRowCutoff = 4096;
 

@@ -8,12 +8,6 @@
 
 namespace dbscore {
 
-const char*
-TaskName(Task task)
-{
-    return task == Task::kClassification ? "classification" : "regression";
-}
-
 namespace {
 
 void

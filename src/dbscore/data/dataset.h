@@ -33,9 +33,6 @@ enum class Task {
     kRegression,
 };
 
-/** Returns "classification" or "regression". */
-const char* TaskName(Task task);
-
 /** A dense in-memory dataset. */
 class Dataset {
  public:

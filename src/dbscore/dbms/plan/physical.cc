@@ -341,18 +341,17 @@ PhysicalPlan::Execute(const Database& db) const
         value_needed[*logical_.order_score] = true;
     }
 
-    // In-memory feature sources, one per score, built once: the table's
-    // cached feature block when the score reads every feature column in
-    // table order, else a block of the score's own columns, so a column
-    // no score reads is never converted to a number.
-    std::vector<RowView> mem_src(scores_.size());
-    if (!paged) {
-        for (std::size_t s = 0; s < scores_.size(); ++s) {
-            const CompiledScore& cs = scores_[s];
-            mem_src[s] = cs.covers_all
-                             ? table.MaterializeFeatures().View()
-                             : table.MaterializeColumns(cs.feature_cols).View();
-        }
+    // The table's cached feature block, for in-memory scores that read
+    // every feature column in table order. Any other in-memory score
+    // converts just its own columns of each slice it scores, so a
+    // column no score reads, or a row no slice reaches, is never
+    // converted to a number.
+    RowView mem_features;
+    if (!paged && std::any_of(scores_.begin(), scores_.end(),
+                              [](const CompiledScore& cs) {
+                                  return cs.covers_all;
+                              })) {
+        mem_features = table.MaterializeFeatures().View();
     }
 
     // Projection layout (non-aggregate statements).
@@ -470,8 +469,8 @@ PhysicalPlan::Execute(const Database& db) const
     // over the plain-predicate survivors @p live of a batch of @p n
     // rows — a paged morsel's feature rows @p feats, or in-memory rows
     // [@p first, @p first + @p n) when @p feats is null. It reads only
-    // the compiled plan and the in-memory sources, so a pool thread
-    // may run it.
+    // the compiled plan, the cached feature block and the table's
+    // columns, so a pool thread may run it.
     auto score = [&](const RowView* feats, std::size_t first, std::size_t n,
                      std::vector<std::uint32_t> live,
                      const std::optional<ScorePredicate>& cut) {
@@ -482,8 +481,12 @@ PhysicalPlan::Execute(const Database& db) const
         auto chunk_src = [&](std::size_t s) -> const RowView& {
             if (!src[s].has_value()) {
                 const CompiledScore& cs = scores_[s];
-                if (!paged) {
-                    src[s] = mem_src[s].Slice(first, first + n);
+                if (!paged && cs.covers_all) {
+                    src[s] = mem_features.Slice(first, first + n);
+                } else if (!paged) {
+                    const RowBlock block = table.MaterializeColumns(
+                        cs.feature_cols, first, first + n);
+                    src[s] = block.View();
                 } else if (cs.identity_prefix) {
                     src[s] = feats->Prefix(cs.feature_idx.size());
                 } else {

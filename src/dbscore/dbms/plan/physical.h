@@ -25,8 +25,9 @@
  * while the scan still holds one page pin at a time; a paged label is
  * read through a copy of its label page, pinned once. An in-memory
  * slice is a zero-copy view of the table's cached feature block when a
- * score reads every feature column in table order, else of a block of
- * the score's own columns. TOP n ... ORDER BY keeps a bounded heap of
+ * score reads every feature column in table order, else a block of the
+ * score's own columns over just that slice's rows, converted when the
+ * slice is scored. TOP n ... ORDER BY keeps a bounded heap of
  * n rows keyed by (sort key, scan order), so only rows that enter it
  * are projected (DESIGN.md §14). Under the rising-threshold rule, a
  * TOP n ... ORDER BY SCORE morsel offered once the heap is full first
@@ -92,8 +93,9 @@ struct CompiledScore {
      * in-memory scan reads the table's cached feature block. */
     bool covers_all = false;
 
-    /** The deserialized model (always a RandomForest; GBDTs stored as
-     * ensembles fold into the regression/margin representation). */
+    /** The deserialized model (always a RandomForest; a GBDT is stored
+     * as its exported ensemble, a regression forest whose mean is the
+     * boosted margin). */
     std::shared_ptr<const RandomForest> model;
     /** Compiled inference plan; null when the kernel can't compile
      * this model (execution falls back to the scalar reference). */

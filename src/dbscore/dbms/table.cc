@@ -126,20 +126,6 @@ Table::Column(std::size_t col) const
     return columns_[col];
 }
 
-std::uint64_t
-Table::RowWireBytes(std::size_t row) const
-{
-    if (paged()) {
-        // Every paged cell is a float32 on the wire.
-        return static_cast<std::uint64_t>(schema_.size()) * sizeof(float);
-    }
-    std::uint64_t bytes = 0;
-    for (std::size_t c = 0; c < schema_.size(); ++c) {
-        bytes += ValueWireBytes(At(row, c));
-    }
-    return bytes;
-}
-
 std::size_t
 Table::LabelColumnIndex() const
 {
@@ -197,7 +183,8 @@ Table::MaterializeFeatures() const
 }
 
 RowBlock
-Table::MaterializeColumns(const std::vector<std::size_t>& cols) const
+Table::MaterializeColumns(const std::vector<std::size_t>& cols,
+                          std::size_t first, std::size_t end) const
 {
     if (paged()) {
         throw InvalidArgument(
@@ -216,14 +203,19 @@ Table::MaterializeColumns(const std::vector<std::size_t>& cols) const
                                   "range");
         }
     }
+    if (first > end || end > num_rows_) {
+        throw InvalidArgument("table " + name_ +
+                              ": MaterializeColumns rows out of range");
+    }
     const std::size_t width = cols.size();
-    std::vector<float> values(num_rows_ * width);
+    std::vector<float> values((end - first) * width);
     std::size_t out_col = 0;
     for (std::size_t c : cols) {
         const std::vector<Value>& column = columns_[c];
         float* out = values.data() + out_col;
-        for (std::size_t r = 0; r < num_rows_; ++r) {
-            out[r * width] = static_cast<float>(ValueAsDouble(column[r]));
+        for (std::size_t r = first; r < end; ++r) {
+            out[(r - first) * width] =
+                static_cast<float>(ValueAsDouble(column[r]));
         }
         ++out_col;
     }

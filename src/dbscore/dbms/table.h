@@ -99,9 +99,6 @@ class Table {
      */
     const std::vector<Value>& Column(std::size_t col) const;
 
-    /** Approximate wire size of @p row in bytes. */
-    std::uint64_t RowWireBytes(std::size_t row) const;
-
     /** Index of the feature-excluded "label" column, or NumColumns(). */
     std::size_t LabelColumnIndex() const;
 
@@ -122,16 +119,18 @@ class Table {
     /**
      * A SCORE's own feature block, for a score that does not read every
      * feature column in table order: a row-major float32 block of just
-     * @p cols (table column indices, in the requested order). Only
-     * @p cols are converted, so a column the score does not read (a
-     * VARCHAR, say) is never touched, and a score over k of n columns
-     * copies k/n of the bytes MaterializeFeatures() would. Counted
-     * against RowBlock::CopyStats; not cached (the column set is a
-     * property of the statement, not the table).
+     * @p cols (table column indices, in the requested order) over rows
+     * [@p first, @p end). The executor calls it once per scored slice,
+     * so only @p cols of the rows a statement scores are converted: a
+     * column the score does not read (a VARCHAR, say) is never touched,
+     * and a TOP n that stops after one slice converts one slice.
+     * Counted against RowBlock::CopyStats; not cached (the column set
+     * is a property of the statement, not the table).
      * @throws InvalidArgument on a paged table, or when @p cols is
-     *         empty or out of range
+     *         empty or out of range, or the rows are out of range
      */
-    RowBlock MaterializeColumns(const std::vector<std::size_t>& cols) const;
+    RowBlock MaterializeColumns(const std::vector<std::size_t>& cols,
+                                std::size_t first, std::size_t end) const;
 
  private:
     std::string name_;

@@ -59,21 +59,6 @@ ValueAsDouble(const Value& value)
     }
 }
 
-std::uint64_t
-ValueWireBytes(const Value& value)
-{
-    switch (TypeOf(value)) {
-      case ColumnType::kInt64:
-      case ColumnType::kDouble:
-        return 8;
-      case ColumnType::kString:
-        return std::get<std::string>(value).size() + 4;
-      case ColumnType::kBlob:
-        return std::get<std::vector<std::uint8_t>>(value).size() + 4;
-    }
-    return 8;
-}
-
 int
 CompareValues(const Value& a, const Value& b)
 {

@@ -43,9 +43,6 @@ std::string ValueToString(const Value& value);
  */
 double ValueAsDouble(const Value& value);
 
-/** Approximate wire size of a value in bytes (for transfer models). */
-std::uint64_t ValueWireBytes(const Value& value);
-
 /**
  * SQL comparison between two values. Numerics compare numerically
  * (int vs double allowed); strings lexicographically.

@@ -10,7 +10,6 @@
 #include "dbscore/common/error.h"
 #include "dbscore/common/thread_pool.h"
 #include "dbscore/forest/forest.h"
-#include "dbscore/forest/gbdt.h"
 #include "dbscore/forest/simd.h"
 #include "dbscore/trace/trace.h"
 
@@ -206,12 +205,6 @@ ForestKernel::Supports(const RandomForest& forest)
     return EnsembleSupported(forest.trees(), forest.num_features());
 }
 
-bool
-ForestKernel::Supports(const GradientBoostedModel& gbdt)
-{
-    return EnsembleSupported(gbdt.trees(), gbdt.num_features());
-}
-
 ForestKernel::ForestKernel(const RandomForest& forest)
     : task_(forest.task()),
       num_classes_(forest.num_classes()),
@@ -225,25 +218,6 @@ ForestKernel::ForestKernel(const RandomForest& forest)
                               "too many features, or an oversized tree)");
     }
     Compile(forest.trees());
-}
-
-ForestKernel::ForestKernel(const GradientBoostedModel& gbdt)
-    : task_(gbdt.task()),
-      num_features_(gbdt.num_features()),
-      combine_(gbdt.task() == Task::kClassification
-                   ? KernelCombine::kMarginClassify
-                   : KernelCombine::kMargin),
-      init_(gbdt.base_score()),
-      scale_(gbdt.learning_rate())
-{
-    if (!Supports(gbdt)) {
-        throw InvalidArgument("forest kernel: unsupported gbdt (empty, "
-                              "too many features, or an oversized tree)");
-    }
-    // Margin kernels accumulate sums; the class decision happens in
-    // the combiner, so no per-leaf class table is needed.
-    num_classes_ = combine_ == KernelCombine::kMarginClassify ? 2 : 0;
-    Compile(gbdt.trees());
 }
 
 void
@@ -350,11 +324,11 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
             }
         }
         if (!vote) {
-            const double a = scale_ * leaf_lo;
-            const double b = scale_ * leaf_hi;
-            suffix_min_[t] = std::min(a, b);
-            suffix_max_[t] = std::max(a, b);
-            suffix_abs_[t] = std::max(std::abs(a), std::abs(b));
+            // A tree whose leaves are all NaN keeps lo = +inf and
+            // hi = -inf; ordering them bounds it by [-inf, +inf].
+            suffix_min_[t] = std::min(leaf_lo, leaf_hi);
+            suffix_max_[t] = std::max(leaf_lo, leaf_hi);
+            suffix_abs_[t] = std::max(std::abs(leaf_lo), std::abs(leaf_hi));
         }
 
         // Partition consecutive trees into tiles whose pooled nodes fit
@@ -442,58 +416,15 @@ ForestKernel::ForEachLeaf(const float* rows, const std::int32_t* offsets,
     scalar_groups(std::integral_constant<std::size_t, 1>{});
 }
 
-void
-ForestKernel::FinishSums(const double* sums, std::size_t num_rows,
-                         float* out) const
-{
-    switch (combine_) {
-    case KernelCombine::kMeanRegress: {
-        const auto trees = static_cast<double>(roots_.size());
-        for (std::size_t i = 0; i < num_rows; ++i) {
-            out[i] = static_cast<float>(sums[i] / trees);
-        }
-        break;
-    }
-    case KernelCombine::kMargin:
-        for (std::size_t i = 0; i < num_rows; ++i) {
-            out[i] = static_cast<float>(sums[i]);
-        }
-        break;
-    case KernelCombine::kMarginClassify:
-        for (std::size_t i = 0; i < num_rows; ++i) {
-            out[i] = static_cast<float>(GradientBoostedModel::MarginToClass(
-                static_cast<float>(sums[i])));
-        }
-        break;
-    case KernelCombine::kVoteClassify:
-        DBS_ASSERT_MSG(false, "vote kernels do not accumulate sums");
-        break;
-    }
-}
-
 float
 ForestKernel::FinishOne(double sum) const
 {
-    // Must mirror FinishSums exactly: the threshold path's full-finish
-    // rows are bit-identical to a Predict() of the same row. Every
-    // branch is monotone non-decreasing in the sum (float cast and
-    // division by a positive count are correctly rounded; the sigmoid
-    // + 0.5 threshold in MarginToClass is monotone), which is what
-    // lets interval endpoints decide the predicate.
-    switch (combine_) {
-    case KernelCombine::kMeanRegress:
-        return static_cast<float>(sum /
-                                  static_cast<double>(roots_.size()));
-    case KernelCombine::kMargin:
-        return static_cast<float>(sum);
-    case KernelCombine::kMarginClassify:
-        return static_cast<float>(GradientBoostedModel::MarginToClass(
-            static_cast<float>(sum)));
-    case KernelCombine::kVoteClassify:
-        break;
-    }
-    DBS_ASSERT_MSG(false, "vote kernels do not accumulate sums");
-    return 0.0f;
+    // The mean: Predict() and the threshold path's full-finish rows
+    // both end here, so those rows are bit-identical to a Predict() of
+    // the same row. It is monotone non-decreasing in the sum (division
+    // by a positive count and the float cast are correctly rounded),
+    // which is what lets interval endpoints decide the predicate.
+    return static_cast<float>(sum / static_cast<double>(roots_.size()));
 }
 
 bool
@@ -536,9 +467,8 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
     std::int32_t* const offsets = scratch.offsets.data();
     std::int32_t* const active = scratch.active.data();
     const float* const val = value_.data();
-    const double scale = scale_;
-    auto add_leaf = [sums, val, scale](std::size_t i, std::int32_t leaf) {
-        sums[i] += scale * val[leaf];
+    auto add_leaf = [sums, val](std::size_t i, std::int32_t leaf) {
+        sums[i] += val[leaf];
     };
 
     for (std::size_t begin = 0; begin < num_rows; begin += block_rows) {
@@ -546,7 +476,7 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
         const float* const base = rows + begin * stride;
         std::uint8_t* const block_keep = keep + begin;
         for (std::size_t i = 0; i < block; ++i) {
-            sums[i] = init_;
+            sums[i] = 0.0;
             active[i] = static_cast<std::int32_t>(i);
             offsets[i] = static_cast<std::int32_t>(i * stride);
         }
@@ -593,7 +523,7 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
             live = w;
         }
 
-        // Rows that ran every tree finish exactly like FinishSums.
+        // Rows that ran every tree finish exactly like Predict().
         for (std::size_t i = 0; i < live; ++i) {
             block_keep[active[i]] =
                 ThresholdHolds(op, threshold, FinishOne(sums[i]))
@@ -712,21 +642,22 @@ ForestKernel::RunBlockAccumulate(const float* rows,
                                  Scratch& scratch) const
 {
     const float* const val = value_.data();
-    const double scale = scale_;
     double* const sums = scratch.sums.data();
-    std::fill(sums, sums + num_rows, init_);
+    std::fill(sums, sums + num_rows, 0.0);
 
     // Tiles cover consecutive trees in ensemble order, so each row's
-    // double sum accumulates in the reference order and the
-    // mean/margin is bit-identical to the scalar path.
+    // double sum accumulates in the reference order and the mean is
+    // bit-identical to the scalar path.
     for (const TreeTile& tile : tiles_) {
         ForEachLeaf(rows, offsets, num_rows, tile.first_tree,
                     tile.end_tree,
-                    [sums, val, scale](std::size_t i, std::int32_t leaf) {
-                        sums[i] += scale * val[leaf];
+                    [sums, val](std::size_t i, std::int32_t leaf) {
+                        sums[i] += val[leaf];
                     });
     }
-    FinishSums(sums, num_rows, out);
+    for (std::size_t i = 0; i < num_rows; ++i) {
+        out[i] = FinishOne(sums[i]);
+    }
 }
 
 void

@@ -1,7 +1,9 @@
 /**
  * @file
  * ForestKernel: a compiled, cache-blocked, allocation-free batch
- * inference plan for tree ensembles (random forests and GBDTs).
+ * inference plan for random forests; a GBDT scores here as the
+ * regression forest of its exported ensemble
+ * (GradientBoostedModel::ToTreeEnsemble).
  *
  * The reference RandomForest::Predict walks one tree at a time through
  * per-tree std::vector storage — five vector-header dereferences per
@@ -56,15 +58,12 @@
 namespace dbscore {
 
 class RandomForest;
-class GradientBoostedModel;
 class DecisionTree;
 
 /** How per-tree outputs combine into a final prediction. */
 enum class KernelCombine : std::uint8_t {
-    kVoteClassify,    ///< forest: majority vote, lowest-id tie break
-    kMeanRegress,     ///< forest: mean of leaf values (tree order)
-    kMargin,          ///< gbdt: base + lr * sum (tree order)
-    kMarginClassify,  ///< gbdt: margin through sigmoid, threshold 0.5
+    kVoteClassify,  ///< classification: majority vote, lowest-id tie break
+    kMeanRegress,   ///< regression: mean of leaf values (tree order)
 };
 
 /** Comparison a query pushes into traversal via PredictThreshold. */
@@ -125,16 +124,6 @@ class ForestKernel {
      */
     explicit ForestKernel(const RandomForest& forest);
 
-    /**
-     * Compiles @p gbdt with a margin combiner: predictions are
-     * bit-identical to GradientBoostedModel::Predict (margin
-     * accumulated in double in tree order, classification thresholded
-     * after a sigmoid).
-     *
-     * @throws InvalidArgument when Supports(gbdt) is false
-     */
-    explicit ForestKernel(const GradientBoostedModel& gbdt);
-
     ForestKernel(ForestKernel&&) = delete;
     ForestKernel& operator=(ForestKernel&&) = delete;
 
@@ -144,9 +133,6 @@ class ForestKernel {
      * Callers take the reference path otherwise.
      */
     static bool Supports(const RandomForest& forest);
-
-    /** True when @p gbdt can be compiled (same structural limits). */
-    static bool Supports(const GradientBoostedModel& gbdt);
 
     Task task() const { return task_; }
     int num_classes() const { return num_classes_; }
@@ -198,12 +184,10 @@ class ForestKernel {
 
     /**
      * True when PredictThreshold can stop accumulating trees early:
-     * the accumulator combiners (kMeanRegress / kMargin /
-     * kMarginClassify). The combiner's finisher g(sum) — float cast,
-     * divide by tree count, sigmoid + 0.5 threshold — is monotone
-     * non-decreasing in the sum, so a conservative [lo, hi] interval
-     * on the remaining-tree contribution decides "g(sum) op θ" exactly
-     * (DESIGN.md §14).
+     * the accumulating combiner, kMeanRegress. Its finisher
+     * g(sum) = float(sum / T) is monotone non-decreasing in the sum,
+     * so a conservative [lo, hi] interval on the remaining-tree
+     * contribution decides "g(sum) op θ" exactly (DESIGN.md §14).
      */
     bool SupportsThresholdEarlyExit() const;
 
@@ -256,19 +240,16 @@ class ForestKernel {
     void RunBlockVote(const float* rows, const std::int32_t* offsets,
                       std::size_t num_rows, float* out,
                       Scratch& scratch) const;
-    /** One row block: sum-accumulating kernels (regress / margin). */
+    /** One row block: the sum-accumulating (mean-regress) kernel. */
     void RunBlockAccumulate(const float* rows, const std::int32_t* offsets,
                             std::size_t num_rows, float* out,
                             Scratch& scratch) const;
     /** @p stride is the float distance between consecutive rows. */
     void RunStrided(const float* rows, std::size_t num_rows,
                     std::size_t stride, float* out, Scratch& scratch) const;
-    /** Applies the combiner to finish @p num_rows accumulated sums. */
-    void FinishSums(const double* sums, std::size_t num_rows,
-                    float* out) const;
-    /** The combiner's monotone finisher for one accumulated sum. */
+    /** The mean's monotone finisher for one accumulated sum. */
     float FinishOne(double sum) const;
-    /** Early-exit traversal over one chunk (accumulate combiners). */
+    /** Early-exit traversal over one chunk (mean-regress kernel). */
     void RunThreshold(const float* rows, std::size_t num_rows,
                       std::size_t stride, ThresholdOp op, float threshold,
                       std::uint8_t* keep, Scratch& scratch,
@@ -278,9 +259,6 @@ class ForestKernel {
     int num_classes_ = 0;
     std::size_t num_features_ = 0;
     KernelCombine combine_ = KernelCombine::kVoteClassify;
-    /** Margin combiner parameters (gbdt): out = init + scale * sum. */
-    double init_ = 0.0;
-    double scale_ = 1.0;
     double build_wall_ms_ = 0.0;
     /** Whether the 64-row SIMD loop runs (a vector backend is live). */
     bool simd_ = false;
@@ -291,7 +269,7 @@ class ForestKernel {
     std::vector<std::int32_t> depths_;
     /** Flattened node pool, level order per tree. */
     std::vector<Node> nodes_;
-    /** Leaf payload: value (accumulate kernels), by pool index. */
+    /** Leaf payload: value (mean-regress kernel), by pool index. */
     std::vector<float> value_;
     /** Leaf payload: class id (vote kernels), by pool index. */
     std::vector<std::int32_t> leaf_class_;
@@ -299,9 +277,9 @@ class ForestKernel {
     std::vector<TreeTile> tiles_;
 
     /**
-     * Threshold early-exit bounds (accumulate combiners), indexed by
+     * Threshold early-exit bounds (mean-regress kernel), indexed by
      * tree: suffix_min_[t] / suffix_max_[t] bound the summed
-     * contribution (scale * leaf value) of trees [t, T), and
+     * contribution (leaf values) of trees [t, T), and
      * suffix_abs_[t] sums their magnitudes for the rounding-slack
      * term. Size T + 1 with zeros at index T.
      */

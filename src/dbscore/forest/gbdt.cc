@@ -5,8 +5,6 @@
 
 #include "dbscore/common/error.h"
 #include "dbscore/common/rng.h"
-#include "dbscore/common/thread_pool.h"
-#include "dbscore/forest/forest_kernel.h"
 #include "dbscore/forest/trainer.h"
 
 namespace dbscore {
@@ -95,88 +93,11 @@ GradientBoostedModel::GradientBoostedModel(Task task,
 {
 }
 
-GradientBoostedModel::GradientBoostedModel(
-    const GradientBoostedModel& other)
-    : task_(other.task_),
-      num_features_(other.num_features_),
-      base_score_(other.base_score_),
-      learning_rate_(other.learning_rate_),
-      trees_(other.trees_)
-{
-    std::lock_guard<std::mutex> lock(other.kernel_mutex_);
-    kernel_ = other.kernel_;
-}
-
-GradientBoostedModel&
-GradientBoostedModel::operator=(const GradientBoostedModel& other)
-{
-    if (this != &other) {
-        task_ = other.task_;
-        num_features_ = other.num_features_;
-        base_score_ = other.base_score_;
-        learning_rate_ = other.learning_rate_;
-        trees_ = other.trees_;
-        std::shared_ptr<const ForestKernel> kernel;
-        {
-            std::lock_guard<std::mutex> lock(other.kernel_mutex_);
-            kernel = other.kernel_;
-        }
-        std::lock_guard<std::mutex> lock(kernel_mutex_);
-        kernel_ = std::move(kernel);
-    }
-    return *this;
-}
-
-GradientBoostedModel::GradientBoostedModel(
-    GradientBoostedModel&& other) noexcept
-    : task_(other.task_),
-      num_features_(other.num_features_),
-      base_score_(other.base_score_),
-      learning_rate_(other.learning_rate_),
-      trees_(std::move(other.trees_))
-{
-    std::lock_guard<std::mutex> lock(other.kernel_mutex_);
-    kernel_ = std::move(other.kernel_);
-}
-
-GradientBoostedModel&
-GradientBoostedModel::operator=(GradientBoostedModel&& other) noexcept
-{
-    if (this != &other) {
-        task_ = other.task_;
-        num_features_ = other.num_features_;
-        base_score_ = other.base_score_;
-        learning_rate_ = other.learning_rate_;
-        trees_ = std::move(other.trees_);
-        std::shared_ptr<const ForestKernel> kernel;
-        {
-            std::lock_guard<std::mutex> lock(other.kernel_mutex_);
-            kernel = std::move(other.kernel_);
-        }
-        std::lock_guard<std::mutex> lock(kernel_mutex_);
-        kernel_ = std::move(kernel);
-    }
-    return *this;
-}
-
 void
 GradientBoostedModel::AddTree(DecisionTree tree)
 {
     DBS_ASSERT(!tree.Empty());
     trees_.push_back(std::move(tree));
-    // The compiled plan no longer matches the ensemble.
-    std::lock_guard<std::mutex> lock(kernel_mutex_);
-    kernel_.reset();
-}
-
-std::shared_ptr<const ForestKernel>
-GradientBoostedModel::Kernel() const
-{
-    std::lock_guard<std::mutex> lock(kernel_mutex_);
-    if (kernel_ == nullptr) {
-        kernel_ = std::make_shared<const ForestKernel>(*this);
-    }
-    return kernel_;
 }
 
 double
@@ -212,20 +133,9 @@ GradientBoostedModel::PredictBatch(const Dataset& data) const
     if (data.num_features() != num_features_) {
         throw InvalidArgument("gbdt: row arity mismatch");
     }
-    if (ForestKernel::Supports(*this)) {
-        return Kernel()->Predict(data.View());
-    }
     std::vector<float> out(data.num_rows());
-    auto worker = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            out[i] = Predict(data.Row(i));
-        }
-    };
-    // Same chunked pattern and cutoff as RandomForest's batch paths.
-    if (data.num_rows() >= kParallelRowCutoff) {
-        ThreadPool::Shared().ParallelForChunked(data.num_rows(), worker);
-    } else {
-        worker(0, data.num_rows());
+    for (std::size_t i = 0; i < data.num_rows(); ++i) {
+        out[i] = Predict(data.Row(i));
     }
     return out;
 }

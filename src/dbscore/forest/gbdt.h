@@ -9,21 +9,22 @@
  * for regression and logistic-loss boosting for binary classification,
  * reusing the CART tree builder.
  *
- * A trained model exports to the same ONNX-like TreeEnsemble the engines
- * consume: leaf values are folded so that the engines' mean-of-trees
- * regression combiner reproduces base + lr * sum(tree outputs) exactly,
- * letting every backend (CPU/GPU/FPGA) score boosted models unchanged.
+ * A trained model is stored and scored only as the exchange ensemble
+ * the engines consume (ToTreeEnsemble): leaf values are folded so that
+ * the engines' mean-of-trees regression combiner reproduces
+ * base + lr * sum(tree outputs), letting every backend (CPU/GPU/FPGA),
+ * SQL SCORE and the serving layers score boosted models unchanged.
+ * Predict and PredictBatch here are the scalar reference for tests and
+ * training-time accuracy, not a serving path.
  */
 #ifndef DBSCORE_FOREST_GBDT_H
 #define DBSCORE_FOREST_GBDT_H
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <vector>
 
 #include "dbscore/data/dataset.h"
 #include "dbscore/forest/forest.h"
-#include "dbscore/forest/forest_kernel.h"
 #include "dbscore/forest/onnx_like.h"
 
 namespace dbscore {
@@ -47,13 +48,6 @@ class GradientBoostedModel {
     GradientBoostedModel(Task task, std::size_t num_features,
                          double base_score, double learning_rate);
 
-    // Value semantics despite the kernel-cache mutex: copies share the
-    // (immutable) compiled kernel, never the lock.
-    GradientBoostedModel(const GradientBoostedModel& other);
-    GradientBoostedModel& operator=(const GradientBoostedModel& other);
-    GradientBoostedModel(GradientBoostedModel&& other) noexcept;
-    GradientBoostedModel& operator=(GradientBoostedModel&& other) noexcept;
-
     Task task() const { return task_; }
     std::size_t num_features() const { return num_features_; }
     double base_score() const { return base_score_; }
@@ -72,22 +66,8 @@ class GradientBoostedModel {
      */
     float Predict(const float* row) const;
 
-    /**
-     * Batch prediction. Delegates to the cached ForestKernel (margin
-     * combiner: base + lr * sum accumulated in double in tree order,
-     * classification thresholded after the sigmoid) whenever the
-     * kernel supports the model; bit-identical to per-row Predict
-     * either way.
-     */
+    /** Predict over every row of @p data, in row order. */
     std::vector<float> PredictBatch(const Dataset& data) const;
-
-    /**
-     * The compiled margin-combining inference plan: built on first
-     * call, cached until the model mutates, shared by copies.
-     * Thread-safe.
-     * @throws InvalidArgument when the model is not kernel-compilable
-     */
-    std::shared_ptr<const ForestKernel> Kernel() const;
 
     /** Classification accuracy / regression is invalid. */
     double Accuracy(const Dataset& data) const;
@@ -110,10 +90,6 @@ class GradientBoostedModel {
     double base_score_ = 0.0;
     double learning_rate_ = 0.1;
     std::vector<DecisionTree> trees_;
-
-    /** Lazily-built compiled kernel; null until first batch call. */
-    mutable std::shared_ptr<const ForestKernel> kernel_;
-    mutable std::mutex kernel_mutex_;
 };
 
 /**

@@ -8,8 +8,6 @@ namespace dbscore {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x46534244;  // "DBSF"
-constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kMaxReasonableCount = 1u << 28;
 
 }  // namespace
@@ -152,99 +150,6 @@ ByteReader::GetBytes(void* out, std::size_t size)
     Require(size);
     std::memcpy(out, bytes_.data() + pos_, size);
     pos_ += size;
-}
-
-std::vector<std::uint8_t>
-SerializeForest(const RandomForest& forest)
-{
-    ByteWriter w;
-    w.PutU32(kMagic);
-    w.PutU32(kVersion);
-    w.PutU8(forest.task() == Task::kClassification ? 0 : 1);
-    w.PutU32(static_cast<std::uint32_t>(forest.num_features()));
-    w.PutU32(static_cast<std::uint32_t>(forest.num_classes()));
-    w.PutU32(static_cast<std::uint32_t>(forest.NumTrees()));
-    for (const auto& tree : forest.trees()) {
-        const auto n = static_cast<std::uint32_t>(tree.NumNodes());
-        w.PutU32(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            auto node = static_cast<std::int32_t>(i);
-            w.PutI32(tree.Feature(node));
-            w.PutF32(tree.Threshold(node));
-            w.PutI32(tree.Left(node));
-            w.PutI32(tree.Right(node));
-            w.PutF32(tree.LeafValue(node));
-        }
-    }
-    return w.Take();
-}
-
-RandomForest
-DeserializeForest(std::span<const std::uint8_t> bytes)
-{
-    ByteReader r(bytes);
-    if (r.GetU32() != kMagic) {
-        throw ParseError("forest blob: bad magic");
-    }
-    std::uint32_t version = r.GetU32();
-    if (version != kVersion) {
-        throw ParseError("forest blob: unsupported version");
-    }
-    std::uint8_t task_byte = r.GetU8();
-    if (task_byte > 1) {
-        throw ParseError("forest blob: bad task byte");
-    }
-    Task task = task_byte == 0 ? Task::kClassification : Task::kRegression;
-    std::uint32_t num_features = r.GetU32();
-    std::uint32_t num_classes = r.GetU32();
-    std::uint32_t num_trees = r.GetU32();
-    if (num_features == 0 || num_features > kMaxReasonableCount ||
-        num_trees == 0 || num_trees > kMaxReasonableCount) {
-        throw ParseError("forest blob: implausible dimensions");
-    }
-    if (task == Task::kClassification && num_classes < 2) {
-        throw ParseError("forest blob: bad class count");
-    }
-    if (task == Task::kRegression && num_classes != 0) {
-        throw ParseError("forest blob: regression with classes");
-    }
-
-    RandomForest forest(task, num_features,
-                        static_cast<int>(num_classes));
-    for (std::uint32_t t = 0; t < num_trees; ++t) {
-        std::uint32_t n = r.GetU32();
-        if (n == 0 || n > kMaxReasonableCount) {
-            throw ParseError("forest blob: implausible node count");
-        }
-        DecisionTree tree;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            std::int32_t feature = r.GetI32();
-            float threshold = r.GetF32();
-            std::int32_t left = r.GetI32();
-            std::int32_t right = r.GetI32();
-            float value = r.GetF32();
-            if (feature == kLeafFeature) {
-                if (task == Task::kClassification &&
-                    !LeafIsClassId(value, static_cast<int>(num_classes))) {
-                    throw ParseError("forest blob: leaf is not a class id");
-                }
-                tree.AddLeafNode(value);
-            } else {
-                if (feature < 0) {
-                    throw ParseError("forest blob: bad feature id");
-                }
-                std::int32_t node = tree.AddDecisionNode(feature, threshold);
-                // Children validated by tree.Validate() below; record raw.
-                tree.SetChildren(node, left, right);
-            }
-        }
-        tree.Validate(num_features);
-        forest.AddTree(std::move(tree));
-    }
-    if (!r.AtEnd()) {
-        throw ParseError("forest blob: trailing bytes");
-    }
-    return forest;
 }
 
 }  // namespace dbscore

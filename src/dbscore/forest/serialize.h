@@ -1,26 +1,20 @@
 /**
  * @file
- * Binary serialization of random forest models.
+ * Little-endian byte buffers for model blobs.
  *
- * This is the "serialized binary form" the paper stores in database tables:
- * the DBMS keeps models as opaque VARBINARY blobs, and model pre-processing
- * in the pipeline is exactly the deserialization implemented here.
- *
- * Format (little-endian):
- *   magic "DBSF", u32 version,
- *   u8 task, u32 num_features, u32 num_classes, u32 num_trees,
- *   then per tree: u32 num_nodes followed by the node arrays
- *   (i32 feature, f32 threshold, i32 left, i32 right, f32 value).
+ * The DBMS stores every model as the exchange ensemble's blob
+ * (TreeEnsemble::Serialize in onnx_like.h): an opaque VARBINARY that
+ * model pre-processing deserializes. ByteWriter and ByteReader are the
+ * bounds-checked primitives that blob is written and parsed with.
  */
 #ifndef DBSCORE_FOREST_SERIALIZE_H
 #define DBSCORE_FOREST_SERIALIZE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
-
-#include "dbscore/forest/forest.h"
 
 namespace dbscore {
 
@@ -68,15 +62,6 @@ class ByteReader {
     std::span<const std::uint8_t> bytes_;
     std::size_t pos_ = 0;
 };
-
-/** Serializes a forest to the DBSF binary format. */
-std::vector<std::uint8_t> SerializeForest(const RandomForest& forest);
-
-/**
- * Parses a DBSF blob back into a forest and validates the structure.
- * @throws ParseError on malformed input.
- */
-RandomForest DeserializeForest(std::span<const std::uint8_t> bytes);
 
 }  // namespace dbscore
 

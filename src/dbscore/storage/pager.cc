@@ -26,17 +26,6 @@ constexpr std::uint32_t kSuperblockMagic = 0x44425342u;
 
 }  // namespace
 
-const char*
-SyncModeName(SyncMode mode)
-{
-    switch (mode) {
-    case SyncMode::kNone: return "none";
-    case SyncMode::kFlush: return "flush";
-    case SyncMode::kFsync: return "fsync";
-    }
-    return "?";
-}
-
 Pager::Pager(std::string path, const Options& options)
     : path_(std::move(path)),
       page_size_(options.page_size),

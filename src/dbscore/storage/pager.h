@@ -68,8 +68,6 @@ enum class SyncMode : std::uint8_t {
     kFsync,     ///< Sync() = fdatasync(2): real durability barrier
 };
 
-const char* SyncModeName(SyncMode mode);
-
 /**
  * Format version the superblock records and Open checks before it
  * verifies any page. Version 2 checksums pages with the 4-lane stripe

@@ -20,12 +20,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> data)
 }
 
 Matrix
-Matrix::Zeros(std::size_t rows, std::size_t cols)
-{
-    return Matrix(rows, cols);
-}
-
-Matrix
 Matrix::FromView(RowView view)
 {
     if (!view.contiguous()) {

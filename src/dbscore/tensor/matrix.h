@@ -35,8 +35,6 @@ class Matrix {
     /** Wraps existing storage; @p data must have rows*cols entries. */
     Matrix(std::size_t rows, std::size_t cols, std::vector<float> data);
 
-    static Matrix Zeros(std::size_t rows, std::size_t cols);
-
     /**
      * Adopts a contiguous view without copying. The result is
      * read-only; the view's keepalive (if any) pins the storage.

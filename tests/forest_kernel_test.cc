@@ -430,51 +430,6 @@ TEST(ForestKernelV2Test, SimdAndScalarShimsAgree)
     }
 }
 
-// -------------------------------------------------------------- gbdt --
-
-TEST(ForestKernelV2Test, GbdtKernelMatchesPerRowPredict)
-{
-    GbdtConfig config;
-    config.num_trees = 20;
-    config.max_depth = 4;
-    config.seed = 61;
-
-    Dataset train_r = MakeSyntheticRegression(300, 6, 0.1, 61);
-    GradientBoostedModel reg = TrainGbdtRegressor(train_r, config);
-    ASSERT_TRUE(ForestKernel::Supports(reg));
-    Dataset eval_r = MakeSyntheticRegression(513, 6, 0.1, 62);
-    auto kernel_r = reg.Kernel();
-    EXPECT_EQ(kernel_r->combine(), KernelCombine::kMargin);
-    auto got_r = kernel_r->Predict(eval_r.values().data(),
-                                   eval_r.num_rows(),
-                                   eval_r.num_features());
-    for (std::size_t i = 0; i < eval_r.num_rows(); ++i) {
-        ASSERT_EQ(got_r[i], reg.Predict(eval_r.Row(i))) << "row " << i;
-    }
-
-    Dataset train_c = MakeHiggs(300, 63);
-    GradientBoostedModel cls = TrainGbdtClassifier(train_c, config);
-    Dataset eval_c = MakeHiggs(513, 64);
-    auto kernel_c = cls.Kernel();
-    EXPECT_EQ(kernel_c->combine(), KernelCombine::kMarginClassify);
-    auto got_c = kernel_c->Predict(eval_c.values().data(),
-                                   eval_c.num_rows(),
-                                   eval_c.num_features());
-    for (std::size_t i = 0; i < eval_c.num_rows(); ++i) {
-        ASSERT_EQ(got_c[i], cls.Predict(eval_c.Row(i))) << "row " << i;
-    }
-
-    // The batch entry point routes through the same kernel.
-    EXPECT_EQ(cls.PredictBatch(eval_c), got_c);
-    // And the cache invalidates on mutation, like the forest's.
-    auto before = cls.Kernel();
-    EXPECT_EQ(cls.Kernel().get(), before.get());
-    DecisionTree stump;
-    stump.AddLeafNode(0.5f);
-    cls.AddTree(std::move(stump));
-    EXPECT_NE(cls.Kernel().get(), before.get());
-}
-
 // -------------------------------------------------------------- trace --
 
 TEST(ForestKernelV2Test, KernelBuildEmitsTraceStage)
@@ -519,8 +474,8 @@ TEST(ForestKernelV2Test, BuildWallTimeIsStampedUnderBothVersions)
 
 TEST(ForestKernelV2Test, ScratchReusableAcrossModesAndBatches)
 {
-    // One scratch serves a vote kernel, a mean-regress kernel and a
-    // margin kernel back to back, on batches of different sizes.
+    // One scratch serves a vote kernel and a mean-regress kernel back
+    // to back, on batches of different sizes.
     RandomForest vote = TrainSmallIris(8, 6, 66);
     Dataset a = MakeIris(700, 67);
     Dataset b = MakeIris(130, 68);
@@ -530,12 +485,6 @@ TEST(ForestKernelV2Test, ScratchReusableAcrossModesAndBatches)
     config.seed = 69;
     RandomForest mean =
         TrainForest(MakeSyntheticRegression(300, 4, 0.1, 69), config);
-    GbdtConfig gconfig;
-    gconfig.num_trees = 12;
-    gconfig.max_depth = 4;
-    gconfig.seed = 70;
-    GradientBoostedModel margin = TrainGbdtRegressor(
-        MakeSyntheticRegression(300, 4, 0.1, 70), gconfig);
 
     ForestKernel::Scratch scratch;
     std::vector<float> out_a(a.num_rows());
@@ -548,10 +497,6 @@ TEST(ForestKernelV2Test, ScratchReusableAcrossModesAndBatches)
                        out_b.data(), scratch);
     EXPECT_EQ(out_b, Reference(mean, b.values().data(), b.num_rows(),
                                b.num_features()));
-    margin.Kernel()->Run(a.values().data(), a.num_rows(), a.num_features(),
-                         out_a.data(), scratch);
-    EXPECT_EQ(out_a, Reference(margin, a.values().data(), a.num_rows(),
-                               a.num_features()));
     vote.Kernel()->Run(b.values().data(), b.num_rows(), b.num_features(),
                        out_b.data(), scratch);
     EXPECT_EQ(out_b, Reference(vote, b.values().data(), b.num_rows(),
@@ -652,8 +597,9 @@ TEST(ForestKernelThresholdTest, GbdtRegressorMatchesPredict)
     config.seed = 73;
     const GradientBoostedModel gbdt = TrainGbdtRegressor(
         MakeSyntheticRegression(400, 6, 0.1, 73), config);
-    const ForestKernel kernel(gbdt);
-    EXPECT_EQ(kernel.combine(), KernelCombine::kMargin);
+    // The form SQL scores: the exported ensemble's regression forest.
+    const ForestKernel kernel(gbdt.ToTreeEnsemble().ToForest());
+    EXPECT_EQ(kernel.combine(), KernelCombine::kMeanRegress);
     ExpectThresholdMatchesPredict(
         kernel, MakeSyntheticRegression(4097, 6, 0.1, 74), "gbdt-reg");
 }
@@ -666,8 +612,10 @@ TEST(ForestKernelThresholdTest, GbdtClassifierMatchesPredict)
     config.seed = 75;
     const GradientBoostedModel gbdt =
         TrainGbdtClassifier(MakeHiggs(400, 75), config);
-    const ForestKernel kernel(gbdt);
-    EXPECT_EQ(kernel.combine(), KernelCombine::kMarginClassify);
+    // The form SQL scores: margins, through the mean of the exported
+    // ensemble's regression forest.
+    const ForestKernel kernel(gbdt.ToTreeEnsemble().ToForest());
+    EXPECT_EQ(kernel.combine(), KernelCombine::kMeanRegress);
     ExpectThresholdMatchesPredict(kernel, MakeHiggs(4097, 76), "gbdt-cls");
 }
 

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit + property tests for dbscore/forest: tree mechanics, trainer
- * behaviour, serialization round trips, and the ONNX-like exchange format.
+ * behaviour, byte buffers, and the ONNX-like exchange format and its
+ * blob (the one form the DBMS stores).
  */
 #include <cmath>
 #include <limits>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -230,7 +232,8 @@ TEST(TrainerTest, DeterministicAcrossRuns)
     RandomForest a = TrainForest(data, config);
     RandomForest b = TrainForest(data, config);
     // Thread scheduling must not affect the result.
-    EXPECT_EQ(SerializeForest(a), SerializeForest(b));
+    EXPECT_EQ(TreeEnsemble::FromForest(a).Serialize(),
+              TreeEnsemble::FromForest(b).Serialize());
 }
 
 TEST(TrainerTest, RegressionReducesError)
@@ -307,51 +310,6 @@ TEST(SerializeTest, ReaderThrowsOnTruncation)
     EXPECT_THROW(r.GetU8(), ParseError);
 }
 
-TEST(SerializeTest, ForestRoundTripPreservesPredictions)
-{
-    Dataset data = MakeIris(300, 13);
-    ForestTrainerConfig config;
-    config.num_trees = 10;
-    config.max_depth = 10;
-    RandomForest forest = TrainForest(data, config);
-
-    auto blob = SerializeForest(forest);
-    RandomForest restored = DeserializeForest(blob);
-    EXPECT_EQ(restored.NumTrees(), forest.NumTrees());
-    EXPECT_EQ(restored.num_classes(), forest.num_classes());
-    EXPECT_EQ(forest.PredictBatch(data), restored.PredictBatch(data));
-}
-
-TEST(SerializeTest, RejectsCorruptBlobs)
-{
-    Dataset data = MakeIris(60, 14);
-    ForestTrainerConfig config;
-    config.num_trees = 2;
-    config.max_depth = 4;
-    auto blob = SerializeForest(TrainForest(data, config));
-
-    {
-        auto bad = blob;
-        bad[0] ^= 0xff;  // magic
-        EXPECT_THROW(DeserializeForest(bad), ParseError);
-    }
-    {
-        auto bad = blob;
-        bad[4] = 9;  // version
-        EXPECT_THROW(DeserializeForest(bad), ParseError);
-    }
-    {
-        auto bad = blob;
-        bad.resize(bad.size() / 2);  // truncated
-        EXPECT_THROW(DeserializeForest(bad), ParseError);
-    }
-    {
-        auto bad = blob;
-        bad.push_back(0);  // trailing garbage
-        EXPECT_THROW(DeserializeForest(bad), ParseError);
-    }
-}
-
 /** Classification leaves that name no class of a 3-class forest. */
 const std::vector<float>&
 NonClassLeaves()
@@ -361,31 +319,6 @@ NonClassLeaves()
         std::numeric_limits<float>::infinity(),
         -std::numeric_limits<float>::infinity(), 1e30f};
     return values;
-}
-
-TEST(SerializeTest, RejectsLeavesThatAreNotClassIds)
-{
-    // x0 <= 0.5 ? (x1 <= 1.5 ? L0 : L1) : leaf, in a 3-class forest.
-    auto blob_with_leaf = [](float leaf) {
-        DecisionTree t;
-        std::int32_t root = t.AddDecisionNode(0, 0.5f);
-        std::int32_t inner = t.AddDecisionNode(1, 1.5f);
-        std::int32_t l0 = t.AddLeafNode(0.0f);
-        std::int32_t l1 = t.AddLeafNode(1.0f);
-        std::int32_t l2 = t.AddLeafNode(leaf);
-        t.SetChildren(root, inner, l2);
-        t.SetChildren(inner, l0, l1);
-        RandomForest forest(Task::kClassification, 2, 3);
-        forest.AddTree(std::move(t));
-        return SerializeForest(forest);
-    };
-    for (float leaf : NonClassLeaves()) {
-        EXPECT_THROW(DeserializeForest(blob_with_leaf(leaf)), ParseError)
-            << "leaf " << leaf;
-    }
-    // Leaves round to class ids the way every predictor rounds them.
-    EXPECT_NO_THROW(DeserializeForest(blob_with_leaf(2.4f)));
-    EXPECT_NO_THROW(DeserializeForest(blob_with_leaf(-0.4f)));
 }
 
 TEST(OnnxLikeTest, ForestRoundTrip)
@@ -406,18 +339,23 @@ TEST(OnnxLikeTest, ForestRoundTrip)
 
 TEST(OnnxLikeTest, SerializedRoundTrip)
 {
-    Dataset data = MakeIris(200, 16);
-    ForestTrainerConfig config;
-    config.num_trees = 3;
-    config.max_depth = 5;
-    RandomForest forest = TrainForest(data, config);
+    for (const auto& [rows, seed, trees, depth] :
+         {std::tuple{200, 16, 3, 5}, {300, 13, 10, 10}}) {
+        Dataset data = MakeIris(rows, seed);
+        ForestTrainerConfig config;
+        config.num_trees = static_cast<std::size_t>(trees);
+        config.max_depth = static_cast<std::size_t>(depth);
+        RandomForest forest = TrainForest(data, config);
 
-    TreeEnsemble e = TreeEnsemble::FromForest(forest);
-    auto blob = e.Serialize();
-    TreeEnsemble back = TreeEnsemble::Deserialize(blob);
-    EXPECT_EQ(back.NumNodes(), e.NumNodes());
-    RandomForest restored = back.ToForest();
-    EXPECT_EQ(forest.PredictBatch(data), restored.PredictBatch(data));
+        TreeEnsemble e = TreeEnsemble::FromForest(forest);
+        auto blob = e.Serialize();
+        TreeEnsemble back = TreeEnsemble::Deserialize(blob);
+        EXPECT_EQ(back.NumNodes(), e.NumNodes());
+        RandomForest restored = back.ToForest();
+        EXPECT_EQ(restored.NumTrees(), forest.NumTrees());
+        EXPECT_EQ(restored.num_classes(), forest.num_classes());
+        EXPECT_EQ(forest.PredictBatch(data), restored.PredictBatch(data));
+    }
 }
 
 TEST(OnnxLikeTest, ByteSizeTracksNodeCount)
@@ -453,10 +391,26 @@ TEST(OnnxLikeTest, RejectsMalformedEnsembles)
         bad.node_ids.back() += 5;  // non-dense ids
         EXPECT_THROW(bad.ToForest(), ParseError);
     }
+    const auto blob = e.Serialize();
     {
-        auto blob = e.Serialize();
-        blob[0] ^= 0x1;
-        EXPECT_THROW(TreeEnsemble::Deserialize(blob), ParseError);
+        auto bad = blob;
+        bad[0] ^= 0x1;  // magic
+        EXPECT_THROW(TreeEnsemble::Deserialize(bad), ParseError);
+    }
+    {
+        auto bad = blob;
+        bad[4] = 9;  // version
+        EXPECT_THROW(TreeEnsemble::Deserialize(bad), ParseError);
+    }
+    {
+        auto bad = blob;
+        bad.resize(bad.size() / 2);  // truncated
+        EXPECT_THROW(TreeEnsemble::Deserialize(bad), ParseError);
+    }
+    {
+        auto bad = blob;
+        bad.push_back(0);  // trailing garbage
+        EXPECT_THROW(TreeEnsemble::Deserialize(bad), ParseError);
     }
 }
 
@@ -482,9 +436,15 @@ TEST(OnnxLikeTest, RejectsLeavesThatAreNotClassIds)
                      ParseError)
             << "leaf " << value;
     }
-    TreeEnsemble rounded = e;
-    rounded.leaf_values[leaf] = 2.4f;
-    EXPECT_NO_THROW(rounded.ToForest());
+    // Leaves round to class ids the way every predictor rounds them.
+    for (float value : {2.4f, -0.4f}) {
+        TreeEnsemble rounded = e;
+        rounded.leaf_values[leaf] = value;
+        EXPECT_NO_THROW(rounded.ToForest()) << "leaf " << value;
+        EXPECT_NO_THROW(
+            TreeEnsemble::Deserialize(rounded.Serialize()).ToForest())
+            << "leaf " << value;
+    }
 
     // Regression leaves are values, not class ids.
     TreeEnsemble reg = e;
@@ -529,8 +489,6 @@ TEST_P(ForestRoundTripTest, SerializeAndOnnxAgreeWithReference)
     RandomForest forest = TrainForest(data, config);
 
     auto expected = forest.PredictBatch(data);
-    EXPECT_EQ(DeserializeForest(SerializeForest(forest)).PredictBatch(data),
-              expected);
     EXPECT_EQ(TreeEnsemble::Deserialize(
                   TreeEnsemble::FromForest(forest).Serialize())
                   .ToForest()

@@ -186,23 +186,6 @@ TEST(GbdtTest, EveryBackendScoresBoostedModels)
     }
 }
 
-TEST(GbdtTest, ParallelBatchMatchesPerRowPredict)
-{
-    // 5000 rows crosses kParallelRowCutoff, so PredictBatch fans out on
-    // the shared ThreadPool; chunking must not change any prediction.
-    Dataset data = MakeSyntheticRegression(5000, 5, 0.05, 20);
-    GbdtConfig config;
-    config.num_trees = 15;
-    config.max_depth = 4;
-    GradientBoostedModel model = TrainGbdtRegressor(data, config);
-
-    auto batch = model.PredictBatch(data);
-    ASSERT_EQ(batch.size(), data.num_rows());
-    for (std::size_t i = 0; i < data.num_rows(); ++i) {
-        ASSERT_EQ(batch[i], model.Predict(data.Row(i))) << "row " << i;
-    }
-}
-
 TEST(GbdtTest, ClassifierMarginRoundTrip)
 {
     Dataset higgs = MakeHiggs(1500, 19);

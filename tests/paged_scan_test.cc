@@ -993,20 +993,31 @@ TEST_F(PagedScanTest, RisingTopNThresholdNeedsAKernelThatExitsEarly)
 TEST_F(PagedScanTest, InMemoryTopWithoutOrderByScoresOneMorsel)
 {
     // In-memory rows run as 1024-row morsels too, so TOP n without
-    // ORDER BY stops after the morsel that holds its n-th row.
+    // ORDER BY stops after the morsel that holds its n-th row. A score
+    // whose feature list is not the table's feature columns in order
+    // converts its own columns of the rows it scores, one morsel here,
+    // not of the whole table.
     const Dataset data = TiedData(20000);
     StoreTied(db_, data, Path("t.dbpages"), 64);
-    const std::string sql = "SELECT TOP 5 f1, SCORE(c) FROM mem";
-    const auto [full, thresholded] = ScoredInFullAndThresholded(db_, sql);
-    EXPECT_GT(full, 0u);
-    EXPECT_LE(full, 1024u);
-    EXPECT_EQ(thresholded, 0u);
-    const QueryResult got = Run(sql);
-    ASSERT_EQ(got.rows.size(), 5u);
-    for (std::size_t r = 0; r < got.rows.size(); ++r) {
-        EXPECT_EQ(got.rows[r][0], Value(static_cast<double>(r)));
+    const std::string reordered =
+        "SELECT TOP 5 f1, SCORE(c, f1, f0, f2, f3) FROM mem";
+    for (const std::string& sql :
+         {std::string("SELECT TOP 5 f1, SCORE(c) FROM mem"), reordered}) {
+        const auto [full, thresholded] =
+            ScoredInFullAndThresholded(db_, sql);
+        EXPECT_GT(full, 0u) << sql;
+        EXPECT_LE(full, 1024u) << sql;
+        EXPECT_EQ(thresholded, 0u) << sql;
+        const QueryResult got = Run(sql);
+        ASSERT_EQ(got.rows.size(), 5u) << sql;
+        for (std::size_t r = 0; r < got.rows.size(); ++r) {
+            EXPECT_EQ(got.rows[r][0], Value(static_cast<double>(r))) << sql;
+        }
+        ExpectOptimizedMatchesNaive(db_, sql);
     }
-    ExpectOptimizedMatchesNaive(db_, sql);
+    RowBlock::ResetCopyStats();
+    (void)Run(reordered);
+    EXPECT_LE(RowBlock::CopyStats().bytes, 1024u * 4u * sizeof(float));
 }
 
 }  // namespace

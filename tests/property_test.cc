@@ -15,7 +15,7 @@
 #include "dbscore/dbms/sql.h"
 #include "dbscore/engines/gpu/hummingbird_engine.h"
 #include "dbscore/forest/model_stats.h"
-#include "dbscore/forest/serialize.h"
+#include "dbscore/forest/onnx_like.h"
 #include "dbscore/forest/trainer.h"
 #include "dbscore/fpgasim/tree_layout.h"
 #include "dbscore/gpusim/gpu_device.h"
@@ -121,7 +121,8 @@ TEST_P(RandomTreeProperty, SerializationRoundTripsRandomStructures)
     RandomForest forest = RandomForestModel(seed, 5, 4, 4, 8);
     auto rows = RandomRows(seed ^ 0x1234ULL, 128, 4);
 
-    RandomForest restored = DeserializeForest(SerializeForest(forest));
+    const auto blob = TreeEnsemble::FromForest(forest).Serialize();
+    RandomForest restored = TreeEnsemble::Deserialize(blob).ToForest();
     RandomForest via_onnx =
         TreeEnsemble::FromForest(forest).ToForest();
     for (std::size_t r = 0; r < 128; ++r) {
@@ -158,28 +159,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTreeProperty,
 
 // ------------------------------------------------------- blob fuzzing --
 
-TEST(FuzzTest, MutatedForestBlobsNeverCrash)
+TEST(FuzzTest, MutatedEnsembleBlobsNeverCrash)
 {
-    Dataset data = MakeIris(150, 81);
-    ForestTrainerConfig config;
-    config.num_trees = 4;
-    config.max_depth = 6;
-    auto blob = SerializeForest(TrainForest(data, config));
-
-    Rng rng(2024);
+    auto ensemble_blob = [](const Dataset& data, std::size_t trees,
+                            std::size_t depth) {
+        ForestTrainerConfig config;
+        config.num_trees = trees;
+        config.max_depth = depth;
+        return TreeEnsemble::FromForest(TrainForest(data, config))
+            .Serialize();
+    };
     int parsed = 0;
     int rejected = 0;
-    for (int i = 0; i < 400; ++i) {
-        auto mutated = blob;
-        // 1-4 random byte mutations.
-        const std::size_t flips = 1 + rng.NextBelow(4);
-        for (std::size_t f = 0; f < flips; ++f) {
-            std::size_t pos = static_cast<std::size_t>(
-                rng.NextBelow(mutated.size()));
-            mutated[pos] = static_cast<std::uint8_t>(rng.Next());
-        }
+    auto check = [&](const std::vector<std::uint8_t>& mutated) {
         try {
-            RandomForest forest = DeserializeForest(mutated);
+            RandomForest forest =
+                TreeEnsemble::Deserialize(mutated).ToForest();
             // If it parsed, it must be structurally sound.
             forest.Validate();
             ++parsed;
@@ -188,33 +183,33 @@ TEST(FuzzTest, MutatedForestBlobsNeverCrash)
         } catch (const InvalidArgument&) {
             ++rejected;
         }
-    }
-    EXPECT_EQ(parsed + rejected, 400);
-    EXPECT_GT(rejected, 0);  // mutations are usually fatal
-}
+    };
 
-TEST(FuzzTest, MutatedEnsembleBlobsNeverCrash)
-{
-    Dataset data = MakeHiggs(200, 82);
-    ForestTrainerConfig config;
-    config.num_trees = 3;
-    config.max_depth = 5;
-    auto blob =
-        TreeEnsemble::FromForest(TrainForest(data, config)).Serialize();
-
+    // 300 single-byte mutations of a HIGGS ensemble.
+    const auto higgs = ensemble_blob(MakeHiggs(200, 82), 3, 5);
     Rng rng(4048);
     for (int i = 0; i < 300; ++i) {
-        auto mutated = blob;
+        auto mutated = higgs;
         mutated[rng.NextBelow(mutated.size())] =
             static_cast<std::uint8_t>(rng.Next());
-        try {
-            TreeEnsemble e = TreeEnsemble::Deserialize(mutated);
-            (void)e.ToForest();  // may throw too
-        } catch (const Error&) {
-            // Any typed dbscore error is acceptable; crashes are not.
-        }
+        check(mutated);
     }
-    SUCCEED();
+
+    // 400 mutations of 1-4 bytes each of an IRIS ensemble.
+    const auto iris = ensemble_blob(MakeIris(150, 81), 4, 6);
+    Rng multi(2024);
+    for (int i = 0; i < 400; ++i) {
+        auto mutated = iris;
+        const std::size_t flips = 1 + multi.NextBelow(4);
+        for (std::size_t f = 0; f < flips; ++f) {
+            std::size_t pos = static_cast<std::size_t>(
+                multi.NextBelow(mutated.size()));
+            mutated[pos] = static_cast<std::uint8_t>(multi.Next());
+        }
+        check(mutated);
+    }
+    EXPECT_EQ(parsed + rejected, 700);
+    EXPECT_GT(rejected, 0);  // mutations are usually fatal
 }
 
 TEST(FuzzTest, TruncatedBlobsAlwaysRejected)
@@ -223,12 +218,13 @@ TEST(FuzzTest, TruncatedBlobsAlwaysRejected)
     ForestTrainerConfig config;
     config.num_trees = 2;
     config.max_depth = 5;
-    auto blob = SerializeForest(TrainForest(data, config));
+    auto blob =
+        TreeEnsemble::FromForest(TrainForest(data, config)).Serialize();
     for (std::size_t cut = 0; cut < blob.size();
          cut += std::max<std::size_t>(1, blob.size() / 64)) {
         std::vector<std::uint8_t> prefix(blob.begin(),
                                          blob.begin() + cut);
-        EXPECT_THROW(DeserializeForest(prefix), ParseError)
+        EXPECT_THROW(TreeEnsemble::Deserialize(prefix), ParseError)
             << "prefix length " << cut;
     }
 }
