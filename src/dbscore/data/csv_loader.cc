@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "dbscore/common/csv.h"
 #include "dbscore/common/error.h"
@@ -78,6 +79,14 @@ LoadCsvDataset(std::istream& in, const CsvLoadOptions& options)
                     "csv dataset: class labels must be non-negative ints");
             }
             max_label = std::max(max_label, l);
+        }
+        // The class count must fit an int: inf or 1e30 is no class id
+        // (casting it would be undefined).
+        if (!(max_label <
+              static_cast<float>(std::numeric_limits<int>::max()))) {
+            throw ParseError(StrFormat(
+                "csv dataset: class label %g is too large",
+                static_cast<double>(max_label)));
         }
         num_classes = static_cast<int>(max_label) + 1;
         if (num_classes < 2) {

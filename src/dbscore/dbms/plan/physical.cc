@@ -707,9 +707,9 @@ PhysicalPlan::Execute(const Database& db) const
     // on, and sunk here in scan order once more than twice the pool's
     // size are in flight; a morsel no worker has started is scored
     // here, and so is the stream's last one. TOP without ORDER BY
-    // scores each morsel as it closes: it must not read a page past the
-    // one holding its n-th row. A plan without SCORE has nothing to
-    // offer the pool.
+    // scores each morsel as it closes: it must not pin a page past the
+    // one holding its n-th row (a miss may read one run ahead, unpinned).
+    // A plan without SCORE has nothing to offer the pool.
     ThreadPool& pool = ThreadPool::Shared();
     const std::size_t window =
         top_stops || scores_.empty() ? 0 : 2 * pool.size();

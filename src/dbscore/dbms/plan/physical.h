@@ -43,9 +43,11 @@
  * walking; it sinks morsels in scan order once more than twice the
  * pool's size are in flight, scoring any morsel no worker has started,
  * so it never waits on work queued behind other tasks. TOP n without
- * ORDER BY scores each morsel inline: it must not read a page past the
- * one holding its n-th row. A plan without SCORE has nothing to offer
- * the pool and sinks each morsel as it closes.
+ * ORDER BY scores each morsel inline: it must not pin a page past the
+ * one holding its n-th row, though a miss may read up to one run of
+ * pages ahead (storage/buffer_pool.h), which no pin of its own fails.
+ * A plan without SCORE has nothing to offer the pool and sinks each
+ * morsel as it closes.
  *
  * Executing a rewritten plan is bit-identical to executing the naive
  * plan of the same statement: pushdown, fusion and the rising

@@ -6,9 +6,11 @@
  * its own feature columns, and a plain cell is read in place.
  *
  *  1. predicate-pushdown —
- *     a. a plain numeric predicate over a paged table's feature column
- *        becomes a zone-map ScanPredicate, letting the buffer pool
- *        skip whole pages whose [min, max] cannot match;
+ *     a. the plain numeric predicates over one feature column of a
+ *        paged table (the first such conjunct's column) intersect into
+ *        a zone-map ScanPredicate, letting the scan skip whole pages
+ *        whose [min, max] cannot match; a contradictory range skips
+ *        every page;
  *     b. an ordered "SCORE(...) op literal" conjunct whose score value
  *        is not otherwise needed is marked early-exit, pushing the
  *        comparison into ForestKernel::PredictThreshold, which stops

@@ -103,7 +103,21 @@ FeatureStream::Next(StreamChunk& chunk)
     if (table_ == nullptr || next_entry_ >= entries_.size()) {
         return false;
     }
-    const Entry& entry = entries_[next_entry_++];
+    const std::size_t at = next_entry_++;
+    const Entry& entry = entries_[at];
+    // The stream's next pages that follow this one in the file: a miss
+    // reads them with it (they are neither pruned nor pinned yet). Each
+    // stretch of consecutive page ids is found once, not once per page.
+    if (at >= stretch_end_) {
+        stretch_end_ = at + 1;
+        while (stretch_end_ < entries_.size() &&
+               entries_[stretch_end_].page_id ==
+                   entries_[stretch_end_ - 1].page_id + 1) {
+            ++stretch_end_;
+        }
+    }
+    const auto run = static_cast<std::uint32_t>(
+        std::min<std::size_t>(stretch_end_ - at, kMaxReadRun));
     // Drop the previous chunk's pin before taking the next one so a
     // live stream holds at most one frame (caller-held slices keep
     // their own pins). Without this, every stream needs two frames at
@@ -112,8 +126,8 @@ FeatureStream::Next(StreamChunk& chunk)
     // The aliasing shared_ptr ties the pin's lifetime to the view's:
     // the frame stays resident (and its bytes immutable) until the
     // last RowView slice over it is gone — zero-copy out of the pool.
-    auto handle =
-        std::make_shared<PageHandle>(table_->pool_.Pin(entry.page_id));
+    auto handle = std::make_shared<PageHandle>(
+        table_->pool_.Pin(entry.page_id, run));
     const float* data =
         reinterpret_cast<const float*>(handle->payload());
     std::shared_ptr<const float[]> keepalive(std::move(handle), data);
@@ -1013,10 +1027,13 @@ PagedTable::Scan(const std::optional<ScanPredicate>& predicate) const
     stream.table_ = shared_from_this();
     std::lock_guard<std::mutex> lock(mutex_);
     stream.entries_.reserve(data_pages_.size());
+    // An empty range (min above max) prunes every page.
+    const bool empty =
+        predicate.has_value() && predicate->min > predicate->max;
     for (std::size_t p = 0; p < data_pages_.size(); ++p) {
         if (predicate.has_value()) {
             const ZoneRange& zone = zones_[p][predicate->column];
-            if (zone.max < predicate->min ||
+            if (empty || zone.max < predicate->min ||
                 zone.min > predicate->max) {
                 pages_pruned_.fetch_add(1, std::memory_order_relaxed);
                 continue;

@@ -48,6 +48,11 @@
  * RowViews directly over pinned buffer-pool frames — an aliasing
  * shared_ptr keeps each pin alive exactly as long as its view, so the
  * PR 3 copy counters stay at zero across the paged path too.
+ * Read-ahead: each Next() passes the pool the run of its next pages
+ * that follow on in the file (pruned pages end a run), so a miss reads
+ * up to kMaxReadRun of them with one vectored read (buffer_pool.h).
+ * Only the chunk's own page is pinned: a live stream still holds one
+ * data pin.
  *
  * Thread safety: concurrent Scan()/Feature()/Label() calls are safe
  * (the pool serializes frame bookkeeping; streams snapshot the page
@@ -100,7 +105,8 @@ struct ZoneRange {
 /**
  * Page-pruning predicate: keep rows whose feature column @c column
  * falls in [min, max] (inclusive). Pages whose zone map cannot
- * intersect the range are skipped without being read.
+ * intersect the range are skipped without being read; an empty range
+ * (min above max) skips every page.
  */
 struct ScanPredicate {
     std::size_t column = 0;
@@ -126,7 +132,8 @@ class FeatureStream {
     FeatureStream() = default;
 
     /**
-     * Yields the next chunk, pinning its page. Returns false at end.
+     * Yields the next chunk, pinning its page (a miss may read the
+     * stream's following pages too, unpinned). Returns false at end.
      * The chunk's view keeps its page pinned until the view (and every
      * slice of it) is destroyed.
      */
@@ -151,6 +158,9 @@ class FeatureStream {
     std::shared_ptr<const PagedTable> table_;
     std::vector<Entry> entries_;
     std::size_t next_entry_ = 0;
+    /** End of the stretch of entries with consecutive page ids that
+     * holds the last entry yielded. */
+    std::size_t stretch_end_ = 0;
     std::size_t total_rows_ = 0;
 };
 

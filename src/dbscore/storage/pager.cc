@@ -1,6 +1,7 @@
 #include "dbscore/storage/pager.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -160,22 +161,41 @@ Pager::num_pages() const
 }
 
 void
-Pager::RawReadLocked(std::uint32_t page_id, std::uint8_t* buf)
+Pager::RawReadRunLocked(std::uint32_t first, std::uint32_t count,
+                        std::uint8_t* const* bufs)
 {
+    iovec iov[kMaxReadRun];
+    for (std::uint32_t i = 0; i < count; ++i) {
+        iov[i] = {bufs[i], page_size_};
+    }
     const auto offset = static_cast<off_t>(
-        static_cast<std::uint64_t>(page_id) * page_size_);
+        static_cast<std::uint64_t>(first) * page_size_);
+    const std::size_t total = count * page_size_;
     std::size_t done = 0;
-    while (done < page_size_) {
-        const ssize_t n = ::pread(fd_, buf + done, page_size_ - done,
-                                  offset + static_cast<off_t>(done));
+    std::uint32_t next = 0;  // first iovec not yet filled
+    while (done < total) {
+        const ssize_t n =
+            ::preadv(fd_, iov + next, static_cast<int>(count - next),
+                     offset + static_cast<off_t>(done));
         if (n <= 0) {
             if (n < 0 && errno == EINTR) {
                 continue;
             }
-            throw IoError(StrFormat("pager %s: short read of page %u",
-                                    path_.c_str(), page_id));
+            throw IoError(StrFormat("pager %s: short read of pages %u-%u",
+                                    path_.c_str(), first,
+                                    first + count - 1));
         }
         done += static_cast<std::size_t>(n);
+        // Skip the filled iovecs and trim a partly filled one.
+        auto left = static_cast<std::size_t>(n);
+        while (left > 0 && left >= iov[next].iov_len) {
+            left -= iov[next++].iov_len;
+        }
+        if (left > 0) {
+            iov[next].iov_base = static_cast<std::uint8_t*>(
+                                     iov[next].iov_base) + left;
+            iov[next].iov_len -= left;
+        }
     }
 }
 
@@ -232,7 +252,8 @@ Pager::Reinit(std::uint32_t page_id, PageType type)
 }
 
 void
-Pager::Read(std::uint32_t page_id, std::uint8_t* buf)
+Pager::ReadRun(std::uint32_t first, std::uint32_t count,
+               std::uint8_t* const* bufs)
 {
     trace::TraceCollector& tracer = trace::TraceCollector::Get();
     const double wall_start = tracer.NowWallMicros();
@@ -240,10 +261,16 @@ Pager::Read(std::uint32_t page_id, std::uint8_t* buf)
 
     std::lock_guard<std::mutex> lock(mutex_);
     ThrowIfCrashedLocked();
-    if (page_id >= num_pages_) {
+    if (count == 0 || count > kMaxReadRun) {
         throw InvalidArgument(
-            StrFormat("pager %s: read of page %u past end (%u pages)",
-                      path_.c_str(), page_id, num_pages_));
+            StrFormat("pager %s: read run of %u pages (1 to %u allowed)",
+                      path_.c_str(), count, kMaxReadRun));
+    }
+    if (first >= num_pages_ || count > num_pages_ - first) {
+        throw InvalidArgument(
+            StrFormat("pager %s: read of pages %u-%u past end (%u pages)",
+                      path_.c_str(), first, first + count - 1,
+                      num_pages_));
     }
     // The physical read is a fault-injection site: transient injected
     // faults model a flaky I/O path and are retried; sticky faults
@@ -257,7 +284,7 @@ Pager::Read(std::uint32_t page_id, std::uint8_t* buf)
                     trace::StageKind::kFault, "storage-read",
                     trace::TraceCollector::Current(), wall_start,
                     tracer.NowWallMicros() - wall_start,
-                    {{"page_id", static_cast<double>(page_id)}});
+                    {{"page_id", static_cast<double>(first)}});
                 if (fault.sticky() || attempt >= read_retries_) {
                     throw;
                 }
@@ -267,27 +294,32 @@ Pager::Read(std::uint32_t page_id, std::uint8_t* buf)
         }
         break;
     }
-    RawReadLocked(page_id, buf);
-    const PageHeader* header = HeaderOf(buf);
-    const std::uint64_t expected = ComputePageChecksum(buf, page_size_);
-    if (header->magic != kPageMagic || header->page_id != page_id ||
-        header->checksum != expected) {
-        ++stats_.checksum_failures;
-        throw DataCorruption(
-            StrFormat("pager %s: page %u failed integrity check "
-                      "(magic %#x, self-id %u, checksum %llx vs %llx) — "
-                      "torn write or corruption",
-                      path_.c_str(), page_id, header->magic,
-                      header->page_id,
-                      static_cast<unsigned long long>(header->checksum),
-                      static_cast<unsigned long long>(expected)));
+    RawReadRunLocked(first, count, bufs);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint32_t page_id = first + i;
+        const PageHeader* header = HeaderOf(bufs[i]);
+        const std::uint64_t expected =
+            ComputePageChecksum(bufs[i], page_size_);
+        if (header->magic != kPageMagic || header->page_id != page_id ||
+            header->checksum != expected) {
+            ++stats_.checksum_failures;
+            throw DataCorruption(
+                StrFormat("pager %s: page %u failed integrity check "
+                          "(magic %#x, self-id %u, checksum %llx vs %llx) — "
+                          "torn write or corruption",
+                          path_.c_str(), page_id, header->magic,
+                          header->page_id,
+                          static_cast<unsigned long long>(header->checksum),
+                          static_cast<unsigned long long>(expected)));
+        }
     }
-    ++stats_.reads;
+    stats_.reads += count;
     tracer.EmitWall(trace::StageKind::kPageRead, "page-read",
                     trace::TraceCollector::Current(), wall_start,
                     tracer.NowWallMicros() - wall_start,
-                    {{"page_id", static_cast<double>(page_id)},
-                     {"bytes", static_cast<double>(page_size_)}});
+                    {{"page_id", static_cast<double>(first)},
+                     {"pages", static_cast<double>(count)},
+                     {"bytes", static_cast<double>(count * page_size_)}});
 }
 
 void

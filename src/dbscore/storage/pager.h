@@ -29,9 +29,9 @@
  *    crash safety; the ordered commit (chains → barrier → meta →
  *    barrier) is only as strong as this barrier.
  *
- * Crash injection: physical reads gate on FaultSite::kStorageRead
- * (transient faults retried up to Options::read_retries, sticky ones
- * propagate). Writes gate on kStorageWrite (or kMetaCommit for
+ * Crash injection: each physical read (one ReadRun) gates once on
+ * FaultSite::kStorageRead (transient faults retried up to
+ * Options::read_retries, sticky ones propagate). Writes gate on kStorageWrite (or kMetaCommit for
  * commit-point writes) and barriers on kStorageSync: when one of those
  * fires the pager *simulates process death at that instant* — the
  * in-flight write is torn (only the first half of the page hits the
@@ -40,9 +40,16 @@
  * file with a fresh Pager is the only way forward, which is exactly
  * the recovery path PagedTable::Open() exercises.
  *
- * Observability: reads and writes emit wall-clock kPageRead /
- * kPageWrite trace spans, so file I/O shows up in the Fig-11-style
- * breakdown next to marshal and scoring time.
+ * Read path: ReadRun() is the one physical read. It reads a run of
+ * consecutive pages with one preadv(2) and verifies every page's
+ * magic, self-id and checksum; Read() is a run of one. The buffer pool
+ * reads a scan's next pages this way on a miss (buffer_pool.h).
+ *
+ * Observability: each ReadRun() and each write emits one wall-clock
+ * kPageRead / kPageWrite trace span (a read span's `pages` attribute
+ * is its run length, so the spans' pages sum to PagerStats::reads), so
+ * file I/O shows up in the Fig-11-style breakdown next to marshal and
+ * scoring time.
  *
  * Thread safety: all methods serialize on an internal mutex (one file
  * descriptor; pread/pwrite are thread-safe but the page-count and
@@ -76,9 +83,12 @@ enum class SyncMode : std::uint8_t {
  */
 inline constexpr std::uint32_t kPageFormatVersion = 2;
 
+/** Most pages one Pager::ReadRun reads. */
+inline constexpr std::uint32_t kMaxReadRun = 32;
+
 /** Counters since the pager was opened. */
 struct PagerStats {
-    std::uint64_t reads = 0;         ///< pages read (successful)
+    std::uint64_t reads = 0;         ///< pages read (successful runs)
     std::uint64_t writes = 0;        ///< pages written
     std::uint64_t allocs = 0;        ///< pages allocated (appended)
     std::uint64_t read_retries = 0;  ///< injected-fault retries
@@ -137,15 +147,27 @@ class Pager {
     void Reinit(std::uint32_t page_id, PageType type);
 
     /**
-     * Reads page @p page_id into @p buf (page_size() bytes) and
-     * verifies magic, self-id, and checksum.
-     * @throws InvalidArgument on an out-of-range id
-     * @throws DataCorruption on integrity failure (torn write)
+     * Reads pages [@p first, @p first + @p count) into @p bufs[0] ..
+     * @p bufs[count - 1] (page_size() bytes each) with one vectored
+     * read, and verifies every page's magic, self-id, and checksum.
+     * The run succeeds or fails whole: PagerStats::reads rises by
+     * @p count only on success.
+     * @throws InvalidArgument when @p count is 0 or above kMaxReadRun,
+     *         or the run passes the end of the file
+     * @throws DataCorruption naming the first page that fails its
+     *         integrity check (torn write, bit rot)
      * @throws fault::FaultInjected when an injected sticky fault holds
      *         or transient retries are exhausted
      * @throws IoError after an injected crash (reopen to recover)
      */
-    void Read(std::uint32_t page_id, std::uint8_t* buf);
+    void ReadRun(std::uint32_t first, std::uint32_t count,
+                 std::uint8_t* const* bufs);
+
+    /** ReadRun of the one page @p page_id into @p buf. */
+    void Read(std::uint32_t page_id, std::uint8_t* buf)
+    {
+        ReadRun(page_id, 1, &buf);
+    }
 
     /**
      * Stamps the checksum on @p buf (whose header must already carry
@@ -176,8 +198,11 @@ class Pager {
     void WriteLocked(std::uint32_t page_id, std::uint8_t* buf,
                      fault::FaultSite site);
     void ThrowIfCrashedLocked() const;
-    /** pread/pwrite the full page at @p page_id (no integrity logic). */
-    void RawReadLocked(std::uint32_t page_id, std::uint8_t* buf);
+    /** preadv the @p count full pages from @p first (no integrity
+     * logic). */
+    void RawReadRunLocked(std::uint32_t first, std::uint32_t count,
+                          std::uint8_t* const* bufs);
+    /** pwrite the first @p len bytes of page @p page_id. */
     void RawWriteLocked(std::uint32_t page_id, const std::uint8_t* buf,
                         std::size_t len);
 
