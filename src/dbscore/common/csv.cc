@@ -1,6 +1,9 @@
 #include "dbscore/common/csv.h"
 
+#include <cstdlib>
+
 #include "dbscore/common/error.h"
+#include "dbscore/common/string_util.h"
 
 namespace dbscore {
 
@@ -104,6 +107,20 @@ ReadCsv(std::istream& in, bool has_header)
         }
     });
     return doc;
+}
+
+float
+ParseCsvNumber(const std::string& cell)
+{
+    // The view points into the NUL-terminated cell, and strtof stops at
+    // the trailing whitespace the view leaves out.
+    const std::string_view trimmed = TrimView(cell);
+    char* end = nullptr;
+    const float value = std::strtof(trimmed.data(), &end);
+    if (trimmed.empty() || end != trimmed.data() + trimmed.size()) {
+        throw ParseError("cell '" + cell + "' is not numeric");
+    }
+    return value;
 }
 
 void

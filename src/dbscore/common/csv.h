@@ -50,6 +50,14 @@ void ForEachCsvRecord(std::istream& in, const CsvRecordCallback& callback);
  */
 CsvDocument ReadCsv(std::istream& in, bool has_header = true);
 
+/**
+ * Parses one numeric cell: surrounding whitespace is trimmed, and
+ * strtof must consume all that is left. Both CSV loaders read their
+ * cells through this one parser.
+ * @throws ParseError naming the cell otherwise (an empty cell too)
+ */
+float ParseCsvNumber(const std::string& cell);
+
 /** Writes one CSV record with quoting where needed. */
 void WriteCsvRow(std::ostream& out, const std::vector<std::string>& cells);
 

@@ -1,7 +1,7 @@
 #include "dbscore/data/csv_loader.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "dbscore/common/csv.h"
@@ -9,25 +9,6 @@
 #include "dbscore/common/string_util.h"
 
 namespace dbscore {
-
-namespace {
-
-float
-ParseFloat(const std::string& s)
-{
-    const std::string trimmed = Trim(s);
-    if (trimmed.empty()) {
-        throw ParseError("csv dataset: empty numeric field");
-    }
-    char* end = nullptr;
-    float v = std::strtof(trimmed.c_str(), &end);
-    if (end != trimmed.c_str() + trimmed.size()) {
-        throw ParseError("csv dataset: bad numeric field '" + s + "'");
-    }
-    return v;
-}
-
-}  // namespace
 
 Dataset
 LoadCsvDataset(std::istream& in, const CsvLoadOptions& options)
@@ -61,7 +42,7 @@ LoadCsvDataset(std::istream& in, const CsvLoadOptions& options)
             throw ParseError("csv dataset: ragged row");
         }
         for (std::size_t c = 0; c < arity; ++c) {
-            float v = ParseFloat(row[c]);
+            const float v = ParseCsvNumber(row[c]);
             if (c == label_col) {
                 labels.push_back(v);
             } else {
@@ -70,9 +51,11 @@ LoadCsvDataset(std::istream& in, const CsvLoadOptions& options)
         }
     }
 
-    int num_classes = options.num_classes;
-    if (options.task == Task::kClassification && num_classes == 0) {
-        float max_label = 0.0f;
+    // Class labels are class ids: non-negative integers below the class
+    // count, whether it is given or inferred (max label + 1, at least 2).
+    int num_classes = 0;
+    float max_label = 0.0f;
+    if (options.task == Task::kClassification) {
         for (float l : labels) {
             if (l < 0.0f || l != std::floor(l)) {
                 throw ParseError(
@@ -88,16 +71,18 @@ LoadCsvDataset(std::istream& in, const CsvLoadOptions& options)
                 "csv dataset: class label %g is too large",
                 static_cast<double>(max_label)));
         }
-        num_classes = static_cast<int>(max_label) + 1;
-        if (num_classes < 2) {
-            num_classes = 2;
-        }
-    }
-    if (options.task == Task::kRegression) {
-        num_classes = 0;
+        num_classes = options.num_classes != 0
+                          ? options.num_classes
+                          : std::max(2, static_cast<int>(max_label) + 1);
     }
 
     Dataset data(options.name, options.task, num_features, num_classes);
+    if (options.task == Task::kClassification &&
+        !(max_label < static_cast<float>(num_classes))) {
+        throw ParseError(StrFormat(
+            "csv dataset: class label %g is not below the class count %d",
+            static_cast<double>(max_label), num_classes));
+    }
     if (options.has_header && doc.header.size() == arity) {
         for (std::size_t c = 0; c < arity; ++c) {
             if (c != label_col) {

@@ -20,17 +20,21 @@ struct CsvLoadOptions {
     bool has_header = true;
     Task task = Task::kClassification;
     /**
-     * Class count; 0 means infer as (max integer label + 1) for
-     * classification.
+     * Class count; 0 means infer as (max integer label + 1, at least 2)
+     * for classification. Given or inferred, every classification
+     * label must be a non-negative integer below it.
      */
     int num_classes = 0;
     std::string name = "csv";
 };
 
 /**
- * Parses a CSV stream into a Dataset.
+ * Parses a CSV stream into a Dataset. Cells are read by
+ * ParseCsvNumber (common/csv.h), as Database::BulkLoadCsvPaged reads
+ * them.
  *
- * @throws ParseError on malformed numeric fields or ragged rows.
+ * @throws ParseError on malformed numeric fields, ragged rows, or a
+ *         classification label that is no class id.
  */
 Dataset LoadCsvDataset(std::istream& in, const CsvLoadOptions& options);
 

@@ -37,28 +37,9 @@ Dataset::Dataset(std::string name, Task task, std::size_t num_features,
     ValidateShape(task, num_features, num_classes);
 }
 
-Dataset::Dataset(std::string name, Task task, RowView features,
-                 std::vector<float> labels, int num_classes)
-    : name_(std::move(name)),
-      task_(task),
-      num_features_(features.cols()),
-      num_classes_(num_classes),
-      view_(std::move(features)),
-      labels_(std::move(labels))
-{
-    ValidateShape(task, num_features_, num_classes);
-    if (view_.rows() != labels_.size()) {
-        throw InvalidArgument("dataset: view/label row count mismatch");
-    }
-}
-
 std::vector<float>&
 Dataset::MutableValues()
 {
-    if (!view_.empty()) {
-        throw InvalidArgument(
-            "dataset: view-adopting datasets are immutable");
-    }
     if (values_ == nullptr) {
         values_ = std::make_shared<std::vector<float>>();
     } else if (values_.use_count() > 1) {
@@ -94,10 +75,6 @@ Dataset::Assign(std::vector<float> values, std::vector<float> labels)
     if (values.size() != labels.size() * num_features_) {
         throw InvalidArgument("dataset: assign size mismatch");
     }
-    if (!view_.empty()) {
-        throw InvalidArgument(
-            "dataset: view-adopting datasets are immutable");
-    }
     values_ = std::make_shared<std::vector<float>>(std::move(values));
     labels_ = std::move(labels);
 }
@@ -106,9 +83,6 @@ const float*
 Dataset::Row(std::size_t i) const
 {
     DBS_ASSERT(i < num_rows());
-    if (!view_.empty()) {
-        return view_.Row(i);
-    }
     return values_->data() + i * num_features_;
 }
 
@@ -129,11 +103,6 @@ Dataset::Label(std::size_t i) const
 const std::vector<float>&
 Dataset::values() const
 {
-    if (!view_.empty()) {
-        throw InvalidArgument(
-            "dataset: view-adopting dataset has no owned values; "
-            "use View()");
-    }
     static const std::vector<float> kEmpty;
     return values_ == nullptr ? kEmpty : *values_;
 }
@@ -149,9 +118,6 @@ Dataset::View(std::size_t begin, std::size_t end) const
 {
     if (begin > end || end > num_rows()) {
         throw InvalidArgument("dataset: view out of range");
-    }
-    if (!view_.empty()) {
-        return view_.Slice(begin, end);
     }
     if (values_ == nullptr || begin == end) {
         return RowView();
@@ -176,14 +142,6 @@ Dataset::Slice(std::size_t begin, std::size_t end) const
 {
     if (begin > end || end > num_rows()) {
         throw InvalidArgument("dataset: slice out of range");
-    }
-    if (!view_.empty()) {
-        Dataset out(name_, task_, view_.Slice(begin, end),
-                    std::vector<float>(labels_.begin() + begin,
-                                       labels_.begin() + end),
-                    num_classes_);
-        out.feature_names_ = feature_names_;
-        return out;
     }
     Dataset out(name_, task_, num_features_, num_classes_);
     out.feature_names_ = feature_names_;

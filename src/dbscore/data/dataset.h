@@ -7,12 +7,11 @@
  * contiguous array). Labels are float so the same container serves
  * classification (label = class id) and regression.
  *
- * Storage is part of the zero-copy data plane (see data/row_block.h): an
- * owning dataset keeps its feature matrix in refcounted storage that
- * View() shares without copying — a view stays valid even after the
- * dataset is mutated or destroyed (mutation detaches to fresh storage,
- * copy-on-write). A *view-adopting* dataset instead wraps an existing
- * RowView outright (no copy at all) and is immutable.
+ * Storage is part of the zero-copy data plane (see data/row_block.h): a
+ * dataset keeps its feature matrix in refcounted storage that View()
+ * shares without copying — a view stays valid even after the dataset
+ * is mutated or destroyed (mutation detaches to fresh storage,
+ * copy-on-write).
  */
 #ifndef DBSCORE_DATA_DATASET_H
 #define DBSCORE_DATA_DATASET_H
@@ -47,15 +46,6 @@ class Dataset {
     Dataset(std::string name, Task task, std::size_t num_features,
             int num_classes);
 
-    /**
-     * View-adopting constructor: the dataset reads features through
-     * @p features without copying them. @p labels must have
-     * features.rows() entries. The result is immutable — AddRow and
-     * Assign throw — and values() is unavailable (use View()/Row()).
-     */
-    Dataset(std::string name, Task task, RowView features,
-            std::vector<float> labels, int num_classes);
-
     /** Appends one row; @p features must have num_features() entries. */
     void AddRow(const std::vector<float>& features, float label);
 
@@ -81,26 +71,20 @@ class Dataset {
     std::size_t num_features() const { return num_features_; }
     int num_classes() const { return num_classes_; }
 
-    /** True for mutable vector-backed storage, false once view-adopted. */
-    bool owns_values() const { return view_.empty(); }
-
     /** Pointer to row @p i (num_features() contiguous floats). */
     const float* Row(std::size_t i) const;
 
     float At(std::size_t row, std::size_t col) const;
     float Label(std::size_t i) const;
 
-    /**
-     * Owned feature storage. Only valid for owning datasets;
-     * @throws InvalidArgument on a view-adopting dataset (use View()).
-     */
+    /** Feature storage, row-major. */
     const std::vector<float>& values() const;
     const std::vector<float>& labels() const { return labels_; }
 
     /**
-     * Zero-copy view of the feature matrix. For owning datasets the
-     * view shares the refcounted storage, so it remains valid after the
-     * dataset mutates (copy-on-write detach) or dies.
+     * Zero-copy view of the feature matrix. The view shares the
+     * refcounted storage, so it remains valid after the dataset
+     * mutates (copy-on-write detach) or dies.
      */
     RowView View() const;
 
@@ -117,9 +101,7 @@ class Dataset {
     std::uint64_t FeatureBytes() const;
 
     /**
-     * Returns a new dataset containing rows [begin, end). Zero-copy
-     * (view-adopting result) when this dataset is itself view-adopted;
-     * otherwise copies the range as before.
+     * Returns a new dataset holding a copy of rows [begin, end).
      * @throws InvalidArgument if the range is out of bounds.
      */
     Dataset Slice(std::size_t begin, std::size_t end) const;
@@ -129,9 +111,8 @@ class Dataset {
 
  private:
     /**
-     * Mutable owned storage, detaching (counted copy) when a live view
-     * still shares the current buffer. @throws InvalidArgument on a
-     * view-adopting dataset.
+     * Mutable storage, detaching (counted copy) when a live view still
+     * shares the current buffer.
      */
     std::vector<float>& MutableValues();
 
@@ -139,10 +120,8 @@ class Dataset {
     Task task_ = Task::kClassification;
     std::size_t num_features_ = 0;
     int num_classes_ = 0;
-    /** Owning storage; shared with views handed out by View(). */
+    /** Feature storage; shared with views handed out by View(). */
     std::shared_ptr<std::vector<float>> values_;
-    /** Adopted storage; when non-empty the dataset is immutable. */
-    RowView view_;
     std::vector<float> labels_;
     std::vector<std::string> feature_names_;
 };

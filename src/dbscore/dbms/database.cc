@@ -1,6 +1,5 @@
 #include "dbscore/dbms/database.h"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "dbscore/common/csv.h"
@@ -200,23 +199,20 @@ Database::BulkLoadCsvPaged(const std::string& table_name,
         }
         features.clear();
         float label = 0.0F;
-        for (std::size_t c = 0; c < record.size(); ++c) {
-            const char* text = record[c].c_str();
-            char* end = nullptr;
-            const float v = std::strtof(text, &end);
-            if (end == text || *end != '\0') {
-                throw ParseError(
-                    StrFormat("csv %s record %llu: cell '%s' is not "
-                              "numeric",
-                              csv_path.c_str(),
-                              static_cast<unsigned long long>(line),
-                              record[c].c_str()));
+        try {
+            for (std::size_t c = 0; c < record.size(); ++c) {
+                const float v = ParseCsvNumber(record[c]);
+                if (c == label_col) {
+                    label = v;
+                } else {
+                    features.push_back(v);
+                }
             }
-            if (c == label_col) {
-                label = v;
-            } else {
-                features.push_back(v);
-            }
+        } catch (const ParseError& e) {
+            throw ParseError(StrFormat("csv %s record %llu: %s",
+                                       csv_path.c_str(),
+                                       static_cast<unsigned long long>(line),
+                                       e.what()));
         }
         store->AppendRow(features.data(), features.size(), label);
     });

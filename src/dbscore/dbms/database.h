@@ -74,7 +74,10 @@ class Database {
      * "label", if present, becomes the label column) directly into a
      * fresh page file at @p page_path — one record in memory at a
      * time, so the CSV may exceed RAM — and registers the paged table.
-     * @throws ParseError on malformed CSV or non-numeric cells
+     * Cells are read by ParseCsvNumber (common/csv.h), as
+     * LoadCsvDataset reads them.
+     * @throws ParseError on malformed CSV or non-numeric cells, naming
+     *         the file and record
      */
     Table& BulkLoadCsvPaged(const std::string& table_name,
                             const std::string& csv_path,

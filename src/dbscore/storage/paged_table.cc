@@ -147,7 +147,6 @@ PagedTable::PagedTable(const std::string& path,
     pager_(path,
            Pager::Options{.page_size = options.page_size,
                           .create = create,
-                          .read_retries = options.read_retries,
                           .sync_mode = options.sync_mode}),
     pool_(pager_, BufferPool::Options{.capacity_pages = options.pool_pages})
 {
@@ -258,11 +257,12 @@ PagedTable::RowsInPage(std::size_t page_index,
 }
 
 std::uint32_t
-PagedTable::AllocAppendPageLocked(PageType type)
+PagedTable::TakePageLocked(std::vector<std::uint32_t>& available,
+                           PageType type)
 {
-    if (!free_pages_.empty()) {
-        const std::uint32_t id = free_pages_.back();
-        free_pages_.pop_back();
+    if (!available.empty()) {
+        const std::uint32_t id = available.back();
+        available.pop_back();
         // The page's on-disk bytes may be torn garbage from a crashed
         // commit: drop any stale frame and re-stamp it without ever
         // reading it.
@@ -286,7 +286,7 @@ PagedTable::EnsureWritableTailLocked(std::vector<std::uint32_t>& pages,
     // in place would tear the generation a mid-commit crash rolls
     // back to. Shadow-copy it to a private page first (the committed
     // one is freed when the next commit lands).
-    const std::uint32_t fresh = AllocAppendPageLocked(type);
+    const std::uint32_t fresh = TakePageLocked(free_pages_, type);
     {
         PageHandle src = pool_.Pin(id);
         PageHandle dst = pool_.Pin(fresh);
@@ -315,8 +315,8 @@ PagedTable::AppendRow(const float* features, std::size_t n, float label)
         static_cast<std::size_t>(num_rows_ % rows_per_page_);
     if (slot == 0) {
         data_pages_.push_back(
-            AllocAppendPageLocked(PageType::kFeatures));
-        zones_.emplace_back(feature_cols_, ZoneRange{});
+            TakePageLocked(free_pages_, PageType::kFeatures));
+        zones_.resize(zones_.size() + feature_cols_);
     }
     {
         const std::uint32_t target =
@@ -332,7 +332,7 @@ PagedTable::AppendRow(const float* features, std::size_t n, float label)
     // Ingest is the paged path's one materialization point — count it
     // so the post-load zero-copy guarantee stays checkable.
     RowBlock::NoteCopy(feature_cols_ * sizeof(float));
-    std::vector<ZoneRange>& zone = zones_.back();
+    ZoneRange* zone = zones_.data() + zones_.size() - feature_cols_;
     for (std::size_t c = 0; c < feature_cols_; ++c) {
         if (slot == 0) {
             zone[c] = ZoneRange{features[c], features[c]};
@@ -346,7 +346,7 @@ PagedTable::AppendRow(const float* features, std::size_t n, float label)
             static_cast<std::size_t>(num_rows_ % labels_per_page_);
         if (lslot == 0) {
             label_pages_.push_back(
-                AllocAppendPageLocked(PageType::kLabels));
+                TakePageLocked(free_pages_, PageType::kLabels));
         }
         const std::uint32_t target =
             EnsureWritableTailLocked(label_pages_, PageType::kLabels);
@@ -359,212 +359,105 @@ PagedTable::AppendRow(const float* features, std::size_t n, float label)
     dirty_ = true;
 }
 
-std::uint32_t
-PagedTable::TakeCommitPageLocked(std::vector<std::uint32_t>& available,
-                                 PageType type)
+std::size_t
+PagedTable::ChainEntriesPerPage(std::size_t entry_bytes) const
 {
-    if (!available.empty()) {
-        const std::uint32_t id = available.back();
-        available.pop_back();
-        pool_.Invalidate(id);
-        pager_.Reinit(id, type);
-        ++recovery_stats_.pages_reused;
-        return id;
-    }
-    return pager_.Alloc(type);
-}
-
-std::uint32_t
-PagedTable::WriteChainLocked(const std::vector<std::uint32_t>& ids,
-                             std::vector<std::uint32_t>& available,
-                             std::vector<std::uint32_t>& chain_pages)
-{
-    if (ids.empty()) {
-        return 0;  // page 0 is the superblock: a safe null
-    }
-    const std::size_t payload = PagePayloadBytes(pager_.page_size());
-    const std::size_t per_page =
-        (payload - 2 * sizeof(std::uint32_t)) / sizeof(std::uint32_t);
-    DBS_ASSERT(per_page > 0);
-    const std::size_t num_pages = (ids.size() + per_page - 1) / per_page;
-    std::vector<std::uint32_t> chain(num_pages);
-    for (std::uint32_t& id : chain) {
-        id = TakeCommitPageLocked(available, PageType::kDirectory);
-        chain_pages.push_back(id);
-    }
-    for (std::size_t p = 0; p < num_pages; ++p) {
-        const std::size_t begin = p * per_page;
-        const std::size_t count =
-            std::min(per_page, ids.size() - begin);
-        PageHandle handle = pool_.Pin(chain[p]);
-        PayloadWriter writer(handle.MutablePayload(), payload);
-        writer.Put<std::uint32_t>(
-            p + 1 < num_pages ? chain[p + 1] : 0);
-        writer.Put<std::uint32_t>(static_cast<std::uint32_t>(count));
-        writer.PutBytes(ids.data() + begin,
-                        count * sizeof(std::uint32_t));
-        HeaderOf(handle.MutableData())->payload_bytes =
-            static_cast<std::uint32_t>(writer.offset());
-    }
-    return chain[0];
+    return (PagePayloadBytes(pager_.page_size()) -
+            2 * sizeof(std::uint32_t)) /
+           entry_bytes;
 }
 
 std::vector<std::uint32_t>
-PagedTable::ReadChainLocked(std::uint32_t head,
-                            std::vector<std::uint32_t>* chain_pages)
+PagedTable::TakeChainLocked(PageType type, std::size_t count,
+                            std::size_t entry_bytes,
+                            std::vector<std::uint32_t>& available)
 {
-    std::vector<std::uint32_t> ids;
-    const std::size_t payload = PagePayloadBytes(pager_.page_size());
-    std::uint32_t page = head;
-    while (page != 0) {
-        if (chain_pages != nullptr) {
-            chain_pages->push_back(page);
-        }
-        PageHandle handle = pool_.Pin(page);
-        PayloadReader reader(handle.payload(), payload);
-        const auto next = reader.Get<std::uint32_t>();
-        const auto count = reader.Get<std::uint32_t>();
-        const std::size_t old = ids.size();
-        ids.resize(old + count);
-        reader.GetBytes(ids.data() + old, count * sizeof(std::uint32_t));
-        page = next;
+    if (count == 0) {
+        return {};
     }
-    return ids;
+    const std::size_t per_page = ChainEntriesPerPage(entry_bytes);
+    if (per_page == 0) {
+        throw CapacityError(
+            StrFormat("paged table %s: one %s entry (%zu bytes) does not "
+                      "fit a page",
+                      path().c_str(), PageTypeName(type), entry_bytes));
+    }
+    std::vector<std::uint32_t> chain((count + per_page - 1) / per_page);
+    for (std::uint32_t& id : chain) {
+        id = TakePageLocked(available, type);
+    }
+    return chain;
 }
 
 std::uint32_t
-PagedTable::WriteZoneChainLocked(std::vector<std::uint32_t>& available,
-                                 std::vector<std::uint32_t>& chain_pages)
+PagedTable::WriteChainLocked(const std::vector<std::uint32_t>& chain,
+                             const void* entries, std::size_t count,
+                             std::size_t entry_bytes)
 {
-    if (zones_.empty()) {
-        return 0;
+    if (chain.empty()) {
+        return 0;  // page 0 is the superblock: a safe null
     }
     const std::size_t payload = PagePayloadBytes(pager_.page_size());
-    const std::size_t entry_bytes = feature_cols_ * sizeof(ZoneRange);
-    const std::size_t per_page =
-        (payload - 2 * sizeof(std::uint32_t)) / entry_bytes;
-    if (per_page == 0) {
-        throw CapacityError(
-            StrFormat("paged table %s: one zone-map entry (%zu bytes) "
-                      "does not fit a page",
-                      path().c_str(), entry_bytes));
-    }
-    const std::size_t num_pages =
-        (zones_.size() + per_page - 1) / per_page;
-    std::vector<std::uint32_t> chain(num_pages);
-    for (std::uint32_t& id : chain) {
-        id = TakeCommitPageLocked(available, PageType::kZoneMap);
-        chain_pages.push_back(id);
-    }
-    for (std::size_t p = 0; p < num_pages; ++p) {
-        const std::size_t begin = p * per_page;
-        const std::size_t count =
-            std::min(per_page, zones_.size() - begin);
+    const std::size_t per_page = ChainEntriesPerPage(entry_bytes);
+    const auto* bytes = static_cast<const std::uint8_t*>(entries);
+    for (std::size_t p = 0; p < chain.size(); ++p) {
+        const std::size_t begin = std::min(p * per_page, count);
+        const std::size_t n = std::min(per_page, count - begin);
         PageHandle handle = pool_.Pin(chain[p]);
         PayloadWriter writer(handle.MutablePayload(), payload);
-        writer.Put<std::uint32_t>(
-            p + 1 < num_pages ? chain[p + 1] : 0);
-        writer.Put<std::uint32_t>(static_cast<std::uint32_t>(count));
-        for (std::size_t i = 0; i < count; ++i) {
-            writer.PutBytes(zones_[begin + i].data(), entry_bytes);
-        }
+        writer.Put<std::uint32_t>(p + 1 < chain.size() ? chain[p + 1] : 0);
+        writer.Put<std::uint32_t>(static_cast<std::uint32_t>(n));
+        writer.PutBytes(bytes + begin * entry_bytes, n * entry_bytes);
         HeaderOf(handle.MutableData())->payload_bytes =
             static_cast<std::uint32_t>(writer.offset());
     }
-    return chain[0];
+    return chain.front();
 }
 
 void
-PagedTable::ReadZoneChainLocked(std::uint32_t head,
-                                std::vector<std::uint32_t>* chain_pages)
+PagedTable::ReadChainLocked(std::uint32_t head, PageType type,
+                            std::size_t entry_bytes,
+                            std::vector<std::uint32_t>& chain_pages,
+                            const ChainVisitor& visit)
 {
-    zones_.clear();
-    const std::size_t payload = PagePayloadBytes(pager_.page_size());
-    const std::size_t entry_bytes = feature_cols_ * sizeof(ZoneRange);
-    std::uint32_t page = head;
-    while (page != 0) {
-        if (chain_pages != nullptr) {
-            chain_pages->push_back(page);
+    // Every check precedes the visit, so nothing is sized from a page
+    // that fails one, and a walk that passes them all hands over at
+    // most a file's worth of entries.
+    const std::size_t per_page = ChainEntriesPerPage(entry_bytes);
+    const std::uint32_t file_pages = pager_.num_pages();
+    std::uint32_t walked = 0;
+    for (std::uint32_t page = head; page != 0;) {
+        if (++walked > file_pages) {
+            throw DataCorruption(
+                StrFormat("paged table %s: the %s chain from page %u is "
+                          "longer than the file's %u pages",
+                          path().c_str(), PageTypeName(type), head,
+                          file_pages));
         }
+        chain_pages.push_back(page);
         PageHandle handle = pool_.Pin(page);
-        PayloadReader reader(handle.payload(), payload);
-        const auto next = reader.Get<std::uint32_t>();
-        const auto count = reader.Get<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            std::vector<ZoneRange> zone(feature_cols_);
-            reader.GetBytes(zone.data(), entry_bytes);
-            zones_.push_back(std::move(zone));
+        const auto found = static_cast<PageType>(HeaderOf(handle.data())->type);
+        if (found != type) {
+            throw DataCorruption(
+                StrFormat("paged table %s: page %u of a %s chain is a %s "
+                          "page",
+                          path().c_str(), page, PageTypeName(type),
+                          PageTypeName(found)));
         }
+        std::uint32_t next = 0;
+        std::uint32_t count = 0;
+        std::memcpy(&next, handle.payload(), sizeof(next));
+        std::memcpy(&count, handle.payload() + sizeof(next), sizeof(count));
+        if (count > per_page) {
+            throw DataCorruption(
+                StrFormat("paged table %s: %s chain page %u lists %u "
+                          "entries, its payload holds %zu",
+                          path().c_str(), PageTypeName(type), page, count,
+                          per_page));
+        }
+        visit(handle.payload() + 2 * sizeof(std::uint32_t), count);
         page = next;
     }
-}
-
-std::uint32_t
-PagedTable::WriteFreeListLocked(std::vector<std::uint32_t>& contents,
-                                std::vector<std::uint32_t>& available,
-                                std::vector<std::uint32_t>& chain_pages)
-{
-    if (contents.empty() && available.empty()) {
-        return 0;
-    }
-    const std::size_t payload = PagePayloadBytes(pager_.page_size());
-    const std::size_t per_page =
-        (payload - 2 * sizeof(std::uint32_t)) / sizeof(std::uint32_t);
-    // The chain pages for the free list are drawn from `available` —
-    // pages already free in the *committed* generation, which a
-    // rollback can never need — which is what stops the file from
-    // growing on every commit just to record what is free. Pages in
-    // `contents` (generation g's dead chains and the data pages this
-    // generation shadow-copied out of g) are recorded but never
-    // written: a crash before the commit point must leave them intact
-    // so recovery can roll back to g. Whatever drawing leaves of
-    // `available` joins the recorded contents. The page count is sized
-    // against the pre-draw total, so drawing can only leave the tail
-    // page short, never overflow it.
-    const std::size_t total = contents.size() + available.size();
-    const std::size_t num_pages = (total + per_page - 1) / per_page;
-    std::vector<std::uint32_t> chain(num_pages);
-    for (std::uint32_t& id : chain) {
-        if (!available.empty()) {
-            id = available.back();
-            available.pop_back();
-            pool_.Invalidate(id);
-            pager_.Reinit(id, PageType::kFreeList);
-            ++recovery_stats_.pages_reused;
-        } else {
-            id = pager_.Alloc(PageType::kFreeList);
-        }
-        chain_pages.push_back(id);
-    }
-    contents.insert(contents.end(), available.begin(), available.end());
-    available.clear();
-    if (contents.empty()) {
-        // Drawing the chain pages drained the set: nothing to record.
-        // The (already re-stamped) chain pages stay reusable in memory
-        // but are simply dropped from the persistent list — they are
-        // unreachable and the next recovery sweep re-collects them.
-        for (const std::uint32_t id : chain) {
-            contents.push_back(id);
-        }
-        return 0;
-    }
-    for (std::size_t p = 0; p < num_pages; ++p) {
-        const std::size_t begin = p * per_page;
-        const std::size_t count =
-            begin >= contents.size()
-                ? 0
-                : std::min(per_page, contents.size() - begin);
-        PageHandle handle = pool_.Pin(chain[p]);
-        PayloadWriter writer(handle.MutablePayload(), payload);
-        writer.Put<std::uint32_t>(
-            p + 1 < num_pages ? chain[p + 1] : 0);
-        writer.Put<std::uint32_t>(static_cast<std::uint32_t>(count));
-        writer.PutBytes(contents.data() + begin,
-                        count * sizeof(std::uint32_t));
-        HeaderOf(handle.MutableData())->payload_bytes =
-            static_cast<std::uint32_t>(writer.offset());
-    }
-    return chain[0];
 }
 
 void
@@ -614,12 +507,24 @@ PagedTable::CommitLocked()
     // 1. Chains, allocated from pages that are free in generation g.
     std::vector<std::uint32_t> available = free_pages_;
     std::vector<std::uint32_t> new_meta_pages;
+    auto write_chain = [&](PageType type, const void* entries,
+                           std::size_t count, std::size_t entry_bytes) {
+        const std::vector<std::uint32_t> chain =
+            TakeChainLocked(type, count, entry_bytes, available);
+        new_meta_pages.insert(new_meta_pages.end(), chain.begin(),
+                              chain.end());
+        return WriteChainLocked(chain, entries, count, entry_bytes);
+    };
     const std::uint32_t data_head =
-        WriteChainLocked(data_pages_, available, new_meta_pages);
+        write_chain(PageType::kDirectory, data_pages_.data(),
+                    data_pages_.size(), sizeof(std::uint32_t));
     const std::uint32_t label_head =
-        WriteChainLocked(label_pages_, available, new_meta_pages);
+        write_chain(PageType::kDirectory, label_pages_.data(),
+                    label_pages_.size(), sizeof(std::uint32_t));
     const std::uint32_t zone_head =
-        WriteZoneChainLocked(available, new_meta_pages);
+        write_chain(PageType::kZoneMap, zones_.data(),
+                    zones_.size() / feature_cols_,
+                    feature_cols_ * sizeof(ZoneRange));
 
     // 2. The free set of g+1: pages this generation shadow-copied out
     // of g and g's own chain/free-list pages (dead once g+1 commits) —
@@ -631,11 +536,28 @@ PagedTable::CommitLocked()
                      meta_chain_pages_.end());
 
     // 3. Persist the free list. Its chain pages are drawn from what is
-    // left of `available` (free in g, safe to overwrite); the
-    // leftovers then join the recorded contents.
-    std::vector<std::uint32_t> freelist_pages;
-    const std::uint32_t free_head =
-        WriteFreeListLocked(next_free, available, freelist_pages);
+    // left of `available` — pages free in g, which a rollback never
+    // needs — so recording what is free does not grow the file every
+    // commit. The chain is sized against the pre-draw total, so the
+    // draw can only leave its tail short; what the draw leaves of
+    // `available` then joins the recorded contents.
+    std::vector<std::uint32_t> freelist_pages =
+        TakeChainLocked(PageType::kFreeList,
+                        next_free.size() + available.size(),
+                        sizeof(std::uint32_t), available);
+    next_free.insert(next_free.end(), available.begin(), available.end());
+    std::uint32_t free_head = 0;
+    if (next_free.empty()) {
+        // The draw drained the set: nothing to record. The re-stamped
+        // chain pages stay free in memory, unlisted on disk (the next
+        // recovery sweep re-collects them), and belong to no chain of
+        // g+1: listed as one, the next commit would free them again
+        // while they are in use.
+        next_free.swap(freelist_pages);
+    } else {
+        free_head = WriteChainLocked(freelist_pages, next_free.data(),
+                                     next_free.size(), sizeof(std::uint32_t));
+    }
 
     // 4. Barrier: every g+1 page is durable before the commit point.
     pool_.FlushAll();
@@ -725,24 +647,77 @@ PagedTable::AdoptSnapshotLocked(const MetaSnapshot& snap)
                       "match geometry (%zu)",
                       path().c_str(), rows_per_page_, expected_rpp));
     }
+    // Each chain's entries are packed values of one member vector,
+    // appended straight from the pinned chain page.
+    auto append_to = [](auto& out, std::size_t values_per_entry) {
+        return [&out, values_per_entry](const std::uint8_t* entries,
+                                        std::size_t count) {
+            const std::size_t old = out.size();
+            out.resize(old + count * values_per_entry);
+            std::memcpy(out.data() + old, entries,
+                        count * values_per_entry * sizeof(out[0]));
+        };
+    };
+    data_pages_.clear();
+    label_pages_.clear();
+    zones_.clear();
+    free_pages_.clear();
     std::vector<std::uint32_t> chain_pages;
-    data_pages_ = ReadChainLocked(snap.data_head, &chain_pages);
-    label_pages_ = ReadChainLocked(snap.label_head, &chain_pages);
-    ReadZoneChainLocked(snap.zone_head, &chain_pages);
-    free_pages_ = ReadChainLocked(snap.free_head, &chain_pages);
+    ReadChainLocked(snap.data_head, PageType::kDirectory,
+                    sizeof(std::uint32_t), chain_pages,
+                    append_to(data_pages_, 1));
+    ReadChainLocked(snap.label_head, PageType::kDirectory,
+                    sizeof(std::uint32_t), chain_pages,
+                    append_to(label_pages_, 1));
+    // The zone map holds one entry per data page: sized once, not grown
+    // page by page, and only for as many data pages as the file holds.
+    const std::uint32_t file_pages = pager_.num_pages();
+    if (data_pages_.size() > file_pages) {
+        throw DataCorruption(
+            StrFormat("paged table %s: directory lists %zu data pages in "
+                      "a %u-page file",
+                      path().c_str(), data_pages_.size(), file_pages));
+    }
+    zones_.reserve(data_pages_.size() * feature_cols_);
+    ReadChainLocked(snap.zone_head, PageType::kZoneMap,
+                    feature_cols_ * sizeof(ZoneRange), chain_pages,
+                    append_to(zones_, feature_cols_));
+    ReadChainLocked(snap.free_head, PageType::kFreeList,
+                    sizeof(std::uint32_t), chain_pages,
+                    append_to(free_pages_, 1));
     meta_chain_pages_ = std::move(chain_pages);
-    const std::uint64_t expected_pages =
-        (num_rows_ + rows_per_page_ - 1) / rows_per_page_;
+    // Rounded up without overflow: a hostile row count near 2^64 must
+    // not wrap to a page count the chains can match.
+    auto pages_for = [this](std::size_t per_page) {
+        return num_rows_ / per_page + (num_rows_ % per_page != 0 ? 1 : 0);
+    };
+    const std::uint64_t expected_pages = pages_for(rows_per_page_);
     if (data_pages_.size() != expected_pages ||
-        zones_.size() != expected_pages ||
-        (labeled &&
-         label_pages_.size() !=
-             (num_rows_ + labels_per_page_ - 1) / labels_per_page_)) {
+        zones_.size() / feature_cols_ != expected_pages ||
+        (labeled && label_pages_.size() != pages_for(labels_per_page_))) {
         throw DataCorruption(
             StrFormat("paged table %s: directory lists %zu data / %zu "
                       "zone pages for %llu rows",
-                      path().c_str(), data_pages_.size(), zones_.size(),
+                      path().c_str(), data_pages_.size(),
+                      zones_.size() / feature_cols_,
                       static_cast<unsigned long long>(num_rows_)));
+    }
+    // Every page has one role. An entry naming a page past the file, or
+    // one another role holds, would otherwise be read as the wrong kind
+    // of page or, from the free list, re-stamped while in use.
+    std::vector<char> listed(file_pages, 0);
+    listed[0] = listed[kMetaSlotA] = listed[kMetaSlotB] = 1;
+    for (const std::vector<std::uint32_t>* ids :
+         {&meta_chain_pages_, &data_pages_, &label_pages_, &free_pages_}) {
+        for (const std::uint32_t id : *ids) {
+            if (id >= file_pages || listed[id] != 0) {
+                throw DataCorruption(
+                    StrFormat("paged table %s: page %u is listed twice or "
+                              "lies past the file's %u pages",
+                              path().c_str(), id, file_pages));
+            }
+            listed[id] = 1;
+        }
     }
     generation_ = snap.generation;
     pending_free_.clear();
@@ -785,8 +760,7 @@ PagedTable::SweepOrphansLocked()
 void
 PagedTable::RecoverOnOpenLocked()
 {
-    trace::TraceCollector& tracer = trace::TraceCollector::Get();
-    const double wall_start = tracer.NowWallMicros();
+    const double wall_start = trace::TraceCollector::Get().NowWallMicros();
 
     if (pager_.num_pages() < kMetaSlotB + 1) {
         throw DataCorruption("paged table '" + path() +
@@ -828,7 +802,14 @@ PagedTable::RecoverOnOpenLocked()
                       "(%u torn meta slot(s))",
                       path().c_str(), corrupt_slots));
     }
-    const bool rolled_back = corrupt_slots > 0 || skipped_newer;
+    FinishRecoveryLocked("recover-on-open", wall_start,
+                         corrupt_slots > 0 || skipped_newer, corrupt_slots);
+}
+
+void
+PagedTable::FinishRecoveryLocked(const char* span, double wall_start,
+                                 bool rolled_back, std::uint32_t corrupt_slots)
+{
     const std::uint32_t orphans = SweepOrphansLocked();
     if (orphans > 0) {
         // Persist the reclaim so repeated crash/recover cycles reuse
@@ -848,10 +829,10 @@ PagedTable::RecoverOnOpenLocked()
     last_recovery_.free_pages =
         static_cast<std::uint32_t>(free_pages_.size());
     last_recovery_.performed = rolled_back || orphans > 0;
+    trace::TraceCollector& tracer = trace::TraceCollector::Get();
     tracer.EmitWall(
-        trace::StageKind::kRecovery, "recover-on-open",
-        trace::TraceCollector::Current(), wall_start,
-        tracer.NowWallMicros() - wall_start,
+        trace::StageKind::kRecovery, span, trace::TraceCollector::Current(),
+        wall_start, tracer.NowWallMicros() - wall_start,
         {{"generation", static_cast<double>(generation_)},
          {"rolled_back", rolled_back ? 1.0 : 0.0},
          {"orphans_reclaimed", static_cast<double>(orphans)}});
@@ -860,31 +841,13 @@ PagedTable::RecoverOnOpenLocked()
 RecoveryReport
 PagedTable::Recover()
 {
-    trace::TraceCollector& tracer = trace::TraceCollector::Get();
-    const double wall_start = tracer.NowWallMicros();
-
+    const double wall_start = trace::TraceCollector::Get().NowWallMicros();
     std::lock_guard<std::mutex> lock(mutex_);
     if (dirty_) {
         CommitLocked();  // make "reachable" mean "committed"
     }
-    const std::uint32_t orphans = SweepOrphansLocked();
-    if (orphans > 0) {
-        CommitLocked();
-    }
-    ++recovery_stats_.recoveries;
-    recovery_stats_.orphans_reclaimed += orphans;
-    last_recovery_ = RecoveryReport{};
-    last_recovery_.generation = generation_;
-    last_recovery_.orphans_reclaimed = orphans;
-    last_recovery_.free_pages =
-        static_cast<std::uint32_t>(free_pages_.size());
-    last_recovery_.performed = orphans > 0;
-    tracer.EmitWall(
-        trace::StageKind::kRecovery, "recover",
-        trace::TraceCollector::Current(), wall_start,
-        tracer.NowWallMicros() - wall_start,
-        {{"generation", static_cast<double>(generation_)},
-         {"orphans_reclaimed", static_cast<double>(orphans)}});
+    FinishRecoveryLocked("recover", wall_start, /*rolled_back=*/false,
+                         /*corrupt_slots=*/0);
     return last_recovery_;
 }
 
@@ -1032,7 +995,8 @@ PagedTable::Scan(const std::optional<ScanPredicate>& predicate) const
         predicate.has_value() && predicate->min > predicate->max;
     for (std::size_t p = 0; p < data_pages_.size(); ++p) {
         if (predicate.has_value()) {
-            const ZoneRange& zone = zones_[p][predicate->column];
+            const ZoneRange& zone =
+                zones_[p * feature_cols_ + predicate->column];
             if (empty || zone.max < predicate->min ||
                 zone.min > predicate->max) {
                 pages_pruned_.fetch_add(1, std::memory_order_relaxed);
@@ -1054,13 +1018,15 @@ std::vector<ZoneRange>
 PagedTable::ZoneMap(std::size_t index) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (index >= zones_.size()) {
+    if (index >= data_pages_.size()) {
         throw InvalidArgument(
             StrFormat("paged table %s: zone map %zu out of range (%zu "
                       "data pages)",
-                      path().c_str(), index, zones_.size()));
+                      path().c_str(), index, data_pages_.size()));
     }
-    return zones_[index];
+    const auto first = zones_.begin() +
+                       static_cast<std::ptrdiff_t>(index * feature_cols_);
+    return {first, first + static_cast<std::ptrdiff_t>(feature_cols_)};
 }
 
 StorageStats

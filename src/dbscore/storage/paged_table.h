@@ -13,11 +13,16 @@
  *    a page maps 1:1 onto a contiguous RowView, while zone maps are
  *    kept per *column* within the page);
  *  - kLabels pages: the label column, packed floats;
- *  - kDirectory pages: chained u32 page-id lists for the feature and
- *    label chains;
- *  - kZoneMap pages: chained per-data-page {min,max} pairs per feature
- *    column;
- *  - kFreeList pages: chained u32 ids of reclaimable pages.
+ *  - four metadata chains in one format: each page holds the next
+ *    page's id (0 ends the chain), an entry count, and that many
+ *    fixed-size entries. kDirectory chains list the feature and label
+ *    pages (u32 ids), the kZoneMap chain holds one {min,max} pair per
+ *    feature column per data page, and the kFreeList chain lists
+ *    reclaimable pages (u32 ids). One writer and one reader handle all
+ *    four; the reader fails a chain page of another type, a count past
+ *    the page's payload and a walk longer than the file with
+ *    DataCorruption, so Open() rolls back past hostile chain pages as
+ *    it does past a torn meta slot.
  *
  * Commit protocol (DESIGN.md §16): Flush() writes data, directory,
  * zone, and free-list pages first, barriers them (Pager::Sync), then
@@ -30,13 +35,16 @@
  * the committed generation before being appended to — go onto the
  * next commit's persistent free list, where recovery-reclaimed
  * orphans also land, so the file stops growing once a steady state
- * of appends/crashes is reached (the dead-chain compaction remnant
- * of ROADMAP item 3).
+ * of appends/crashes is reached. Every page a commit or an append
+ * needs comes from one page taker: the back of the free set,
+ * re-stamped without being read, or else a fresh page.
  *
  * Recovery: Open() always recovers — newest valid meta slot wins,
- * torn slots roll back, and an orphan sweep (pages unreachable from
- * the committed generation) refills the free list. Scrub() re-reads
- * every reachable page and quarantines checksum failures.
+ * torn slots and unloadable chains roll back, and an orphan sweep
+ * (pages unreachable from the committed generation) refills the free
+ * list. Open() and Recover() share that sweep and what follows it.
+ * Scrub() re-reads every reachable page and quarantines checksum
+ * failures.
  *
  * Zone maps are memory-resident once loaded; Scan() with a predicate
  * skips whole pages whose [min,max] for the predicate column cannot
@@ -64,6 +72,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -85,8 +94,6 @@ struct StorageOptions {
      * shadow-copy the tail page and briefly pin two frames, so give
      * the pool at least 2). */
     std::size_t pool_pages = 64;
-    /** Transient injected read faults retried this many times. */
-    int read_retries = 2;
     /** Durability barrier strength for Flush() (see pager.h). kFlush
      * keeps the old bench-friendly no-barrier behaviour; kFsync makes
      * the commit protocol survive a system crash. */
@@ -329,32 +336,45 @@ class PagedTable : public std::enable_shared_from_this<PagedTable> {
     void AdoptSnapshotLocked(const MetaSnapshot& snap);
     /** RecoverOnOpen: newest valid slot, rollback, orphan sweep. */
     void RecoverOnOpenLocked();
+    /** Every recovery's end: the orphan sweep, a commit if it reclaimed
+     * pages, the counters, last_recovery_ and the @p span span. */
+    void FinishRecoveryLocked(const char* span, double wall_start,
+                              bool rolled_back, std::uint32_t corrupt_slots);
     /** Marks reachable pages, folds the rest into free_pages_. */
     std::uint32_t SweepOrphansLocked();
-    /** Free-list-aware page allocation for appends/shadow copies. */
-    std::uint32_t AllocAppendPageLocked(PageType type);
-    /** Pops @p available (Reinit) or appends a fresh page. */
-    std::uint32_t TakeCommitPageLocked(std::vector<std::uint32_t>& available,
-                                       PageType type);
+    /** The one page taker: the back of @p available, re-stamped unread
+     * (it may hold torn bytes) and counted as reused, else a new page. */
+    std::uint32_t TakePageLocked(std::vector<std::uint32_t>& available,
+                                 PageType type);
     /** Shadow-copies the committed tail page before mutating it. */
     std::uint32_t EnsureWritableTailLocked(
         std::vector<std::uint32_t>& pages, PageType type);
-    std::uint32_t WriteChainLocked(const std::vector<std::uint32_t>& ids,
-                                   std::vector<std::uint32_t>& available,
-                                   std::vector<std::uint32_t>& chain_pages);
-    std::vector<std::uint32_t> ReadChainLocked(
-        std::uint32_t head, std::vector<std::uint32_t>* chain_pages);
-    std::uint32_t WriteZoneChainLocked(
-        std::vector<std::uint32_t>& available,
-        std::vector<std::uint32_t>& chain_pages);
-    void ReadZoneChainLocked(std::uint32_t head,
-                             std::vector<std::uint32_t>* chain_pages);
-    /** Records @p contents + leftover @p available; chain pages are
-     * drawn from @p available only (rollback safety). */
-    std::uint32_t WriteFreeListLocked(
-        std::vector<std::uint32_t>& contents,
-        std::vector<std::uint32_t>& available,
-        std::vector<std::uint32_t>& chain_pages);
+    /** Entries of @p entry_bytes a chain page holds (0 if none fits). */
+    std::size_t ChainEntriesPerPage(std::size_t entry_bytes) const;
+    /** Takes the pages a chain of @p count entries needs.
+     * @throws CapacityError when one entry does not fit a page */
+    std::vector<std::uint32_t> TakeChainLocked(
+        PageType type, std::size_t count, std::size_t entry_bytes,
+        std::vector<std::uint32_t>& available);
+    /** The one chain writer: fills @p chain with @p count entries of
+     * @p entry_bytes (tail pages may be short or empty); returns the
+     * head, 0 for an empty chain. */
+    std::uint32_t WriteChainLocked(const std::vector<std::uint32_t>& chain,
+                                   const void* entries, std::size_t count,
+                                   std::size_t entry_bytes);
+    /** Receives one chain page's entries, in place in its frame. */
+    using ChainVisitor =
+        std::function<void(const std::uint8_t* entries, std::size_t count)>;
+    /**
+     * The one chain reader: walks the @p type chain from @p head into
+     * @p chain_pages and hands each page's entries to @p visit.
+     * @throws DataCorruption on a page of another type, a count past
+     *         the page's payload, or a walk longer than the file
+     */
+    void ReadChainLocked(std::uint32_t head, PageType type,
+                         std::size_t entry_bytes,
+                         std::vector<std::uint32_t>& chain_pages,
+                         const ChainVisitor& visit);
     std::size_t RowsInPage(std::size_t page_index,
                            std::uint64_t num_rows) const;
 
@@ -370,7 +390,8 @@ class PagedTable : public std::enable_shared_from_this<PagedTable> {
     std::uint64_t num_rows_ = 0;
     std::vector<std::uint32_t> data_pages_;
     std::vector<std::uint32_t> label_pages_;
-    std::vector<std::vector<ZoneRange>> zones_;
+    /** Zone maps: feature_cols_ ranges per data page, in page order. */
+    std::vector<ZoneRange> zones_;
 
     /** Committed generation on disk (0 = nothing committed yet). */
     std::uint64_t generation_ = 0;

@@ -30,7 +30,6 @@ constexpr std::uint32_t kSuperblockMagic = 0x44425342u;
 Pager::Pager(std::string path, const Options& options)
     : path_(std::move(path)),
       page_size_(options.page_size),
-      read_retries_(options.read_retries),
       sync_mode_(options.sync_mode)
 {
     if (options.create) {
@@ -285,7 +284,7 @@ Pager::ReadRun(std::uint32_t first, std::uint32_t count,
                     trace::TraceCollector::Current(), wall_start,
                     tracer.NowWallMicros() - wall_start,
                     {{"page_id", static_cast<double>(first)}});
-                if (fault.sticky() || attempt >= read_retries_) {
+                if (fault.sticky() || attempt >= kReadRetries) {
                     throw;
                 }
                 ++stats_.read_retries;
@@ -404,7 +403,6 @@ Pager::Sync()
         }
     }
     switch (sync_mode_) {
-    case SyncMode::kNone:
     case SyncMode::kFlush:
         // fd writes are already with the kernel; no device barrier.
         break;

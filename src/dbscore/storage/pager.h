@@ -2,27 +2,25 @@
  * @file
  * Pager: fixed-size page I/O over one file, with integrity checks.
  *
- * The pager is the lowest layer of the out-of-core data plane (ISSUE /
- * ROADMAP item 3; the Mini-DB pager in SNIPPETS.md is the structural
- * exemplar): open/alloc/read/write/sync over a single page file whose
- * page 0 is a superblock recording the file's format version and page
- * size. Every write stamps the page's checksum; every read verifies magic, self-id, and
- * checksum, so torn writes and bit rot surface as DataCorruption
- * instead of silent bad features.
+ * The pager is the lowest layer of the out-of-core data plane (the
+ * Mini-DB pager in SNIPPETS.md is the structural exemplar):
+ * open/alloc/read/write/sync over a single page file whose page 0 is a
+ * superblock recording the file's format version and page size. Every
+ * write stamps the page's checksum; every read verifies magic,
+ * self-id, and checksum, so torn writes and bit rot surface as
+ * DataCorruption instead of silent bad features. The pager knows page
+ * types but not what a page holds: PagedTable lays its tables and
+ * their metadata chains out over these pages (paged_table.h).
  *
  * Durability contract (the crash-consistency plane builds on this):
  * I/O is fd-based (pread/pwrite), so a completed Write() is in the OS
  * page cache the moment it returns — it survives a *process* crash in
- * every SyncMode. What survives a *system* crash (power loss, kernel
+ * both SyncModes. What survives a *system* crash (power loss, kernel
  * panic) depends on Options::sync_mode:
  *
- *  - SyncMode::kNone  — Sync() is a no-op. Fastest; data reaches the
- *    disk whenever the kernel feels like it. For benches and scratch
- *    files only.
  *  - SyncMode::kFlush — Sync() asserts the writes were handed to the
- *    kernel but issues no device barrier (the old fstream::flush()
- *    behaviour, kept as the default so bench workloads don't pay
- *    fsync latency).
+ *    kernel but issues no device barrier (the default, so bench
+ *    workloads don't pay fsync latency).
  *  - SyncMode::kFsync — Sync() calls fdatasync(2): on return, every
  *    page written before the barrier is on stable storage. This is
  *    the mode the PagedTable commit protocol requires for real
@@ -30,15 +28,16 @@
  *    barrier) is only as strong as this barrier.
  *
  * Crash injection: each physical read (one ReadRun) gates once on
- * FaultSite::kStorageRead (transient faults retried up to
- * Options::read_retries, sticky ones propagate). Writes gate on kStorageWrite (or kMetaCommit for
- * commit-point writes) and barriers on kStorageSync: when one of those
- * fires the pager *simulates process death at that instant* — the
- * in-flight write is torn (only the first half of the page hits the
- * file), the pager enters a crashed state where every later operation
- * throws IoError, and the destructor skips all flushing. Reopening the
- * file with a fresh Pager is the only way forward, which is exactly
- * the recovery path PagedTable::Open() exercises.
+ * FaultSite::kStorageRead (transient faults retried up to kReadRetries
+ * times, sticky ones propagate). Writes gate on kStorageWrite (or
+ * kMetaCommit for commit-point writes) and barriers on kStorageSync:
+ * when one of those fires the pager *simulates process death at that
+ * instant* — the in-flight write is torn (only the first half of the
+ * page hits the file), the pager enters a crashed state where every
+ * later operation throws IoError, and the destructor skips all
+ * flushing. Reopening the file with a fresh Pager is the only way
+ * forward, which is exactly the recovery path PagedTable::Open()
+ * exercises.
  *
  * Read path: ReadRun() is the one physical read. It reads a run of
  * consecutive pages with one preadv(2) and verifies every page's
@@ -70,9 +69,8 @@ namespace dbscore::storage {
 
 /** How strong a barrier Sync() provides (see the file comment). */
 enum class SyncMode : std::uint8_t {
-    kNone = 0,  ///< Sync() is a no-op
-    kFlush,     ///< writes reach the kernel; no device barrier
-    kFsync,     ///< Sync() = fdatasync(2): real durability barrier
+    kFlush,  ///< writes reach the kernel; no device barrier
+    kFsync,  ///< Sync() = fdatasync(2): real durability barrier
 };
 
 /**
@@ -85,6 +83,9 @@ inline constexpr std::uint32_t kPageFormatVersion = 2;
 
 /** Most pages one Pager::ReadRun reads. */
 inline constexpr std::uint32_t kMaxReadRun = 32;
+
+/** Times a read retries a transient injected fault before it fails. */
+inline constexpr int kReadRetries = 2;
 
 /** Counters since the pager was opened. */
 struct PagerStats {
@@ -104,8 +105,6 @@ class Pager {
         std::size_t page_size = kDefaultPageSize;
         /** Create (truncate) the file instead of opening it. */
         bool create = false;
-        /** Transient injected read faults retried this many times. */
-        int read_retries = 2;
         /** Durability barrier strength (see file comment). */
         SyncMode sync_mode = SyncMode::kFlush;
     };
@@ -208,7 +207,6 @@ class Pager {
 
     std::string path_;
     std::size_t page_size_;
-    int read_retries_;
     SyncMode sync_mode_;
     mutable std::mutex mutex_;
     int fd_ = -1;

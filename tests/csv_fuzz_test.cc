@@ -14,13 +14,15 @@
  *
  * Every case must end in a dbscore::Error, or in a load whose result
  * holds together: a dataset with one label per row, a full block of
- * features, and an inferred class count above every class label; a
+ * features, and class labels that are class ids (non-negative
+ * integers below the class count, given or inferred); a
  * paged table that reopens from its file and scans as many rows, and
  * as many labels, as the load reported. Anything else (a foreign
  * exception, a crash, a sanitizer report) fails the test.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <filesystem>
@@ -150,10 +152,12 @@ ExpectWholeDataset(const Dataset& data, const CsvLoadOptions& options,
     } else {
         ASSERT_GE(data.num_classes(), 2) << text;
     }
-    if (data.task() == Task::kClassification && options.num_classes == 0) {
+    if (data.task() == Task::kClassification) {
         for (std::size_t r = 0; r < data.num_rows(); ++r) {
-            ASSERT_LT(data.Label(r), static_cast<float>(data.num_classes()))
-                << text;
+            const float label = data.Label(r);
+            ASSERT_GE(label, 0.0f) << text;
+            ASSERT_EQ(label, std::floor(label)) << text;
+            ASSERT_LT(label, static_cast<float>(data.num_classes())) << text;
         }
     }
 }

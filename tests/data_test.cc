@@ -228,5 +228,27 @@ TEST(CsvLoaderTest, RejectsMalformedInput)
     }
 }
 
+TEST(CsvLoaderTest, GivenClassCountBoundsEveryLabel)
+{
+    CsvLoadOptions opt;
+    opt.num_classes = 2;
+    {
+        // 7 is past the count, 0.5 is no integer, -4 is negative.
+        std::istringstream in("a,label\n1,7\n2,0.5\n3,-4\n");
+        EXPECT_THROW(LoadCsvDataset(in, opt), ParseError);
+    }
+    for (const char* text : {"a,label\n1,2\n", "a,label\n1,1.5\n",
+                             "a,label\n1,-1\n"}) {
+        std::istringstream in(text);
+        EXPECT_THROW(LoadCsvDataset(in, opt), ParseError) << text;
+    }
+    // A count above the largest label stands.
+    opt.num_classes = 5;
+    std::istringstream in("a,label\n1,0\n2,1\n");
+    const Dataset d = LoadCsvDataset(in, opt);
+    EXPECT_EQ(d.num_classes(), 5);
+    EXPECT_EQ(d.Label(1), 1.0f);
+}
+
 }  // namespace
 }  // namespace dbscore

@@ -12,6 +12,13 @@
  *    committed generation's rows bit for bit or throws DataCorruption.
  *    Anything else (a foreign exception, wrong rows, a sanitizer
  *    report) fails the test.
+ *  - Hostile contents behind valid checksums: a data-directory page
+ *    whose entry count overflows its payload, whose next id points at
+ *    itself or at a feature page, or whose entries name a page twice or
+ *    past the file, and a free list that names a live data page, must
+ *    roll Open() back to the previous generation or fail typed; a meta
+ *    slot whose row count wraps when rounded up to pages must fail with
+ *    DataCorruption.
  *  - Every single-bit flip of one 4 KiB data page changes its
  *    checksum comparison: ComputePageChecksum catches all 32768.
  *
@@ -21,6 +28,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -247,6 +255,170 @@ TEST_F(PageFuzzTest, MutatedFilesRecoverOrFailTyped)
     EXPECT_GT(recovered[committed.size() - 2], 0)
         << "no case rolled back a generation";
     EXPECT_GT(recovered.back(), 0) << "no case kept the newest generation";
+}
+
+/** The @p T at @p offset in the payload of page @p page of a file
+ * image of @p page_size pages. */
+template <typename T>
+T
+GetField(const std::vector<std::uint8_t>& bytes, std::size_t page_size,
+         std::size_t page, std::size_t offset)
+{
+    T value;
+    std::memcpy(&value,
+                storage::PayloadOf(bytes.data() + page * page_size) + offset,
+                sizeof(value));
+    return value;
+}
+
+/** Sets that field and re-stamps the page's checksum, so the edit
+ * reaches the code that reads the page's contents. */
+template <typename T>
+void
+SetField(std::vector<std::uint8_t>& bytes, std::size_t page_size,
+         std::size_t page, std::size_t offset, T value)
+{
+    std::uint8_t* data = bytes.data() + page * page_size;
+    std::memcpy(storage::PayloadOf(data) + offset, &value, sizeof(value));
+    storage::HeaderOf(data)->checksum =
+        storage::ComputePageChecksum(data, page_size);
+}
+
+TEST_F(PageFuzzTest, HostileChainPagesRollBackOrFailTyped)
+{
+    // Chain pages whose checksums are valid but whose contents are not:
+    // the chain reader must refuse them before it sizes anything from
+    // them, and adoption must refuse entries that name a page another
+    // role holds or none, so Open() rolls back to the previous
+    // generation.
+    constexpr std::size_t kBigPage = 4096;
+    constexpr std::size_t kWide = 28;
+    StorageOptions options;
+    options.page_size = kBigPage;
+    options.pool_pages = 16;
+    std::vector<std::string> columns;
+    for (std::size_t c = 0; c < kWide; ++c) {
+        columns.push_back(std::string("f").append(std::to_string(c)));
+    }
+    columns.emplace_back("label");
+    const std::string pristine_path = Path("pristine.dbpages");
+    std::uint64_t previous_rows = 0;
+    {
+        auto table =
+            PagedTable::Create(pristine_path, columns, kWide, options);
+        std::vector<float> row(kWide);
+        std::size_t rows = 0;
+        auto append = [&](std::size_t n) {
+            for (std::size_t i = 0; i < n; ++i, ++rows) {
+                for (std::size_t c = 0; c < kWide; ++c) {
+                    row[c] = static_cast<float>(rows % 89) -
+                             static_cast<float>(c);
+                }
+                table->AppendRow(row.data(), kWide,
+                                 static_cast<float>(rows % 2));
+            }
+        };
+        for (const std::size_t batch : {900, 700, 500, 300}) {
+            append(batch);
+            table->Flush();
+        }
+        for (const std::size_t batch : {400, 300, 200}) {
+            table.reset();
+            table = PagedTable::Open(pristine_path, options);
+            previous_rows = table->num_rows();
+            append(batch);
+            table->Flush();
+            table->Recover();
+        }
+    }
+    const std::vector<std::uint8_t> pristine = ReadFile(pristine_path);
+    const std::size_t num_pages = pristine.size() / kBigPage;
+    // The newest generation's meta slot (u64 generation first), the
+    // heads of its data directory and free list (the u32s at payload
+    // offsets 28 and 40), and the first two data pages it lists.
+    const std::size_t slot =
+        GetField<std::uint64_t>(pristine, kBigPage, 1, 0) >
+                GetField<std::uint64_t>(pristine, kBigPage, 2, 0)
+            ? 1
+            : 2;
+    const auto directory =
+        GetField<std::uint32_t>(pristine, kBigPage, slot, 28);
+    const auto free_list =
+        GetField<std::uint32_t>(pristine, kBigPage, slot, 40);
+    for (const std::uint32_t head : {directory, free_list}) {
+        ASSERT_GT(head, 2u);
+        ASSERT_LT(head, num_pages);
+        ASSERT_GE(GetField<std::uint32_t>(pristine, kBigPage, head, 4), 2u);
+    }
+    const auto first_data =
+        GetField<std::uint32_t>(pristine, kBigPage, directory, 8);
+    const auto second_data =
+        GetField<std::uint32_t>(pristine, kBigPage, directory, 12);
+    std::uint32_t feature_page = 0;
+    while (feature_page < num_pages &&
+           storage::HeaderOf(pristine.data() + feature_page * kBigPage)
+                   ->type != static_cast<std::uint16_t>(PageType::kFeatures)) {
+        ++feature_page;
+    }
+    ASSERT_LT(feature_page, num_pages);
+
+    struct Edit {
+        const char* what;
+        std::uint32_t page;
+        std::size_t offset;  // 0: next page, 4: entry count, 8: 1st entry
+        std::uint32_t value;
+    };
+    const auto past_the_file = static_cast<std::uint32_t>(num_pages);
+    const Edit edits[] = {
+        {"directory count 0xFFFFFFFF", directory, 4, 0xFFFFFFFFu},
+        {"directory next = the page itself", directory, 0, directory},
+        {"directory next = a feature page", directory, 0, feature_page},
+        {"directory lists a data page twice", directory, 8, second_data},
+        {"directory lists a page past the file", directory, 8,
+         past_the_file},
+        {"free list lists a live data page", free_list, 8, first_data},
+    };
+    const std::string path = Path("case.dbpages");
+    for (const Edit& edit : edits) {
+        std::vector<std::uint8_t> bytes = pristine;
+        SetField(bytes, kBigPage, edit.page, edit.offset, edit.value);
+        WriteFile(path, bytes);
+        std::shared_ptr<PagedTable> table;
+        try {
+            table = PagedTable::Open(path, options);
+        } catch (const Error&) {
+            continue;  // a typed refusal
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << edit.what << ": Open threw " << e.what();
+            continue;
+        }
+        EXPECT_TRUE(table->last_recovery().rolled_back) << edit.what;
+        ASSERT_EQ(table->num_rows(), previous_rows) << edit.what;
+        storage::FeatureStream stream = table->Scan();
+        storage::StreamChunk chunk;
+        std::uint64_t rows = 0;
+        while (stream.Next(chunk)) {
+            rows += chunk.view.rows();
+        }
+        EXPECT_EQ(rows, previous_rows) << edit.what;
+    }
+}
+
+TEST_F(PageFuzzTest, HostileMetaRowCountIsDataCorruption)
+{
+    // An empty table whose only meta slot claims 2^64 - 1 rows: rounded
+    // up with wrap-around, that count needs no pages, which its empty
+    // chains match, and every row read would index past them.
+    const std::string path = Path("t.dbpages");
+    StorageOptions options;
+    options.page_size = kPageSize;
+    PagedTable::Create(path, {"a", "b", "c", "label"}, kFeatures, options);
+    std::vector<std::uint8_t> bytes = ReadFile(path);
+    // Generation 1 lives in slot 2; its row count follows the u64
+    // generation.
+    SetField(bytes, kPageSize, 2, 8, ~std::uint64_t{0});
+    WriteFile(path, bytes);
+    EXPECT_THROW(PagedTable::Open(path, options), DataCorruption);
 }
 
 TEST_F(PageFuzzTest, ChecksumCatchesEverySingleBitFlip)

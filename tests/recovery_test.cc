@@ -326,6 +326,41 @@ TEST_F(RecoveryTest, CommitCyclesReuseFreedChainPages)
     EXPECT_EQ(table->Feature(132, 0), data.At(0, 0));
 }
 
+TEST_F(RecoveryTest, AFreeListTheDrawDrainsFreesNoLivePage)
+{
+    // An unlabeled empty table with one orphan page: recovery's commit
+    // draws the free-list chain page from a free set of one, which
+    // leaves nothing to record. That page is then free but in no chain,
+    // so once an append reuses it, no later commit may free it again.
+    const std::string path = Path("t.dbpages");
+    const float rows[4][2] = {{1, 2}, {3, 4}, {5, 6}, {7, 8}};
+    {
+        auto table = PagedTable::Create(path, {"a", "b"}, 2, SmallPages());
+        table->AppendRow(rows[0], 2, 0.0f);  // never committed
+    }
+    auto table = PagedTable::Open(path, SmallPages());
+    EXPECT_EQ(table->last_recovery().orphans_reclaimed, 1u);
+    table->AppendRow(rows[0], 2, 0.0f);
+    table->AppendRow(rows[1], 2, 0.0f);
+    table->Flush();
+    // Both appends shadow-copy the committed data page.
+    table->AppendRow(rows[2], 2, 0.0f);
+    table->AppendRow(rows[3], 2, 0.0f);
+    table->Flush();
+    auto expect_rows = [&rows](const PagedTable& t) {
+        ASSERT_EQ(t.num_rows(), 4u);
+        for (std::size_t r = 0; r < 4; ++r) {
+            for (std::size_t c = 0; c < 2; ++c) {
+                EXPECT_EQ(t.Feature(r, c), rows[r][c])
+                    << "row " << r << " col " << c;
+            }
+        }
+    };
+    expect_rows(*table);
+    table.reset();
+    expect_rows(*PagedTable::Open(path, SmallPages()));
+}
+
 TEST_F(RecoveryTest, ScrubReportsCleanTableAndCountsPages)
 {
     const Dataset data = MakeHiggs(60, 84);

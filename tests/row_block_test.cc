@@ -157,26 +157,6 @@ TEST(RowBlockTest, ViewOutlivesTableMaterialization)
     EXPECT_EQ(view.At(1, 0), 3.0f);
 }
 
-TEST(RowBlockTest, ViewAdoptingDatasetIsImmutable)
-{
-    RowBlock block(std::vector<float>{1, 2, 3, 4}, 2);
-    Dataset data("v", Task::kClassification, block.View(), {0.0f, 1.0f},
-                 2);
-    EXPECT_FALSE(data.owns_values());
-    EXPECT_EQ(data.num_rows(), 2u);
-    EXPECT_EQ(data.Row(1)[1], 4.0f);
-    EXPECT_THROW(data.AddRow({5.0f, 6.0f}, 0.0f), InvalidArgument);
-    EXPECT_THROW(data.Assign({1.0f, 2.0f}, {0.0f}), InvalidArgument);
-    EXPECT_THROW(data.values(), InvalidArgument);
-
-    // Slicing a view-adopting dataset stays zero-copy.
-    RowBlock::ResetCopyStats();
-    Dataset slice = data.Slice(1, 2);
-    EXPECT_EQ(RowBlock::CopyStats().copies, 0u);
-    EXPECT_FALSE(slice.owns_values());
-    EXPECT_EQ(slice.Row(0)[0], 3.0f);
-}
-
 // --------------------------------------------- end-to-end zero copies --
 
 struct PlaneFixture {

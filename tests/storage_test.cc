@@ -33,10 +33,12 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "dbscore/common/error.h"
+#include "dbscore/data/csv_loader.h"
 #include "dbscore/data/row_block.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/dbms/database.h"
@@ -779,6 +781,100 @@ TEST_F(PagedTableTest, RejectsRowWiderThanPage)
         CapacityError);
 }
 
+/** FNV-1a 64 over every byte of the file at @p path. */
+std::uint64_t
+FileDigest(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    char byte = 0;
+    while (in.get(byte)) {
+        hash = (hash ^ static_cast<std::uint8_t>(byte)) * 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/**
+ * Writes a page file by one fixed sequence: four commits of appends,
+ * then three cycles of reopen, append, Flush(), append and Recover()
+ * (which commits the second append). Every commit rewrites the chains
+ * into pages earlier commits freed. Returns the pages the last cycle
+ * took from the free list.
+ */
+std::uint64_t
+WriteFixedPageFile(const std::string& path, std::size_t page_size,
+                   std::size_t features)
+{
+    StorageOptions options;
+    options.page_size = page_size;
+    options.pool_pages = 16;
+    std::vector<std::string> columns;
+    for (std::size_t c = 0; c < features; ++c) {
+        columns.push_back(std::string("f").append(std::to_string(c)));
+    }
+    columns.emplace_back("label");
+    std::uint64_t row = 0;
+    std::vector<float> values(features);
+    auto append = [&](PagedTable& table, std::size_t rows) {
+        for (std::size_t i = 0; i < rows; ++i, ++row) {
+            for (std::size_t c = 0; c < features; ++c) {
+                values[c] = static_cast<float>((row * (c + 3)) % 101) * 0.5f -
+                            static_cast<float>(c);
+            }
+            table.AppendRow(values.data(), features,
+                            static_cast<float>(row % 3));
+        }
+    };
+    auto table = PagedTable::Create(path, columns, features, options);
+    for (const std::size_t rows : {700, 350, 211, 90}) {
+        append(*table, rows);
+        table->Flush();
+    }
+    for (const std::size_t rows : {120, 75, 33}) {
+        table.reset();
+        table = PagedTable::Open(path, options);
+        append(*table, rows);
+        table->Flush();
+        append(*table, rows / 3);
+        table->Recover();
+    }
+    return table->Stats().recovery.pages_reused;
+}
+
+TEST_F(PagedTableTest, PageFilesKeepTheirBytes)
+{
+    // Sizes and digests of the files this sequence writes at format
+    // version 2. A change to the page format must change them and bump
+    // storage::kPageFormatVersion.
+    struct Golden {
+        std::size_t page_size;
+        std::size_t features;
+        std::uintmax_t bytes;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {256, 3, 38400, 0x6efe8acf77fe87b3ull},
+        {256, 28, 658944, 0xadffbdd0b3b12e4aull},
+        {4096, 3, 81920, 0x3f5e7df6fa00051bull},
+        {4096, 28, 266240, 0x017461f52864e208ull},
+    };
+    for (const Golden& golden : goldens) {
+        const std::string path =
+            Path(std::to_string(golden.page_size) + "_" +
+                 std::to_string(golden.features) + ".dbpages");
+        const std::uint64_t reused =
+            WriteFixedPageFile(path, golden.page_size, golden.features);
+        EXPECT_GT(reused, 0u);
+        const std::uint64_t digest = FileDigest(path);
+        EXPECT_EQ(std::filesystem::file_size(path), golden.bytes)
+            << golden.page_size << " B pages, " << golden.features
+            << " features";
+        EXPECT_EQ(digest, golden.digest)
+            << golden.page_size << " B pages, " << golden.features
+            << " features";
+    }
+}
+
 // -------------------------------------------------- fault injection --
 
 TEST_F(StorageFaultTest, TransientReadFaultsAreRetriedInvisibly)
@@ -1080,6 +1176,42 @@ TEST_F(PagedDbmsTest, BulkLoadCsvPagedParsesAndScores)
     EXPECT_THROW(db.BulkLoadCsvPaged("bad", bad_path, Path("bad.dbpages"),
                                      StorageOptions{}),
                  ParseError);
+}
+
+TEST_F(PagedDbmsTest, BulkLoadCsvPagedTrimsCellsAsTheDatasetLoaderDoes)
+{
+    const std::string text = "a,label\n 1.5 ,1\n";
+    const std::string csv_path = Path("trim.csv");
+    {
+        std::ofstream csv(csv_path);
+        csv << text;
+    }
+    Database db;
+    Table& table = db.BulkLoadCsvPaged("t", csv_path, Path("t.dbpages"),
+                                       StorageOptions{});
+    ASSERT_EQ(table.NumRows(), 1u);
+    EXPECT_EQ(table.store()->Feature(0, 0), 1.5f);
+    EXPECT_EQ(table.store()->Label(0), 1.0f);
+    std::istringstream in(text);
+    const Dataset data = LoadCsvDataset(in, CsvLoadOptions{});
+    EXPECT_EQ(data.At(0, 0), table.store()->Feature(0, 0));
+    EXPECT_EQ(data.Label(0), table.store()->Label(0));
+
+    // A cell that is no number names its file and record.
+    const std::string bad_path = Path("bad.csv");
+    {
+        std::ofstream csv(bad_path);
+        csv << "a,label\n1,0\n 1.5x ,1\n";
+    }
+    try {
+        db.BulkLoadCsvPaged("bad", bad_path, Path("bad.dbpages"),
+                            StorageOptions{});
+        FAIL() << "a non-numeric cell loaded";
+    } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("bad.csv record 3"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(PagedDbmsTest, SpStorageStatsReportsAndResets)
