@@ -292,8 +292,7 @@ WriteJson(const std::string& path, const std::vector<Result>& results,
 /**
  * Tracing hot-path guard: the always-on kernel spans must cost < 3% of
  * kernel throughput. Measures the same Predict loop with the collector
- * enabled vs disabled (the runtime equivalent of compiling it out with
- * DBSCORE_TRACE_DISABLED) and reports the relative regression.
+ * enabled vs disabled and reports the relative regression.
  *
  * One smoke call takes about a millisecond, so 3% of a call is below
  * the thread pool's wake-up jitter, and on a shared VM the speed of

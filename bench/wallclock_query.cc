@@ -3,7 +3,7 @@
  * Wall-clock planner bench: the same `SCORE(...) > θ` scan planned
  * naively (optimize=false: stream every page, filter row-by-row) and
  * through the rewriter (zone-map predicate pushdown + score-threshold
- * pushdown + Score->Aggregate fusion), swept across plain-predicate
+ * pushdown), swept across plain-predicate
  * selectivities of 1% / 10% / 50% / 90% on a paged table clustered on
  * the filtered column.
  *

@@ -1,7 +1,6 @@
 #include "dbscore/core/backend_factory.h"
 
 #include "dbscore/common/error.h"
-#include "dbscore/common/logging.h"
 #include "dbscore/engines/cpu/cpu_engines.h"
 #include "dbscore/engines/fpga/fpga_engine.h"
 #include "dbscore/engines/fpga/hybrid_engine.h"
@@ -61,9 +60,8 @@ CreateLoadedEngine(BackendKind kind, const HardwareProfile& profile,
     auto engine = CreateEngine(kind, profile);
     try {
         engine->LoadModel(model, stats);
-    } catch (const CapacityError& e) {
-        Debug(engine->Name(), " cannot host this model: ", e.what());
-        return nullptr;
+    } catch (const CapacityError&) {
+        return nullptr;  // this backend cannot host the model
     }
     return engine;
 }

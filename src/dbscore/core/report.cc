@@ -92,12 +92,6 @@ RenderBreakdownTable(const std::string& title,
     return os.str();
 }
 
-double
-SeriesPoint::Throughput() const
-{
-    return static_cast<double>(num_rows) / latency.seconds();
-}
-
 std::string
 RenderSeriesTable(const std::string& title,
                   const std::vector<std::size_t>& record_counts,

@@ -47,15 +47,6 @@ struct BreakdownColumn {
 std::string RenderBreakdownTable(const std::string& title,
                                  const std::vector<BreakdownColumn>& cols);
 
-/** Latency/throughput series for one backend (Figures 9/10). */
-struct SeriesPoint {
-    std::size_t num_rows;
-    SimTime latency;
-
-    /** Records per second. */
-    double Throughput() const;
-};
-
 /** Renders one latency series table, rows = record counts. */
 std::string RenderSeriesTable(
     const std::string& title, const std::vector<std::size_t>& record_counts,

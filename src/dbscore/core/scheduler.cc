@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "dbscore/common/error.h"
-#include "dbscore/common/logging.h"
 
 namespace dbscore {
 
@@ -42,8 +41,8 @@ OffloadScheduler::OffloadScheduler(const HardwareProfile& profile,
         auto engine = CreateEngine(kind, profile);
         try {
             backends_.push_back({kind, engine->MakeCostCard(forest, stats)});
-        } catch (const CapacityError& e) {
-            Debug(engine->Name(), " cannot host this model: ", e.what());
+        } catch (const CapacityError&) {
+            // This backend cannot host the model: it is not a choice.
         }
     }
     if (backends_.empty()) {

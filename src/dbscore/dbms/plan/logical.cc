@@ -350,9 +350,6 @@ AppendOp(const LogicalPlan& plan, const LogicalOp& op, int depth,
         break;
     }
     os << ")";
-    if (op.kind == LogicalOpKind::kAggregate && op.fused) {
-        os << " [fused]";
-    }
     if (op.kind == LogicalOpKind::kLimit && op.rising_threshold) {
         os << " [rising-threshold]";
     }

@@ -13,8 +13,7 @@
  * expanded to "all non-label columns in table order", the sp_score_model
  * convention). The chain is what the rule-based rewriter
  * (plan/rewrite.h) annotates — zone-map predicate pushdown,
- * SCORE-threshold pushdown, score-aggregate fusion, the TOP-N rising
- * threshold — and what
+ * SCORE-threshold pushdown, the TOP-N rising threshold — and what
  * EXEC sp_explain prints; execution happens in plan/physical.h.
  */
 #ifndef DBSCORE_DBMS_PLAN_LOGICAL_H
@@ -98,10 +97,6 @@ struct LogicalOp {
 
     // -- kFilterScore -------------------------------------------------
     std::vector<ScorePredicate> score_predicates;
-
-    // -- kAggregate ---------------------------------------------------
-    /** Rewriter: aggregates fold into the streaming scoring loop. */
-    bool fused = false;
 
     // -- kLimit -------------------------------------------------------
     /** Rewriter: TOP n ... ORDER BY SCORE scores its morsels against

@@ -120,9 +120,6 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
     if (const LogicalOp* op = logical_.Find(LogicalOpKind::kScan)) {
         zone_predicate_ = op->zone_predicate;
     }
-    if (const LogicalOp* op = logical_.Find(LogicalOpKind::kAggregate)) {
-        fused_aggregate_ = op->fused;
-    }
 
     const std::size_t label_col = logical_.label_col;
     const std::size_t num_cols = logical_.column_names.size();
@@ -174,7 +171,7 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
         scores_.push_back(std::move(cs));
     }
 
-    // Rule 3 pays only when the order score's kernel can decide a row
+    // Rule 2 pays only when the order score's kernel can decide a row
     // before its last tree: an accumulate combiner over more than one
     // checkpoint of trees. Otherwise the plan withdraws the rule.
     if (LogicalOp* limit = logical_.Find(LogicalOpKind::kLimit);
@@ -568,7 +565,7 @@ PhysicalPlan::Execute(const Database& db) const
     };
 
     // Sink step: folds a scored batch into the statement, in scan
-    // order — early-exit counters, fused aggregates, the TOP-N heap or
+    // order — early-exit counters, aggregates, the TOP-N heap or
     // projected rows. Row i of a slice is table row @p first + i; row i
     // of a paged morsel is its i-th plain survivor, with its feature
     // row in @p feats. When the sink reads a paged label, row i's label
@@ -972,10 +969,6 @@ PhysicalPlan::ExplainPhysical() const
             zone_predicate_->column,
             static_cast<double>(zone_predicate_->min),
             static_cast<double>(zone_predicate_->max)));
-    }
-    if (fused_aggregate_) {
-        lines.push_back(
-            "aggregate: fused into the streaming scoring loop");
     }
     if (rising_threshold_) {
         lines.push_back(StrFormat(

@@ -19,8 +19,8 @@
  * no feature column (COUNT(*) alone, or only the label). Plain
  * predicates run first, then SCORE predicates over the compacted
  * survivors (early-exit kernel when the rewriter pushed the threshold
- * down), and fused aggregates fold into the loop without materializing
- * a score column. Paged survivors are copied into morsels: the
+ * down), and aggregates fold into the loop without materializing a
+ * score column. Paged survivors are copied into morsels: the
  * survivors of several consecutive pages, scored by one kernel call,
  * while the scan still holds one page pin at a time; a paged label is
  * read through a copy of its label page, pinned once. An in-memory
@@ -50,9 +50,8 @@
  * morsel as it closes.
  *
  * Executing a rewritten plan is bit-identical to executing the naive
- * plan of the same statement: pushdown, fusion and the rising
- * threshold change how much work runs, never the result (DESIGN.md
- * §14).
+ * plan of the same statement: pushdown and the rising threshold change
+ * how much work runs, never the result (DESIGN.md §14).
  */
 #ifndef DBSCORE_DBMS_PLAN_PHYSICAL_H
 #define DBSCORE_DBMS_PLAN_PHYSICAL_H
@@ -178,7 +177,6 @@ class PhysicalPlan {
     std::vector<ColumnPredicate> plain_preds_;
     std::vector<ScorePredicate> score_preds_;
     std::optional<storage::ScanPredicate> zone_predicate_;
-    bool fused_aggregate_ = false;
     /** TOP n ... ORDER BY SCORE against the heap's rising threshold. */
     bool rising_threshold_ = false;
 

@@ -5,7 +5,7 @@
  * Pipeline per statement:
  *
  *   ParseSql -> BuildLogicalPlan -> RewritePlan -> PhysicalPlan
- *                (resolve+validate)  (prune/push/fuse)  (compile models)
+ *                (resolve+validate)  (push down)        (compile models)
  *
  * wrapped in an LRU plan cache keyed on the normalized statement text
  * (case-folded outside string literals, whitespace collapsed) and

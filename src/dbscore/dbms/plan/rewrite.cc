@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "dbscore/common/string_util.h"
@@ -131,30 +130,7 @@ PushScoreThresholds(LogicalPlan& plan)
 }
 
 /**
- * Rule 2: aggregates over a scored stream fold into the scoring loop —
- * running accumulators per chunk, no materialized score column.
- */
-void
-FuseScoreAggregates(LogicalPlan& plan)
-{
-    LogicalOp* agg = plan.Find(LogicalOpKind::kAggregate);
-    if (agg == nullptr || plan.scores.empty() || agg->fused) {
-        return;
-    }
-    std::ostringstream rule;
-    rule << "score-aggregate-fusion(";
-    for (std::size_t i = 0; i < plan.stmt.aggregates.size(); ++i) {
-        const AggregateItem& item = plan.stmt.aggregates[i];
-        rule << (i > 0 ? ", " : "") << AggFuncName(item.func);
-        (void)item;
-    }
-    rule << ")";
-    agg->fused = true;
-    plan.applied_rules.push_back(rule.str());
-}
-
-/**
- * Rule 3: TOP n ... ORDER BY SCORE(...) scores its rows in morsels
+ * Rule 2: TOP n ... ORDER BY SCORE(...) scores its rows in morsels
  * against a threshold that only rises, the worst key a full TOP-N heap
  * keeps. The physical plan withdraws the rule when the order score's
  * kernel cannot decide a row before its last tree.
@@ -181,7 +157,6 @@ RewritePlan(LogicalPlan& plan)
 {
     PushZonePredicate(plan);
     PushScoreThresholds(plan);
-    FuseScoreAggregates(plan);
     RiseTopNThreshold(plan);
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
- * Rule-based logical-plan rewriter: the three SQL+ML co-optimizations
- * EXEC sp_explain reports (bench/wallclock_query measures the first
- * two). No rule narrows the scan's columns: a SCORE always reads just
- * its own feature columns, and a plain cell is read in place.
+ * Rule-based logical-plan rewriter: the two SQL+ML co-optimizations
+ * EXEC sp_explain reports (bench/wallclock_query measures the first).
+ * No rule narrows the scan's columns: a SCORE always reads just its own
+ * feature columns, and a plain cell is read in place. No rule fuses
+ * aggregates either: every SELECT folds its aggregates into the one
+ * morsel loop (plan/physical.h).
  *
  *  1. predicate-pushdown —
  *     a. the plain numeric predicates over one feature column of a
@@ -16,11 +18,7 @@
  *        comparison into ForestKernel::PredictThreshold, which stops
  *        accumulating trees once suffix bounds decide the predicate
  *        (exact; see DESIGN.md §14).
- *  2. score-aggregate-fusion — aggregates over a scored stream
- *     (AVG(SCORE(...)), COUNT(*) WHERE SCORE(...) > t) fold into the
- *     chunk-streaming scoring loop without materializing a score
- *     column.
- *  3. score-topn-threshold — TOP n ... ORDER BY SCORE(...) scores its
+ *  2. score-topn-threshold — TOP n ... ORDER BY SCORE(...) scores its
  *     morsels against a threshold that only rises: once the TOP-N heap
  *     is full, a morsel's rows first run PredictThreshold against the
  *     heap's worst kept score, and only the rows that beat it are
@@ -38,7 +36,7 @@
 
 namespace dbscore::plan {
 
-/** Name of rule 3 in LogicalPlan::applied_rules. */
+/** Name of rule 2 in LogicalPlan::applied_rules. */
 inline constexpr const char* kRisingThresholdRule = "score-topn-threshold";
 
 /** Applies every rewrite rule to @p plan in place (the naive planner

@@ -9,7 +9,7 @@ Autoscale(const AutoscalerConfig& config, const DeviceLoadSignals& signals)
     if (!config.enabled || signals.lanes == 0) {
         return hold;
     }
-    if (signals.now - signals.last_change < config.cooldown &&
+    if (signals.now - signals.last_change < kScaleCooldown &&
         signals.last_change > SimTime()) {
         return hold;
     }
@@ -23,16 +23,16 @@ Autoscale(const AutoscalerConfig& config, const DeviceLoadSignals& signals)
                   static_cast<double>(signals.window_completions);
 
     if (signals.lanes < config.max_lanes) {
-        if (per_lane > config.scale_up_queue_per_lane) {
+        if (per_lane > kScaleUpQueuePerLane) {
             return {+1, "backlog"};
         }
-        if (miss_rate > config.scale_up_miss_rate &&
+        if (miss_rate > kScaleUpMissRate &&
             signals.window_completions > 0) {
             return {+1, "miss-rate"};
         }
     }
-    if (signals.lanes > config.min_lanes &&
-        per_lane < config.scale_down_queue_per_lane && miss_rate == 0.0) {
+    if (signals.lanes > kMinLanes &&
+        per_lane < kScaleDownQueuePerLane && miss_rate == 0.0) {
         return {-1, "idle"};
     }
     return hold;

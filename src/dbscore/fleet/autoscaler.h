@@ -8,7 +8,9 @@
  * not device speed — dominates latency, and shrinks it when lanes sit
  * idle. The policy itself is a pure function of observed signals so it
  * can be unit-tested without threads; FleetService samples signals and
- * applies the returned delta under its scheduler lock.
+ * applies the returned delta under its scheduler lock. Its thresholds,
+ * floor and cooldown are constants; a caller sets only whether it runs
+ * and the largest pool.
  */
 #ifndef DBSCORE_FLEET_AUTOSCALER_H
 #define DBSCORE_FLEET_AUTOSCALER_H
@@ -19,23 +21,25 @@
 
 namespace dbscore::fleet {
 
-/** Autoscaling policy knobs (per device). */
+/** Fewest lanes a pool shrinks to. */
+inline constexpr std::size_t kMinLanes = 1;
+/** Scale up when queued batches per lane exceed this. */
+inline constexpr double kScaleUpQueuePerLane = 4.0;
+/**
+ * Scale up when the deadline-miss fraction over the sampling window
+ * exceeds this (even with a shallow queue — slow lanes miss deadlines
+ * without ever looking backlogged).
+ */
+inline constexpr double kScaleUpMissRate = 0.10;
+/** Scale down when queued batches per lane fall below this. */
+inline constexpr double kScaleDownQueuePerLane = 0.25;
+/** Minimum modeled time between changes on one device. */
+inline constexpr SimTime kScaleCooldown = SimTime::Millis(100.0);
+
+/** Autoscaling settings, per device. */
 struct AutoscalerConfig {
     bool enabled = true;
-    std::size_t min_lanes = 1;
     std::size_t max_lanes = 8;
-    /** Scale up when queued batches per lane exceed this. */
-    double scale_up_queue_per_lane = 4.0;
-    /**
-     * Scale up when the deadline-miss fraction over the sampling
-     * window exceeds this (even with a shallow queue — slow lanes
-     * miss deadlines without ever looking backlogged).
-     */
-    double scale_up_miss_rate = 0.10;
-    /** Scale down when queued batches per lane fall below this. */
-    double scale_down_queue_per_lane = 0.25;
-    /** Minimum modeled time between changes on one device. */
-    SimTime cooldown = SimTime::Millis(100.0);
 };
 
 /** What the scheduler observed about one device since the last check. */

@@ -45,9 +45,7 @@ InitialLanes(const FleetConfig& config)
     if (config.initial_lanes == 0) {
         throw InvalidArgument("fleet: zero initial lanes");
     }
-    return std::max(config.autoscaler.enabled ? config.autoscaler.min_lanes
-                                              : config.initial_lanes,
-                    config.initial_lanes);
+    return config.initial_lanes;
 }
 
 std::array<double, kNumSloClasses>
@@ -126,8 +124,7 @@ FleetService::FleetService(const HardwareProfile& profile, FleetConfig config,
       policy_(policy),
       resident_models_(resident_models),
       depth_cap_(static_cast<std::size_t>(
-                     std::max(config_.autoscaler.scale_up_queue_per_lane,
-                              config_.autoscaler.scale_down_queue_per_lane) *
+                     kScaleUpQueuePerLane *
                      static_cast<double>(std::max(
                          config_.autoscaler.max_lanes,
                          InitialLanes(config_)))) +

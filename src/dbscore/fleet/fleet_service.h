@@ -314,7 +314,7 @@ class FleetService {
     bool resident_models_;
     /**
      * Queue depth past which every autoscaler decision is the same:
-     * more than the larger threshold per lane at the largest pool.
+     * more than the scale-up threshold per lane at the largest pool.
      */
     std::size_t depth_cap_;
     std::uint32_t trace_domain_;

@@ -28,7 +28,7 @@ ModelRegistry::ModelRegistry(const HardwareProfile& profile,
                              RegistryConfig config)
     : profile_(profile),
       config_(config),
-      cost_model_(config.runtime_params)
+      cost_model_(ExternalRuntimeParams{})
 {
     counters_.memory_budget_bytes = config_.memory_budget_bytes;
 }

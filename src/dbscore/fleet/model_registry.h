@@ -60,12 +60,6 @@ struct RegistryConfig {
      * eviction (shared ownership) but stop counting as resident.
      */
     std::uint64_t memory_budget_bytes = 64ull << 20;
-    /**
-     * Stage-cost parameters of the modeled (re)build: an Acquire miss
-     * charges the external runtime's model-preprocessing cost for the
-     * model's serialized bytes, exactly like a cold Fig-11 dispatch.
-     */
-    ExternalRuntimeParams runtime_params;
 };
 
 /** A scoring-ready model: the registry's unit of residency. */
@@ -189,7 +183,12 @@ class ModelRegistry {
 
     HardwareProfile profile_;
     RegistryConfig config_;
-    /** Pure cost model for the modeled (re)build charge. */
+    /**
+     * Pure cost model for the modeled (re)build charge: an Acquire miss
+     * charges the default external runtime's model-preprocessing cost
+     * for the model's serialized bytes, exactly like a cold Fig-11
+     * dispatch on a device lane.
+     */
     ExternalScriptRuntime cost_model_;
 
     mutable std::mutex mutex_;

@@ -6,12 +6,6 @@
 
 namespace dbscore {
 
-namespace {
-
-constexpr std::uint32_t kMaxReasonableCount = 1u << 28;
-
-}  // namespace
-
 void
 ByteWriter::PutU8(std::uint8_t v)
 {
@@ -46,21 +40,6 @@ ByteWriter::PutF32(float v)
     std::uint32_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
     PutU32(bits);
-}
-
-void
-ByteWriter::PutF64(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
-}
-
-void
-ByteWriter::PutString(const std::string& s)
-{
-    PutU32(static_cast<std::uint32_t>(s.size()));
-    PutBytes(s.data(), s.size());
 }
 
 void
@@ -120,28 +99,6 @@ ByteReader::GetF32()
     float v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
-}
-
-double
-ByteReader::GetF64()
-{
-    std::uint64_t bits = GetU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string
-ByteReader::GetString()
-{
-    std::uint32_t size = GetU32();
-    if (size > kMaxReasonableCount) {
-        throw ParseError("blob: implausible string length");
-    }
-    Require(size);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), size);
-    pos_ += size;
-    return s;
 }
 
 void

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace dbscore {
@@ -26,9 +25,6 @@ class ByteWriter {
     void PutU64(std::uint64_t v);
     void PutI32(std::int32_t v);
     void PutF32(float v);
-    void PutF64(double v);
-    /** Length-prefixed (u32) string. */
-    void PutString(const std::string& s);
     void PutBytes(const void* data, std::size_t size);
 
     const std::vector<std::uint8_t>& bytes() const { return bytes_; }
@@ -49,8 +45,6 @@ class ByteReader {
     std::uint64_t GetU64();
     std::int32_t GetI32();
     float GetF32();
-    double GetF64();
-    std::string GetString();
     void GetBytes(void* out, std::size_t size);
 
     std::size_t remaining() const { return bytes_.size() - pos_; }

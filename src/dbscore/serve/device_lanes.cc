@@ -14,6 +14,15 @@ using trace::TraceCollector;
 
 namespace {
 
+/** Backoff growth per additional retry. */
+constexpr double kBackoffMultiplier = 2.0;
+/** Cap on any single backoff, applied before jitter. */
+constexpr SimTime kMaxBackoff = SimTime::Millis(50.0);
+/** Jitter adds a uniform draw in [0, kJitterFrac) of the backoff. */
+constexpr double kJitterFrac = 0.2;
+/** Seed of every device's jitter stream. */
+constexpr std::uint64_t kJitterSeed = 0x7e57;
+
 /**
  * Modeled engine time a faulted offload attempt consumed: every
  * breakdown component completed before the site that failed.
@@ -59,7 +68,8 @@ DeviceLanes::DeviceLanes(std::size_t lanes, const LaneConfig& config)
     DBS_ASSERT(lanes > 0);
     for (Device& d : devices_) {
         d.lanes.assign(lanes, SimTime());
-        d.runtime = std::make_unique<ExternalScriptRuntime>(config.runtime_params);
+        d.runtime =
+            std::make_unique<ExternalScriptRuntime>(ExternalRuntimeParams{});
     }
 }
 
@@ -173,25 +183,22 @@ DeviceLanes::NextBackoff(DeviceClass device, std::size_t retry_index)
     DBS_ASSERT(retry_index >= 1);
     double backoff_s =
         config_.retry.initial_backoff.seconds() *
-        std::pow(config_.retry.backoff_multiplier,
-                 static_cast<double>(retry_index - 1));
-    backoff_s = std::min(backoff_s, config_.retry.max_backoff.seconds());
+        std::pow(kBackoffMultiplier, static_cast<double>(retry_index - 1));
+    backoff_s = std::min(backoff_s, kMaxBackoff.seconds());
     std::uint64_t seq;
     {
         Device& dev = At(device);
         std::lock_guard<std::mutex> lock(dev.mutex);
         seq = dev.attempt_seq++;
     }
-    if (config_.retry.jitter_frac > 0.0 && backoff_s > 0.0) {
-        // One draw from a stream keyed by (seed, device, sequence):
-        // a replayed run re-draws identical jitter. The SplitMix64
-        // seeding inside Rng decorrelates the nearby keys.
-        Rng jitter(config_.retry.jitter_seed ^
-                   (0x9e3779b97f4a7c15ULL *
-                    (static_cast<std::uint64_t>(device) + 1)) ^
-                   (0xbf58476d1ce4e5b9ULL * (seq + 1)));
-        backoff_s += backoff_s * config_.retry.jitter_frac * jitter.NextDouble();
-    }
+    // One draw from a stream keyed by (seed, device, sequence): a
+    // replayed run re-draws identical jitter. The SplitMix64 seeding
+    // inside Rng decorrelates the nearby keys.
+    Rng jitter(kJitterSeed ^
+               (0x9e3779b97f4a7c15ULL *
+                (static_cast<std::uint64_t>(device) + 1)) ^
+               (0xbf58476d1ce4e5b9ULL * (seq + 1)));
+    backoff_s += backoff_s * kJitterFrac * jitter.NextDouble();
     return SimTime::Seconds(backoff_s);
 }
 

@@ -8,12 +8,14 @@
  * class — reserves every placed dispatch (DeviceLanes::Reserve) and
  * runs it (DeviceLanes::Run) before the next one. Per device class
  * DeviceLanes owns the modeled lane horizons, the ExternalScriptRuntime
- * (one warm-process pool), the circuit breaker, the backoff jitter
- * stream and the fault counters that FleetStats reads. A faulted
+ * (one warm-process pool, priced by the default ExternalRuntimeParams
+ * like the registry's rebuilds), the circuit breaker, the backoff
+ * jitter stream and the fault counters that FleetStats reads. A faulted
  * attempt is charged the stages it consumed, retried after backoff
  * (never past a rider's deadline), then degraded to the CPU engine;
  * each step is a sim-clock span (kFault, kRetryBackoff, kFallback,
- * kBreaker).
+ * kBreaker). The backoff's growth, cap and jitter are constants
+ * (RetryPolicy); only the attempt budget and first backoff are set.
  */
 #ifndef DBSCORE_SERVE_DEVICE_LANES_H
 #define DBSCORE_SERVE_DEVICE_LANES_H
@@ -36,9 +38,12 @@ namespace dbscore::serve {
 
 /**
  * Per-dispatch retry policy for attempts lost to injected faults:
- * capped exponential backoff with deterministic jitter. Deadline-aware
- * — a request whose deadline precedes the retry's dispatch time fails
- * instead of riding a retry it could never use.
+ * exponential backoff (doubling per retry, capped at 50 ms) plus
+ * deterministic jitter of up to 20% of it. Jitter is a pure function
+ * of (device, per-device attempt counter), so a replayed run re-draws
+ * identical jitter. Deadline-aware — a request whose deadline precedes
+ * the retry's dispatch time fails instead of riding a retry it could
+ * never use.
  */
 struct RetryPolicy {
     /**
@@ -48,18 +53,6 @@ struct RetryPolicy {
     std::size_t max_attempts = 4;
     /** Backoff before the first retry. */
     SimTime initial_backoff = SimTime::Millis(1.0);
-    /** Growth factor per additional retry. */
-    double backoff_multiplier = 2.0;
-    /** Cap on any single backoff (before jitter). */
-    SimTime max_backoff = SimTime::Millis(50.0);
-    /** Uniform jitter in [0, frac) of the backoff, added to it. */
-    double jitter_frac = 0.2;
-    /**
-     * Seed of the jitter stream. Jitter is a pure function of
-     * (seed, device, per-device attempt counter), so a replayed run
-     * re-draws identical jitter.
-     */
-    std::uint64_t jitter_seed = 0x7e57;
 };
 
 /** Per-device circuit breaker policy. */
@@ -90,8 +83,6 @@ const char* BreakerStateName(BreakerState state);
 
 /** The device-lane settings both front doors share. */
 struct LaneConfig {
-    /** Stage costs of each device class's external runtime. */
-    ExternalRuntimeParams runtime_params;
     /** Retry/backoff policy for faulted dispatch attempts. */
     RetryPolicy retry;
     /** Circuit breaker policy of each device class. */
@@ -276,7 +267,8 @@ class DeviceLanes {
                       std::size_t rows, std::size_t marshaled_rows) const;
     /**
      * Capped exponential backoff + deterministic jitter before retry
-     * number @p retry_index (1 = first retry) on @p device.
+     * number @p retry_index (1 = first retry) on @p device; see
+     * RetryPolicy.
      */
     SimTime NextBackoff(DeviceClass device, std::size_t retry_index);
     void OnFault(DeviceClass device, SimTime wasted, SimTime now,

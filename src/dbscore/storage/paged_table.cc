@@ -186,6 +186,17 @@ PagedTable::Create(const std::string& path,
                       "%zu-byte payload of a %zu-byte page",
                       table->feature_cols_, payload, options.page_size));
     }
+    // Every commit writes one zone-map entry per data page into chain
+    // pages; a table whose entry cannot fit one could never commit.
+    const std::size_t zone_entry_bytes =
+        table->feature_cols_ * sizeof(ZoneRange);
+    if (table->ChainEntriesPerPage(zone_entry_bytes) == 0) {
+        throw CapacityError(
+            StrFormat("paged table: a %zu-feature zone-map entry (%zu "
+                      "bytes) does not fit a chain page of %zu bytes",
+                      table->feature_cols_, zone_entry_bytes,
+                      options.page_size));
+    }
     table->labels_per_page_ = payload / sizeof(float);
     const std::uint32_t slot_a = table->pager_.Alloc(PageType::kTableMeta);
     const std::uint32_t slot_b = table->pager_.Alloc(PageType::kTableMeta);

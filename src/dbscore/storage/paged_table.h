@@ -193,8 +193,9 @@ class PagedTable : public std::enable_shared_from_this<PagedTable> {
     /**
      * Creates a fresh page file at @p path. @p label_col ==
      * columns.size() means the table has no label column.
-     * @throws CapacityError when one feature row does not fit a page
-     *         or the column names overflow the meta page
+     * @throws CapacityError when one feature row does not fit a page,
+     *         one zone-map entry does not fit a chain page, or the
+     *         column names overflow the meta page
      */
     static std::shared_ptr<PagedTable> Create(
         const std::string& path, std::vector<std::string> columns,

@@ -234,14 +234,10 @@ TraceCollector::LocalRing()
 void
 TraceCollector::Emit(const SpanRecord& record)
 {
-#ifdef DBSCORE_TRACE_DISABLED
-    (void)record;
-#else
     if (!enabled()) return;
     SpanRecord rec = record;
     if (rec.thread_id == 0) rec.thread_id = ThisThreadId();
     LocalRing()->TryPush(rec);
-#endif
 }
 
 SpanContext
@@ -492,11 +488,6 @@ ScopedSpan::ScopedSpan(StageKind stage, const char* name, SpanContext parent)
 void
 ScopedSpan::Open(StageKind stage, const char* name, SpanContext parent)
 {
-#ifdef DBSCORE_TRACE_DISABLED
-    (void)stage;
-    (void)name;
-    (void)parent;
-#else
     TraceCollector& collector = TraceCollector::Get();
     if (!collector.enabled()) return;
     record_.stage = stage;
@@ -514,7 +505,6 @@ ScopedSpan::Open(StageKind stage, const char* name, SpanContext parent)
     record_.wall_start_us = collector.NowWallMicros();
     g_span_stack.push_back(context());
     active_ = true;
-#endif
 }
 
 ScopedSpan::~ScopedSpan()

@@ -28,8 +28,9 @@
  * ScoringService instances) so per-service summaries don't bleed into
  * each other; domain 0 is the default used by the DBMS pipeline.
  *
- * Define DBSCORE_TRACE_DISABLED to compile emission out entirely (the
- * wallclock_kernels bench guards the enabled-vs-disabled delta < 3%).
+ * Tracing is switched off only at run time (TraceCollector::SetEnabled);
+ * the wallclock_kernels bench guards the enabled-vs-disabled delta
+ * < 3%.
  */
 #ifndef DBSCORE_TRACE_TRACE_H
 #define DBSCORE_TRACE_TRACE_H
@@ -231,9 +232,8 @@ class TraceCollector {
     static TraceCollector& Get();
 
     /**
-     * Runtime kill switch (the compile-time one is
-     * DBSCORE_TRACE_DISABLED). Disabling makes ScopedSpan inert and
-     * Emit a no-op; used by the overhead guard bench.
+     * Runtime kill switch. Disabling makes ScopedSpan inert and Emit a
+     * no-op; used by the overhead guard bench.
      */
     bool
     enabled() const

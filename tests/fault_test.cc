@@ -12,6 +12,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -339,6 +340,60 @@ TEST(ServeFaultTest, RetriesExhaustThenDegradeToCpu)
     EXPECT_GT(snap.retry_backoff.seconds(), 0.0);
     EXPECT_EQ(CountSpans(*service, trace::StageKind::kRetryBackoff),
               snap.retries);
+    service->Stop();
+}
+
+TEST(ServeFaultTest, RetryBackoffDoublesCapsThenJitters)
+{
+    serve::ServiceConfig config;
+    config.coalescer.window = SimTime();
+    config.policy = WorkloadPolicy::kAlwaysFpga;
+    config.breaker.failure_threshold = 100;  // keep the breaker out
+    config.retry.initial_backoff = SimTime::Millis(10.0);
+    config.retry.max_attempts = 6;
+    auto service = Fixture().Service(config);
+    service->Start();
+
+    FaultPlan plan;
+    plan.At(FaultSite::kFpgaSetup).every_nth = 1;
+    ScopedFaultPlan guard(plan);
+
+    serve::ScoreRequest r;
+    r.model_id = "m";
+    r.num_rows = 100;
+    r.arrival = SimTime();
+    serve::ScoreReply reply = service->ScoreSync(r);
+    EXPECT_EQ(reply.status, serve::RequestStatus::kCompleted);
+    EXPECT_TRUE(reply.degraded);
+
+    // Five backoffs: 10 ms doubling per retry, capped at 50 ms before
+    // the jitter adds up to 20% of it.
+    std::vector<trace::SpanRecord> backoffs;
+    for (const trace::SpanRecord& span :
+         trace::TraceCollector::Get().SpansForDomain(
+             service->trace_domain())) {
+        if (span.stage == trace::StageKind::kRetryBackoff) {
+            backoffs.push_back(span);
+        }
+    }
+    std::sort(backoffs.begin(), backoffs.end(),
+              [](const trace::SpanRecord& a, const trace::SpanRecord& b) {
+                  return a.sim_start_s < b.sim_start_s;
+              });
+    const double bounds_ms[][2] = {
+        {10.0, 12.0}, {20.0, 24.0}, {40.0, 48.0}, {50.0, 60.0}, {50.0, 60.0}};
+    ASSERT_EQ(backoffs.size(), 5u);
+    for (std::size_t i = 0; i < backoffs.size(); ++i) {
+        const double ms = backoffs[i].sim_dur_s * 1e3;
+        EXPECT_GE(ms, bounds_ms[i][0]) << "retry " << i + 1;
+        EXPECT_LT(ms, bounds_ms[i][1]) << "retry " << i + 1;
+    }
+
+    // The jitter stream is a fixed function of its seed, the device and
+    // the attempt counter, so the total repeats to the bit.
+    serve::ServiceSnapshot snap = service->Stats();
+    EXPECT_EQ(snap.retries, 5u);
+    EXPECT_EQ(snap.retry_backoff.seconds(), 0x1.908c48a1331edp-3);
     service->Stop();
 }
 

@@ -208,9 +208,7 @@ TEST(WfqTest, IdleClassBuildsNoCredit)
 TEST(AutoscalerTest, PureDecisionRules)
 {
     AutoscalerConfig config;
-    config.min_lanes = 1;
     config.max_lanes = 8;
-    config.cooldown = SimTime::Millis(100.0);
 
     DeviceLoadSignals s;
     s.lanes = 2;
@@ -228,12 +226,12 @@ TEST(AutoscalerTest, PureDecisionRules)
     s.window_deadline_misses = 2;  // 20% > 10%
     EXPECT_EQ(Autoscale(config, s).delta, 1);
 
-    // Idle pool shrinks, but never below min_lanes.
+    // Idle pool shrinks, but never below kMinLanes.
     s.window_deadline_misses = 0;
     s.window_completions = 10;
     s.queue_depth = 0;
     EXPECT_EQ(Autoscale(config, s).delta, -1);
-    s.lanes = config.min_lanes;
+    s.lanes = kMinLanes;
     EXPECT_EQ(Autoscale(config, s).delta, 0);
 
     // Cooldown and the max-lanes cap both hold.

@@ -189,17 +189,12 @@ TEST_F(PlanTest, ScoreThresholdPushdownMarksEarlyExit)
     const std::string tree = plan.ToString();
     EXPECT_NE(tree.find("FilterScore"), std::string::npos);
     EXPECT_NE(tree.find("[early-exit]"), std::string::npos);
-    EXPECT_NE(tree.find("[fused]"), std::string::npos);
-    bool pushed = false;
-    bool fused = false;
-    for (const std::string& rule : plan.applied_rules) {
-        pushed |=
-            rule.find("score-threshold-pushdown") != std::string::npos;
-        fused |=
-            rule.find("score-aggregate-fusion") != std::string::npos;
-    }
-    EXPECT_TRUE(pushed);
-    EXPECT_TRUE(fused);
+    // Aggregates fold into the morsel loop with no rule marking them:
+    // the threshold pushdown is the one rule applied.
+    EXPECT_EQ(tree.find("[fused]"), std::string::npos);
+    ASSERT_EQ(plan.applied_rules.size(), 1u);
+    EXPECT_NE(plan.applied_rules[0].find("score-threshold-pushdown"),
+              std::string::npos);
 }
 
 TEST_F(PlanTest, ScoreValueNeededDisablesEarlyExit)
@@ -607,7 +602,16 @@ TEST(PlanEngineTest, SpExplainShowsRulesAndCache)
     const std::string text = result.ToString();
     EXPECT_NE(text.find("FilterScore"), std::string::npos);
     EXPECT_NE(text.find("score-threshold-pushdown"), std::string::npos);
-    EXPECT_NE(text.find("score-aggregate-fusion"), std::string::npos);
+    // No rule marks the aggregate: every SELECT folds it into the
+    // morsel loop. The threshold pushdown is the one rewrite line, and
+    // no logical or physical line tags the aggregate.
+    std::size_t rewrite_lines = 0;
+    for (const auto& row : result.rows) {
+        rewrite_lines += ValueToString(row[0]) == "rewrite" ? 1 : 0;
+    }
+    EXPECT_EQ(rewrite_lines, 1u);
+    EXPECT_EQ(text.find("[fused]"), std::string::npos);
+    EXPECT_EQ(text.find("aggregate:"), std::string::npos);
     EXPECT_NE(text.find("kernel"), std::string::npos);
     EXPECT_NE(text.find("hits="), std::string::npos);
 

@@ -781,6 +781,50 @@ TEST_F(PagedTableTest, RejectsRowWiderThanPage)
         CapacityError);
 }
 
+TEST_F(PagedTableTest, RejectsZoneEntryWiderThanChainPage)
+{
+    // A 256-byte page leaves 224 bytes of chain payload after a chain
+    // page's next id and entry count. A 30-feature row (120 bytes) fits
+    // a data page, but its zone-map entry (240 bytes) fits no chain
+    // page, so no commit could ever write the table's zone map.
+    StorageOptions options;
+    options.page_size = 256;
+    options.pool_pages = 8;
+    EXPECT_THROW(PagedTable::Create(Path("wide.dbpages"),
+                                    std::vector<std::string>(31, "c"), 30,
+                                    options),
+                 CapacityError);
+
+    // 28 features make a 224-byte entry: one per chain page.
+    constexpr std::size_t kFeatures = 28;
+    const std::string path = Path("t.dbpages");
+    std::vector<float> row(kFeatures);
+    auto value = [](std::size_t r, std::size_t c) {
+        return static_cast<float>(r * 100 + c);
+    };
+    {
+        auto table = PagedTable::Create(
+            path, std::vector<std::string>(kFeatures + 1, "c"), kFeatures,
+            options);
+        for (std::size_t r = 0; r < 5; ++r) {
+            for (std::size_t c = 0; c < kFeatures; ++c) {
+                row[c] = value(r, c);
+            }
+            table->AppendRow(row.data(), kFeatures, static_cast<float>(r));
+        }
+        table->Flush();
+    }
+    auto table = PagedTable::Open(path, options);
+    ASSERT_EQ(table->num_rows(), 5u);
+    EXPECT_EQ(table->NumDataPages(), 3u);  // two rows per page
+    for (std::size_t r = 0; r < 5; ++r) {
+        for (std::size_t c = 0; c < kFeatures; ++c) {
+            ASSERT_EQ(table->Feature(r, c), value(r, c));
+        }
+        ASSERT_EQ(table->Label(r), static_cast<float>(r));
+    }
+}
+
 /** FNV-1a 64 over every byte of the file at @p path. */
 std::uint64_t
 FileDigest(const std::string& path)
