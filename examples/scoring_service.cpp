@@ -64,7 +64,8 @@ main()
     //    64 payload rows each, with explicit modeled arrival stamps so
     //    batch membership is driven by the modeled clock. With batches
     //    capped at 8 requests, the burst fans out into ~6 micro-batches
-    //    that the queue-aware placer spreads across the device workers.
+    //    that the queue-aware placer spreads across the devices; the
+    //    scorer threads (one per hardware thread) score them.
     constexpr int kClients = 4;
     constexpr int kPerClient = 12;
     constexpr std::size_t kRowsPerRequest = 64;
@@ -122,7 +123,7 @@ main()
     // 7. Export the request spans as Chrome trace_event JSON. Open in
     //    chrome://tracing or https://ui.perfetto.dev to see admission,
     //    coalesce, queue-wait, batch, kernel, and reply spans nested
-    //    under each request, across the device worker threads.
+    //    under each request, across the scorer threads.
     const char* trace_path = "TRACE_service.json";
     {
         std::ofstream out(trace_path);

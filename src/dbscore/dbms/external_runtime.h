@@ -73,8 +73,8 @@ struct InvocationCost {
  * attributed exactly once (exactly one caller observes each cold start).
  * The pure cost functions (TransferToProcess, TransferFromProcess, and
  * the preprocessing estimators) are const and stateless. Components
- * that want independent pools — e.g. one per
- * device worker in dbscore::serve — should each own their own instance.
+ * that want independent pools — e.g. serve::DeviceLanes, one per
+ * device class — should each own their own instance.
  */
 class ExternalScriptRuntime {
  public:

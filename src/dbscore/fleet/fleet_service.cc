@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <thread>
 #include <utility>
 
 #include "dbscore/common/error.h"
@@ -27,13 +28,13 @@ namespace {
 constexpr std::chrono::milliseconds kFlushInterval{2};
 
 /**
- * A device's worker holds up to lanes × this many committed dispatches
+ * The scorers hold up to scorers × this many committed dispatches
  * awaiting scoring and reply; past it the dispatcher waits before
  * handing over more, so an overload backlog stays in the central WFQ.
  * The window acts on the wall clock only: it delays a hand-over but
  * never redirects a placement or moves a modeled time.
  */
-constexpr std::size_t kWindowPerLane = 2;
+constexpr std::size_t kWindowPerScorer = 2;
 
 /**
  * Lanes each device's pool starts with. Rejects a zero count here, not
@@ -132,7 +133,11 @@ FleetService::FleetService(const HardwareProfile& profile, FleetConfig config,
       trace_domain_(TraceCollector::Get().NewDomain()),
       registry_(profile, config_.registry),
       wfq_(Weights(config_.slo)),
-      lanes_(InitialLanes(config_), config_)
+      lanes_(InitialLanes(config_), config_),
+      // As many as ThreadPool(0) starts. Not ThreadPool::Shared():
+      // CompiledModel::Predict runs ParallelFor on that pool, which
+      // deadlocks when its callers are the pool's own workers.
+      scorers_(std::max<std::size_t>(1, std::thread::hardware_concurrency()))
 {
     if (config_.queue_capacity == 0) {
         throw InvalidArgument("fleet: zero queue capacity");
@@ -209,10 +214,10 @@ FleetService::Start()
         throw InvalidArgument("fleet: cannot restart a stopped service");
     }
     running_ = true;
-    threads_ = std::make_unique<ThreadPool>(4);
+    threads_ = std::make_unique<ThreadPool>(scorers_ + 1);
     threads_->Submit([this] { DispatcherLoop(); });
-    for (int d = 0; d < 3; ++d) {
-        threads_->Submit([this, d] { WorkerLoop(d); });
+    for (std::size_t i = 0; i < scorers_; ++i) {
+        threads_->Submit([this] { ScorerLoop(); });
     }
 }
 
@@ -237,7 +242,7 @@ FleetService::Stop()
         }
     }
     dispatcher_cv_.notify_all();
-    threads_.reset();  // joins dispatcher + workers
+    threads_.reset();  // joins the dispatcher and the scorers
     for (Pending& p : orphaned) {
         Settle(p, ScoreReply{}, RequestStatus::kRejected, Arrival(p),
                "service stopped before Start");
@@ -339,7 +344,7 @@ FleetService::Submit(FleetRequest request)
     }
     const std::size_t cols = model_cols_[tenant->model_idx];
     if (!payload.empty() && payload.size() != request.num_rows * cols) {
-        // The worker would read past (or ignore part of) the payload.
+        // The scorer would read past (or ignore part of) the payload.
         stats_.Count(cls, &ClassSnapshot::admitted);
         stats_.RecordAnswer(cls, RequestStatus::kFailed, arrival, arrival);
         return refuse(RequestStatus::kFailed,
@@ -477,15 +482,13 @@ FleetService::DispatcherLoop()
         Dispatch(std::move(batch), 0);
     }
 
-    // Dispatch is over: release the workers (they drain their queues
+    // Dispatch is over: release the scorers (they drain the queue
     // before exiting).
-    for (Device& d : devices_) {
-        {
-            std::lock_guard<std::mutex> dlock(d.mutex);
-            d.stop = true;
-        }
-        d.cv.notify_all();
+    {
+        std::lock_guard<std::mutex> wlock(work_mutex_);
+        work_stop_ = true;
     }
+    work_cv_.notify_all();
 }
 
 void
@@ -712,8 +715,8 @@ FleetService::Complete(Device& placed, std::vector<Pending> live,
         }
         replies.push_back(std::move(reply));
     }
-    HandOff(placed, DeviceWork{std::move(live), std::move(replies),
-                               std::move(model)});
+    HandOff(DeviceWork{std::move(live), std::move(replies), std::move(model),
+                       run.device});
 }
 
 std::size_t
@@ -762,20 +765,17 @@ FleetService::Commit(Device& device, SimTime finish)
 }
 
 void
-FleetService::HandOff(Device& device, DeviceWork work)
+FleetService::HandOff(DeviceWork work)
 {
     {
-        std::unique_lock<std::mutex> dlock(device.mutex);
-        const std::size_t window = device.lanes * kWindowPerLane;
-        // The worker signals `room` as it frees slots; the timeout is a
-        // lost-wakeup backstop (wall-clock liveness only — modeled time
-        // never sees it).
-        while (device.queue.size() + device.inflight >= window) {
-            device.room.wait_for(dlock, std::chrono::milliseconds(1));
-        }
-        device.queue.push_back(std::move(work));
+        std::unique_lock<std::mutex> wlock(work_mutex_);
+        const std::size_t window = scorers_ * kWindowPerScorer;
+        room_cv_.wait(wlock, [&] {
+            return work_.size() + work_inflight_ < window;
+        });
+        work_.push_back(std::move(work));
     }
-    device.cv.notify_one();
+    work_cv_.notify_one();
 }
 
 void
@@ -820,32 +820,30 @@ FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
 }
 
 void
-FleetService::WorkerLoop(int device_index)
+FleetService::ScorerLoop()
 {
-    Device& device = devices_[device_index];
     for (;;) {
         DeviceWork work;
         {
-            std::unique_lock<std::mutex> dlock(device.mutex);
-            device.cv.wait(dlock, [&] {
-                return device.stop || !device.queue.empty();
-            });
-            if (device.queue.empty()) {
+            std::unique_lock<std::mutex> wlock(work_mutex_);
+            work_cv_.wait(wlock,
+                          [&] { return work_stop_ || !work_.empty(); });
+            if (work_.empty()) {
                 break;  // stop requested and fully drained
             }
-            work = std::move(device.queue.front());
-            device.queue.pop_front();
-            ++device.inflight;
+            work = std::move(work_.front());
+            work_.pop_front();
+            ++work_inflight_;
         }
         {
-            // Wall span for the dispatch on this worker thread; kernel
-            // spans emitted while computing predictions nest under it.
+            // Wall span for the dispatch on this scorer; kernel spans
+            // emitted while computing predictions nest under it.
             ScopedSpan exec(StageKind::kBatch, "batch-execute",
                             work.members.front().trace);
             exec.AddAttr("requests", static_cast<double>(work.members.size()));
             exec.AddAttr("rows",
                          static_cast<double>(work.replies.front().batch_rows));
-            exec.AddAttr("device", static_cast<double>(device_index));
+            exec.AddAttr("device", static_cast<double>(work.device));
             for (std::size_t i = 0; i < work.members.size(); ++i) {
                 const RowView& rows = work.members[i].request.rows;
                 if (!rows.empty()) {
@@ -862,10 +860,10 @@ FleetService::WorkerLoop(int device_index)
             }
         }
         {
-            std::lock_guard<std::mutex> dlock(device.mutex);
-            --device.inflight;
+            std::lock_guard<std::mutex> wlock(work_mutex_);
+            --work_inflight_;
         }
-        device.room.notify_one();
+        room_cv_.notify_one();
     }
 }
 
@@ -892,13 +890,18 @@ FleetService::Answer(Pending& pending, ScoreReply reply)
     record.AddAttr("status", static_cast<double>(reply.status));
     tracer.Emit(record);
     {
+        // Published before the caller wakes, so a synchronous caller's
+        // next unstamped request is stamped at or after this finish.
+        std::lock_guard<std::mutex> lock(settle_mutex_);
+        latest_finish_ = Max(latest_finish_, finish);
+    }
+    {
         ScopedSpan fulfill(StageKind::kReply, "fulfill", pending.trace);
         pending.handle->Fulfill(std::move(reply));
     }
     {
         std::lock_guard<std::mutex> lock(settle_mutex_);
         ++settled_;
-        latest_finish_ = Max(latest_finish_, finish);
     }
     settle_cv_.notify_all();
 }

@@ -33,17 +33,20 @@
  *    signals.
  *
  * Concurrency vs. time follows the house rule: machinery real (one
- * dispatcher thread, one worker thread per device class, real CVs),
+ * dispatcher thread, one scorer thread per hardware thread, real CVs),
  * latencies modeled (SimTime lane horizons), results machine-
  * independent. The dispatcher commits every modeled step of a dispatch
  * in dispatch order: the registry acquire, breaker admission,
  * placement, the lane reservation, the whole DeviceLanes::Run loop,
- * the stats and the autoscaler's samples. Device workers only score
- * payloads and reply, so modeled outcomes are a function of the
- * dispatch sequence alone — never of how fast real threads run.
- * Predictions are always computed through the registry's shared
- * CompiledModel, so a reply is bit-identical whether it was served
- * warm, re-warmed after eviction, or degraded to the CPU path.
+ * the stats and the autoscaler's samples. It then queues the committed
+ * dispatch on one FIFO that every scorer serves, whatever device the
+ * dispatch was placed on: a scorer only scores the members' payloads
+ * and replies, in member order, so modeled outcomes are a function of
+ * the dispatch sequence alone — never of how fast real threads run or
+ * which scorer takes which dispatch. Predictions are always computed
+ * through the registry's shared CompiledModel, so a reply is
+ * bit-identical whether it was served warm, re-warmed after eviction,
+ * or degraded to the CPU path.
  */
 #ifndef DBSCORE_FLEET_FLEET_SERVICE_H
 #define DBSCORE_FLEET_FLEET_SERVICE_H
@@ -154,7 +157,10 @@ class FleetService {
      */
     void SetSloPolicy(SloClass cls, const SloPolicy& policy);
 
-    /** Launches the dispatcher and device worker threads. */
+    /**
+     * Launches the dispatcher and one scorer per hardware thread
+     * (std::thread::hardware_concurrency(), at least 1).
+     */
     void Start();
 
     /**
@@ -223,31 +229,24 @@ class FleetService {
     class Ticket;
 
     /**
-     * A committed dispatch waiting on a device worker. The dispatcher
-     * already ran its whole modeled dispatch (lanes, faults, retries,
-     * degrade) and recorded its stats; the worker only scores the
-     * members' payloads into their replies and fulfills them.
+     * A committed dispatch waiting for a scorer. The dispatcher already
+     * ran its whole modeled dispatch (lanes, faults, retries, degrade)
+     * and recorded its stats; the scorer only scores the members'
+     * payloads into their replies and fulfills them.
      */
     struct DeviceWork {
         std::vector<Pending> members;
         std::vector<serve::ScoreReply> replies;
         WarmModelPtr model;
+        /** The placement device (the batch-execute span's attribute). */
+        DeviceClass device = DeviceClass::kCpu;
     };
 
-    /** One simulated device: its worker's queue and its lane pool. */
+    /**
+     * One simulated device's modeled state, owned by the dispatcher
+     * thread (no lock).
+     */
     struct Device {
-        // Hand-off to the device's worker, guarded by mutex.
-        std::deque<DeviceWork> queue;
-        std::mutex mutex;
-        /** Wakes the worker: new work, or stop. */
-        std::condition_variable cv;
-        /** Wakes the dispatcher: a dispatch-window slot freed. */
-        std::condition_variable room;
-        bool stop = false;
-        /** Work popped by the worker and not yet replied. */
-        std::size_t inflight = 0;
-
-        // Modeled state, owned by the dispatcher thread (no lock).
         /** Lanes in the device's pool (lanes_ holds their horizons). */
         std::size_t lanes = 0;
         /** Autoscaler sampling window. */
@@ -280,8 +279,8 @@ class FleetService {
     void Place(const OffloadScheduler& scheduler, SimTime ready,
                const trace::SpanContext& parent, serve::LaneRun& run);
     /**
-     * The completed half of a dispatch: records it and hands the
-     * replies to @p placed's worker for scoring.
+     * The completed half of a dispatch: records it and queues the
+     * replies for a scorer.
      */
     void Complete(Device& placed, std::vector<Pending> live,
                   WarmModelPtr model, const serve::LaneRun& run,
@@ -301,9 +300,9 @@ class FleetService {
                 serve::RequestStatus status, SimTime at, std::string why);
     /** Records a dispatch committed to @p device until @p finish. */
     void Commit(Device& device, SimTime finish);
-    /** Waits (wall clock) for a window slot on @p device, then enqueues. */
-    void HandOff(Device& device, DeviceWork work);
-    void WorkerLoop(int device_index);
+    /** Waits (wall clock) for a scoring-window slot, then enqueues. */
+    void HandOff(DeviceWork work);
+    void ScorerLoop();
     /** Emits @p pending's root span, fulfills it and counts it settled. */
     void Answer(Pending& pending, serve::ScoreReply reply);
     void MaybeAutoscale(SimTime now, std::size_t central_backlog);
@@ -352,6 +351,22 @@ class FleetService {
     std::array<Device, 3> devices_;
     /** Lane pools, breakers, runtimes and fault counters per device. */
     serve::DeviceLanes lanes_;
+
+    // Hand-off of committed dispatches to the scorers, guarded by
+    // work_mutex_.
+    std::mutex work_mutex_;
+    std::deque<DeviceWork> work_;
+    /** Wakes a scorer: new work, or stop. */
+    std::condition_variable work_cv_;
+    /** Wakes the dispatcher: a scoring-window slot freed. */
+    std::condition_variable room_cv_;
+    bool work_stop_ = false;
+    /** Work popped by a scorer and not yet replied. */
+    std::size_t work_inflight_ = 0;
+    /** Scorer threads: one per hardware thread. */
+    const std::size_t scorers_;
+
+    /** The dispatcher and the scorers. */
     std::unique_ptr<ThreadPool> threads_;
 };
 

@@ -51,7 +51,7 @@ struct PendingRequest {
     std::shared_ptr<ReplySink> handle;
     /**
      * Root span of this request's trace, opened at admission. Carried
-     * through the dispatcher and device-worker hops so every stage
+     * through the dispatcher and scorer hops so every stage
      * span a later thread emits can parent to it.
      */
     trace::SpanContext trace;

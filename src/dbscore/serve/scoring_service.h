@@ -15,9 +15,12 @@
  * RegisterModel and never evicted or charged a registry build, and this
  * service's coalescing window and per-request deadlines. Modeled
  * results are a function of the request trace alone: thread timing can
- * change which requests share a batch (a live burst's idle flushes),
- * never how a batch is placed or costed. A trace queued before Start()
- * batches deterministically too.
+ * change which requests share a batch (a live burst's idle flushes)
+ * and which scorer thread answers it, never how a batch is placed or
+ * costed. A trace queued before Start() batches deterministically too.
+ * An unstamped request arrives at the latest modeled arrival or
+ * finish, and a finish is published before its caller wakes, so a
+ * synchronous caller's next request follows its last reply.
  */
 #ifndef DBSCORE_SERVE_SCORING_SERVICE_H
 #define DBSCORE_SERVE_SCORING_SERVICE_H
@@ -77,7 +80,10 @@ class ScoringService : private fleet::FleetService {
     /** Backends available for a registered model. */
     std::vector<BackendKind> BackendsFor(const std::string& id) const;
 
-    /** Launches the dispatcher and device worker threads. */
+    /**
+     * Launches the dispatcher and one scorer per hardware thread,
+     * which score every device's dispatches from one queue.
+     */
     void Start();
 
     /**

@@ -59,6 +59,18 @@ class PayloadWriter {
     std::size_t offset_ = 0;
 };
 
+/** Payload bytes of a meta slot naming @p columns (its fixed fields
+ * and one length-prefixed name per column; WriteMetaSlotLocked). */
+std::size_t
+MetaSlotBytes(const std::vector<std::string>& columns)
+{
+    std::size_t bytes = 2 * sizeof(std::uint64_t) + 7 * sizeof(std::uint32_t);
+    for (const std::string& name : columns) {
+        bytes += sizeof(std::uint16_t) + name.size();
+    }
+    return bytes;
+}
+
 class PayloadReader {
  public:
     PayloadReader(const std::uint8_t* data, std::size_t capacity) :
@@ -166,37 +178,49 @@ PagedTable::Create(const std::string& path,
                       "(%zu columns)",
                       label_col, columns.size()));
     }
+    // Every schema check precedes the pager, which truncates the path:
+    // a rejected Create leaves whatever lives there untouched.
+    const std::size_t feature_cols =
+        columns.size() - (label_col < columns.size() ? 1 : 0);
+    if (feature_cols == 0) {
+        throw InvalidArgument(
+            "paged table: need at least one feature column");
+    }
+    if (options.page_size < kMinPageSize) {
+        throw InvalidArgument(
+            StrFormat("paged table: page size %zu below minimum %zu",
+                      options.page_size, kMinPageSize));
+    }
+    const std::size_t payload = PagePayloadBytes(options.page_size);
+    const std::size_t rows_per_page =
+        payload / (feature_cols * sizeof(float));
+    if (rows_per_page == 0) {
+        throw CapacityError(
+            StrFormat("paged table: a %zu-feature row does not fit the "
+                      "%zu-byte payload of a %zu-byte page",
+                      feature_cols, payload, options.page_size));
+    }
+    // Every commit writes one zone-map entry per data page into chain
+    // pages; a table whose entry cannot fit one could never commit.
+    const std::size_t zone_entry_bytes = feature_cols * sizeof(ZoneRange);
+    if (ChainEntriesPerPage(options.page_size, zone_entry_bytes) == 0) {
+        throw CapacityError(
+            StrFormat("paged table: a %zu-feature zone-map entry (%zu "
+                      "bytes) does not fit a chain page of %zu bytes",
+                      feature_cols, zone_entry_bytes, options.page_size));
+    }
+    if (MetaSlotBytes(columns) > payload) {
+        throw CapacityError(
+            StrFormat("paged table: the names of %zu columns overflow "
+                      "the %zu-byte payload of a meta page",
+                      columns.size(), payload));
+    }
     std::shared_ptr<PagedTable> table(
         new PagedTable(path, options, /*create=*/true));
     table->columns_ = std::move(columns);
     table->label_col_ = label_col;
-    const bool has_label = label_col < table->columns_.size();
-    table->feature_cols_ =
-        table->columns_.size() - (has_label ? 1 : 0);
-    if (table->feature_cols_ == 0) {
-        throw InvalidArgument(
-            "paged table: need at least one feature column");
-    }
-    const std::size_t payload = PagePayloadBytes(options.page_size);
-    table->rows_per_page_ =
-        payload / (table->feature_cols_ * sizeof(float));
-    if (table->rows_per_page_ == 0) {
-        throw CapacityError(
-            StrFormat("paged table: a %zu-feature row does not fit the "
-                      "%zu-byte payload of a %zu-byte page",
-                      table->feature_cols_, payload, options.page_size));
-    }
-    // Every commit writes one zone-map entry per data page into chain
-    // pages; a table whose entry cannot fit one could never commit.
-    const std::size_t zone_entry_bytes =
-        table->feature_cols_ * sizeof(ZoneRange);
-    if (table->ChainEntriesPerPage(zone_entry_bytes) == 0) {
-        throw CapacityError(
-            StrFormat("paged table: a %zu-feature zone-map entry (%zu "
-                      "bytes) does not fit a chain page of %zu bytes",
-                      table->feature_cols_, zone_entry_bytes,
-                      options.page_size));
-    }
+    table->feature_cols_ = feature_cols;
+    table->rows_per_page_ = rows_per_page;
     table->labels_per_page_ = payload / sizeof(float);
     const std::uint32_t slot_a = table->pager_.Alloc(PageType::kTableMeta);
     const std::uint32_t slot_b = table->pager_.Alloc(PageType::kTableMeta);
@@ -371,10 +395,9 @@ PagedTable::AppendRow(const float* features, std::size_t n, float label)
 }
 
 std::size_t
-PagedTable::ChainEntriesPerPage(std::size_t entry_bytes) const
+PagedTable::ChainEntriesPerPage(std::size_t page_size, std::size_t entry_bytes)
 {
-    return (PagePayloadBytes(pager_.page_size()) -
-            2 * sizeof(std::uint32_t)) /
+    return (PagePayloadBytes(page_size) - 2 * sizeof(std::uint32_t)) /
            entry_bytes;
 }
 
@@ -386,7 +409,8 @@ PagedTable::TakeChainLocked(PageType type, std::size_t count,
     if (count == 0) {
         return {};
     }
-    const std::size_t per_page = ChainEntriesPerPage(entry_bytes);
+    const std::size_t per_page =
+        ChainEntriesPerPage(pager_.page_size(), entry_bytes);
     if (per_page == 0) {
         throw CapacityError(
             StrFormat("paged table %s: one %s entry (%zu bytes) does not "
@@ -409,7 +433,8 @@ PagedTable::WriteChainLocked(const std::vector<std::uint32_t>& chain,
         return 0;  // page 0 is the superblock: a safe null
     }
     const std::size_t payload = PagePayloadBytes(pager_.page_size());
-    const std::size_t per_page = ChainEntriesPerPage(entry_bytes);
+    const std::size_t per_page =
+        ChainEntriesPerPage(pager_.page_size(), entry_bytes);
     const auto* bytes = static_cast<const std::uint8_t*>(entries);
     for (std::size_t p = 0; p < chain.size(); ++p) {
         const std::size_t begin = std::min(p * per_page, count);
@@ -434,7 +459,8 @@ PagedTable::ReadChainLocked(std::uint32_t head, PageType type,
     // Every check precedes the visit, so nothing is sized from a page
     // that fails one, and a walk that passes them all hands over at
     // most a file's worth of entries.
-    const std::size_t per_page = ChainEntriesPerPage(entry_bytes);
+    const std::size_t per_page =
+        ChainEntriesPerPage(pager_.page_size(), entry_bytes);
     const std::uint32_t file_pages = pager_.num_pages();
     std::uint32_t walked = 0;
     for (std::uint32_t page = head; page != 0;) {
@@ -496,6 +522,7 @@ PagedTable::WriteMetaSlotLocked(std::uint64_t generation,
         writer.Put<std::uint16_t>(static_cast<std::uint16_t>(name.size()));
         writer.PutBytes(name.data(), name.size());
     }
+    DBS_ASSERT(writer.offset() == MetaSlotBytes(columns_));  // Create's check
     HeaderOf(page.data())->payload_bytes =
         static_cast<std::uint32_t>(writer.offset());
     // The atomic commit point: its own fault site so chaos plans can

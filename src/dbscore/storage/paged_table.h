@@ -193,6 +193,10 @@ class PagedTable : public std::enable_shared_from_this<PagedTable> {
     /**
      * Creates a fresh page file at @p path. @p label_col ==
      * columns.size() means the table has no label column.
+     * Every check runs before the file is opened, so a rejected
+     * schema leaves the path untouched.
+     * @throws InvalidArgument without a feature column, or for a page
+     *         size below kMinPageSize
      * @throws CapacityError when one feature row does not fit a page,
      *         one zone-map entry does not fit a chain page, or the
      *         column names overflow the meta page
@@ -350,8 +354,10 @@ class PagedTable : public std::enable_shared_from_this<PagedTable> {
     /** Shadow-copies the committed tail page before mutating it. */
     std::uint32_t EnsureWritableTailLocked(
         std::vector<std::uint32_t>& pages, PageType type);
-    /** Entries of @p entry_bytes a chain page holds (0 if none fits). */
-    std::size_t ChainEntriesPerPage(std::size_t entry_bytes) const;
+    /** Entries of @p entry_bytes a chain page of @p page_size bytes
+     * holds (0 if none fits). */
+    static std::size_t ChainEntriesPerPage(std::size_t page_size,
+                                           std::size_t entry_bytes);
     /** Takes the pages a chain of @p count entries needs.
      * @throws CapacityError when one entry does not fit a page */
     std::vector<std::uint32_t> TakeChainLocked(

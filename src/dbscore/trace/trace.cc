@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <vector>
 
 namespace dbscore::trace {
 
@@ -222,13 +223,21 @@ TraceCollector::NowWallMicros() const
 SpanRing*
 TraceCollector::LocalRing()
 {
-    thread_local std::shared_ptr<SpanRing> ring = [this] {
+    /* Retires the thread's ring as the thread exits. It never touches
+     * the collector, which a thread exiting after main() must not
+     * rely on; the collector's own reference keeps the ring alive
+     * until a drain has taken its last spans. */
+    struct Holder {
+        std::shared_ptr<SpanRing> ring;
+        ~Holder() { ring->Retire(); }
+    };
+    thread_local Holder holder{[this] {
         std::lock_guard<std::mutex> lock(mutex_);
         auto r = std::make_shared<SpanRing>(ring_capacity_);
         rings_.push_back(r);
         return r;
-    }();
-    return ring.get();
+    }()};
+    return holder.ring.get();
 }
 
 void
@@ -305,7 +314,14 @@ void
 TraceCollector::DrainLocked()
 {
     drain_scratch_.clear();
-    for (auto& ring : rings_) ring->DrainInto(drain_scratch_);
+    /* A ring seen retired before its drain has no push after it, so
+     * this drain is its last: keep its drops and release it. */
+    std::erase_if(rings_, [this](const std::shared_ptr<SpanRing>& ring) {
+        const bool retired = ring->retired();
+        ring->DrainInto(drain_scratch_);
+        if (retired) released_dropped_ += ring->dropped();
+        return retired;
+    });
     for (const SpanRecord& r : drain_scratch_) {
         ++recorded_;
         retained_.push_back(r);
@@ -387,9 +403,7 @@ TraceCollector::BuildSummaryLocked(bool all_domains, std::uint32_t domain)
         summary.stages.push_back(s);
     }
     summary.spans_recorded = recorded_;
-    std::uint64_t dropped = 0;
-    for (const auto& ring : rings_) dropped += ring->dropped();
-    summary.spans_dropped = dropped;
+    summary.spans_dropped = DroppedLocked();
     return summary;
 }
 
@@ -423,12 +437,25 @@ TraceCollector::StageSimTotals(std::uint32_t domain)
 }
 
 std::uint64_t
+TraceCollector::DroppedLocked() const
+{
+    std::uint64_t dropped = released_dropped_;
+    for (const auto& ring : rings_) dropped += ring->dropped();
+    return dropped;
+}
+
+std::uint64_t
 TraceCollector::TotalDropped()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t dropped = 0;
-    for (const auto& ring : rings_) dropped += ring->dropped();
-    return dropped;
+    return DroppedLocked();
+}
+
+std::size_t
+TraceCollector::RingCount()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return rings_.size();
 }
 
 void
@@ -440,6 +467,7 @@ TraceCollector::Clear()
     agg_.clear();
     recorded_ = 0;
     retained_evicted_ = 0;
+    released_dropped_ = 0;
     for (auto& ring : rings_) ring->ResetDropped();
 }
 

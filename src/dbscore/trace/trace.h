@@ -16,11 +16,14 @@
  * lock, never an allocation, never a block; on overflow the record is
  * dropped and counted. The process-wide TraceCollector drains rings on
  * demand, retains a bounded window of raw spans for export, and folds
- * everything into per-(domain, stage) histograms for summaries.
+ * everything into per-(domain, stage) histograms for summaries. A
+ * thread that exits marks its ring retired; the next drain takes that
+ * ring's last spans, keeps its drop count and releases it, so the
+ * rings held are those of live threads.
  *
  * Ids and parenting: span/trace ids come from atomic counters. Within
  * a thread, ScopedSpan maintains an implicit parent stack; across
- * thread hops (pipeline -> coalescer -> device worker) the producer
+ * thread hops (pipeline -> dispatcher -> scorer) the producer
  * captures a SpanContext and passes it to the child explicitly (or
  * the receiving thread adopts it as its implicit parent with
  * ScopedParent).
@@ -65,7 +68,7 @@ enum class StageKind : std::uint8_t {
     kAdmission,         ///< serve: admission-control handoff
     kCoalesce,          ///< serve: waiting for batchmates (and placement)
     kQueueWait,         ///< serve: waiting for the chosen device
-    kBatch,             ///< serve: one coalesced dispatch on a device worker
+    kBatch,             ///< serve: one coalesced dispatch on a scorer thread
     kInvocation,        ///< Fig 11: external process invocation
     kModelPreproc,      ///< Fig 11: model deserialization/compilation
     kDataPreproc,       ///< Fig 11: feature-matrix preparation
@@ -161,7 +164,8 @@ struct SpanRecord {
  * Fixed-capacity single-producer/single-consumer ring of SpanRecords.
  * The owning thread pushes; the collector (under its own mutex, so one
  * consumer at a time) drains. TryPush never blocks: a full ring counts
- * the record as dropped and returns false.
+ * the record as dropped and returns false. The owning thread retires
+ * the ring as it exits and pushes nothing after.
  */
 class SpanRing {
  public:
@@ -177,12 +181,18 @@ class SpanRing {
     void ResetDropped() { dropped_.store(0, std::memory_order_relaxed); }
     std::size_t capacity() const { return slots_.size(); }
 
+    /** The producer's last act: publishes every push and drop before it. */
+    void Retire() { retired_.store(true, std::memory_order_release); }
+    /** True once Retire() ran; a drain after this sees every push. */
+    bool retired() const { return retired_.load(std::memory_order_acquire); }
+
  private:
     std::vector<SpanRecord> slots_;
     std::size_t mask_;
     std::atomic<std::uint64_t> head_{0};  ///< next write (producer-owned)
     std::atomic<std::uint64_t> tail_{0};  ///< next read (consumer-owned)
     std::atomic<std::uint64_t> dropped_{0};
+    std::atomic<bool> retired_{false};
 };
 
 /** Aggregated view of one stage within a TraceSummary. */
@@ -295,8 +305,17 @@ class TraceCollector {
      */
     std::array<SimTime, kNumStageKinds> StageSimTotals(std::uint32_t domain);
 
-    /** Ring-overflow drops across all threads since the last Clear. */
+    /**
+     * Ring-overflow drops across all threads since the last Clear,
+     * exited threads included.
+     */
     std::uint64_t TotalDropped();
+
+    /**
+     * Rings held: one per thread that has emitted and is alive, plus
+     * those of exited threads until the next drain (tests only).
+     */
+    std::size_t RingCount();
 
     /** Drops retained spans, aggregates, and drop/evict counters. */
     void Clear();
@@ -325,6 +344,7 @@ class TraceCollector {
 
     SpanRing* LocalRing();
     void DrainLocked();
+    std::uint64_t DroppedLocked() const;
     TraceSummary BuildSummaryLocked(bool all_domains, std::uint32_t domain);
     static std::uint64_t AggKey(std::uint32_t domain, StageKind stage);
     SpanContext FillAndEmit(SpanRecord& record, StageKind stage,
@@ -339,6 +359,8 @@ class TraceCollector {
 
     std::mutex mutex_;
     std::vector<std::shared_ptr<SpanRing>> rings_;
+    /** Drops of the retired rings released since the last Clear. */
+    std::uint64_t released_dropped_ = 0;
     std::size_t ring_capacity_ = 2048;
     std::vector<SpanRecord> drain_scratch_;
     std::deque<SpanRecord> retained_;

@@ -821,7 +821,7 @@ struct BurstOutcome {
  * A held overload burst over 8 models under a 3.5-model registry
  * budget, with the autoscaler on and every fault site armed at 2%.
  * With @p payloads every request carries 64 rows to score; without,
- * the device workers do no kernel work at all.
+ * the scorers do no kernel work at all.
  */
 BurstOutcome
 RunHeldBurst(bool payloads)
@@ -935,7 +935,7 @@ ExpectSameCounters(const FleetSnapshot& a, const FleetSnapshot& b)
 TEST(FleetServiceTest, HeldBurstModeledOutcomesIgnoreScoringWork)
 {
     // The dispatcher commits every modeled step in dispatch order, so
-    // how long the device workers take to score cannot move a modeled
+    // how long the scorers take to score cannot move a modeled
     // outcome: the same burst with and without kernel work replies
     // and counts identically.
     const BurstOutcome scored = RunHeldBurst(true);

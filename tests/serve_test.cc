@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -591,6 +593,97 @@ TEST(ScoringServiceTest, StopSettlesEveryCoalescedRequest)
     ServiceSnapshot snap = service->Stats();
     EXPECT_EQ(snap.completed + snap.expired + snap.failed,
               handles.size());
+}
+
+TEST(ScoringServiceTest, CpuDispatchesScoreOnSeveralScorers)
+{
+    // Committed dispatches queue for one pool of scorers, whatever
+    // device they were placed on, so a CPU-only service still spreads
+    // its kernel work over the host's cores.
+    if (std::thread::hardware_concurrency() < 2) {
+        GTEST_SKIP() << "one hardware thread: one scorer";
+    }
+    const ServeFixture& f = Fixture();
+    ServiceConfig config;
+    config.policy = WorkloadPolicy::kAlwaysCpu;
+    config.coalescer.window = SimTime();
+    auto service = f.Service(config);
+    constexpr std::size_t kRequests = 96;
+    constexpr std::size_t kRows = 512;
+    std::vector<RowView> payloads;
+    std::vector<PendingScorePtr> handles;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        const std::size_t offset = i * 23 % (f.data.num_rows() - kRows);
+        payloads.push_back(f.data.View(offset, offset + kRows));
+        ScoreRequest r;
+        r.model_id = "m";
+        r.num_rows = kRows;
+        r.rows = payloads.back();
+        r.arrival = SimTime::Millis(0.1 * static_cast<double>(i));
+        handles.push_back(service->Submit(std::move(r)));
+    }
+    service->Start();
+    service->Stop();  // joins the scorers: every span is emitted
+
+    const RandomForest reference = f.ensemble.ToForest();
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        const ScoreReply& reply = handles[i]->Wait();
+        ASSERT_EQ(reply.status, RequestStatus::kCompleted) << "request " << i;
+        EXPECT_EQ(reply.device, DeviceClass::kCpu);
+        EXPECT_EQ(reply.predictions, reference.PredictBatch(payloads[i]))
+            << "request " << i;
+    }
+    std::set<std::uint32_t> scorers;
+    for (const trace::SpanRecord& span :
+         trace::TraceCollector::Get().SpansForDomain(service->trace_domain())) {
+        if (span.stage == trace::StageKind::kBatch) {
+            scorers.insert(span.thread_id);
+        }
+    }
+    EXPECT_GE(scorers.size(), 2u);
+}
+
+TEST(ScoringServiceTest, SyncCallersNextRequestFollowsItsLastReply)
+{
+    // An unstamped request arrives at the latest finish answered so
+    // far, and a finish is published before its caller wakes, so each
+    // request of a synchronous caller arrives at or after the finish
+    // of its previous reply. Threads spinning on every core widen the
+    // window between the wake-up and a later publish.
+    const ServeFixture& f = Fixture();
+    ServiceConfig config;
+    config.coalescer.window = SimTime();
+    auto service = f.Service(config);
+    service->Start();
+    std::atomic<bool> spin{true};
+    std::vector<std::thread> spinners;
+    for (unsigned i = 0; i < std::thread::hardware_concurrency(); ++i) {
+        spinners.emplace_back([&] {
+            while (spin.load(std::memory_order_relaxed)) {
+            }
+        });
+    }
+    constexpr int kCalls = 20000;
+    SimTime previous;
+    int early = 0;
+    int completed = 0;
+    for (int i = 0; i < kCalls; ++i) {
+        ScoreRequest r;
+        r.model_id = "m";
+        r.num_rows = 16;
+        const ScoreReply reply = service->ScoreSync(std::move(r));
+        completed += reply.status == RequestStatus::kCompleted ? 1 : 0;
+        early += reply.finish - reply.timing.latency < previous ? 1 : 0;
+        previous = reply.finish;
+    }
+    spin.store(false);
+    for (std::thread& spinner : spinners) {
+        spinner.join();
+    }
+    service->Stop();
+    EXPECT_EQ(completed, kCalls);
+    EXPECT_EQ(early, 0) << "of " << kCalls << " calls arrived before the "
+                        << "previous reply's finish";
 }
 
 // ------------------------------------------------- DBMS entry points --

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -836,6 +837,46 @@ FileDigest(const std::string& path)
         hash = (hash ^ static_cast<std::uint8_t>(byte)) * 0x100000001b3ull;
     }
     return hash;
+}
+
+TEST_F(PagedTableTest, RejectedCreateLeavesThePathUntouched)
+{
+    // Every schema check precedes the pager's truncating open, so a
+    // Create that throws leaves the committed table at its path byte
+    // for byte, and a rejected Create at a fresh path makes no file.
+    StorageOptions options;
+    options.page_size = 256;  // two 28-feature rows per page
+    options.pool_pages = 8;
+    const Dataset data = MakeHiggs(100, 38);
+    const std::string path = Path("kept.dbpages");
+    MakeHiggsTable(path, data, options);
+    const std::uint64_t digest = FileDigest(path);
+
+    const std::string fresh = Path("fresh.dbpages");
+    for (const std::string& at : {path, fresh}) {
+        // 100 features do not fit a 232-byte page payload.
+        EXPECT_THROW(PagedTable::Create(at, std::vector<std::string>(101, "c"),
+                                        100, options),
+                     CapacityError);
+        // The label is the only column: no feature column.
+        EXPECT_THROW(PagedTable::Create(at, {"label"}, 0, options),
+                     InvalidArgument);
+    }
+    EXPECT_FALSE(std::filesystem::exists(fresh));
+    EXPECT_EQ(FileDigest(path), digest);
+
+    auto table = PagedTable::Open(path, options);
+    ASSERT_EQ(table->num_rows(), data.num_rows());
+    for (std::size_t r = 0; r < data.num_rows(); ++r) {
+        for (std::size_t c = 0; c < data.num_features(); ++c) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(table->Feature(r, c)),
+                      std::bit_cast<std::uint32_t>(data.Row(r)[c]))
+                << "row " << r << " column " << c;
+        }
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(table->Label(r)),
+                  std::bit_cast<std::uint32_t>(data.Label(r)))
+            << "row " << r;
+    }
 }
 
 /**

@@ -108,6 +108,45 @@ TEST(TraceRingTest, OverflowCountsEveryLostRecord)
     EXPECT_EQ(tracer.TotalDropped(), 0u);
 }
 
+TEST(TraceTest, ExitedThreadsRingsAreDrainedThenReleased)
+{
+    // 64 short-lived threads each emit into a fresh ring and exit, the
+    // first one past its ring's capacity. The next drain must record
+    // every span that fit, keep the overflow's drop count, and release
+    // the exited threads' rings.
+    TraceCollector& tracer = Tracer();
+    tracer.Clear();
+    const std::size_t baseline = tracer.RingCount();
+    constexpr std::size_t kCapacity = 32;
+    constexpr std::size_t kThreads = 64;
+    constexpr std::size_t kSpans = 20;
+    constexpr std::size_t kFlood = 50;
+    tracer.SetRingCapacity(kCapacity);
+    const SpanContext root = tracer.NewRootContext(tracer.NewDomain());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = 0; i < (t == 0 ? kFlood : kSpans); ++i) {
+                tracer.EmitSim(StageKind::kScoring, "short-lived", root,
+                               SimTime::Micros(static_cast<double>(i)),
+                               SimTime::Micros(1));
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(tracer.SpansForDomain(root.domain).size(),
+              (kThreads - 1) * kSpans + kCapacity);
+    EXPECT_EQ(tracer.RingCount(), baseline);
+    EXPECT_EQ(tracer.TotalDropped(), kFlood - kCapacity);
+    EXPECT_EQ(tracer.SummaryForDomain(root.domain).spans_dropped,
+              kFlood - kCapacity);
+    tracer.SetRingCapacity(2048);
+    tracer.Clear();
+    EXPECT_EQ(tracer.TotalDropped(), 0u);
+}
+
 // -------------------------------------------------------- histogram --
 
 TEST(TraceHistogramTest, QuantilesTrackSortedReference)
