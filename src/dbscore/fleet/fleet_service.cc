@@ -113,16 +113,15 @@ class FleetService::Ticket final : public serve::ReplySink {
 FleetService::FleetService(const HardwareProfile& profile, FleetConfig config)
     : FleetService(profile, std::move(config),
                    serve::CoalescerConfig{SimTime()},  // dispatch alone
-                   WorkloadPolicy::kQueueAware, /*resident_models=*/false)
+                   /*resident_models=*/false)
 {
 }
 
 FleetService::FleetService(const HardwareProfile& profile, FleetConfig config,
                            const serve::CoalescerConfig& coalescer,
-                           WorkloadPolicy policy, bool resident_models)
+                           bool resident_models)
     : config_(std::move(config)),
       coalescer_(coalescer),
-      policy_(policy),
       resident_models_(resident_models),
       depth_cap_(static_cast<std::size_t>(
                      kScaleUpQueuePerLane *
@@ -133,7 +132,7 @@ FleetService::FleetService(const HardwareProfile& profile, FleetConfig config,
       trace_domain_(TraceCollector::Get().NewDomain()),
       registry_(profile, config_.registry),
       wfq_(Weights(config_.slo)),
-      lanes_(InitialLanes(config_), config_),
+      lanes_(InitialLanes(config_)),
       // As many as ThreadPool(0) starts. Not ThreadPool::Shared():
       // CompiledModel::Predict runs ParallelFor on that pool, which
       // deadlocks when its callers are the pool's own workers.
@@ -144,11 +143,6 @@ FleetService::FleetService(const HardwareProfile& profile, FleetConfig config,
     }
     serve::BatchCoalescer validate(coalescer_);
     dispatch_held_ = config_.hold_dispatch;
-    const std::size_t lanes = InitialLanes(config_);
-    for (int d = 0; d < 3; ++d) {
-        devices_[d].lanes = lanes;
-        stats_.SetLanes(static_cast<DeviceClass>(d), lanes, 0);
-    }
 }
 
 FleetService::~FleetService()
@@ -332,6 +326,11 @@ FleetService::Submit(FleetRequest request)
     if (!running_ || stop_requested_) {
         stats_.Count(cls, &ClassSnapshot::rejected_capacity);
         return refuse(RequestStatus::kRejected, "fleet: service not running");
+    }
+    if (request.num_rows == 0) {
+        // Refused before the quota is charged; SubmitScore refuses it too.
+        stats_.Count(cls, &ClassSnapshot::rejected_capacity);
+        return refuse(RequestStatus::kRejected, "fleet: zero rows");
     }
     if (!tenant->bucket.TryTake(arrival)) {
         stats_.Count(cls, &ClassSnapshot::rejected_quota);
@@ -582,54 +581,27 @@ void
 FleetService::Place(const OffloadScheduler& scheduler, SimTime ready,
                     const SpanContext& parent, serve::LaneRun& run)
 {
-    std::optional<BackendEstimate> est[3];
+    // Earliest finish across devices, skipping accelerators whose
+    // breaker turns the dispatch away (open, cooldown pending). The CPU
+    // comes first: it can always host the model and is always admitted.
+    SimTime best;
     for (int d = 0; d < 3; ++d) {
-        est[d] = BestOfClass(scheduler, static_cast<DeviceClass>(d), run.rows);
-    }
-    DBS_ASSERT(est[0].has_value());  // the CPU can always host the model
-    int chosen = 0;
-    if (policy_ == WorkloadPolicy::kQueueAware) {
-        // Earliest finish across devices, skipping accelerators whose
-        // breaker turns the dispatch away (open, cooldown pending). The
-        // CPU is always admitted.
-        SimTime best;
-        for (int d = 0; d < 3; ++d) {
-            const auto lane =
-                est[d] ? lanes_.Admit(static_cast<DeviceClass>(d), ready,
-                                      parent)
-                       : std::nullopt;
-            const SimTime finish =
-                lane ? Max(ready, lane->at) + est[d]->Total() : SimTime();
-            if (lane && (d == 0 || finish < best)) {
-                chosen = d;
-                best = finish;
-            }
+        const auto device = static_cast<DeviceClass>(d);
+        const std::optional<BackendEstimate> est =
+            BestOfClass(scheduler, device, run.rows);
+        const auto lane =
+            est ? lanes_.Admit(device, ready, parent) : std::nullopt;
+        if (!lane) {
+            DBS_ASSERT(d != 0);
+            continue;
         }
-    } else {
-        if (policy_ == WorkloadPolicy::kAlwaysFpga) {
-            chosen = 2;
-        } else if (policy_ == WorkloadPolicy::kServiceOptimal) {
-            for (int d = 1; d < 3; ++d) {
-                if (est[d] && est[d]->Total() < est[chosen]->Total()) {
-                    chosen = d;
-                }
-            }
-        }
-        chosen = est[chosen] ? chosen : 0;
-        // A fixed placement's open accelerator turns the dispatch away
-        // to the CPU engine (flagged degraded) until the cooldown
-        // elapses; the first dispatch ready at/after it goes through
-        // as the half-open probe.
-        const auto device = static_cast<DeviceClass>(chosen);
-        if (chosen != 0 && config_.cpu_fallback &&
-            !lanes_.Admit(device, ready, parent)) {
-            lanes_.Reroute(device, ready, parent);
-            run.degraded = true;
-            chosen = 0;
+        const SimTime finish = Max(ready, lane->at) + est->Total();
+        if (d == 0 || finish < best) {
+            run.device = device;
+            run.kind = est->kind;
+            best = finish;
         }
     }
-    run.device = static_cast<DeviceClass>(chosen);
-    run.kind = est[chosen]->kind;
 }
 
 void
@@ -784,8 +756,9 @@ FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
     TraceCollector& tracer = TraceCollector::Get();
     for (int d = 0; d < 3; ++d) {
         Device& device = devices_[d];
+        const auto device_class = static_cast<DeviceClass>(d);
         DeviceLoadSignals signals;
-        signals.lanes = device.lanes;
+        signals.lanes = lanes_.Lanes(device_class);
         // The committed dispatches still running at `now` on the
         // modeled clock, plus this device's share of the central WFQ
         // backlog, where overload actually piles up.
@@ -802,19 +775,18 @@ FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
         if (delta == 0) {
             continue;
         }
-        device.lanes = delta > 0
-                           ? device.lanes + static_cast<std::size_t>(delta)
-                           : device.lanes - static_cast<std::size_t>(-delta);
+        const std::size_t lanes =
+            delta > 0 ? signals.lanes + static_cast<std::size_t>(delta)
+                      : signals.lanes - static_cast<std::size_t>(-delta);
         device.last_scale_change = now;
         device.window_completions = 0;
         device.window_deadline_misses = 0;
-        const auto device_class = static_cast<DeviceClass>(d);
-        lanes_.ResizeLanes(device_class, device.lanes);
-        stats_.SetLanes(device_class, device.lanes, delta);
+        lanes_.ResizeLanes(device_class, lanes);
+        stats_.RecordScale(device_class, delta);
         tracer.EmitSim(StageKind::kAutoscale, decision.reason,
                        tracer.NewRootContext(trace_domain_), now, SimTime(),
                        {{"device", static_cast<double>(d)},
-                        {"lanes", static_cast<double>(device.lanes)},
+                        {"lanes", static_cast<double>(lanes)},
                         {"delta", static_cast<double>(delta)}});
     }
 }

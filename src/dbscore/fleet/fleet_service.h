@@ -7,8 +7,8 @@
  * each bound to a model and an SLO class, share three simulated
  * devices. serve::ScoringService is the same core configured for one
  * implicit tenant: one lane per device and no autoscaling, models
- * built at registration and never evicted, its coalescing window,
- * per-request deadlines and placement policy. The pieces:
+ * built at registration and never evicted, its coalescing window and
+ * per-request deadlines. The pieces:
  *
  *  - **ModelRegistry** keeps hot models' kernels warm under a byte
  *    budget; a request for an evicted model pays the modeled rebuild
@@ -22,12 +22,13 @@
  *  - **Coalescing** (serve::BatchCoalescer) groups same-model requests
  *    into one dispatch. Fleet requests use window zero: each
  *    dispatches alone.
- *  - **Placement** picks the earliest-finishing device lane from each
- *    model's per-backend estimates, skipping devices whose breaker is
- *    open, and reserves that lane at dispatch. The dispatch then runs
- *    through serve::DeviceLanes — the attempt loop, breakers
- *    (half-open probe included) and fault counters — so faulted
- *    dispatches retry with backoff and degrade to CPU.
+ *  - **Placement** has one rule for both front doors: the
+ *    earliest-finishing device lane from each model's per-backend
+ *    estimates, skipping accelerators whose breaker is open, reserved
+ *    at dispatch. The dispatch then runs through serve::DeviceLanes —
+ *    the attempt loop, breakers (half-open probe included) and fault
+ *    counters — so faulted dispatches retry with backoff and degrade
+ *    to the CPU, and fail only once the CPU's attempts are spent.
  *  - **Autoscaling** grows and shrinks each device's modeled lane
  *    pool (held by DeviceLanes) from queue-depth and deadline-miss
  *    signals.
@@ -67,7 +68,6 @@
 
 #include "dbscore/common/thread_pool.h"
 #include "dbscore/core/scheduler.h"
-#include "dbscore/core/workload_sim.h"
 #include "dbscore/fleet/autoscaler.h"
 #include "dbscore/fleet/fleet_stats.h"
 #include "dbscore/fleet/model_registry.h"
@@ -79,8 +79,8 @@
 
 namespace dbscore::fleet {
 
-/** Fleet configuration: the shared lane settings plus the fleet's own. */
-struct FleetConfig : serve::LaneConfig {
+/** Fleet configuration. */
+struct FleetConfig {
     RegistryConfig registry;
     /** Per-class SLO ladder; defaults to DefaultSloPolicy. */
     std::array<SloPolicy, kNumSloClasses> slo = {
@@ -211,7 +211,7 @@ class FleetService {
      */
     FleetService(const HardwareProfile& profile, FleetConfig config,
                  const serve::CoalescerConfig& coalescer,
-                 WorkloadPolicy policy, bool resident_models);
+                 bool resident_models);
 
     /**
      * ScoringService's admission for its one implicit tenant (class 0,
@@ -247,8 +247,6 @@ class FleetService {
      * thread (no lock).
      */
     struct Device {
-        /** Lanes in the device's pool (lanes_ holds their horizons). */
-        std::size_t lanes = 0;
         /** Autoscaler sampling window. */
         std::size_t window_completions = 0;
         std::size_t window_deadline_misses = 0;
@@ -275,7 +273,10 @@ class FleetService {
     void DispatcherLoop();
     /** Commits @p batch's whole modeled dispatch; see file comment. */
     void Dispatch(Batch batch, std::size_t central_backlog);
-    /** Sets run.device and run.kind (and degraded) for a dispatch. */
+    /**
+     * Sets run.device and run.kind for a dispatch: the device lane that
+     * finishes it earliest among those whose breaker admits it.
+     */
     void Place(const OffloadScheduler& scheduler, SimTime ready,
                const trace::SpanContext& parent, serve::LaneRun& run);
     /**
@@ -309,7 +310,6 @@ class FleetService {
 
     FleetConfig config_;
     serve::CoalescerConfig coalescer_;
-    WorkloadPolicy policy_;
     bool resident_models_;
     /**
      * Queue depth past which every autoscaler decision is the same:
@@ -349,7 +349,10 @@ class FleetService {
     SimTime latest_finish_;
 
     std::array<Device, 3> devices_;
-    /** Lane pools, breakers, runtimes and fault counters per device. */
+    /**
+     * Lane pools (the one record of each device's lane count),
+     * breakers, runtimes and fault counters per device.
+     */
     serve::DeviceLanes lanes_;
 
     // Hand-off of committed dispatches to the scorers, guarded by

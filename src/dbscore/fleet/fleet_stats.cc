@@ -157,11 +157,10 @@ FleetStats::RecordDispatch(DeviceClass device, std::size_t num_requests,
 }
 
 void
-FleetStats::SetLanes(DeviceClass device, std::size_t lanes, int delta)
+FleetStats::RecordScale(DeviceClass device, int delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     FleetDeviceSnapshot& dev = totals_.devices[static_cast<int>(device)];
-    dev.lanes = lanes;
     if (delta > 0) {
         ++dev.scale_ups;
     } else if (delta < 0) {
@@ -173,6 +172,10 @@ FleetSnapshot
 FleetStats::Snapshot(const serve::DeviceLanes& lanes) const
 {
     const std::array<serve::LaneCounters, 3> counters = lanes.Counters();
+    std::array<std::size_t, 3> lane_counts;
+    for (int d = 0; d < 3; ++d) {
+        lane_counts[d] = lanes.Lanes(static_cast<DeviceClass>(d));
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     FleetSnapshot snap = totals_;
     for (int c = 0; c < kNumSloClasses; ++c) {
@@ -181,6 +184,7 @@ FleetStats::Snapshot(const serve::DeviceLanes& lanes) const
     }
     for (int d = 0; d < 3; ++d) {
         static_cast<serve::LaneCounters&>(snap.devices[d]) = counters[d];
+        snap.devices[d].lanes = lane_counts[d];
     }
     snap.batch_requests = batch_requests_.Summary();
     snap.batch_rows = batch_rows_.Summary();
@@ -191,13 +195,7 @@ void
 FleetStats::Reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    FleetSnapshot fresh;
-    // Preserve lane counts — they describe the present, not
-    // accumulated history.
-    for (int d = 0; d < 3; ++d) {
-        fresh.devices[d].lanes = totals_.devices[d].lanes;
-    }
-    totals_ = fresh;
+    totals_ = FleetSnapshot();
     for (ClassAccum& accum : classes_) {
         accum = ClassAccum();
     }

@@ -9,8 +9,8 @@
  * builds, what did the autoscaler do — and ScoringService::Stats()
  * folds the same counters into a serve::ServiceSnapshot. Thread-safe;
  * Snapshot() copies its own counters under one lock (the DeviceLanes
- * fault counters under each device class's); Reset() rebaselines for
- * per-phase measurements.
+ * fault counters and lane counts under each device class's); Reset()
+ * rebaselines for per-phase measurements.
  */
 #ifndef DBSCORE_FLEET_FLEET_STATS_H
 #define DBSCORE_FLEET_FLEET_STATS_H
@@ -99,17 +99,18 @@ class FleetStats {
     /** One dispatch of @p num_requests coalesced requests on @p device. */
     void RecordDispatch(DeviceClass device, std::size_t num_requests,
                         std::size_t num_rows, SimTime busy, bool cold);
-    void SetLanes(DeviceClass device, std::size_t lanes, int delta);
+    /** One autoscaler resize of @p device's pool by @p delta lanes. */
+    void RecordScale(DeviceClass device, int delta);
 
     /**
      * This accumulator's counters plus the fault, retry, fallback and
-     * breaker counters @p lanes keeps for each device class.
+     * breaker counters and the lane count @p lanes keeps for each device
+     * class.
      */
     FleetSnapshot Snapshot(const serve::DeviceLanes& lanes) const;
 
     /**
-     * Zeroes every counter and distribution; lane counts (current
-     * device facts, not history) survive. DeviceLanes::ResetCounters
+     * Zeroes every counter and distribution. DeviceLanes::ResetCounters
      * does the lanes' share.
      */
     void Reset();

@@ -9,7 +9,7 @@ namespace dbscore::serve {
 BatchCoalescer::BatchCoalescer(const CoalescerConfig& config)
     : config_(config)
 {
-    if (config.max_batch_requests == 0 || config.max_batch_rows == 0) {
+    if (config.max_batch_requests == 0) {
         throw InvalidArgument("coalescer: zero batch cap");
     }
     if (config.window < SimTime()) {
@@ -34,13 +34,13 @@ BatchCoalescer::Add(PendingRequest request)
             arrival <= batch.open_arrival + config_.window;
         const bool fits =
             batch.members.size() < config_.max_batch_requests &&
-            batch.total_rows + rows <= config_.max_batch_rows;
+            batch.total_rows + rows <= kMaxBatchRows;
         if (in_window && fits) {
             batch.members.push_back(std::move(request));
             batch.total_rows += rows;
             batch.ready = Max(batch.ready, arrival);
             if (batch.members.size() >= config_.max_batch_requests ||
-                batch.total_rows >= config_.max_batch_rows) {
+                batch.total_rows >= kMaxBatchRows) {
                 // Cap hit: close. The newcomer was never counted in
                 // pending_, so only the prior members come off.
                 pending_ -= batch.members.size() - 1;
@@ -68,7 +68,7 @@ BatchCoalescer::Add(PendingRequest request)
     const bool solo =
         config_.window.is_zero() ||
         fresh.members.size() >= config_.max_batch_requests ||
-        fresh.total_rows >= config_.max_batch_rows;
+        fresh.total_rows >= kMaxBatchRows;
     if (solo) {
         closed.push_back(std::move(fresh));
     } else {

@@ -9,7 +9,9 @@
  * against the same model can ride one dispatch. The coalescer implements
  * the standard serving-system compromise (cf. Clipper, Triton dynamic
  * batching): hold a batch open for at most a window after its first
- * request arrives, cap its size, and close it early when full.
+ * request arrives, cap its size, and close it early when full. The
+ * window and the request cap are set per service; the row cap is one
+ * constant, kMaxBatchRows.
  *
  * The class itself is intentionally single-threaded and time-explicit
  * (callers pass modeled arrival stamps); the one serving dispatcher
@@ -31,6 +33,9 @@
 
 namespace dbscore::serve {
 
+/** Close a batch once it holds this many rows. */
+inline constexpr std::size_t kMaxBatchRows = 1u << 20;
+
 /** Micro-batching policy knobs. */
 struct CoalescerConfig {
     /**
@@ -41,8 +46,6 @@ struct CoalescerConfig {
     SimTime window = SimTime::Millis(5.0);
     /** Close a batch once it holds this many requests. */
     std::size_t max_batch_requests = 64;
-    /** Close a batch once it holds this many rows. */
-    std::size_t max_batch_rows = 1u << 20;
 };
 
 /** A request waiting in the coalescer, with its completion handle. */

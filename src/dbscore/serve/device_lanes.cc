@@ -16,8 +16,6 @@ namespace {
 
 /** Backoff growth per additional retry. */
 constexpr double kBackoffMultiplier = 2.0;
-/** Cap on any single backoff, applied before jitter. */
-constexpr SimTime kMaxBackoff = SimTime::Millis(50.0);
 /** Jitter adds a uniform draw in [0, kJitterFrac) of the backoff. */
 constexpr double kJitterFrac = 0.2;
 /** Seed of every device's jitter stream. */
@@ -62,8 +60,7 @@ BreakerStateName(BreakerState state)
     return "?";
 }
 
-DeviceLanes::DeviceLanes(std::size_t lanes, const LaneConfig& config)
-    : config_(config)
+DeviceLanes::DeviceLanes(std::size_t lanes)
 {
     DBS_ASSERT(lanes > 0);
     for (Device& d : devices_) {
@@ -119,20 +116,6 @@ DeviceLanes::Admit(DeviceClass device, SimTime ready,
 }
 
 void
-DeviceLanes::Reroute(DeviceClass from, SimTime at,
-                     const trace::SpanContext& parent)
-{
-    {
-        Device& dev = At(from);
-        std::lock_guard<std::mutex> lock(dev.mutex);
-        ++dev.counters.fallbacks;
-    }
-    TraceCollector::Get().EmitSim(StageKind::kFallback, "breaker-reroute",
-                                  parent, at, SimTime(),
-                                  {{"from", static_cast<double>(from)}});
-}
-
-void
 DeviceLanes::Reserve(LaneRun& run, SimTime ready)
 {
     Device& dev = At(run.device);
@@ -155,6 +138,14 @@ DeviceLanes::ResizeLanes(DeviceClass device, std::size_t lanes)
         std::sort(dev.lanes.begin(), dev.lanes.end());
         dev.lanes.resize(lanes);
     }
+}
+
+std::size_t
+DeviceLanes::Lanes(DeviceClass device) const
+{
+    const Device& dev = At(device);
+    std::lock_guard<std::mutex> lock(dev.mutex);
+    return dev.lanes.size();
 }
 
 AttemptCost
@@ -182,9 +173,8 @@ DeviceLanes::NextBackoff(DeviceClass device, std::size_t retry_index)
 {
     DBS_ASSERT(retry_index >= 1);
     double backoff_s =
-        config_.retry.initial_backoff.seconds() *
+        kInitialBackoff.seconds() *
         std::pow(kBackoffMultiplier, static_cast<double>(retry_index - 1));
-    backoff_s = std::min(backoff_s, kMaxBackoff.seconds());
     std::uint64_t seq;
     {
         Device& dev = At(device);
@@ -220,9 +210,9 @@ DeviceLanes::OnFault(DeviceClass device, SimTime wasted, SimTime now,
         const BreakerState state = dev.counters.breaker;
         if (state == BreakerState::kHalfOpen ||
             (state == BreakerState::kClosed &&
-             dev.consecutive_failures >= config_.breaker.failure_threshold)) {
+             dev.consecutive_failures >= kBreakerThreshold)) {
             dev.counters.breaker = BreakerState::kOpen;
-            dev.breaker_open_until = now + config_.breaker.open_cooldown;
+            dev.breaker_open_until = now + kBreakerCooldown;
             ++dev.counters.breaker_opens;
             opened = true;
         }
@@ -321,7 +311,7 @@ DeviceLanes::Run(const LaneModel& model, LaneRun& run,
         run.now += wasted;
         OnFault(run.device, wasted, run.now, parent);
 
-        if (device_attempts < config_.retry.max_attempts) {
+        if (device_attempts < kMaxAttempts) {
             // Retry on the same device after backoff — but never
             // dispatch a rider past its deadline: those fail now
             // instead of riding a retry they could never use.
@@ -344,7 +334,7 @@ DeviceLanes::Run(const LaneModel& model, LaneRun& run,
             continue;
         }
 
-        if (config_.cpu_fallback && run.device != DeviceClass::kCpu) {
+        if (run.device != DeviceClass::kCpu) {
             // Graceful degradation: release the accelerator lane (it
             // burned the attempts up to now) and hand the dispatch to
             // the CPU's earliest lane with a fresh attempt budget.
@@ -375,7 +365,7 @@ DeviceLanes::Run(const LaneModel& model, LaneRun& run,
             continue;
         }
 
-        // No retries and no fallback left.
+        // The CPU spent its own attempts: nothing is left to degrade to.
         break;
     }
 

@@ -12,10 +12,11 @@
  * like the registry's rebuilds), the circuit breaker, the backoff
  * jitter stream and the fault counters that FleetStats reads. A faulted
  * attempt is charged the stages it consumed, retried after backoff
- * (never past a rider's deadline), then degraded to the CPU engine;
- * each step is a sim-clock span (kFault, kRetryBackoff, kFallback,
- * kBreaker). The backoff's growth, cap and jitter are constants
- * (RetryPolicy); only the attempt budget and first backoff are set.
+ * (never past a rider's deadline), then degraded to the CPU engine,
+ * which fails the dispatch only once its own attempts are spent; each
+ * step is a sim-clock span (kFault, kRetryBackoff, kFallback,
+ * kBreaker). The attempt budget, the backoff and the breaker are
+ * constants: every caller runs the same fault path.
  */
 #ifndef DBSCORE_SERVE_DEVICE_LANES_H
 #define DBSCORE_SERVE_DEVICE_LANES_H
@@ -37,35 +38,31 @@
 namespace dbscore::serve {
 
 /**
- * Per-dispatch retry policy for attempts lost to injected faults:
- * exponential backoff (doubling per retry, capped at 50 ms) plus
- * deterministic jitter of up to 20% of it. Jitter is a pure function
- * of (device, per-device attempt counter), so a replayed run re-draws
- * identical jitter. Deadline-aware — a request whose deadline precedes
- * the retry's dispatch time fails instead of riding a retry it could
- * never use.
+ * Dispatch attempts per device, first try included. A dispatch whose
+ * accelerator attempts are spent degrades to the CPU with a fresh
+ * budget; one whose CPU attempts are spent fails.
  */
-struct RetryPolicy {
-    /**
-     * Dispatch attempts permitted per device, first try included.
-     * A CPU fallback gets a fresh budget on the CPU device.
-     */
-    std::size_t max_attempts = 4;
-    /** Backoff before the first retry. */
-    SimTime initial_backoff = SimTime::Millis(1.0);
-};
+inline constexpr std::size_t kMaxAttempts = 4;
 
-/** Per-device circuit breaker policy. */
-struct BreakerPolicy {
-    /** Consecutive dispatch failures that open the breaker. */
-    std::size_t failure_threshold = 5;
-    /**
-     * Modeled cooldown while open: dispatches ready before
-     * open-time + cooldown are turned away; the first one at or after
-     * it runs as the half-open probe.
-     */
-    SimTime open_cooldown = SimTime::Millis(200.0);
-};
+/**
+ * Backoff before the first retry. Retry i waits kInitialBackoff times
+ * 2^(i-1), plus deterministic jitter of up to 20% of that, a pure
+ * function of (device, per-device attempt counter), so a replayed run
+ * re-draws identical jitter. A rider whose deadline precedes the
+ * retry's dispatch time fails instead of riding a retry it could never
+ * use.
+ */
+inline constexpr SimTime kInitialBackoff = SimTime::Millis(1.0);
+
+/** Consecutive faulted attempts on a device that open its breaker. */
+inline constexpr std::size_t kBreakerThreshold = 5;
+
+/**
+ * Modeled cooldown of an open breaker: dispatches ready before
+ * open-time + cooldown are placed elsewhere; the first one at or after
+ * it that reaches the device runs as the half-open probe.
+ */
+inline constexpr SimTime kBreakerCooldown = SimTime::Millis(200.0);
 
 /**
  * Circuit-breaker state of one device class. Closed is healthy;
@@ -81,28 +78,13 @@ enum class BreakerState {
 
 const char* BreakerStateName(BreakerState state);
 
-/** The device-lane settings both front doors share. */
-struct LaneConfig {
-    /** Retry/backoff policy for faulted dispatch attempts. */
-    RetryPolicy retry;
-    /** Circuit breaker policy of each device class. */
-    BreakerPolicy breaker;
-    /**
-     * Degrade instead of fail: a dispatch that exhausts its accelerator
-     * attempts (or, under a fixed placement, whose accelerator's
-     * breaker is open) re-runs on the CPU engine with its replies
-     * flagged degraded. When false, it fails after its retries.
-     */
-    bool cpu_fallback = true;
-};
-
 /** One device class's fault-path counters. */
 struct LaneCounters {
     /** Dispatch attempts lost to injected faults. */
     std::size_t faults = 0;
     /** Re-dispatches after a faulted attempt. */
     std::size_t retries = 0;
-    /** Dispatches moved to the CPU: retries spent or breaker open. */
+    /** Dispatches degraded to the CPU after their retries were spent. */
     std::size_t fallbacks = 0;
     /** Transitions into kOpen (at the threshold or a failed probe). */
     std::size_t breaker_opens = 0;
@@ -161,7 +143,7 @@ struct LaneRun {
     SimTime now;
     /** Rows still riding; 0 once every rider missed a retry deadline. */
     std::size_t rows = 0;
-    /** Re-routed to the CPU engine (at placement or after faults). */
+    /** Degraded to the CPU engine after its accelerator attempts. */
     bool degraded = false;
     /** Attempts made so far, across devices. */
     std::size_t attempts = 0;
@@ -181,7 +163,7 @@ using DropPastDeadline = std::function<std::size_t(SimTime, const LaneRun&)>;
 class DeviceLanes {
  public:
     /** @p lanes modeled lanes per device class. */
-    DeviceLanes(std::size_t lanes, const LaneConfig& config);
+    explicit DeviceLanes(std::size_t lanes);
 
     DeviceLanes(const DeviceLanes&) = delete;
     DeviceLanes& operator=(const DeviceLanes&) = delete;
@@ -195,10 +177,6 @@ class DeviceLanes {
      */
     std::optional<LaneSlot> Admit(DeviceClass device, SimTime ready,
                                   const trace::SpanContext& parent);
-
-    /** Counts (and traces) a placement re-routed from @p from to the CPU. */
-    void Reroute(DeviceClass from, SimTime at,
-                 const trace::SpanContext& parent);
 
     /**
      * Dispatch-time reservation for @p run (device and kind set):
@@ -215,6 +193,9 @@ class DeviceLanes {
      * earliest-free lanes.
      */
     void ResizeLanes(DeviceClass device, std::size_t lanes);
+
+    /** Lanes in @p device's pool: the one record of its size. */
+    std::size_t Lanes(DeviceClass device) const;
 
     /**
      * Runs @p run's reserved dispatch of run.rows to its end: prices
@@ -266,9 +247,9 @@ class DeviceLanes {
                       BackendKind kind, const LaneModel& model,
                       std::size_t rows, std::size_t marshaled_rows) const;
     /**
-     * Capped exponential backoff + deterministic jitter before retry
-     * number @p retry_index (1 = first retry) on @p device; see
-     * RetryPolicy.
+     * Exponential backoff + deterministic jitter before retry number
+     * @p retry_index (1 = first retry) on @p device; see
+     * kInitialBackoff.
      */
     SimTime NextBackoff(DeviceClass device, std::size_t retry_index);
     void OnFault(DeviceClass device, SimTime wasted, SimTime now,
@@ -279,7 +260,6 @@ class DeviceLanes {
     static void ChargeLocked(Device& device, std::size_t lane,
                              SimTime until);
 
-    LaneConfig config_;
     std::array<Device, 3> devices_;
 };
 

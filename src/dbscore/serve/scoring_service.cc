@@ -22,7 +22,6 @@ CoreConfig(const ServiceConfig& config)
         throw InvalidArgument("service: zero admission capacity");
     }
     fleet::FleetConfig core;
-    static_cast<LaneConfig&>(core) = config;
     core.registry.memory_budget_bytes =
         std::numeric_limits<std::uint64_t>::max();
     core.autoscaler.enabled = false;
@@ -34,10 +33,9 @@ CoreConfig(const ServiceConfig& config)
 }  // namespace
 
 ScoringService::ScoringService(const HardwareProfile& profile,
-                               ServiceConfig config)
+                               const ServiceConfig& config)
     : FleetService(profile, CoreConfig(config), config.coalescer,
-                   config.policy, /*resident_models=*/true),
-      config_(std::move(config))
+                   /*resident_models=*/true)
 {
 }
 

@@ -7,7 +7,8 @@
  * control (bounded queue, reject-on-full backpressure, deadline
  * expiry), coalesces same-model requests into micro-batches to
  * amortize the paper's invocation/transfer/preprocessing overheads,
- * and places each batch on a device class under its placement policy.
+ * and places each batch on the device lane that finishes it earliest
+ * (the core's one placement rule).
  *
  * It is a thin configuration of the one serving core,
  * fleet::FleetService (see its file comment): one implicit tenant in
@@ -32,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "dbscore/core/workload_sim.h"
 #include "dbscore/fleet/fleet_service.h"
 #include "dbscore/serve/batch_coalescer.h"
 #include "dbscore/serve/device_lanes.h"
@@ -42,8 +42,8 @@
 
 namespace dbscore::serve {
 
-/** Service configuration: the shared lane settings plus serve's own. */
-struct ServiceConfig : LaneConfig {
+/** Service configuration: coalescing and admission. */
+struct ServiceConfig {
     /** Micro-batching policy; window zero = uncoalesced baseline. */
     CoalescerConfig coalescer;
     /**
@@ -52,14 +52,13 @@ struct ServiceConfig : LaneConfig {
      * than queued without bound.
      */
     std::size_t admission_capacity = 1024;
-    /** Placement policy across device classes (workload_sim semantics). */
-    WorkloadPolicy policy = WorkloadPolicy::kQueueAware;
 };
 
 /** Accepts, batches, places, and "executes" scoring requests. */
 class ScoringService : private fleet::FleetService {
  public:
-    ScoringService(const HardwareProfile& profile, ServiceConfig config);
+    ScoringService(const HardwareProfile& profile,
+                   const ServiceConfig& config);
 
     // Lifecycle and trace domain as the core has them: Stop() drains
     // in-flight requests (rejecting any queued before a Start that
@@ -121,10 +120,7 @@ class ScoringService : private fleet::FleetService {
      */
     void ExportTrace(std::ostream& os) const;
 
-    const ServiceConfig& config() const { return config_; }
-
  private:
-    ServiceConfig config_;
     /**
      * Trace stage totals at the last ResetStats(). StageSimTotals
      * accumulates for a domain's whole lifetime, so per-phase stage

@@ -115,7 +115,7 @@ struct ServiceSnapshot {
     std::size_t fault_attempts = 0;
     /** Re-dispatches after a faulted attempt (excludes the first try). */
     std::size_t retries = 0;
-    /** Batches re-routed to the CPU engine (fallback or open breaker). */
+    /** Batches degraded to the CPU engine after their retries. */
     std::size_t fallback_batches = 0;
     /** Breaker openings (at the threshold, or a failed probe). */
     std::size_t breaker_opens = 0;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -269,31 +270,70 @@ CountSpans(const serve::ScoringService& service, trace::StageKind stage)
     return n;
 }
 
+/** Modeled time of the service's latest breaker-open span. */
+SimTime
+LastBreakerOpen(const serve::ScoringService& service)
+{
+    double at = -1.0;
+    for (const trace::SpanRecord& span :
+         trace::TraceCollector::Get().SpansForDomain(
+             service.trace_domain())) {
+        if (span.stage == trace::StageKind::kBreaker &&
+            std::string(span.name) == "breaker-open") {
+            at = std::max(at, span.sim_start_s);
+        }
+    }
+    EXPECT_GE(at, 0.0) << "no breaker-open span";
+    return SimTime::Seconds(at);
+}
+
+constexpr int kFpgaIdx = static_cast<int>(DeviceClass::kFpga);
+
+/**
+ * Rows at which the fixture's model places on the FPGA under the
+ * service's earliest-finish placement when every lane is idle, so the
+ * tests below steer faults onto the FPGA through the fault plan alone.
+ */
+constexpr std::size_t kFpgaRows = 100000;
+
+serve::ScoreRequest
+FpgaSizedRequest(SimTime arrival)
+{
+    serve::ScoreRequest r;
+    r.model_id = "m";
+    r.num_rows = kFpgaRows;
+    r.arrival = arrival;
+    return r;
+}
+
+/** An uncoalesced service: each request dispatches alone. */
+std::unique_ptr<serve::ScoringService>
+StartSoloService()
+{
+    serve::ServiceConfig config;
+    config.coalescer.window = SimTime();
+    auto service = Fixture().Service(config);
+    service->Start();
+    return service;
+}
+
 // ----------------------------------------------- retry and deadlines --
 
 TEST(ServeFaultTest, RetryNeverDispatchesPastDeadline)
 {
-    serve::ServiceConfig config;
-    config.coalescer.window = SimTime();
-    config.policy = WorkloadPolicy::kAlwaysFpga;
-    config.retry.initial_backoff = SimTime::Millis(10.0);
-    auto service = Fixture().Service(config);
-    service->Start();
+    auto service = StartSoloService();
 
     FaultPlan plan;
     plan.At(FaultSite::kFpgaSetup).probability = 1.0;
     ScopedFaultPlan guard(plan);
 
-    serve::ScoreRequest r;
-    r.model_id = "m";
-    r.num_rows = 100;
-    r.arrival = SimTime();
+    serve::ScoreRequest r = FpgaSizedRequest(SimTime());
     r.deadline = SimTime::Millis(5.0);
     serve::ScoreReply reply = service->ScoreSync(r);
 
-    // The first attempt faulted; the retry would have dispatched past
-    // the 5 ms deadline, so the request fails after exactly one attempt
-    // instead of riding a retry it could never use.
+    // The first attempt faulted on the FPGA; its retry would have
+    // dispatched past the 5 ms deadline, so the request fails after
+    // exactly one attempt instead of riding a retry it could never use.
     EXPECT_EQ(reply.status, serve::RequestStatus::kFailed);
     EXPECT_EQ(reply.attempts, 1u);
     EXPECT_NE(reply.error.find("deadline"), std::string::npos);
@@ -301,6 +341,7 @@ TEST(ServeFaultTest, RetryNeverDispatchesPastDeadline)
     serve::ServiceSnapshot snap = service->Stats();
     EXPECT_EQ(snap.failed, 1u);
     EXPECT_EQ(snap.fault_attempts, 1u);
+    EXPECT_EQ(snap.device[kFpgaIdx].faults, 1u);
     EXPECT_EQ(snap.retries, 0u);
     EXPECT_GT(snap.fault_wasted.seconds(), 0.0);
     EXPECT_EQ(CountSpans(*service, trace::StageKind::kRetryBackoff), 0u);
@@ -309,33 +350,28 @@ TEST(ServeFaultTest, RetryNeverDispatchesPastDeadline)
 
 TEST(ServeFaultTest, RetriesExhaustThenDegradeToCpu)
 {
-    serve::ServiceConfig config;
-    config.coalescer.window = SimTime();
-    config.policy = WorkloadPolicy::kAlwaysFpga;
-    config.breaker.failure_threshold = 100;  // keep the breaker out
-    auto service = Fixture().Service(config);
-    service->Start();
+    auto service = StartSoloService();
 
-    // Every FPGA setup op fails: the batch burns its full retry budget
-    // (default 4 attempts, 3 backoffs) and then degrades to the CPU.
+    // Every FPGA setup op fails: the batch burns its FPGA budget
+    // (kMaxAttempts attempts, one backoff fewer), one fault short of the
+    // breaker's threshold, and then degrades to the CPU.
     FaultPlan plan;
     plan.At(FaultSite::kFpgaSetup).every_nth = 1;
     ScopedFaultPlan guard(plan);
 
-    serve::ScoreRequest r;
-    r.model_id = "m";
-    r.num_rows = 100;
-    r.arrival = SimTime();
-    serve::ScoreReply reply = service->ScoreSync(r);
+    serve::ScoreReply reply = service->ScoreSync(FpgaSizedRequest(SimTime()));
 
     EXPECT_EQ(reply.status, serve::RequestStatus::kCompleted);
     EXPECT_TRUE(reply.degraded);
-    EXPECT_EQ(reply.attempts, config.retry.max_attempts + 1);
+    EXPECT_EQ(reply.device, DeviceClass::kCpu);
+    EXPECT_EQ(reply.attempts, serve::kMaxAttempts + 1);
 
     serve::ServiceSnapshot snap = service->Stats();
-    EXPECT_EQ(snap.fault_attempts, config.retry.max_attempts);
-    EXPECT_EQ(snap.retries, config.retry.max_attempts - 1);
+    EXPECT_EQ(snap.fault_attempts, serve::kMaxAttempts);
+    EXPECT_EQ(snap.device[kFpgaIdx].faults, serve::kMaxAttempts);
+    EXPECT_EQ(snap.retries, serve::kMaxAttempts - 1);
     EXPECT_EQ(snap.fallback_batches, 1u);
+    EXPECT_EQ(snap.breaker_opens, 0u);
     EXPECT_EQ(snap.failed, 0u);
     EXPECT_GT(snap.retry_backoff.seconds(), 0.0);
     EXPECT_EQ(CountSpans(*service, trace::StageKind::kRetryBackoff),
@@ -343,31 +379,20 @@ TEST(ServeFaultTest, RetriesExhaustThenDegradeToCpu)
     service->Stop();
 }
 
-TEST(ServeFaultTest, RetryBackoffDoublesCapsThenJitters)
+TEST(ServeFaultTest, RetryBackoffDoublesThenJitters)
 {
-    serve::ServiceConfig config;
-    config.coalescer.window = SimTime();
-    config.policy = WorkloadPolicy::kAlwaysFpga;
-    config.breaker.failure_threshold = 100;  // keep the breaker out
-    config.retry.initial_backoff = SimTime::Millis(10.0);
-    config.retry.max_attempts = 6;
-    auto service = Fixture().Service(config);
-    service->Start();
+    auto service = StartSoloService();
 
     FaultPlan plan;
     plan.At(FaultSite::kFpgaSetup).every_nth = 1;
     ScopedFaultPlan guard(plan);
 
-    serve::ScoreRequest r;
-    r.model_id = "m";
-    r.num_rows = 100;
-    r.arrival = SimTime();
-    serve::ScoreReply reply = service->ScoreSync(r);
+    serve::ScoreReply reply = service->ScoreSync(FpgaSizedRequest(SimTime()));
     EXPECT_EQ(reply.status, serve::RequestStatus::kCompleted);
     EXPECT_TRUE(reply.degraded);
 
-    // Five backoffs: 10 ms doubling per retry, capped at 50 ms before
-    // the jitter adds up to 20% of it.
+    // Three backoffs: kInitialBackoff (1 ms) doubling per retry, plus
+    // jitter of up to 20% of it.
     std::vector<trace::SpanRecord> backoffs;
     for (const trace::SpanRecord& span :
          trace::TraceCollector::Get().SpansForDomain(
@@ -380,9 +405,8 @@ TEST(ServeFaultTest, RetryBackoffDoublesCapsThenJitters)
               [](const trace::SpanRecord& a, const trace::SpanRecord& b) {
                   return a.sim_start_s < b.sim_start_s;
               });
-    const double bounds_ms[][2] = {
-        {10.0, 12.0}, {20.0, 24.0}, {40.0, 48.0}, {50.0, 60.0}, {50.0, 60.0}};
-    ASSERT_EQ(backoffs.size(), 5u);
+    const double bounds_ms[][2] = {{1.0, 1.2}, {2.0, 2.4}, {4.0, 4.8}};
+    ASSERT_EQ(backoffs.size(), 3u);
     for (std::size_t i = 0; i < backoffs.size(); ++i) {
         const double ms = backoffs[i].sim_dur_s * 1e3;
         EXPECT_GE(ms, bounds_ms[i][0]) << "retry " << i + 1;
@@ -392,38 +416,8 @@ TEST(ServeFaultTest, RetryBackoffDoublesCapsThenJitters)
     // The jitter stream is a fixed function of its seed, the device and
     // the attempt counter, so the total repeats to the bit.
     serve::ServiceSnapshot snap = service->Stats();
-    EXPECT_EQ(snap.retries, 5u);
-    EXPECT_EQ(snap.retry_backoff.seconds(), 0x1.908c48a1331edp-3);
-    service->Stop();
-}
-
-TEST(ServeFaultTest, FallbackDisabledFailsAfterRetries)
-{
-    serve::ServiceConfig config;
-    config.coalescer.window = SimTime();
-    config.policy = WorkloadPolicy::kAlwaysFpga;
-    config.cpu_fallback = false;
-    config.retry.max_attempts = 2;
-    auto service = Fixture().Service(config);
-    service->Start();
-
-    FaultPlan plan;
-    plan.At(FaultSite::kFpgaSetup).every_nth = 1;
-    ScopedFaultPlan guard(plan);
-
-    serve::ScoreRequest r;
-    r.model_id = "m";
-    r.num_rows = 100;
-    r.arrival = SimTime();
-    serve::ScoreReply reply = service->ScoreSync(r);
-
-    EXPECT_EQ(reply.status, serve::RequestStatus::kFailed);
-    EXPECT_EQ(reply.attempts, 2u);
-    EXPECT_FALSE(reply.degraded);
-    serve::ServiceSnapshot snap = service->Stats();
-    EXPECT_EQ(snap.failed, 1u);
-    EXPECT_EQ(snap.fallback_batches, 0u);
-    EXPECT_EQ(snap.fault_attempts, 2u);
+    EXPECT_EQ(snap.retries, 3u);
+    EXPECT_EQ(snap.retry_backoff.seconds(), 0x1.0ec594a062256p-7);
     service->Stop();
 }
 
@@ -431,67 +425,62 @@ TEST(ServeFaultTest, FallbackDisabledFailsAfterRetries)
 
 TEST(ServeFaultTest, BreakerOpensDegradesThenProbesClosed)
 {
-    serve::ServiceConfig config;
-    config.coalescer.window = SimTime();
-    config.policy = WorkloadPolicy::kAlwaysFpga;
-    config.retry.max_attempts = 2;
-    config.retry.initial_backoff = SimTime::Millis(1.0);
-    config.breaker.failure_threshold = 2;
-    config.breaker.open_cooldown = SimTime::Millis(200.0);
-    auto service = Fixture().Service(config);
-    service->Start();
+    auto service = StartSoloService();
 
     FaultPlan plan;
     plan.At(FaultSite::kFpgaSetup).probability = 1.0;
     plan.At(FaultSite::kFpgaSetup).sticky = true;
     FaultInjector::Get().Install(plan);
 
-    // Request A: two faulted FPGA attempts trip the breaker
-    // (threshold 2), then the batch degrades to the CPU engine.
-    serve::ScoreRequest a;
-    a.model_id = "m";
-    a.num_rows = 100;
-    a.arrival = SimTime();
-    serve::ScoreReply ra = service->ScoreSync(a);
+    // Request A: kMaxAttempts faulted FPGA attempts, one short of the
+    // breaker's threshold; the batch degrades to the CPU engine.
+    serve::ScoreReply ra = service->ScoreSync(FpgaSizedRequest(SimTime()));
     EXPECT_EQ(ra.status, serve::RequestStatus::kCompleted);
     EXPECT_TRUE(ra.degraded);
-    EXPECT_EQ(ra.attempts, 3u);
+    EXPECT_EQ(ra.attempts, serve::kMaxAttempts + 1);
+    EXPECT_EQ(service->Stats().breaker_opens, 0u);
+
+    // Request B arrives once every lane is idle again and lands on the
+    // FPGA too: its first fault is the fifth in a row and opens the
+    // breaker. B's dispatch was admitted, so it still runs its retries
+    // and degrades.
+    serve::ScoreReply rb = service->ScoreSync(FpgaSizedRequest(ra.finish));
+    EXPECT_EQ(rb.status, serve::RequestStatus::kCompleted);
+    EXPECT_TRUE(rb.degraded);
+    EXPECT_EQ(rb.attempts, serve::kMaxAttempts + 1);
 
     serve::ServiceSnapshot snap = service->Stats();
     EXPECT_EQ(snap.breaker_opens, 1u);
-    EXPECT_EQ(snap.fallback_batches, 1u);
-    EXPECT_EQ(snap.degraded_completed, 1u);
-    EXPECT_EQ(snap.device[static_cast<int>(DeviceClass::kFpga)].breaker,
-              serve::BreakerState::kOpen);
+    EXPECT_EQ(snap.fallback_batches, 2u);
+    EXPECT_EQ(snap.degraded_completed, 2u);
+    EXPECT_EQ(snap.device[kFpgaIdx].faults, 2 * serve::kMaxAttempts);
+    EXPECT_EQ(snap.device[kFpgaIdx].breaker, serve::BreakerState::kOpen);
 
-    // Request B arrives inside the cooldown: placement re-routes it to
-    // the CPU without ever touching the FPGA (attempts stays 1).
-    serve::ScoreRequest b;
-    b.model_id = "m";
-    b.num_rows = 100;
-    b.arrival = SimTime::Millis(10.0);
-    serve::ScoreReply rb = service->ScoreSync(b);
-    EXPECT_EQ(rb.status, serve::RequestStatus::kCompleted);
-    EXPECT_TRUE(rb.degraded);
-    EXPECT_EQ(rb.attempts, 1u);
-    EXPECT_EQ(service->Stats().fallback_batches, 2u);
+    // Request C arrives inside the cooldown: placement skips the FPGA,
+    // and C completes elsewhere on its first attempt, not degraded.
+    const SimTime opened = LastBreakerOpen(*service);
+    serve::ScoreReply rc =
+        service->ScoreSync(FpgaSizedRequest(opened + SimTime::Millis(1.0)));
+    EXPECT_EQ(rc.status, serve::RequestStatus::kCompleted);
+    EXPECT_FALSE(rc.degraded);
+    EXPECT_EQ(rc.attempts, 1u);
+    EXPECT_NE(rc.device, DeviceClass::kFpga);
+    EXPECT_EQ(service->Stats().device[kFpgaIdx].faults,
+              2 * serve::kMaxAttempts);
 
     // Heal the FPGA; a request past the cooldown becomes the half-open
     // probe, succeeds on the FPGA, and closes the breaker.
     FaultInjector::Get().Clear();
-    serve::ScoreRequest c;
-    c.model_id = "m";
-    c.num_rows = 100;
-    c.arrival = SimTime::Seconds(10.0);
-    serve::ScoreReply rc = service->ScoreSync(c);
-    EXPECT_EQ(rc.status, serve::RequestStatus::kCompleted);
-    EXPECT_FALSE(rc.degraded);
-    EXPECT_EQ(rc.attempts, 1u);
+    serve::ScoreReply rd =
+        service->ScoreSync(FpgaSizedRequest(SimTime::Seconds(10.0)));
+    EXPECT_EQ(rd.status, serve::RequestStatus::kCompleted);
+    EXPECT_FALSE(rd.degraded);
+    EXPECT_EQ(rd.attempts, 1u);
+    EXPECT_EQ(rd.device, DeviceClass::kFpga);
 
     snap = service->Stats();
-    EXPECT_EQ(snap.device[static_cast<int>(DeviceClass::kFpga)].breaker,
-              serve::BreakerState::kClosed);
-    EXPECT_EQ(snap.completed, 3u);
+    EXPECT_EQ(snap.device[kFpgaIdx].breaker, serve::BreakerState::kClosed);
+    EXPECT_EQ(snap.completed, 4u);
     EXPECT_EQ(snap.failed, 0u);
     EXPECT_GE(CountSpans(*service, trace::StageKind::kBreaker), 3u);
     service->Stop();
@@ -502,36 +491,34 @@ TEST(ServeFaultTest, BreakerOpensDegradesThenProbesClosed)
 TEST(ServeFaultTest, CpuFallbackPredictionsAreBitIdentical)
 {
     const ServeFaultFixture& f = Fixture();
-    serve::ServiceConfig config;
-    config.coalescer.window = SimTime();
-    config.policy = WorkloadPolicy::kAlwaysFpga;
-    config.retry.max_attempts = 1;  // degrade after the first fault
-    auto service = f.Service(config);
-    service->Start();
+    auto service = StartSoloService();
 
     FaultPlan plan;
     plan.At(FaultSite::kFpgaSetup).probability = 1.0;
     ScopedFaultPlan guard(plan);
 
-    const std::size_t n = 128;
-    RowView payload = f.data.View(0, n);
-    serve::ScoreRequest r;
-    r.model_id = "m";
-    r.num_rows = n;
-    r.rows = payload;
+    // An FPGA-sized payload: the fixture's rows, repeated.
+    const std::size_t cols = f.data.num_features();
+    std::vector<float> payload(kFpgaRows * cols);
+    for (std::size_t r = 0; r < kFpgaRows; ++r) {
+        const float* row = f.data.Row(r % f.data.num_rows());
+        std::copy(row, row + cols, payload.begin() + r * cols);
+    }
+    serve::ScoreRequest r = FpgaSizedRequest(SimTime());
+    r.rows = RowView::Borrow(payload.data(), kFpgaRows, cols);
     serve::ScoreReply reply = service->ScoreSync(r);
 
     ASSERT_EQ(reply.status, serve::RequestStatus::kCompleted);
     EXPECT_TRUE(reply.degraded);
-    EXPECT_EQ(reply.attempts, 2u);
-    ASSERT_EQ(reply.predictions.size(), n);
+    EXPECT_EQ(reply.device, DeviceClass::kCpu);
+    EXPECT_EQ(reply.attempts, serve::kMaxAttempts + 1);
+    ASSERT_EQ(reply.predictions.size(), kFpgaRows);
 
     // Degraded answers are bit-identical to the reference scalar CPU
     // path — fallback changes the cost model, never the math.
     RandomForest reference = f.ensemble.ToForest();
     EXPECT_EQ(reply.predictions,
-              reference.PredictBatchScalar(payload.data(), n,
-                                           f.data.num_features()));
+              reference.PredictBatchScalar(payload.data(), kFpgaRows, cols));
     service->Stop();
 }
 

@@ -619,6 +619,51 @@ TEST(FleetServiceTest, PayloadOfTheWrongSizeFailsItsRequest)
     service.Stop();
 }
 
+TEST(FleetServiceTest, RejectsZeroRowsBeforeChargingTheQuota)
+{
+    const FleetFixture& f = Fixture();
+    FleetConfig config;
+    config.slo[static_cast<int>(SloClass::kBronze)].quota_rps = 1.0;
+    config.slo[static_cast<int>(SloClass::kBronze)].quota_burst = 1.0;
+    FleetService service(f.profile, config);
+    service.RegisterModel("m", f.ensemble, f.stats);
+    service.RegisterTenant(7, "m", SloClass::kBronze);
+    service.Start();
+
+    FleetRequest zero;
+    zero.tenant_id = 7;
+    zero.num_rows = 0;
+    zero.arrival = SimTime();
+    FleetReply reply = service.ScoreSync(std::move(zero));
+    EXPECT_EQ(reply.status, RequestStatus::kRejected);
+    EXPECT_NE(reply.error.find("zero rows"), std::string::npos);
+    service.Drain();
+    const auto bronze = [&service] {
+        return service.Stats().classes[static_cast<int>(SloClass::kBronze)];
+    };
+    const auto dispatches = [&service] {
+        std::size_t n = 0;
+        for (const FleetDeviceSnapshot& d : service.Stats().devices) {
+            n += d.dispatches;
+        }
+        return n;
+    };
+    EXPECT_EQ(bronze().rejected_capacity, 1u);
+    EXPECT_EQ(bronze().admitted, 0u);
+    EXPECT_EQ(dispatches(), 0u);
+
+    // The refusal left the tenant's one token: a real request at the
+    // same modeled arrival still admits.
+    FleetRequest one;
+    one.tenant_id = 7;
+    one.arrival = SimTime();
+    EXPECT_EQ(service.ScoreSync(std::move(one)).status,
+              RequestStatus::kCompleted);
+    EXPECT_EQ(bronze().rejected_quota, 0u);
+    EXPECT_EQ(dispatches(), 1u);
+    service.Stop();
+}
+
 TEST(FleetServiceTest, RejectsUnknownTenantAndEnforcesQuota)
 {
     const FleetFixture& f = Fixture();
@@ -973,9 +1018,10 @@ constexpr int kFpgaIdx = static_cast<int>(DeviceClass::kFpga);
 
 /**
  * One lane per device, no autoscaler, no quota and a long deadline:
- * the fault tests below steer each request only through the config
- * they change. At 100k rows the fixture's model places on the FPGA
- * (5.5 ms estimate vs 6.3 ms GPU and 24.5 ms CPU).
+ * the fault tests below steer each request only through its arrival,
+ * the lanes earlier requests hold and the fault plan. At 100k rows the
+ * fixture's model places on the FPGA when every lane is idle (5.5 ms
+ * estimate vs 6.3 ms GPU and 24.5 ms CPU).
  */
 FleetConfig
 FaultFleetConfig()
@@ -1013,12 +1059,11 @@ ScoreAt(FleetService& service, SimTime arrival)
 
 TEST(FleetFaultTest, RetriesExhaustThenDegradeToCpu)
 {
-    FleetConfig config = FaultFleetConfig();
-    config.breaker.failure_threshold = 100;  // keep the breaker out
-    auto service = StartFaultFleet(config);
+    auto service = StartFaultFleet(FaultFleetConfig());
 
-    // Every FPGA setup op fails: the request burns its full retry
-    // budget (default 4 attempts, 3 backoffs), then degrades to CPU.
+    // Every FPGA setup op fails: the request burns its FPGA budget
+    // (kMaxAttempts attempts, one backoff fewer), one fault short of the
+    // breaker's threshold, then degrades to CPU.
     fault::FaultPlan plan;
     plan.At(fault::FaultSite::kFpgaSetup).every_nth = 1;
     fault::ScopedFaultPlan guard(plan);
@@ -1027,12 +1072,13 @@ TEST(FleetFaultTest, RetriesExhaustThenDegradeToCpu)
     EXPECT_EQ(reply.status, RequestStatus::kCompleted);
     EXPECT_TRUE(reply.degraded);
     EXPECT_EQ(reply.device, DeviceClass::kCpu);
-    EXPECT_EQ(reply.attempts, config.retry.max_attempts + 1);
+    EXPECT_EQ(reply.attempts, serve::kMaxAttempts + 1);
 
     const FleetDeviceSnapshot fpga = service->Stats().devices[kFpgaIdx];
-    EXPECT_EQ(fpga.faults, config.retry.max_attempts);
-    EXPECT_EQ(fpga.retries, config.retry.max_attempts - 1);
+    EXPECT_EQ(fpga.faults, serve::kMaxAttempts);
+    EXPECT_EQ(fpga.retries, serve::kMaxAttempts - 1);
     EXPECT_EQ(fpga.fallbacks, 1u);
+    EXPECT_EQ(fpga.breaker_opens, 0u);
     // The trace subsystem and the counters tell the same story.
     const std::uint32_t domain = service->trace_domain();
     EXPECT_EQ(CountSpans(domain, trace::StageKind::kFault), fpga.faults);
@@ -1043,33 +1089,44 @@ TEST(FleetFaultTest, RetriesExhaustThenDegradeToCpu)
     service->Stop();
 }
 
-TEST(FleetFaultTest, FallbackDisabledFailsAfterRetries)
+TEST(FleetFaultTest, FailsOnceTheCpuSpendsItsAttemptsToo)
 {
-    FleetConfig config = FaultFleetConfig();
-    config.cpu_fallback = false;
-    config.retry.max_attempts = 2;
-    auto service = StartFaultFleet(config);
+    auto service = StartFaultFleet(FaultFleetConfig());
 
+    // Every process invocation crashes, on every device: the FPGA spends
+    // its attempts, the dispatch degrades, and the CPU spends its own.
+    // Four faults a device stay under the breaker's threshold.
     fault::FaultPlan plan;
-    plan.At(fault::FaultSite::kFpgaSetup).every_nth = 1;
+    plan.At(fault::FaultSite::kExternalInvoke).probability = 1.0;
     fault::ScopedFaultPlan guard(plan);
 
     FleetReply reply = ScoreAt(*service, SimTime());
     EXPECT_EQ(reply.status, RequestStatus::kFailed);
-    EXPECT_EQ(reply.attempts, 2u);
-    EXPECT_FALSE(reply.degraded);
+    EXPECT_EQ(reply.attempts, 2 * serve::kMaxAttempts);
+    EXPECT_TRUE(reply.degraded);
+    EXPECT_EQ(reply.error, "injected faults exhausted every retry");
 
     FleetSnapshot snap = service->Stats();
     EXPECT_EQ(snap.classes[static_cast<int>(SloClass::kGold)].failed, 1u);
-    EXPECT_EQ(snap.devices[kFpgaIdx].faults, 2u);
-    EXPECT_EQ(snap.devices[kFpgaIdx].fallbacks, 0u);
+    const FleetDeviceSnapshot& fpga = snap.devices[kFpgaIdx];
+    EXPECT_EQ(fpga.faults, serve::kMaxAttempts);
+    EXPECT_EQ(fpga.retries, serve::kMaxAttempts - 1);
+    EXPECT_EQ(fpga.fallbacks, 1u);
+    EXPECT_EQ(fpga.breaker_opens, 0u);
+    const FleetDeviceSnapshot& cpu =
+        snap.devices[static_cast<int>(DeviceClass::kCpu)];
+    EXPECT_EQ(cpu.faults, serve::kMaxAttempts);
+    EXPECT_EQ(cpu.retries, serve::kMaxAttempts - 1);
+    EXPECT_EQ(cpu.fallbacks, 0u);
+    EXPECT_EQ(cpu.breaker_opens, 0u);
+    EXPECT_EQ(CountSpans(service->trace_domain(), trace::StageKind::kFault),
+              2 * serve::kMaxAttempts);
     service->Stop();
 }
 
 TEST(FleetFaultTest, RetryNeverDispatchesPastDeadline)
 {
     FleetConfig config = FaultFleetConfig();
-    config.retry.initial_backoff = SimTime::Millis(10.0);
     config.slo[static_cast<int>(SloClass::kGold)].deadline =
         SimTime::Millis(5.0);
     auto service = StartFaultFleet(config);
@@ -1097,21 +1154,23 @@ TEST(FleetFaultTest, RetryNeverDispatchesPastDeadline)
 
 TEST(FleetFaultTest, BreakerReopensAfterFailedProbe)
 {
-    FleetConfig config = FaultFleetConfig();
-    config.retry.max_attempts = 2;
-    config.breaker.failure_threshold = 2;
-    config.breaker.open_cooldown = SimTime::Seconds(1.0);
-    auto service = StartFaultFleet(config);
+    auto service = StartFaultFleet(FaultFleetConfig());
 
     fault::FaultPlan plan;
     plan.At(fault::FaultSite::kFpgaSetup).probability = 1.0;
     plan.At(fault::FaultSite::kFpgaSetup).sticky = true;
     fault::ScopedFaultPlan guard(plan);
 
-    // Two faulted FPGA attempts trip the breaker; the request degrades.
+    // The first request's kMaxAttempts faults stay one short of the
+    // breaker's threshold. The second, placed on the FPGA again once
+    // every lane is idle, opens it with its first fault. Both degrade.
     FleetReply first = ScoreAt(*service, SimTime());
     EXPECT_EQ(first.status, RequestStatus::kCompleted);
     EXPECT_TRUE(first.degraded);
+    EXPECT_EQ(service->Stats().devices[kFpgaIdx].breaker_opens, 0u);
+    FleetReply second = ScoreAt(*service, first.finish);
+    EXPECT_EQ(second.status, RequestStatus::kCompleted);
+    EXPECT_TRUE(second.degraded);
     EXPECT_EQ(service->Stats().devices[kFpgaIdx].breaker_opens, 1u);
 
     // Long past the cooldown, the next request is the half-open probe.
@@ -1127,8 +1186,17 @@ TEST(FleetFaultTest, BreakerReopensAfterFailedProbe)
 
     // Inside the new cooldown, placement skips the dead FPGA: one clean
     // attempt elsewhere, and no new FPGA fault.
-    FleetReply next =
-        ScoreAt(*service, probe.finish + SimTime::Millis(1.0));
+    double reopened_s = 0.0;
+    for (const trace::SpanRecord& span :
+         trace::TraceCollector::Get().SpansForDomain(
+             service->trace_domain())) {
+        if (std::string_view(span.name) == "breaker-open") {
+            reopened_s = std::max(reopened_s, span.sim_start_s);
+        }
+    }
+    ASSERT_GE(reopened_s, 10.0);
+    FleetReply next = ScoreAt(
+        *service, SimTime::Seconds(reopened_s) + SimTime::Millis(1.0));
     EXPECT_EQ(next.status, RequestStatus::kCompleted);
     EXPECT_EQ(next.attempts, 1u);
     EXPECT_FALSE(next.degraded);

@@ -168,15 +168,22 @@ TEST(BatchCoalescerTest, RowCapAndZeroWindow)
 {
     CoalescerConfig config;
     config.window = SimTime::Millis(100.0);
-    config.max_batch_rows = 50;
     BatchCoalescer row_capped(config);
-    EXPECT_TRUE(row_capped.Add(MakePending(0.0, 30)).empty());
-    // 30 + 40 would overflow the 50-row cap: old batch closes, the
-    // newcomer (40 rows < 50) stays open.
-    auto closed = row_capped.Add(MakePending(1.0, 40));
+    const std::size_t first = 600000;
+    const std::size_t second = 500000;
+    ASSERT_GT(first + second, kMaxBatchRows);
+    EXPECT_TRUE(row_capped.Add(MakePending(0.0, first)).empty());
+    // first + second would overflow the row cap: the old batch closes,
+    // and the newcomer (under the cap) stays open.
+    auto closed = row_capped.Add(MakePending(1.0, second));
     ASSERT_EQ(closed.size(), 1u);
-    EXPECT_EQ(closed[0].total_rows, 30u);
+    EXPECT_EQ(closed[0].total_rows, first);
     EXPECT_EQ(row_capped.pending_requests(), 1u);
+    // A joiner that fills the batch to the cap exactly closes it at once.
+    closed = row_capped.Add(MakePending(2.0, kMaxBatchRows - second));
+    ASSERT_EQ(closed.size(), 1u);
+    EXPECT_EQ(closed[0].total_rows, kMaxBatchRows);
+    EXPECT_EQ(row_capped.pending_requests(), 0u);
 
     CoalescerConfig solo;
     solo.window = SimTime();
@@ -191,9 +198,6 @@ TEST(BatchCoalescerTest, RejectsBadConfig)
 {
     CoalescerConfig config;
     config.max_batch_requests = 0;
-    EXPECT_THROW(BatchCoalescer{config}, InvalidArgument);
-    config = CoalescerConfig{};
-    config.max_batch_rows = 0;
     EXPECT_THROW(BatchCoalescer{config}, InvalidArgument);
     config = CoalescerConfig{};
     config.window = SimTime::Millis(-1.0);
@@ -279,33 +283,39 @@ TEST(ScoringServiceTest, DeadlineExpiryIsCounted)
 {
     ServiceConfig config;
     config.coalescer.window = SimTime();  // no coalescing
-    config.policy = WorkloadPolicy::kAlwaysCpu;
     auto service = Fixture().Service(config);
     service->Start();
 
-    // A 1M-row request parks the CPU for a long modeled time...
-    ScoreRequest big;
-    big.model_id = "m";
-    big.num_rows = 1000000;
-    big.arrival = SimTime();
-    auto big_handle = service->Submit(big);
+    // 1M-row requests at time zero, each placed where it finishes
+    // earliest, until every device's one lane is parked for a long
+    // modeled time...
+    std::set<DeviceClass> busy;
+    std::size_t big = 0;
+    while (busy.size() < 3 && big < 64) {
+        ScoreRequest r;
+        r.model_id = "m";
+        r.num_rows = 1000000;
+        r.arrival = SimTime();
+        const ScoreReply reply = service->ScoreSync(std::move(r));
+        ASSERT_EQ(reply.status, RequestStatus::kCompleted);
+        busy.insert(reply.device);
+        ++big;
+    }
+    ASSERT_EQ(busy.size(), 3u);
 
-    // ...so a same-arrival request with a 1 ms deadline must expire.
+    // ...so a same-arrival request with a 1 ms deadline finds no free
+    // lane and must expire before dispatch.
     ScoreRequest impatient;
     impatient.model_id = "m";
     impatient.num_rows = 10;
     impatient.arrival = SimTime();
     impatient.deadline = SimTime::Millis(1.0);
-    auto impatient_handle = service->Submit(impatient);
-
-    service->Drain();
-    EXPECT_EQ(big_handle->Wait().status, RequestStatus::kCompleted);
-    const ScoreReply& expired = impatient_handle->Wait();
+    const ScoreReply expired = service->ScoreSync(impatient);
     EXPECT_EQ(expired.status, RequestStatus::kExpired);
     EXPECT_GT(expired.timing.latency.millis(), 1.0);
 
     ServiceSnapshot snap = service->Stats();
-    EXPECT_EQ(snap.completed, 1u);
+    EXPECT_EQ(snap.completed, big);
     EXPECT_EQ(snap.expired, 1u);
     service->Stop();
 }
@@ -598,18 +608,17 @@ TEST(ScoringServiceTest, StopSettlesEveryCoalescedRequest)
 TEST(ScoringServiceTest, CpuDispatchesScoreOnSeveralScorers)
 {
     // Committed dispatches queue for one pool of scorers, whatever
-    // device they were placed on, so a CPU-only service still spreads
-    // its kernel work over the host's cores.
+    // device they were placed on, so dispatches that all land on the
+    // CPU still spread their kernel work over the host's cores.
     if (std::thread::hardware_concurrency() < 2) {
         GTEST_SKIP() << "one hardware thread: one scorer";
     }
     const ServeFixture& f = Fixture();
     ServiceConfig config;
-    config.policy = WorkloadPolicy::kAlwaysCpu;
     config.coalescer.window = SimTime();
     auto service = f.Service(config);
     constexpr std::size_t kRequests = 96;
-    constexpr std::size_t kRows = 512;
+    constexpr std::size_t kRows = 128;
     std::vector<RowView> payloads;
     std::vector<PendingScorePtr> handles;
     for (std::size_t i = 0; i < kRequests; ++i) {
@@ -619,7 +628,9 @@ TEST(ScoringServiceTest, CpuDispatchesScoreOnSeveralScorers)
         r.model_id = "m";
         r.num_rows = kRows;
         r.rows = payloads.back();
-        r.arrival = SimTime::Millis(0.1 * static_cast<double>(i));
+        // A modeled second apart: each request finds every lane idle
+        // and lands where 128 rows cost least, on the CPU.
+        r.arrival = SimTime::Seconds(static_cast<double>(i));
         handles.push_back(service->Submit(std::move(r)));
     }
     service->Start();
